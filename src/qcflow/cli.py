@@ -254,6 +254,8 @@ def cmd_flow(config: str) -> None:
         "energyLast": stats.energy[-1],
         "minDetLast": stats.min_det[-1],
         "haltReason": stats.halt_reason,
+        "violations": stats.violations,
+        "compatResidual": stats.compat_residual,
     }
     click.echo(json.dumps(summary, sort_keys=True, indent=2))
     sys.exit(EXIT_HALTED if stats.halt_reason else 0)

@@ -1,22 +1,28 @@
-"""Explicit finite-difference gradient flow of the dilation energy.
+"""Finite-difference gradient flow of the dilation energy.
 
 Discretizes maps on uniform rectangular grids with Dirichlet boundary
-data and advances interior nodes by the non-divergence form of the
-finite-p operator. Monitors enforce energy monotonicity per accepted
-step and a determinant floor at half the initial minimum; violations
-halve the step or halt the run. A frozen-coefficient (picard) mode
-re-integrates the horizon against the previous pass's coefficient
-history instead of adapting.
+data and advances interior nodes by forward Euler on the non-divergence
+form of the finite-p operator. One stepping loop serves both modes; they
+differ only in where a step takes its coefficients and in how it treats
+an energy rise. explicit mode reads the coefficients off the current
+state, rejects a step that raises the energy and halves dt. picard mode
+re-integrates the horizon at fixed dt against the previous pass's saved
+states (the first pass freezes them at the initial data), keeps a step
+that raises the energy and counts it as a violation. In both modes five
+consecutive violations, a determinant below half the initial minimum,
+or a non-finite value halt the run.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DeterminantCollapse, NonFiniteValue, NonPositiveDeterminant
+from .errors import DeterminantCollapse, NonFiniteValue
 from .operators import flux_linearization
+from .tensor import _positive_det
 
 DEFAULT_SAFETY = 0.2
 ENERGY_TOL_SCALE = 1e-12
@@ -51,25 +57,12 @@ class GridField:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def with_values(self, values: np.ndarray) -> "GridField":
-        return GridField(
-            values=values,
-            h=self.h,
-            origin=self.origin,
-            boundary_mask=self.boundary_mask,
-            det_cache=_det_field(values, self.h),
-        )
-
 
 def _jacobian_field(values: np.ndarray, h: float) -> np.ndarray:
     """J[..., i, a] = d_a u^i by central differences, one-sided at edges."""
     n = values.shape[-1]
     grads = [np.gradient(values, h, axis=a, edge_order=2) for a in range(n)]
     return np.stack(grads, axis=-1)
-
-
-def _det_field(values: np.ndarray, h: float) -> np.ndarray:
-    return np.linalg.det(_jacobian_field(values, h))
 
 
 def make_grid(mapping, shape, h: float, origin=None) -> GridField:
@@ -98,7 +91,7 @@ def make_grid(mapping, shape, h: float, origin=None) -> GridField:
         h=h,
         origin=origin,
         boundary_mask=mask,
-        det_cache=_det_field(values, h),
+        det_cache=np.linalg.det(_jacobian_field(values, h)),
     )
 
 
@@ -172,27 +165,22 @@ def _full_hessian(values: np.ndarray, h: float) -> np.ndarray:
     return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
 
-def _checked_det_field(det: np.ndarray) -> None:
-    if not np.all(det > 0.0):
-        raise NonPositiveDeterminant(
-            f"grid Jacobian determinant must be positive (min {float(np.min(det)):.6e})"
-        )
+def _energy(jac: np.ndarray, det: np.ndarray, h: float, p: float) -> float:
+    """Trapezoidal mean of K^{np} from a full-grid Jacobian and its determinant."""
+    n = jac.shape[-1]
+    nsq = np.sum(jac * jac, axis=(-2, -1))
+    ksq = nsq / det ** (2.0 / n)
+    total = ksq ** (n * p / 2.0)
+    for _ in range(n):
+        total = np.trapezoid(total, dx=h, axis=-1)
+    volume = float(np.prod([(m - 1) * h for m in det.shape]))
+    return float(total) / volume
 
 
 def energy(grid: GridField, p: float) -> float:
     """Mean of K^{np} over the box by trapezoidal quadrature."""
-    n = grid.n
     jac = _jacobian_field(grid.values, grid.h)
-    det = np.linalg.det(jac)
-    _checked_det_field(det)
-    nsq = np.sum(jac * jac, axis=(-2, -1))
-    ksq = nsq / det ** (2.0 / n)
-    integrand = ksq ** (n * p / 2.0)
-    total = integrand
-    for _ in range(n):
-        total = np.trapezoid(total, dx=grid.h, axis=-1)
-    volume = float(np.prod([(m - 1) * grid.h for m in grid.shape]))
-    return float(total) / volume
+    return _energy(jac, _positive_det(jac), grid.h, p)
 
 
 def compatibility_check(grid: GridField, p: float) -> float:
@@ -202,23 +190,22 @@ def compatibility_check(grid: GridField, p: float) -> float:
     small; the value converges to the pointwise operator norm on the
     boundary at second order in h.
     """
-    jac = _jacobian_field(grid.values, grid.h)
-    det = np.linalg.det(jac)
-    _checked_det_field(det)
+    a4 = flux_linearization(_jacobian_field(grid.values, grid.h), p)
     hess = _full_hessian(grid.values, grid.h)
-    a4 = flux_linearization(jac, p)
     resid = np.einsum("...ikjl,...kjl->...i", a4, hess)
     return float(np.max(np.abs(resid[grid.boundary_mask])))
 
 
+def _interior_update(coeff_values: np.ndarray, values: np.ndarray, h: float,
+                     p: float) -> np.ndarray:
+    """Operator at interior nodes: coefficients from coeff_values, Hessian from values."""
+    a4 = flux_linearization(_interior_jacobian(coeff_values, h), p)
+    return np.einsum("...ikjl,...kjl->...i", a4, _interior_hessian(values, h))
+
+
 def interior_operator(grid: GridField, p: float) -> np.ndarray:
     """Non-divergence operator at interior nodes, shape (*interior, n)."""
-    jac = _interior_jacobian(grid.values, grid.h)
-    det = np.linalg.det(jac)
-    _checked_det_field(det)
-    hess = _interior_hessian(grid.values, grid.h)
-    a4 = flux_linearization(jac, p)
-    return np.einsum("...ikjl,...kjl->...i", a4, hess)
+    return _interior_update(grid.values, grid.values, grid.h, p)
 
 
 def dtmax(grid: GridField, p: float, safety: float = DEFAULT_SAFETY) -> float:
@@ -230,12 +217,36 @@ def dtmax(grid: GridField, p: float, safety: float = DEFAULT_SAFETY) -> float:
     quadruples the bound; raising p shrinks it through the coefficient
     growth.
     """
-    jac = _jacobian_field(grid.values, grid.h)
-    det = np.linalg.det(jac)
-    _checked_det_field(det)
-    a4 = flux_linearization(jac, p)
+    a4 = flux_linearization(_jacobian_field(grid.values, grid.h), p)
     lam = float(np.max(np.sum(np.abs(a4), axis=(-3, -2, -1))))
     return safety * grid.h**2 / lam
+
+
+def _advance(grid: GridField, update: np.ndarray, dt: float,
+             det_floor: float) -> tuple[GridField, np.ndarray]:
+    """Forward-Euler move of the interior nodes by dt * update.
+
+    Returns the stepped grid and its full-grid Jacobian, whose
+    determinant is the stepped det_cache.
+    """
+    values = grid.values.copy()
+    values[tuple(slice(1, -1) for _ in grid.shape)] += dt * update
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteValue("explicit step produced non-finite values")
+    jac = _jacobian_field(values, grid.h)
+    det = np.linalg.det(jac)
+    min_det = float(np.min(det))
+    if not min_det >= det_floor:  # a NaN determinant fails too
+        raise DeterminantCollapse(
+            f"step drove min det to {min_det:.6e} < floor {det_floor:.6e}"
+        )
+    return GridField(
+        values=values,
+        h=grid.h,
+        origin=grid.origin,
+        boundary_mask=grid.boundary_mask,
+        det_cache=det,
+    ), jac
 
 
 def explicit_step(grid: GridField, p: float, dt: float,
@@ -248,24 +259,7 @@ def explicit_step(grid: GridField, p: float, dt: float,
     """
     if det_floor is None:
         det_floor = 0.5 * float(np.min(grid.det_cache))
-    update = interior_operator(grid, p)
-    new_values = grid.values.copy()
-    core = tuple(slice(1, -1) for _ in grid.shape)
-    new_values[core] += dt * update
-    new_det = _det_field(new_values, grid.h)
-    if not np.all(np.isfinite(new_values)):
-        raise NonFiniteValue("explicit step produced non-finite values")
-    if float(np.min(new_det)) < det_floor:
-        raise DeterminantCollapse(
-            f"step drove min det to {float(np.min(new_det)):.6e} < floor {det_floor:.6e}"
-        )
-    return GridField(
-        values=new_values,
-        h=grid.h,
-        origin=grid.origin,
-        boundary_mask=grid.boundary_mask,
-        det_cache=new_det,
-    )
+    return _advance(grid, interior_operator(grid, p), dt, det_floor)[0]
 
 
 @dataclass
@@ -301,146 +295,70 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
              safety: float = DEFAULT_SAFETY, outer: int = 3) -> FlowRunStats:
     """Integrate the flow to the horizon with monitors.
 
-    explicit mode advances with the stability-bounded step, halving it
-    whenever the energy monitor trips; five consecutive violations halt
-    the run, as do determinant collapse and non-finite values. picard
-    mode re-runs the horizon `outer` times at fixed step, evaluating
-    coefficients on the previous pass's saved states, and reports the
-    monitors of the final pass.
+    One stepping loop, run once in explicit mode and `outer` times in
+    picard mode. A step takes its coefficients from the current state
+    (explicit) or from the state the previous pass saved at the same
+    step (picard; the first pass uses the initial data). An energy rise
+    is a violation: explicit mode rejects the step and halves dt, picard
+    mode keeps the step at its fixed dt. Five consecutive violations
+    halt the run, as do determinant collapse and non-finite values. The
+    stats describe the final pass; violations count over all passes.
     """
     if mode not in ("explicit", "picard"):
         raise ValueError(f"unknown mode {mode!r}")
+    explicit = mode == "explicit"
     compat = compatibility_check(grid, p)
     det_floor = 0.5 * float(np.min(grid.det_cache))
     e0 = energy(grid, p)
     tol = ENERGY_TOL_SCALE * (1.0 + abs(e0))
+    dt0 = dtmax(grid, p, safety)
 
-    times = [0.0]
-    energies = [e0]
-    min_dets = [float(np.min(grid.det_cache))]
-    dts = [0.0]
     violations = 0
-    halt = None
-
-    def stats(final: GridField) -> FlowRunStats:
-        return FlowRunStats(
-            times=np.array(times),
-            energy=np.array(energies),
-            min_det=np.array(min_dets),
-            dt_history=np.array(dts),
-            halt_reason=halt,
-            compat_residual=compat,
-            violations=violations,
-            final_grid=final,
-        )
-
-    if mode == "picard":
-        return _run_picard(grid, p, t_final, safety, outer, compat)
-
-    dt = dtmax(grid, p, safety)
-    t = 0.0
-    consecutive = 0
-    e_prev = e0
-    while t < t_final - 1e-15:
-        step_dt = min(dt, t_final - t)
-        try:
-            candidate = explicit_step(grid, p, step_dt, det_floor)
-        except DeterminantCollapse:
-            halt = "determinant_collapse"
-            break
-        except NonFiniteValue:
-            halt = "non_finite"
-            break
-        e_new = energy(candidate, p)
-        if e_new > e_prev + tol:
-            violations += 1
-            consecutive += 1
-            dt *= 0.5
-            if consecutive >= MAX_CONSECUTIVE_VIOLATIONS:
-                halt = "unstable"
+    frozen = itertools.repeat(grid.values)  # picard's first pass freezes at u0
+    for _ in range(1 if explicit else max(1, int(outer))):
+        current, t, dt, e_prev, consecutive, halt = grid, 0.0, dt0, e0, 0, None
+        times, energies, min_dets, dts = [0.0], [e0], [float(np.min(grid.det_cache))], [0.0]
+        states = [grid.values]
+        while True:
+            # picard steps and stops on the lattice k * dt that indexes the
+            # saved states; relative, so tiny horizons are still integrated
+            remaining = t_final - (t if explicit else (len(times) - 1) * dt)
+            if not remaining > 1e-12 * t_final:
                 break
-            continue
-        grid = candidate
-        t += step_dt
-        e_prev = e_new
-        consecutive = 0
-        times.append(t)
-        energies.append(e_new)
-        min_dets.append(float(np.min(grid.det_cache)))
-        dts.append(step_dt)
-    return stats(grid)
-
-
-def _run_picard(grid: GridField, p: float, t_final: float, safety: float,
-                outer: int, compat: float) -> FlowRunStats:
-    """Frozen-coefficient passes over the horizon at fixed step."""
-    det_floor = 0.5 * float(np.min(grid.det_cache))
-    e0 = energy(grid, p)
-    tol = ENERGY_TOL_SCALE * (1.0 + abs(e0))
-    dt = dtmax(grid, p, safety)
-    n_steps = max(1, int(np.ceil(t_final / dt)))
-    step_dts = [min(dt, t_final - k * dt) for k in range(n_steps)]
-
-    core = tuple(slice(1, -1) for _ in grid.shape)
-    history = [grid.values] * (n_steps + 1)  # pass zero freezes at u0
-    halt = None
-    violations = 0
-    times, energies, min_dets, dts = [], [], [], []
-
-    current = grid
-    for _ in range(max(1, int(outer))):
-        current = grid
-        new_history = [grid.values]
-        times = [0.0]
-        energies = [e0]
-        min_dets = [float(np.min(grid.det_cache))]
-        dts = [0.0]
-        halt = None
-        t = 0.0
-        e_prev = e0
-        consecutive = 0
-        for k, step_dt in enumerate(step_dts):
-            frozen = current.with_values(history[k])
-            coeff_jac = _interior_jacobian(frozen.values, grid.h)
-            _checked_det_field(np.linalg.det(coeff_jac))
-            a4 = flux_linearization(coeff_jac, p)
-            hess = _interior_hessian(current.values, grid.h)
-            update = np.einsum("...ikjl,...kjl->...i", a4, hess)
-            new_values = current.values.copy()
-            new_values[core] += step_dt * update
-            if not np.all(np.isfinite(new_values)):
-                halt = "non_finite"
-                break
-            new_det = _det_field(new_values, grid.h)
-            if float(np.min(new_det)) < det_floor:
+            step_dt = min(dt, remaining)
+            coeff = current.values if explicit else next(frozen)
+            try:
+                candidate, jac = _advance(
+                    current, _interior_update(coeff, current.values, grid.h, p),
+                    step_dt, det_floor)
+            except DeterminantCollapse:
                 halt = "determinant_collapse"
                 break
-            current = GridField(
-                values=new_values,
-                h=grid.h,
-                origin=grid.origin,
-                boundary_mask=grid.boundary_mask,
-                det_cache=new_det,
-            )
-            t += step_dt
-            e_new = energy(current, p)
+            except NonFiniteValue:
+                halt = "non_finite"
+                break
+            e_new = _energy(jac, candidate.det_cache, grid.h, p)
             if e_new > e_prev + tol:
                 violations += 1
                 consecutive += 1
                 if consecutive >= MAX_CONSECUTIVE_VIOLATIONS:
                     halt = "unstable"
                     break
+                if explicit:
+                    dt *= 0.5
+                    continue
             else:
                 consecutive = 0
-            e_prev = e_new
-            new_history.append(new_values)
+            current, t, e_prev = candidate, t + step_dt, e_new
             times.append(t)
             energies.append(e_new)
-            min_dets.append(float(np.min(new_det)))
+            min_dets.append(float(np.min(current.det_cache)))
             dts.append(step_dt)
+            if not explicit:
+                states.append(current.values)
         if halt is not None:
             break
-        history = new_history
+        frozen = iter(states)
 
     return FlowRunStats(
         times=np.array(times),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveDeterminant, UnsupportedRegime
-from .tensor import _as_matrix, ahlfors, distortion_tensor, trace_dilation
+from .tensor import _as_matrix, _positive_det, ahlfors, distortion_tensor, trace_dilation
 
 # Orientation of the large-p limit: the normalized finite-p operator
 # converges to +1 times the factored infinite-p operator. Calibrated
@@ -73,15 +73,6 @@ def _norm_sq(q: np.ndarray) -> np.ndarray:
     return np.sum(q * q, axis=(-2, -1))
 
 
-def _checked_det(q: np.ndarray) -> np.ndarray:
-    d = np.linalg.det(q)
-    if not np.all(d > 0.0):
-        raise NonPositiveDeterminant(
-            f"determinant must be positive (min {float(np.min(d)):.6e})"
-        )
-    return d
-
-
 def _power_weight(nsq, det, num_pow: float, det_pow: float) -> np.ndarray:
     """|q|^num_pow / det^det_pow computed in log-domain."""
     return np.exp(0.5 * num_pow * np.log(nsq) - det_pow * np.log(det))
@@ -96,7 +87,7 @@ def flux(q, p: float) -> np.ndarray:
     """
     a = _as_matrix(q)
     n = a.shape[-1]
-    d = _checked_det(a)
+    d = _positive_det(a)
     nsq = _norm_sq(a)
     qinv_t = np.swapaxes(np.linalg.inv(a), -1, -2)
     w = _power_weight(nsq, d, n * p, p)
@@ -138,7 +129,7 @@ def flux_linearization(q, p: float) -> np.ndarray:
     """
     a = _as_matrix(q)
     n = a.shape[-1]
-    d = _checked_det(a)
+    d = _positive_det(a)
     nsq = _norm_sq(a)
     w = _power_weight(nsq, d, n * p - 2.0, p)
     return -p * w[..., None, None, None, None] * _a4_bracket(a, p)
@@ -156,7 +147,7 @@ def lh_witness(q, xi, eta, p: float) -> EllipticityWitness:
     n = a.shape[-1]
     if p < 1.0 or (n == 2 and p == 1.0):
         raise UnsupportedRegime(f"no ellipticity constants for n={n}, p={p}")
-    d = _checked_det(a)
+    d = _positive_det(a)
     nsq = _norm_sq(a)
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -217,7 +208,7 @@ def linfty_factored(sample: Jet2Sample) -> np.ndarray:
     """Infinite-p operator as a product of two copies of M = n J - |J|^2 J^{-T}."""
     j = sample.J
     n = j.shape[-1]
-    _checked_det(j)
+    _positive_det(j)
     nsq = float(_norm_sq(j))
     m = n * j - nsq * np.swapaxes(np.linalg.inv(j), -1, -2)
     return np.einsum("ij,kl,kjl->i", m, m, sample.H)
@@ -244,7 +235,7 @@ def linfty_flowform(sample: Jet2Sample) -> np.ndarray:
     """
     j = sample.J
     n = j.shape[-1]
-    _checked_det(j)
+    _positive_det(j)
     nsq = float(_norm_sq(j))
     k = float(trace_dilation(j))
     sg = ahlfors(distortion_tensor(j))
@@ -261,7 +252,7 @@ def lp_asymptotic_ratio(sample: Jet2Sample, p: float) -> np.ndarray:
     Converges to ASYMPTOTIC_SIGN * linfty_factored at rate O(1/p).
     """
     j = sample.J
-    _checked_det(j)
+    _positive_det(j)
     nsq = float(_norm_sq(j))
     bracket = _a4_bracket(j, p)
     return -(nsq / p) * np.einsum("ikjl,kjl->i", bracket, sample.H)
@@ -275,7 +266,7 @@ def b_tensor(j, p: float) -> np.ndarray:
     """
     a = _as_matrix(j)
     n = a.shape[-1]
-    d = _checked_det(a)
+    d = _positive_det(a)
     nsq = _norm_sq(a)
     w = _power_weight(nsq, d, n * p, p)
     jjt = np.einsum("...ik,...jk->...ij", a, a)

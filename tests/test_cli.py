@@ -224,7 +224,8 @@ class TestFlowCommand:
         result = run_cli("flow", str(cfg))
         summary = json.loads(result.stdout)
         assert set(summary) == {"steps", "energyFirst", "energyLast",
-                                "minDetLast", "haltReason"}
+                                "minDetLast", "haltReason", "violations",
+                                "compatResidual"}
 
     def test_bump_stats_and_snapshots(self, tmp_path):
         cfg = tmp_path / "flow.json"

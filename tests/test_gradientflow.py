@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from qcflow import DeterminantCollapse
+from qcflow import DeterminantCollapse, gradientflow
 from qcflow.gradientflow import (
+    ENERGY_TOL_SCALE,
     compatibility_check,
     dtmax,
     energy,
@@ -15,7 +16,7 @@ from qcflow.gradientflow import (
     run_flow,
     write_snapshot,
 )
-from qcflow.maps import affine_map, bump_map, identity_map, radial_stretch
+from qcflow.maps import affine_map, bump_map, identity_map, make_map, radial_stretch
 from qcflow.operators import lp_nondiv
 
 
@@ -25,6 +26,10 @@ def identity_grid(shape=(33, 33), h=1.0 / 32.0):
 
 def bump_grid(shape=(33, 33), h=1.0 / 32.0, amp=0.05):
     return make_grid(bump_map(2, amp), shape, h)
+
+
+def affine_bump_grid(shape=(17, 17), h=1.0 / 16.0):
+    return make_grid(make_map("affine_bump", n=2, amplitude=0.05), shape, h)
 
 
 class TestMakeGrid:
@@ -194,6 +199,58 @@ class TestRunFlow:
         stats = run_flow(g, 2.0, t_final=2e-4, mode="picard", outer=3)
         assert stats.halt_reason is None
         assert stats.energy[-1] <= stats.energy[0]
+
+    def test_tiny_horizon_reached(self):
+        # at p=50 the stable step is about 1e-22, far below any absolute
+        # horizon tolerance
+        g = bump_grid((17, 17), 1.0 / 16.0)
+        t_final = 20.0 * dtmax(g, 50.0)
+        stats = run_flow(g, 50.0, t_final)
+        assert stats.times.size - 1 == 20
+        assert stats.times[-1] == pytest.approx(t_final, rel=1e-12)
+        assert stats.halt_reason is None
+
+    def test_picard_stops_on_its_step_lattice(self, monkeypatch):
+        # 38,032 additions of this dt fall short of 38,032 * dt by more than
+        # 1e-12 relative, so a stop test on the running sum would ask for a
+        # step past the last lattice step. The kernels are stubbed so that
+        # the stop rule alone runs at that length.
+        dt, n_steps = 0.0009572206494414425, 38032
+        t = 0.0
+        for _ in range(n_steps):
+            t += dt
+        assert t < n_steps * dt * (1.0 - 1e-12)
+
+        def advance(grid, update, step_dt, det_floor):
+            assert step_dt > 0.0
+            return grid, None
+
+        monkeypatch.setattr(gradientflow, "dtmax", lambda grid, p, safety: dt)
+        monkeypatch.setattr(gradientflow, "_interior_update", lambda *args: None)
+        monkeypatch.setattr(gradientflow, "_advance", advance)
+        monkeypatch.setattr(gradientflow, "_energy", lambda *args: 0.0)
+        stats = run_flow(identity_grid((4, 4), 1.0 / 3.0), 2.0, n_steps * dt,
+                         mode="picard", outer=2)
+        assert stats.halt_reason is None
+        assert stats.times.size - 1 == n_steps
+
+    def test_explicit_rejects_energy_rise_and_halves_dt(self):
+        stats = run_flow(affine_bump_grid(), 2.0, t_final=1e-2, safety=3.0)
+        assert stats.violations == 1
+        assert stats.halt_reason is None
+        dts = stats.dt_history[1:]
+        assert any(dts[j] == 0.5 * dts[i] for i in range(dts.size) for j in range(i + 1, dts.size))
+        tol = ENERGY_TOL_SCALE * (1.0 + abs(stats.energy[0]))
+        assert np.all(np.diff(stats.energy) <= tol)
+
+    def test_picard_keeps_energy_rise_at_fixed_dt(self):
+        stats = run_flow(affine_bump_grid(), 2.0, t_final=1e-2, mode="picard", safety=3.0, outer=2)
+        assert stats.violations == 1
+        tol = ENERGY_TOL_SCALE * (1.0 + abs(stats.energy[0]))
+        assert np.count_nonzero(np.diff(stats.energy) > tol) == 1
+        assert np.unique(stats.dt_history[1:]).size == 1
+        assert stats.halt_reason == "determinant_collapse"
+        assert stats.times.size - 1 == 7
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
