@@ -11,6 +11,16 @@ states (the first pass freezes them at the initial data), keeps a step
 that raises the energy and counts it as a violation. In both modes five
 consecutive violations, a determinant below half the initial minimum,
 or a non-finite value halt the run.
+
+Grid stencils work entry-first: one moveaxis per state puts the
+component axis in front, so the Jacobian is J[i, a, *nodes], the Hessian
+H[i, a, b, *nodes], and every matrix entry is a contiguous vector over
+the nodes. The step operator (_interior_update, behind interior_operator,
+explicit_step and run_flow) and compatibility_check contract the flux
+linearization with the Hessian in O(n^3) per node through
+operators._contracted_operator, and det_cache and the energy take the
+closed-form tensor._det_adj. Only dtmax builds the n^4
+flux_linearization, once per run, because it needs the coefficient mass.
 """
 
 from __future__ import annotations
@@ -21,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DeterminantCollapse, NonFiniteValue
-from .operators import flux_linearization
-from .tensor import _positive_det
+from .operators import _contracted_operator, flux_linearization
+from .tensor import _checked_det_adj, _det_adj
 
 DEFAULT_SAFETY = 0.2
 ENERGY_TOL_SCALE = 1e-12
@@ -58,11 +68,16 @@ class GridField:
         return np.stack(mesh, axis=-1)
 
 
+def _entry_first(values: np.ndarray) -> np.ndarray:
+    """Component axis first, contiguous: v[i, *nodes] = values[*nodes, i]."""
+    return np.ascontiguousarray(np.moveaxis(values, -1, 0))
+
+
 def _jacobian_field(values: np.ndarray, h: float) -> np.ndarray:
-    """J[..., i, a] = d_a u^i by central differences, one-sided at edges."""
-    n = values.shape[-1]
-    grads = [np.gradient(values, h, axis=a, edge_order=2) for a in range(n)]
-    return np.stack(grads, axis=-1)
+    """J[i, a, *nodes] = d_a u^i by central differences, one-sided at edges."""
+    v = _entry_first(values)
+    return np.stack([np.gradient(v, h, axis=1 + a, edge_order=2)
+                     for a in range(v.shape[0])], axis=1)
 
 
 def make_grid(mapping, shape, h: float, origin=None) -> GridField:
@@ -91,84 +106,56 @@ def make_grid(mapping, shape, h: float, origin=None) -> GridField:
         h=h,
         origin=origin,
         boundary_mask=mask,
-        det_cache=np.linalg.det(_jacobian_field(values, h)),
+        det_cache=_det_adj(_jacobian_field(values, h))[0],
     )
 
 
-def _interior_view(values: np.ndarray, offsets) -> np.ndarray:
-    """Values at interior nodes displaced by the given per-axis offsets."""
-    shape = values.shape[:-1]
-    sl = tuple(slice(1 + o, m - 1 + o) for o, m in zip(offsets, shape))
-    return values[sl]
+def _shift(v: np.ndarray, offsets) -> np.ndarray:
+    """Entry-first values at interior nodes displaced by per-axis offsets."""
+    return v[(slice(None),) + tuple(slice(1 + o, m - 1 + o)
+                                    for o, m in zip(offsets, v.shape[1:]))]
 
 
-def _interior_jacobian(values: np.ndarray, h: float) -> np.ndarray:
-    n = values.shape[-1]
-    cols = []
+def _interior_hessian(v: np.ndarray, h: float) -> np.ndarray:
+    """H[i, a, b, *interior] by the 3-point and 4-point centred stencils."""
+    n = v.shape[0]
+    unit = np.eye(n, dtype=int)
+    center = _shift(v, [0] * n)
+    hess = np.empty((n, n, n) + center.shape[1:])
     for a in range(n):
-        off_p = [0] * n
-        off_p[a] = 1
-        off_m = [0] * n
-        off_m[a] = -1
-        cols.append((_interior_view(values, off_p) - _interior_view(values, off_m)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
-
-
-def _interior_hessian(values: np.ndarray, h: float) -> np.ndarray:
-    n = values.shape[-1]
-    inner_shape = tuple(m - 2 for m in values.shape[:-1])
-    hess = np.empty(inner_shape + (n, n, n))
-    center = _interior_view(values, [0] * n)
-    for a in range(n):
-        for b in range(a, n):
-            if a == b:
-                off = [0] * n
-                off[a] = 1
-                plus = _interior_view(values, off)
-                off[a] = -1
-                minus = _interior_view(values, off)
-                arr = (plus - 2.0 * center + minus) / h**2
-            else:
-                off = [0] * n
-                off[a], off[b] = 1, 1
-                pp = _interior_view(values, off)
-                off[a], off[b] = 1, -1
-                pm = _interior_view(values, off)
-                off[a], off[b] = -1, 1
-                mp = _interior_view(values, off)
-                off[a], off[b] = -1, -1
-                mm = _interior_view(values, off)
-                arr = (pp - pm - mp + mm) / (4.0 * h**2)
-            hess[..., :, a, b] = arr
-            if b != a:
-                hess[..., :, b, a] = arr
+        hess[:, a, a] = (_shift(v, unit[a]) - 2.0 * center + _shift(v, -unit[a])) / h**2
+        for b in range(a + 1, n):
+            ea, eb = unit[a], unit[b]
+            hess[:, a, b] = hess[:, b, a] = (
+                _shift(v, ea + eb) - _shift(v, ea - eb) - _shift(v, eb - ea)
+                + _shift(v, -ea - eb)
+            ) / (4.0 * h**2)
     return hess
 
 
 def _full_hessian(values: np.ndarray, h: float) -> np.ndarray:
-    """Hessian at every node; one-sided second-order stencils on the edges."""
-    n = values.shape[-1]
-    shape = values.shape[:-1]
-    grads = [np.gradient(values, h, axis=a, edge_order=2) for a in range(n)]
-    hess = np.empty(shape + (n, n, n))
+    """H[i, a, b, *nodes] at every node; one-sided second-order stencils on the edges."""
+    v = _entry_first(values)
+    n = v.shape[0]
+    hess = np.empty((n, n) + v.shape)
     for a in range(n):
+        grad = np.gradient(v, h, axis=1 + a, edge_order=2)
         for b in range(n):
             if a == b:
-                v = np.moveaxis(values, a, 0)
-                d2 = np.empty_like(v)
-                d2[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-                d2[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
-                d2[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
-                hess[..., :, a, a] = np.moveaxis(d2, 0, a)
+                d2 = np.moveaxis(hess[:, a, a], 1 + a, 0)
+                w = np.moveaxis(v, 1 + a, 0)
+                d2[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / h**2
+                d2[0] = (2.0 * w[0] - 5.0 * w[1] + 4.0 * w[2] - w[3]) / h**2
+                d2[-1] = (2.0 * w[-1] - 5.0 * w[-2] + 4.0 * w[-3] - w[-4]) / h**2
             else:
-                hess[..., :, a, b] = np.gradient(grads[a], h, axis=b, edge_order=2)
-    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
+                hess[:, a, b] = np.gradient(grad, h, axis=1 + b, edge_order=2)
+    return 0.5 * (hess + np.swapaxes(hess, 1, 2))
 
 
 def _energy(jac: np.ndarray, det: np.ndarray, h: float, p: float) -> float:
     """Trapezoidal mean of K^{np} from a full-grid Jacobian and its determinant."""
-    n = jac.shape[-1]
-    nsq = np.sum(jac * jac, axis=(-2, -1))
+    n = jac.shape[0]
+    nsq = np.sum(jac * jac, axis=(0, 1))
     ksq = nsq / det ** (2.0 / n)
     total = ksq ** (n * p / 2.0)
     for _ in range(n):
@@ -180,7 +167,7 @@ def _energy(jac: np.ndarray, det: np.ndarray, h: float, p: float) -> float:
 def energy(grid: GridField, p: float) -> float:
     """Mean of K^{np} over the box by trapezoidal quadrature."""
     jac = _jacobian_field(grid.values, grid.h)
-    return _energy(jac, _positive_det(jac), grid.h, p)
+    return _energy(jac, _checked_det_adj(jac)[0], grid.h, p)
 
 
 def compatibility_check(grid: GridField, p: float) -> float:
@@ -190,22 +177,26 @@ def compatibility_check(grid: GridField, p: float) -> float:
     small; the value converges to the pointwise operator norm on the
     boundary at second order in h.
     """
-    a4 = flux_linearization(_jacobian_field(grid.values, grid.h), p)
-    hess = _full_hessian(grid.values, grid.h)
-    resid = np.einsum("...ikjl,...kjl->...i", a4, hess)
-    return float(np.max(np.abs(resid[grid.boundary_mask])))
+    resid = _contracted_operator(_jacobian_field(grid.values, grid.h),
+                                 _full_hessian(grid.values, grid.h), p)
+    return float(np.max(np.abs(resid[:, grid.boundary_mask])))
 
 
 def _interior_update(coeff_values: np.ndarray, values: np.ndarray, h: float,
                      p: float) -> np.ndarray:
-    """Operator at interior nodes: coefficients from coeff_values, Hessian from values."""
-    a4 = flux_linearization(_interior_jacobian(coeff_values, h), p)
-    return np.einsum("...ikjl,...kjl->...i", a4, _interior_hessian(values, h))
+    """Operator at interior nodes, entry-first as out[i, *interior].
+
+    Coefficients come from coeff_values, the Hessian from values; the
+    interior of the full-grid Jacobian is the centred difference.
+    """
+    interior = (slice(None),) * 2 + (slice(1, -1),) * (values.ndim - 1)
+    return _contracted_operator(_jacobian_field(coeff_values, h)[interior],
+                                _interior_hessian(_entry_first(values), h), p)
 
 
 def interior_operator(grid: GridField, p: float) -> np.ndarray:
     """Non-divergence operator at interior nodes, shape (*interior, n)."""
-    return _interior_update(grid.values, grid.values, grid.h, p)
+    return np.moveaxis(_interior_update(grid.values, grid.values, grid.h, p), 0, -1)
 
 
 def dtmax(grid: GridField, p: float, safety: float = DEFAULT_SAFETY) -> float:
@@ -217,7 +208,8 @@ def dtmax(grid: GridField, p: float, safety: float = DEFAULT_SAFETY) -> float:
     quadruples the bound; raising p shrinks it through the coefficient
     growth.
     """
-    a4 = flux_linearization(_jacobian_field(grid.values, grid.h), p)
+    jac = _jacobian_field(grid.values, grid.h)
+    a4 = flux_linearization(np.moveaxis(jac, (0, 1), (-2, -1)), p)
     lam = float(np.max(np.sum(np.abs(a4), axis=(-3, -2, -1))))
     return safety * grid.h**2 / lam
 
@@ -230,11 +222,12 @@ def _advance(grid: GridField, update: np.ndarray, dt: float,
     determinant is the stepped det_cache.
     """
     values = grid.values.copy()
-    values[tuple(slice(1, -1) for _ in grid.shape)] += dt * update
+    interior = (slice(None),) + tuple(slice(1, -1) for _ in grid.shape)
+    np.moveaxis(values, -1, 0)[interior] += dt * update
     if not np.all(np.isfinite(values)):
         raise NonFiniteValue("explicit step produced non-finite values")
     jac = _jacobian_field(values, grid.h)
-    det = np.linalg.det(jac)
+    det = _det_adj(jac)[0]
     min_det = float(np.min(det))
     if not min_det >= det_floor:  # a NaN determinant fails too
         raise DeterminantCollapse(
@@ -259,7 +252,8 @@ def explicit_step(grid: GridField, p: float, dt: float,
     """
     if det_floor is None:
         det_floor = 0.5 * float(np.min(grid.det_cache))
-    return _advance(grid, interior_operator(grid, p), dt, det_floor)[0]
+    update = _interior_update(grid.values, grid.values, grid.h, p)
+    return _advance(grid, update, dt, det_floor)[0]
 
 
 @dataclass
@@ -319,6 +313,7 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
         current, t, dt, e_prev, consecutive, halt = grid, 0.0, dt0, e0, 0, None
         times, energies, min_dets, dts = [0.0], [e0], [float(np.min(grid.det_cache))], [0.0]
         states = [grid.values]
+        update = None  # computed once per accepted state; a retry reuses it
         while True:
             # picard steps and stops on the lattice k * dt that indexes the
             # saved states; relative, so tiny horizons are still integrated
@@ -326,11 +321,11 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
             if not remaining > 1e-12 * t_final:
                 break
             step_dt = min(dt, remaining)
-            coeff = current.values if explicit else next(frozen)
+            if update is None:
+                coeff = current.values if explicit else next(frozen)
+                update = _interior_update(coeff, current.values, grid.h, p)
             try:
-                candidate, jac = _advance(
-                    current, _interior_update(coeff, current.values, grid.h, p),
-                    step_dt, det_floor)
+                candidate, jac = _advance(current, update, step_dt, det_floor)
             except DeterminantCollapse:
                 halt = "determinant_collapse"
                 break
@@ -349,7 +344,7 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
                     continue
             else:
                 consecutive = 0
-            current, t, e_prev = candidate, t + step_dt, e_new
+            current, t, e_prev, update = candidate, t + step_dt, e_new, None
             times.append(t)
             energies.append(e_new)
             min_dets.append(float(np.min(current.det_cache)))

@@ -5,6 +5,14 @@ and the degenerate second-order operators built from them: the finite-p
 operator in divergence and non-divergence form, and the infinite-p
 operator in a factored form and an equivalent flow form. Large powers are
 handled in log-domain so p up to about 10^3 stays finite.
+
+On grids the non-divergence operator is evaluated by _contracted_operator,
+which contracts the linearization with the Hessian in O(n^3) per node on
+entry-first stacks and is what the gradient flow steps with. The n^4
+flux_linearization stays for gradientflow.dtmax (which needs the
+coefficient mass), lh_witness and lp_nondiv, and is the oracle the verify
+suites and tests compare against; on single points np.linalg is faster
+than the closed-form kernel.
 """
 
 from __future__ import annotations
@@ -14,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveDeterminant, UnsupportedRegime
-from .tensor import _as_matrix, _positive_det, ahlfors, distortion_tensor, trace_dilation
+from .tensor import (
+    _as_matrix,
+    _checked_det_adj,
+    _positive_det,
+    ahlfors,
+    distortion_tensor,
+    trace_dilation,
+)
 
 # Orientation of the large-p limit: the normalized finite-p operator
 # converges to +1 times the factored infinite-p operator. Calibrated
@@ -118,6 +133,34 @@ def _a4_bracket(q: np.ndarray, p: float) -> np.ndarray:
         - nsq[..., None, None, None, None] * t3
         - n * eye4
     )
+
+
+def _contracted_operator(q: np.ndarray, hess: np.ndarray, p: float) -> np.ndarray:
+    """flux_linearization contracted with a Hessian, without the n^4 tensor.
+
+    Takes entry-first stacks q[k, l, ...] and hess[k, j, l, ...] and
+    returns the non-divergence operator as out[i, ...]. Each _a4_bracket
+    term contracts to a partial trace of the Hessian, with
+    v_j = q[k,l] H[k,j,l], w_j = q^{-1}[l,k] H[k,j,l] and
+    w'_l = q^{-1}[j,k] H[k,j,l]:
+        bracket.H = np (q^{-T} v + q w) - n(np-2)/|q|^2 q v
+                    - |q|^2 (q^{-T} w' + p q^{-T} w) - n H[i,j,j].
+    w' is kept apart from w, so the result equals the full contraction
+    for any Hessian, symmetric or not. O(n^3) per node.
+    """
+    n = q.shape[0]
+    det, adj = _checked_det_adj(q)
+    qi = adj / det
+    nsq = np.sum(q * q, axis=(0, 1))
+    v = np.einsum("kl...,kjl...->j...", q, hess)
+    w = np.einsum("lk...,kjl...->j...", qi, hess)
+    w_prime = np.einsum("jk...,kjl...->l...", qi, hess)
+    bracket = (
+        np.einsum("ji...,j...->i...", qi, n * p * v - nsq * (w_prime + p * w))
+        + np.einsum("ij...,j...->i...", q, n * p * w - (n * (n * p - 2.0) / nsq) * v)
+        - n * np.einsum("ijj...->i...", hess)
+    )
+    return -p * _power_weight(nsq, det, n * p - 2.0, p) * bracket
 
 
 def flux_linearization(q, p: float) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Every operation treats the last two axes of its input as the matrix and
 broadcasts over any leading axes, so the same kernels serve single-point
-queries and whole grids. Supported dimensions are 2 through 4.
+queries and whole grids. Supported dimensions are 2 through 4. The
+private closed-form _det_adj is the exception: it takes entry-first
+stacks a[i, j, ...] and serves batched grids.
 """
 
 from __future__ import annotations
@@ -31,13 +33,56 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
-def _positive_det(a: np.ndarray) -> np.ndarray:
-    d = np.linalg.det(a)
+def _positive(d: np.ndarray) -> np.ndarray:
     if not np.all(d > 0.0):
         raise NonPositiveDeterminant(
             f"determinant must be positive (min {float(np.min(d)):.6e})"
         )
     return d
+
+
+def _positive_det(a: np.ndarray) -> np.ndarray:
+    return _positive(np.linalg.det(a))
+
+
+def _expand_det(rows: list) -> np.ndarray:
+    """Determinant of a nested list of entries by first-row cofactor expansion."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = 0.0
+    for j, entry in enumerate(rows[0]):
+        term = entry * _expand_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def _det_adj(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form determinant and adjugate of an entry-first stack.
+
+    a[i, j, ...] holds matrix entry (i, j) as an array over the trailing
+    axes, so every product runs over contiguous node vectors instead of
+    one small matrix at a time. Meant for batched grids with n = 2..4;
+    single matrices are faster through np.linalg. adj[i, j, ...] is the
+    adjugate, so sum_j adj[i, j] a[j, k] = det * delta_ik.
+    """
+    n = a.shape[0]
+    rows = [[a[i, j] for j in range(n)] for i in range(n)]
+    adj = np.empty_like(a)
+    for i in range(n):
+        for j in range(n):
+            minor = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
+            cof = _expand_det(minor)
+            adj[j, i] = -cof if (i + j) % 2 else cof
+    det = sum(rows[0][j] * adj[j, 0] for j in range(n))
+    return det, adj
+
+
+def _checked_det_adj(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_det_adj of an entry-first stack with finite entries and positive det."""
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteValue("matrix entries must be finite")
+    det, adj = _det_adj(a)
+    return _positive(det), adj
 
 
 def hs_norm(m) -> float | np.ndarray:

@@ -697,14 +697,16 @@ class SuiteReport:
 def _run_case(case: SuiteCase, index: int, seed: int, tol_scale: float) -> dict:
     rng = np.random.default_rng((seed, index))
     tolerance = case.tolerance * tol_scale
+    error = None
     try:
         measured, expected = case.fn(rng)
         measured = float(measured)
         expected = float(expected)
         ok = abs(measured - expected) <= tolerance
-    except Exception:
+    except Exception as exc:  # a case that raises fails, and its row says why
         measured, expected, ok = float("inf"), 0.0, False
-    return {
+        error = f"{type(exc).__name__}: {exc}"
+    row = {
         "id": case.case_id,
         "basis": case.basis,
         "status": "pass" if ok else "fail",
@@ -712,6 +714,9 @@ def _run_case(case: SuiteCase, index: int, seed: int, tol_scale: float) -> dict:
         "expected": expected,
         "tolerance": tolerance,
     }
+    if error is not None:
+        row["error"] = error
+    return row
 
 
 def run_suite(name: str, seed: int = 0, tol_scale: float = 1.0, threads: int = 1,

@@ -1,9 +1,11 @@
 """Grid sampling, energy quadrature, stable stepping, and flow runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qcflow import DeterminantCollapse, gradientflow
+from qcflow import DeterminantCollapse, NonFiniteValue, NonPositiveDeterminant, gradientflow
 from qcflow.gradientflow import (
     ENERGY_TOL_SCALE,
     compatibility_check,
@@ -17,7 +19,7 @@ from qcflow.gradientflow import (
     write_snapshot,
 )
 from qcflow.maps import affine_map, bump_map, identity_map, make_map, radial_stretch
-from qcflow.operators import lp_nondiv
+from qcflow.operators import flux_linearization, lp_nondiv
 
 
 def identity_grid(shape=(33, 33), h=1.0 / 32.0):
@@ -122,6 +124,60 @@ class TestDtmax:
         for _ in range(200):
             g = explicit_step(g, 2.0, dt)
         assert energy(g, 2.0) == pytest.approx(e0, abs=1e-12)
+
+
+def random_smooth_grid(rng, m=8, h=1.0 / 7.0):
+    """n=3 grid of a random smooth near-identity map, sampled directly."""
+    base = make_grid(identity_map(3), (m, m, m), h)
+    coords = base.node_coordinates()
+    freq = rng.uniform(0.5, 2.0, (3, 3))
+    phase = rng.uniform(0.0, 2.0 * np.pi, 3)
+    values = coords + 0.05 * np.sin(coords @ freq + phase)
+    return dataclasses.replace(base, values=values)
+
+
+class TestInteriorOperator:
+    def test_matches_per_node_full_contraction(self):
+        # node by node: centred-difference J and H, then the n^4 tensor
+        rng = np.random.default_rng(31)
+        g = random_smooth_grid(rng)
+        u, h, p = g.values, g.h, 3.0
+        out = interior_operator(g, p)
+        assert out.shape == (6, 6, 6, 3)
+        unit = np.eye(3, dtype=int)
+        for idx in np.ndindex(out.shape[:-1]):
+            c = np.array(idx) + 1
+            at = lambda off: u[tuple(c + off)]
+            jac = np.stack([(at(unit[a]) - at(-unit[a])) / (2 * h) for a in range(3)], -1)
+            hess = np.empty((3, 3, 3))
+            for a in range(3):
+                for b in range(3):
+                    if a == b:
+                        hess[:, a, a] = (at(unit[a]) - 2 * u[tuple(c)] + at(-unit[a])) / h**2
+                    else:
+                        hess[:, a, b] = (at(unit[a] + unit[b]) - at(unit[a] - unit[b])
+                                         - at(unit[b] - unit[a]) + at(-unit[a] - unit[b])) / (4 * h**2)
+            oracle = np.einsum("ikjl,kjl->i", flux_linearization(jac, p), hess)
+            np.testing.assert_allclose(out[idx], oracle, rtol=0,
+                                       atol=1e-11 * np.max(np.abs(oracle)))
+
+
+class TestGridChecks:
+    def test_folded_grid_rejected(self):
+        g = bump_grid((9, 9), 1.0 / 8.0)
+        folded = dataclasses.replace(g, values=g.values * np.array([-1.0, 1.0]))
+        for fn in (interior_operator, energy, compatibility_check):
+            with pytest.raises(NonPositiveDeterminant, match="determinant must be positive"):
+                fn(folded, 2.0)
+
+    def test_nan_value_rejected(self):
+        g = bump_grid((9, 9), 1.0 / 8.0)
+        values = g.values.copy()
+        values[4, 4, 0] = np.nan
+        broken = dataclasses.replace(g, values=values)
+        for fn in (interior_operator, energy, compatibility_check):
+            with pytest.raises(NonFiniteValue):
+                fn(broken, 2.0)
 
 
 class TestExplicitStep:
@@ -242,6 +298,34 @@ class TestRunFlow:
         assert any(dts[j] == 0.5 * dts[i] for i in range(dts.size) for j in range(i + 1, dts.size))
         tol = ENERGY_TOL_SCALE * (1.0 + abs(stats.energy[0]))
         assert np.all(np.diff(stats.energy) <= tol)
+
+    def test_rejected_step_reuses_its_update(self, monkeypatch):
+        calls = []
+        update = gradientflow._interior_update
+
+        def counted(*args):
+            calls.append(1)
+            return update(*args)
+
+        monkeypatch.setattr(gradientflow, "_interior_update", counted)
+        stats = run_flow(affine_bump_grid(), 2.0, t_final=1e-2, safety=3.0)
+        assert stats.violations == 1
+        assert len(calls) == stats.times.size - 1
+
+    def test_steps_build_no_four_index_tensor(self, monkeypatch):
+        # dtmax needs the coefficient mass sum |a4|; nothing else may
+        # build flux_linearization on the grid
+        calls = []
+        full = gradientflow.flux_linearization
+
+        def counted(q, p):
+            calls.append(1)
+            return full(q, p)
+
+        monkeypatch.setattr(gradientflow, "flux_linearization", counted)
+        stats = run_flow(affine_bump_grid(), 2.0, t_final=1e-3)
+        assert stats.times.size - 1 > 1
+        assert len(calls) == 1
 
     def test_picard_keeps_energy_rise_at_fixed_dt(self):
         stats = run_flow(affine_bump_grid(), 2.0, t_final=1e-2, mode="picard", safety=3.0, outer=2)

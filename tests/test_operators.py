@@ -9,6 +9,7 @@ from conftest import random_jet, random_posdet
 from qcflow import (
     ASYMPTOTIC_SIGN,
     Jet2Sample,
+    NonFiniteValue,
     NonPositiveDeterminant,
     UnsupportedRegime,
     b_tensor,
@@ -30,6 +31,7 @@ from qcflow.maps import (
     radial_stretch,
     wedge_map,
 )
+from qcflow.operators import _contracted_operator
 
 
 def fd_linearization(q, p, h):
@@ -253,6 +255,58 @@ class TestLpNondiv:
             x *= rng.uniform(0.5, 2.0) / np.linalg.norm(x)
             out = lp_nondiv(m.jet(x), 2.0)
             np.testing.assert_allclose(out, radial_lp(2.0, 3, 2.0, x), rtol=1e-10)
+
+
+def _oracle_and_contracted(q, hess, p):
+    """n^4 contraction of flux_linearization and the contracted kernel, node-major."""
+    oracle = np.einsum("...ikjl,...kjl->...i", flux_linearization(q, p), hess)
+    fast = _contracted_operator(np.moveaxis(q, (-2, -1), (0, 1)),
+                                np.moveaxis(hess, (-3, -2, -1), (0, 1, 2)), p)
+    return oracle, np.moveaxis(fast, 0, -1)
+
+
+# a float64 reordering of O(n^3) terms: agreement is fixed at 1e-11 of the
+# per-node result's magnitude, well above the observed ~1e-13
+CONTRACTION_RTOL = 1e-11
+
+
+class TestContractedOperator:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 7.0, 50.0])
+    def test_matches_full_contraction(self, n, p):
+        rng = np.random.default_rng((n, int(10 * p)))
+        q = np.stack([random_posdet(rng, n) for _ in range(40)])
+        hess = rng.standard_normal((40, n, n, n))
+        sym = 0.5 * (hess + np.swapaxes(hess, -1, -2))
+        # within the 1e-6 symmetry slack Jet2Sample allows
+        asym = sym + 1e-7 * rng.standard_normal(sym.shape)
+        for h in (sym, asym):
+            oracle, fast = _oracle_and_contracted(q, h, p)
+            scale = np.max(np.abs(oracle), axis=-1, keepdims=True)
+            assert np.all(np.abs(fast - oracle) <= CONTRACTION_RTOL * scale)
+
+    def test_large_power_stays_finite(self):
+        # at p=1000 the weight |q|^{np-2}/det^p fits in float64 only for
+        # n=2 near-conformal q (for n=3 it exceeds 3^1499 at q=I), so the
+        # oracle is finite there alone
+        rng = np.random.default_rng(1000)
+        theta = rng.uniform(0.0, 2.0 * np.pi, 30)
+        rot = np.stack([np.stack([np.cos(theta), -np.sin(theta)], -1),
+                        np.stack([np.sin(theta), np.cos(theta)], -1)], -2)
+        q = rng.uniform(4.0, 16.0, 30)[:, None, None] * rot @ (
+            np.eye(2) + 1e-3 * rng.standard_normal((30, 2, 2)))
+        hess = rng.standard_normal((30, 2, 2, 2))
+        oracle, fast = _oracle_and_contracted(q, hess, 1000.0)
+        assert np.all(np.isfinite(oracle)) and np.all(np.isfinite(fast))
+        scale = np.max(np.abs(oracle), axis=-1, keepdims=True)
+        assert np.all(np.abs(fast - oracle) <= CONTRACTION_RTOL * scale)
+
+    def test_checks_match_flux_linearization(self):
+        hess = np.zeros((2, 2, 2))
+        with pytest.raises(NonPositiveDeterminant, match="determinant must be positive"):
+            _contracted_operator(np.diag([-1.0, 1.0]), hess, 2.0)
+        with pytest.raises(NonFiniteValue):
+            _contracted_operator(np.array([[np.nan, 0.0], [0.0, 1.0]]), hess, 2.0)
 
 
 class TestLpDivergence:

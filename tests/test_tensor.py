@@ -16,6 +16,7 @@ from qcflow import (
     trace_dilation,
 )
 from qcflow.maps import moebius, radial_stretch
+from qcflow.tensor import _det_adj
 
 
 def random_spd_jacobians(rng, n, count, scale=0.4):
@@ -67,6 +68,28 @@ class TestCofactor:
         m = np.array([[1.0, 2.0], [2.0, 4.0]])
         lhs = cofactor(m).T @ m
         np.testing.assert_allclose(lhs, np.zeros((2, 2)), atol=1e-12)
+
+
+class TestDetAdj:
+    def test_matches_linalg_on_entry_first_stacks(self):
+        # closed-form cofactor expansion against LAPACK; the float64
+        # round-off of either is a few ulps of |M|^n
+        rng = np.random.default_rng(23)
+        for n in (2, 3, 4):
+            mats = rng.standard_normal((200, n, n))
+            mats = mats[np.linalg.det(mats) >= 0.05]
+            det, adj = _det_adj(np.moveaxis(mats, 0, -1))
+            scale = hs_norm(mats) ** n
+            np.testing.assert_allclose(det, np.linalg.det(mats), rtol=0, atol=1e-13 * scale.max())
+            adj = np.moveaxis(adj, -1, 0)
+            np.testing.assert_allclose(
+                adj @ mats, det[:, None, None] * np.eye(n), rtol=0, atol=1e-13 * scale.max()
+            )
+
+    def test_diag_2d_hand_values(self):
+        det, adj = _det_adj(np.diag([2.0, 5.0]))
+        assert det == 10.0
+        np.testing.assert_array_equal(adj, np.diag([5.0, 2.0]))
 
 
 class TestTraceDilation:

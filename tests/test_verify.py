@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from qcflow import UnknownSuite
-from qcflow.verify import run_suite, suite_names
+from qcflow import UnknownSuite, verify
+from qcflow.verify import SuiteCase, run_suite, suite_names
 
 
 EXPECTED_SUITES = ["core", "examples", "flow", "flowlines", "operators", "traces"]
@@ -82,3 +82,20 @@ class TestRunSuite:
         text = run_suite("core", seed=0).to_json()
         payload = json.loads(text)
         assert payload["suite"] == "core"
+
+    def test_failing_row_carries_its_error(self, monkeypatch):
+        def raises(rng):
+            raise ValueError("bad input")
+
+        monkeypatch.setitem(verify._SUITES, "broken", [
+            SuiteCase("broken.raises", "definitional", 1.0, raises),
+            SuiteCase("broken.misses", "definitional", 1.0, lambda rng: (5.0, 0.0)),
+            SuiteCase("broken.passes", "definitional", 1.0, lambda rng: (0.5, 0.0)),
+        ])
+        rows = {row["id"]: row for row in run_suite("broken").payload["cases"]}
+        assert rows["broken.raises"]["status"] == "fail"
+        assert rows["broken.raises"]["measured"] == float("inf")
+        assert rows["broken.raises"]["error"] == "ValueError: bad input"
+        assert rows["broken.misses"]["status"] == "fail"
+        assert "error" not in rows["broken.misses"]
+        assert "error" not in rows["broken.passes"]
