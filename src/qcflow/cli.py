@@ -235,6 +235,8 @@ def cmd_flow(config: str) -> None:
         if mode not in ("explicit", "picard"):
             raise ConfigError(f"unknown mode {mode!r}")
         safety = float(cfg.get("safety", gradientflow.DEFAULT_SAFETY))
+        if not 0.0 < safety < np.inf:  # NaN fails too
+            raise ConfigError(f"safety must be a positive finite number, got {safety!r}")
         outer = int(cfg.get("outer", 3))
     except (ConfigError, UnknownMap, GuardViolation, QcflowError, ValueError, TypeError) as exc:
         _fail_usage(exc)

@@ -1,5 +1,9 @@
 """Trajectories along rows of the distortion field S(g) J^{-T}.
 
+Each sample takes the field and K together, in closed form from one
+determinant (tensor._dilation_field); tensor.factoring_residual and
+operators.linfty_flowform keep the S(g) route and are its oracles.
+
 A flow line follows one row of the field at a time, switching rows only
 when the active row's speed decays under a hysteresis threshold, and
 terminates at the domain boundary, at a length cap, or when the whole
@@ -15,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllRowsDegenerate, GuardViolation, RowSwitched, StepFailure
-from .operators import dilation_gradient
-from .tensor import ahlfors, distortion_tensor, trace_dilation
+from .tensor import _dilation_field
 
 DEFAULT_STEP = 1e-3
 SWITCH_THRESHOLD = 0.5
@@ -71,17 +74,13 @@ def ball_domain(radius: float = 1.0, center=None):
     return predicate
 
 
-def _field_from_jacobian(j: np.ndarray) -> np.ndarray:
-    sg = ahlfors(distortion_tensor(j))
-    return sg @ np.swapaxes(np.linalg.inv(j), -1, -2)
-
-
 def flow_field(mapping, x) -> np.ndarray:
     """Matrix S(g) J^{-T} at x; its i-th row drives the i-th flow line.
 
-    Reads only first-order data; distortion_tensor rejects det J <= 0.
+    Reads only first-order data and computes the field in closed form
+    from one determinant, which must be positive.
     """
-    return _field_from_jacobian(mapping._jet1(x)[1])
+    return _dilation_field(mapping._jet1(x)[1])[1]
 
 
 def select_row(field, current: int | None = None, threshold: float = SWITCH_THRESHOLD,
@@ -116,48 +115,32 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
     velocity at most 90 degrees, preserving forward orientation. The
     walk stops at the domain boundary (located by bisection on the
     signed predicate to 1e-10), at arc parameter max_len, or when the
-    field degenerates.
+    field degenerates. ds must be a positive finite number.
 
     domain defaults to the unit ball centered at the origin.
 
     The walk reads first-order data only: every sample point and RK4
     stage evaluates (u, J) through the map's first-order sampler, never
-    a Hessian or a validated Jet2Sample. The determinant of J is checked
-    by the dilation kernels; guard violations at a stage raise
-    StepFailure. The first stage of a step reuses the velocity already
-    evaluated at the accepted point.
+    a Hessian or a validated Jet2Sample. Each sample takes one checked
+    determinant of J, for the field and K together; guard violations at
+    a stage raise StepFailure. The first stage of a step reuses the
+    velocity already evaluated at the accepted point.
     """
+    if not 0.0 < ds < np.inf:  # NaN fails too
+        raise ValueError(f"ds must be a positive finite number, got {ds!r}")
     x = np.asarray(x0, dtype=float).copy()
     if domain is None:
         domain = ball_domain(1.0)
     if domain(x) >= 0.0:
         raise ValueError("flow line must start strictly inside the domain")
 
-    j = mapping._jet1(x)[1]
-    k_val = float(trace_dilation(j))
-    field = _field_from_jacobian(j)
-
-    samples_s, samples_x, samples_k = [], [], []
-    samples_row, samples_speed, samples_sign = [], [], []
-
-    def record(s, x, k_val, row, speed, sign):
-        samples_s.append(s)
-        samples_x.append(np.array(x))
-        samples_k.append(k_val)
-        samples_row.append(row)
-        samples_speed.append(speed)
-        samples_sign.append(sign)
+    k_val, field = _dilation_field(mapping._jet1(x)[1])
+    samples = []  # one (s, x, K, row, speed, sign) per sample; x is never mutated
 
     def finish(reason: str) -> FlowTrajectory:
-        return FlowTrajectory(
-            s=np.array(samples_s),
-            x=np.array(samples_x),
-            K=np.array(samples_k),
-            row=np.array(samples_row, dtype=int),
-            speed=np.array(samples_speed),
-            sign=np.array(samples_sign),
-            terminated=reason,
-        )
+        s, x, k, row, speed, sign = (np.array(c) for c in zip(*samples))
+        return FlowTrajectory(s=s, x=x, K=k, row=row, speed=speed, sign=sign,
+                              terminated=reason)
 
     def degenerate(field, k_val) -> bool:
         return float(np.sqrt(np.sum(field * field))) <= DEGENERACY_TOL * (1.0 + k_val**2)
@@ -165,14 +148,14 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
     if degenerate(field, k_val):
         norms = np.linalg.norm(field, axis=1)
         row = int(np.argmax(norms)) + 1
-        record(0.0, x, k_val, row, float(norms[row - 1]), 1.0)
+        samples.append((0.0, x, k_val, row, float(norms[row - 1]), 1.0))
         return finish("degenerate")
 
     row = select_row(field, current=None)
     sign = 1.0
     velocity = sign * field[row - 1]
     s = 0.0
-    record(s, x, k_val, row, float(np.linalg.norm(field[row - 1])), sign)
+    samples.append((s, x, k_val, row, float(np.linalg.norm(field[row - 1])), sign))
 
     def stage_velocity(y: np.ndarray) -> np.ndarray:
         try:
@@ -201,21 +184,17 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
                 if (hi - lo) * float(np.linalg.norm(x_new - x)) < 1e-10:
                     break
             x_hit = x + lo * (x_new - x)
-            j = mapping._jet1(x_hit)[1]
-            k_val = float(trace_dilation(j))
-            field = _field_from_jacobian(j)
-            record(s + lo * step, x_hit, k_val, row,
-                   float(np.linalg.norm(field[row - 1])), sign)
+            k_val, field = _dilation_field(mapping._jet1(x_hit)[1])
+            samples.append((s + lo * step, x_hit, k_val, row,
+                            float(np.linalg.norm(field[row - 1])), sign))
             return finish("boundary")
 
         s += step
         x = x_new
-        j = mapping._jet1(x)[1]
-        k_val = float(trace_dilation(j))
-        field = _field_from_jacobian(j)
+        k_val, field = _dilation_field(mapping._jet1(x)[1])
         if degenerate(field, k_val):
             norms = np.linalg.norm(field, axis=1)
-            record(s, x, k_val, row, float(norms[row - 1]), sign)
+            samples.append((s, x, k_val, row, float(norms[row - 1]), sign))
             return finish("degenerate")
 
         new_row = select_row(field, current=row)
@@ -224,7 +203,7 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
             # forward orientation: angle with the previous velocity <= 90 degrees
             sign = 1.0 if float(np.dot(field[row - 1], velocity)) >= 0.0 else -1.0
         velocity = sign * field[row - 1]
-        record(s, x, k_val, row, float(np.linalg.norm(field[row - 1])), sign)
+        samples.append((s, x, k_val, row, float(np.linalg.norm(field[row - 1])), sign))
 
     return finish("maxLength")
 
@@ -234,7 +213,8 @@ def du_recovery_check(mapping, trajectory: FlowTrajectory, row_index: int) -> fl
 
     Compares the drift of Jacobian row i between the endpoints with the
     trapezoidal integral of K grad K along the path, returning the max
-    over columns of the absolute mismatch. Insists the trajectory never
+    over columns of the absolute mismatch. K grad K is the field
+    S(g) J^{-T} contracted with the Hessian. Insists the trajectory never
     switched rows.
     """
     if not np.all(trajectory.row == row_index):
@@ -242,7 +222,7 @@ def du_recovery_check(mapping, trajectory: FlowTrajectory, row_index: int) -> fl
     i = int(row_index) - 1
     jets = [mapping.jet(x) for x in trajectory.x]
     integrand = np.array(
-        [float(trace_dilation(j.J)) * dilation_gradient(j) for j in jets]
+        [np.einsum("kl,kjl->j", _dilation_field(j.J)[1], j.H) for j in jets]
     )
     integral = np.trapezoid(integrand, trajectory.s, axis=0)
     drift = jets[-1].J[i] - jets[0].J[i]
@@ -260,12 +240,9 @@ def path_integral_residual(mapping, trajectory: FlowTrajectory, row_index: int) 
     if not np.all(trajectory.row == row_index):
         raise RowSwitched("trajectory changed active row")
     i = int(row_index) - 1
-    rows = []
-    for x, sign in zip(trajectory.x, trajectory.sign):
-        jet = mapping.jet(x)
-        vel = sign * _field_from_jacobian(jet.J)[i]
-        rows.append(np.einsum("lj,l->j", jet.H[i], vel))
-    integrand = np.array(rows)
+    jets = [mapping.jet(x) for x in trajectory.x]
+    integrand = np.array([np.einsum("lj,l->j", j.H[i], sign * _dilation_field(j.J)[1][i])
+                          for j, sign in zip(jets, trajectory.sign)])
     integral = np.trapezoid(integrand, trajectory.s, axis=0)
-    drift = mapping.jet(trajectory.x[-1]).J[i] - mapping.jet(trajectory.x[0]).J[i]
+    drift = jets[-1].J[i] - jets[0].J[i]
     return float(np.max(np.abs(drift - integral)))

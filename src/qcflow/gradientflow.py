@@ -81,7 +81,12 @@ def _jacobian_field(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def make_grid(mapping, shape, h: float, origin=None) -> GridField:
-    """Sample a map's values on a uniform grid with the given node counts."""
+    """Sample a map's values on a uniform grid with the given node counts.
+
+    h, the node spacing, must be a positive finite number.
+    """
+    if not 0.0 < h < np.inf:  # NaN fails too
+        raise ValueError(f"grid spacing h must be a positive finite number, got {h!r}")
     shape = tuple(int(m) for m in shape)
     n = mapping.n
     if len(shape) != n:
@@ -182,21 +187,23 @@ def compatibility_check(grid: GridField, p: float) -> float:
     return float(np.max(np.abs(resid[:, grid.boundary_mask])))
 
 
-def _interior_update(coeff_values: np.ndarray, values: np.ndarray, h: float,
+def _interior_update(coeff_jac: np.ndarray, values: np.ndarray, h: float,
                      p: float) -> np.ndarray:
     """Operator at interior nodes, entry-first as out[i, *interior].
 
-    Coefficients come from coeff_values, the Hessian from values; the
-    interior of the full-grid Jacobian is the centred difference.
+    Coefficients come from coeff_jac, the coefficient state's full-grid
+    _jacobian_field, whose interior is the centred difference; the
+    Hessian comes from values.
     """
     interior = (slice(None),) * 2 + (slice(1, -1),) * (values.ndim - 1)
-    return _contracted_operator(_jacobian_field(coeff_values, h)[interior],
+    return _contracted_operator(coeff_jac[interior],
                                 _interior_hessian(_entry_first(values), h), p)
 
 
 def interior_operator(grid: GridField, p: float) -> np.ndarray:
     """Non-divergence operator at interior nodes, shape (*interior, n)."""
-    return np.moveaxis(_interior_update(grid.values, grid.values, grid.h, p), 0, -1)
+    jac = _jacobian_field(grid.values, grid.h)
+    return np.moveaxis(_interior_update(jac, grid.values, grid.h, p), 0, -1)
 
 
 def dtmax(grid: GridField, p: float, safety: float = DEFAULT_SAFETY) -> float:
@@ -206,8 +213,10 @@ def dtmax(grid: GridField, p: float, safety: float = DEFAULT_SAFETY) -> float:
     absolute coefficient mass of the linearized flux, an upper bound of
     the same h^-2 scaling the ellipticity sandwich provides. Doubling h
     quadruples the bound; raising p shrinks it through the coefficient
-    growth.
+    growth. safety must be a positive finite number.
     """
+    if not 0.0 < safety < np.inf:  # NaN fails too
+        raise ValueError(f"safety must be a positive finite number, got {safety!r}")
     jac = _jacobian_field(grid.values, grid.h)
     a4 = flux_linearization(np.moveaxis(jac, (0, 1), (-2, -1)), p)
     lam = float(np.max(np.sum(np.abs(a4), axis=(-3, -2, -1))))
@@ -252,7 +261,8 @@ def explicit_step(grid: GridField, p: float, dt: float,
     """
     if det_floor is None:
         det_floor = 0.5 * float(np.min(grid.det_cache))
-    update = _interior_update(grid.values, grid.values, grid.h, p)
+    jac = _jacobian_field(grid.values, grid.h)
+    update = _interior_update(jac, grid.values, grid.h, p)
     return _advance(grid, update, dt, det_floor)[0]
 
 
@@ -301,19 +311,23 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
     if mode not in ("explicit", "picard"):
         raise ValueError(f"unknown mode {mode!r}")
     explicit = mode == "explicit"
+    dt0 = dtmax(grid, p, safety)
     compat = compatibility_check(grid, p)
     det_floor = 0.5 * float(np.min(grid.det_cache))
     e0 = energy(grid, p)
     tol = ENERGY_TOL_SCALE * (1.0 + abs(e0))
-    dt0 = dtmax(grid, p, safety)
+    jac0 = _jacobian_field(grid.values, grid.h)
 
     violations = 0
-    frozen = itertools.repeat(grid.values)  # picard's first pass freezes at u0
+    # picard's coefficient Jacobians: the first pass freezes them at u0
+    frozen = itertools.repeat(jac0)
     for _ in range(1 if explicit else max(1, int(outer))):
-        current, t, dt, e_prev, consecutive, halt = grid, 0.0, dt0, e0, 0, None
+        current, jac, t, dt, e_prev, consecutive, halt = grid, jac0, 0.0, dt0, e0, 0, None
         times, energies, min_dets, dts = [0.0], [e0], [float(np.min(grid.det_cache))], [0.0]
         states = [grid.values]
-        update = None  # computed once per accepted state; a retry reuses it
+        # computed once per accepted state, a retry reuses it; while it is
+        # None, jac is the Jacobian of current (explicit mode's coefficients)
+        update = None
         while True:
             # picard steps and stops on the lattice k * dt that indexes the
             # saved states; relative, so tiny horizons are still integrated
@@ -322,8 +336,8 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
                 break
             step_dt = min(dt, remaining)
             if update is None:
-                coeff = current.values if explicit else next(frozen)
-                update = _interior_update(coeff, current.values, grid.h, p)
+                update = _interior_update(jac if explicit else next(frozen),
+                                          current.values, grid.h, p)
             try:
                 candidate, jac = _advance(current, update, step_dt, det_floor)
             except DeterminantCollapse:
@@ -353,7 +367,9 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
                 states.append(current.values)
         if halt is not None:
             break
-        frozen = iter(states)
+        # differenced one at a time, so a saved state's Jacobian is freed
+        # before the step allocates its own
+        frozen = (_jacobian_field(v, grid.h) for v in states)
 
     return FlowRunStats(
         times=np.array(times),

@@ -18,12 +18,12 @@ import numpy as np
 from .errors import (
     AxisExcluded,
     ConfigError,
-    NonPositiveDeterminant,
     OriginExcluded,
     SeamExcluded,
     UnknownMap,
 )
 from .operators import Jet2Sample
+from .tensor import _positive_det
 
 _ORIGIN_TOL = 1e-9
 _SEAM_TOL = 1e-6
@@ -502,8 +502,7 @@ def _checked_factor(raw: tuple) -> tuple:
     Two factors with negative determinants compose to a positive one, so
     the composite's own check cannot stand in for this one.
     """
-    if np.linalg.det(raw[1]) <= 0.0:
-        raise NonPositiveDeterminant("jet Jacobian must have positive determinant")
+    _positive_det(raw[1])
     return raw
 
 

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveDeterminant, UnsupportedRegime
+from .errors import UnsupportedRegime
 from .tensor import (
     _as_matrix,
     _checked_det_adj,
+    _dilation_field,
     _positive_det,
     ahlfors,
     distortion_tensor,
@@ -64,8 +65,7 @@ class Jet2Sample:
         n = self.J.shape[-1]
         if self.H.shape != (n, n, n):
             raise ValueError(f"Hessian shape {self.H.shape} does not match n={n}")
-        if np.linalg.det(self.J) <= 0.0:
-            raise NonPositiveDeterminant("jet Jacobian must have positive determinant")
+        _positive_det(self.J)
         scale = np.max(np.abs(self.H)) + 1e-30
         if np.max(np.abs(self.H - np.swapaxes(self.H, 1, 2))) > 1e-6 * scale:
             raise ValueError("Hessian not symmetric in its derivative indices")
@@ -261,13 +261,11 @@ def dilation_gradient(sample: Jet2Sample) -> np.ndarray:
     """Spatial gradient of the trace dilation along the jet.
 
     Chain rule through the Jacobian entries: the matrix derivative of K
-    is K^{-1} S(g) J^{-T}, contracted with the Hessian.
+    is K^{-1} S(g) J^{-T}, taken in closed form by tensor._dilation_field
+    and contracted with the Hessian.
     """
-    j = sample.J
-    k = float(trace_dilation(j))
-    sg = ahlfors(distortion_tensor(j))
-    p_mat = sg @ np.swapaxes(np.linalg.inv(j), -1, -2)
-    return np.einsum("kl,kjl->j", p_mat / k, sample.H)
+    k, field = _dilation_field(sample.J)
+    return np.einsum("kl,kjl->j", field / k, sample.H)
 
 
 def linfty_flowform(sample: Jet2Sample) -> np.ndarray:

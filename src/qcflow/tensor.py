@@ -5,6 +5,11 @@ broadcasts over any leading axes, so the same kernels serve single-point
 queries and whole grids. Supported dimensions are 2 through 4. The
 private closed-form _det_adj is the exception: it takes entry-first
 stacks a[i, j, ...] and serves batched grids.
+
+Every determinant-sign check in the package goes through _positive. The
+flow-line field S(g) J^{-T} and K come from _dilation_field in closed
+form; factoring_residual and operators.linfty_flowform keep the S(g)
+route and are its oracles.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ def _as_matrix(m) -> np.ndarray:
 
 
 def _positive(d: np.ndarray) -> np.ndarray:
-    if not np.all(d > 0.0):
+    ok = d > 0.0  # NaN fails; one value skips the slower array reduction
+    if not (ok.all() if ok.ndim else ok):
         raise NonPositiveDeterminant(
             f"determinant must be positive (min {float(np.min(d)):.6e})"
         )
@@ -135,6 +141,21 @@ def ahlfors(m) -> np.ndarray:
     tr = np.trace(a, axis1=-2, axis2=-1)
     eye = np.eye(n)
     return sym - tr[..., None, None] * eye / n
+
+
+def _dilation_field(j) -> tuple[float | np.ndarray, np.ndarray]:
+    """Trace dilation K and field F = S(g) J^{-T} from one checked determinant.
+
+    F = (J - |J|^2 J^{-T} / n) / (det J)^(2/n), the identity factoring_residual
+    pins; K equals trace_dilation(J) bit for bit, and K grad K = F . H.
+    """
+    a = _as_matrix(j)
+    n = a.shape[-1]
+    d = _positive_det(a)
+    nsq = np.sum(a * a, axis=(-2, -1))
+    inv_t = np.swapaxes(np.linalg.inv(a), -1, -2)
+    field = (a - (nsq / n)[..., None, None] * inv_t) / (d ** (2.0 / n))[..., None, None]
+    return np.sqrt(nsq) / d ** (1.0 / n), field
 
 
 def factoring_residual(j) -> float | np.ndarray:

@@ -190,6 +190,13 @@ class TestFlowlineCommand:
         result = run_cli("flowline", "squeeze", "--x0", "0,0")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("ds", ["0", "-1e-3"])
+    def test_bad_step_exits_two(self, ds):
+        result = run_cli("flowline", "teichmuller", "--param", "n=2",
+                         "--x0", "0.3,0.1", "--ds", ds)
+        assert result.exit_code == 2
+        assert "ds must be a positive finite number" in result.stderr
+
 
 def write_config(path, **overrides):
     cfg = {
@@ -278,6 +285,28 @@ class TestFlowCommand:
         write_config(cfg, mode="rk4")
         result = run_cli("flow", str(cfg))
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("safety", [0.0, -1.0, math.nan])
+    def test_bad_safety_exits_two_without_writes(self, tmp_path, safety):
+        cfg = tmp_path / "flow.json"
+        stats = tmp_path / "stats.csv"
+        snap = tmp_path / "initial.bin"
+        write_config(cfg, safety=safety, stats=str(stats),
+                     snapshots={"initial": str(snap)})
+        result = run_cli("flow", str(cfg))
+        assert result.exit_code == 2
+        assert "safety must be a positive finite number" in result.stderr
+        assert not stats.exists() and not snap.exists()
+
+    @pytest.mark.parametrize("h", [0.0, -0.0625])
+    def test_bad_spacing_exits_two_without_writes(self, tmp_path, h):
+        cfg = tmp_path / "flow.json"
+        snap = tmp_path / "initial.bin"
+        write_config(cfg, h=h, snapshots={"initial": str(snap)})
+        result = run_cli("flow", str(cfg))
+        assert result.exit_code == 2
+        assert "h must be a positive finite number" in result.stderr
+        assert not snap.exists()
 
     def test_halted_run_exits_three_with_partial_stats(self, tmp_path):
         # oversized steps blow through the determinant floor

@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from qcflow import AllRowsDegenerate, GuardViolation, RowSwitched, StepFailure, trace_dilation
+from qcflow import (
+    AllRowsDegenerate,
+    GuardViolation,
+    RowSwitched,
+    StepFailure,
+    ahlfors,
+    distortion_tensor,
+    trace_dilation,
+)
 from qcflow.flowlines import (
     ball_domain,
     du_recovery_check,
@@ -158,6 +166,30 @@ class TestTraceFlowline:
         with pytest.raises(ValueError):
             trace_flowline(identity_map(2), [2.0, 0.0])
 
+    @pytest.mark.parametrize("ds", [0.0, -1e-3, math.nan, math.inf])
+    def test_bad_step_rejected(self, ds):
+        # ds = 0 never advances and ds < 0 walks backwards
+        m = affine_map([[1.4, 0.2], [0.1, 0.8]])
+        with pytest.raises(ValueError, match="ds must be a positive finite number"):
+            trace_flowline(m, [0.1, 0.05], ds=ds)
+
+    def test_one_determinant_per_sample(self, monkeypatch):
+        # the start sample, the accepted point and the three later RK4
+        # stages each take one determinant, for K and the field together
+        calls = []
+        det = np.linalg.det
+
+        def counted(a):
+            calls.append(1)
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", counted)
+        m = affine_map([[1.3, 0.2], [-0.1, 0.8]])
+        traj = trace_flowline(m, [0.1, 0.05], ds=1e-2, max_len=0.2)
+        steps = len(traj) - 1
+        assert traj.terminated == "maxLength" and steps == 20
+        assert len(calls) == 1 + 4 * steps
+
     @pytest.mark.parametrize("composed", [False, True], ids=["guarded", "guarded_factor"])
     def test_stage_outside_guard_raises_step_failure(self, composed):
         # the map is defined only on a small disk around the start, and the
@@ -226,6 +258,24 @@ class TestDriftIdentities:
         row = int(traj.row[0])
         if np.all(traj.row == row) and np.all(traj.sign == traj.sign[0]):
             assert path_integral_residual(m, traj, row) <= 1e-5
+
+    def test_recovery_integrand_is_k_grad_k(self):
+        # du_recovery_check integrates F . H; K grad K from the S(g) route
+        # must give the same residual
+        m = polynomial_map(2, seed=9, amplitude=0.06)
+        traj = trace_flowline(m, [0.2, -0.1], ds=1e-3, max_len=0.2)
+        row = int(traj.row[0])
+        assert np.all(traj.row == row)
+        jets = [m.jet(x) for x in traj.x]
+        integrand = np.array([
+            np.einsum("kl,kjl->j",
+                      ahlfors(distortion_tensor(j.J)) @ np.linalg.inv(j.J).T, j.H)
+            for j in jets
+        ])
+        drift = jets[-1].J[row - 1] - jets[0].J[row - 1]
+        expected = np.max(np.abs(drift - np.trapezoid(integrand, traj.s, axis=0)))
+        assert expected > 1e-6
+        assert du_recovery_check(m, traj, row) == pytest.approx(expected, rel=1e-9)
 
     def test_row_switch_rejected(self):
         m = affine_map([[1.4, 0.2], [0.1, 0.8]])

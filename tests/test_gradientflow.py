@@ -1,6 +1,7 @@
 """Grid sampling, energy quadrature, stable stepping, and flow runs."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -56,6 +57,11 @@ class TestMakeGrid:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError):
             make_grid(identity_map(2), (3, 9), 0.1)
+
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
+    def test_bad_spacing_rejected(self, h):
+        with pytest.raises(ValueError, match="h must be a positive finite number"):
+            make_grid(identity_map(2), (9, 9), h)
 
 
 class TestEnergy:
@@ -335,6 +341,50 @@ class TestRunFlow:
         assert np.unique(stats.dt_history[1:]).size == 1
         assert stats.halt_reason == "determinant_collapse"
         assert stats.times.size - 1 == 7
+
+    @pytest.mark.parametrize("safety", [0.0, -1.0, math.nan])
+    def test_bad_safety_rejected(self, safety):
+        # safety = 0 made dtmax return 0 and the loop take zero-length steps
+        grid = affine_bump_grid()
+        with pytest.raises(ValueError, match="safety must be a positive finite number"):
+            dtmax(grid, 2.0, safety)
+        for mode in ("explicit", "picard"):
+            with pytest.raises(ValueError, match="safety must be a positive finite number"):
+                run_flow(grid, 2.0, 1e-3, mode=mode, safety=safety)
+
+    def test_explicit_differences_each_state_once(self, monkeypatch):
+        # _advance's Jacobian of the stepped state is the next step's
+        # coefficient Jacobian; set-up differences the initial data
+        calls = []
+        jacobian = gradientflow._jacobian_field
+
+        def counted(*args):
+            calls.append(1)
+            return jacobian(*args)
+
+        grid = affine_bump_grid()
+        monkeypatch.setattr(gradientflow, "_jacobian_field", counted)
+        stats = run_flow(grid, 2.0, t_final=1e-3)
+        steps = stats.times.size - 1
+        assert steps > 1 and stats.halt_reason is None
+        assert len(calls) <= steps + 4
+
+    def test_picard_first_pass_reuses_initial_jacobian(self, monkeypatch):
+        # pass one freezes its coefficients at u0; each later pass
+        # differences the saved states once more
+        calls = []
+        jacobian = gradientflow._jacobian_field
+
+        def counted(*args):
+            calls.append(1)
+            return jacobian(*args)
+
+        grid = affine_bump_grid()
+        monkeypatch.setattr(gradientflow, "_jacobian_field", counted)
+        stats = run_flow(grid, 2.0, t_final=1e-3, mode="picard", outer=2)
+        steps = stats.times.size - 1
+        assert steps > 1 and stats.halt_reason is None
+        assert len(calls) <= 4 + 3 * steps
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -243,6 +243,15 @@ class TestCompose:
         with pytest.raises(NonPositiveDeterminant):
             c._jet1(x)
 
+    def test_negative_factor_message(self):
+        # the composition factors share the package's one sign check
+        c = compose(affine_map(np.diag([1.0, -1.0])), identity_map(2))
+        x = np.array([0.1, 0.2])
+        with pytest.raises(NonPositiveDeterminant, match="determinant must be positive"):
+            c.jet(x)
+        with pytest.raises(NonPositiveDeterminant, match="determinant must be positive"):
+            c._jet1(x)
+
     def test_post_composition_preserves_dilation(self):
         rng = np.random.default_rng(239)
         done = 0

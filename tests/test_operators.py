@@ -13,6 +13,7 @@ from qcflow import (
     NonPositiveDeterminant,
     UnsupportedRegime,
     b_tensor,
+    dilation_gradient,
     flux,
     flux_linearization,
     lh_witness,
@@ -21,6 +22,7 @@ from qcflow import (
     lp_asymptotic_ratio,
     lp_divergence,
     lp_nondiv,
+    trace_dilation,
 )
 from qcflow.maps import (
     affine_map,
@@ -55,6 +57,13 @@ class TestJet2Sample:
         with pytest.raises(NonPositiveDeterminant):
             Jet2Sample(
                 x=np.zeros(2), u=np.zeros(2), J=np.diag([1.0, -1.0]), H=np.zeros((2, 2, 2))
+            )
+
+    def test_nonpositive_det_message(self):
+        with pytest.raises(NonPositiveDeterminant, match="determinant must be positive"):
+            Jet2Sample(
+                x=np.zeros(3), u=np.zeros(3), J=np.diag([1.0, 1.0, -2.0]),
+                H=np.zeros((3, 3, 3)),
             )
 
     def test_rejects_asymmetric_hessian(self):
@@ -307,6 +316,28 @@ class TestContractedOperator:
             _contracted_operator(np.diag([-1.0, 1.0]), hess, 2.0)
         with pytest.raises(NonFiniteValue):
             _contracted_operator(np.array([[np.nan, 0.0], [0.0, 1.0]]), hess, 2.0)
+
+
+class TestDilationGradient:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_central_difference(self, n):
+        # (F / K) . H against a central difference of K; h = 1e-5
+        h = 1e-5
+        mapping = polynomial_map(n, seed=17 + n, amplitude=0.1)
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            x = 0.4 * rng.uniform(-1.0, 1.0, n)
+            fd = np.array([
+                (trace_dilation(mapping.jacobian(x + h * e))
+                 - trace_dilation(mapping.jacobian(x - h * e))) / (2.0 * h)
+                for e in np.eye(n)
+            ])
+            np.testing.assert_allclose(dilation_gradient(mapping.jet(x)), fd,
+                                       rtol=0, atol=1e-7)
+
+    def test_zero_on_affine(self):
+        jet = affine_map([[1.4, 0.3], [-0.2, 0.8]]).jet(np.array([0.1, 0.2]))
+        np.testing.assert_array_equal(dilation_gradient(jet), np.zeros(2))
 
 
 class TestLpDivergence:

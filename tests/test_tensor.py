@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qcflow import (
+    NonFiniteValue,
     NonPositiveDeterminant,
     ahlfors,
     analyze,
@@ -16,7 +17,7 @@ from qcflow import (
     trace_dilation,
 )
 from qcflow.maps import moebius, radial_stretch
-from qcflow.tensor import _det_adj
+from qcflow.tensor import _det_adj, _dilation_field
 
 
 def random_spd_jacobians(rng, n, count, scale=0.4):
@@ -90,6 +91,36 @@ class TestDetAdj:
         det, adj = _det_adj(np.diag([2.0, 5.0]))
         assert det == 10.0
         np.testing.assert_array_equal(adj, np.diag([5.0, 2.0]))
+
+
+class TestDilationField:
+    def test_matches_s_g_route(self):
+        # closed form against ahlfors(distortion_tensor(J)) @ inv(J)^T;
+        # relative tolerance fixed beforehand at 1e-12
+        rng = np.random.default_rng(29)
+        for n in (2, 3, 4):
+            for j in random_spd_jacobians(rng, n, 150):
+                k, field = _dilation_field(j)
+                ref = ahlfors(distortion_tensor(j)) @ np.linalg.inv(j).T
+                assert np.max(np.abs(field - ref)) <= 1e-12 * np.max(np.abs(ref))
+                assert k == trace_dilation(j)
+
+    def test_batched_matches_single(self):
+        rng = np.random.default_rng(31)
+        mats = np.array(random_spd_jacobians(rng, 3, 12)).reshape(3, 4, 3, 3)
+        k, field = _dilation_field(mats)
+        for idx in np.ndindex(3, 4):
+            k1, f1 = _dilation_field(mats[idx])
+            assert k[idx] == pytest.approx(k1, rel=1e-13)
+            np.testing.assert_allclose(field[idx], f1, rtol=0, atol=1e-13)
+
+    def test_folded_rejected(self):
+        with pytest.raises(NonPositiveDeterminant, match="determinant must be positive"):
+            _dilation_field(np.diag([1.0, -1.0, 1.0]))
+
+    def test_nan_rejected(self):
+        with pytest.raises(NonFiniteValue):
+            _dilation_field(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 class TestTraceDilation:
