@@ -225,19 +225,17 @@ def cmd_flow(config: str) -> None:
     """
     try:
         cfg = _load_flow_config(config)
+        p_power = float(cfg["p"])
+        t_final = float(cfg["t_final"])
+        mode = cfg.get("mode", "explicit")
+        safety = float(cfg.get("safety", gradientflow.DEFAULT_SAFETY))
+        outer = cfg.get("outer", 3)
+        gradientflow._check_flow_args(mode=mode, p=p_power, safety=safety,
+                                      t_final=t_final, outer=outer)
         mapping = maps.make_map(cfg["map"]["id"], **cfg["map"].get("params", {}))
         shape = tuple(int(v) for v in cfg["shape"])
         grid = gradientflow.make_grid(mapping, shape, float(cfg["h"]),
                                       origin=cfg.get("origin"))
-        p_power = float(cfg["p"])
-        t_final = float(cfg["t_final"])
-        mode = cfg.get("mode", "explicit")
-        if mode not in ("explicit", "picard"):
-            raise ConfigError(f"unknown mode {mode!r}")
-        safety = float(cfg.get("safety", gradientflow.DEFAULT_SAFETY))
-        if not 0.0 < safety < np.inf:  # NaN fails too
-            raise ConfigError(f"safety must be a positive finite number, got {safety!r}")
-        outer = int(cfg.get("outer", 3))
     except (ConfigError, UnknownMap, GuardViolation, QcflowError, ValueError, TypeError) as exc:
         _fail_usage(exc)
         return

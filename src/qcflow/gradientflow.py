@@ -26,6 +26,7 @@ flux_linearization, once per run, because it needs the coefficient mass.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,6 +207,22 @@ def interior_operator(grid: GridField, p: float) -> np.ndarray:
     return np.moveaxis(_interior_update(jac, grid.values, grid.h, p), 0, -1)
 
 
+def _check_flow_args(**args) -> None:
+    """Raise ValueError on a bad flow argument; checks only those given.
+
+    p, safety and t_final must be positive finite numbers, outer an
+    integer >= 1, and mode explicit or picard.
+    """
+    if args.get("mode", "explicit") not in ("explicit", "picard"):
+        raise ValueError(f"unknown mode {args['mode']!r}")
+    for name in ("p", "safety", "t_final"):
+        if name in args and not 0.0 < args[name] < np.inf:  # NaN fails too
+            raise ValueError(f"{name} must be a positive finite number, got {args[name]!r}")
+    outer = args.get("outer", 1)
+    if isinstance(outer, bool) or not isinstance(outer, numbers.Integral) or outer < 1:
+        raise ValueError(f"outer must be an integer >= 1, got {outer!r}")
+
+
 def dtmax(grid: GridField, p: float, safety: float = DEFAULT_SAFETY) -> float:
     """Stable explicit step estimate safety * h^2 / Lambda.
 
@@ -213,10 +230,9 @@ def dtmax(grid: GridField, p: float, safety: float = DEFAULT_SAFETY) -> float:
     absolute coefficient mass of the linearized flux, an upper bound of
     the same h^-2 scaling the ellipticity sandwich provides. Doubling h
     quadruples the bound; raising p shrinks it through the coefficient
-    growth. safety must be a positive finite number.
+    growth. p and safety must be positive finite numbers.
     """
-    if not 0.0 < safety < np.inf:  # NaN fails too
-        raise ValueError(f"safety must be a positive finite number, got {safety!r}")
+    _check_flow_args(p=p, safety=safety)
     jac = _jacobian_field(grid.values, grid.h)
     a4 = flux_linearization(np.moveaxis(jac, (0, 1), (-2, -1)), p)
     lam = float(np.max(np.sum(np.abs(a4), axis=(-3, -2, -1))))
@@ -307,9 +323,10 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
     mode keeps the step at its fixed dt. Five consecutive violations
     halt the run, as do determinant collapse and non-finite values. The
     stats describe the final pass; violations count over all passes.
+    p, safety and t_final must be positive finite numbers and outer an
+    integer >= 1; anything else raises ValueError before any work.
     """
-    if mode not in ("explicit", "picard"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_flow_args(mode=mode, p=p, safety=safety, t_final=t_final, outer=outer)
     explicit = mode == "explicit"
     dt0 = dtmax(grid, p, safety)
     compat = compatibility_check(grid, p)
@@ -321,7 +338,7 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
     violations = 0
     # picard's coefficient Jacobians: the first pass freezes them at u0
     frozen = itertools.repeat(jac0)
-    for _ in range(1 if explicit else max(1, int(outer))):
+    for _ in range(1 if explicit else outer):
         current, jac, t, dt, e_prev, consecutive, halt = grid, jac0, 0.0, dt0, e0, 0, None
         times, energies, min_dets, dts = [0.0], [e0], [float(np.min(grid.det_cache))], [0.0]
         states = [grid.values]

@@ -180,20 +180,22 @@ def _invert_generator(gen: tuple) -> tuple:
     return gen  # oriented inversion is its own inverse
 
 
+def _chain(outer: tuple, inner: tuple) -> tuple:
+    """Chain rule on raw (u, J) or (u, J, H) jets, outer's taken at inner's u."""
+    j = outer[1] @ inner[1]
+    if len(inner) == 2:
+        return outer[0], j
+    h = (np.einsum("km,mab->kab", outer[1], inner[2])
+         + np.einsum("kms,ma,sb->kab", outer[2], inner[1], inner[1]))
+    return outer[0], j, h
+
+
 def _conformal_from_word(word: tuple, n: int) -> ConformalMap:
     def jet_fn(x: np.ndarray, order: int) -> tuple:
-        u = x
-        j = np.eye(n)
-        h = np.zeros((n, n, n))
+        jet = (x, np.eye(n), np.zeros((n, n, n)))[: order + 1]
         for kind, data in reversed(word):
-            gen = _generator_jet(kind, data, n, u, order)
-            if order == 2:
-                h = np.einsum("km,mab->kab", gen[1], h) + np.einsum(
-                    "kms,ma,sb->kab", gen[2], j, j
-                )
-            j = gen[1] @ j
-            u = gen[0]
-        return (u, j, h)[: order + 1]
+            jet = _chain(_generator_jet(kind, data, n, jet[0], order), jet)
+        return jet
 
     kinds = ",".join(kind for kind, _ in word) or "identity"
     return ConformalMap(
@@ -496,51 +498,45 @@ def bump_map(n: int, amplitude: float = 0.05) -> SmoothMap:
 # ---------------------------------------------------------------------------
 # composition
 
-def _checked_factor(raw: tuple) -> tuple:
-    """A factor's raw jet, passed through once its Jacobian has det > 0.
+@dataclass(frozen=True)
+class _Composite(SmoothMap):
+    """Composition of factors, innermost first, folded by _chain."""
 
-    Two factors with negative determinants compose to a positive one, so
-    the composite's own check cannot stand in for this one.
-    """
-    _positive_det(raw[1])
-    return raw
-
-
-def _factor_jet(factor: SmoothMap, x: np.ndarray, order: int) -> tuple:
-    """Guarded, sign-checked raw jet of one composition factor."""
-    factor.guard(x)
-    return _checked_factor(factor._raw(x, order))
+    factors: tuple = ()
 
 
 def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
     """Composition outer(inner(x)) with the full second-order chain rule.
 
-    Guards of both factors apply: the inner at x, the outer at inner(x),
-    and each factor's Jacobian must have a positive determinant.
-    Composing two conformal words yields a conformal word again.
+    Composite operands flatten into one factor list, folded innermost
+    first; each factor is guarded at its own input. Every factor but a
+    conformal word (orientation-preserving by construction) must have
+    det J > 0: two reflections compose to det > 0, so the composite's
+    own check cannot stand in. Two conformal words compose to one word.
     """
     if outer.n != inner.n:
         raise ConfigError("composition requires matching dimensions")
     if isinstance(outer, ConformalMap) and isinstance(inner, ConformalMap):
         return _conformal_from_word(outer.word + inner.word, outer.n)
+    factors = getattr(inner, "factors", (inner,)) + getattr(outer, "factors", (outer,))
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
-        si = _factor_jet(inner, x, order)
-        so = _factor_jet(outer, si[0], order)
-        j = so[1] @ si[1]
-        if order == 1:
-            return so[0], j
-        h = np.einsum("km,mab->kab", so[1], si[2]) + np.einsum(
-            "kms,ma,sb->kab", so[2], si[1], si[1]
-        )
-        return so[0], j, h
+        jet = (x,)  # the input alone until the first factor is taken
+        for factor in factors:
+            factor.guard(jet[0])
+            raw = factor._raw(jet[0], order)
+            if not isinstance(factor, ConformalMap):
+                _positive_det(raw[1])
+            jet = raw if len(jet) == 1 else _chain(raw, jet)
+        return jet
 
-    return SmoothMap(
+    return _Composite(
         n=outer.n,
         name=f"{outer.name}.{inner.name}",
         params={"outer": outer.name, "inner": inner.name},
         jet_fn=jet_fn,
         guard_fn=None,
+        factors=factors,
     )
 
 
@@ -689,7 +685,8 @@ def competitor_perturbation(
         return chi, chi_grad, chi_hess
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
-        u, j, h = _checked_factor(base.jet_fn(x, 2))
+        u, j, h = base.jet_fn(x, 2)
+        _positive_det(j)
         chi, chi_grad, chi_hess = chi_jet(x)
         return u + lam * chi, j + lam * chi_grad, h + lam * chi_hess
 

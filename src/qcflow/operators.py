@@ -44,7 +44,7 @@ class Jet2Sample:
 
     Maps build exactly one per public SmoothMap.jet call; their internals
     (generator words, composition, perturbations) pass raw (u, J, H)
-    arrays and check only each composed factor's determinant sign.
+    arrays and sign-check only composition factors that can fold.
 
     x: evaluation point, length n.
     u: map value at x, length n.

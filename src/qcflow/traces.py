@@ -99,8 +99,8 @@ def _orthonormalize(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def adapted_frame(mapping: SmoothMap, surface, x) -> AdaptedFrame:
-    """Adapted frame pair of a map along a sphere or hyperplane at x."""
+def _adapted(mapping: SmoothMap, surface, x) -> tuple[np.ndarray, np.ndarray, AdaptedFrame]:
+    """Jacobian, tangential block and adapted frame at x, from one jet."""
     x = np.asarray(x, dtype=float)
     nu = surface.normal_at(x)
     tangent = _complete_basis(nu)
@@ -113,20 +113,19 @@ def adapted_frame(mapping: SmoothMap, surface, x) -> AdaptedFrame:
     if norm < _DEPENDENCY_TOL * (np.linalg.norm(jn) + 1e-300):
         raise DegenerateTangentImage("normal image lies in the tangent image span")
     w0 = resid / norm  # sign makes <J nu, w0> = |resid| > 0
-    return AdaptedFrame(x=x, normal=nu, tangent=tangent, w0=w0, w_tangent=w_tangent)
-
-
-def _tangential_block(mapping: SmoothMap, surface, x) -> tuple[np.ndarray, AdaptedFrame]:
-    frame = adapted_frame(mapping, surface, x)
-    j = mapping.jacobian(frame.x)
     # block entry [i, j] = <J e_i, w_j>; lower triangular, positive diagonal
-    block = (frame.tangent @ j.T) @ frame.w_tangent.T
-    return block, frame
+    block = pushed @ w_tangent.T
+    return j, block, AdaptedFrame(x=x, normal=nu, tangent=tangent, w0=w0, w_tangent=w_tangent)
+
+
+def adapted_frame(mapping: SmoothMap, surface, x) -> AdaptedFrame:
+    """Adapted frame pair of a map along a sphere or hyperplane at x."""
+    return _adapted(mapping, surface, x)[2]
 
 
 def tangential_dilation(mapping: SmoothMap, surface, x) -> float:
     """Dilation of the restricted map, |B| / (det B)^{1/(n-1)} for the tangent block."""
-    block, _ = _tangential_block(mapping, surface, x)
+    _, block, _ = _adapted(mapping, surface, x)
     m = block.shape[0]
     det = float(np.prod(np.diag(block)))
     return float(np.sqrt(np.sum(block * block))) / det ** (1.0 / m)
@@ -151,8 +150,7 @@ def trace_inequality_check(mapping: SmoothMap, surface, x) -> TraceInequalityRec
     two block identities (norm split and determinant factorization),
     which vanish for every map and surface point.
     """
-    block, frame = _tangential_block(mapping, surface, x)
-    j = mapping.jacobian(frame.x)
+    j, block, frame = _adapted(mapping, surface, x)
     n = j.shape[0]
     m = n - 1
     jn = j @ frame.normal

@@ -298,6 +298,23 @@ class TestFlowCommand:
         assert "safety must be a positive finite number" in result.stderr
         assert not stats.exists() and not snap.exists()
 
+    @pytest.mark.parametrize("key, bad", [
+        ("p", 0.0), ("p", -1.0), ("t_final", -1.0), ("outer", 0), ("outer", -2),
+        ("outer", 2.5),
+    ])
+    def test_bad_run_argument_exits_two_without_writes(self, tmp_path, key, bad):
+        # p = 0 used to exit 1 with a traceback after writing the initial
+        # snapshot; the others ran and exited 0, outer = 2.5 with 2 passes
+        cfg = tmp_path / "flow.json"
+        stats = tmp_path / "stats.csv"
+        snap = tmp_path / "initial.bin"
+        write_config(cfg, mode="picard", stats=str(stats),
+                     snapshots={"initial": str(snap)}, **{key: bad})
+        result = run_cli("flow", str(cfg))
+        assert result.exit_code == 2
+        assert f"error: {key} must be" in result.stderr
+        assert not stats.exists() and not snap.exists()
+
     @pytest.mark.parametrize("h", [0.0, -0.0625])
     def test_bad_spacing_exits_two_without_writes(self, tmp_path, h):
         cfg = tmp_path / "flow.json"

@@ -30,6 +30,7 @@ from qcflow.maps import (
     moebius,
     polynomial_map,
     radial_stretch,
+    teichmuller_example,
     teichmuller_map,
 )
 from qcflow.verify import pathwise_derivative_pairs
@@ -189,6 +190,24 @@ class TestTraceFlowline:
         steps = len(traj) - 1
         assert traj.terminated == "maxLength" and steps == 20
         assert len(calls) == 1 + 4 * steps
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_composition_checks_only_its_affine_factor(self, monkeypatch, n):
+        # per sample one determinant for K and the field and one for the
+        # affine middle factor; the conformal words are not sign-checked
+        calls = []
+        det = np.linalg.det
+
+        def counted(a):
+            calls.append(1)
+            return det(a)
+
+        m = teichmuller_example(n)
+        monkeypatch.setattr(np.linalg, "det", counted)
+        traj = trace_flowline(m, [0.1, 0.05, -0.05][:n], ds=1e-3, max_len=0.02)
+        steps = len(traj) - 1
+        assert traj.terminated == "maxLength" and steps == 20
+        assert len(calls) == 2 * (1 + 4 * steps)
 
     @pytest.mark.parametrize("composed", [False, True], ids=["guarded", "guarded_factor"])
     def test_stage_outside_guard_raises_step_failure(self, composed):

@@ -276,7 +276,8 @@ class TestRunFlow:
         # 38,032 additions of this dt fall short of 38,032 * dt by more than
         # 1e-12 relative, so a stop test on the running sum would ask for a
         # step past the last lattice step. The kernels are stubbed so that
-        # the stop rule alone runs at that length.
+        # the stop rule alone runs at that length; the state never moves,
+        # so its Jacobian is the fixed one of the identity grid.
         dt, n_steps = 0.0009572206494414425, 38032
         t = 0.0
         for _ in range(n_steps):
@@ -287,12 +288,14 @@ class TestRunFlow:
             assert step_dt > 0.0
             return grid, None
 
+        grid = identity_grid((4, 4), 1.0 / 3.0)
+        jac = gradientflow._jacobian_field(grid.values, grid.h)
         monkeypatch.setattr(gradientflow, "dtmax", lambda grid, p, safety: dt)
         monkeypatch.setattr(gradientflow, "_interior_update", lambda *args: None)
         monkeypatch.setattr(gradientflow, "_advance", advance)
         monkeypatch.setattr(gradientflow, "_energy", lambda *args: 0.0)
-        stats = run_flow(identity_grid((4, 4), 1.0 / 3.0), 2.0, n_steps * dt,
-                         mode="picard", outer=2)
+        monkeypatch.setattr(gradientflow, "_jacobian_field", lambda values, h: jac)
+        stats = run_flow(grid, 2.0, n_steps * dt, mode="picard", outer=2)
         assert stats.halt_reason is None
         assert stats.times.size - 1 == n_steps
 
@@ -351,6 +354,27 @@ class TestRunFlow:
         for mode in ("explicit", "picard"):
             with pytest.raises(ValueError, match="safety must be a positive finite number"):
                 run_flow(grid, 2.0, 1e-3, mode=mode, safety=safety)
+
+    @pytest.mark.parametrize("arg, bad", [
+        ("p", 0.0), ("p", -1.0), ("p", math.nan), ("p", math.inf),
+        ("t_final", 0.0), ("t_final", -1.0), ("t_final", math.nan), ("t_final", math.inf),
+    ])
+    def test_bad_power_or_horizon_rejected(self, arg, bad):
+        # p = 0 divided by zero in dtmax, p = -1 ran, and a t_final that is
+        # not positive took no step yet reported reaching its horizon
+        grid = affine_bump_grid()
+        kwargs = {"p": 2.0, "t_final": 1e-3, arg: bad}
+        with pytest.raises(ValueError, match=f"{arg} must be a positive finite number"):
+            run_flow(grid, **kwargs)
+        if arg == "p":
+            with pytest.raises(ValueError, match="p must be a positive finite number"):
+                dtmax(grid, bad)
+
+    @pytest.mark.parametrize("outer", [0, -2, 1.5, True])
+    def test_bad_pass_count_rejected(self, outer):
+        # outer = 0 or -2 used to run one pass silently
+        with pytest.raises(ValueError, match="outer must be an integer >= 1"):
+            run_flow(affine_bump_grid(), 2.0, 1e-3, mode="picard", outer=outer)
 
     def test_explicit_differences_each_state_once(self, monkeypatch):
         # _advance's Jacobian of the stepped state is the next step's

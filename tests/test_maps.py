@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_posdet
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcflow import (
     AxisExcluded,
@@ -242,6 +245,48 @@ class TestCompose:
             c.jet(x)
         with pytest.raises(NonPositiveDeterminant):
             c._jet1(x)
+
+    def test_negative_factors_rejected_inside_a_composite(self):
+        # the nested composite is flattened, and each flip is still checked
+        flip = affine_map(-np.eye(3))
+        rot = moebius("rotation", {"n": 3, "axis": [0.0, 0.0, 1.0], "angle": 0.4})
+        c = compose(rot, compose(flip, flip))
+        x = np.array([0.1, -0.2, 0.3])
+        with pytest.raises(NonPositiveDeterminant):
+            c.jet(x)
+        with pytest.raises(NonPositiveDeterminant):
+            c._jet1(x)
+
+    @pytest.mark.parametrize("nesting", ["right", "left"])
+    def test_three_factors_fold_innermost_first(self, nesting):
+        # either nesting folds the same factor list, bit for bit
+        inner = polynomial_map(3, seed=7)
+        mid = affine_map([[1.3, 0.2, 0.0], [-0.1, 0.9, 0.3], [0.0, 0.2, 1.1]], [0.1, 0.0, -0.2])
+        outer = moebius("rotation", {"n": 3, "axis": [0.3, -1.0, 0.7], "angle": 0.8})
+        if nesting == "right":
+            c = compose(outer, compose(mid, inner))
+        else:
+            c = compose(compose(outer, mid), inner)
+        x = np.array([0.2, -0.3, 0.1])
+        y = inner.value(x)
+        expected = outer.jacobian(mid.value(y)) @ (mid.jacobian(y) @ inner.jacobian(x))
+        assert c.jacobian(x).tobytes() == expected.tobytes()
+        assert c._jet1(x)[1].tobytes() == expected.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]), right=st.booleans())
+    def test_word_affine_word_jacobian_is_chained_product(self, seed, n, right):
+        rng = np.random.default_rng(seed)
+        first, last = random_moebius(n, rng), random_moebius(n, rng)
+        mid = affine_map(random_posdet(rng, n), rng.uniform(-0.5, 0.5, size=n))
+        if right:
+            c = compose(last, compose(mid, first))
+        else:
+            c = compose(compose(last, mid), first)
+        x = rng.uniform(-0.5, 0.5, size=n)
+        y = first.value(x)
+        expected = last.jacobian(mid.value(y)) @ (mid.jacobian(y) @ first.jacobian(x))
+        assert c.jacobian(x).tobytes() == expected.tobytes()
 
     def test_negative_factor_message(self):
         # the composition factors share the package's one sign check

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcflow import HypothesisViolated
-from qcflow.maps import affine_map, compose, identity_map, moebius, radial_stretch
+from qcflow.maps import SmoothMap, affine_map, compose, identity_map, moebius, radial_stretch
 from qcflow.tensor import trace_dilation
 from qcflow.traces import (
     Hyperplane,
@@ -157,6 +157,24 @@ class TestTraceInequality:
             assert np.linalg.det(j) == pytest.approx(
                 float(np.dot(jn, frame.w0)) * np.linalg.det(block), rel=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "check", [adapted_frame, tangential_dilation, trace_inequality_check],
+        ids=["frame", "dilation", "inequality"],
+    )
+    def test_one_jet_per_call(self, monkeypatch, check):
+        # the frame, the block and the ambient terms share one Jacobian
+        calls = []
+        jet = SmoothMap.jet
+
+        def counted(self, x):
+            calls.append(1)
+            return jet(self, x)
+
+        monkeypatch.setattr(SmoothMap, "jet", counted)
+        sphere = Sphere(center=(0.0, 0.0, 0.0), radius=1.0)
+        check(radial_stretch(2.0, 3), sphere, [0.6, 0.0, 0.8])
+        assert len(calls) == 1
 
 
 class TestCriticalEquality:
