@@ -91,7 +91,7 @@ def cmd_verify(suite: str, seed: int, out: str | None, tol_scale: float,
         workers = _resolve_threads(threads)
         report = verify.run_suite(suite, seed=seed, tol_scale=tol_scale,
                                   threads=workers, timing=timing)
-    except (UnknownSuite, ConfigError) as exc:
+    except (UnknownSuite, ConfigError, ValueError) as exc:
         _fail_usage(exc)
         return
     text = report.to_json()

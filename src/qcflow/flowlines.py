@@ -64,12 +64,14 @@ class FlowTrajectory:
             fh.write(self.to_csv_text())
 
 
-def ball_domain(radius: float = 1.0, center=None):
-    """Signed predicate of a ball: negative inside, positive outside."""
+def ball_domain(radius: float = 1.0):
+    """Signed predicate of the ball about the origin: negative inside,
+    positive outside. radius must be a positive finite number."""
+    if not 0.0 < radius < np.inf:  # NaN fails too
+        raise ValueError(f"radius must be a positive finite number, got {radius!r}")
 
     def predicate(x: np.ndarray) -> float:
-        c = 0.0 if center is None else np.asarray(center, dtype=float)
-        return float(np.linalg.norm(np.asarray(x, dtype=float) - c) - radius)
+        return float(np.linalg.norm(np.asarray(x, dtype=float)) - radius)
 
     return predicate
 
@@ -83,17 +85,17 @@ def flow_field(mapping, x) -> np.ndarray:
     return _dilation_field(mapping._jet1(x)[1])[1]
 
 
-def select_row(field, current: int | None = None, threshold: float = SWITCH_THRESHOLD,
-               tol: float = DEGENERACY_TOL) -> int:
+def select_row(field, current: int | None = None) -> int:
     """Active-row choice with hysteresis; rows are numbered from 1.
 
-    Keeps the current row while its norm stays at least threshold times
-    the strongest row's norm, otherwise switches to the strongest row.
-    The returned row always carries norm >= |field| / n^2.
+    Keeps the current row while its norm stays at least SWITCH_THRESHOLD
+    times the strongest row's norm, otherwise switches to the strongest
+    row. A field whose norm is at most DEGENERACY_TOL raises
+    AllRowsDegenerate. The returned row always carries norm >= |field| / n^2.
     """
     f = np.asarray(field, dtype=float)
     total = float(np.sqrt(np.sum(f * f)))
-    if total <= tol:
+    if total <= DEGENERACY_TOL:
         raise AllRowsDegenerate(f"field norm {total:.3e} below degeneracy tolerance")
     norms = np.linalg.norm(f, axis=1)
     best = int(np.argmax(norms))
@@ -101,7 +103,7 @@ def select_row(field, current: int | None = None, threshold: float = SWITCH_THRE
         cur = int(current) - 1
         if not (0 <= cur < f.shape[0]):
             raise ValueError(f"row index {current} out of range")
-        if norms[cur] >= threshold * norms[best]:
+        if norms[cur] >= SWITCH_THRESHOLD * norms[best]:
             return cur + 1
     return best + 1
 
@@ -110,14 +112,15 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
                    domain=None) -> FlowTrajectory:
     """Integrate a flow line from x0 with classical RK4 at fixed step.
 
-    The active row is reselected after every accepted step; on a switch
-    the new row's sign is chosen to keep the angle with the previous
-    velocity at most 90 degrees, preserving forward orientation. The
-    walk stops at the domain boundary (located by bisection on the
-    signed predicate to 1e-10), at arc parameter max_len, or when the
-    field degenerates. ds must be a positive finite number.
-
-    domain defaults to the unit ball centered at the origin.
+    One loop handles every sample, the first included: sample the field,
+    stop if it is degenerate, pick the row and sign, record the sample,
+    stop at arc parameter max_len, take an RK4 step, and stop at the
+    domain boundary (located by bisection on the signed predicate to
+    1e-10). On a row switch the new row's sign keeps the angle with the
+    previous velocity at most 90 degrees, preserving forward orientation;
+    a degenerate sample keeps the row and sign it arrived with. ds and
+    max_len must be positive finite numbers; domain defaults to the unit
+    ball centered at the origin.
 
     The walk reads first-order data only: every sample point and RK4
     stage evaluates (u, J) through the map's first-order sampler, never
@@ -126,36 +129,21 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
     a stage raise StepFailure. The first stage of a step reuses the
     velocity already evaluated at the accepted point.
     """
-    if not 0.0 < ds < np.inf:  # NaN fails too
-        raise ValueError(f"ds must be a positive finite number, got {ds!r}")
+    for name, value in (("ds", ds), ("max_len", max_len)):
+        if not 0.0 < value < np.inf:  # NaN fails too
+            raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     x = np.asarray(x0, dtype=float).copy()
     if domain is None:
-        domain = ball_domain(1.0)
+        domain = ball_domain()
     if domain(x) >= 0.0:
         raise ValueError("flow line must start strictly inside the domain")
 
-    k_val, field = _dilation_field(mapping._jet1(x)[1])
     samples = []  # one (s, x, K, row, speed, sign) per sample; x is never mutated
 
     def finish(reason: str) -> FlowTrajectory:
         s, x, k, row, speed, sign = (np.array(c) for c in zip(*samples))
         return FlowTrajectory(s=s, x=x, K=k, row=row, speed=speed, sign=sign,
                               terminated=reason)
-
-    def degenerate(field, k_val) -> bool:
-        return float(np.sqrt(np.sum(field * field))) <= DEGENERACY_TOL * (1.0 + k_val**2)
-
-    if degenerate(field, k_val):
-        norms = np.linalg.norm(field, axis=1)
-        row = int(np.argmax(norms)) + 1
-        samples.append((0.0, x, k_val, row, float(norms[row - 1]), 1.0))
-        return finish("degenerate")
-
-    row = select_row(field, current=None)
-    sign = 1.0
-    velocity = sign * field[row - 1]
-    s = 0.0
-    samples.append((s, x, k_val, row, float(np.linalg.norm(field[row - 1])), sign))
 
     def stage_velocity(y: np.ndarray) -> np.ndarray:
         try:
@@ -164,7 +152,26 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
             raise StepFailure(f"integrator stage left the map's domain: {exc}") from exc
         return sign * f[row - 1]
 
-    while s < max_len - 1e-14:
+    s, row, sign = 0.0, None, 1.0
+    while True:
+        k_val, field = _dilation_field(mapping._jet1(x)[1])
+        if float(np.sqrt(np.sum(field * field))) <= DEGENERACY_TOL * (1.0 + k_val**2):
+            norms = np.linalg.norm(field, axis=1)
+            if row is None:
+                row = int(np.argmax(norms)) + 1
+            samples.append((s, x, k_val, row, float(norms[row - 1]), sign))
+            return finish("degenerate")
+
+        new_row = select_row(field, current=row)
+        if row is not None and new_row != row:
+            # forward orientation: angle with the previous velocity <= 90 degrees
+            sign = 1.0 if float(np.dot(field[new_row - 1], velocity)) >= 0.0 else -1.0
+        row = new_row
+        velocity = sign * field[row - 1]
+        samples.append((s, x, k_val, row, float(np.linalg.norm(field[row - 1])), sign))
+        if not s < max_len - 1e-14:
+            return finish("maxLength")
+
         step = min(ds, max_len - s)
         k1 = velocity
         k2 = stage_velocity(x + 0.5 * step * k1)
@@ -188,24 +195,8 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
             samples.append((s + lo * step, x_hit, k_val, row,
                             float(np.linalg.norm(field[row - 1])), sign))
             return finish("boundary")
-
         s += step
         x = x_new
-        k_val, field = _dilation_field(mapping._jet1(x)[1])
-        if degenerate(field, k_val):
-            norms = np.linalg.norm(field, axis=1)
-            samples.append((s, x, k_val, row, float(norms[row - 1]), sign))
-            return finish("degenerate")
-
-        new_row = select_row(field, current=row)
-        if new_row != row:
-            row = new_row
-            # forward orientation: angle with the previous velocity <= 90 degrees
-            sign = 1.0 if float(np.dot(field[row - 1], velocity)) >= 0.0 else -1.0
-        velocity = sign * field[row - 1]
-        samples.append((s, x, k_val, row, float(np.linalg.norm(field[row - 1])), sign))
-
-    return finish("maxLength")
 
 
 def du_recovery_check(mapping, trajectory: FlowTrajectory, row_index: int) -> float:

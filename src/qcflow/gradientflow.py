@@ -267,19 +267,16 @@ def _advance(grid: GridField, update: np.ndarray, dt: float,
     ), jac
 
 
-def explicit_step(grid: GridField, p: float, dt: float,
-                  det_floor: float | None = None) -> GridField:
+def explicit_step(grid: GridField, p: float, dt: float) -> GridField:
     """One forward-Euler update of the interior nodes.
 
     Boundary nodes never move. If the stepped field's determinant drops
-    below det_floor anywhere (default: half the current minimum), the
-    step is rejected by raising DeterminantCollapse.
+    below half the current minimum anywhere, the step is rejected by
+    raising DeterminantCollapse.
     """
-    if det_floor is None:
-        det_floor = 0.5 * float(np.min(grid.det_cache))
     jac = _jacobian_field(grid.values, grid.h)
     update = _interior_update(jac, grid.values, grid.h, p)
-    return _advance(grid, update, dt, det_floor)[0]
+    return _advance(grid, update, dt, 0.5 * float(np.min(grid.det_cache)))[0]
 
 
 @dataclass

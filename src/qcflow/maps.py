@@ -35,12 +35,12 @@ class SmoothMap:
 
     jet_fn(x, order) returns the raw triple (u, J, H) at a point; the
     public jet validates it once, as a single Jet2Sample. At order 1 a
-    sampler with a first-order path (conformal words, affine maps,
-    compositions) returns the pair (u, J) alone, from the same Jacobian
-    formula and without building the Hessian; the others ignore order
-    and return their full jet. The guard raises before sampling outside
-    the validity domain, for example at the puncture of a radial map or
-    on a wedge seam.
+    sampler with a first-order path (conformal words, affine and
+    polynomial maps, and compositions of these) returns the pair (u, J)
+    alone, from the same Jacobian formula and without building the
+    Hessian; the others ignore order and return their full jet. The
+    guard raises before sampling outside the validity domain, for
+    example at the puncture of a radial map or on a wedge seam.
     """
 
     n: int
@@ -140,7 +140,7 @@ def _generator_jet(kind: str, data, n: int, x: np.ndarray, order: int) -> tuple:
         u, j = data * x, data * np.eye(n)
     elif kind == "translation":
         u, j = x + data, np.eye(n)
-    elif kind == "inversion":
+    else:  # the oriented inversion
         rsq = float(np.dot(x, x))
         if rsq < _ORIGIN_TOL**2:
             raise OriginExcluded("inversion sampled at the origin")
@@ -164,8 +164,6 @@ def _generator_jet(kind: str, data, n: int, x: np.ndarray, order: int) -> tuple:
         )
         h[-1] = -h[-1]
         return u, j, h
-    else:
-        raise UnknownMap(f"unknown conformal generator kind {kind!r}")
     return (u, j) if order == 1 else (u, j, np.zeros((n, n, n)))
 
 
@@ -192,12 +190,13 @@ def _chain(outer: tuple, inner: tuple) -> tuple:
 
 def _conformal_from_word(word: tuple, n: int) -> ConformalMap:
     def jet_fn(x: np.ndarray, order: int) -> tuple:
-        jet = (x, np.eye(n), np.zeros((n, n, n)))[: order + 1]
+        jet = (x,)  # the input alone until the first generator is taken
         for kind, data in reversed(word):
-            jet = _chain(_generator_jet(kind, data, n, jet[0], order), jet)
+            raw = _generator_jet(kind, data, n, jet[0], order)
+            jet = raw if len(jet) == 1 else _chain(raw, jet)
         return jet
 
-    kinds = ",".join(kind for kind, _ in word) or "identity"
+    kinds = ",".join(kind for kind, _ in word)
     return ConformalMap(
         n=n,
         name=f"conformal[{kinds}]",
@@ -405,9 +404,7 @@ def identity_map(n: int) -> SmoothMap:
     return affine_map(np.eye(n))
 
 
-def polynomial_map(
-    n: int, seed: int = 0, amplitude: float = 0.05, cubic: bool = True
-) -> SmoothMap:
+def polynomial_map(n: int, seed: int = 0, amplitude: float = 0.05) -> SmoothMap:
     """Identity plus a seeded random polynomial perturbation.
 
     u(x) = x + amp * (C2 : x x + C3 : x x x) with coefficient tensors
@@ -417,12 +414,9 @@ def polynomial_map(
     rng = np.random.default_rng(seed)
     c2 = rng.standard_normal((n, n, n))
     c2 = 0.5 * (c2 + np.swapaxes(c2, 1, 2))
-    if cubic:
-        c3 = rng.standard_normal((n, n, n, n))
-        perms = [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1)]
-        c3 = sum(np.transpose(c3, p) for p in perms) / 6.0
-    else:
-        c3 = np.zeros((n, n, n, n))
+    c3 = rng.standard_normal((n, n, n, n))
+    perms = [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1)]
+    c3 = sum(np.transpose(c3, p) for p in perms) / 6.0
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
         u = x + amplitude * (
@@ -432,13 +426,15 @@ def polynomial_map(
             2.0 * np.einsum("kab,b->ka", c2, x)
             + 3.0 * np.einsum("kabc,b,c->ka", c3, x, x)
         )
+        if order == 1:
+            return u, j
         h = amplitude * (2.0 * c2 + 6.0 * np.einsum("kabc,c->kab", c3, x))
         return u, j, h
 
     return SmoothMap(
         n=n,
         name="polynomial",
-        params={"n": n, "seed": seed, "amplitude": amplitude, "cubic": cubic},
+        params={"n": n, "seed": seed, "amplitude": amplitude},
         jet_fn=jet_fn,
         guard_fn=None,
     )
@@ -611,27 +607,22 @@ def _smoothstep(r: float, r0: float, r1: float) -> tuple[float, float, float]:
     return val, d1, d2
 
 
-def competitor_perturbation(
-    base: SmoothMap,
-    vectors,
-    bumps: list[SphereBump],
-    lam: float,
-    fade_in: tuple[float, float] = (0.2, 0.4),
-) -> SmoothMap:
+def competitor_perturbation(base: SmoothMap, vectors, bumps: list[SphereBump],
+                            lam: float) -> SmoothMap:
     """Base map plus lam times a boundary-vanishing competitor field.
 
     The field is (1 - |x|^2) zeta(|x|) sum_l phi_l(x/|x|) v_l: each bump
     phi_l weights a fixed vector v_l, the quadratic prefactor pins the
     perturbation to zero on the unit sphere, and the radial fade zeta
-    keeps jets smooth through the origin by switching the field off for
-    small radii. On the sphere the gradient is exactly
+    keeps jets smooth through the origin: it is zero for radii up to 0.2
+    and fades in up to 0.4. On the sphere the gradient is exactly
     -2 (sum_l phi_l v_l) outer x.
     """
     vectors = np.asarray(vectors, dtype=float)
     n = base.n
     if vectors.ndim != 2 or vectors.shape[0] != len(bumps) or vectors.shape[1] != n:
         raise ConfigError("need one length-n vector per bump")
-    r0, r1 = fade_in
+    r0, r1 = 0.2, 0.4  # radial fade band
 
     def chi_jet(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         r = float(np.linalg.norm(x))
@@ -702,31 +693,31 @@ def competitor_perturbation(
 # ---------------------------------------------------------------------------
 # finite-difference sampler
 
-def fd_map(value_fn: Callable[[np.ndarray], np.ndarray], n: int, h: float | None = None) -> SmoothMap:
+def fd_map(value_fn: Callable[[np.ndarray], np.ndarray], n: int, h: float) -> SmoothMap:
     """Map defined by a value function with centered-difference jets.
 
-    First and second derivatives both converge at order two; the mixed
-    second derivatives are symmetrized. Step defaults to 1e-4 (1 + |x|).
+    h is the difference step, fixed for every point. First and second
+    derivatives both converge at order two; the mixed second derivatives
+    are symmetrized.
     """
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
-        step = 1e-4 * (1.0 + np.linalg.norm(x)) if h is None else h
         u = np.asarray(value_fn(x), dtype=float)
         j = np.zeros((n, n))
         hess = np.zeros((n, n, n))
-        shifts = step * np.eye(n)
+        shifts = h * np.eye(n)
         plus = [np.asarray(value_fn(x + shifts[a]), dtype=float) for a in range(n)]
         minus = [np.asarray(value_fn(x - shifts[a]), dtype=float) for a in range(n)]
         for a in range(n):
-            j[:, a] = (plus[a] - minus[a]) / (2.0 * step)
-            hess[:, a, a] = (plus[a] - 2.0 * u + minus[a]) / step**2
+            j[:, a] = (plus[a] - minus[a]) / (2.0 * h)
+            hess[:, a, a] = (plus[a] - 2.0 * u + minus[a]) / h**2
         for a in range(n):
             for b in range(a + 1, n):
                 pp = np.asarray(value_fn(x + shifts[a] + shifts[b]), dtype=float)
                 pm = np.asarray(value_fn(x + shifts[a] - shifts[b]), dtype=float)
                 mp = np.asarray(value_fn(x - shifts[a] + shifts[b]), dtype=float)
                 mm = np.asarray(value_fn(x - shifts[a] - shifts[b]), dtype=float)
-                mixed = (pp - pm - mp + mm) / (4.0 * step**2)
+                mixed = (pp - pm - mp + mm) / (4.0 * h**2)
                 hess[:, a, b] = mixed
                 hess[:, b, a] = mixed
         return u, j, hess

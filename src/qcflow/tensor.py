@@ -195,12 +195,12 @@ class DilationReport:
     conformal: bool | np.ndarray
 
 
-def analyze(j, tol: float = DEFAULT_CONFORMAL_TOL) -> DilationReport:
+def analyze(j) -> DilationReport:
     """Full dilation report for a Jacobian with positive determinant.
 
-    The conformal flag tests |S(g)| <= tol; at that threshold the
-    equivalent characterizations (dilation at its floor, vanishing
-    factored operator) agree for any input away from the tolerance edge.
+    The conformal flag tests |S(g)| <= DEFAULT_CONFORMAL_TOL; at that
+    threshold the equivalent characterizations (dilation at its floor,
+    vanishing factored operator) agree away from the tolerance edge.
     """
     a = _as_matrix(j)
     n = a.shape[-1]
@@ -213,7 +213,7 @@ def analyze(j, tol: float = DEFAULT_CONFORMAL_TOL) -> DilationReport:
     ceiling = k**4 * (1.0 - 1.0 / n)
     if not np.all(sg_norm_sq <= ceiling + 1e-12 * (1.0 + ceiling)):
         raise QcflowError("distortion bound violated; input Jacobian is corrupt")
-    conformal = sg_norm_sq <= tol * tol
+    conformal = sg_norm_sq <= DEFAULT_CONFORMAL_TOL * DEFAULT_CONFORMAL_TOL
     if np.ndim(k) == 0:
         return DilationReport(
             K=float(k),

@@ -53,8 +53,8 @@ def random_jet(n: int, rng: np.random.Generator, scale: float = 0.3,
     )
 
 
-def random_moebius(n: int, rng: np.random.Generator, max_len: int = 3) -> maps.ConformalMap:
-    """Random word of conformal generators, at most max_len letters.
+def random_moebius(n: int, rng: np.random.Generator) -> maps.ConformalMap:
+    """Random word of conformal generators, at most three letters.
 
     Any inversion letter is preceded (in application order) by a far
     translation, keeping the pole away from the unit-scale point clouds
@@ -70,7 +70,6 @@ def random_moebius(n: int, rng: np.random.Generator, max_len: int = 3) -> maps.C
         ("dilation", "translation", "rotation"),
         ("far", "inversion", "rotation"),
     ]
-    plans = [p for p in plans if len(p) <= max_len]
     plan = plans[int(rng.integers(len(plans)))]
 
     def letter(kind: str) -> maps.ConformalMap:
@@ -98,11 +97,6 @@ def random_moebius(n: int, rng: np.random.Generator, max_len: int = 3) -> maps.C
     for nxt in letters[1:]:
         word = maps.compose(nxt, word)
     return word
-
-
-def _teichmuller_fixture(n: int = 2) -> maps.SmoothMap:
-    """Fixed conformal-affine-conformal composition used by flow-line cases."""
-    return maps.teichmuller_example(n)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +426,7 @@ def _case_distortion_conjugation(rng):
 # flowlines suite
 
 def _case_teichmuller_drift(rng):
-    mapping = _teichmuller_fixture(2)
+    mapping = maps.teichmuller_example(2)
     drift = 0.0
     for _ in range(3):
         x0 = rng.standard_normal(2)
@@ -495,7 +489,7 @@ def _case_affine_recovery(rng):
 
 
 def _case_boundary_stop(rng):
-    mapping = _teichmuller_fixture(2)
+    mapping = maps.teichmuller_example(2)
     x0 = np.array([0.9, 0.0])
     traj = flowlines.trace_flowline(mapping, x0, ds=1e-3, max_len=3.0)
     if traj.terminated != "boundary":
@@ -725,9 +719,12 @@ def run_suite(name: str, seed: int = 0, tol_scale: float = 1.0, threads: int = 1
 
     The report is deterministic for a fixed seed: case order, case
     generators, and float formatting do not depend on the worker count.
+    tol_scale must be a finite number >= 0.
     """
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
+    if not 0.0 <= tol_scale < np.inf:  # NaN fails too
+        raise ValueError(f"tol_scale must be a finite number >= 0, got {tol_scale!r}")
     cases = _SUITES[name]
     start = time.perf_counter()
     if threads > 1:

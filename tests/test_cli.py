@@ -70,6 +70,12 @@ class TestVerifyCommand:
         payload = json.loads(result.stdout)
         assert payload["summary"]["failed"] > 0
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_bad_tolerance_scale_exits_two(self, tol):
+        result = run_cli("verify", "core", "--tol", tol)
+        assert result.exit_code == 2
+        assert "tol_scale must be a finite number >= 0" in result.stderr
+
     def test_timing_adds_walltime(self):
         timed = run_cli("verify", "core", "--timing")
         payload = json.loads(timed.stdout)
@@ -196,6 +202,18 @@ class TestFlowlineCommand:
                          "--x0", "0.3,0.1", "--ds", ds)
         assert result.exit_code == 2
         assert "ds must be a positive finite number" in result.stderr
+
+    @pytest.mark.parametrize("option, value", [
+        ("--max-len", "nan"), ("--max-len", "-1"), ("--max-len", "0"),
+        ("--radius", "nan"), ("--radius", "0"),
+    ])
+    def test_bad_length_or_radius_exits_two(self, option, value):
+        # a bad cap would report one maxLength sample; a NaN radius has no boundary
+        result = run_cli("flowline", "teichmuller", "--param", "n=2",
+                         "--x0", "0.3,0.1", option, value)
+        assert result.exit_code == 2
+        name = option[2:].replace("-", "_")
+        assert f"{name} must be a positive finite number" in result.stderr
 
 
 def write_config(path, **overrides):

@@ -33,6 +33,7 @@ from qcflow.maps import (
     teichmuller_example,
     teichmuller_map,
 )
+from qcflow.tensor import _dilation_field
 from qcflow.verify import pathwise_derivative_pairs
 
 
@@ -173,6 +174,58 @@ class TestTraceFlowline:
         m = affine_map([[1.4, 0.2], [0.1, 0.8]])
         with pytest.raises(ValueError, match="ds must be a positive finite number"):
             trace_flowline(m, [0.1, 0.05], ds=ds)
+
+    @pytest.mark.parametrize("max_len", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_length_cap_rejected(self, max_len):
+        # a non-positive or NaN cap would end the walk at its start as maxLength
+        m = affine_map([[1.4, 0.2], [0.1, 0.8]])
+        with pytest.raises(ValueError, match="max_len must be a positive finite number"):
+            trace_flowline(m, [0.1, 0.05], max_len=max_len)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_ball_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius must be a positive finite number"):
+            ball_domain(radius)
+
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_field_vanishing_midway_ends_degenerate(self, monkeypatch, k):
+        # from the k-th sample on the field is zero: the walk records that
+        # sample with the row and sign it arrived with, and stops there
+        m = polynomial_map(2, seed=3, amplitude=0.06)  # its line runs on row 2
+        plain = trace_flowline(m, [0.2, -0.1], ds=1e-3, max_len=0.05)
+        calls = []
+
+        def vanishing(j):
+            k_val, field = _dilation_field(j)
+            calls.append(1)
+            # sample k is call 4k: one per sample and three per RK4 step
+            return k_val, (0.0 * field if len(calls) > 4 * k else field)
+
+        monkeypatch.setattr("qcflow.flowlines._dilation_field", vanishing)
+        traj = trace_flowline(m, [0.2, -0.1], ds=1e-3, max_len=0.05)
+        assert traj.terminated == "degenerate" and len(traj) == k + 1
+        assert traj.speed[-1] == 0.0
+        for name in ("s", "x", "K", "row", "sign"):
+            np.testing.assert_array_equal(getattr(traj, name), getattr(plain, name)[: k + 1])
+        np.testing.assert_array_equal(traj.speed[:-1], plain.speed[:k])
+
+    def test_degenerate_sample_keeps_a_flipped_sign(self, monkeypatch):
+        # sample 1 switches to row 2, which points against the previous
+        # velocity, so the sign flips; sample 2 sees a zero field
+        fields = [np.array([[1.0, 0.0], [0.0, 0.1]]), np.array([[0.1, 0.0], [-1.0, 0.0]]),
+                  np.zeros((2, 2))]
+        calls = []
+
+        def scripted(j):
+            calls.append(1)
+            return math.sqrt(2.0), fields[min((len(calls) - 1) // 4, 2)]
+
+        monkeypatch.setattr("qcflow.flowlines._dilation_field", scripted)
+        traj = trace_flowline(identity_map(2), [0.1, 0.0], ds=1e-2, max_len=1.0)
+        assert traj.terminated == "degenerate"
+        assert traj.row.tolist() == [1, 2, 2]
+        assert traj.sign.tolist() == [1.0, -1.0, -1.0]
+        assert traj.speed.tolist() == [1.0, 1.0, 0.0]
 
     def test_one_determinant_per_sample(self, monkeypatch):
         # the start sample, the accepted point and the three later RK4

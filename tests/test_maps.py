@@ -24,6 +24,7 @@ from qcflow import (
 )
 from qcflow.maps import (
     SphereBump,
+    _chain,
     affine_map,
     bump_map,
     competitor_perturbation,
@@ -401,8 +402,10 @@ class TestFirstOrderSampler:
             ),
             (lambda: affine_map([[1.3, 0.2, 0.0], [-0.1, 0.9, 0.3], [0.0, 0.2, 1.1]]), 3),
             (lambda: polynomial_map(2, seed=5), 2),
+            (lambda: radial_stretch(1.7, 3), 3),
         ],
-        ids=["teichmuller2", "teichmuller3", "word_with_inversion", "affine", "fallback"],
+        ids=["teichmuller2", "teichmuller3", "word_with_inversion", "affine", "polynomial",
+             "fallback"],
     )
     def test_matches_public_jet_bitwise(self, build, n):
         m = build()
@@ -417,8 +420,23 @@ class TestFirstOrderSampler:
     def test_first_order_path_skips_hessian(self):
         x = np.array([0.3, -0.2])
         word = compose(moebius("inversion", {"n": 2}), moebius("rotation", {"n": 2, "angle": 0.3}))
-        for m in (word, affine_map([[1.2, 0.1], [0.0, 0.8]]), teichmuller_example(2)):
+        for m in (word, affine_map([[1.2, 0.1], [0.0, 0.8]]), teichmuller_example(2),
+                  polynomial_map(2, seed=5)):
             assert len(m.jet_fn(x, 1)) == 2
+
+    def test_words_fold_from_their_first_generator(self, monkeypatch):
+        # teichmuller(2) has factors [rotation word, affine, two-letter word]:
+        # one chain inside the two-letter word and one per later factor
+        calls = []
+
+        def counted(outer, inner):
+            calls.append(1)
+            return _chain(outer, inner)
+
+        m = teichmuller_example(2)
+        monkeypatch.setattr("qcflow.maps._chain", counted)
+        m._jet1(np.array([0.3, -0.2]))
+        assert len(calls) == 3
 
     def test_inversion_origin_guard(self):
         inv = moebius("inversion", {"n": 2})

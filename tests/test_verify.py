@@ -65,6 +65,12 @@ class TestRunSuite:
         measured_b = [row["measured"] for row in b.payload["cases"]]
         assert measured_a != measured_b
 
+    @pytest.mark.parametrize("tol_scale", [-1.0, float("nan"), float("inf")])
+    def test_bad_tol_scale_rejected(self, tol_scale):
+        # inf would pass every finite case; NaN and negatives would fail every case
+        with pytest.raises(ValueError, match="tol_scale must be a finite number >= 0"):
+            run_suite("core", tol_scale=tol_scale)
+
     def test_tol_scale_multiplies_tolerances(self):
         base = run_suite("core", seed=0)
         scaled = run_suite("core", seed=0, tol_scale=10.0)
