@@ -119,7 +119,7 @@ def cmd_ops(map_id: str, params, point: str, p_power: float, out: str | None) ->
         mapping = maps.make_map(map_id, **_parse_params(params))
         x = _parse_point(point)
         jet = mapping.jet(x)
-    except (UnknownMap, ConfigError, GuardViolation, ValueError) as exc:
+    except (QcflowError, ValueError) as exc:
         _fail_usage(exc)
         return
     report = tensor.analyze(jet.J)

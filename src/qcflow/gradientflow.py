@@ -44,15 +44,15 @@ MAX_CONSECUTIVE_VIOLATIONS = 5
 class GridField:
     """Uniform-grid samples of a map with fixed boundary nodes.
 
-    values has one length-n vector per node, shape (*shape, n); the
-    boundary mask marks nodes held fixed by the stepper; det_cache holds
-    the per-node determinant of the current difference Jacobian.
+    values has one length-n vector per node, shape (*shape, n); det_cache
+    holds the per-node determinant of the current difference Jacobian.
+    The Dirichlet boundary, the nodes the stepper holds fixed, is the box
+    edge of shape; boundary_mask derives it and cannot be set.
     """
 
     values: np.ndarray
     h: float
     origin: np.ndarray
-    boundary_mask: np.ndarray
     det_cache: np.ndarray
 
     @property
@@ -62,6 +62,13 @@ class GridField:
     @property
     def shape(self) -> tuple:
         return self.values.shape[:-1]
+
+    @property
+    def boundary_mask(self) -> np.ndarray:
+        """True on the box edge of shape, the nodes the stepper never moves."""
+        mask = np.ones(self.shape, dtype=bool)
+        mask[(slice(1, -1),) * len(self.shape)] = False
+        return mask
 
     def node_coordinates(self) -> np.ndarray:
         axes = [self.origin[a] + self.h * np.arange(m) for a, m in enumerate(self.shape)]
@@ -84,7 +91,8 @@ def _jacobian_field(values: np.ndarray, h: float) -> np.ndarray:
 def make_grid(mapping, shape, h: float, origin=None) -> GridField:
     """Sample a map's values on a uniform grid with the given node counts.
 
-    h, the node spacing, must be a positive finite number.
+    h, the node spacing, must be a positive finite number, and origin, the
+    first node (the zero vector when omitted), n finite numbers.
     """
     if not 0.0 < h < np.inf:  # NaN fails too
         raise ValueError(f"grid spacing h must be a positive finite number, got {h!r}")
@@ -95,25 +103,14 @@ def make_grid(mapping, shape, h: float, origin=None) -> GridField:
     if min(shape) < 4:
         raise ValueError("need at least 4 nodes per axis")
     origin = np.zeros(n) if origin is None else np.asarray(origin, dtype=float)
+    if origin.shape != (n,) or not np.all(np.isfinite(origin)):
+        raise ValueError(f"grid origin must be {n} finite numbers, got {origin.tolist()!r}")
     values = np.empty(shape + (n,))
     for idx in np.ndindex(shape):
         x = origin + h * np.asarray(idx, dtype=float)
         values[idx] = mapping.value(x)
-    mask = np.zeros(shape, dtype=bool)
-    for a in range(n):
-        sl_lo = [slice(None)] * n
-        sl_lo[a] = 0
-        mask[tuple(sl_lo)] = True
-        sl_hi = [slice(None)] * n
-        sl_hi[a] = shape[a] - 1
-        mask[tuple(sl_hi)] = True
-    return GridField(
-        values=values,
-        h=h,
-        origin=origin,
-        boundary_mask=mask,
-        det_cache=_det_adj(_jacobian_field(values, h))[0],
-    )
+    return GridField(values=values, h=h, origin=origin,
+                     det_cache=_det_adj(_jacobian_field(values, h))[0])
 
 
 def _shift(v: np.ndarray, offsets) -> np.ndarray:
@@ -258,13 +255,7 @@ def _advance(grid: GridField, update: np.ndarray, dt: float,
         raise DeterminantCollapse(
             f"step drove min det to {min_det:.6e} < floor {det_floor:.6e}"
         )
-    return GridField(
-        values=values,
-        h=grid.h,
-        origin=grid.origin,
-        boundary_mask=grid.boundary_mask,
-        det_cache=det,
-    ), jac
+    return GridField(values=values, h=grid.h, origin=grid.origin, det_cache=det), jac
 
 
 def explicit_step(grid: GridField, p: float, dt: float) -> GridField:

@@ -40,12 +40,11 @@ class SmoothMap:
     alone, from the same Jacobian formula and without building the
     Hessian; the others ignore order and return their full jet. The
     guard raises before sampling outside the validity domain, for
-    example at the puncture of a radial map or on a wedge seam.
+    example at the puncture of a radial map or on a wedge seam. The
+    record holds only these three; the registry id is a map's only name.
     """
 
     n: int
-    name: str
-    params: dict
     jet_fn: Callable[[np.ndarray, int], tuple] = field(repr=False)
     guard_fn: Callable[[np.ndarray], None] | None = field(default=None, repr=False)
 
@@ -196,15 +195,7 @@ def _conformal_from_word(word: tuple, n: int) -> ConformalMap:
             jet = raw if len(jet) == 1 else _chain(raw, jet)
         return jet
 
-    kinds = ",".join(kind for kind, _ in word)
-    return ConformalMap(
-        n=n,
-        name=f"conformal[{kinds}]",
-        params={"word_length": len(word)},
-        jet_fn=jet_fn,
-        guard_fn=None,
-        word=word,
-    )
+    return ConformalMap(n=n, jet_fn=jet_fn, word=word)
 
 
 def moebius(kind: str, params: dict) -> ConformalMap:
@@ -221,8 +212,8 @@ def moebius(kind: str, params: dict) -> ConformalMap:
         elif kind == "dilation":
             n = int(params["n"])
             data = float(params["scale"])
-            if data <= 0.0:
-                raise ConfigError("dilation scale must be positive")
+            if not 0.0 < data < math.inf:  # NaN fails too
+                raise ConfigError(f"dilation scale must be a positive finite number, got {data!r}")
         elif kind == "translation":
             data = np.asarray(params["offset"], dtype=float)
             n = data.size
@@ -273,8 +264,8 @@ def radial_stretch(alpha: float, n: int) -> SmoothMap:
     Constant trace dilation; closed forms for K^2, S(g), and the
     finite-p operator are exposed as radial_ksq, radial_sg, radial_lp.
     """
-    if alpha <= 0.0:
-        raise ConfigError("radial stretch needs alpha > 0")
+    if not 0.0 < alpha < math.inf:  # NaN fails too
+        raise ConfigError(f"radial stretch alpha must be a positive finite number, got {alpha!r}")
 
     def guard_fn(x: np.ndarray) -> None:
         if np.linalg.norm(x) < _ORIGIN_TOL:
@@ -293,13 +284,7 @@ def radial_stretch(alpha: float, n: int) -> SmoothMap:
         )
         return u, j, h
 
-    return SmoothMap(
-        n=n,
-        name="radial_stretch",
-        params={"alpha": alpha, "n": n},
-        jet_fn=jet_fn,
-        guard_fn=guard_fn,
-    )
+    return SmoothMap(n=n, jet_fn=jet_fn, guard_fn=guard_fn)
 
 
 def wedge_sector_constants(alpha: float, n: int, sector: int) -> tuple[float, float]:
@@ -376,13 +361,7 @@ def wedge_map(alpha: float, n: int) -> SmoothMap:
             )
         return u, j, h
 
-    return SmoothMap(
-        n=n,
-        name="wedge",
-        params={"alpha": alpha, "n": n},
-        jet_fn=jet_fn,
-        guard_fn=guard_fn,
-    )
+    return SmoothMap(n=n, jet_fn=jet_fn, guard_fn=guard_fn)
 
 
 def affine_map(matrix, offset=None) -> SmoothMap:
@@ -395,9 +374,7 @@ def affine_map(matrix, offset=None) -> SmoothMap:
         u, j = a @ x + b, a.copy()
         return (u, j) if order == 1 else (u, j, np.zeros((n, n, n)))
 
-    return SmoothMap(
-        n=n, name="affine", params={"n": n}, jet_fn=jet_fn, guard_fn=None
-    )
+    return SmoothMap(n=n, jet_fn=jet_fn)
 
 
 def identity_map(n: int) -> SmoothMap:
@@ -431,13 +408,7 @@ def polynomial_map(n: int, seed: int = 0, amplitude: float = 0.05) -> SmoothMap:
         h = amplitude * (2.0 * c2 + 6.0 * np.einsum("kabc,c->kab", c3, x))
         return u, j, h
 
-    return SmoothMap(
-        n=n,
-        name="polynomial",
-        params={"n": n, "seed": seed, "amplitude": amplitude},
-        jet_fn=jet_fn,
-        guard_fn=None,
-    )
+    return SmoothMap(n=n, jet_fn=jet_fn)
 
 
 def _bump_profile(s: float) -> tuple[float, float, float]:
@@ -482,13 +453,7 @@ def bump_map(n: int, amplitude: float = 0.05) -> SmoothMap:
         h = amplitude * np.tile(hess2, (n, 1, 1))
         return u, j, h
 
-    return SmoothMap(
-        n=n,
-        name="affine_bump",
-        params={"n": n, "amplitude": amplitude},
-        jet_fn=jet_fn,
-        guard_fn=None,
-    )
+    return SmoothMap(n=n, jet_fn=jet_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +491,7 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
             jet = raw if len(jet) == 1 else _chain(raw, jet)
         return jet
 
-    return _Composite(
-        n=outer.n,
-        name=f"{outer.name}.{inner.name}",
-        params={"outer": outer.name, "inner": inner.name},
-        jet_fn=jet_fn,
-        guard_fn=None,
-        factors=factors,
-    )
+    return _Composite(n=outer.n, jet_fn=jet_fn, factors=factors)
 
 
 def teichmuller_map(psi: ConformalMap, middle: SmoothMap, phi: ConformalMap) -> SmoothMap:
@@ -681,13 +639,7 @@ def competitor_perturbation(base: SmoothMap, vectors, bumps: list[SphereBump],
         chi, chi_grad, chi_hess = chi_jet(x)
         return u + lam * chi, j + lam * chi_grad, h + lam * chi_hess
 
-    return SmoothMap(
-        n=n,
-        name="competitor",
-        params={"base": base.name, "lam": lam, "bumps": len(bumps)},
-        jet_fn=jet_fn,
-        guard_fn=base.guard_fn,
-    )
+    return SmoothMap(n=n, jet_fn=jet_fn, guard_fn=base.guard_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -722,37 +674,21 @@ def fd_map(value_fn: Callable[[np.ndarray], np.ndarray], n: int, h: float) -> Sm
                 hess[:, b, a] = mixed
         return u, j, hess
 
-    return SmoothMap(
-        n=n, name="fd", params={"n": n, "h": h}, jet_fn=jet_fn, guard_fn=None
-    )
+    return SmoothMap(n=n, jet_fn=jet_fn)
 
 
 # ---------------------------------------------------------------------------
 # registry for the command line
 
-def _build_rotation(**params) -> SmoothMap:
-    return moebius("rotation", params)
-
-
-def _build_dilation(**params) -> SmoothMap:
-    return moebius("dilation", params)
-
-
-def _build_translation(**params) -> SmoothMap:
-    return moebius("translation", params)
-
-
-def _build_inversion(**params) -> SmoothMap:
-    return moebius("inversion", params)
+def _generator(kind: str) -> Callable[..., SmoothMap]:
+    """Registry entry for one conformal generator kind, taking its params as keywords."""
+    return lambda **params: moebius(kind, params)
 
 
 _REGISTRY: dict[str, Callable[..., SmoothMap]] = {
     "radial_stretch": radial_stretch,
     "wedge": wedge_map,
-    "rotation": _build_rotation,
-    "dilation": _build_dilation,
-    "translation": _build_translation,
-    "inversion": _build_inversion,
+    **{kind: _generator(kind) for kind in ("rotation", "dilation", "translation", "inversion")},
     "affine": affine_map,
     "polynomial": polynomial_map,
     "identity": identity_map,

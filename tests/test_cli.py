@@ -141,6 +141,22 @@ class TestOpsCommand:
         assert result.exit_code == 2
         assert "origin" in result.stderr
 
+    @pytest.mark.parametrize("args, message", [
+        (("dilation", "--param", "n=2", "--param", "scale=nan", "--point", "1,1"),
+         "scale must be a positive finite number"),
+        (("radial_stretch", "--param", "alpha=nan", "--param", "n=2", "--point", "1,1"),
+         "alpha must be a positive finite number"),
+        (("polynomial", "--param", "n=2", "--param", "amplitude=5", "--point", "0.9,0.9"),
+         "determinant must be positive"),
+    ], ids=["dilation_nan", "alpha_nan", "folded_polynomial"])
+    def test_invalid_jet_exits_two_in_one_line(self, args, message):
+        # each used to exit 1, the verification-failure code, with a traceback
+        result = run_cli("ops", *args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert message in result.stderr
+
 
 def parse_status(stderr: str) -> dict:
     # the status value itself may contain spaces, so anchor on the known keys
@@ -341,6 +357,17 @@ class TestFlowCommand:
         result = run_cli("flow", str(cfg))
         assert result.exit_code == 2
         assert "h must be a positive finite number" in result.stderr
+        assert not snap.exists()
+
+    @pytest.mark.parametrize("origin", [[0.5], [math.nan, 0.0]])
+    def test_bad_origin_exits_two_without_writes(self, tmp_path, origin):
+        # [0.5] used to run and exit 0 on a broadcast origin
+        cfg = tmp_path / "flow.json"
+        snap = tmp_path / "initial.bin"
+        write_config(cfg, origin=origin, snapshots={"initial": str(snap)})
+        result = run_cli("flow", str(cfg))
+        assert result.exit_code == 2
+        assert "origin must be 2 finite numbers" in result.stderr
         assert not snap.exists()
 
     def test_halted_run_exits_three_with_partial_stats(self, tmp_path):

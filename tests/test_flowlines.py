@@ -274,7 +274,7 @@ class TestTraceFlowline:
             if np.linalg.norm(x - x0) > radius:
                 raise GuardViolation("outside the sampling disk")
 
-        m = SmoothMap(n=2, name="disk", params={}, jet_fn=base.jet_fn, guard_fn=guard_fn)
+        m = SmoothMap(n=2, jet_fn=base.jet_fn, guard_fn=guard_fn)
         if composed:
             m = compose(m, identity_map(2))
         speed = float(np.max(np.linalg.norm(flow_field(m, x0), axis=1)))

@@ -40,11 +40,21 @@ class TestMakeGrid:
         g = identity_grid((9, 9), 0.125)
         np.testing.assert_array_equal(g.values, g.node_coordinates())
 
-    def test_boundary_mask_is_box_edge(self):
+    @pytest.mark.parametrize("shape", [(6, 5), (4, 5, 6)], ids=["6x5", "4x5x6"])
+    def test_boundary_mask_is_box_edge(self, shape):
+        g = make_grid(identity_map(len(shape)), shape, 0.1)
+        idx = np.indices(shape)
+        faces = np.zeros(shape, dtype=bool)
+        for a, m in enumerate(shape):
+            faces |= (idx[a] == 0) | (idx[a] == m - 1)
+        np.testing.assert_array_equal(g.boundary_mask, faces)
+
+    def test_record_holds_no_mask(self):
+        # the boundary is derived from shape, so no grid can carry another
         g = identity_grid((6, 5), 0.1)
-        assert g.boundary_mask[0].all() and g.boundary_mask[-1].all()
-        assert g.boundary_mask[:, 0].all() and g.boundary_mask[:, -1].all()
-        assert not g.boundary_mask[1:-1, 1:-1].any()
+        assert [f.name for f in dataclasses.fields(g)] == ["values", "h", "origin", "det_cache"]
+        with pytest.raises(AttributeError):
+            g.boundary_mask = np.zeros(g.shape, dtype=bool)
 
     def test_det_cache_positive(self):
         g = bump_grid((17, 17), 1.0 / 16.0)
@@ -62,6 +72,13 @@ class TestMakeGrid:
     def test_bad_spacing_rejected(self, h):
         with pytest.raises(ValueError, match="h must be a positive finite number"):
             make_grid(identity_map(2), (9, 9), h)
+
+    @pytest.mark.parametrize("origin", [[0.5], 0.5, [0.0, 0.0, 0.0], [math.nan, 0.0],
+                                        [0.0, math.inf]])
+    def test_bad_origin_rejected(self, origin):
+        # [0.5] used to broadcast to (0.5, 0.5) and [nan, 0] to build a NaN grid
+        with pytest.raises(ValueError, match="origin must be 2 finite numbers"):
+            make_grid(identity_map(2), (9, 9), 0.1, origin=origin)
 
 
 class TestEnergy:

@@ -1,5 +1,6 @@
 """Analytic test maps, conformal words, composition, and jet plumbing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from qcflow import (
     trace_dilation,
 )
 from qcflow.maps import (
+    ConformalMap,
+    SmoothMap,
     SphereBump,
     _chain,
     affine_map,
@@ -48,6 +51,11 @@ from qcflow.verify import invariance_sample, random_moebius
 
 
 class TestRadialStretch:
+    @pytest.mark.parametrize("alpha", [0.0, -2.0, math.nan, math.inf])
+    def test_alpha_must_be_positive_finite(self, alpha):
+        with pytest.raises(ConfigError, match="alpha must be a positive finite number"):
+            radial_stretch(alpha, 2)
+
     def test_alpha_one_is_identity(self):
         m = radial_stretch(1.0, 3)
         x = np.array([0.3, -0.8, 0.5])
@@ -218,6 +226,12 @@ class TestMoebius:
             moebius("dilation", {"n": 2, "scale": -1.0})
         with pytest.raises(UnknownMap):
             moebius("squeeze", {"n": 2})
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_dilation_scale_must_be_positive_finite(self, scale):
+        # a NaN scale used to pass the sign test and raise only when sampled
+        with pytest.raises(ConfigError, match="scale must be a positive finite number"):
+            moebius("dilation", {"n": 2, "scale": scale})
 
 
 class TestCompose:
@@ -569,6 +583,21 @@ class TestRegistry:
     def test_unknown_id(self):
         with pytest.raises(UnknownMap):
             make_map("spiral")
+
+    @pytest.mark.parametrize("kind, params", [
+        ("rotation", {"n": 2, "angle": 0.3}),
+        ("dilation", {"n": 3, "scale": 1.5}),
+        ("translation", {"offset": [1.0, -2.0]}),
+        ("inversion", {"n": 2}),
+    ])
+    def test_generator_ids_build_one_letter_words(self, kind, params):
+        m = make_map(kind, **params)
+        assert isinstance(m, ConformalMap)
+        assert [k for k, _ in m.word] == [kind]
+
+    def test_map_record_fields(self):
+        # no name or params: the registry id is the only name a map has
+        assert [f.name for f in dataclasses.fields(SmoothMap)] == ["n", "jet_fn", "guard_fn"]
 
     def test_bad_params(self):
         with pytest.raises(ConfigError):

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_posdet
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcflow import (
     NonFiniteValue,
@@ -16,8 +19,9 @@ from qcflow import (
     hs_norm,
     trace_dilation,
 )
-from qcflow.maps import moebius, radial_stretch
+from qcflow.maps import affine_map, compose, moebius, radial_stretch
 from qcflow.tensor import _det_adj, _dilation_field
+from qcflow.verify import random_moebius
 
 
 def random_spd_jacobians(rng, n, count, scale=0.4):
@@ -269,3 +273,56 @@ class TestFactoringResidual:
             for c in (1e6, 1e-6):
                 bound = 1e-10 * (1.0 + hs_norm(np.linalg.inv(c * j)))
                 assert factoring_residual(c * j) <= bound
+
+
+# Property tests of the closed-form identities. Each example draws a seed,
+# a dimension and a spread; random_posdet keeps det J > 0.05. Tolerances
+# were fixed before the tests were first run.
+SEEDS = st.integers(0, 2**32 - 1)
+DIMS = st.sampled_from([2, 3, 4])
+SPREADS = st.floats(0.05, 1.0)
+
+
+class TestIdentityProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=SEEDS, n=DIMS, spread=SPREADS)
+    def test_dilation_floor(self, seed, n, spread):
+        j = random_posdet(np.random.default_rng(seed), n, spread)
+        assert trace_dilation(j) >= math.sqrt(n) * (1.0 - 1e-14)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=SEEDS, n=DIMS, spread=SPREADS)
+    def test_distortion_ceiling(self, seed, n, spread):
+        rep = analyze(random_posdet(np.random.default_rng(seed), n, spread))
+        assert rep.SgNormSq <= rep.K**4 * (1.0 - 1.0 / n) * (1.0 + 1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=SEEDS, n=DIMS, spread=SPREADS)
+    def test_adjugate_times_matrix_is_det(self, seed, n, spread):
+        rng = np.random.default_rng(seed)
+        mats = np.stack([random_posdet(rng, n, spread) for _ in range(4)])
+        det, adj = _det_adj(np.moveaxis(mats, 0, -1))
+        adj = np.moveaxis(adj, -1, 0)
+        atol = 1e-13 * float(np.max(hs_norm(mats))) ** n
+        np.testing.assert_allclose(det, np.linalg.det(mats), rtol=0, atol=atol)
+        np.testing.assert_allclose(adj @ mats, det[:, None, None] * np.eye(n), rtol=0, atol=atol)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=SEEDS, n=DIMS, spread=SPREADS)
+    def test_closed_form_field_matches_s_g_route(self, seed, n, spread):
+        # both terms of the closed form are at most K^2 |J^{-1}| in size
+        j = random_posdet(np.random.default_rng(seed), n, spread)
+        k, field = _dilation_field(j)
+        ref = ahlfors(distortion_tensor(j)) @ np.linalg.inv(j).T
+        assert np.max(np.abs(field - ref)) <= 1e-12 * k**2 * hs_norm(np.linalg.inv(j))
+        assert k == trace_dilation(j)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=SEEDS, n=DIMS, spread=SPREADS)
+    def test_post_composition_keeps_dilation(self, seed, n, spread):
+        rng = np.random.default_rng(seed)
+        u = affine_map(random_posdet(rng, n, spread), rng.uniform(-0.5, 0.5, size=n))
+        word = random_moebius(n, rng)
+        x = rng.uniform(-0.5, 0.5, size=n)
+        ku = trace_dilation(u.jacobian(x))
+        assert abs(trace_dilation(compose(word, u).jacobian(x)) - ku) <= 1e-9 * (1.0 + ku)
