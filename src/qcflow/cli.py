@@ -71,6 +71,15 @@ def _fail_usage(exc: Exception) -> None:
     sys.exit(EXIT_USAGE)
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout when out is not given."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        click.echo(text, nl=False)
+
+
 @click.group()
 def main() -> None:
     """Dilation analysis toolkit for quasiconformal maps."""
@@ -94,12 +103,7 @@ def cmd_verify(suite: str, seed: int, out: str | None, tol_scale: float,
     except (UnknownSuite, ConfigError, ValueError) as exc:
         _fail_usage(exc)
         return
-    text = report.to_json()
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _emit(report.to_json(), out)
     if not timing:
         click.echo(f"{suite}: {report.payload['summary']['passed']}/"
                    f"{report.payload['summary']['total']} passed in {report.wall_time:.3f}s",
@@ -111,11 +115,12 @@ def cmd_verify(suite: str, seed: int, out: str | None, tol_scale: float,
 @click.argument("map_id")
 @click.option("--param", "params", multiple=True, help="Map parameter key=value; repeatable.")
 @click.option("--point", required=True, help="Comma-separated evaluation point.")
-@click.option("--p", "p_power", type=float, default=2.0, show_default=True, help="Finite operator power.")
+@click.option("--p", "p_power", type=float, default=2.0, show_default=True, help="Operator power, a positive finite number.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the JSON record here instead of stdout.")
 def cmd_ops(map_id: str, params, point: str, p_power: float, out: str | None) -> None:
     """Evaluate dilation, distortion, and both operators at one point."""
     try:
+        gradientflow._check_flow_args(p=p_power)
         mapping = maps.make_map(map_id, **_parse_params(params))
         x = _parse_point(point)
         jet = mapping.jet(x)
@@ -137,12 +142,7 @@ def cmd_ops(map_id: str, params, point: str, p_power: float, out: str | None) ->
         "lp": [float(v) for v in operators.lp_nondiv(jet, p_power)],
         "linfty": [float(v) for v in operators.linfty_factored(jet)],
     }
-    text = json.dumps(record, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _emit(json.dumps(record, sort_keys=True, indent=2) + "\n", out)
 
 
 @main.command("flowline")
@@ -172,10 +172,7 @@ def cmd_flowline(map_id: str, params, x0: str, ds: float, max_len: float,
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_HALTED)
         return
-    if out:
-        traj.write_csv(out)
-    else:
-        click.echo(traj.to_csv_text(), nl=False)
+    _emit(traj.to_csv_text(), out)
     drift = float(np.max(np.abs(traj.K - traj.K[0])))
     switches = int(np.sum(traj.row[1:] != traj.row[:-1])) if len(traj) > 1 else 0
     status = "degenerate at start" if traj.terminated == "degenerate" and len(traj) == 1 else traj.terminated

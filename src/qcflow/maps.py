@@ -38,29 +38,24 @@ class SmoothMap:
     sampler with a first-order path (conformal words, affine and
     polynomial maps, and compositions of these) returns the pair (u, J)
     alone, from the same Jacobian formula and without building the
-    Hessian; the others ignore order and return their full jet. The
-    guard raises before sampling outside the validity domain, for
-    example at the puncture of a radial map or on a wedge seam. The
-    record holds only these three; the registry id is a map's only name.
+    Hessian; the others ignore order and return their full jet. A
+    sampler raises its own GuardViolation before it samples outside its
+    domain, for example at the puncture of a radial map or on a wedge
+    seam. The record holds only n and the sampler; the registry id is a
+    map's only name.
     """
 
     n: int
     jet_fn: Callable[[np.ndarray, int], tuple] = field(repr=False)
-    guard_fn: Callable[[np.ndarray], None] | None = field(default=None, repr=False)
-
-    def guard(self, x) -> None:
-        if self.guard_fn is not None:
-            self.guard_fn(np.asarray(x, dtype=float))
 
     def _point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"point shape {x.shape} does not match n={self.n}")
-        self.guard(x)
         return x
 
     def _raw(self, x: np.ndarray, order: int) -> tuple:
-        """Unvalidated (u, J) at order 1 or (u, J, H) at order 2, unguarded."""
+        """Unvalidated (u, J) at order 1 or (u, J, H) at order 2."""
         return self.jet_fn(x, order)[: order + 1]
 
     def jet(self, x) -> Jet2Sample:
@@ -71,8 +66,8 @@ class SmoothMap:
     def _jet1(self, x) -> tuple:
         """First-order data (u, J) at x for the flow-line integrator.
 
-        Guarded like jet; J is not validated here, so callers pass it
-        through a kernel that checks its determinant.
+        J is not validated here, so callers pass it through a kernel
+        that checks its determinant.
         """
         return self._raw(self._point(x), 1)
 
@@ -216,6 +211,8 @@ def moebius(kind: str, params: dict) -> ConformalMap:
                 raise ConfigError(f"dilation scale must be a positive finite number, got {data!r}")
         elif kind == "translation":
             data = np.asarray(params["offset"], dtype=float)
+            if not all(map(math.isfinite, data.flat)):
+                raise ConfigError(f"translation offset must be finite, got {data.tolist()!r}")
             n = data.size
         elif kind == "inversion":
             n = int(params["n"])
@@ -267,12 +264,10 @@ def radial_stretch(alpha: float, n: int) -> SmoothMap:
     if not 0.0 < alpha < math.inf:  # NaN fails too
         raise ConfigError(f"radial stretch alpha must be a positive finite number, got {alpha!r}")
 
-    def guard_fn(x: np.ndarray) -> None:
-        if np.linalg.norm(x) < _ORIGIN_TOL:
-            raise OriginExcluded("radial stretch sampled at the origin")
-
     def jet_fn(x: np.ndarray, order: int) -> tuple:
         r = np.linalg.norm(x)
+        if r < _ORIGIN_TOL:
+            raise OriginExcluded("radial stretch sampled at the origin")
         u = r ** (alpha - 1.0) * x
         eye = np.eye(n)
         j = r ** (alpha - 1.0) * (eye + (alpha - 1.0) * np.outer(x, x) / r**2)
@@ -284,7 +279,7 @@ def radial_stretch(alpha: float, n: int) -> SmoothMap:
         )
         return u, j, h
 
-    return SmoothMap(n=n, jet_fn=jet_fn, guard_fn=guard_fn)
+    return SmoothMap(n=n, jet_fn=jet_fn)
 
 
 def wedge_sector_constants(alpha: float, n: int, sector: int) -> tuple[float, float]:
@@ -312,22 +307,15 @@ def wedge_map(alpha: float, n: int) -> SmoothMap:
         raise ConfigError("wedge map needs n >= 2")
     two_pi = 2.0 * math.pi
 
-    def polar(x: np.ndarray) -> tuple[float, float]:
+    def jet_fn(x: np.ndarray, order: int) -> tuple:
         r = math.hypot(x[0], x[1])
         theta = math.atan2(x[1], x[0]) % two_pi
-        return r, theta
-
-    def guard_fn(x: np.ndarray) -> None:
-        r, theta = polar(x)
         if r < _ORIGIN_TOL:
             raise AxisExcluded("wedge map sampled on the symmetry axis")
         for seam in (0.0, alpha):
             d = abs(theta - seam)
             if min(d, two_pi - d) < _SEAM_TOL:
                 raise SeamExcluded(f"wedge map sampled within {_SEAM_TOL} of a seam")
-
-    def jet_fn(x: np.ndarray, order: int) -> tuple:
-        r, theta = polar(x)
         if theta < alpha:
             a, b = math.pi / alpha, 0.0
         else:
@@ -361,14 +349,22 @@ def wedge_map(alpha: float, n: int) -> SmoothMap:
             )
         return u, j, h
 
-    return SmoothMap(n=n, jet_fn=jet_fn, guard_fn=guard_fn)
+    return SmoothMap(n=n, jet_fn=jet_fn)
 
 
 def affine_map(matrix, offset=None) -> SmoothMap:
-    """Affine map x -> A x + b with exact jets and zero Hessian."""
+    """Affine map x -> A x + b with exact jets and zero Hessian.
+
+    matrix must be a finite square matrix and offset, when given, n
+    finite numbers.
+    """
     a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not all(map(math.isfinite, a.flat)):
+        raise ConfigError(f"affine matrix must be a finite square matrix, got {a.tolist()!r}")
     n = a.shape[0]
     b = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
+    if b.shape != (n,) or not all(map(math.isfinite, b.flat)):
+        raise ConfigError(f"affine offset must be {n} finite numbers, got {b.tolist()!r}")
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
         u, j = a @ x + b, a.copy()
@@ -470,7 +466,7 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
     """Composition outer(inner(x)) with the full second-order chain rule.
 
     Composite operands flatten into one factor list, folded innermost
-    first; each factor is guarded at its own input. Every factor but a
+    first; each factor's sampler guards its own input. Every factor but a
     conformal word (orientation-preserving by construction) must have
     det J > 0: two reflections compose to det > 0, so the composite's
     own check cannot stand in. Two conformal words compose to one word.
@@ -484,7 +480,6 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
     def jet_fn(x: np.ndarray, order: int) -> tuple:
         jet = (x,)  # the input alone until the first factor is taken
         for factor in factors:
-            factor.guard(jet[0])
             raw = factor._raw(jet[0], order)
             if not isinstance(factor, ConformalMap):
                 _positive_det(raw[1])
@@ -639,7 +634,7 @@ def competitor_perturbation(base: SmoothMap, vectors, bumps: list[SphereBump],
         chi, chi_grad, chi_hess = chi_jet(x)
         return u + lam * chi, j + lam * chi_grad, h + lam * chi_hess
 
-    return SmoothMap(n=n, jet_fn=jet_fn, guard_fn=base.guard_fn)
+    return SmoothMap(n=n, jet_fn=jet_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Every operation treats the last two axes of its input as the matrix and
 broadcasts over any leading axes, so the same kernels serve single-point
 queries and whole grids. Supported dimensions are 2 through 4. The
 private closed-form _det_adj is the exception: it takes entry-first
-stacks a[i, j, ...] and serves batched grids.
+stacks a[i, j, ...] and serves batched grids; cofactor is its transposed
+adjugate, so core.cofactor_transpose checks it against LAPACK.
 
 Every determinant-sign check in the package goes through _positive. The
 flow-line field S(g) J^{-T} and K come from _dilation_field in closed
@@ -98,22 +99,13 @@ def hs_norm(m) -> float | np.ndarray:
 
 
 def cofactor(m) -> np.ndarray:
-    """Cofactor matrix via signed minors.
+    """Cofactor matrix, the transposed adjugate of _det_adj.
 
     Defined for every matrix, singular ones included, and satisfies
     cofactor(M)^T M = det(M) I.
     """
-    a = _as_matrix(m)
-    n = a.shape[-1]
-    out = np.empty_like(a)
-    idx = list(range(n))
-    for i in range(n):
-        keep_r = [r for r in idx if r != i]
-        for j in range(n):
-            keep_c = [c for c in idx if c != j]
-            minor = a[..., keep_r, :][..., :, keep_c]
-            out[..., i, j] = (-1.0) ** (i + j) * np.linalg.det(minor)
-    return out
+    adj = _det_adj(np.moveaxis(_as_matrix(m), (-2, -1), (0, 1)))[1]
+    return np.moveaxis(adj, (0, 1), (-1, -2))
 
 
 def trace_dilation(j) -> float | np.ndarray:

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import flowlines, gradientflow, maps, operators, tensor, traces
-from .errors import UnknownSuite
+from .errors import GuardViolation, NonPositiveDeterminant, UnknownSuite
 
 BASIS_DEFINITIONAL = "definitional"
 BASIS_CLOSED_FORM = "closed_form"
@@ -37,6 +37,19 @@ def random_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0.0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def _shell_point(rng: np.random.Generator, n: int, lo: float, hi: float) -> np.ndarray:
+    """Random direction in R^n scaled to a radius drawn uniformly from [lo, hi]."""
+    x = rng.standard_normal(n)
+    return x * (float(rng.uniform(lo, hi)) / np.linalg.norm(x))
+
+
+def _wedge_point(rng: np.random.Generator, alpha: float, sector: int) -> np.ndarray:
+    """Point of R^3 at least 0.05 rad inside one sector of the alpha-wedge."""
+    lo, hi = (0.05, alpha - 0.05) if sector == 1 else (alpha + 0.05, 2.0 * np.pi - 0.05)
+    theta, r = float(rng.uniform(lo, hi)), float(rng.uniform(0.3, 1.5))
+    return np.array([r * np.cos(theta), r * np.sin(theta), float(rng.uniform(-1.0, 1.0))])
 
 
 def random_jet(n: int, rng: np.random.Generator, scale: float = 0.3,
@@ -87,9 +100,7 @@ def random_moebius(n: int, rng: np.random.Generator) -> maps.ConformalMap:
         if kind == "translation":
             return maps.moebius("translation", {"offset": rng.uniform(-1.0, 1.0, size=n)})
         if kind == "far":
-            shift = rng.standard_normal(n)
-            shift *= (3.0 + float(rng.uniform(0.0, 1.0))) / np.linalg.norm(shift)
-            return maps.moebius("translation", {"offset": shift})
+            return maps.moebius("translation", {"offset": _shell_point(rng, n, 3.0, 4.0)})
         return maps.moebius("inversion", {"n": n})
 
     letters = [letter(kind) for kind in plan]
@@ -278,8 +289,7 @@ def _case_radial_dilation_value(rng):
         mapping = maps.radial_stretch(alpha, 3)
         expect = maps.radial_ksq(alpha, 3)
         for _ in range(30):
-            x = rng.standard_normal(3)
-            x *= float(rng.uniform(0.5, 2.0)) / np.linalg.norm(x)
+            x = _shell_point(rng, 3, 0.5, 2.0)
             ksq = float(tensor.trace_dilation(mapping.jet(x).J)) ** 2
             worst = max(worst, abs(ksq - expect) / expect)
     mapping = maps.radial_stretch(2.0, 3)
@@ -293,8 +303,7 @@ def _case_radial_limit_zero(rng):
     for alpha in (0.5, 2.0, 3.0):
         mapping = maps.radial_stretch(alpha, 3)
         for _ in range(30):
-            x = rng.standard_normal(3)
-            x *= float(rng.uniform(0.5, 2.0)) / np.linalg.norm(x)
+            x = _shell_point(rng, 3, 0.5, 2.0)
             worst = max(worst, float(np.max(np.abs(operators.linfty_factored(mapping.jet(x))))))
     return worst, 0.0
 
@@ -305,8 +314,7 @@ def _case_radial_lp_value(rng):
         mapping = maps.radial_stretch(alpha, 3)
         for p in (1.0, 2.0):
             for _ in range(20):
-                x = rng.standard_normal(3)
-                x *= float(rng.uniform(0.5, 2.0)) / np.linalg.norm(x)
+                x = _shell_point(rng, 3, 0.5, 2.0)
                 got = operators.lp_nondiv(mapping.jet(x), p)
                 expect = maps.radial_lp(alpha, 3, p, x)
                 scale = float(np.max(np.abs(expect))) + 1e-30
@@ -321,12 +329,7 @@ def _case_wedge_constants(rng):
         for sector in (1, 2):
             det_expect, nsq_expect = maps.wedge_sector_constants(alpha, 3, sector)
             for _ in range(20):
-                theta = float(rng.uniform(0.05, alpha - 0.05)) if sector == 1 else float(
-                    rng.uniform(alpha + 0.05, 2.0 * np.pi - 0.05)
-                )
-                r = float(rng.uniform(0.3, 1.5))
-                x = np.array([r * np.cos(theta), r * np.sin(theta), float(rng.uniform(-1.0, 1.0))])
-                jet = mapping.jet(x)
+                jet = mapping.jet(_wedge_point(rng, alpha, sector))
                 worst = max(worst, abs(float(np.linalg.det(jet.J)) - det_expect))
                 worst = max(worst, abs(float(np.sum(jet.J * jet.J)) - nsq_expect))
     return worst, 0.0
@@ -337,12 +340,7 @@ def _case_wedge_limit_zero(rng):
     mapping = maps.wedge_map(np.pi / 2.0, 3)
     for sector in (1, 2):
         for _ in range(30):
-            alpha = np.pi / 2.0
-            theta = float(rng.uniform(0.05, alpha - 0.05)) if sector == 1 else float(
-                rng.uniform(alpha + 0.05, 2.0 * np.pi - 0.05)
-            )
-            r = float(rng.uniform(0.3, 1.5))
-            x = np.array([r * np.cos(theta), r * np.sin(theta), float(rng.uniform(-1.0, 1.0))])
+            x = _wedge_point(rng, np.pi / 2.0, sector)
             worst = max(worst, float(np.max(np.abs(operators.linfty_factored(mapping.jet(x))))))
     return worst, 0.0
 
@@ -353,8 +351,7 @@ def _case_inversion_conformal(rng):
         inv = maps.moebius("inversion", {"n": n})
         back = inv.inverse()
         for _ in range(30):
-            x = rng.standard_normal(n)
-            x *= float(rng.uniform(0.4, 2.0)) / np.linalg.norm(x)
+            x = _shell_point(rng, n, 0.4, 2.0)
             rep = tensor.analyze(inv.jet(x).J)
             worst = max(worst, abs(float(rep.K) - np.sqrt(n)))
             worst = max(worst, float(np.sqrt(rep.SgNormSq)))
@@ -372,54 +369,45 @@ def invariance_sample(rng) -> tuple:
     n = 2 if rng.uniform() < 0.5 else 3
     u = maps.polynomial_map(n, seed=int(rng.integers(2**32)), amplitude=0.06)
     f = random_moebius(n, rng)
-    x = rng.standard_normal(n)
-    x *= float(rng.uniform(0.2, 0.7)) / np.linalg.norm(x)
-    y = rng.standard_normal(n)
-    y *= float(rng.uniform(0.2, 0.7)) / np.linalg.norm(y)
-    return u, f, x, y
+    return u, f, _shell_point(rng, n, 0.2, 0.7), _shell_point(rng, n, 0.2, 0.7)
+
+
+def _invariance_worst(rng, count: int, measure: Callable[..., float]) -> float:
+    """Largest measure(u, f, x, y) over count samples, redrawing any that fold or leave a domain."""
+    worst = 0.0
+    done = 0
+    while done < count:
+        sample = invariance_sample(rng)
+        try:
+            err = measure(*sample)
+        except (NonPositiveDeterminant, GuardViolation):
+            continue
+        worst = max(worst, err)
+        done += 1
+    return worst
 
 
 def _case_conformal_invariance(rng):
-    from .errors import GuardViolation, NonPositiveDeterminant
+    def measure(u, f, x, y):
+        ku = float(tensor.trace_dilation(u.jet(x).J))
+        d_post = abs(float(tensor.trace_dilation(maps.compose(f, u).jet(x).J)) - ku)
+        xb = f.inverse().value(y)
+        ku_at_fx = float(tensor.trace_dilation(u.jet(f.value(xb)).J))
+        d_pre = abs(float(tensor.trace_dilation(maps.compose(u, f).jet(xb).J)) - ku_at_fx)
+        return max(d_post, d_pre)
 
-    worst = 0.0
-    done = 0
-    while done < 50:
-        u, f, x, y = invariance_sample(rng)
-        try:
-            ku = float(tensor.trace_dilation(u.jet(x).J))
-            post = maps.compose(f, u)
-            d_post = abs(float(tensor.trace_dilation(post.jet(x).J)) - ku)
-            xb = f.inverse().value(y)
-            pre = maps.compose(u, f)
-            ku_at_fx = float(tensor.trace_dilation(u.jet(f.value(xb)).J))
-            d_pre = abs(float(tensor.trace_dilation(pre.jet(xb).J)) - ku_at_fx)
-        except (NonPositiveDeterminant, GuardViolation):
-            continue
-        worst = max(worst, d_post, d_pre)
-        done += 1
-    return worst, 0.0
+    return _invariance_worst(rng, 50, measure), 0.0
 
 
 def _case_distortion_conjugation(rng):
-    from .errors import GuardViolation, NonPositiveDeterminant
+    def measure(u, f, x, _):
+        sg_post = tensor.ahlfors(tensor.distortion_tensor(maps.compose(f, u).jet(x).J))
+        y = u.value(x)
+        df = f.jacobian(y)
+        sg_u = tensor.ahlfors(tensor.distortion_tensor(u.jet(x).J))
+        return float(np.max(np.abs(sg_post - (df @ sg_u @ df.T) / f.conformal_factor(y))))
 
-    worst = 0.0
-    done = 0
-    while done < 40:
-        u, f, x, _ = invariance_sample(rng)
-        try:
-            post = maps.compose(f, u)
-            sg_post = tensor.ahlfors(tensor.distortion_tensor(post.jet(x).J))
-            y = u.value(x)
-            df = f.jacobian(y)
-            lam = f.conformal_factor(y)
-            sg_u = tensor.ahlfors(tensor.distortion_tensor(u.jet(x).J))
-        except (NonPositiveDeterminant, GuardViolation):
-            continue
-        worst = max(worst, float(np.max(np.abs(sg_post - (df @ sg_u @ df.T) / lam))))
-        done += 1
-    return worst, 0.0
+    return _invariance_worst(rng, 40, measure), 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +417,7 @@ def _case_teichmuller_drift(rng):
     mapping = maps.teichmuller_example(2)
     drift = 0.0
     for _ in range(3):
-        x0 = rng.standard_normal(2)
-        x0 *= float(rng.uniform(0.1, 0.5)) / np.linalg.norm(x0)
-        traj = flowlines.trace_flowline(mapping, x0, ds=1e-3, max_len=0.3)
+        traj = flowlines.trace_flowline(mapping, _shell_point(rng, 2, 0.1, 0.5), ds=1e-3, max_len=0.3)
         drift = max(drift, float(np.max(np.abs(traj.K - traj.K[0]))))
     return drift, 0.0
 
@@ -507,31 +493,28 @@ def _case_degenerate_start(rng):
 # ---------------------------------------------------------------------------
 # traces suite
 
-def _case_block_identities(rng):
+def _unit_sphere_records(rng):
+    """Trace-inequality records of 200 near-identity linear maps, each at a random
+    point of the unit sphere in R^3; a map with det <= 0.05 is skipped."""
     sphere = traces.Sphere(center=np.zeros(3), radius=1.0)
-    worst = 0.0
     for _ in range(200):
         a = np.eye(3) + 0.4 * rng.standard_normal((3, 3))
         if np.linalg.det(a) <= 0.05:
             continue
         x = rng.standard_normal(3)
         x /= np.linalg.norm(x)
-        rec = traces.trace_inequality_check(maps.affine_map(a), sphere, x)
+        yield traces.trace_inequality_check(maps.affine_map(a), sphere, x)
+
+
+def _case_block_identities(rng):
+    worst = 0.0
+    for rec in _unit_sphere_records(rng):
         worst = max(worst, float(rec.block_norm_residual), float(rec.block_det_residual))
     return worst, 0.0
 
 
 def _case_oneway_slack(rng):
-    sphere = traces.Sphere(center=np.zeros(3), radius=1.0)
-    low = np.inf
-    for _ in range(200):
-        a = np.eye(3) + 0.4 * rng.standard_normal((3, 3))
-        if np.linalg.det(a) <= 0.05:
-            continue
-        x = rng.standard_normal(3)
-        x /= np.linalg.norm(x)
-        rec = traces.trace_inequality_check(maps.affine_map(a), sphere, x)
-        low = min(low, float(rec.slack))
+    low = min((float(rec.slack) for rec in _unit_sphere_records(rng)), default=np.inf)
     return max(0.0, -low), 0.0
 
 

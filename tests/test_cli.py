@@ -158,6 +158,30 @@ class TestOpsCommand:
         assert message in result.stderr
 
 
+    @pytest.mark.parametrize("power", ["nan", "-3", "0", "inf"])
+    def test_bad_power_exits_two_in_one_line(self, power):
+        # NaN used to print a record with bare NaN tokens, which is not JSON
+        result = run_cli("ops", "identity", "--param", "n=2", "--point", "1,1", "--p", power)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "p must be a positive finite number" in result.stderr
+
+    @pytest.mark.parametrize("args, message", [
+        (("affine", "--param", "matrix=2"), "affine matrix must be a finite square matrix"),
+        (("affine", "--param", "matrix=1,2"), "affine matrix must be a finite square matrix"),
+        (("translation", "--param", "offset=nan,0"), "translation offset must be finite"),
+    ], ids=["scalar_matrix", "vector_matrix", "nan_offset"])
+    def test_bad_map_parameter_exits_two_in_one_line(self, args, message):
+        # the scalar matrix used to end in an IndexError traceback (exit 1)
+        # and the NaN offset in a record of NaN tokens (exit 0)
+        result = run_cli("ops", *args, "--point", "0.1,0.1")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert message in result.stderr
+
+
 def parse_status(stderr: str) -> dict:
     # the status value itself may contain spaces, so anchor on the known keys
     line = [ln for ln in stderr.splitlines() if ln.startswith("status=")][-1]
@@ -211,6 +235,14 @@ class TestFlowlineCommand:
     def test_unknown_map_exits_two(self):
         result = run_cli("flowline", "squeeze", "--x0", "0,0")
         assert result.exit_code == 2
+
+    def test_bad_map_parameter_exits_two_without_writes(self, tmp_path):
+        target = tmp_path / "line.csv"
+        result = run_cli("flowline", "affine", "--param", "matrix=2", "--x0", "0.1,0.1",
+                         "--out", str(target))
+        assert result.exit_code == 2
+        assert "affine matrix must be a finite square matrix" in result.stderr
+        assert not target.exists()
 
     @pytest.mark.parametrize("ds", ["0", "-1e-3"])
     def test_bad_step_exits_two(self, ds):
@@ -369,6 +401,25 @@ class TestFlowCommand:
         assert result.exit_code == 2
         assert "origin must be 2 finite numbers" in result.stderr
         assert not snap.exists()
+
+    @pytest.mark.parametrize("params, message", [
+        ({"matrix": 2}, "affine matrix must be a finite square matrix"),
+        ({"matrix": [[1.0, 2.0]]}, "affine matrix must be a finite square matrix"),
+        ({"matrix": [[1.0, 0.0], [0.0, 1.0]], "offset": [math.nan, 0.0]},
+         "affine offset must be 2 finite numbers"),
+    ], ids=["scalar_matrix", "one_by_two", "nan_offset"])
+    def test_bad_map_parameter_exits_two_without_writes(self, tmp_path, params, message):
+        # the NaN offset used to write its initial snapshot and then die
+        # with a NonFiniteValue traceback
+        cfg = tmp_path / "flow.json"
+        stats = tmp_path / "stats.csv"
+        snap = tmp_path / "initial.bin"
+        write_config(cfg, map={"id": "affine", "params": params}, stats=str(stats),
+                     snapshots={"initial": str(snap)})
+        result = run_cli("flow", str(cfg))
+        assert result.exit_code == 2
+        assert f"error: {message}" in result.stderr
+        assert not stats.exists() and not snap.exists()
 
     def test_halted_run_exits_three_with_partial_stats(self, tmp_path):
         # oversized steps blow through the determinant floor

@@ -1,6 +1,7 @@
 """Grid sampling, energy quadrature, stable stepping, and flow runs."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -315,6 +316,28 @@ class TestRunFlow:
         stats = run_flow(grid, 2.0, n_steps * dt, mode="picard", outer=2)
         assert stats.halt_reason is None
         assert stats.times.size - 1 == n_steps
+
+    @pytest.mark.parametrize("mode, rows", [("explicit", 1), ("picard", 5)])
+    def test_rising_energy_halts_unstable(self, monkeypatch, mode, rows):
+        # explicit mode rejects all five rises; picard keeps four steps
+        grid = affine_bump_grid()
+        t_final = 10.0 * dtmax(grid, 2.0)
+        rising = itertools.count()
+        monkeypatch.setattr(gradientflow, "_energy", lambda *args: float(next(rising)))
+        stats = run_flow(grid, 2.0, t_final, mode=mode)
+        assert stats.halt_reason == "unstable"
+        assert stats.violations == 5
+        assert stats.times.size == stats.energy.size == stats.dt_history.size == rows
+
+    @pytest.mark.parametrize("mode", ["explicit", "picard"])
+    def test_infinite_update_halts_non_finite(self, monkeypatch, mode):
+        grid = affine_bump_grid()
+        monkeypatch.setattr(gradientflow, "_interior_update",
+                            lambda *args: np.full((2, 15, 15), np.inf))
+        stats = run_flow(grid, 2.0, 1e-3, mode=mode)
+        assert stats.halt_reason == "non_finite"
+        assert stats.times.size == 1 and stats.violations == 0
+        np.testing.assert_array_equal(stats.final_grid.values, grid.values)
 
     def test_explicit_rejects_energy_rise_and_halves_dt(self):
         stats = run_flow(affine_bump_grid(), 2.0, t_final=1e-2, safety=3.0)

@@ -233,6 +233,32 @@ class TestMoebius:
         with pytest.raises(ConfigError, match="scale must be a positive finite number"):
             moebius("dilation", {"n": 2, "scale": scale})
 
+    @pytest.mark.parametrize("offset", [[math.nan, 0.0], [0.0, math.inf]])
+    def test_translation_offset_must_be_finite(self, offset):
+        # a NaN offset used to build a map whose every value is NaN
+        with pytest.raises(ConfigError, match="translation offset must be finite"):
+            moebius("translation", {"offset": offset})
+
+
+class TestAffineMap:
+    @pytest.mark.parametrize("matrix", [
+        2.0, [1.0, 2.0], [[1.0, 2.0]], [[1.0, 0.0], [0.0, math.nan]], [[math.inf, 0.0], [0.0, 1.0]],
+    ], ids=["scalar", "vector", "one_by_two", "nan", "inf"])
+    def test_matrix_must_be_finite_square(self, matrix):
+        # a scalar used to raise IndexError and [[1, 2]] built a map with n = 1
+        with pytest.raises(ConfigError, match="affine matrix must be a finite square matrix"):
+            affine_map(matrix)
+
+    @pytest.mark.parametrize("offset", [[math.nan, 0.0], [0.0], [0.0, 0.0, 0.0], 1.0],
+                             ids=["nan", "short", "long", "scalar"])
+    def test_offset_must_be_n_finite_numbers(self, offset):
+        with pytest.raises(ConfigError, match="affine offset must be 2 finite numbers"):
+            affine_map(np.eye(2), offset)
+
+    def test_offset_applied(self):
+        f = affine_map([[2.0, 0.0], [1.0, 1.0]], [0.5, -1.0])
+        np.testing.assert_array_equal(f.value([1.0, 2.0]), [2.5, 2.0])
+
 
 class TestCompose:
     def test_identity_left_is_noop(self):
@@ -502,6 +528,32 @@ class TestCompetitorPerturbation:
         with pytest.raises(ConfigError):
             competitor_perturbation(self.base, np.zeros((2, 3)), self.bumps, 0.1)
 
+    @pytest.mark.parametrize("x", [[0.0, 0.0, 0.0], [0.05, -0.1, 0.12], [0.0, 0.0, 0.2]],
+                             ids=["origin", "inside", "edge"])
+    def test_inner_ball_jet_is_base_jet(self, x):
+        # the radial fade is zero for |x| <= 0.2, even where the cap bump is live
+        pert = competitor_perturbation(self.base, self.vectors, self.bumps, 0.3)
+        got, base = pert.jet(x), self.base.jet(x)
+        np.testing.assert_array_equal(got.u, base.u)
+        np.testing.assert_array_equal(got.J, base.J)
+        np.testing.assert_array_equal(got.H, base.H)
+
+    def test_fade_band_hessian_matches_jacobian_differences(self):
+        # 0.2 < |x| < 0.4 runs the smoothstep ramp; central differences of
+        # the exact Jacobian reach the exact Hessian at second order
+        pert = competitor_perturbation(self.base, self.vectors, self.bumps, 0.3)
+        x = np.array([0.1, 0.12, 0.25])
+        assert 0.2 < np.linalg.norm(x) < 0.4
+        hess = pert.jet(x).H
+        assert np.max(np.abs(hess - self.base.jet(x).H)) > 1e-3
+        errs = []
+        for h in (1e-3, 5e-4, 2.5e-4):
+            fd = np.stack([(pert.jet(x + h * e).J - pert.jet(x - h * e).J) / (2.0 * h)
+                           for e in np.eye(3)], axis=-1)
+            errs.append(float(np.max(np.abs(fd - hess))))
+        assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.5)
+        assert errs[1] / errs[2] == pytest.approx(4.0, abs=0.5)
+
 
 class TestFdMap:
     def test_affine_recovered_exactly(self):
@@ -597,7 +649,7 @@ class TestRegistry:
 
     def test_map_record_fields(self):
         # no name or params: the registry id is the only name a map has
-        assert [f.name for f in dataclasses.fields(SmoothMap)] == ["n", "jet_fn", "guard_fn"]
+        assert [f.name for f in dataclasses.fields(SmoothMap)] == ["n", "jet_fn"]
 
     def test_bad_params(self):
         with pytest.raises(ConfigError):

@@ -74,6 +74,16 @@ class TestCofactor:
         lhs = cofactor(m).T @ m
         np.testing.assert_allclose(lhs, np.zeros((2, 2)), atol=1e-12)
 
+    def test_stack_matches_single_calls(self):
+        # the closed form runs the same float operations on a stack
+        rng = np.random.default_rng(41)
+        for n in (2, 3, 4):
+            mats = rng.standard_normal((3, 5, n, n))
+            out = cofactor(mats)
+            assert out.shape == mats.shape
+            for idx in np.ndindex(3, 5):
+                np.testing.assert_array_equal(out[idx], cofactor(mats[idx]))
+
 
 class TestDetAdj:
     def test_matches_linalg_on_entry_first_stacks(self):
@@ -255,6 +265,22 @@ class TestAnalyze:
             np.testing.assert_allclose(rep.g, distortion_tensor(j), atol=1e-13)
             np.testing.assert_allclose(rep.Sg, ahlfors(rep.g), atol=1e-13)
             assert rep.SgNormSq == pytest.approx(hs_norm(rep.Sg) ** 2, rel=1e-12)
+
+    def test_stack_matches_single_calls(self):
+        # LAPACK's batched and single determinants differ in the last bits
+        rng = np.random.default_rng(43)
+        for n in (2, 3, 4):
+            mats = np.stack([random_posdet(rng, n) for _ in range(6)] + [2.0 * np.eye(n)])
+            rep = analyze(mats)
+            assert rep.K.shape == rep.SgNormSq.shape == rep.conformal.shape == (7,)
+            assert rep.conformal[-1] and not rep.conformal[0]
+            for k, j in enumerate(mats):
+                one = analyze(j)
+                assert rep.K[k] == pytest.approx(one.K, rel=1e-13)
+                np.testing.assert_allclose(rep.g[k], one.g, rtol=1e-13, atol=1e-13)
+                np.testing.assert_allclose(rep.Sg[k], one.Sg, rtol=1e-13, atol=1e-13)
+                assert rep.SgNormSq[k] == pytest.approx(one.SgNormSq, rel=1e-13, abs=1e-26)
+                assert rep.conformal[k] == one.conformal
 
 
 class TestFactoringResidual:
