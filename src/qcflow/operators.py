@@ -12,7 +12,8 @@ entry-first stacks and is what the gradient flow steps with. The n^4
 flux_linearization stays for gradientflow.dtmax (which needs the
 coefficient mass), lh_witness and lp_nondiv, and is the oracle the verify
 suites and tests compare against; on single points np.linalg is faster
-than the closed-form kernel.
+than the closed-form kernel. Every kernel that takes a Jacobian, Jet2Sample
+included, validates it through tensor._checked.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import numpy as np
 
 from .errors import UnsupportedRegime
 from .tensor import (
-    _as_matrix,
+    _checked,
     _checked_det_adj,
     _dilation_field,
-    _positive_det,
+    _norm_sq,
     ahlfors,
     distortion_tensor,
     trace_dilation,
@@ -60,12 +61,10 @@ class Jet2Sample:
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.u = np.asarray(self.u, dtype=float)
-        self.J = _as_matrix(self.J)
+        self.J, n, _ = _checked(self.J)
         self.H = np.asarray(self.H, dtype=float)
-        n = self.J.shape[-1]
         if self.H.shape != (n, n, n):
             raise ValueError(f"Hessian shape {self.H.shape} does not match n={n}")
-        _positive_det(self.J)
         scale = np.max(np.abs(self.H)) + 1e-30
         if np.max(np.abs(self.H - np.swapaxes(self.H, 1, 2))) > 1e-6 * scale:
             raise ValueError("Hessian not symmetric in its derivative indices")
@@ -84,10 +83,6 @@ class EllipticityWitness:
     upper: float
 
 
-def _norm_sq(q: np.ndarray) -> np.ndarray:
-    return np.sum(q * q, axis=(-2, -1))
-
-
 def _power_weight(nsq, det, num_pow: float, det_pow: float) -> np.ndarray:
     """|q|^num_pow / det^det_pow computed in log-domain."""
     return np.exp(0.5 * num_pow * np.log(nsq) - det_pow * np.log(det))
@@ -100,9 +95,7 @@ def flux(q, p: float) -> np.ndarray:
     annihilates it, and the full contraction A[i, j] q[i, j] is zero for
     every q.
     """
-    a = _as_matrix(q)
-    n = a.shape[-1]
-    d = _positive_det(a)
+    a, n, d = _checked(q)
     nsq = _norm_sq(a)
     qinv_t = np.swapaxes(np.linalg.inv(a), -1, -2)
     w = _power_weight(nsq, d, n * p, p)
@@ -170,9 +163,7 @@ def flux_linearization(q, p: float) -> np.ndarray:
     is symmetric under the pair swap (i, j) <-> (k, l) because the flux is
     itself a gradient.
     """
-    a = _as_matrix(q)
-    n = a.shape[-1]
-    d = _positive_det(a)
+    a, n, d = _checked(q)
     nsq = _norm_sq(a)
     w = _power_weight(nsq, d, n * p - 2.0, p)
     return -p * w[..., None, None, None, None] * _a4_bracket(a, p)
@@ -186,11 +177,9 @@ def lh_witness(q, xi, eta, p: float) -> EllipticityWitness:
     land between c1*p*m1 and c2*p^2*(m1+m2) where m1, m2 are the two
     weight scales of the flux linearization.
     """
-    a = _as_matrix(q)
-    n = a.shape[-1]
+    a, n, d = _checked(q)
     if p < 1.0 or (n == 2 and p == 1.0):
         raise UnsupportedRegime(f"no ellipticity constants for n={n}, p={p}")
-    d = _positive_det(a)
     nsq = _norm_sq(a)
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -249,9 +238,7 @@ def lp_divergence(mapping, x, p: float, h: float) -> np.ndarray:
 
 def linfty_factored(sample: Jet2Sample) -> np.ndarray:
     """Infinite-p operator as a product of two copies of M = n J - |J|^2 J^{-T}."""
-    j = sample.J
-    n = j.shape[-1]
-    _positive_det(j)
+    j, n, _ = _checked(sample.J)
     nsq = float(_norm_sq(j))
     m = n * j - nsq * np.swapaxes(np.linalg.inv(j), -1, -2)
     return np.einsum("ij,kl,kjl->i", m, m, sample.H)
@@ -274,9 +261,7 @@ def linfty_flowform(sample: Jet2Sample) -> np.ndarray:
     Equal to linfty_factored as an algebraic identity: rows are
     n^2 |J|^4 / K^3 times S(g) J^{-T} applied to grad K.
     """
-    j = sample.J
-    n = j.shape[-1]
-    _positive_det(j)
+    j, n, _ = _checked(sample.J)
     nsq = float(_norm_sq(j))
     k = float(trace_dilation(j))
     sg = ahlfors(distortion_tensor(j))
@@ -292,8 +277,7 @@ def lp_asymptotic_ratio(sample: Jet2Sample, p: float) -> np.ndarray:
     linearization against the Hessian, so no overflow occurs for large p.
     Converges to ASYMPTOTIC_SIGN * linfty_factored at rate O(1/p).
     """
-    j = sample.J
-    _positive_det(j)
+    j = _checked(sample.J)[0]
     nsq = float(_norm_sq(j))
     bracket = _a4_bracket(j, p)
     return -(nsq / p) * np.einsum("ikjl,kjl->i", bracket, sample.H)
@@ -305,9 +289,7 @@ def b_tensor(j, p: float) -> np.ndarray:
     Its quadratic form vanishes on conformal Jacobians but carries no
     fixed sign in general.
     """
-    a = _as_matrix(j)
-    n = a.shape[-1]
-    d = _positive_det(a)
+    a, n, d = _checked(j)
     nsq = _norm_sq(a)
     w = _power_weight(nsq, d, n * p, p)
     jjt = np.einsum("...ik,...jk->...ij", a, a)

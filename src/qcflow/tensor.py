@@ -7,10 +7,12 @@ private closed-form _det_adj is the exception: it takes entry-first
 stacks a[i, j, ...] and serves batched grids; cofactor is its transposed
 adjugate, so core.cofactor_transpose checks it against LAPACK.
 
-Every determinant-sign check in the package goes through _positive. The
-flow-line field S(g) J^{-T} and K come from _dilation_field in closed
-form; factoring_residual and operators.linfty_flowform keep the S(g)
-route and are its oracles.
+Every Jacobian kernel here and in operators and traces enters through
+_checked, which returns (a, n, det) for a finite square matrix with
+positive determinant; every determinant-sign check goes through
+_positive. The flow-line field S(g) J^{-T} and K come from
+_dilation_field in closed form; factoring_residual and
+operators.linfty_flowform keep the S(g) route and are its oracles.
 """
 
 from __future__ import annotations
@@ -50,6 +52,16 @@ def _positive(d: np.ndarray) -> np.ndarray:
 
 def _positive_det(a: np.ndarray) -> np.ndarray:
     return _positive(np.linalg.det(a))
+
+
+def _checked(m) -> tuple[np.ndarray, int, np.ndarray]:
+    """A finite square matrix stack with positive determinant, its n and det."""
+    a = _as_matrix(m)
+    return a, a.shape[-1], _positive_det(a)
+
+
+def _norm_sq(a: np.ndarray) -> np.ndarray:
+    return np.sum(a * a, axis=(-2, -1))
 
 
 def _expand_det(rows: list) -> np.ndarray:
@@ -94,8 +106,7 @@ def _checked_det_adj(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def hs_norm(m) -> float | np.ndarray:
     """Hilbert-Schmidt norm, the square root of the sum of squared entries."""
-    a = _as_matrix(m)
-    return np.sqrt(np.sum(a * a, axis=(-2, -1)))
+    return np.sqrt(_norm_sq(_as_matrix(m)))
 
 
 def cofactor(m) -> np.ndarray:
@@ -110,17 +121,13 @@ def cofactor(m) -> np.ndarray:
 
 def trace_dilation(j) -> float | np.ndarray:
     """Dilation coefficient |J| / (det J)^(1/n); always at least sqrt(n)."""
-    a = _as_matrix(j)
-    n = a.shape[-1]
-    d = _positive_det(a)
-    return hs_norm(a) / d ** (1.0 / n)
+    a, n, d = _checked(j)
+    return np.sqrt(_norm_sq(a)) / d ** (1.0 / n)
 
 
 def distortion_tensor(j) -> np.ndarray:
     """Normalized shape tensor J J^T / (det J)^(2/n), unit determinant, SPD."""
-    a = _as_matrix(j)
-    n = a.shape[-1]
-    d = _positive_det(a)
+    a, n, d = _checked(j)
     g = np.einsum("...ik,...jk->...ij", a, a)
     return g / d[..., None, None] ** (2.0 / n)
 
@@ -141,10 +148,8 @@ def _dilation_field(j) -> tuple[float | np.ndarray, np.ndarray]:
     F = (J - |J|^2 J^{-T} / n) / (det J)^(2/n), the identity factoring_residual
     pins; K equals trace_dilation(J) bit for bit, and K grad K = F . H.
     """
-    a = _as_matrix(j)
-    n = a.shape[-1]
-    d = _positive_det(a)
-    nsq = np.sum(a * a, axis=(-2, -1))
+    a, n, d = _checked(j)
+    nsq = _norm_sq(a)
     inv_t = np.swapaxes(np.linalg.inv(a), -1, -2)
     field = (a - (nsq / n)[..., None, None] * inv_t) / (d ** (2.0 / n))[..., None, None]
     return np.sqrt(nsq) / d ** (1.0 / n), field
@@ -158,11 +163,9 @@ def factoring_residual(j) -> float | np.ndarray:
     which vanishes identically; values above round-off indicate a bug in
     the caller's Jacobian, not a non-conformal map.
     """
-    a = _as_matrix(j)
-    n = a.shape[-1]
-    _positive_det(a)
+    a, n, _ = _checked(j)
     inv_t = np.swapaxes(np.linalg.inv(a), -1, -2)
-    nsq = np.sum(a * a, axis=(-2, -1))[..., None, None]
+    nsq = _norm_sq(a)[..., None, None]
     ksq = trace_dilation(a) ** 2
     sg = ahlfors(distortion_tensor(a))
     resid = inv_t - n * a / nsq + (n / ksq)[..., None, None] * (sg @ inv_t)

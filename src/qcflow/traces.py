@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DegenerateTangentImage, HypothesisViolated
 from .maps import SmoothMap, affine_map
+from .tensor import _checked
 
 _DEPENDENCY_TOL = 1e-10
 _EIGEN_TOL = 1e-8
@@ -154,7 +155,7 @@ def trace_inequality_check(mapping: SmoothMap, surface, x) -> TraceInequalityRec
     n = j.shape[0]
     m = n - 1
     jn = j @ frame.normal
-    det_j = float(np.linalg.det(j))
+    det_j = float(_checked(j)[2])
     norm_sq = float(np.sum(j * j))
     block_norm_sq = float(np.sum(block * block))
     jn_norm_sq = float(np.dot(jn, jn))
@@ -194,8 +195,7 @@ def critical_equality_check(j, normal) -> CriticalEqualityRecord:
     (n-1) n^{-n/(n-1)} K^{2n/(n-1)} equals the squared tangential
     dilation on the hyperplane orthogonal to the normal.
     """
-    j = np.asarray(j, dtype=float)
-    n = j.shape[0]
+    j, n, det_j = _checked(j)
     nu = np.asarray(normal, dtype=float)
     nu = nu / np.linalg.norm(nu)
     norm_sq = float(np.sum(j * j))
@@ -205,8 +205,7 @@ def critical_equality_check(j, normal) -> CriticalEqualityRecord:
         raise HypothesisViolated(
             f"normal is not an eigenvector at eigenvalue |J|^2/n (residual {eig_resid:.3e})"
         )
-    det_j = float(np.linalg.det(j))
-    k_sq = norm_sq / det_j ** (2.0 / n)
+    k_sq = norm_sq / float(det_j) ** (2.0 / n)
     m = n - 1
     lhs = m * n ** (-n / m) * k_sq ** (n / m)
     plane = Hyperplane(normal=tuple(nu), offset=0.0)
