@@ -1,9 +1,9 @@
 """Command-line surface: verification suites, pointwise operator values,
 flow-line tracing, and gradient-flow runs.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error,
-3 halted run. Reports and records are JSON with sorted keys; series go
-to CSV; grids to flat binary snapshots.
+Exit codes: 0 success, 1 verification failure, 2 usage or config error
+(an unwritable output included), 3 halted run. Reports and records are
+JSON with sorted keys; series go to CSV; grids to flat binary snapshots.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import click
 import numpy as np
 
 from . import gradientflow, maps, operators, tensor, verify
-from .errors import ConfigError, GuardViolation, QcflowError, UnknownMap, UnknownSuite
+from .errors import (ConfigError, GuardViolation, NonFiniteValue, QcflowError, UnknownMap,
+                     UnknownSuite)
 
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -38,14 +39,21 @@ def _resolve_threads(threads: int | None) -> int:
 def _parse_params(pairs) -> dict:
     """Parse repeated key=value map parameters.
 
-    Comma-separated values become float lists, bare integers stay ints,
-    anything else that parses as float becomes float.
+    A value starting with [ is JSON, so nested lists can express a matrix;
+    other comma-separated values become float lists, bare integers stay
+    ints, anything else that parses as float becomes float.
     """
     out = {}
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"parameter {pair!r} is not of the form key=value")
         key, raw = pair.split("=", 1)
+        if raw.startswith("["):
+            try:
+                out[key] = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"parameter {key!r} is not valid JSON: {exc}")
+            continue
         if "," in raw:
             out[key] = [float(v) for v in raw.split(",") if v != ""]
             continue
@@ -73,11 +81,14 @@ def _fail_usage(exc: Exception) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     """Write text to the file out, or to stdout when out is not given."""
-    if out:
+    if not out:
+        click.echo(text, nl=False)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    except OSError as exc:
+        _fail_usage(exc)
 
 
 @click.group()
@@ -123,25 +134,31 @@ def cmd_ops(map_id: str, params, point: str, p_power: float, out: str | None) ->
         gradientflow._check_flow_args(p=p_power)
         mapping = maps.make_map(map_id, **_parse_params(params))
         x = _parse_point(point)
-        jet = mapping.jet(x)
+        # large powers overflow the flux weight; the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            jet = mapping.jet(x)
+            report = tensor.analyze(jet.J)
+            record = {
+                "map": map_id,
+                "point": [float(v) for v in x],
+                "p": p_power,
+                "K": float(report.K),
+                "KSquared": float(report.K) ** 2,
+                "detJ": float(np.linalg.det(jet.J)),
+                "normSqJ": float(np.sum(jet.J * jet.J)),
+                "Sg": [[float(v) for v in row] for row in report.Sg],
+                "SgNormSq": float(report.SgNormSq),
+                "conformal": bool(report.conformal),
+                "lp": [float(v) for v in operators.lp_nondiv(jet, p_power)],
+                "linfty": [float(v) for v in operators.linfty_factored(jet)],
+            }
+        bad = [key for key, val in record.items()
+               if key != "map" and not np.all(np.isfinite(val))]
+        if bad:
+            raise NonFiniteValue(f"ops record has non-finite {', '.join(bad)} at p={p_power:g}")
     except (QcflowError, ValueError) as exc:
         _fail_usage(exc)
         return
-    report = tensor.analyze(jet.J)
-    record = {
-        "map": map_id,
-        "point": [float(v) for v in x],
-        "p": p_power,
-        "K": float(report.K),
-        "KSquared": float(report.K) ** 2,
-        "detJ": float(np.linalg.det(jet.J)),
-        "normSqJ": float(np.sum(jet.J * jet.J)),
-        "Sg": [[float(v) for v in row] for row in report.Sg],
-        "SgNormSq": float(report.SgNormSq),
-        "conformal": bool(report.conformal),
-        "lp": [float(v) for v in operators.lp_nondiv(jet, p_power)],
-        "linfty": [float(v) for v in operators.linfty_factored(jet)],
-    }
     _emit(json.dumps(record, sort_keys=True, indent=2) + "\n", out)
 
 
@@ -237,14 +254,18 @@ def cmd_flow(config: str) -> None:
         _fail_usage(exc)
         return
     snaps = cfg.get("snapshots", {})
-    if "initial" in snaps:
-        gradientflow.write_snapshot(grid, snaps["initial"])
-    stats = gradientflow.run_flow(grid, p_power, t_final, mode=mode,
-                                  safety=safety, outer=outer)
-    if "stats" in cfg:
-        stats.write_csv(cfg["stats"])
-    if "final" in snaps:
-        gradientflow.write_snapshot(stats.final_grid, snaps["final"])
+    try:
+        if "initial" in snaps:
+            gradientflow.write_snapshot(grid, snaps["initial"])
+        stats = gradientflow.run_flow(grid, p_power, t_final, mode=mode,
+                                      safety=safety, outer=outer)
+        if "stats" in cfg:
+            stats.write_csv(cfg["stats"])
+        if "final" in snaps:
+            gradientflow.write_snapshot(stats.final_grid, snaps["final"])
+    except OSError as exc:
+        _fail_usage(exc)
+        return
     summary = {
         "steps": len(stats.times) - 1,
         "energyFirst": stats.energy[0],

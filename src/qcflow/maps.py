@@ -429,24 +429,20 @@ def bump_map(n: int, amplitude: float = 0.05) -> SmoothMap:
     derivatives vanish on the cube boundary.
     """
 
+    # gradient entry a leaves factor a out of the product; Hessian entry
+    # (a, b) leaves out factors a and b
+    eye = np.eye(n, dtype=bool)
+    skip_two = eye[:, None, :] | eye[None, :, :]
+
     def jet_fn(x: np.ndarray, order: int) -> tuple:
-        profs = [_bump_profile(float(x[a])) for a in range(n)]
-        vals = np.array([p[0] for p in profs])
-        d1 = np.array([p[1] for p in profs])
-        d2 = np.array([p[2] for p in profs])
-        prod = float(np.prod(vals))
-        grad = np.zeros(n)
-        hess2 = np.zeros((n, n))
-        for a in range(n):
-            rest = np.prod(np.delete(vals, a))
-            grad[a] = d1[a] * rest
-            hess2[a, a] = d2[a] * rest
-            for b in range(a + 1, n):
-                others = np.prod(np.delete(vals, [a, b]))
-                hess2[a, b] = hess2[b, a] = d1[a] * d1[b] * others
-        u = x + amplitude * prod
-        j = np.eye(n) + amplitude * np.tile(grad, (n, 1))
-        h = amplitude * np.tile(hess2, (n, 1, 1))
+        vals, d1, d2 = np.array([_bump_profile(float(x[a])) for a in range(n)]).T
+        rest = np.prod(np.where(eye, 1.0, vals), axis=-1)
+        others = np.prod(np.where(skip_two, 1.0, vals), axis=-1)
+        grad = d1 * rest
+        hess2 = np.where(eye, d2 * rest, np.outer(d1, d1) * others)
+        u = x + amplitude * float(np.prod(vals))
+        j = np.eye(n) + amplitude * grad
+        h = np.broadcast_to(amplitude * hess2, (n, n, n)).copy()
         return u, j, h
 
     return SmoothMap(n=n, jet_fn=jet_fn)

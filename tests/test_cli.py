@@ -19,6 +19,14 @@ def run_cli(*args, env=None):
     return CliRunner().invoke(main, list(args), env=env)
 
 
+def assert_usage_error(result, message):
+    """Exit 2 with one error line naming message and nothing on stdout."""
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert message in result.stderr
+
+
 class TestVerifyCommand:
     def test_core_suite_passes(self):
         result = run_cli("verify", "core", "--seed", "7")
@@ -82,6 +90,11 @@ class TestVerifyCommand:
         assert "wallTime" in payload
         assert "passed in" not in timed.stderr
 
+
+    def test_unwritable_out_exits_two(self, tmp_path):
+        # used to end in a FileNotFoundError traceback with exit 1
+        result = run_cli("verify", "core", "--out", str(tmp_path / "missing" / "r.json"))
+        assert_usage_error(result, "No such file or directory")
 
 class TestOpsCommand:
     def test_radial_stretch_record(self):
@@ -182,6 +195,44 @@ class TestOpsCommand:
         assert message in result.stderr
 
 
+    def test_unwritable_out_exits_two(self, tmp_path):
+        result = run_cli("ops", "identity", "--param", "n=2", "--point", "0.1,0.2",
+                         "--out", str(tmp_path / "missing" / "r.json"))
+        assert_usage_error(result, "No such file or directory")
+
+    @pytest.mark.parametrize("args, message", [
+        (("polynomial", "--param", "n=3", "--point", "0.3,0.2,0.1", "--p", "800"),
+         "non-finite lp at p=800"),
+        (("identity", "--param", "n=2", "--point", "1,1", "--p", "5000"),
+         "non-finite lp at p=5000"),
+    ], ids=["polynomial_p800", "identity_p5000"])
+    def test_overflowing_record_exits_two(self, args, message):
+        # each used to print "lp": [NaN, ...] after two RuntimeWarnings and exit 0
+        assert_usage_error(run_cli("ops", *args), message)
+
+    def test_bracketed_matrix_parameter(self):
+        result = run_cli("ops", "affine", "--param", "matrix=[[1.2,0.1],[0,0.9]]",
+                         "--point", "0.1,0.2")
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["detJ"] == pytest.approx(1.08, rel=1e-14)
+
+    def test_bracketed_rotation_matrix(self):
+        result = run_cli("ops", "rotation", "--param", "n=2",
+                         "--param", "matrix=[[0,-1],[1,0]]", "--point", "0.1,0.2")
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["conformal"] is True
+
+    @pytest.mark.parametrize("args, message", [
+        (("--param", "matrix=[[1.2,0.1],[0,0.9]"), "parameter 'matrix' is not valid JSON"),
+        (("--param", "matrix"), "parameter 'matrix' is not of the form key=value"),
+    ], ids=["malformed_json", "no_equals"])
+    def test_bad_param_syntax_exits_two(self, args, message):
+        assert_usage_error(run_cli("ops", "affine", *args, "--point", "0.1,0.2"), message)
+
+    def test_non_numeric_point_exits_two(self):
+        result = run_cli("ops", "identity", "--param", "n=2", "--point", "0.1,x")
+        assert_usage_error(result, "point '0.1,x' is not a comma-separated float list")
+
 def parse_status(stderr: str) -> dict:
     # the status value itself may contain spaces, so anchor on the known keys
     line = [ln for ln in stderr.splitlines() if ln.startswith("status=")][-1]
@@ -263,6 +314,28 @@ class TestFlowlineCommand:
         name = option[2:].replace("-", "_")
         assert f"{name} must be a positive finite number" in result.stderr
 
+
+    def test_unwritable_out_exits_two(self, tmp_path):
+        result = run_cli("flowline", "teichmuller", "--param", "n=2", "--x0", "0.3,0.1",
+                         "--max-len", "0.01", "--out", str(tmp_path / "missing" / "l.csv"))
+        assert_usage_error(result, "No such file or directory")
+
+    def test_bracketed_affine_matrix(self):
+        result = run_cli("flowline", "affine", "--param", "matrix=[[1.2,0.1],[0,0.9]]",
+                         "--x0", "0.3,0.1", "--max-len", "0.01")
+        assert result.exit_code == 0
+        status = parse_status(result.stderr)
+        assert status["status"] == "maxLength" and float(status["Kdrift"]) == 0.0
+
+    def test_fold_mid_line_exits_three(self):
+        # det J is 1.04 at the start; the line walks into the fold
+        result = run_cli("flowline", "polynomial", "--param", "n=2",
+                         "--param", "amplitude=0.3", "--x0", "0.3,-0.2",
+                         "--ds", "0.01", "--max-len", "2")
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "determinant must be positive" in result.stderr
 
 def write_config(path, **overrides):
     cfg = {
@@ -432,3 +505,29 @@ class TestFlowCommand:
         assert summary["haltReason"] == "determinant_collapse"
         assert stats.exists()
         assert len(stats.read_text().splitlines()) >= 2
+
+    @pytest.mark.parametrize("key", ["stats", "initial", "final"])
+    def test_unwritable_output_exits_two(self, tmp_path, key):
+        # an unwritable stats path used to end in a traceback with exit 1
+        cfg = tmp_path / "flow.json"
+        target = str(tmp_path / "missing" / "out")
+        if key == "stats":
+            write_config(cfg, stats=target)
+        else:
+            write_config(cfg, snapshots={key: target})
+        assert_usage_error(run_cli("flow", str(cfg)), "No such file or directory")
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config"),
+        ([1, 2], "config root must be a JSON object"),
+        ({"map": {"params": {"n": 2}}}, "config map must be an object with an id"),
+        ({"snapshots": {"middle": "m.bin"}},
+         "snapshots must be an object with keys initial and/or final"),
+    ], ids=["unreadable", "list_root", "map_without_id", "unknown_snapshot_key"])
+    def test_bad_config_exits_two(self, tmp_path, content, message):
+        cfg = tmp_path / "flow.json"
+        if isinstance(content, dict):
+            write_config(cfg, **content)
+        elif content is not None:
+            cfg.write_text(json.dumps(content))
+        assert_usage_error(run_cli("flow", str(cfg)), message)

@@ -356,3 +356,11 @@ class TestDriftIdentities:
         other = 1 + int(traj.row[0]) % 2
         with pytest.raises(RowSwitched):
             du_recovery_check(m, traj, other)
+
+    def test_row_switch_rejected_by_path_integral(self):
+        m = affine_map([[1.4, 0.2], [0.1, 0.8]])
+        traj = trace_flowline(m, [0.0, 0.0], ds=1e-3, max_len=0.3)
+        row = int(traj.row[0])
+        traj.row[len(traj) // 2:] = 1 + row % 2
+        with pytest.raises(RowSwitched, match="trajectory changed active row"):
+            path_integral_residual(m, traj, row)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -617,6 +618,35 @@ class TestBumpMap:
         x = np.array([0.3, 0.6])
         assert np.max(np.abs(m.jacobian(x) - fd.jacobian(x))) <= 1e-6
         assert np.max(np.abs(m.hessian(x) - fd.hessian(x))) <= 1e-4
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: wedge_map(0.0, 3), "wedge angle must lie in (0, 2*pi)"),
+        (lambda: wedge_map(2.0 * math.pi, 3), "wedge angle must lie in (0, 2*pi)"),
+        (lambda: wedge_map(math.pi, 1), "wedge map needs n >= 2"),
+        (lambda: wedge_sector_constants(math.pi, 3, 3), "wedge sector must be 1 or 2"),
+        (lambda: moebius("rotation", {"n": 2, "matrix": np.eye(3)}),
+         "rotation matrix shape (3, 3), expected (2,2)"),
+        (lambda: moebius("rotation", {"n": 2, "matrix": [[1.0, 0.5], [0.0, 1.0]]}),
+         "rotation matrix must be orthogonal with det +1"),
+        (lambda: moebius("rotation", {"n": 2, "matrix": [[1.0, 0.0], [0.0, -1.0]]}),
+         "rotation matrix must be orthogonal with det +1"),
+        (lambda: moebius("rotation", {"n": 4, "angle": 0.3}),
+         "angle-based rotations support n=2 (angle) or n=3 (axis, angle)"),
+        (lambda: teichmuller_example(4), "canned composition supports n=2 or n=3"),
+        (lambda: compose(identity_map(2), identity_map(3)),
+         "composition requires matching dimensions"),
+    ], ids=["wedge_zero", "wedge_full_turn", "wedge_n1", "wedge_sector", "rotation_shape",
+            "rotation_shear", "rotation_reflection", "rotation_n4", "teichmuller_n4",
+            "compose_dims"])
+    def test_config_error(self, build, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build()
+
+    def test_point_length_checked(self):
+        with pytest.raises(ValueError, match=re.escape("point shape (3,) does not match n=2")):
+            identity_map(2).jet([0.1, 0.2, 0.3])
 
 
 class TestRegistry:

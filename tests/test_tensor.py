@@ -1,6 +1,7 @@
 """Pointwise tensor algebra: norms, cofactors, dilation, distortion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcflow import (
+    Jet2Sample,
     NonFiniteValue,
     NonPositiveDeterminant,
     ahlfors,
@@ -16,11 +18,13 @@ from qcflow import (
     cofactor,
     distortion_tensor,
     factoring_residual,
+    flux,
     hs_norm,
     trace_dilation,
 )
 from qcflow.maps import affine_map, compose, moebius, radial_stretch
 from qcflow.tensor import _det_adj, _dilation_field
+from qcflow.traces import critical_equality_check
 from qcflow.verify import random_moebius
 
 
@@ -31,6 +35,28 @@ def random_spd_jacobians(rng, n, count, scale=0.4):
         if np.linalg.det(j) > 0.05:
             mats.append(j)
     return mats
+
+
+# one kernel from each module that enters through tensor._checked
+CHECKED_ENTRIES = {
+    "trace_dilation": trace_dilation,
+    "flux": lambda m: flux(m, 2.0),
+    "Jet2Sample": lambda m: Jet2Sample(x=np.zeros(2), u=np.zeros(2), J=m, H=np.zeros((2, 2, 2))),
+    "critical_equality_check": lambda m: critical_equality_check(m, [1.0, 0.0]),
+}
+
+
+class TestCheckedEntry:
+    @pytest.mark.parametrize("entry", sorted(CHECKED_ENTRIES))
+    @pytest.mark.parametrize("shape, message", [
+        ((3,), "expected square matrix trailing axes, got shape (3,)"),
+        ((2, 3), "expected square matrix trailing axes, got shape (2, 3)"),
+        ((1, 1), "dimension 1 outside supported range 2..4"),
+        ((5, 5), "dimension 5 outside supported range 2..4"),
+    ], ids=["vector", "2x3", "1x1", "5x5"])
+    def test_rejects_bad_shape(self, entry, shape, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CHECKED_ENTRIES[entry](np.ones(shape))
 
 
 class TestHsNorm:

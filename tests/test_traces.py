@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qcflow import HypothesisViolated
+from qcflow import HypothesisViolated, NonFiniteValue, NonPositiveDeterminant
 from qcflow.maps import SmoothMap, affine_map, compose, identity_map, moebius, radial_stretch
 from qcflow.tensor import trace_dilation
 from qcflow.traces import (
@@ -204,6 +204,16 @@ class TestCriticalEquality:
         # generic J does not carry the normal as a balanced eigenvector
         with pytest.raises(HypothesisViolated):
             critical_equality_check(np.diag([2.0, 1.0, 1.0]), [1.0, 0.0, 0.0])
+
+    def test_rejects_non_finite(self):
+        # used to warn and then fail inside affine_map with a ConfigError
+        with pytest.raises(NonFiniteValue, match="matrix entries must be finite"):
+            critical_equality_check(np.diag([1.0, math.nan, 1.0]), [1.0, 0.0, 0.0])
+
+    def test_rejects_folded(self):
+        # J^T J = I satisfies the hypothesis, so the sign check must refuse the fold
+        with pytest.raises(NonPositiveDeterminant, match="determinant must be positive"):
+            critical_equality_check(np.diag([1.0, 1.0, -1.0]), [1.0, 0.0, 0.0])
 
     def test_eigen_constructor_validates(self):
         with pytest.raises(ValueError):
