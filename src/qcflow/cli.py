@@ -8,6 +8,7 @@ JSON with sorted keys; series go to CSV; grids to flat binary snapshots.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import sys
@@ -91,6 +92,13 @@ def _emit(text: str, out: str | None) -> None:
         _fail_usage(exc)
 
 
+def _check_out_dirs(*paths) -> None:
+    """Exit 2 before any work when an output path's directory is missing."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            _fail_usage(FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path))
+
+
 @click.group()
 def main() -> None:
     """Dilation analysis toolkit for quasiconformal maps."""
@@ -107,6 +115,7 @@ def main() -> None:
 def cmd_verify(suite: str, seed: int, out: str | None, tol_scale: float,
                threads: int | None, timing: bool) -> None:
     """Run one verification suite and emit a JSON report."""
+    _check_out_dirs(out)
     try:
         workers = _resolve_threads(threads)
         report = verify.run_suite(suite, seed=seed, tol_scale=tol_scale,
@@ -234,8 +243,9 @@ def cmd_flow(config: str) -> None:
     """Run a gradient-flow evolution described by a JSON config.
 
     The config carries the initial map, grid geometry, power, horizon,
-    and output paths. Nothing is written unless the config validates and
-    the grid builds; a halted run still writes its partial series.
+    and output paths. Nothing is written unless the config validates,
+    every output directory exists and the grid builds; a halted run still
+    writes its partial series.
     """
     try:
         cfg = _load_flow_config(config)
@@ -246,6 +256,8 @@ def cmd_flow(config: str) -> None:
         outer = cfg.get("outer", 3)
         gradientflow._check_flow_args(mode=mode, p=p_power, safety=safety,
                                       t_final=t_final, outer=outer)
+        snaps = cfg.get("snapshots", {})
+        _check_out_dirs(cfg.get("stats"), snaps.get("initial"), snaps.get("final"))
         mapping = maps.make_map(cfg["map"]["id"], **cfg["map"].get("params", {}))
         shape = tuple(int(v) for v in cfg["shape"])
         grid = gradientflow.make_grid(mapping, shape, float(cfg["h"]),
@@ -253,7 +265,6 @@ def cmd_flow(config: str) -> None:
     except (ConfigError, UnknownMap, GuardViolation, QcflowError, ValueError, TypeError) as exc:
         _fail_usage(exc)
         return
-    snaps = cfg.get("snapshots", {})
     try:
         if "initial" in snaps:
             gradientflow.write_snapshot(grid, snaps["initial"])

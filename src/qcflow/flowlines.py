@@ -218,22 +218,3 @@ def du_recovery_check(mapping, trajectory: FlowTrajectory, row_index: int) -> fl
     integral = np.trapezoid(integrand, trajectory.s, axis=0)
     drift = jets[-1].J[i] - jets[0].J[i]
     return float(np.max(np.abs(drift - integral)))
-
-
-def path_integral_residual(mapping, trajectory: FlowTrajectory, row_index: int) -> float:
-    """Fundamental-theorem check of the row-i differential drift.
-
-    Integrates the chain-rule derivative of Jacobian row i along the
-    recorded velocity and compares with the endpoint drift; the residual
-    shrinks at second order in the step. Diagnostic companion to
-    du_recovery_check with an integrand valid for every smooth map.
-    """
-    if not np.all(trajectory.row == row_index):
-        raise RowSwitched("trajectory changed active row")
-    i = int(row_index) - 1
-    jets = [mapping.jet(x) for x in trajectory.x]
-    integrand = np.array([np.einsum("lj,l->j", j.H[i], sign * _dilation_field(j.J)[1][i])
-                          for j, sign in zip(jets, trajectory.sign)])
-    integral = np.trapezoid(integrand, trajectory.s, axis=0)
-    drift = jets[-1].J[i] - jets[0].J[i]
-    return float(np.max(np.abs(drift - integral)))

@@ -2,8 +2,7 @@
 
 Provides the model radial stretch, the two-sector wedge, conformal
 generators (rotations, dilations, translations, oriented inversion),
-composition with full chain rule, boundary-pinned competitor
-perturbations, polynomial maps, and a finite-difference fallback sampler.
+composition with full chain rule, affine, polynomial and bump maps.
 All samplers are pure and maps are immutable after construction.
 """
 
@@ -109,12 +108,19 @@ def _rotation_matrix(n: int, params: dict) -> np.ndarray:
             raise ConfigError("rotation matrix must be orthogonal with det +1")
         return r
     angle = float(params["angle"])
+    if not math.isfinite(angle):
+        raise ConfigError(f"rotation angle must be finite, got {angle!r}")
     if n == 2:
         c, s = math.cos(angle), math.sin(angle)
         return np.array([[c, -s], [s, c]])
     if n == 3:
         axis = np.asarray(params["axis"], dtype=float)
-        axis = axis / np.linalg.norm(axis)
+        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+            norm = np.linalg.norm(axis) if axis.shape == (3,) else math.nan
+        if not 0.0 < norm < math.inf:  # NaN fails too
+            raise ConfigError(f"rotation axis must be 3 finite numbers whose norm is nonzero "
+                              f"and finite, got {axis.tolist()!r}")
+        axis = axis / norm
         k = np.array(
             [
                 [0.0, -axis[2], axis[1]],
@@ -512,160 +518,6 @@ def teichmuller_example(n: int = 2) -> SmoothMap:
     else:
         raise ConfigError("canned composition supports n=2 or n=3")
     return teichmuller_map(compose(inv, far), mid, rot)
-
-
-# ---------------------------------------------------------------------------
-# boundary-pinned competitor perturbations
-
-@dataclass(frozen=True)
-class SphereBump:
-    """Smooth cap bump on the unit sphere.
-
-    Supported where the direction lies within the cap <xhat, center> >
-    threshold; decays to zero with all derivatives at the cap edge.
-    """
-
-    center: np.ndarray
-    threshold: float = 0.5
-
-    def profile(self, t: float) -> tuple[float, float, float]:
-        """Bump profile and two derivatives as a function of t = <xhat, c>."""
-        t0 = self.threshold
-        if t <= t0:
-            return 0.0, 0.0, 0.0
-        w = 1.0 - t0
-        z = t - t0
-        e = math.exp(-w / z)
-        return e, e * w / z**2, e * (w * w / z**4 - 2.0 * w / z**3)
-
-    def value(self, xhat) -> float:
-        return self.profile(float(np.dot(xhat, self.center)))[0]
-
-
-def _smoothstep(r: float, r0: float, r1: float) -> tuple[float, float, float]:
-    """Quintic smoothstep in r with two derivatives; flat outside [r0, r1]."""
-    if r <= r0:
-        return 0.0, 0.0, 0.0
-    if r >= r1:
-        return 1.0, 0.0, 0.0
-    width = r1 - r0
-    t = (r - r0) / width
-    val = t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
-    d1 = 30.0 * t * t * (1.0 - t) ** 2 / width
-    d2 = (60.0 * t - 180.0 * t * t + 120.0 * t**3) / width**2
-    return val, d1, d2
-
-
-def competitor_perturbation(base: SmoothMap, vectors, bumps: list[SphereBump],
-                            lam: float) -> SmoothMap:
-    """Base map plus lam times a boundary-vanishing competitor field.
-
-    The field is (1 - |x|^2) zeta(|x|) sum_l phi_l(x/|x|) v_l: each bump
-    phi_l weights a fixed vector v_l, the quadratic prefactor pins the
-    perturbation to zero on the unit sphere, and the radial fade zeta
-    keeps jets smooth through the origin: it is zero for radii up to 0.2
-    and fades in up to 0.4. On the sphere the gradient is exactly
-    -2 (sum_l phi_l v_l) outer x.
-    """
-    vectors = np.asarray(vectors, dtype=float)
-    n = base.n
-    if vectors.ndim != 2 or vectors.shape[0] != len(bumps) or vectors.shape[1] != n:
-        raise ConfigError("need one length-n vector per bump")
-    r0, r1 = 0.2, 0.4  # radial fade band
-
-    def chi_jet(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        r = float(np.linalg.norm(x))
-        if r <= r0:
-            return np.zeros(n), np.zeros((n, n)), np.zeros((n, n, n))
-        eye = np.eye(n)
-        z, z1, z2 = _smoothstep(r, r0, r1)
-        xhat = x / r
-        # radial cutoff as a function of x
-        z_grad = z1 * xhat
-        z_hess = z2 * np.outer(xhat, xhat) + z1 * (eye - np.outer(xhat, xhat)) / r
-        # prefactor f = (1 - r^2) zeta
-        f = (1.0 - r * r) * z
-        f_grad = -2.0 * z * x + (1.0 - r * r) * z_grad
-        f_hess = (
-            -2.0 * z * eye
-            - 2.0 * np.outer(x, z_grad)
-            - 2.0 * np.outer(z_grad, x)
-            + (1.0 - r * r) * z_hess
-        )
-        # weighted bump sum w(x) = sum_l phi_l(x/|x|) v_l and derivatives
-        w = np.zeros(n)
-        w_grad = np.zeros((n, n))
-        w_hess = np.zeros((n, n, n))
-        for bump, vec in zip(bumps, vectors):
-            c = np.asarray(bump.center, dtype=float)
-            dot = float(np.dot(x, c))
-            s = dot / r
-            s_grad = c / r - dot * x / r**3
-            s_hess = (
-                -(np.outer(c, x) + np.outer(x, c)) / r**3
-                - dot * eye / r**3
-                + 3.0 * dot * np.outer(x, x) / r**5
-            )
-            b0, b1, b2 = bump.profile(s)
-            if b0 == 0.0 and b1 == 0.0:
-                continue
-            phi_grad = b1 * s_grad
-            phi_hess = b2 * np.outer(s_grad, s_grad) + b1 * s_hess
-            w += b0 * vec
-            w_grad += np.outer(vec, phi_grad)
-            w_hess += np.einsum("k,ab->kab", vec, phi_hess)
-        chi = f * w
-        chi_grad = np.outer(w, f_grad) + f * w_grad
-        chi_hess = (
-            np.einsum("k,ab->kab", w, f_hess)
-            + np.einsum("ka,b->kab", w_grad, f_grad)
-            + np.einsum("kb,a->kab", w_grad, f_grad)
-            + f * w_hess
-        )
-        return chi, chi_grad, chi_hess
-
-    def jet_fn(x: np.ndarray, order: int) -> tuple:
-        u, j, h = base.jet_fn(x, 2)
-        _positive_det(j)
-        chi, chi_grad, chi_hess = chi_jet(x)
-        return u + lam * chi, j + lam * chi_grad, h + lam * chi_hess
-
-    return SmoothMap(n=n, jet_fn=jet_fn)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference sampler
-
-def fd_map(value_fn: Callable[[np.ndarray], np.ndarray], n: int, h: float) -> SmoothMap:
-    """Map defined by a value function with centered-difference jets.
-
-    h is the difference step, fixed for every point. First and second
-    derivatives both converge at order two; the mixed second derivatives
-    are symmetrized.
-    """
-
-    def jet_fn(x: np.ndarray, order: int) -> tuple:
-        u = np.asarray(value_fn(x), dtype=float)
-        j = np.zeros((n, n))
-        hess = np.zeros((n, n, n))
-        shifts = h * np.eye(n)
-        plus = [np.asarray(value_fn(x + shifts[a]), dtype=float) for a in range(n)]
-        minus = [np.asarray(value_fn(x - shifts[a]), dtype=float) for a in range(n)]
-        for a in range(n):
-            j[:, a] = (plus[a] - minus[a]) / (2.0 * h)
-            hess[:, a, a] = (plus[a] - 2.0 * u + minus[a]) / h**2
-        for a in range(n):
-            for b in range(a + 1, n):
-                pp = np.asarray(value_fn(x + shifts[a] + shifts[b]), dtype=float)
-                pm = np.asarray(value_fn(x + shifts[a] - shifts[b]), dtype=float)
-                mp = np.asarray(value_fn(x - shifts[a] + shifts[b]), dtype=float)
-                mm = np.asarray(value_fn(x - shifts[a] - shifts[b]), dtype=float)
-                mixed = (pp - pm - mp + mm) / (4.0 * h**2)
-                hess[:, a, b] = mixed
-                hess[:, b, a] = mixed
-        return u, j, hess
-
-    return SmoothMap(n=n, jet_fn=jet_fn)
 
 
 # ---------------------------------------------------------------------------

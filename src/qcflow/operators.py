@@ -44,7 +44,7 @@ class Jet2Sample:
     """Second-order jet of a map at one point, validated on construction.
 
     Maps build exactly one per public SmoothMap.jet call; their internals
-    (generator words, composition, perturbations) pass raw (u, J, H)
+    (generator words, composition) pass raw (u, J, H)
     arrays and sign-check only composition factors that can fold.
 
     x: evaluation point, length n.

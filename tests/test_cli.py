@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qcflow import gradientflow
+from qcflow import ConfigError, gradientflow, verify
 from qcflow.cli import main
 
 OPS_KEYS = {"K", "KSquared", "detJ", "normSqJ", "Sg", "SgNormSq",
@@ -96,6 +96,15 @@ class TestVerifyCommand:
         result = run_cli("verify", "core", "--out", str(tmp_path / "missing" / "r.json"))
         assert_usage_error(result, "No such file or directory")
 
+    def test_missing_out_dir_checked_before_the_suite(self, tmp_path, monkeypatch):
+        # the suite used to run to the end before the write failed
+        def run_suite(*args, **kwargs):
+            raise ConfigError("suite ran")
+
+        monkeypatch.setattr(verify, "run_suite", run_suite)
+        result = run_cli("verify", "core", "--out", str(tmp_path / "missing" / "dir" / "r.json"))
+        assert_usage_error(result, "No such file or directory")
+
 class TestOpsCommand:
     def test_radial_stretch_record(self):
         result = run_cli("ops", "radial_stretch", "--param", "alpha=2",
@@ -161,9 +170,19 @@ class TestOpsCommand:
          "alpha must be a positive finite number"),
         (("polynomial", "--param", "n=2", "--param", "amplitude=5", "--point", "0.9,0.9"),
          "determinant must be positive"),
-    ], ids=["dilation_nan", "alpha_nan", "folded_polynomial"])
+        (("rotation", "--param", "n=3", "--param", "axis=1,0", "--param", "angle=1",
+          "--point", "0.1,0.1,0.1"),
+         "rotation axis must be 3 finite numbers whose norm is nonzero and finite, got [1.0, 0.0]"),
+        (("rotation", "--param", "n=3", "--param", "axis=0,0,0", "--param", "angle=1",
+          "--point", "0.1,0.1,0.1"),
+         "rotation axis must be 3 finite numbers whose norm is nonzero and finite"),
+        (("rotation", "--param", "n=2", "--param", "angle=inf", "--point", "0.1,0.1"),
+         "rotation angle must be finite, got inf"),
+    ], ids=["dilation_nan", "alpha_nan", "folded_polynomial", "rotation_short_axis",
+            "rotation_zero_axis", "rotation_infinite_angle"])
     def test_invalid_jet_exits_two_in_one_line(self, args, message):
-        # each used to exit 1, the verification-failure code, with a traceback
+        # each used to exit 1, the verification-failure code, with a traceback,
+        # or exit 2 naming a value the caller never passed ("math domain error")
         result = run_cli("ops", *args)
         assert result.exit_code == 2
         assert result.stdout == ""
@@ -516,6 +535,20 @@ class TestFlowCommand:
         else:
             write_config(cfg, snapshots={key: target})
         assert_usage_error(run_cli("flow", str(cfg)), "No such file or directory")
+
+    def test_missing_out_dir_checked_before_the_grid(self, tmp_path, monkeypatch):
+        # the initial snapshot used to be written and the whole flow run
+        # before the stats write failed
+        def make_grid(*args, **kwargs):
+            raise ConfigError("grid built")
+
+        monkeypatch.setattr(gradientflow, "make_grid", make_grid)
+        cfg = tmp_path / "flow.json"
+        initial = tmp_path / "initial.bin"
+        write_config(cfg, stats=str(tmp_path / "missing" / "stats.csv"),
+                     snapshots={"initial": str(initial)})
+        assert_usage_error(run_cli("flow", str(cfg)), "No such file or directory")
+        assert not initial.exists()
 
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read config"),

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import path_integral_residual
 
 from qcflow import (
     AllRowsDegenerate,
@@ -18,7 +19,6 @@ from qcflow.flowlines import (
     ball_domain,
     du_recovery_check,
     flow_field,
-    path_integral_residual,
     select_row,
     trace_flowline,
 )

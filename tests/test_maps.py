@@ -9,6 +9,7 @@ import pytest
 from conftest import random_posdet
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import fd_map
 
 from qcflow import (
     AxisExcluded,
@@ -27,13 +28,10 @@ from qcflow import (
 from qcflow.maps import (
     ConformalMap,
     SmoothMap,
-    SphereBump,
     _chain,
     affine_map,
     bump_map,
-    competitor_perturbation,
     compose,
-    fd_map,
     identity_map,
     make_map,
     map_ids,
@@ -49,6 +47,8 @@ from qcflow.maps import (
     wedge_sector_constants,
 )
 from qcflow.verify import invariance_sample, random_moebius
+
+AXIS_RULE = "rotation axis must be 3 finite numbers whose norm is nonzero and finite, got "
 
 
 class TestRadialStretch:
@@ -488,74 +488,6 @@ class TestFirstOrderSampler:
             shifted._jet1(np.array([-0.5, 0.25]))
 
 
-class TestCompetitorPerturbation:
-    def setup_method(self):
-        self.base = polynomial_map(3, seed=4, amplitude=0.05)
-        self.bumps = [SphereBump(center=np.array([0.0, 0.0, 1.0]), threshold=0.5)]
-        self.vectors = np.array([[0.3, -0.2, 0.4]])
-
-    def test_lambda_zero_is_base(self):
-        pert = competitor_perturbation(self.base, self.vectors, self.bumps, 0.0)
-        x = np.array([0.3, -0.2, 0.5])
-        np.testing.assert_array_equal(pert.jet(x).J, self.base.jet(x).J)
-
-    def test_boundary_values_pinned(self):
-        pert = competitor_perturbation(self.base, self.vectors, self.bumps, 0.3)
-        rng = np.random.default_rng(269)
-        for _ in range(20):
-            x = rng.standard_normal(3)
-            x /= np.linalg.norm(x)
-            assert np.max(np.abs(pert.value(x) - self.base.value(x))) <= 1e-12
-
-    def test_first_order_dilation_change(self):
-        # dK/dlambda on the sphere contracts the flow field with the
-        # perturbation gradient -2 (sum phi_l v_l) outer x
-        x = np.array([0.1, 0.2, 0.97])
-        x /= np.linalg.norm(x)
-        jet0 = self.base.jet(x)
-        rep = analyze(jet0.J)
-        phi = self.bumps[0].value(x)
-        dchi = -2.0 * np.outer(phi * self.vectors[0], x)
-        field = rep.Sg @ np.linalg.inv(jet0.J).T
-        formula = np.sum(field * dchi) / rep.K
-        errs = []
-        for lam in (1e-3, 5e-4):
-            pert = competitor_perturbation(self.base, self.vectors, self.bumps, lam)
-            fd = (trace_dilation(pert.jet(x).J) - rep.K) / lam
-            errs.append(abs(fd - formula))
-        assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.4)
-
-    def test_vector_count_checked(self):
-        with pytest.raises(ConfigError):
-            competitor_perturbation(self.base, np.zeros((2, 3)), self.bumps, 0.1)
-
-    @pytest.mark.parametrize("x", [[0.0, 0.0, 0.0], [0.05, -0.1, 0.12], [0.0, 0.0, 0.2]],
-                             ids=["origin", "inside", "edge"])
-    def test_inner_ball_jet_is_base_jet(self, x):
-        # the radial fade is zero for |x| <= 0.2, even where the cap bump is live
-        pert = competitor_perturbation(self.base, self.vectors, self.bumps, 0.3)
-        got, base = pert.jet(x), self.base.jet(x)
-        np.testing.assert_array_equal(got.u, base.u)
-        np.testing.assert_array_equal(got.J, base.J)
-        np.testing.assert_array_equal(got.H, base.H)
-
-    def test_fade_band_hessian_matches_jacobian_differences(self):
-        # 0.2 < |x| < 0.4 runs the smoothstep ramp; central differences of
-        # the exact Jacobian reach the exact Hessian at second order
-        pert = competitor_perturbation(self.base, self.vectors, self.bumps, 0.3)
-        x = np.array([0.1, 0.12, 0.25])
-        assert 0.2 < np.linalg.norm(x) < 0.4
-        hess = pert.jet(x).H
-        assert np.max(np.abs(hess - self.base.jet(x).H)) > 1e-3
-        errs = []
-        for h in (1e-3, 5e-4, 2.5e-4):
-            fd = np.stack([(pert.jet(x + h * e).J - pert.jet(x - h * e).J) / (2.0 * h)
-                           for e in np.eye(3)], axis=-1)
-            errs.append(float(np.max(np.abs(fd - hess))))
-        assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.5)
-        assert errs[1] / errs[2] == pytest.approx(4.0, abs=0.5)
-
-
 class TestFdMap:
     def test_affine_recovered_exactly(self):
         # affine has no truncation error, so a wide step keeps the
@@ -637,9 +569,30 @@ class TestArgumentErrors:
         (lambda: teichmuller_example(4), "canned composition supports n=2 or n=3"),
         (lambda: compose(identity_map(2), identity_map(3)),
          "composition requires matching dimensions"),
+        (lambda: moebius("rotation", {"n": 2, "angle": math.nan}),
+         "rotation angle must be finite, got nan"),
+        (lambda: moebius("rotation", {"n": 2, "angle": -math.inf}),
+         "rotation angle must be finite, got -inf"),
+        (lambda: moebius("rotation", {"n": 3, "axis": [0.0, 0.0, 1.0], "angle": math.inf}),
+         "rotation angle must be finite, got inf"),
+        (lambda: moebius("rotation", {"n": 3, "axis": [1.0, 0.0], "angle": 1.0}),
+         AXIS_RULE + "[1.0, 0.0]"),
+        (lambda: moebius("rotation", {"n": 3, "axis": [1.0, 0.0, 0.0, 0.0], "angle": 1.0}),
+         AXIS_RULE + "[1.0, 0.0, 0.0, 0.0]"),
+        (lambda: moebius("rotation", {"n": 3, "axis": [0.0, 0.0, 0.0], "angle": 1.0}),
+         AXIS_RULE + "[0.0, 0.0, 0.0]"),
+        (lambda: moebius("rotation", {"n": 3, "axis": [math.nan, 0.0, 1.0], "angle": 1.0}),
+         AXIS_RULE + "[nan, 0.0, 1.0]"),
+        (lambda: moebius("rotation", {"n": 3, "axis": [1.0, math.inf, 0.0], "angle": 1.0}),
+         AXIS_RULE + "[1.0, inf, 0.0]"),
+        (lambda: moebius("rotation", {"n": 3, "axis": [1e200, 1e200, 0.0], "angle": 1.0}),
+         AXIS_RULE + "[1e+200, 1e+200, 0.0]"),
     ], ids=["wedge_zero", "wedge_full_turn", "wedge_n1", "wedge_sector", "rotation_shape",
             "rotation_shear", "rotation_reflection", "rotation_n4", "teichmuller_n4",
-            "compose_dims"])
+            "compose_dims", "rotation_nan_angle", "rotation_minus_inf_angle",
+            "rotation_inf_angle_3d", "rotation_short_axis", "rotation_long_axis",
+            "rotation_zero_axis", "rotation_nan_axis", "rotation_inf_axis",
+            "rotation_overflowing_axis"])
     def test_config_error(self, build, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             build()
