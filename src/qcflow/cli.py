@@ -139,6 +139,7 @@ def cmd_verify(suite: str, seed: int, out: str | None, tol_scale: float,
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the JSON record here instead of stdout.")
 def cmd_ops(map_id: str, params, point: str, p_power: float, out: str | None) -> None:
     """Evaluate dilation, distortion, and both operators at one point."""
+    _check_out_dirs(out)
     try:
         gradientflow._check_flow_args(p=p_power)
         mapping = maps.make_map(map_id, **_parse_params(params))
@@ -184,6 +185,7 @@ def cmd_flowline(map_id: str, params, x0: str, ds: float, max_len: float,
     """Trace one flow line and write the sampled curve as CSV."""
     from . import flowlines
 
+    _check_out_dirs(out)
     try:
         mapping = maps.make_map(map_id, **_parse_params(params))
         start = _parse_point(x0)

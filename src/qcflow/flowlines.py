@@ -1,6 +1,7 @@
 """Trajectories along rows of the distortion field S(g) J^{-T}.
 
-Each sample takes the field and K together, in closed form from one
+Each sample reads J through the map's public jacobian accessor and
+takes the field and K together, in closed form from one checked
 determinant (tensor._dilation_field); tensor.factoring_residual and
 operators.linfty_flowform keep the S(g) route and are its oracles.
 
@@ -79,10 +80,11 @@ def ball_domain(radius: float = 1.0):
 def flow_field(mapping, x) -> np.ndarray:
     """Matrix S(g) J^{-T} at x; its i-th row drives the i-th flow line.
 
-    Reads only first-order data and computes the field in closed form
-    from one determinant, which must be positive.
+    Reads J through the public mapping.jacobian, which builds no Hessian
+    for a map with a first-order path, and computes the field in closed
+    form from one determinant, which must be positive.
     """
-    return _dilation_field(mapping._jet1(x)[1])[1]
+    return _dilation_field(mapping.jacobian(x))[1]
 
 
 def select_row(field, current: int | None = None) -> int:
@@ -123,11 +125,12 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
     ball centered at the origin.
 
     The walk reads first-order data only: every sample point and RK4
-    stage evaluates (u, J) through the map's first-order sampler, never
-    a Hessian or a validated Jet2Sample. Each sample takes one checked
-    determinant of J, for the field and K together; guard violations at
-    a stage raise StepFailure. The first stage of a step reuses the
-    velocity already evaluated at the accepted point.
+    stage reads J through the public mapping.jacobian, never a
+    validated Jet2Sample, and a map with a first-order path builds no
+    Hessian for it. Each sample takes one checked determinant of J, for
+    the field and K together; guard violations at a stage raise
+    StepFailure. The first stage of a step reuses the velocity already
+    evaluated at the accepted point.
     """
     for name, value in (("ds", ds), ("max_len", max_len)):
         if not 0.0 < value < np.inf:  # NaN fails too
@@ -154,7 +157,7 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
 
     s, row, sign = 0.0, None, 1.0
     while True:
-        k_val, field = _dilation_field(mapping._jet1(x)[1])
+        k_val, field = _dilation_field(mapping.jacobian(x))
         if float(np.sqrt(np.sum(field * field))) <= DEGENERACY_TOL * (1.0 + k_val**2):
             norms = np.linalg.norm(field, axis=1)
             if row is None:
@@ -191,7 +194,7 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
                 if (hi - lo) * float(np.linalg.norm(x_new - x)) < 1e-10:
                     break
             x_hit = x + lo * (x_new - x)
-            k_val, field = _dilation_field(mapping._jet1(x_hit)[1])
+            k_val, field = _dilation_field(mapping.jacobian(x_hit))
             samples.append((s + lo * step, x_hit, k_val, row,
                             float(np.linalg.norm(field[row - 1])), sign))
             return finish("boundary")

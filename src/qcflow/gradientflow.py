@@ -92,7 +92,10 @@ def make_grid(mapping, shape, h: float, origin=None) -> GridField:
     """Sample a map's values on a uniform grid with the given node counts.
 
     h, the node spacing, must be a positive finite number, and origin, the
-    first node (the zero vector when omitted), n finite numbers.
+    first node (the zero vector when omitted), n finite numbers. Each node
+    reads mapping.value; the grid is checked once, on the difference
+    Jacobian behind det_cache, so a non-finite value raises NonFiniteValue
+    and a fold NonPositiveDeterminant.
     """
     if not 0.0 < h < np.inf:  # NaN fails too
         raise ValueError(f"grid spacing h must be a positive finite number, got {h!r}")
@@ -110,7 +113,7 @@ def make_grid(mapping, shape, h: float, origin=None) -> GridField:
         x = origin + h * np.asarray(idx, dtype=float)
         values[idx] = mapping.value(x)
     return GridField(values=values, h=h, origin=origin,
-                     det_cache=_det_adj(_jacobian_field(values, h))[0])
+                     det_cache=_checked_det_adj(_jacobian_field(values, h))[0])
 
 
 def _shift(v: np.ndarray, offsets) -> np.ndarray:

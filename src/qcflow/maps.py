@@ -32,12 +32,14 @@ _SEAM_TOL = 1e-6
 class SmoothMap:
     """A map of R^n with a pointwise second-order jet sampler.
 
-    jet_fn(x, order) returns the raw triple (u, J, H) at a point; the
-    public jet validates it once, as a single Jet2Sample. At order 1 a
-    sampler with a first-order path (conformal words, affine and
-    polynomial maps, and compositions of these) returns the pair (u, J)
-    alone, from the same Jacobian formula and without building the
-    Hessian; the others ignore order and return their full jet. A
+    jet_fn(x, order) returns the raw triple (u, J, H) at a point. At
+    order 1 a sampler with a first-order path (conformal words, affine
+    and polynomial maps, and compositions of these) returns the pair
+    (u, J) alone, from the same Jacobian formula and without building
+    the Hessian; the others ignore order and return their full jet.
+    value and jacobian read jet_fn at order 1, hessian at order 2, and
+    return the sampler's arrays unvalidated, so a caller checks J where
+    it uses it; jet is the one place a validated Jet2Sample is built. A
     sampler raises its own GuardViolation before it samples outside its
     domain, for example at the puncture of a radial map or on a wedge
     seam. The record holds only n and the sampler; the registry id is a
@@ -53,31 +55,19 @@ class SmoothMap:
             raise ValueError(f"point shape {x.shape} does not match n={self.n}")
         return x
 
-    def _raw(self, x: np.ndarray, order: int) -> tuple:
-        """Unvalidated (u, J) at order 1 or (u, J, H) at order 2."""
-        return self.jet_fn(x, order)[: order + 1]
-
     def jet(self, x) -> Jet2Sample:
         x = self._point(x)
         u, j, h = self.jet_fn(x, 2)
         return Jet2Sample(x=x, u=u, J=j, H=h)
 
-    def _jet1(self, x) -> tuple:
-        """First-order data (u, J) at x for the flow-line integrator.
-
-        J is not validated here, so callers pass it through a kernel
-        that checks its determinant.
-        """
-        return self._raw(self._point(x), 1)
-
     def value(self, x) -> np.ndarray:
-        return self.jet(x).u
+        return self.jet_fn(self._point(x), 1)[0]
 
     def jacobian(self, x) -> np.ndarray:
-        return self.jet(x).J
+        return self.jet_fn(self._point(x), 1)[1]
 
     def hessian(self, x) -> np.ndarray:
-        return self.jet(x).H
+        return self.jet_fn(self._point(x), 2)[2]
 
 
 @dataclass(frozen=True)
@@ -199,13 +189,28 @@ def _conformal_from_word(word: tuple, n: int) -> ConformalMap:
     return ConformalMap(n=n, jet_fn=jet_fn, word=word)
 
 
+_GENERATOR_KEYS = {
+    "rotation": {"n", "angle", "axis", "matrix"},
+    "dilation": {"n", "scale"},
+    "translation": {"offset"},
+    "inversion": {"n"},
+}
+
+
 def moebius(kind: str, params: dict) -> ConformalMap:
     """Single conformal generator as a map.
 
     kind is one of rotation, dilation, translation, inversion. The
     inversion is the oriented one, x / |x|^2 with the last output
-    component negated, so every generator preserves orientation.
+    component negated, so every generator preserves orientation. Each
+    kind takes only its own parameters; any other key is a ConfigError.
     """
+    keys = _GENERATOR_KEYS.get(kind)
+    if keys is None:
+        raise UnknownMap(f"unknown conformal generator kind {kind!r}")
+    if not params.keys() <= keys:
+        unknown = ", ".join(sorted(params.keys() - keys))
+        raise ConfigError(f"moebius {kind} got unknown parameter {unknown}")
     try:
         if kind == "rotation":
             n = int(params.get("n", 2 if "axis" not in params else 3))
@@ -220,11 +225,9 @@ def moebius(kind: str, params: dict) -> ConformalMap:
             if not all(map(math.isfinite, data.flat)):
                 raise ConfigError(f"translation offset must be finite, got {data.tolist()!r}")
             n = data.size
-        elif kind == "inversion":
+        else:  # the oriented inversion
             n = int(params["n"])
             data = None
-        else:
-            raise UnknownMap(f"unknown conformal generator kind {kind!r}")
     except KeyError as missing:
         raise ConfigError(f"moebius {kind} needs parameter {missing}") from missing
     return _conformal_from_word(((kind, data),), n)
@@ -482,7 +485,7 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
     def jet_fn(x: np.ndarray, order: int) -> tuple:
         jet = (x,)  # the input alone until the first factor is taken
         for factor in factors:
-            raw = factor._raw(jet[0], order)
+            raw = factor.jet_fn(jet[0], order)[: order + 1]
             if not isinstance(factor, ConformalMap):
                 _positive_det(raw[1])
             jet = raw if len(jet) == 1 else _chain(raw, jet)

@@ -43,9 +43,10 @@ ASYMPTOTIC_SIGN = +1.0
 class Jet2Sample:
     """Second-order jet of a map at one point, validated on construction.
 
-    Maps build exactly one per public SmoothMap.jet call; their internals
-    (generator words, composition) pass raw (u, J, H)
-    arrays and sign-check only composition factors that can fold.
+    Maps build exactly one per public SmoothMap.jet call and none
+    anywhere else: the accessors value, jacobian and hessian, and the
+    map internals (generator words, composition), pass raw arrays, and
+    composition sign-checks only the factors that can fold.
 
     x: evaluation point, length n.
     u: map value at x, length n.

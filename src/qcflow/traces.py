@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTangentImage, HypothesisViolated
-from .maps import SmoothMap, affine_map
+from .maps import SmoothMap
 from .tensor import _checked
 
 _DEPENDENCY_TOL = 1e-10
@@ -100,12 +100,9 @@ def _orthonormalize(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _adapted(mapping: SmoothMap, surface, x) -> tuple[np.ndarray, np.ndarray, AdaptedFrame]:
-    """Jacobian, tangential block and adapted frame at x, from one jet."""
-    x = np.asarray(x, dtype=float)
-    nu = surface.normal_at(x)
+def _frame(j: np.ndarray, x: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, AdaptedFrame]:
+    """Tangential block and adapted frame of J at x on a surface with unit normal nu."""
     tangent = _complete_basis(nu)
-    j = mapping.jacobian(x)
     pushed = tangent @ j.T  # row i is J e_i
     w_tangent = _orthonormalize(pushed)
     jn = j @ nu
@@ -116,20 +113,31 @@ def _adapted(mapping: SmoothMap, surface, x) -> tuple[np.ndarray, np.ndarray, Ad
     w0 = resid / norm  # sign makes <J nu, w0> = |resid| > 0
     # block entry [i, j] = <J e_i, w_j>; lower triangular, positive diagonal
     block = pushed @ w_tangent.T
-    return j, block, AdaptedFrame(x=x, normal=nu, tangent=tangent, w0=w0, w_tangent=w_tangent)
+    return block, AdaptedFrame(x=x, normal=nu, tangent=tangent, w0=w0, w_tangent=w_tangent)
+
+
+def _adapted(mapping: SmoothMap, surface, x) -> tuple:
+    """Checked Jacobian, its determinant, tangential block and adapted frame at x."""
+    x = np.asarray(x, dtype=float)
+    nu = surface.normal_at(x)
+    j, _, det_j = _checked(mapping.jacobian(x))
+    return (j, float(det_j)) + _frame(j, x, nu)
+
+
+def _block_dilation(block: np.ndarray) -> float:
+    """|B| / (det B)^{1/m} of an m x m lower triangular tangential block B."""
+    det = float(np.prod(np.diag(block)))
+    return float(np.sqrt(np.sum(block * block))) / det ** (1.0 / block.shape[0])
 
 
 def adapted_frame(mapping: SmoothMap, surface, x) -> AdaptedFrame:
     """Adapted frame pair of a map along a sphere or hyperplane at x."""
-    return _adapted(mapping, surface, x)[2]
+    return _adapted(mapping, surface, x)[3]
 
 
 def tangential_dilation(mapping: SmoothMap, surface, x) -> float:
     """Dilation of the restricted map, |B| / (det B)^{1/(n-1)} for the tangent block."""
-    _, block, _ = _adapted(mapping, surface, x)
-    m = block.shape[0]
-    det = float(np.prod(np.diag(block)))
-    return float(np.sqrt(np.sum(block * block))) / det ** (1.0 / m)
+    return _block_dilation(_adapted(mapping, surface, x)[2])
 
 
 @dataclass
@@ -151,11 +159,10 @@ def trace_inequality_check(mapping: SmoothMap, surface, x) -> TraceInequalityRec
     two block identities (norm split and determinant factorization),
     which vanish for every map and surface point.
     """
-    j, block, frame = _adapted(mapping, surface, x)
+    j, det_j, block, frame = _adapted(mapping, surface, x)
     n = j.shape[0]
     m = n - 1
     jn = j @ frame.normal
-    det_j = float(_checked(j)[2])
     norm_sq = float(np.sum(j * j))
     block_norm_sq = float(np.sum(block * block))
     jn_norm_sq = float(np.dot(jn, jn))
@@ -208,8 +215,7 @@ def critical_equality_check(j, normal) -> CriticalEqualityRecord:
     k_sq = norm_sq / float(det_j) ** (2.0 / n)
     m = n - 1
     lhs = m * n ** (-n / m) * k_sq ** (n / m)
-    plane = Hyperplane(normal=tuple(nu), offset=0.0)
-    rhs = tangential_dilation(affine_map(j), plane, np.zeros(n)) ** 2
+    rhs = _block_dilation(_frame(j, np.zeros(n), nu)[0]) ** 2
     return CriticalEqualityRecord(lhs=lhs, rhs=rhs)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qcflow import ConfigError, gradientflow, verify
+from qcflow import ConfigError, flowlines, gradientflow, maps, verify
 from qcflow.cli import main
 
 OPS_KEYS = {"K", "KSquared", "detJ", "normSqJ", "Sg", "SgNormSq",
@@ -219,6 +219,22 @@ class TestOpsCommand:
                          "--out", str(tmp_path / "missing" / "r.json"))
         assert_usage_error(result, "No such file or directory")
 
+    def test_missing_out_dir_checked_before_the_map(self, tmp_path, monkeypatch):
+        # the map used to be built and sampled before the write failed
+        def make_map(*args, **kwargs):
+            raise ConfigError("map built")
+
+        monkeypatch.setattr(maps, "make_map", make_map)
+        result = run_cli("ops", "identity", "--param", "n=2", "--point", "0.1,0.2",
+                         "--out", str(tmp_path / "missing" / "dir" / "r.json"))
+        assert_usage_error(result, "No such file or directory")
+
+    def test_unknown_generator_parameter_exits_two(self):
+        # used to print a record and exit 0, ignoring the key
+        result = run_cli("ops", "rotation", "--param", "n=2", "--param", "angle=1",
+                         "--param", "bogus=7", "--point", "0.1,0.1")
+        assert_usage_error(result, "moebius rotation got unknown parameter bogus")
+
     @pytest.mark.parametrize("args, message", [
         (("polynomial", "--param", "n=3", "--point", "0.3,0.2,0.1", "--p", "800"),
          "non-finite lp at p=800"),
@@ -337,6 +353,17 @@ class TestFlowlineCommand:
     def test_unwritable_out_exits_two(self, tmp_path):
         result = run_cli("flowline", "teichmuller", "--param", "n=2", "--x0", "0.3,0.1",
                          "--max-len", "0.01", "--out", str(tmp_path / "missing" / "l.csv"))
+        assert_usage_error(result, "No such file or directory")
+
+    def test_missing_out_dir_checked_before_the_line(self, tmp_path, monkeypatch):
+        # the whole line used to be traced before the write failed
+        def reached(*args, **kwargs):
+            raise ConfigError("work started")
+
+        monkeypatch.setattr(maps, "make_map", reached)
+        monkeypatch.setattr(flowlines, "trace_flowline", reached)
+        result = run_cli("flowline", "teichmuller", "--param", "n=2", "--x0", "0.3,0.1",
+                         "--out", str(tmp_path / "missing" / "dir" / "l.csv"))
         assert_usage_error(result, "No such file or directory")
 
     def test_bracketed_affine_matrix(self):

@@ -20,7 +20,7 @@ from qcflow.gradientflow import (
     run_flow,
     write_snapshot,
 )
-from qcflow.maps import affine_map, bump_map, identity_map, make_map, radial_stretch
+from qcflow.maps import SmoothMap, affine_map, bump_map, identity_map, make_map, radial_stretch
 from qcflow.operators import flux_linearization, lp_nondiv
 
 
@@ -202,6 +202,21 @@ class TestGridChecks:
         for fn in (interior_operator, energy, compatibility_check):
             with pytest.raises(NonFiniteValue):
                 fn(broken, 2.0)
+
+    def test_make_grid_refuses_a_fold(self):
+        # the node values are read unchecked; the grid's difference Jacobian is checked
+        with pytest.raises(NonPositiveDeterminant, match="determinant must be positive"):
+            make_grid(affine_map(np.diag([1.0, -1.0])), (9, 9), 1.0 / 8.0)
+
+    def test_make_grid_refuses_a_nan_value(self):
+        def jet_fn(x, order):
+            u = x.copy()
+            if np.all(x == 0.5):
+                u[0] = np.nan
+            return u, np.eye(2), np.zeros((2, 2, 2))
+
+        with pytest.raises(NonFiniteValue):
+            make_grid(SmoothMap(n=2, jet_fn=jet_fn), (9, 9), 1.0 / 8.0)
 
 
 class TestExplicitStep:

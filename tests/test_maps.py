@@ -46,6 +46,7 @@ from qcflow.maps import (
     wedge_map,
     wedge_sector_constants,
 )
+from qcflow.operators import Jet2Sample
 from qcflow.verify import invariance_sample, random_moebius
 
 AXIS_RULE = "rotation axis must be 3 finite numbers whose norm is nonzero and finite, got "
@@ -228,6 +229,24 @@ class TestMoebius:
         with pytest.raises(UnknownMap):
             moebius("squeeze", {"n": 2})
 
+    @pytest.mark.parametrize("kind, params, extra", [
+        ("rotation", {"n": 2, "angle": 0.3}, {"bogus": 7}),
+        ("rotation", {"n": 2, "angle": 0.3}, {"scale": 2.0}),
+        ("dilation", {"n": 2, "scale": 1.5}, {"angle": 0.3}),
+        ("translation", {"offset": [1.0, -2.0]}, {"n": 2}),
+        ("inversion", {"n": 2}, {"offset": [1.0, 0.0]}),
+    ], ids=["rotation_bogus", "rotation_scale", "dilation_angle", "translation_n",
+            "inversion_offset"])
+    def test_unknown_parameter_rejected(self, kind, params, extra):
+        # each kind used to ignore keys it does not read, even another kind's
+        (key,) = extra
+        message = f"moebius {kind} got unknown parameter {key}"
+        moebius(kind, params)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            moebius(kind, {**params, **extra})
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            make_map(kind, **params, **extra)
+
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
     def test_dilation_scale_must_be_positive_finite(self, scale):
         # a NaN scale used to pass the sign test and raise only when sampled
@@ -286,7 +305,7 @@ class TestCompose:
         with pytest.raises(NonPositiveDeterminant):
             c.jet(x)
         with pytest.raises(NonPositiveDeterminant):
-            c._jet1(x)
+            c.jacobian(x)
 
     def test_negative_factors_rejected_inside_a_composite(self):
         # the nested composite is flattened, and each flip is still checked
@@ -297,7 +316,7 @@ class TestCompose:
         with pytest.raises(NonPositiveDeterminant):
             c.jet(x)
         with pytest.raises(NonPositiveDeterminant):
-            c._jet1(x)
+            c.jacobian(x)
 
     @pytest.mark.parametrize("nesting", ["right", "left"])
     def test_three_factors_fold_innermost_first(self, nesting):
@@ -313,7 +332,7 @@ class TestCompose:
         y = inner.value(x)
         expected = outer.jacobian(mid.value(y)) @ (mid.jacobian(y) @ inner.jacobian(x))
         assert c.jacobian(x).tobytes() == expected.tobytes()
-        assert c._jet1(x)[1].tobytes() == expected.tobytes()
+        assert c.jet(x).J.tobytes() == expected.tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]), right=st.booleans())
@@ -337,7 +356,7 @@ class TestCompose:
         with pytest.raises(NonPositiveDeterminant, match="determinant must be positive"):
             c.jet(x)
         with pytest.raises(NonPositiveDeterminant, match="determinant must be positive"):
-            c._jet1(x)
+            c.jacobian(x)
 
     def test_post_composition_preserves_dilation(self):
         rng = np.random.default_rng(239)
@@ -454,9 +473,34 @@ class TestFirstOrderSampler:
         for _ in range(25):
             x = rng.uniform(-0.7, 0.7, size=n)
             jet = m.jet(x)
-            u, j = m._jet1(x)
-            assert u.tobytes() == jet.u.tobytes()
-            assert j.tobytes() == jet.J.tobytes()
+            assert m.value(x).tobytes() == jet.u.tobytes()
+            assert m.jacobian(x).tobytes() == jet.J.tobytes()
+            assert m.hessian(x).tobytes() == jet.H.tobytes()
+
+    def test_accessors_build_no_jet_sample(self, monkeypatch):
+        # value, jacobian and hessian return the sampler's arrays; only jet validates
+        def refuse(self):
+            raise AssertionError("Jet2Sample built")
+
+        monkeypatch.setattr(Jet2Sample, "__post_init__", refuse)
+        x = np.array([0.3, -0.2])
+        for m in (teichmuller_example(2), polynomial_map(2, seed=5), radial_stretch(1.7, 2),
+                  wedge_map(2.0, 2), bump_map(2), moebius("inversion", {"n": 2})):
+            assert m.value(x).shape == (2,)
+            assert m.jacobian(x).shape == (2, 2)
+            assert m.hessian(x).shape == (2, 2, 2)
+
+    def test_folded_map_accessors_return_arrays(self):
+        # a non-composite map is checked where its J is used: jet refuses the
+        # fold, the accessors hand it back
+        flip = np.diag([1.0, -1.0])
+        m = affine_map(flip, [0.1, 0.0])
+        x = np.array([0.3, -0.2])
+        np.testing.assert_array_equal(m.value(x), [0.4, 0.2])
+        np.testing.assert_array_equal(m.jacobian(x), flip)
+        np.testing.assert_array_equal(m.hessian(x), np.zeros((2, 2, 2)))
+        with pytest.raises(NonPositiveDeterminant):
+            m.jet(x)
 
     def test_first_order_path_skips_hessian(self):
         x = np.array([0.3, -0.2])
@@ -476,16 +520,16 @@ class TestFirstOrderSampler:
 
         m = teichmuller_example(2)
         monkeypatch.setattr("qcflow.maps._chain", counted)
-        m._jet1(np.array([0.3, -0.2]))
+        m.jacobian(np.array([0.3, -0.2]))
         assert len(calls) == 3
 
     def test_inversion_origin_guard(self):
         inv = moebius("inversion", {"n": 2})
         with pytest.raises(OriginExcluded):
-            inv._jet1(np.zeros(2))
+            inv.value(np.zeros(2))
         shifted = compose(inv, moebius("translation", {"offset": [0.5, -0.25]}))
         with pytest.raises(OriginExcluded):
-            shifted._jet1(np.array([-0.5, 0.25]))
+            shifted.jacobian(np.array([-0.5, 0.25]))
 
 
 class TestFdMap:

@@ -165,13 +165,13 @@ class TestTraceInequality:
     def test_one_jet_per_call(self, monkeypatch, check):
         # the frame, the block and the ambient terms share one Jacobian
         calls = []
-        jet = SmoothMap.jet
+        jacobian = SmoothMap.jacobian
 
         def counted(self, x):
             calls.append(1)
-            return jet(self, x)
+            return jacobian(self, x)
 
-        monkeypatch.setattr(SmoothMap, "jet", counted)
+        monkeypatch.setattr(SmoothMap, "jacobian", counted)
         sphere = Sphere(center=(0.0, 0.0, 0.0), radius=1.0)
         check(radial_stretch(2.0, 3), sphere, [0.6, 0.0, 0.8])
         assert len(calls) == 1
