@@ -71,9 +71,13 @@ class GridField:
         return mask
 
     def node_coordinates(self) -> np.ndarray:
-        axes = [self.origin[a] + self.h * np.arange(m) for a, m in enumerate(self.shape)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        return _nodes(self.origin, self.h, self.shape)
+
+
+def _nodes(origin: np.ndarray, h: float, shape: tuple) -> np.ndarray:
+    """Node coordinates origin + h * index, shape (*shape, n)."""
+    axes = [origin[a] + h * np.arange(m) for a, m in enumerate(shape)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def _entry_first(values: np.ndarray) -> np.ndarray:
@@ -92,10 +96,12 @@ def make_grid(mapping, shape, h: float, origin=None) -> GridField:
     """Sample a map's values on a uniform grid with the given node counts.
 
     h, the node spacing, must be a positive finite number, and origin, the
-    first node (the zero vector when omitted), n finite numbers. Each node
-    reads mapping.value; the grid is checked once, on the difference
-    Jacobian behind det_cache, so a non-finite value raises NonFiniteValue
-    and a fold NonPositiveDeterminant.
+    first node (the zero vector when omitted), n finite numbers. One
+    mapping.value call samples all nodes, so a node outside the map's
+    domain raises its GuardViolation, and values of another shape than
+    the nodes' raise ValueError; the grid is checked once, on the
+    difference Jacobian behind det_cache, so a non-finite value raises
+    NonFiniteValue and a fold NonPositiveDeterminant.
     """
     if not 0.0 < h < np.inf:  # NaN fails too
         raise ValueError(f"grid spacing h must be a positive finite number, got {h!r}")
@@ -108,10 +114,10 @@ def make_grid(mapping, shape, h: float, origin=None) -> GridField:
     origin = np.zeros(n) if origin is None else np.asarray(origin, dtype=float)
     if origin.shape != (n,) or not np.all(np.isfinite(origin)):
         raise ValueError(f"grid origin must be {n} finite numbers, got {origin.tolist()!r}")
-    values = np.empty(shape + (n,))
-    for idx in np.ndindex(shape):
-        x = origin + h * np.asarray(idx, dtype=float)
-        values[idx] = mapping.value(x)
+    nodes = _nodes(origin, h, shape)
+    values = np.array(mapping.value(nodes), dtype=float)
+    if values.shape != nodes.shape:
+        raise ValueError(f"map values have shape {values.shape}, expected {nodes.shape}")
     return GridField(values=values, h=h, origin=origin,
                      det_cache=_checked_det_adj(_jacobian_field(values, h))[0])
 

@@ -8,6 +8,7 @@ All samplers are pure and maps are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -22,7 +23,7 @@ from .errors import (
     UnknownMap,
 )
 from .operators import Jet2Sample
-from .tensor import _positive_det
+from .tensor import _positive, _positive_det
 
 _ORIGIN_TOL = 1e-9
 _SEAM_TOL = 1e-6
@@ -32,18 +33,21 @@ _SEAM_TOL = 1e-6
 class SmoothMap:
     """A map of R^n with a pointwise second-order jet sampler.
 
-    jet_fn(x, order) returns the raw triple (u, J, H) at a point. At
-    order 1 a sampler with a first-order path (conformal words, affine
-    and polynomial maps, and compositions of these) returns the pair
-    (u, J) alone, from the same Jacobian formula and without building
-    the Hessian; the others ignore order and return their full jet.
-    value and jacobian read jet_fn at order 1, hessian at order 2, and
-    return the sampler's arrays unvalidated, so a caller checks J where
-    it uses it; jet is the one place a validated Jet2Sample is built. A
-    sampler raises its own GuardViolation before it samples outside its
-    domain, for example at the puncture of a radial map or on a wedge
-    seam. The record holds only n and the sampler; the registry id is a
-    map's only name.
+    jet_fn(x, order) takes a stack of points x of shape (..., n) and
+    returns the raw triple (u, J, H) of shapes (..., n), (..., n, n) and
+    (..., n, n, n), row for row bit-equal to the same call on each point
+    alone. At order 1 a sampler with a first-order path (conformal words,
+    affine, polynomial and bump maps, and compositions of these) returns
+    the pair (u, J) alone, from the same Jacobian formula and without
+    building the Hessian; the others ignore order and return their full
+    jet. value and jacobian read jet_fn at order 1, hessian at order 2,
+    take a point or a stack, and return the sampler's arrays unvalidated,
+    so a caller checks J where it uses it; jet takes one point and is the
+    one place a validated Jet2Sample is built. A sampler raises its own
+    GuardViolation before it samples outside its domain, for example at
+    the puncture of a radial map or on a wedge seam, if any point of the
+    stack is outside. The record holds only n and the sampler; the
+    registry id is a map's only name.
     """
 
     n: int
@@ -51,12 +55,14 @@ class SmoothMap:
 
     def _point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
+        if x.shape[-1:] != (self.n,):
             raise ValueError(f"point shape {x.shape} does not match n={self.n}")
         return x
 
     def jet(self, x) -> Jet2Sample:
         x = self._point(x)
+        if x.ndim != 1:
+            raise ValueError(f"jet takes one point, got shape {x.shape}")
         u, j, h = self.jet_fn(x, 2)
         return Jet2Sample(x=x, u=u, J=j, H=h)
 
@@ -84,6 +90,46 @@ class ConformalMap(SmoothMap):
     def inverse(self) -> "ConformalMap":
         inv_word = tuple(_invert_generator(g) for g in reversed(self.word))
         return _conformal_from_word(inv_word, self.n)
+
+
+# ---------------------------------------------------------------------------
+# broadcast helpers
+
+@functools.cache
+def _eye(n: int) -> np.ndarray:
+    """The shared read-only n x n identity."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def _tiled(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A fresh copy of m for each point of the stack x."""
+    out = np.empty(x.shape[:-1] + m.shape)
+    out[...] = m
+    return out
+
+
+# Powers, radii and angles take the C library's pow (np.float_power, as
+# Python's float ** does) and Python's math.hypot and math.atan2, so a
+# sampler gives the same bits as its formula on Python floats; numpy's
+# power, hypot and arctan2 differ from these in the last bit on a few
+# percent of inputs, squares included.
+_polar_ufunc = np.frompyfunc(lambda a, b: (math.hypot(a, b), math.atan2(b, a)), 2, 2)
+
+
+def _polar(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radius and angle in (-pi, pi] of the points (a, b), elementwise."""
+    return tuple(np.asarray(v, dtype=float) for v in _polar_ufunc(a, b))
+
+
+def _any(mask: np.ndarray) -> bool:
+    return mask.any() if mask.ndim else bool(mask)  # one point skips the array reduction
+
+
+def _outer(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Outer product of the last axes of two stacks of vectors."""
+    return p[..., :, None] * q[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -125,36 +171,37 @@ def _rotation_matrix(n: int, params: dict) -> np.ndarray:
 def _generator_jet(kind: str, data, n: int, x: np.ndarray, order: int) -> tuple:
     """Return (u, J, H) for one generator, or (u, J) at order 1; H is zero when absent."""
     if kind == "rotation":
-        u, j = data @ x, data
+        u, j = (data @ x[..., None])[..., 0], _tiled(data, x)
     elif kind == "dilation":
-        u, j = data * x, data * np.eye(n)
+        u, j = data * x, _tiled(data * _eye(n), x)
     elif kind == "translation":
-        u, j = x + data, np.eye(n)
+        u, j = x + data, _tiled(_eye(n), x)
     else:  # the oriented inversion
-        rsq = float(np.dot(x, x))
-        if rsq < _ORIGIN_TOL**2:
+        rsq = np.vecdot(x, x)
+        if _any(rsq < _ORIGIN_TOL**2):
             raise OriginExcluded("inversion sampled at the origin")
-        eye = np.eye(n)
-        # flip the last output component so the determinant stays positive
-        u = x / rsq
-        u[-1] = -u[-1]
-        j = eye / rsq - 2.0 * np.outer(x, x) / rsq**2
-        j[-1] = -j[-1]
+        eye = _eye(n)
+        r2 = rsq[..., None]
+        # the last output component is negated so the determinant stays
+        # positive; a sign flip is exact, so it may act on any factor
+        u = x / (r2 * data)
+        r2 = r2[..., None]
+        j = (eye / r2 - 2.0 * _outer(x, x) / np.float_power(r2, 2)) * data[:, None]
         if order == 1:
             return u, j
+        r2 = r2[..., None]
         h = (
             -2.0
             * (
-                np.einsum("ka,b->kab", eye, x)
-                + np.einsum("kb,a->kab", eye, x)
-                + np.einsum("ab,k->kab", eye, x)
+                np.einsum("ka,...b->...kab", eye, x)
+                + np.einsum("kb,...a->...kab", eye, x)
+                + np.einsum("ab,...k->...kab", eye, x)
             )
-            / rsq**2
-            + 8.0 * np.einsum("k,a,b->kab", x, x, x) / rsq**3
+            / np.float_power(r2, 2)
+            + 8.0 * np.einsum("...k,...a,...b->...kab", x, x, x) / np.float_power(r2, 3)
         )
-        h[-1] = -h[-1]
-        return u, j, h
-    return (u, j) if order == 1 else (u, j, np.zeros((n, n, n)))
+        return u, j, h * data[:, None, None]
+    return (u, j) if order == 1 else (u, j, np.zeros(x.shape[:-1] + (n, n, n)))
 
 
 def _invert_generator(gen: tuple) -> tuple:
@@ -173,8 +220,8 @@ def _chain(outer: tuple, inner: tuple) -> tuple:
     j = outer[1] @ inner[1]
     if len(inner) == 2:
         return outer[0], j
-    h = (np.einsum("km,mab->kab", outer[1], inner[2])
-         + np.einsum("kms,ma,sb->kab", outer[2], inner[1], inner[1]))
+    h = (np.einsum("...km,...mab->...kab", outer[1], inner[2])
+         + np.einsum("...kms,...ma,...sb->...kab", outer[2], inner[1], inner[1]))
     return outer[0], j, h
 
 
@@ -225,9 +272,9 @@ def moebius(kind: str, params: dict) -> ConformalMap:
             if not all(map(math.isfinite, data.flat)):
                 raise ConfigError(f"translation offset must be finite, got {data.tolist()!r}")
             n = data.size
-        else:  # the oriented inversion
+        else:  # the oriented inversion; data holds the sign of each output component
             n = int(params["n"])
-            data = None
+            data = np.array([1.0] * (n - 1) + [-1.0])
     except KeyError as missing:
         raise ConfigError(f"moebius {kind} needs parameter {missing}") from missing
     return _conformal_from_word(((kind, data),), n)
@@ -274,17 +321,20 @@ def radial_stretch(alpha: float, n: int) -> SmoothMap:
         raise ConfigError(f"radial stretch alpha must be a positive finite number, got {alpha!r}")
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
-        r = np.linalg.norm(x)
-        if r < _ORIGIN_TOL:
+        r = np.sqrt(np.vecdot(x, x))
+        if _any(r < _ORIGIN_TOL):
             raise OriginExcluded("radial stretch sampled at the origin")
-        u = r ** (alpha - 1.0) * x
-        eye = np.eye(n)
-        j = r ** (alpha - 1.0) * (eye + (alpha - 1.0) * np.outer(x, x) / r**2)
-        h = (alpha - 1.0) * r ** (alpha - 3.0) * (
-            np.einsum("b,ka->kab", x, eye)
-            + np.einsum("a,kb->kab", x, eye)
-            + np.einsum("k,ab->kab", x, eye)
-            + (alpha - 3.0) * np.einsum("k,a,b->kab", x, x, x) / r**2
+        scale = np.float_power(r, alpha - 1.0)[..., None]
+        r = r[..., None, None]
+        u = scale * x
+        eye = _eye(n)
+        j = scale[..., None] * (eye + (alpha - 1.0) * _outer(x, x) / np.float_power(r, 2))
+        h = ((alpha - 1.0) * np.float_power(r, alpha - 3.0))[..., None] * (
+            np.einsum("...b,ka->...kab", x, eye)
+            + np.einsum("...a,kb->...kab", x, eye)
+            + np.einsum("...k,ab->...kab", x, eye)
+            + (alpha - 3.0) * np.einsum("...k,...a,...b->...kab", x, x, x)
+            / np.float_power(r[..., None], 2)
         )
         return u, j, h
 
@@ -315,47 +365,50 @@ def wedge_map(alpha: float, n: int) -> SmoothMap:
     if n < 2:
         raise ConfigError("wedge map needs n >= 2")
     two_pi = 2.0 * math.pi
+    seams = np.array([0.0, alpha])
+    # psi = a theta + b in the second sector (row 0) and the first (row 1)
+    a_second = math.pi / (two_pi - alpha)
+    sector_ab = np.array([[a_second, math.pi - a_second * alpha], [math.pi / alpha, 0.0]])
+    flip = np.array([-1.0, 1.0])  # (s, c) * flip = (-s, c), the angular direction
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
-        r = math.hypot(x[0], x[1])
-        theta = math.atan2(x[1], x[0]) % two_pi
-        if r < _ORIGIN_TOL:
+        r, theta = _polar(x[..., 0], x[..., 1])
+        theta %= two_pi
+        if _any(r < _ORIGIN_TOL):
             raise AxisExcluded("wedge map sampled on the symmetry axis")
-        for seam in (0.0, alpha):
-            d = abs(theta - seam)
-            if min(d, two_pi - d) < _SEAM_TOL:
-                raise SeamExcluded(f"wedge map sampled within {_SEAM_TOL} of a seam")
-        if theta < alpha:
-            a, b = math.pi / alpha, 0.0
-        else:
-            a = math.pi / (two_pi - alpha)
-            b = math.pi - a * alpha
-        psi = a * theta + b
-        c, s = x[0] / r, x[1] / r
-        cp, sp = math.cos(psi), math.sin(psi)
-        r_grad = np.array([c, s])
-        t_grad = np.array([-s / r, c / r])
-        r_hess = (np.eye(2) - np.outer([c, s], [c, s])) / r
+        d = np.abs(theta[..., None] - seams)
+        if _any(np.minimum(d, two_pi - d) < _SEAM_TOL):
+            raise SeamExcluded(f"wedge map sampled within {_SEAM_TOL} of a seam")
+        ab = sector_ab[(theta < alpha).astype(np.intp)]
+        a = ab[..., :1]
+        psi = a[..., 0] * theta + ab[..., 1]
+        r = r[..., None]
+        r_grad = x[..., :2] / r
+        t_grad = r_grad[..., ::-1] * flip / r
+        c, s = r_grad[..., 0], r_grad[..., 1]
+        # Hessians of r and theta and products of their gradients, as 2x2
+        # blocks with a leading axis for the output component
+        rr, tt = _outer(r_grad, r_grad)[..., None, :, :], _outer(t_grad, t_grad)[..., None, :, :]
+        rt = (_outer(r_grad, t_grad) + _outer(t_grad, r_grad))[..., None, :, :]
+        r_block = r[..., None, None]
+        r_hess = (_eye(2) - rr) / r_block
         sin2, cos2 = 2.0 * c * s, c * c - s * s
-        t_hess = np.array([[sin2, -cos2], [-cos2, -sin2]]) / r**2
-        # scalar jets of u1 = r cos(psi), u2 = r sin(psi) in (r, theta)
-        parts = (
-            (r * cp, cp, -a * r * sp, 0.0, -a * sp, -a * a * r * cp),
-            (r * sp, sp, a * r * cp, 0.0, a * cp, -a * a * r * sp),
-        )
+        t_hess = np.empty(rr.shape)
+        t_hess[..., 0, 0, 0], t_hess[..., 0, 1, 1] = sin2, -sin2
+        t_hess[..., 0, 0, 1] = t_hess[..., 0, 1, 0] = -cos2
+        t_hess /= np.float_power(r_block, 2)
+        # scalar jets of u1 = r cos(psi), u2 = r sin(psi) in (r, theta):
+        # value and derivatives r, theta, rr, r theta, theta theta
+        trig = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
+        perp = trig[..., ::-1] * flip
+        val, fr, ft, frr, frt, ftt = r * trig, trig, a * r * perp, 0.0, a * perp, -a * a * r * trig
         u = np.array(x, dtype=float)
-        j = np.eye(n)
-        h = np.zeros((n, n, n))
-        for k, (val, fr, ft, frr, frt, ftt) in enumerate(parts):
-            u[k] = val
-            j[k, :2] = fr * r_grad + ft * t_grad
-            h[k, :2, :2] = (
-                frr * np.outer(r_grad, r_grad)
-                + frt * (np.outer(r_grad, t_grad) + np.outer(t_grad, r_grad))
-                + ftt * np.outer(t_grad, t_grad)
-                + fr * r_hess
-                + ft * t_hess
-            )
+        u[..., :2] = val
+        j = _tiled(_eye(n), x)
+        j[..., :2, :2] = _outer(fr, r_grad) + _outer(ft, t_grad)
+        h = np.zeros(x.shape[:-1] + (n, n, n))
+        fr, ft, frt, ftt = (f[..., None, None] for f in (fr, ft, frt, ftt))
+        h[..., :2, :2, :2] = frr * rr + frt * rt + ftt * tt + fr * r_hess + ft * t_hess
         return u, j, h
 
     return SmoothMap(n=n, jet_fn=jet_fn)
@@ -376,10 +429,10 @@ def affine_map(matrix, offset=None) -> SmoothMap:
         raise ConfigError(f"affine offset must be {n} finite numbers, got {b.tolist()!r}")
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
-        u, j = a @ x + b, a.copy()
-        return (u, j) if order == 1 else (u, j, np.zeros((n, n, n)))
+        u, j = (a @ x[..., None])[..., 0] + b, _tiled(a, x)
+        return (u, j) if order == 1 else (u, j, np.zeros(x.shape[:-1] + (n, n, n)))
 
-    return SmoothMap(n=n, jet_fn=jet_fn)
+    return _Affine(n=n, jet_fn=jet_fn, matrix=a)
 
 
 def identity_map(n: int) -> SmoothMap:
@@ -402,32 +455,34 @@ def polynomial_map(n: int, seed: int = 0, amplitude: float = 0.05) -> SmoothMap:
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
         u = x + amplitude * (
-            np.einsum("kab,a,b->k", c2, x, x) + np.einsum("kabc,a,b,c->k", c3, x, x, x)
+            np.einsum("kab,...a,...b->...k", c2, x, x)
+            + np.einsum("kabc,...a,...b,...c->...k", c3, x, x, x)
         )
-        j = np.eye(n) + amplitude * (
-            2.0 * np.einsum("kab,b->ka", c2, x)
-            + 3.0 * np.einsum("kabc,b,c->ka", c3, x, x)
+        j = _eye(n) + amplitude * (
+            2.0 * np.einsum("kab,...b->...ka", c2, x)
+            + 3.0 * np.einsum("kabc,...b,...c->...ka", c3, x, x)
         )
         if order == 1:
             return u, j
-        h = amplitude * (2.0 * c2 + 6.0 * np.einsum("kabc,c->kab", c3, x))
+        h = amplitude * (2.0 * c2 + 6.0 * np.einsum("kabc,...c->...kab", c3, x))
         return u, j, h
 
     return SmoothMap(n=n, jet_fn=jet_fn)
 
 
-def _bump_profile(s: float) -> tuple[float, float, float]:
+def _bump_profile(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cubic-cubed bump 64 s^3 (1-s)^3 on [0,1] with two derivatives.
 
-    Vanishes to second order at both endpoints, so products of it make
-    initial data compatible with fixed affine boundary values.
+    Elementwise over s, and zero outside (0, 1). Vanishes to second order
+    at both endpoints, so products of it make initial data compatible
+    with fixed affine boundary values.
     """
-    if s <= 0.0 or s >= 1.0:
-        return 0.0, 0.0, 0.0
-    b = 64.0 * s**3 * (1.0 - s) ** 3
-    d1 = 192.0 * s**2 * (1.0 - s) ** 2 * (1.0 - 2.0 * s)
-    d2 = 384.0 * s * (1.0 - s) * (1.0 - 5.0 * s + 5.0 * s * s)
-    return b, d1, d2
+    outside = (s <= 0.0) | (s >= 1.0)
+    t = 1.0 - s
+    b = 64.0 * np.float_power(s, 3) * np.float_power(t, 3)
+    d1 = 192.0 * np.float_power(s, 2) * np.float_power(t, 2) * (1.0 - 2.0 * s)
+    d2 = 384.0 * s * t * (1.0 - 5.0 * s + 5.0 * s * s)
+    return tuple(np.where(outside, 0.0, f) for f in (b, d1, d2))
 
 
 def bump_map(n: int, amplitude: float = 0.05) -> SmoothMap:
@@ -444,14 +499,15 @@ def bump_map(n: int, amplitude: float = 0.05) -> SmoothMap:
     skip_two = eye[:, None, :] | eye[None, :, :]
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
-        vals, d1, d2 = np.array([_bump_profile(float(x[a])) for a in range(n)]).T
-        rest = np.prod(np.where(eye, 1.0, vals), axis=-1)
-        others = np.prod(np.where(skip_two, 1.0, vals), axis=-1)
-        grad = d1 * rest
-        hess2 = np.where(eye, d2 * rest, np.outer(d1, d1) * others)
-        u = x + amplitude * float(np.prod(vals))
-        j = np.eye(n) + amplitude * grad
-        h = np.broadcast_to(amplitude * hess2, (n, n, n)).copy()
+        vals, d1, d2 = _bump_profile(x)
+        rest = np.prod(np.where(eye, 1.0, vals[..., None, :]), axis=-1)
+        u = x + amplitude * np.prod(vals, axis=-1, keepdims=True)
+        j = _eye(n) + amplitude * (d1 * rest)[..., None, :]
+        if order == 1:
+            return u, j
+        others = np.prod(np.where(skip_two, 1.0, vals[..., None, None, :]), axis=-1)
+        hess2 = np.where(eye, (d2 * rest)[..., None, :], _outer(d1, d1) * others)
+        h = np.broadcast_to(amplitude * hess2[..., None, :, :], x.shape[:-1] + (n, n, n)).copy()
         return u, j, h
 
     return SmoothMap(n=n, jet_fn=jet_fn)
@@ -459,6 +515,13 @@ def bump_map(n: int, amplitude: float = 0.05) -> SmoothMap:
 
 # ---------------------------------------------------------------------------
 # composition
+
+@dataclass(frozen=True)
+class _Affine(SmoothMap):
+    """Affine map, whose Jacobian is the constant matrix."""
+
+    matrix: np.ndarray = field(repr=False)
+
 
 @dataclass(frozen=True)
 class _Composite(SmoothMap):
@@ -474,19 +537,27 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
     first; each factor's sampler guards its own input. Every factor but a
     conformal word (orientation-preserving by construction) must have
     det J > 0: two reflections compose to det > 0, so the composite's
-    own check cannot stand in. Two conformal words compose to one word.
+    own check cannot stand in. An affine factor's J is constant, so its
+    determinant is taken once, at the composite's first sample, and a fold
+    is refused at that sample and every later one. Two conformal words
+    compose to one word.
     """
     if outer.n != inner.n:
         raise ConfigError("composition requires matching dimensions")
     if isinstance(outer, ConformalMap) and isinstance(inner, ConformalMap):
         return _conformal_from_word(outer.word + inner.word, outer.n)
     factors = getattr(inner, "factors", (inner,)) + getattr(outer, "factors", (outer,))
+    affine_dets = {}  # factor index -> det of its constant J, taken at the first sample
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
         jet = (x,)  # the input alone until the first factor is taken
-        for factor in factors:
+        for i, factor in enumerate(factors):
             raw = factor.jet_fn(jet[0], order)[: order + 1]
-            if not isinstance(factor, ConformalMap):
+            if isinstance(factor, _Affine):
+                if i not in affine_dets:
+                    affine_dets[i] = np.linalg.det(factor.matrix)
+                _positive(affine_dets[i])
+            elif not isinstance(factor, ConformalMap):
                 _positive_det(raw[1])
             jet = raw if len(jet) == 1 else _chain(raw, jet)
         return jet

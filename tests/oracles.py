@@ -19,21 +19,22 @@ from qcflow.tensor import _dilation_field
 def fd_map(value_fn: Callable[[np.ndarray], np.ndarray], n: int, h: float) -> SmoothMap:
     """Map defined by a value function with centered-difference jets.
 
-    h is the difference step, fixed for every point. First and second
+    value_fn takes a stack of points (..., n), as the samplers do. h is
+    the difference step, fixed for every point. First and second
     derivatives both converge at order two; the mixed second derivatives
     are symmetrized.
     """
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
         u = np.asarray(value_fn(x), dtype=float)
-        j = np.zeros((n, n))
-        hess = np.zeros((n, n, n))
+        j = np.zeros(x.shape[:-1] + (n, n))
+        hess = np.zeros(x.shape[:-1] + (n, n, n))
         shifts = h * np.eye(n)
         plus = [np.asarray(value_fn(x + shifts[a]), dtype=float) for a in range(n)]
         minus = [np.asarray(value_fn(x - shifts[a]), dtype=float) for a in range(n)]
         for a in range(n):
-            j[:, a] = (plus[a] - minus[a]) / (2.0 * h)
-            hess[:, a, a] = (plus[a] - 2.0 * u + minus[a]) / h**2
+            j[..., :, a] = (plus[a] - minus[a]) / (2.0 * h)
+            hess[..., :, a, a] = (plus[a] - 2.0 * u + minus[a]) / h**2
         for a in range(n):
             for b in range(a + 1, n):
                 pp = np.asarray(value_fn(x + shifts[a] + shifts[b]), dtype=float)
@@ -41,8 +42,8 @@ def fd_map(value_fn: Callable[[np.ndarray], np.ndarray], n: int, h: float) -> Sm
                 mp = np.asarray(value_fn(x - shifts[a] + shifts[b]), dtype=float)
                 mm = np.asarray(value_fn(x - shifts[a] - shifts[b]), dtype=float)
                 mixed = (pp - pm - mp + mm) / (4.0 * h**2)
-                hess[:, a, b] = mixed
-                hess[:, b, a] = mixed
+                hess[..., :, a, b] = mixed
+                hess[..., :, b, a] = mixed
         return u, j, hess
 
     return SmoothMap(n=n, jet_fn=jet_fn)

@@ -540,6 +540,15 @@ class TestFlowCommand:
         assert f"error: {message}" in result.stderr
         assert not stats.exists() and not snap.exists()
 
+    def test_node_outside_the_map_domain_exits_two(self, tmp_path):
+        # node (4, 4) of the grid is the origin, where the radial stretch has no jet
+        cfg = tmp_path / "flow.json"
+        write_config(cfg, map={"id": "radial_stretch", "params": {"alpha": 2, "n": 2}},
+                     shape=[9, 9], h=0.125, origin=[-0.5, -0.5])
+        result = run_cli("flow", str(cfg))
+        assert_usage_error(result, "radial stretch sampled at the origin")
+        assert result.stderr == "error: radial stretch sampled at the origin\n"
+
     def test_halted_run_exits_three_with_partial_stats(self, tmp_path):
         # oversized steps blow through the determinant floor
         cfg = tmp_path / "flow.json"

@@ -246,8 +246,9 @@ class TestTraceFlowline:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_composition_checks_only_its_affine_factor(self, monkeypatch, n):
-        # per sample one determinant for K and the field and one for the
-        # affine middle factor; the conformal words are not sign-checked
+        # per sample one determinant for K and the field, and one for the
+        # affine middle factor's constant J at the composite's first sample;
+        # the conformal words are not sign-checked
         calls = []
         det = np.linalg.det
 
@@ -260,7 +261,7 @@ class TestTraceFlowline:
         traj = trace_flowline(m, [0.1, 0.05, -0.05][:n], ds=1e-3, max_len=0.02)
         steps = len(traj) - 1
         assert traj.terminated == "maxLength" and steps == 20
-        assert len(calls) == 2 * (1 + 4 * steps)
+        assert len(calls) == (1 + 4 * steps) + 1
 
     @pytest.mark.parametrize("composed", [False, True], ids=["guarded", "guarded_factor"])
     def test_stage_outside_guard_raises_step_failure(self, composed):
@@ -271,7 +272,7 @@ class TestTraceFlowline:
         radius = 0.01
 
         def jet_fn(x, order):
-            if np.linalg.norm(x - x0) > radius:
+            if np.any(np.linalg.norm(x - x0, axis=-1) > radius):
                 raise GuardViolation("outside the sampling disk")
             return base.jet_fn(x, order)
 

@@ -7,7 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from qcflow import DeterminantCollapse, NonFiniteValue, NonPositiveDeterminant, gradientflow
+from qcflow import (
+    DeterminantCollapse,
+    NonFiniteValue,
+    NonPositiveDeterminant,
+    OriginExcluded,
+    gradientflow,
+)
 from qcflow.gradientflow import (
     ENERGY_TOL_SCALE,
     compatibility_check,
@@ -40,6 +46,26 @@ class TestMakeGrid:
     def test_identity_values_are_coordinates(self):
         g = identity_grid((9, 9), 0.125)
         np.testing.assert_array_equal(g.values, g.node_coordinates())
+
+    def test_node_coordinates_are_origin_plus_h_index(self):
+        g = make_grid(identity_map(3), (5, 4, 6), 0.3, origin=[-0.7, 0.1, 1.3])
+        coords = g.node_coordinates()
+        for idx in np.ndindex(g.shape):
+            assert coords[idx].tobytes() == (g.origin + g.h * np.asarray(idx, float)).tobytes()
+
+    def test_one_value_call_samples_every_node(self):
+        bump = bump_map(2)
+        shapes = []
+
+        def jet_fn(x, order):
+            shapes.append(x.shape)
+            return bump.jet_fn(x, order)
+
+        g = make_grid(SmoothMap(n=2, jet_fn=jet_fn), (9, 7), 0.125)
+        assert shapes == [(9, 7, 2)]
+        coords = g.node_coordinates()
+        for idx in np.ndindex(g.shape):
+            assert g.values[idx].tobytes() == bump.value(coords[idx]).tobytes()
 
     @pytest.mark.parametrize("shape", [(6, 5), (4, 5, 6)], ids=["6x5", "4x5x6"])
     def test_boundary_mask_is_box_edge(self, shape):
@@ -208,12 +234,25 @@ class TestGridChecks:
         with pytest.raises(NonPositiveDeterminant, match="determinant must be positive"):
             make_grid(affine_map(np.diag([1.0, -1.0])), (9, 9), 1.0 / 8.0)
 
+    def test_make_grid_refuses_a_node_outside_the_domain(self):
+        # node (4, 4) is the origin, where the radial stretch has no jet
+        with pytest.raises(OriginExcluded, match="^radial stretch sampled at the origin$"):
+            make_grid(radial_stretch(2, 2), (9, 9), 1.0 / 8.0, origin=[-0.5, -0.5])
+
+    def test_make_grid_refuses_unstacked_values(self):
+        # a sampler that ignores the stack must not be broadcast over the grid
+        def jet_fn(x, order):
+            return np.zeros(2), np.eye(2), np.zeros((2, 2, 2))
+
+        with pytest.raises(ValueError, match=r"map values have shape \(2,\), expected \(9, 9, 2\)"):
+            make_grid(SmoothMap(n=2, jet_fn=jet_fn), (9, 9), 1.0 / 8.0)
+
     def test_make_grid_refuses_a_nan_value(self):
         def jet_fn(x, order):
             u = x.copy()
-            if np.all(x == 0.5):
-                u[0] = np.nan
-            return u, np.eye(2), np.zeros((2, 2, 2))
+            u[np.all(x == 0.5, axis=-1), 0] = np.nan
+            stack = x.shape[:-1]
+            return u, np.broadcast_to(np.eye(2), stack + (2, 2)), np.zeros(stack + (2, 2, 2))
 
         with pytest.raises(NonFiniteValue):
             make_grid(SmoothMap(n=2, jet_fn=jet_fn), (9, 9), 1.0 / 8.0)

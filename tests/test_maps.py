@@ -349,6 +349,34 @@ class TestCompose:
         expected = last.jacobian(mid.value(y)) @ (mid.jacobian(y) @ first.jacobian(x))
         assert c.jacobian(x).tobytes() == expected.tobytes()
 
+    def test_affine_factor_determinant_taken_once(self, monkeypatch):
+        # an affine factor's J is constant: the composite takes its
+        # determinant at the first sample only, and a fold is refused at
+        # every sample with the same message
+        calls = []
+        det = np.linalg.det
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return det(a)
+
+        rot = moebius("rotation", {"n": 2, "angle": 0.3})
+        good = compose(rot, affine_map([[1.2, 0.1], [0.0, 0.8]]))
+        bad = compose(rot, affine_map(np.diag([1.0, -1.0])))
+        monkeypatch.setattr(np.linalg, "det", counted)
+        x = np.array([0.1, 0.2])
+        for _ in range(3):
+            good.jacobian(x)
+            good.value(np.stack([x, -x]))
+        assert calls == [(2, 2)]
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(NonPositiveDeterminant) as info:
+                bad.jacobian(x)
+            messages.add(str(info.value))
+        assert calls == [(2, 2), (2, 2)]
+        assert messages == {"determinant must be positive (min -1.000000e+00)"}
+
     def test_negative_factor_message(self):
         # the composition factors share the package's one sign check
         c = compose(affine_map(np.diag([1.0, -1.0])), identity_map(2))
@@ -506,7 +534,7 @@ class TestFirstOrderSampler:
         x = np.array([0.3, -0.2])
         word = compose(moebius("inversion", {"n": 2}), moebius("rotation", {"n": 2, "angle": 0.3}))
         for m in (word, affine_map([[1.2, 0.1], [0.0, 0.8]]), teichmuller_example(2),
-                  polynomial_map(2, seed=5)):
+                  polynomial_map(2, seed=5), bump_map(2)):
             assert len(m.jet_fn(x, 1)) == 2
 
     def test_words_fold_from_their_first_generator(self, monkeypatch):
@@ -644,6 +672,12 @@ class TestArgumentErrors:
     def test_point_length_checked(self):
         with pytest.raises(ValueError, match=re.escape("point shape (3,) does not match n=2")):
             identity_map(2).jet([0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match=re.escape("point shape (4, 3) does not match n=2")):
+            identity_map(2).value(np.zeros((4, 3)))
+
+    def test_jet_takes_one_point(self):
+        with pytest.raises(ValueError, match=re.escape("jet takes one point, got shape (4, 2)")):
+            identity_map(2).jet(np.zeros((4, 2)))
 
 
 class TestRegistry:
@@ -681,3 +715,88 @@ class TestRegistry:
     def test_bad_params(self):
         with pytest.raises(ConfigError):
             make_map("radial_stretch", alpha=2.0)  # n missing
+
+
+def _pole_of_teichmuller_2():
+    # the point the middle affine factor sends onto the inversion pole
+    rot = moebius("rotation", {"n": 2, "angle": 0.6})
+    return rot.value(np.linalg.solve([[1.6, 0.2], [0.0, 0.9]], [-2.8, 1.1]))
+
+
+# every registry id with parameters, and the box a seeded sweep draws from
+BROADCAST_CASES = {
+    "radial_stretch": ({"alpha": 1.7, "n": 3}, (-1.0, 1.0)),
+    "wedge": ({"alpha": 2.0, "n": 3}, (-1.0, 1.0)),
+    "rotation": ({"n": 3, "axis": [0.3, -1.0, 0.7], "angle": 0.8}, (-1.0, 1.0)),
+    "dilation": ({"n": 2, "scale": 1.7}, (-1.0, 1.0)),
+    "translation": ({"offset": [0.3, -0.2, 0.5]}, (-1.0, 1.0)),
+    "inversion": ({"n": 3}, (-1.0, 1.0)),
+    "affine": ({"matrix": [[1.3, 0.2], [-0.1, 0.9]], "offset": [0.1, 0.2]}, (-1.0, 1.0)),
+    "polynomial": ({"n": 3, "seed": 9, "amplitude": 0.08}, (-0.7, 0.7)),
+    "identity": ({"n": 2}, (-1.0, 1.0)),
+    "affine_bump": ({"n": 3}, (-0.2, 1.2)),
+    "teichmuller": ({"n": 2}, (-0.7, 0.7)),
+}
+
+BROADCAST_MAPS = {
+    **{map_id: (make_map(map_id, **params), box)
+       for map_id, (params, box) in BROADCAST_CASES.items()},
+    "teichmuller3": (teichmuller_example(3), (-0.7, 0.7)),
+    "wedge_reflex": (wedge_map(4.0, 2), (-1.0, 1.0)),
+    "word_of_polynomial": (compose(moebius("inversion", {"n": 2}), polynomial_map(2, seed=3)),
+                           (-0.7, 0.7)),
+}
+
+
+class TestBroadcast:
+    """A stack of points samples bit for bit like each point alone."""
+
+    def test_cases_cover_the_registry(self):
+        assert sorted(BROADCAST_CASES) == map_ids()
+
+    @pytest.mark.parametrize("stack", [(24,), (4, 6)], ids=["k_n", "k_m_n"])
+    @pytest.mark.parametrize("name", sorted(BROADCAST_MAPS))
+    def test_stack_matches_points_bitwise(self, name, stack):
+        m, (lo, hi) = BROADCAST_MAPS[name]
+        xs = np.random.default_rng(len(stack) + 10 * m.n).uniform(lo, hi, size=stack + (m.n,))
+        for order in (1, 2):
+            stacked = m.jet_fn(xs, order)
+            for k, arr in enumerate(stacked):
+                assert arr.shape == stack + (m.n,) * (k + 1)
+            for idx in np.ndindex(stack):
+                single = m.jet_fn(xs[idx], order)
+                assert len(single) == len(stacked)
+                for arr, one in zip(stacked, single):
+                    assert arr[idx].tobytes() == one.tobytes()
+        for accessor in (m.value, m.jacobian, m.hessian):
+            out = accessor(xs)
+            for idx in np.ndindex(stack):
+                assert out[idx].tobytes() == accessor(xs[idx]).tobytes()
+
+    @pytest.mark.parametrize("m, bad, error, message", [
+        (radial_stretch(2.0, 2), [0.0, 0.0], OriginExcluded,
+         "radial stretch sampled at the origin"),
+        (wedge_map(2.0, 3), [0.5, 0.0, 0.2], SeamExcluded,
+         "wedge map sampled within 1e-06 of a seam"),
+        (wedge_map(2.0, 3), [0.5 * math.cos(2.0), 0.5 * math.sin(2.0), -0.1], SeamExcluded,
+         "wedge map sampled within 1e-06 of a seam"),
+        (wedge_map(2.0, 3), [0.0, 0.0, 0.3], AxisExcluded,
+         "wedge map sampled on the symmetry axis"),
+        (teichmuller_example(2), _pole_of_teichmuller_2(), OriginExcluded,
+         "inversion sampled at the origin"),
+    ], ids=["radial_origin", "wedge_seam_0", "wedge_seam_alpha", "wedge_axis",
+            "teichmuller_pole"])
+    def test_one_guarded_point_refuses_the_stack(self, m, bad, error, message):
+        exact = f"^{re.escape(message)}$"
+        with pytest.raises(error, match=exact):
+            m.value(bad)
+        # good points sit well inside the first wedge sector and the ball
+        angles = np.linspace(0.5, 1.5, 6)
+        good = 0.3 * np.stack([np.cos(angles), np.sin(angles)] + [angles] * (m.n - 2), axis=-1)
+        stack = np.insert(good, 3, bad, axis=0)
+        for accessor in (m.value, m.jacobian, m.hessian):
+            accessor(good)
+            for xs in (stack, stack[None]):
+                with pytest.raises(error, match=exact):
+                    accessor(xs)
+
