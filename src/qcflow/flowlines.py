@@ -15,6 +15,7 @@ operator, and for solution maps it stays constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,8 @@ def ball_domain(radius: float = 1.0):
         raise ValueError(f"radius must be a positive finite number, got {radius!r}")
 
     def predicate(x: np.ndarray) -> float:
-        return float(np.linalg.norm(np.asarray(x, dtype=float)) - radius)
+        x = np.asarray(x, dtype=float).ravel()
+        return math.sqrt(x.dot(x)) - radius  # np.linalg.norm's own sum, without its wrapper
 
     return predicate
 
@@ -87,27 +89,40 @@ def flow_field(mapping, x) -> np.ndarray:
     return _dilation_field(mapping.jacobian(x))[1]
 
 
+def _row_norms(field: np.ndarray) -> tuple[np.ndarray, float]:
+    """Norm of each field row, and of the whole field, from one pass of row dot products."""
+    sq = np.vecdot(field, field)  # each row's dot product, as np.linalg.norm of the row takes it
+    return np.sqrt(sq), math.sqrt(sq.sum())
+
+
+def _pick_row(norms: np.ndarray, current: int | None) -> int:
+    """select_row's hysteresis choice, from the rows' norms."""
+    best = int(norms.argmax())
+    if current is not None:
+        cur = int(current) - 1
+        if not (0 <= cur < norms.size):
+            raise ValueError(f"row index {current} out of range")
+        if norms[cur] >= SWITCH_THRESHOLD * norms[best]:
+            return cur + 1
+    return best + 1
+
+
 def select_row(field, current: int | None = None) -> int:
     """Active-row choice with hysteresis; rows are numbered from 1.
 
     Keeps the current row while its norm stays at least SWITCH_THRESHOLD
     times the strongest row's norm, otherwise switches to the strongest
     row. A field whose norm is at most DEGENERACY_TOL raises
-    AllRowsDegenerate. The returned row always carries norm >= |field| / n^2.
+    AllRowsDegenerate, and one that is not a matrix ValueError. The
+    returned row always carries norm >= |field| / n^2.
     """
     f = np.asarray(field, dtype=float)
-    total = float(np.sqrt(np.sum(f * f)))
+    if f.ndim != 2:
+        raise ValueError(f"field must be a matrix, got shape {f.shape}")
+    norms, total = _row_norms(f)
     if total <= DEGENERACY_TOL:
         raise AllRowsDegenerate(f"field norm {total:.3e} below degeneracy tolerance")
-    norms = np.linalg.norm(f, axis=1)
-    best = int(np.argmax(norms))
-    if current is not None:
-        cur = int(current) - 1
-        if not (0 <= cur < f.shape[0]):
-            raise ValueError(f"row index {current} out of range")
-        if norms[cur] >= SWITCH_THRESHOLD * norms[best]:
-            return cur + 1
-    return best + 1
+    return _pick_row(norms, current)
 
 
 def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
@@ -158,20 +173,20 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
     s, row, sign = 0.0, None, 1.0
     while True:
         k_val, field = _dilation_field(mapping.jacobian(x))
-        if float(np.sqrt(np.sum(field * field))) <= DEGENERACY_TOL * (1.0 + k_val**2):
-            norms = np.linalg.norm(field, axis=1)
+        norms, total = _row_norms(field)
+        if total <= DEGENERACY_TOL * (1.0 + k_val**2):
             if row is None:
-                row = int(np.argmax(norms)) + 1
+                row = int(norms.argmax()) + 1
             samples.append((s, x, k_val, row, float(norms[row - 1]), sign))
             return finish("degenerate")
 
-        new_row = select_row(field, current=row)
+        new_row = _pick_row(norms, row)
         if row is not None and new_row != row:
             # forward orientation: angle with the previous velocity <= 90 degrees
             sign = 1.0 if float(np.dot(field[new_row - 1], velocity)) >= 0.0 else -1.0
         row = new_row
         velocity = sign * field[row - 1]
-        samples.append((s, x, k_val, row, float(np.linalg.norm(field[row - 1])), sign))
+        samples.append((s, x, k_val, row, float(norms[row - 1]), sign))
         if not s < max_len - 1e-14:
             return finish("maxLength")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -168,14 +169,21 @@ def _rotation_matrix(n: int, params: dict) -> np.ndarray:
     raise ConfigError("angle-based rotations support n=2 (angle) or n=3 (axis, angle)")
 
 
+def _generator_value(kind: str, data, x: np.ndarray) -> np.ndarray:
+    """Value of a rotation, dilation or translation, whose Jacobians are constant."""
+    if kind == "rotation":
+        return (data @ x[..., None])[..., 0]
+    return data * x if kind == "dilation" else x + data
+
+
 def _generator_jet(kind: str, data, n: int, x: np.ndarray, order: int) -> tuple:
     """Return (u, J, H) for one generator, or (u, J) at order 1; H is zero when absent."""
     if kind == "rotation":
-        u, j = (data @ x[..., None])[..., 0], _tiled(data, x)
+        j = _tiled(data, x)
     elif kind == "dilation":
-        u, j = data * x, _tiled(data * _eye(n), x)
+        j = _tiled(data * _eye(n), x)
     elif kind == "translation":
-        u, j = x + data, _tiled(_eye(n), x)
+        j = _tiled(_eye(n), x)
     else:  # the oriented inversion
         rsq = np.vecdot(x, x)
         if _any(rsq < _ORIGIN_TOL**2):
@@ -201,6 +209,7 @@ def _generator_jet(kind: str, data, n: int, x: np.ndarray, order: int) -> tuple:
             + 8.0 * np.einsum("...k,...a,...b->...kab", x, x, x) / np.float_power(r2, 3)
         )
         return u, j, h * data[:, None, None]
+    u = _generator_value(kind, data, x)
     return (u, j) if order == 1 else (u, j, np.zeros(x.shape[:-1] + (n, n, n)))
 
 
@@ -414,6 +423,10 @@ def wedge_map(alpha: float, n: int) -> SmoothMap:
     return SmoothMap(n=n, jet_fn=jet_fn)
 
 
+def _affine_value(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return (a @ x[..., None])[..., 0] + b
+
+
 def affine_map(matrix, offset=None) -> SmoothMap:
     """Affine map x -> A x + b with exact jets and zero Hessian.
 
@@ -429,10 +442,11 @@ def affine_map(matrix, offset=None) -> SmoothMap:
         raise ConfigError(f"affine offset must be {n} finite numbers, got {b.tolist()!r}")
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
-        u, j = (a @ x[..., None])[..., 0] + b, _tiled(a, x)
+        u, j = _affine_value(a, b, x), _tiled(a, x)
         return (u, j) if order == 1 else (u, j, np.zeros(x.shape[:-1] + (n, n, n)))
 
-    return _Affine(n=n, jet_fn=jet_fn, matrix=a)
+    return _Affine(n=n, jet_fn=jet_fn, matrix=a, offset=b)
+
 
 
 def identity_map(n: int) -> SmoothMap:
@@ -470,17 +484,20 @@ def polynomial_map(n: int, seed: int = 0, amplitude: float = 0.05) -> SmoothMap:
     return SmoothMap(n=n, jet_fn=jet_fn)
 
 
-def _bump_profile(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cubic-cubed bump 64 s^3 (1-s)^3 on [0,1] with two derivatives.
+def _bump_profile(s: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+    """Cubic-cubed bump 64 s^3 (1-s)^3 on [0,1] with its derivatives up to order.
 
-    Elementwise over s, and zero outside (0, 1). Vanishes to second order
-    at both endpoints, so products of it make initial data compatible
-    with fixed affine boundary values.
+    Elementwise over s, and zero outside (0, 1): (b, d1) at order 1 and
+    (b, d1, d2) at order 2. Vanishes to second order at both endpoints,
+    so products of it make initial data compatible with fixed affine
+    boundary values.
     """
     outside = (s <= 0.0) | (s >= 1.0)
     t = 1.0 - s
     b = 64.0 * np.float_power(s, 3) * np.float_power(t, 3)
     d1 = 192.0 * np.float_power(s, 2) * np.float_power(t, 2) * (1.0 - 2.0 * s)
+    if order == 1:
+        return np.where(outside, 0.0, b), np.where(outside, 0.0, d1)
     d2 = 384.0 * s * t * (1.0 - 5.0 * s + 5.0 * s * s)
     return tuple(np.where(outside, 0.0, f) for f in (b, d1, d2))
 
@@ -499,14 +516,15 @@ def bump_map(n: int, amplitude: float = 0.05) -> SmoothMap:
     skip_two = eye[:, None, :] | eye[None, :, :]
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
-        vals, d1, d2 = _bump_profile(x)
+        profile = _bump_profile(x, order)
+        vals, d1 = profile[:2]
         rest = np.prod(np.where(eye, 1.0, vals[..., None, :]), axis=-1)
         u = x + amplitude * np.prod(vals, axis=-1, keepdims=True)
         j = _eye(n) + amplitude * (d1 * rest)[..., None, :]
         if order == 1:
             return u, j
         others = np.prod(np.where(skip_two, 1.0, vals[..., None, None, :]), axis=-1)
-        hess2 = np.where(eye, (d2 * rest)[..., None, :], _outer(d1, d1) * others)
+        hess2 = np.where(eye, (profile[2] * rest)[..., None, :], _outer(d1, d1) * others)
         h = np.broadcast_to(amplitude * hess2[..., None, :, :], x.shape[:-1] + (n, n, n)).copy()
         return u, j, h
 
@@ -518,9 +536,10 @@ def bump_map(n: int, amplitude: float = 0.05) -> SmoothMap:
 
 @dataclass(frozen=True)
 class _Affine(SmoothMap):
-    """Affine map, whose Jacobian is the constant matrix."""
+    """Affine map x -> matrix x + offset, whose Jacobian is the constant matrix."""
 
     matrix: np.ndarray = field(repr=False)
+    offset: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -530,6 +549,47 @@ class _Composite(SmoothMap):
     factors: tuple = ()
 
 
+_FOLD_LOCK = threading.Lock()
+
+
+def _fold(factors: tuple) -> tuple:
+    """Split a composite's factors into its leading constant-Jacobian run and the rest.
+
+    Returns (moves, matrix, dets, rest). The run is the innermost whole
+    factors whose J is constant (affine maps, and words without an
+    inversion), then the leading translations of the next factor when it
+    is a word. moves take a value through each step of the run in turn;
+    matrix is the product of the whole factors' J in the chain's own
+    order, or None; dets are the run's affine determinants. rest pairs
+    each later factor, the word shortened by its translations included,
+    with its affine determinant or None. A translation's identity leaves
+    the product bit for bit: it only changes the sign of zero entries,
+    and every later product sums from +0, where a zero's sign is lost.
+    """
+    n = factors[0].n
+    moves, matrix, dets, rest = [], None, [], []
+    for factor in factors:
+        det = np.linalg.det(factor.matrix) if isinstance(factor, _Affine) else None
+        word = getattr(factor, "word", ())
+        if not rest and (det is not None or word and all(k != "inversion" for k, _ in word)):
+            if det is not None:
+                dets.append(det)
+                moves.append(functools.partial(_affine_value, factor.matrix, factor.offset))
+            moves += [functools.partial(_generator_value, *g) for g in reversed(word)]
+            j = factor.jet_fn(np.zeros(n), 1)[1]  # constant, so any point gives it
+            matrix = j if matrix is None else j @ matrix
+            continue
+        if not rest and word:  # the word has an inversion, so cut stops above 0
+            cut = len(word)
+            while word[cut - 1][0] == "translation":
+                cut -= 1
+            if cut < len(word):
+                moves += [functools.partial(_generator_value, *g) for g in reversed(word[cut:])]
+                factor = _conformal_from_word(word[:cut], n)
+        rest.append((factor, det))
+    return moves, matrix, dets, rest
+
+
 def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
     """Composition outer(inner(x)) with the full second-order chain rule.
 
@@ -537,32 +597,54 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
     first; each factor's sampler guards its own input. Every factor but a
     conformal word (orientation-preserving by construction) must have
     det J > 0: two reflections compose to det > 0, so the composite's
-    own check cannot stand in. An affine factor's J is constant, so its
-    determinant is taken once, at the composite's first sample, and a fold
-    is refused at that sample and every later one. Two conformal words
-    compose to one word.
+    own check cannot stand in. Two conformal words compose to one word.
+
+    At its first sample the composite folds the innermost run of factors
+    whose J is constant (affine maps, rotations, dilations and
+    translations; see _fold) into one precomputed product, taken in the
+    chain's own order, and drops a translation's identity from the
+    chain. Values still pass through each factor in turn, and the result
+    is bit-equal to the plain _chain fold over factors. The fold is made
+    once, under a lock, however many threads sample the map. An affine
+    factor's determinant is taken once, in the fold, and a reflecting
+    affine factor is refused with the same message at the first sample
+    and every later one. Factors after the first non-constant one are
+    not folded, since that would change the association of the products.
     """
     if outer.n != inner.n:
         raise ConfigError("composition requires matching dimensions")
     if isinstance(outer, ConformalMap) and isinstance(inner, ConformalMap):
         return _conformal_from_word(outer.word + inner.word, outer.n)
+    n = outer.n
     factors = getattr(inner, "factors", (inner,)) + getattr(outer, "factors", (outer,))
-    affine_dets = {}  # factor index -> det of its constant J, taken at the first sample
+    folded = []  # the fold, made once at the first sample
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
-        jet = (x,)  # the input alone until the first factor is taken
-        for i, factor in enumerate(factors):
+        if not folded:
+            with _FOLD_LOCK:
+                if not folded:
+                    folded.append(_fold(factors))
+        moves, matrix, dets, rest = folded[0]
+        for det in dets:
+            _positive(det)
+        for move in moves:
+            x = move(x)
+        jet = (x,)  # the input alone until the first J is taken
+        if matrix is not None:
+            # the first chain broadcasts the constant matrix at order 1
+            jet = (x, matrix if rest and order == 1 else _tiled(matrix, x))
+            if order == 2:
+                jet += (np.zeros(x.shape[:-1] + (n, n, n)),)
+        for factor, det in rest:
             raw = factor.jet_fn(jet[0], order)[: order + 1]
-            if isinstance(factor, _Affine):
-                if i not in affine_dets:
-                    affine_dets[i] = np.linalg.det(factor.matrix)
-                _positive(affine_dets[i])
+            if det is not None:
+                _positive(det)
             elif not isinstance(factor, ConformalMap):
                 _positive_det(raw[1])
             jet = raw if len(jet) == 1 else _chain(raw, jet)
         return jet
 
-    return _Composite(n=outer.n, jet_fn=jet_fn, factors=factors)
+    return _Composite(n=n, jet_fn=jet_fn, factors=factors)
 
 
 def teichmuller_map(psi: ConformalMap, middle: SmoothMap, phi: ConformalMap) -> SmoothMap:

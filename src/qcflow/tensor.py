@@ -36,7 +36,7 @@ def _as_matrix(m) -> np.ndarray:
     n = a.shape[-1]
     if not (_MIN_DIM <= n <= _MAX_DIM):
         raise ValueError(f"dimension {n} outside supported range {_MIN_DIM}..{_MAX_DIM}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteValue("matrix entries must be finite")
     return a
 
@@ -61,7 +61,7 @@ def _checked(m) -> tuple[np.ndarray, int, np.ndarray]:
 
 
 def _norm_sq(a: np.ndarray) -> np.ndarray:
-    return np.sum(a * a, axis=(-2, -1))
+    return (a * a).sum(axis=(-2, -1))
 
 
 def _expand_det(rows: list) -> np.ndarray:
@@ -120,9 +120,15 @@ def cofactor(m) -> np.ndarray:
 
 
 def trace_dilation(j) -> float | np.ndarray:
-    """Dilation coefficient |J| / (det J)^(1/n); always at least sqrt(n)."""
+    """Dilation coefficient |J| / (det J)^(1/n); always at least sqrt(n).
+
+    The root is the C library's pow (np.float_power), as a single
+    determinant's ** takes it, so each matrix of a stack gets the bits it
+    gets alone; numpy's array ** differs from it in the last bit on a few
+    percent of inputs.
+    """
     a, n, d = _checked(j)
-    return np.sqrt(_norm_sq(a)) / d ** (1.0 / n)
+    return np.sqrt(_norm_sq(a)) / np.float_power(d, 1.0 / n)
 
 
 def distortion_tensor(j) -> np.ndarray:
@@ -147,12 +153,14 @@ def _dilation_field(j) -> tuple[float | np.ndarray, np.ndarray]:
 
     F = (J - |J|^2 J^{-T} / n) / (det J)^(2/n), the identity factoring_residual
     pins; K equals trace_dilation(J) bit for bit, and K grad K = F . H.
+    Roots take np.float_power, as in trace_dilation, so each matrix of a
+    stack gets the bits it gets alone.
     """
     a, n, d = _checked(j)
     nsq = _norm_sq(a)
-    inv_t = np.swapaxes(np.linalg.inv(a), -1, -2)
-    field = (a - (nsq / n)[..., None, None] * inv_t) / (d ** (2.0 / n))[..., None, None]
-    return np.sqrt(nsq) / d ** (1.0 / n), field
+    inv_t = np.linalg.inv(a).swapaxes(-1, -2)
+    field = (a - (nsq / n)[..., None, None] * inv_t) / np.float_power(d, 2.0 / n)[..., None, None]
+    return np.sqrt(nsq) / np.float_power(d, 1.0 / n), field
 
 
 def factoring_residual(j) -> float | np.ndarray:

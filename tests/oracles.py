@@ -1,7 +1,7 @@
-"""Test-only oracles: finite-difference jets and a path-integral drift check.
+"""Test-only oracles: finite-difference jets, a plain chain fold and a path-integral drift check.
 
-Neither is part of the package; the tests check the exact jets and the
-differential-drift identity against them.
+None is part of the package; the tests check the exact jets, the folded
+composites and the differential-drift identity against them.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 
 from qcflow.errors import RowSwitched
 from qcflow.flowlines import FlowTrajectory
-from qcflow.maps import SmoothMap
+from qcflow.maps import SmoothMap, _chain
 from qcflow.tensor import _dilation_field
 
 
@@ -47,6 +47,24 @@ def fd_map(value_fn: Callable[[np.ndarray], np.ndarray], n: int, h: float) -> Sm
         return u, j, hess
 
     return SmoothMap(n=n, jet_fn=jet_fn)
+
+
+def chained_map(composite) -> SmoothMap:
+    """The composite's factors folded by a plain _chain, one factor after another.
+
+    No product is precomputed and no factor is sign-checked: each factor's
+    own sampler is taken at the previous factor's value, innermost first,
+    and chained onto the jet so far.
+    """
+
+    def jet_fn(x: np.ndarray, order: int) -> tuple:
+        jet = (x,)
+        for factor in composite.factors:
+            raw = factor.jet_fn(jet[0], order)[: order + 1]
+            jet = raw if len(jet) == 1 else _chain(raw, jet)
+        return jet
+
+    return SmoothMap(n=composite.n, jet_fn=jet_fn)
 
 
 def path_integral_residual(mapping, trajectory: FlowTrajectory, row_index: int) -> float:

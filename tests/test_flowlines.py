@@ -1,10 +1,11 @@
 """Row fields, hysteresis switching, and integrated flow lines."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from oracles import path_integral_residual
+from oracles import chained_map, path_integral_residual
 
 from qcflow import (
     AllRowsDegenerate,
@@ -111,6 +112,11 @@ class TestSelectRow:
     def test_degenerate_field_raises(self):
         with pytest.raises(AllRowsDegenerate):
             select_row(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 2, 2)])
+    def test_non_matrix_field_raises(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"field must be a matrix, got shape {shape}")):
+            select_row(np.ones(shape))
 
     def test_bad_current_raises(self):
         with pytest.raises(ValueError):
@@ -262,6 +268,22 @@ class TestTraceFlowline:
         steps = len(traj) - 1
         assert traj.terminated == "maxLength" and steps == 20
         assert len(calls) == (1 + 4 * steps) + 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_folded_composition_traces_like_the_chain_oracle(self, n):
+        # the fold changes no bit of the walk: every recorded field of a
+        # line equals the trace over the plain chain fold of the same factors
+        m = teichmuller_example(n)
+        starts = ([0.3, -0.2], [-0.1, 0.45], [0.05, 0.02]) if n == 2 else \
+            ([0.3, -0.2, 0.1], [-0.1, 0.4, -0.25], [0.02, 0.05, -0.03])
+        for x0 in starts:
+            got = trace_flowline(m, x0, ds=1e-3, max_len=0.15)
+            want = trace_flowline(chained_map(m), x0, ds=1e-3, max_len=0.15)
+            assert got.terminated == want.terminated
+            for name in ("s", "x", "K", "row", "speed", "sign"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("composed", [False, True], ids=["guarded", "guarded_factor"])
     def test_stage_outside_guard_raises_step_failure(self, composed):

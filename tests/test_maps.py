@@ -3,14 +3,18 @@
 import dataclasses
 import math
 import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from conftest import random_posdet
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fd_map
+from oracles import chained_map, fd_map
 
+from qcflow import maps as qcflow_maps
 from qcflow import (
     AxisExcluded,
     ConfigError,
@@ -472,6 +476,173 @@ class TestCompose:
                 assert np.max(np.abs(linfty_factored(jet))) <= 1e-7 * scale
 
 
+def _same_bits(got: tuple, want: tuple) -> bool:
+    return len(got) == len(want) and all(
+        a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def _assert_matches_oracle(m, xs):
+    """value, jacobian, hessian, jet and jet_fn at both orders against the plain chain fold."""
+    ref = chained_map(m)
+    for x in xs:
+        for order in (1, 2):
+            assert _same_bits(m.jet_fn(x, order), ref.jet_fn(x, order))
+        for accessor in ("value", "jacobian", "hessian"):
+            assert _same_bits((getattr(m, accessor)(x),), (getattr(ref, accessor)(x),))
+        if x.ndim == 1:
+            jet, want = m.jet(x), ref.jet_fn(x, 2)
+            assert _same_bits((jet.u, jet.J, jet.H), want)
+
+
+@st.composite
+def _letters(draw, n):
+    """A conformal word of one to three generators; an inversion follows a far translation."""
+    axes = [[0.0, 0.0, 1.0], [0.3, -1.0, 0.7], [1.0, 1.0, 0.0]]
+    word = None
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["rotation", "dilation", "translation", "inversion"]))
+        if kind == "rotation":
+            params = {"n": n, "angle": draw(st.floats(-4.0, 4.0))}
+            if n == 3:
+                params["axis"] = draw(st.sampled_from(axes))
+        elif kind == "dilation":
+            params = {"n": n, "scale": draw(st.floats(0.25, 4.0))}
+        elif kind == "translation":
+            params = {"offset": draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))}
+        else:
+            params = {"n": n}
+        letter = moebius(kind, params)
+        if kind == "inversion":  # keeps the pole away from the sampled box
+            letter = compose(letter, moebius("translation", {"offset": [3.0] + [0.0] * (n - 1)}))
+        word = letter if word is None else compose(letter, word)
+    return word
+
+
+@st.composite
+def _word_affine_word(draw):
+    n = draw(st.sampled_from([2, 3]))
+    first, last = draw(_letters(n)), draw(_letters(n))
+    entries = st.floats(-0.4, 0.4)
+    offdiag = draw(st.lists(entries, min_size=n * n, max_size=n * n))
+    matrix = np.eye(n) + np.reshape(offdiag, (n, n))
+    if np.linalg.det(matrix) < 0.05:
+        matrix = np.diag(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    mid = affine_map(matrix, draw(st.lists(entries, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        m = compose(last, compose(mid, first))
+    else:
+        m = compose(compose(last, mid), first)
+    points = draw(st.lists(st.lists(st.floats(-0.7, 0.7), min_size=n, max_size=n),
+                           min_size=1, max_size=4))
+    return m, np.array(points)
+
+
+class TestFold:
+    """A composite folds its leading constant factors once, bit-equal to a plain chain fold."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_teichmuller_matches_the_chain_oracle(self, n):
+        m = teichmuller_example(n)
+        xs = np.random.default_rng(70 + n).uniform(-0.7, 0.7, size=(12, n))
+        _assert_matches_oracle(m, list(xs) + [xs, xs.reshape(3, 4, n)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_word_affine_word())
+    def test_word_affine_word_matches_the_chain_oracle(self, case):
+        m, points = case
+        try:
+            chained_map(m).jet_fn(points, 2)
+        except GuardViolation:  # an inversion pole: both refuse the stack
+            with pytest.raises(GuardViolation):
+                m.jet_fn(points, 2)
+            return
+        _assert_matches_oracle(m, list(points) + [points])
+
+    def test_fold_covers_the_leading_translation_of_a_word(self, monkeypatch):
+        # a word after the constant run passes its innermost translations to
+        # the run's values and keeps the rest, here the inversion alone
+        m = teichmuller_example(2)
+        m.jacobian(np.array([0.3, -0.2]))  # the fold samples the constant factors once
+        calls = []
+        jet = qcflow_maps._generator_jet
+
+        def counted(kind, *args):
+            calls.append(kind)
+            return jet(kind, *args)
+
+        monkeypatch.setattr(qcflow_maps, "_generator_jet", counted)
+        m.jacobian(np.array([0.3, -0.2]))
+        assert calls == ["inversion"]
+
+    @pytest.mark.parametrize("where", ["whole_run", "run_then_word", "two_affines_then_word"])
+    def test_folded_reflection_refused_at_every_sample(self, where):
+        flip = affine_map(np.diag([1.0, -1.0]))
+        rot = moebius("rotation", {"n": 2, "angle": 0.3})
+        shift = compose(moebius("inversion", {"n": 2}),
+                        moebius("translation", {"offset": [2.0, 0.5]}))
+        m = {"whole_run": compose(flip, rot),
+             "run_then_word": compose(shift, compose(flip, rot)),
+             "two_affines_then_word": compose(shift, compose(affine_map(np.eye(2)),
+                                                             compose(flip, rot)))}[where]
+        x = np.array([0.2, -0.1])
+        messages = set()
+        for sample in (m.jacobian, m.value, m.hessian, m.jet, m.jacobian):
+            with pytest.raises(NonPositiveDeterminant) as info:
+                sample(x)
+            messages.add(str(info.value))
+        assert messages == {"determinant must be positive (min -1.000000e+00)"}
+
+    @pytest.mark.parametrize("folded", [True, False], ids=["in_the_run", "after_the_run"])
+    def test_two_reflections_in_a_row_refused(self, folded):
+        # the two flips compose to det +1, so only their own checks refuse them
+        flip = affine_map(np.diag([1.0, -1.0]))
+        inner = moebius("rotation", {"n": 2, "angle": 0.3}) if folded else polynomial_map(2)
+        m = compose(flip, compose(flip, inner))
+        x = np.array([0.2, -0.1])
+        for sample in (m.jacobian, m.jet, m.jacobian):
+            with pytest.raises(NonPositiveDeterminant,
+                               match=re.escape("determinant must be positive (min -1.000000e+00)")):
+                sample(x)
+
+    def test_fold_made_once_across_threads(self, monkeypatch):
+        # threads sample a fresh composite together: one folds, the others
+        # wait for that fold and use it; the slow fold and the short switch
+        # interval make every thread find the composite unfolded
+        fold = qcflow_maps._fold
+        calls = []
+        workers = 4
+        started = threading.Barrier(workers)
+
+        def slow(factors):
+            calls.append(1)
+            time.sleep(0.05)
+            return fold(factors)
+
+        monkeypatch.setattr(qcflow_maps, "_fold", slow)
+        m = teichmuller_example(2)
+        x = np.array([0.3, -0.2])
+        results = [None] * workers
+
+        def sample(k):
+            started.wait(timeout=10)
+            results[k] = m.jacobian(x)
+
+        threads = [threading.Thread(target=sample, args=(k,)) for k in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert calls == [1]
+        want = chained_map(m).jacobian(x).tobytes()
+        assert all(r is not None and r.tobytes() == want for r in results)
+
+
 class TestFirstOrderSampler:
     @pytest.mark.parametrize(
         "build, n",
@@ -539,7 +710,8 @@ class TestFirstOrderSampler:
 
     def test_words_fold_from_their_first_generator(self, monkeypatch):
         # teichmuller(2) has factors [rotation word, affine, two-letter word]:
-        # one chain inside the two-letter word and one per later factor
+        # the rotation, the affine and the word's translation fold into one
+        # constant matrix, so only the inversion is chained onto it
         calls = []
 
         def counted(outer, inner):
@@ -549,7 +721,7 @@ class TestFirstOrderSampler:
         m = teichmuller_example(2)
         monkeypatch.setattr("qcflow.maps._chain", counted)
         m.jacobian(np.array([0.3, -0.2]))
-        assert len(calls) == 3
+        assert len(calls) == 1
 
     def test_inversion_origin_guard(self):
         inv = moebius("inversion", {"n": 2})

@@ -154,6 +154,19 @@ class TestDilationField:
             assert k[idx] == pytest.approx(k1, rel=1e-13)
             np.testing.assert_allclose(field[idx], f1, rtol=0, atol=1e-13)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]),
+           count=st.integers(1, 9))
+    def test_stack_rows_match_single_calls_bitwise(self, seed, n, count):
+        rng = np.random.default_rng(seed)
+        mats = np.array([random_posdet(rng, n, scale=0.6) for _ in range(count)])
+        k, field = _dilation_field(mats)
+        assert k.tobytes() == trace_dilation(mats).tobytes()
+        for i, j in enumerate(mats):
+            k1, f1 = _dilation_field(j)
+            assert k1.tobytes() == k[i].tobytes() == trace_dilation(j).tobytes()
+            assert f1.tobytes() == field[i].tobytes()
+
     def test_folded_rejected(self):
         with pytest.raises(NonPositiveDeterminant, match="determinant must be positive"):
             _dilation_field(np.diag([1.0, -1.0, 1.0]))
