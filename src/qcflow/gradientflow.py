@@ -15,12 +15,21 @@ or a non-finite value halt the run.
 Grid stencils work entry-first: one moveaxis per state puts the
 component axis in front, so the Jacobian is J[i, a, *nodes], the Hessian
 H[i, a, b, *nodes], and every matrix entry is a contiguous vector over
-the nodes. The step operator (_interior_update, behind interior_operator,
-explicit_step and run_flow) and compatibility_check contract the flux
-linearization with the Hessian in O(n^3) per node through
-operators._contracted_operator, and det_cache and the energy take the
-closed-form tensor._det_adj. Only dtmax builds the n^4
-flux_linearization, once per run, because it needs the coefficient mass.
+the nodes. Each state is differenced once, by _fields: its Jacobian (the
+np.gradient stencils, taken by slicing in _first_difference), the
+closed-form tensor._det_adj determinant and adjugate, and |J|^2, over
+every node, with the Jacobian's entries checked finite where they are
+made. _advance builds them for each stepped state and holds its det to
+the collapse floor; the energy reads their |J|^2 and det, and the next
+step's _interior_update slices their interior as the coefficients of
+operators._contracted_operator, which contracts the flux linearization
+with the interior Hessian in O(n^3) per node. The public energy,
+interior_operator, explicit_step and compatibility_check, and run_flow's
+set-up, take a given grid's fields from _checked_fields, which also
+holds det > 0. Picard's first pass reuses the initial fields at every
+step; later passes difference each saved state again, one at a time.
+Only dtmax builds the n^4 flux_linearization, once per run, because it
+needs the coefficient mass.
 """
 
 from __future__ import annotations
@@ -28,12 +37,13 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DeterminantCollapse, NonFiniteValue
 from .operators import _contracted_operator, flux_linearization
-from .tensor import _checked_det_adj, _det_adj
+from .tensor import _det_adj, _positive
 
 DEFAULT_SAFETY = 0.2
 ENERGY_TOL_SCALE = 1e-12
@@ -85,11 +95,63 @@ def _entry_first(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(values, -1, 0))
 
 
+def _first_difference(f: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.ndarray:
+    """d f / d x_axis written into out: centred inside, one-sided 3-point at the ends.
+
+    np.gradient(f, h, axis=axis, edge_order=2) by plain slicing, with its
+    formulas and its order of operations, so the two agree bit for bit.
+    """
+    def at(s):
+        return (slice(None),) * axis + (s,)
+
+    out[at(slice(1, -1))] = (f[at(slice(2, None))] - f[at(slice(None, -2))]) / (2.0 * h)
+    out[at(0)] = -1.5 / h * f[at(0)] + 2.0 / h * f[at(1)] + -0.5 / h * f[at(2)]
+    out[at(-1)] = 0.5 / h * f[at(-3)] + -2.0 / h * f[at(-2)] + 1.5 / h * f[at(-1)]
+    return out
+
+
 def _jacobian_field(values: np.ndarray, h: float) -> np.ndarray:
     """J[i, a, *nodes] = d_a u^i by central differences, one-sided at edges."""
     v = _entry_first(values)
-    return np.stack([np.gradient(v, h, axis=1 + a, edge_order=2)
-                     for a in range(v.shape[0])], axis=1)
+    n = v.shape[0]
+    jac = np.empty((n, n) + v.shape[1:])
+    for a in range(n):
+        _first_difference(v, h, 1 + a, jac[:, a])
+    return jac
+
+
+class _Fields(NamedTuple):
+    """One grid state's stencil fields over every node, entry-first.
+
+    jac[i, a, *nodes] is the difference Jacobian, det and adj[i, j, *nodes]
+    its determinant and adjugate, nsq = |J|^2.
+    """
+
+    jac: np.ndarray
+    det: np.ndarray
+    adj: np.ndarray
+    nsq: np.ndarray
+
+
+def _fields(values: np.ndarray, h: float) -> _Fields:
+    """Difference a state once and take the fields every consumer reads.
+
+    A non-finite Jacobian entry raises NonFiniteValue here, where it is
+    made. det is not sign-checked: _checked_fields holds a given grid to
+    det > 0, _advance a stepped one to the collapse floor.
+    """
+    jac = _jacobian_field(values, h)
+    if not np.isfinite(jac).all():
+        raise NonFiniteValue("difference Jacobian has non-finite entries")
+    det, adj = _det_adj(jac)
+    return _Fields(jac, det, adj, np.sum(jac * jac, axis=(0, 1)))
+
+
+def _checked_fields(values: np.ndarray, h: float) -> _Fields:
+    """_fields of a given grid state, whose det must be positive at every node."""
+    fields = _fields(values, h)
+    _positive(fields.det)
+    return fields
 
 
 def make_grid(mapping, shape, h: float, origin=None) -> GridField:
@@ -119,28 +181,30 @@ def make_grid(mapping, shape, h: float, origin=None) -> GridField:
     if values.shape != nodes.shape:
         raise ValueError(f"map values have shape {values.shape}, expected {nodes.shape}")
     return GridField(values=values, h=h, origin=origin,
-                     det_cache=_checked_det_adj(_jacobian_field(values, h))[0])
-
-
-def _shift(v: np.ndarray, offsets) -> np.ndarray:
-    """Entry-first values at interior nodes displaced by per-axis offsets."""
-    return v[(slice(None),) + tuple(slice(1 + o, m - 1 + o)
-                                    for o, m in zip(offsets, v.shape[1:]))]
+                     det_cache=_checked_fields(values, h).det)
 
 
 def _interior_hessian(v: np.ndarray, h: float) -> np.ndarray:
     """H[i, a, b, *interior] by the 3-point and 4-point centred stencils."""
     n = v.shape[0]
-    unit = np.eye(n, dtype=int)
-    center = _shift(v, [0] * n)
+    down, mid, up = slice(None, -2), slice(1, -1), slice(2, None)
+
+    def shift(*moves):
+        """v at the interior nodes, each (axis, slice) in moves one node off."""
+        index = [slice(None)] + [mid] * n
+        for a, s in moves:
+            index[1 + a] = s
+        return v[tuple(index)]
+
+    center = shift()
+    twice = 2.0 * center
     hess = np.empty((n, n, n) + center.shape[1:])
     for a in range(n):
-        hess[:, a, a] = (_shift(v, unit[a]) - 2.0 * center + _shift(v, -unit[a])) / h**2
+        hess[:, a, a] = (shift((a, up)) - twice + shift((a, down))) / h**2
         for b in range(a + 1, n):
-            ea, eb = unit[a], unit[b]
             hess[:, a, b] = hess[:, b, a] = (
-                _shift(v, ea + eb) - _shift(v, ea - eb) - _shift(v, eb - ea)
-                + _shift(v, -ea - eb)
+                shift((a, up), (b, up)) - shift((a, up), (b, down))
+                - shift((a, down), (b, up)) + shift((a, down), (b, down))
             ) / (4.0 * h**2)
     return hess
 
@@ -151,7 +215,7 @@ def _full_hessian(values: np.ndarray, h: float) -> np.ndarray:
     n = v.shape[0]
     hess = np.empty((n, n) + v.shape)
     for a in range(n):
-        grad = np.gradient(v, h, axis=1 + a, edge_order=2)
+        grad = _first_difference(v, h, 1 + a, np.empty_like(v))
         for b in range(n):
             if a == b:
                 d2 = np.moveaxis(hess[:, a, a], 1 + a, 0)
@@ -160,26 +224,24 @@ def _full_hessian(values: np.ndarray, h: float) -> np.ndarray:
                 d2[0] = (2.0 * w[0] - 5.0 * w[1] + 4.0 * w[2] - w[3]) / h**2
                 d2[-1] = (2.0 * w[-1] - 5.0 * w[-2] + 4.0 * w[-3] - w[-4]) / h**2
             else:
-                hess[:, a, b] = np.gradient(grad, h, axis=1 + b, edge_order=2)
+                _first_difference(grad, h, 1 + b, hess[:, a, b])
     return 0.5 * (hess + np.swapaxes(hess, 1, 2))
 
 
-def _energy(jac: np.ndarray, det: np.ndarray, h: float, p: float) -> float:
-    """Trapezoidal mean of K^{np} from a full-grid Jacobian and its determinant."""
-    n = jac.shape[0]
-    nsq = np.sum(jac * jac, axis=(0, 1))
-    ksq = nsq / det ** (2.0 / n)
+def _energy(fields: _Fields, h: float, p: float) -> float:
+    """Trapezoidal mean of K^{np} from a state's |J|^2 and determinant."""
+    n = fields.jac.shape[0]
+    ksq = fields.nsq / fields.det ** (2.0 / n)
     total = ksq ** (n * p / 2.0)
     for _ in range(n):
         total = np.trapezoid(total, dx=h, axis=-1)
-    volume = float(np.prod([(m - 1) * h for m in det.shape]))
+    volume = float(np.prod([(m - 1) * h for m in fields.det.shape]))
     return float(total) / volume
 
 
 def energy(grid: GridField, p: float) -> float:
     """Mean of K^{np} over the box by trapezoidal quadrature."""
-    jac = _jacobian_field(grid.values, grid.h)
-    return _energy(jac, _checked_det_adj(jac)[0], grid.h, p)
+    return _energy(_checked_fields(grid.values, grid.h), grid.h, p)
 
 
 def compatibility_check(grid: GridField, p: float) -> float:
@@ -189,28 +251,28 @@ def compatibility_check(grid: GridField, p: float) -> float:
     small; the value converges to the pointwise operator norm on the
     boundary at second order in h.
     """
-    resid = _contracted_operator(_jacobian_field(grid.values, grid.h),
+    resid = _contracted_operator(*_checked_fields(grid.values, grid.h),
                                  _full_hessian(grid.values, grid.h), p)
     return float(np.max(np.abs(resid[:, grid.boundary_mask])))
 
 
-def _interior_update(coeff_jac: np.ndarray, values: np.ndarray, h: float,
+def _interior_update(coeff: _Fields, values: np.ndarray, h: float,
                      p: float) -> np.ndarray:
     """Operator at interior nodes, entry-first as out[i, *interior].
 
-    Coefficients come from coeff_jac, the coefficient state's full-grid
-    _jacobian_field, whose interior is the centred difference; the
-    Hessian comes from values.
+    The coefficients are the interior of coeff, the coefficient state's
+    fields, whose Jacobian there is the centred difference; the Hessian
+    comes from values.
     """
-    interior = (slice(None),) * 2 + (slice(1, -1),) * (values.ndim - 1)
-    return _contracted_operator(coeff_jac[interior],
+    interior = (Ellipsis,) + (slice(1, -1),) * (values.ndim - 1)
+    return _contracted_operator(*(f[interior] for f in coeff),
                                 _interior_hessian(_entry_first(values), h), p)
 
 
 def interior_operator(grid: GridField, p: float) -> np.ndarray:
     """Non-divergence operator at interior nodes, shape (*interior, n)."""
-    jac = _jacobian_field(grid.values, grid.h)
-    return np.moveaxis(_interior_update(jac, grid.values, grid.h, p), 0, -1)
+    update = _interior_update(_checked_fields(grid.values, grid.h), grid.values, grid.h, p)
+    return np.moveaxis(update, 0, -1)
 
 
 def _check_flow_args(**args) -> None:
@@ -246,25 +308,25 @@ def dtmax(grid: GridField, p: float, safety: float = DEFAULT_SAFETY) -> float:
 
 
 def _advance(grid: GridField, update: np.ndarray, dt: float,
-             det_floor: float) -> tuple[GridField, np.ndarray]:
+             det_floor: float) -> tuple[GridField, _Fields]:
     """Forward-Euler move of the interior nodes by dt * update.
 
-    Returns the stepped grid and its full-grid Jacobian, whose
-    determinant is the stepped det_cache.
+    Returns the stepped grid and its _fields, whose det is the stepped
+    det_cache. A non-finite value or Jacobian entry raises
+    NonFiniteValue, a determinant below det_floor DeterminantCollapse.
     """
     values = grid.values.copy()
     interior = (slice(None),) + tuple(slice(1, -1) for _ in grid.shape)
     np.moveaxis(values, -1, 0)[interior] += dt * update
     if not np.all(np.isfinite(values)):
         raise NonFiniteValue("explicit step produced non-finite values")
-    jac = _jacobian_field(values, grid.h)
-    det = _det_adj(jac)[0]
-    min_det = float(np.min(det))
+    fields = _fields(values, grid.h)
+    min_det = float(np.min(fields.det))
     if not min_det >= det_floor:  # a NaN determinant fails too
         raise DeterminantCollapse(
             f"step drove min det to {min_det:.6e} < floor {det_floor:.6e}"
         )
-    return GridField(values=values, h=grid.h, origin=grid.origin, det_cache=det), jac
+    return GridField(values=values, h=grid.h, origin=grid.origin, det_cache=fields.det), fields
 
 
 def explicit_step(grid: GridField, p: float, dt: float) -> GridField:
@@ -274,8 +336,7 @@ def explicit_step(grid: GridField, p: float, dt: float) -> GridField:
     below half the current minimum anywhere, the step is rejected by
     raising DeterminantCollapse.
     """
-    jac = _jacobian_field(grid.values, grid.h)
-    update = _interior_update(jac, grid.values, grid.h, p)
+    update = _interior_update(_checked_fields(grid.values, grid.h), grid.values, grid.h, p)
     return _advance(grid, update, dt, 0.5 * float(np.min(grid.det_cache)))[0]
 
 
@@ -328,19 +389,19 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
     dt0 = dtmax(grid, p, safety)
     compat = compatibility_check(grid, p)
     det_floor = 0.5 * float(np.min(grid.det_cache))
-    e0 = energy(grid, p)
+    fields0 = _checked_fields(grid.values, grid.h)
+    e0 = _energy(fields0, grid.h, p)
     tol = ENERGY_TOL_SCALE * (1.0 + abs(e0))
-    jac0 = _jacobian_field(grid.values, grid.h)
 
     violations = 0
-    # picard's coefficient Jacobians: the first pass freezes them at u0
-    frozen = itertools.repeat(jac0)
+    # picard's coefficient fields: the first pass freezes them at u0
+    frozen = itertools.repeat(fields0)
     for _ in range(1 if explicit else outer):
-        current, jac, t, dt, e_prev, consecutive, halt = grid, jac0, 0.0, dt0, e0, 0, None
+        current, fields, t, dt, e_prev, consecutive, halt = grid, fields0, 0.0, dt0, e0, 0, None
         times, energies, min_dets, dts = [0.0], [e0], [float(np.min(grid.det_cache))], [0.0]
         states = [grid.values]
-        # computed once per accepted state, a retry reuses it; while it is
-        # None, jac is the Jacobian of current (explicit mode's coefficients)
+        # computed once per accepted state, a retry reuses it; until then,
+        # fields are current's, explicit mode's coefficients
         update = None
         while True:
             # picard steps and stops on the lattice k * dt that indexes the
@@ -350,17 +411,20 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
                 break
             step_dt = min(dt, remaining)
             if update is None:
-                update = _interior_update(jac if explicit else next(frozen),
+                update = _interior_update(fields if explicit else next(frozen),
                                           current.values, grid.h, p)
+                # dead once the update is made; freed before the step builds
+                # the next state's, which keeps picard's peak memory down
+                fields = candidate_fields = None
             try:
-                candidate, jac = _advance(current, update, step_dt, det_floor)
+                candidate, candidate_fields = _advance(current, update, step_dt, det_floor)
             except DeterminantCollapse:
                 halt = "determinant_collapse"
                 break
             except NonFiniteValue:
                 halt = "non_finite"
                 break
-            e_new = _energy(jac, candidate.det_cache, grid.h, p)
+            e_new = _energy(candidate_fields, grid.h, p)
             if e_new > e_prev + tol:
                 violations += 1
                 consecutive += 1
@@ -372,7 +436,8 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
                     continue
             else:
                 consecutive = 0
-            current, t, e_prev, update = candidate, t + step_dt, e_new, None
+            current, fields = candidate, candidate_fields
+            t, e_prev, update = t + step_dt, e_new, None
             times.append(t)
             energies.append(e_new)
             min_dets.append(float(np.min(current.det_cache)))
@@ -381,9 +446,9 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
                 states.append(current.values)
         if halt is not None:
             break
-        # differenced one at a time, so a saved state's Jacobian is freed
-        # before the step allocates its own
-        frozen = (_jacobian_field(v, grid.h) for v in states)
+        # differenced one at a time, so a saved state's fields are freed
+        # before the step allocates its own; _advance checked each state
+        frozen = (_fields(v, grid.h) for v in states)
 
     return FlowRunStats(
         times=np.array(times),

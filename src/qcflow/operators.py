@@ -8,12 +8,14 @@ handled in log-domain so p up to about 10^3 stays finite.
 
 On grids the non-divergence operator is evaluated by _contracted_operator,
 which contracts the linearization with the Hessian in O(n^3) per node on
-entry-first stacks and is what the gradient flow steps with. The n^4
+entry-first stacks and is what the gradient flow steps with. It takes the
+coefficient Jacobian's determinant, adjugate and |q|^2 from its caller,
+gradientflow, which computes and checks them once per grid state. The n^4
 flux_linearization stays for gradientflow.dtmax (which needs the
 coefficient mass), lh_witness and lp_nondiv, and is the oracle the verify
 suites and tests compare against; on single points np.linalg is faster
-than the closed-form kernel. Every kernel that takes a Jacobian, Jet2Sample
-included, validates it through tensor._checked.
+than the closed-form kernel. Every kernel here that takes a Jacobian on its
+own, Jet2Sample included, validates it through tensor._checked.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 from .errors import UnsupportedRegime
 from .tensor import (
     _checked,
-    _checked_det_adj,
     _dilation_field,
     _norm_sq,
     ahlfors,
@@ -129,12 +130,15 @@ def _a4_bracket(q: np.ndarray, p: float) -> np.ndarray:
     )
 
 
-def _contracted_operator(q: np.ndarray, hess: np.ndarray, p: float) -> np.ndarray:
+def _contracted_operator(q: np.ndarray, det: np.ndarray, adj: np.ndarray, nsq: np.ndarray,
+                         hess: np.ndarray, p: float) -> np.ndarray:
     """flux_linearization contracted with a Hessian, without the n^4 tensor.
 
-    Takes entry-first stacks q[k, l, ...] and hess[k, j, l, ...] and
-    returns the non-divergence operator as out[i, ...]. Each _a4_bracket
-    term contracts to a partial trace of the Hessian, with
+    Takes entry-first stacks q[k, l, ...] and hess[k, j, l, ...], with q's
+    determinant det[...], adjugate adj[k, l, ...] and |q|^2 nsq[...] as the
+    caller computed and checked them (finite q, positive det), and returns
+    the non-divergence operator as out[i, ...]. Each _a4_bracket term
+    contracts to a partial trace of the Hessian, with
     v_j = q[k,l] H[k,j,l], w_j = q^{-1}[l,k] H[k,j,l] and
     w'_l = q^{-1}[j,k] H[k,j,l]:
         bracket.H = np (q^{-T} v + q w) - n(np-2)/|q|^2 q v
@@ -143,9 +147,7 @@ def _contracted_operator(q: np.ndarray, hess: np.ndarray, p: float) -> np.ndarra
     for any Hessian, symmetric or not. O(n^3) per node.
     """
     n = q.shape[0]
-    det, adj = _checked_det_adj(q)
     qi = adj / det
-    nsq = np.sum(q * q, axis=(0, 1))
     v = np.einsum("kl...,kjl...->j...", q, hess)
     w = np.einsum("lk...,kjl...->j...", qi, hess)
     w_prime = np.einsum("jk...,kjl...->l...", qi, hess)

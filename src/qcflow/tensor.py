@@ -96,14 +96,6 @@ def _det_adj(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return det, adj
 
 
-def _checked_det_adj(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_det_adj of an entry-first stack with finite entries and positive det."""
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteValue("matrix entries must be finite")
-    det, adj = _det_adj(a)
-    return _positive(det), adj
-
-
 def hs_norm(m) -> float | np.ndarray:
     """Hilbert-Schmidt norm, the square root of the sum of squared entries."""
     return np.sqrt(_norm_sq(_as_matrix(m)))

@@ -1,7 +1,8 @@
-"""Test-only oracles: finite-difference jets, a plain chain fold and a path-integral drift check.
+"""Test-only oracles: finite-difference jets, a plain chain fold, a path-integral drift check
+and a recompute-everything grid flow.
 
 None is part of the package; the tests check the exact jets, the folded
-composites and the differential-drift identity against them.
+composites, the differential-drift identity and run_flow against them.
 """
 
 from __future__ import annotations
@@ -10,10 +11,12 @@ from typing import Callable
 
 import numpy as np
 
-from qcflow.errors import RowSwitched
+from qcflow.errors import DeterminantCollapse, NonFiniteValue, RowSwitched
 from qcflow.flowlines import FlowTrajectory
+from qcflow.gradientflow import ENERGY_TOL_SCALE, FlowRunStats, GridField
 from qcflow.maps import SmoothMap, _chain
-from qcflow.tensor import _dilation_field
+from qcflow.operators import _contracted_operator, flux_linearization
+from qcflow.tensor import _det_adj, _dilation_field, _positive
 
 
 def fd_map(value_fn: Callable[[np.ndarray], np.ndarray], n: int, h: float) -> SmoothMap:
@@ -84,3 +87,177 @@ def path_integral_residual(mapping, trajectory: FlowTrajectory, row_index: int) 
     integral = np.trapezoid(integrand, trajectory.s, axis=0)
     drift = jets[-1].J[i] - jets[0].J[i]
     return float(np.max(np.abs(drift - integral)))
+
+
+# ---------------------------------------------------------------------------
+# the grid flow with every field recomputed where it is read
+
+
+def _gradient_jacobian(values: np.ndarray, h: float) -> np.ndarray:
+    """J[i, a, *nodes] by np.gradient, second order at the edges."""
+    v = np.ascontiguousarray(np.moveaxis(values, -1, 0))
+    return np.stack([np.gradient(v, h, axis=1 + a, edge_order=2)
+                     for a in range(v.shape[0])], axis=1)
+
+
+def _checked_det_adj(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det and adjugate of an entry-first stack with finite entries and positive det."""
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteValue("matrix entries must be finite")
+    det, adj = _det_adj(a)
+    return _positive(det), adj
+
+
+def _operator(q: np.ndarray, hess: np.ndarray, p: float) -> np.ndarray:
+    """_contracted_operator with q's det, adjugate and |q|^2 taken and checked anew."""
+    return _contracted_operator(q, *_checked_det_adj(q), np.sum(q * q, axis=(0, 1)), hess, p)
+
+
+def _shift(v: np.ndarray, offsets) -> np.ndarray:
+    """Entry-first values at interior nodes displaced by an offset vector."""
+    return v[(slice(None),) + tuple(slice(1 + o, m - 1 + o)
+                                    for o, m in zip(offsets, v.shape[1:]))]
+
+
+def _interior_hessian(v: np.ndarray, h: float) -> np.ndarray:
+    """H[i, a, b, *interior] from unit offset vectors, not per-axis slices."""
+    n = v.shape[0]
+    unit = np.eye(n, dtype=int)
+    center = _shift(v, [0] * n)
+    hess = np.empty((n, n, n) + center.shape[1:])
+    for a in range(n):
+        hess[:, a, a] = (_shift(v, unit[a]) - 2.0 * center + _shift(v, -unit[a])) / h**2
+        for b in range(a + 1, n):
+            ea, eb = unit[a], unit[b]
+            hess[:, a, b] = hess[:, b, a] = (
+                _shift(v, ea + eb) - _shift(v, ea - eb) - _shift(v, eb - ea)
+                + _shift(v, -ea - eb)
+            ) / (4.0 * h**2)
+    return hess
+
+
+def _full_hessian(values: np.ndarray, h: float) -> np.ndarray:
+    """H[i, a, b, *nodes] with the mixed derivatives through np.gradient."""
+    v = np.ascontiguousarray(np.moveaxis(values, -1, 0))
+    n = v.shape[0]
+    hess = np.empty((n, n) + v.shape)
+    for a in range(n):
+        grad = np.gradient(v, h, axis=1 + a, edge_order=2)
+        for b in range(n):
+            if a == b:
+                d2 = np.moveaxis(hess[:, a, a], 1 + a, 0)
+                w = np.moveaxis(v, 1 + a, 0)
+                d2[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / h**2
+                d2[0] = (2.0 * w[0] - 5.0 * w[1] + 4.0 * w[2] - w[3]) / h**2
+                d2[-1] = (2.0 * w[-1] - 5.0 * w[-2] + 4.0 * w[-3] - w[-4]) / h**2
+            else:
+                hess[:, a, b] = np.gradient(grad, h, axis=1 + b, edge_order=2)
+    return 0.5 * (hess + np.swapaxes(hess, 1, 2))
+
+
+def _energy(jac: np.ndarray, det: np.ndarray, h: float, p: float) -> float:
+    """Trapezoidal mean of K^{np}, |J|^2 taken from jac."""
+    n = jac.shape[0]
+    ksq = np.sum(jac * jac, axis=(0, 1)) / det ** (2.0 / n)
+    total = ksq ** (n * p / 2.0)
+    for _ in range(n):
+        total = np.trapezoid(total, dx=h, axis=-1)
+    return float(total) / float(np.prod([(m - 1) * h for m in det.shape]))
+
+
+def _update(coeff_jac: np.ndarray, values: np.ndarray, h: float, p: float) -> np.ndarray:
+    """Interior operator from the interior of a full-grid coefficient Jacobian."""
+    interior = (slice(None),) * 2 + (slice(1, -1),) * (values.ndim - 1)
+    v = np.ascontiguousarray(np.moveaxis(values, -1, 0))
+    return _operator(coeff_jac[interior], _interior_hessian(v, h), p)
+
+
+def _advance(grid: GridField, update: np.ndarray, dt: float, det_floor: float):
+    """Stepped grid and its Jacobian; the determinant is taken and floored here."""
+    values = grid.values.copy()
+    interior = (slice(None),) + tuple(slice(1, -1) for _ in grid.shape)
+    np.moveaxis(values, -1, 0)[interior] += dt * update
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteValue("explicit step produced non-finite values")
+    jac = _gradient_jacobian(values, grid.h)
+    det = _det_adj(jac)[0]
+    if not float(np.min(det)) >= det_floor:
+        raise DeterminantCollapse("step drove min det below the floor")
+    return GridField(values=values, h=grid.h, origin=grid.origin, det_cache=det), jac
+
+
+def recompute_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
+                   safety: float = 0.2, outer: int = 3) -> FlowRunStats:
+    """run_flow as a loop that differences and factors a state wherever it is read.
+
+    Jacobians come from np.gradient, each step's coefficients are
+    factored and checked anew on the interior, the energy takes |J|^2
+    again, and the set-up differences u0 once per consumer. Arguments
+    are taken as valid; the stats must equal run_flow's bit for bit.
+    """
+    explicit = mode == "explicit"
+    h = grid.h
+    jac0 = _gradient_jacobian(grid.values, h)
+    a4 = flux_linearization(np.moveaxis(jac0, (0, 1), (-2, -1)), p)
+    dt0 = safety * h**2 / float(np.max(np.sum(np.abs(a4), axis=(-3, -2, -1))))
+    resid = _operator(jac0, _full_hessian(grid.values, h), p)
+    compat = float(np.max(np.abs(resid[:, grid.boundary_mask])))
+    det_floor = 0.5 * float(np.min(grid.det_cache))
+    e0 = _energy(jac0, _checked_det_adj(jac0)[0], h, p)
+    tol = ENERGY_TOL_SCALE * (1.0 + abs(e0))
+
+    violations = 0
+    frozen = None  # the previous pass's states; the first pass freezes at u0
+    for _ in range(1 if explicit else outer):
+        current, jac, t, dt, e_prev, consecutive, halt = grid, jac0, 0.0, dt0, e0, 0, None
+        times, energies, min_dets, dts = [0.0], [e0], [float(np.min(grid.det_cache))], [0.0]
+        states = [grid.values]
+        update = None
+        while True:
+            k = len(times) - 1
+            remaining = t_final - (t if explicit else k * dt)
+            if not remaining > 1e-12 * t_final:
+                break
+            step_dt = min(dt, remaining)
+            if update is None:
+                if explicit:
+                    coeff = jac
+                elif frozen is None:
+                    coeff = jac0
+                else:
+                    coeff = _gradient_jacobian(frozen[k], h)
+                update = _update(coeff, current.values, h, p)
+            try:
+                candidate, candidate_jac = _advance(current, update, step_dt, det_floor)
+            except DeterminantCollapse:
+                halt = "determinant_collapse"
+                break
+            except NonFiniteValue:
+                halt = "non_finite"
+                break
+            e_new = _energy(candidate_jac, candidate.det_cache, h, p)
+            if e_new > e_prev + tol:
+                violations += 1
+                consecutive += 1
+                if consecutive >= 5:
+                    halt = "unstable"
+                    break
+                if explicit:
+                    dt *= 0.5
+                    continue
+            else:
+                consecutive = 0
+            current, jac, t, e_prev, update = candidate, candidate_jac, t + step_dt, e_new, None
+            times.append(t)
+            energies.append(e_new)
+            min_dets.append(float(np.min(current.det_cache)))
+            dts.append(step_dt)
+            states.append(current.values)
+        if halt is not None:
+            break
+        frozen = states
+
+    return FlowRunStats(times=np.array(times), energy=np.array(energies),
+                        min_det=np.array(min_dets), dt_history=np.array(dts),
+                        halt_reason=halt, compat_residual=compat, violations=violations,
+                        final_grid=current)

@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import recompute_flow
 from qcflow import (
     DeterminantCollapse,
     NonFiniteValue,
@@ -219,6 +222,8 @@ class TestGridChecks:
         for fn in (interior_operator, energy, compatibility_check):
             with pytest.raises(NonPositiveDeterminant, match="determinant must be positive"):
                 fn(folded, 2.0)
+        with pytest.raises(NonPositiveDeterminant, match="determinant must be positive"):
+            explicit_step(folded, 2.0, 1e-6)
 
     def test_nan_value_rejected(self):
         g = bump_grid((9, 9), 1.0 / 8.0)
@@ -228,6 +233,19 @@ class TestGridChecks:
         for fn in (interior_operator, energy, compatibility_check):
             with pytest.raises(NonFiniteValue):
                 fn(broken, 2.0)
+        with pytest.raises(NonFiniteValue):
+            explicit_step(broken, 2.0, 1e-6)
+
+    def test_fields_refuse_a_fold_and_a_nan(self):
+        # the operator's coefficient checks live where the fields are made:
+        # J = diag(-1, 1) at every node is a fold, a NaN node a non-finite J
+        nodes = identity_grid((5, 5), 0.25).node_coordinates()
+        with pytest.raises(NonPositiveDeterminant, match="determinant must be positive"):
+            gradientflow._checked_fields(nodes * np.array([-1.0, 1.0]), 0.25)
+        nodes[2, 2, 0] = np.nan
+        for fields in (gradientflow._fields, gradientflow._checked_fields):
+            with pytest.raises(NonFiniteValue):
+                fields(nodes, 0.25)
 
     def test_make_grid_refuses_a_fold(self):
         # the node values are read unchecked; the grid's difference Jacobian is checked
@@ -349,24 +367,25 @@ class TestRunFlow:
         # 1e-12 relative, so a stop test on the running sum would ask for a
         # step past the last lattice step. The kernels are stubbed so that
         # the stop rule alone runs at that length; the state never moves,
-        # so its Jacobian is the fixed one of the identity grid.
+        # so its fields are the fixed ones of the identity grid.
         dt, n_steps = 0.0009572206494414425, 38032
         t = 0.0
         for _ in range(n_steps):
             t += dt
         assert t < n_steps * dt * (1.0 - 1e-12)
 
+        grid = identity_grid((4, 4), 1.0 / 3.0)
+        fields = gradientflow._fields(grid.values, grid.h)
+
         def advance(grid, update, step_dt, det_floor):
             assert step_dt > 0.0
-            return grid, None
+            return grid, fields
 
-        grid = identity_grid((4, 4), 1.0 / 3.0)
-        jac = gradientflow._jacobian_field(grid.values, grid.h)
         monkeypatch.setattr(gradientflow, "dtmax", lambda grid, p, safety: dt)
         monkeypatch.setattr(gradientflow, "_interior_update", lambda *args: None)
         monkeypatch.setattr(gradientflow, "_advance", advance)
         monkeypatch.setattr(gradientflow, "_energy", lambda *args: 0.0)
-        monkeypatch.setattr(gradientflow, "_jacobian_field", lambda values, h: jac)
+        monkeypatch.setattr(gradientflow, "_fields", lambda values, h: fields)
         stats = run_flow(grid, 2.0, n_steps * dt, mode="picard", outer=2)
         assert stats.halt_reason is None
         assert stats.times.size - 1 == n_steps
@@ -388,6 +407,26 @@ class TestRunFlow:
         grid = affine_bump_grid()
         monkeypatch.setattr(gradientflow, "_interior_update",
                             lambda *args: np.full((2, 15, 15), np.inf))
+        stats = run_flow(grid, 2.0, 1e-3, mode=mode)
+        assert stats.halt_reason == "non_finite"
+        assert stats.times.size == 1 and stats.violations == 0
+        np.testing.assert_array_equal(stats.final_grid.values, grid.values)
+
+    @pytest.mark.parametrize("mode", ["explicit", "picard"])
+    def test_non_finite_stepped_jacobian_halts_non_finite(self, monkeypatch, mode):
+        # one inf in a stepped state's difference Jacobian used to pass the
+        # floor, put a NaN in the energy (a RuntimeWarning) and escape as a
+        # bare NonFiniteValue at the next step; it is checked where it is made
+        grid = affine_bump_grid()
+        jacobian = gradientflow._jacobian_field
+
+        def poisoned(values, h):
+            jac = jacobian(values, h)
+            if not np.array_equal(values, grid.values):
+                jac[0, 0, 8, 8] = np.inf
+            return jac
+
+        monkeypatch.setattr(gradientflow, "_jacobian_field", poisoned)
         stats = run_flow(grid, 2.0, 1e-3, mode=mode)
         assert stats.halt_reason == "non_finite"
         assert stats.times.size == 1 and stats.violations == 0
@@ -516,6 +555,62 @@ class TestRunFlow:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "step,time,energy,min_det,dt"
         assert len(lines) == stats.times.size + 1
+
+
+FLOW_CONFIGS = {
+    # name: (n, nodes per axis, t_final, run_flow keywords)
+    "explicit_rejects_a_step": (2, 17, 1e-2, dict(safety=3.0)),
+    "picard_two_passes": (2, 17, 1e-3, dict(mode="picard", outer=2)),
+    "explicit_n3": (3, 9, 2e-4, dict()),
+    "picard_n3_two_passes": (3, 9, 2e-4, dict(mode="picard", outer=2)),
+}
+
+
+class TestRecomputeOracle:
+    @pytest.mark.parametrize("config", sorted(FLOW_CONFIGS))
+    def test_run_flow_matches_recompute_everything(self, config):
+        # each state differenced and factored once must give the bits of the
+        # loop that differences and factors it wherever it is read
+        n, m, t_final, kwargs = FLOW_CONFIGS[config]
+        grid = make_grid(make_map("affine_bump", n=n, amplitude=0.05), (m,) * n, 1.0 / (m - 1))
+        stats = run_flow(grid, 2.0, t_final, **kwargs)
+        oracle = recompute_flow(grid, 2.0, t_final, **kwargs)
+        assert stats.times.size > 5
+        for name in ("times", "energy", "min_det", "dt_history"):
+            assert getattr(stats, name).tobytes() == getattr(oracle, name).tobytes(), name
+        assert (stats.halt_reason, stats.violations) == (oracle.halt_reason, oracle.violations)
+        assert stats.compat_residual.hex() == oracle.compat_residual.hex()
+        assert stats.final_grid.values.tobytes() == oracle.final_grid.values.tobytes()
+        assert stats.final_grid.det_cache.tobytes() == oracle.final_grid.det_cache.tobytes()
+        if "safety" in kwargs:
+            assert stats.violations == 1
+
+
+@st.composite
+def _grid_arrays(draw):
+    """An entry-first stack of n components over n axes, n = 2..4, of 4 to 7 nodes (5 at n = 4)."""
+    n = draw(st.integers(2, 4))
+    shape = (n,) + tuple(draw(st.integers(4, 7 if n < 4 else 5)) for _ in range(n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    return scale * np.random.default_rng(seed).standard_normal(shape)
+
+
+class TestFirstDifference:
+    @settings(max_examples=60, deadline=None)
+    @given(v=_grid_arrays(), h=st.floats(1e-3, 10.0), data=st.data())
+    def test_equals_numpy_gradient_bit_for_bit(self, v, h, data):
+        axis = data.draw(st.integers(1, v.ndim - 1))
+        out = gradientflow._first_difference(v, h, axis, np.empty_like(v))
+        assert out.tobytes() == np.gradient(v, h, axis=axis, edge_order=2).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(v=_grid_arrays(), h=st.floats(1e-3, 10.0))
+    def test_jacobian_field_equals_numpy_gradient(self, v, h):
+        jac = gradientflow._jacobian_field(np.moveaxis(v, 0, -1), h)
+        ref = np.stack([np.gradient(v, h, axis=1 + a, edge_order=2)
+                        for a in range(v.shape[0])], axis=1)
+        assert jac.tobytes() == ref.tobytes()
 
 
 class TestSnapshots:
