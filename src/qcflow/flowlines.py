@@ -2,8 +2,9 @@
 
 Each sample reads J through the map's public jacobian accessor and
 takes the field and K together, in closed form from one checked
-determinant (tensor._dilation_field); tensor.factoring_residual and
-operators.linfty_flowform keep the S(g) route and are its oracles.
+determinant (tensor._dilation_field); an RK4 stage takes the field
+alone (tensor._sg_field). tensor.factoring_residual and
+operators.linfty_flowform keep the S(g) route and are their oracles.
 
 A flow line follows one row of the field at a time, switching rows only
 when the active row's speed decays under a hysteresis threshold, and
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllRowsDegenerate, GuardViolation, RowSwitched, StepFailure
-from .tensor import _dilation_field
+from .operators import Jet2Sample
+from .tensor import _dilation_field, _sg_field
 
 DEFAULT_STEP = 1e-3
 SWITCH_THRESHOLD = 0.5
@@ -83,10 +85,10 @@ def flow_field(mapping, x) -> np.ndarray:
     """Matrix S(g) J^{-T} at x; its i-th row drives the i-th flow line.
 
     Reads J through the public mapping.jacobian, which builds no Hessian
-    for a map with a first-order path, and computes the field in closed
-    form from one determinant, which must be positive.
+    for a map with a first-order path, and computes the field alone, not
+    K, in closed form from one determinant, which must be positive.
     """
-    return _dilation_field(mapping.jacobian(x))[1]
+    return _sg_field(mapping.jacobian(x))[0]
 
 
 def _row_norms(field: np.ndarray) -> tuple[np.ndarray, float]:
@@ -143,9 +145,9 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
     stage reads J through the public mapping.jacobian, never a
     validated Jet2Sample, and a map with a first-order path builds no
     Hessian for it. Each sample takes one checked determinant of J, for
-    the field and K together; guard violations at a stage raise
-    StepFailure. The first stage of a step reuses the velocity already
-    evaluated at the accepted point.
+    the field and K together, and each RK4 stage one for the field alone;
+    guard violations at a stage raise StepFailure. The first stage of a
+    step reuses the velocity already evaluated at the accepted point.
     """
     for name, value in (("ds", ds), ("max_len", max_len)):
         if not 0.0 < value < np.inf:  # NaN fails too
@@ -223,16 +225,15 @@ def du_recovery_check(mapping, trajectory: FlowTrajectory, row_index: int) -> fl
     Compares the drift of Jacobian row i between the endpoints with the
     trapezoidal integral of K grad K along the path, returning the max
     over columns of the absolute mismatch. K grad K is the field
-    S(g) J^{-T} contracted with the Hessian. Insists the trajectory never
-    switched rows.
+    S(g) J^{-T} contracted with the Hessian. The path's jets come from one
+    sampler call on all its points, validated as one Jet2Sample stack.
+    Insists the trajectory never switched rows.
     """
     if not np.all(trajectory.row == row_index):
         raise RowSwitched("trajectory changed active row; identity needs a fixed row")
     i = int(row_index) - 1
-    jets = [mapping.jet(x) for x in trajectory.x]
-    integrand = np.array(
-        [np.einsum("kl,kjl->j", _dilation_field(j.J)[1], j.H) for j in jets]
-    )
+    jets = Jet2Sample(trajectory.x, *mapping.jet_fn(trajectory.x, 2))
+    integrand = np.einsum("...kl,...kjl->...j", _sg_field(jets.J)[0], jets.H)
     integral = np.trapezoid(integrand, trajectory.s, axis=0)
-    drift = jets[-1].J[i] - jets[0].J[i]
+    drift = jets.J[-1, i] - jets.J[0, i]
     return float(np.max(np.abs(drift - integral)))

@@ -43,8 +43,9 @@ class SmoothMap:
     building the Hessian; the others ignore order and return their full
     jet. value and jacobian read jet_fn at order 1, hessian at order 2,
     take a point or a stack, and return the sampler's arrays unvalidated,
-    so a caller checks J where it uses it; jet takes one point and is the
-    one place a validated Jet2Sample is built. A sampler raises its own
+    so a caller checks J where it uses it; jet takes one point and returns
+    it as a validated Jet2Sample, and a caller that needs many points'
+    jets validates jet_fn's stack as one Jet2Sample. A sampler raises its own
     GuardViolation before it samples outside its domain, for example at
     the puncture of a radial map or on a wedge seam, if any point of the
     stack is outside. The record holds only n and the sampler; the
@@ -311,13 +312,14 @@ def radial_lp(alpha: float, n: int, p: float, x) -> np.ndarray:
     Equals p n (n-1) (a^2-1) / ((n + a^2 - 1) a) * K^{np} * x / |x|^{a+1}
     with K the constant dilation of the map. Cross-checked against both
     the non-divergence contraction and the finite-difference divergence
-    of the flux field.
+    of the flux field. x is a point or a stack of points (..., n), each
+    row bit-equal to the call on that point alone.
     """
     x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x)
+    r = np.sqrt(np.vecdot(x, x))  # each row's dot product, as np.linalg.norm of one point takes it
     ksq = radial_ksq(alpha, n)
     coef = p * n * (n - 1.0) * (alpha**2 - 1.0) / ((n + alpha**2 - 1.0) * alpha)
-    return coef * ksq ** (n * p / 2.0) * x / r ** (alpha + 1.0)
+    return coef * ksq ** (n * p / 2.0) * x / np.float_power(r, alpha + 1.0)[..., None]
 
 
 def radial_stretch(alpha: float, n: int) -> SmoothMap:

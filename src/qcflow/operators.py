@@ -6,6 +6,14 @@ operator in divergence and non-divergence form, and the infinite-p
 operator in a factored form and an equivalent flow form. Large powers are
 handled in log-domain so p up to about 10^3 stays finite.
 
+Every pointwise function here takes leading stack axes, as the tensor
+kernels and the map samplers do: Jet2Sample, flux, flux_linearization,
+lh_witness, lp_nondiv, linfty_factored, dilation_gradient,
+linfty_flowform, lp_asymptotic_ratio and b_tensor. A single point is a
+stack with no leading axes, and each row of a stack is bit-equal to the
+call on that row alone, so the verify suites check a whole case's draws
+in one call. lp_divergence samples a map around one point.
+
 On grids the non-divergence operator is evaluated by _contracted_operator,
 which contracts the linearization with the Hessian in O(n^3) per node on
 entry-first stacks and is what the gradient flow steps with. It takes the
@@ -13,9 +21,9 @@ coefficient Jacobian's determinant, adjugate and |q|^2 from its caller,
 gradientflow, which computes and checks them once per grid state. The n^4
 flux_linearization stays for gradientflow.dtmax (which needs the
 coefficient mass), lh_witness and lp_nondiv, and is the oracle the verify
-suites and tests compare against; on single points np.linalg is faster
-than the closed-form kernel. Every kernel here that takes a Jacobian on its
-own, Jet2Sample included, validates it through tensor._checked.
+suites and tests compare against. Every kernel here that takes a
+Jacobian on its own, Jet2Sample included, validates it through
+tensor._checked.
 """
 
 from __future__ import annotations
@@ -42,17 +50,20 @@ ASYMPTOTIC_SIGN = +1.0
 
 @dataclass
 class Jet2Sample:
-    """Second-order jet of a map at one point, validated on construction.
+    """Second-order jet of a map at a point or a stack of points, validated on construction.
 
-    Maps build exactly one per public SmoothMap.jet call and none
-    anywhere else: the accessors value, jacobian and hessian, and the
-    map internals (generator words, composition), pass raw arrays, and
-    composition sign-checks only the factors that can fold.
+    SmoothMap.jet builds one for a single point; a caller that samples a
+    stack of points through jet_fn builds one for the whole stack. The
+    accessors value, jacobian and hessian, and the map internals
+    (generator words, composition), pass raw arrays, and composition
+    sign-checks only the factors that can fold. Each row is checked on
+    its own: every J must have positive determinant, and every H must be
+    symmetric to 1e-6 of its own largest entry.
 
-    x: evaluation point, length n.
-    u: map value at x, length n.
-    J: Jacobian, J[i, j] = d_j u^i, positive determinant.
-    H: Hessian, H[k, j, l] = d_j d_l u^k, symmetric in (j, l).
+    x: evaluation points, shape (..., n).
+    u: map values at x, shape (..., n).
+    J: Jacobians, J[..., i, j] = d_j u^i, positive determinant.
+    H: Hessians, H[..., k, j, l] = d_j d_l u^k, symmetric in (j, l).
     """
 
     x: np.ndarray
@@ -65,24 +76,25 @@ class Jet2Sample:
         self.u = np.asarray(self.u, dtype=float)
         self.J, n, _ = _checked(self.J)
         self.H = np.asarray(self.H, dtype=float)
-        if self.H.shape != (n, n, n):
-            raise ValueError(f"Hessian shape {self.H.shape} does not match n={n}")
-        scale = np.max(np.abs(self.H)) + 1e-30
-        if np.max(np.abs(self.H - np.swapaxes(self.H, 1, 2))) > 1e-6 * scale:
+        if self.H.shape != self.J.shape[:-2] + (n, n, n):
+            raise ValueError(f"Hessian shape {self.H.shape} does not match Jacobian shape {self.J.shape}")
+        axes = (-3, -2, -1)
+        scale = np.max(np.abs(self.H), axis=axes) + 1e-30
+        if np.any(np.max(np.abs(self.H - np.swapaxes(self.H, -2, -1)), axis=axes) > 1e-6 * scale):
             raise ValueError("Hessian not symmetric in its derivative indices")
 
 
 @dataclass
 class EllipticityWitness:
-    """One evaluation of the rank-one quadratic form with its bounds."""
+    """The rank-one quadratic form with its bounds, at one triple or a stack of them."""
 
     q: np.ndarray
     xi: np.ndarray
     eta: np.ndarray
     p: float
-    quadForm: float
-    lower: float
-    upper: float
+    quadForm: float | np.ndarray
+    lower: float | np.ndarray
+    upper: float | np.ndarray
 
 
 def _power_weight(nsq, det, num_pow: float, det_pow: float) -> np.ndarray:
@@ -109,25 +121,28 @@ def _a4_bracket(q: np.ndarray, p: float) -> np.ndarray:
     """Bracket of the flux linearization, the part without the scalar weight.
 
     flux_linearization = -p |q|^{np-2}/(det q)^p * bracket. Exposed
-    separately so large-p ratios can cancel the weight exactly.
+    separately so large-p ratios can cancel the weight exactly. The terms
+    accumulate in place, so a stack holds at most three n^4 arrays at once,
+    into a C-ordered result: the contractions callers take of it sum in
+    memory order, so its layout fixes their bits.
     """
     n = q.shape[-1]
-    nsq = _norm_sq(q)
+    nsq = _norm_sq(q)[..., None, None, None, None]
     qi = np.linalg.inv(q)
-    t1 = np.einsum("...ji,...kl->...ikjl", qi, q) + np.einsum(
-        "...ij,...lk->...ikjl", q, qi
-    )
-    t2 = np.einsum("...ij,...kl->...ikjl", q, q) / nsq[..., None, None, None, None]
-    t3 = np.einsum("...jk,...li->...ikjl", qi, qi) + p * np.einsum(
-        "...ji,...lk->...ikjl", qi, qi
-    )
-    eye4 = np.einsum("ik,jl->ikjl", np.eye(n), np.eye(n))
-    return (
-        n * p * t1
-        - n * (n * p - 2.0) * t2
-        - nsq[..., None, None, None, None] * t3
-        - n * eye4
-    )
+    out = np.einsum("...ji,...kl->...ikjl", qi, q, order="C")
+    out += np.einsum("...ij,...lk->...ikjl", q, qi)
+    out *= n * p
+    term = np.einsum("...ij,...kl->...ikjl", q, q)
+    term /= nsq
+    term *= n * (n * p - 2.0)
+    out -= term
+    term = np.einsum("...ji,...lk->...ikjl", qi, qi)
+    term *= p
+    term += np.einsum("...jk,...li->...ikjl", qi, qi)
+    term *= nsq
+    out -= term
+    out -= n * np.einsum("ik,jl->ikjl", np.eye(n), np.eye(n))
+    return out
 
 
 def _contracted_operator(q: np.ndarray, det: np.ndarray, adj: np.ndarray, nsq: np.ndarray,
@@ -167,18 +182,20 @@ def flux_linearization(q, p: float) -> np.ndarray:
     itself a gradient.
     """
     a, n, d = _checked(q)
-    nsq = _norm_sq(a)
-    w = _power_weight(nsq, d, n * p - 2.0, p)
-    return -p * w[..., None, None, None, None] * _a4_bracket(a, p)
+    w = _power_weight(_norm_sq(a), d, n * p - 2.0, p)
+    out = _a4_bracket(a, p)
+    out *= -p * w[..., None, None, None, None]
+    return out
 
 
 def lh_witness(q, xi, eta, p: float) -> EllipticityWitness:
-    """Rank-one ellipticity check at one (q, xi, eta) triple.
+    """Rank-one ellipticity check at one (q, xi, eta) triple, or a stack of them.
 
-    Directions are normalized internally. The quadratic form contracts
-    eta on the component slots and xi on the derivative slots, and must
-    land between c1*p*m1 and c2*p^2*(m1+m2) where m1, m2 are the two
-    weight scales of the flux linearization.
+    q has shape (..., n, n) and xi, eta shape (..., n); quadForm, lower
+    and upper have the stack shape. Directions are normalized internally.
+    The quadratic form contracts eta on the component slots and xi on the
+    derivative slots, and must land between c1*p*m1 and c2*p^2*(m1+m2)
+    where m1, m2 are the two weight scales of the flux linearization.
     """
     a, n, d = _checked(q)
     if p < 1.0 or (n == 2 and p == 1.0):
@@ -186,10 +203,11 @@ def lh_witness(q, xi, eta, p: float) -> EllipticityWitness:
     nsq = _norm_sq(a)
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    nx, ne = np.linalg.norm(xi), np.linalg.norm(eta)
-    if nx == 0.0 or ne == 0.0:
+    # each row's dot product, as np.linalg.norm of one vector takes it
+    nx, ne = np.sqrt(np.vecdot(xi, xi)), np.sqrt(np.vecdot(eta, eta))
+    if np.any(nx == 0.0) or np.any(ne == 0.0):
         raise ValueError("ellipticity directions must be nonzero")
-    xi, eta = xi / nx, eta / ne
+    xi, eta = xi / nx[..., None], eta / ne[..., None]
     if n == 2:
         c1 = 2.0 * (p - 1.0) / (p + 1.0)
     elif n == 3:
@@ -201,24 +219,24 @@ def lh_witness(q, xi, eta, p: float) -> EllipticityWitness:
         c1 = float(n)
     c2 = 100.0 * n**3
     a4 = flux_linearization(a, p)
-    quad = float(np.einsum("ikjl,i,j,k,l->", a4, eta, xi, eta, xi))
-    m1 = float(_power_weight(nsq, d, n * p - 2.0, p))
-    m2 = float(_power_weight(nsq, d, n * (p + 2.0) - 2.0, p + 2.0))
+    quad = np.einsum("...ikjl,...i,...j,...k,...l->...", a4, eta, xi, eta, xi)
+    m1 = _power_weight(nsq, d, n * p - 2.0, p)
+    m2 = _power_weight(nsq, d, n * (p + 2.0) - 2.0, p + 2.0)
     return EllipticityWitness(
         q=a,
         xi=xi,
         eta=eta,
         p=p,
-        quadForm=quad,
-        lower=c1 * p * m1,
-        upper=c2 * p * p * (m1 + m2),
+        quadForm=quad[()],
+        lower=(c1 * p * m1)[()],
+        upper=(c2 * p * p * (m1 + m2))[()],
     )
 
 
 def lp_nondiv(sample: Jet2Sample, p: float) -> np.ndarray:
     """Finite-p operator in non-divergence form: linearized flux against the Hessian."""
     a4 = flux_linearization(sample.J, p)
-    return np.einsum("ikjl,kjl->i", a4, sample.H)
+    return np.einsum("...ikjl,...kjl->...i", a4, sample.H)
 
 
 def lp_divergence(mapping, x, p: float, h: float) -> np.ndarray:
@@ -242,9 +260,9 @@ def lp_divergence(mapping, x, p: float, h: float) -> np.ndarray:
 def linfty_factored(sample: Jet2Sample) -> np.ndarray:
     """Infinite-p operator as a product of two copies of M = n J - |J|^2 J^{-T}."""
     j, n, _ = _checked(sample.J)
-    nsq = float(_norm_sq(j))
+    nsq = _norm_sq(j)[..., None, None]
     m = n * j - nsq * np.swapaxes(np.linalg.inv(j), -1, -2)
-    return np.einsum("ij,kl,kjl->i", m, m, sample.H)
+    return np.einsum("...ij,...kl,...kjl->...i", m, m, sample.H)
 
 
 def dilation_gradient(sample: Jet2Sample) -> np.ndarray:
@@ -255,7 +273,7 @@ def dilation_gradient(sample: Jet2Sample) -> np.ndarray:
     and contracted with the Hessian.
     """
     k, field = _dilation_field(sample.J)
-    return np.einsum("kl,kjl->j", field / k, sample.H)
+    return np.einsum("...kl,...kjl->...j", field / k[..., None, None], sample.H)
 
 
 def linfty_flowform(sample: Jet2Sample) -> np.ndarray:
@@ -265,12 +283,14 @@ def linfty_flowform(sample: Jet2Sample) -> np.ndarray:
     n^2 |J|^4 / K^3 times S(g) J^{-T} applied to grad K.
     """
     j, n, _ = _checked(sample.J)
-    nsq = float(_norm_sq(j))
-    k = float(trace_dilation(j))
+    nsq = _norm_sq(j)
+    k = trace_dilation(j)
     sg = ahlfors(distortion_tensor(j))
     p_mat = sg @ np.swapaxes(np.linalg.inv(j), -1, -2)
-    grad_k = np.einsum("kl,kjl->j", p_mat / k, sample.H)
-    return (n * n * nsq * nsq / k**3) * (p_mat @ grad_k)
+    grad_k = np.einsum("...kl,...kjl->...j", p_mat / k[..., None, None], sample.H)
+    weight = n * n * nsq * nsq / np.float_power(k, 3)  # pow, as a single float's ** takes it
+    # a matrix-column product keeps the bits of one point's matrix-vector product
+    return weight[..., None] * (p_mat @ grad_k[..., None])[..., 0]
 
 
 def lp_asymptotic_ratio(sample: Jet2Sample, p: float) -> np.ndarray:
@@ -281,9 +301,9 @@ def lp_asymptotic_ratio(sample: Jet2Sample, p: float) -> np.ndarray:
     Converges to ASYMPTOTIC_SIGN * linfty_factored at rate O(1/p).
     """
     j = _checked(sample.J)[0]
-    nsq = float(_norm_sq(j))
+    nsq = _norm_sq(j)[..., None]
     bracket = _a4_bracket(j, p)
-    return -(nsq / p) * np.einsum("ikjl,kjl->i", bracket, sample.H)
+    return -(nsq / p) * np.einsum("...ikjl,...kjl->...i", bracket, sample.H)
 
 
 def b_tensor(j, p: float) -> np.ndarray:

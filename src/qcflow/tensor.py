@@ -10,8 +10,8 @@ adjugate, so core.cofactor_transpose checks it against LAPACK.
 Every Jacobian kernel here and in operators and traces enters through
 _checked, which returns (a, n, det) for a finite square matrix with
 positive determinant; every determinant-sign check goes through
-_positive. The flow-line field S(g) J^{-T} and K come from
-_dilation_field in closed form; factoring_residual and
+_positive. The flow-line field S(g) J^{-T} comes from _sg_field in
+closed form, and _dilation_field adds K to it; factoring_residual and
 operators.linfty_flowform keep the S(g) route and are its oracles.
 """
 
@@ -140,19 +140,27 @@ def ahlfors(m) -> np.ndarray:
     return sym - tr[..., None, None] * eye / n
 
 
-def _dilation_field(j) -> tuple[float | np.ndarray, np.ndarray]:
-    """Trace dilation K and field F = S(g) J^{-T} from one checked determinant.
+def _sg_field(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Field F = S(g) J^{-T} from one checked determinant, with |J|^2 and det J.
 
     F = (J - |J|^2 J^{-T} / n) / (det J)^(2/n), the identity factoring_residual
-    pins; K equals trace_dilation(J) bit for bit, and K grad K = F . H.
-    Roots take np.float_power, as in trace_dilation, so each matrix of a
-    stack gets the bits it gets alone.
+    pins. The root takes np.float_power, as in trace_dilation, so each
+    matrix of a stack gets the bits it gets alone.
     """
     a, n, d = _checked(j)
     nsq = _norm_sq(a)
     inv_t = np.linalg.inv(a).swapaxes(-1, -2)
     field = (a - (nsq / n)[..., None, None] * inv_t) / np.float_power(d, 2.0 / n)[..., None, None]
-    return np.sqrt(nsq) / np.float_power(d, 1.0 / n), field
+    return field, nsq, d
+
+
+def _dilation_field(j) -> tuple[float | np.ndarray, np.ndarray]:
+    """Trace dilation K and field F = S(g) J^{-T} from one checked determinant.
+
+    K equals trace_dilation(J) bit for bit, and K grad K = F . H.
+    """
+    field, nsq, d = _sg_field(j)
+    return np.sqrt(nsq) / np.float_power(d, 1.0 / field.shape[-1]), field
 
 
 def factoring_residual(j) -> float | np.ndarray:
@@ -166,7 +174,7 @@ def factoring_residual(j) -> float | np.ndarray:
     a, n, _ = _checked(j)
     inv_t = np.swapaxes(np.linalg.inv(a), -1, -2)
     nsq = _norm_sq(a)[..., None, None]
-    ksq = trace_dilation(a) ** 2
+    ksq = np.float_power(trace_dilation(a), 2)  # pow, as a single K's ** takes it
     sg = ahlfors(distortion_tensor(a))
     resid = inv_t - n * a / nsq + (n / ksq)[..., None, None] * (sg @ inv_t)
     return hs_norm(resid)

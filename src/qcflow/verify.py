@@ -4,7 +4,9 @@ Every suite is a fixed ordered list of named cases. A case draws its
 randomness from a generator seeded with (seed, case index), so the
 emitted report is byte-identical across repeat runs and across worker
 counts. Wall time is kept out of the report unless explicitly requested,
-for the same reason.
+for the same reason. A case makes its draws one at a time, in a fixed
+order, and checks them in one call on the stack, whose every row is
+bit-equal to the call on that draw alone.
 """
 
 from __future__ import annotations
@@ -52,18 +54,40 @@ def _wedge_point(rng: np.random.Generator, alpha: float, sector: int) -> np.ndar
     return np.array([r * np.cos(theta), r * np.sin(theta), float(rng.uniform(-1.0, 1.0))])
 
 
-def random_jet(n: int, rng: np.random.Generator, scale: float = 0.3,
-               min_det: float = 0.05) -> operators.Jet2Sample:
-    """Random second-order jet with a safely positive determinant."""
+def _draw_jet(n: int, rng: np.random.Generator, scale: float = 0.3,
+              min_det: float = 0.05) -> tuple:
+    """random_jet's draws as raw arrays (J, H, x, u), in its rng order."""
     while True:
         j = np.eye(n) + scale * rng.standard_normal((n, n))
         if np.linalg.det(j) > min_det:
             break
     h = scale * rng.standard_normal((n, n, n))
     h = 0.5 * (h + np.swapaxes(h, 1, 2))
-    return operators.Jet2Sample(
-        x=rng.standard_normal(n), u=rng.standard_normal(n), J=j, H=h
-    )
+    return j, h, rng.standard_normal(n), rng.standard_normal(n)
+
+
+def _stack(draws) -> tuple:
+    """Stack a sequence of equal-shaped draw tuples into one array per slot."""
+    return tuple(np.array(slot) for slot in zip(*draws))
+
+
+def random_jet(n: int, rng: np.random.Generator, scale: float = 0.3,
+               min_det: float = 0.05) -> operators.Jet2Sample:
+    """Random second-order jet with a safely positive determinant."""
+    j, h, x, u = _draw_jet(n, rng, scale, min_det)
+    return operators.Jet2Sample(x=x, u=u, J=j, H=h)
+
+
+def _random_jets(n: int, rng: np.random.Generator, count: int, scale: float = 0.3,
+                 min_det: float = 0.05) -> operators.Jet2Sample:
+    """count random_jet draws, in its rng order, validated as one stacked Jet2Sample."""
+    j, h, x, u = _stack(_draw_jet(n, rng, scale, min_det) for _ in range(count))
+    return operators.Jet2Sample(x=x, u=u, J=j, H=h)
+
+
+def _jets(mapping, x: np.ndarray) -> operators.Jet2Sample:
+    """One validated Jet2Sample for a stack of points, from one sampler call."""
+    return operators.Jet2Sample(x, *mapping.jet_fn(x, 2))
 
 
 def random_moebius(n: int, rng: np.random.Generator) -> maps.ConformalMap:
@@ -116,9 +140,8 @@ def random_moebius(n: int, rng: np.random.Generator) -> maps.ConformalMap:
 def _case_dilation_floor(rng):
     worst = 0.0
     for n in (2, 3, 4):
-        for _ in range(40):
-            jet = random_jet(n, rng)
-            worst = max(worst, float(np.sqrt(n) - tensor.trace_dilation(jet.J)))
+        k = tensor.trace_dilation(_random_jets(n, rng, 40).J)
+        worst = max(worst, float(np.max(np.sqrt(n) - k)))
         conf = float(np.exp(rng.uniform(-1.0, 1.0))) * random_rotation(n, rng)
         worst = max(worst, abs(float(tensor.trace_dilation(conf)) - np.sqrt(n)))
     return worst, 0.0
@@ -127,61 +150,57 @@ def _case_dilation_floor(rng):
 def _case_distortion_unit_det(rng):
     worst = 0.0
     for n in (2, 3, 4):
-        for _ in range(40):
-            g = tensor.distortion_tensor(random_jet(n, rng).J)
-            worst = max(worst, abs(float(np.linalg.det(g)) - 1.0))
-            worst = max(worst, max(0.0, -float(np.min(np.linalg.eigvalsh(g)))))
+        g = tensor.distortion_tensor(_random_jets(n, rng, 40).J)
+        worst = max(worst, float(np.max(np.abs(np.linalg.det(g) - 1.0))))
+        worst = max(worst, 0.0, -float(np.min(np.linalg.eigvalsh(g))))
     return worst, 0.0
 
 
 def _case_ahlfors_trace_free(rng):
     worst = 0.0
     for n in (2, 3, 4):
-        for _ in range(40):
-            s = tensor.ahlfors(rng.standard_normal((n, n)))
-            worst = max(worst, abs(float(np.trace(s))))
-            worst = max(worst, float(np.max(np.abs(s - s.T))))
+        s = tensor.ahlfors(rng.standard_normal((40, n, n)))  # the stream of 40 (n, n) draws
+        worst = max(worst, float(np.max(np.abs(np.trace(s, axis1=-2, axis2=-1)))))
+        worst = max(worst, float(np.max(np.abs(s - np.swapaxes(s, -1, -2)))))
         conf = float(np.exp(rng.uniform(-1.0, 1.0))) * random_rotation(n, rng)
         worst = max(worst, float(tensor.hs_norm(tensor.ahlfors(tensor.distortion_tensor(conf)))))
     return worst, 0.0
 
 
+def _sg_norm_sq_and_k4(j: np.ndarray) -> tuple:
+    """|S(g)|^2 and K^4 of a stack of Jacobians, each power the C library's pow,
+    as a single float's ** takes it."""
+    k = tensor.trace_dilation(j)
+    hs = tensor.hs_norm(tensor.ahlfors(tensor.distortion_tensor(j)))
+    return np.float_power(hs, 2), np.float_power(k, 4)
+
+
 def _case_plane_norm_identity(rng):
-    worst = 0.0
-    for _ in range(100):
-        j = random_jet(2, rng).J
-        k = float(tensor.trace_dilation(j))
-        sg = tensor.ahlfors(tensor.distortion_tensor(j))
-        worst = max(worst, abs(float(tensor.hs_norm(sg)) ** 2 - (k**4 - 4.0) / 2.0))
-    return worst, 0.0
+    sg_sq, k4 = _sg_norm_sq_and_k4(_random_jets(2, rng, 100).J)
+    return float(np.max(np.abs(sg_sq - (k4 - 4.0) / 2.0))), 0.0
 
 
 def _case_norm_ceiling(rng):
     worst = 0.0
     for n in (2, 3, 4):
-        for _ in range(60):
-            j = random_jet(n, rng).J
-            k = float(tensor.trace_dilation(j))
-            sg = tensor.ahlfors(tensor.distortion_tensor(j))
-            worst = max(worst, float(tensor.hs_norm(sg)) ** 2 - k**4 * (1.0 - 1.0 / n))
+        sg_sq, k4 = _sg_norm_sq_and_k4(_random_jets(n, rng, 60).J)
+        worst = max(worst, float(np.max(sg_sq - k4 * (1.0 - 1.0 / n))))
     return worst, 0.0
 
 
 def _case_factoring_identity(rng):
     worst = 0.0
     for n in (2, 3, 4):
-        for _ in range(60):
-            worst = max(worst, float(tensor.factoring_residual(random_jet(n, rng).J)))
+        worst = max(worst, float(np.max(tensor.factoring_residual(_random_jets(n, rng, 60).J))))
     return worst, 0.0
 
 
 def _case_cofactor_transpose(rng):
     worst = 0.0
     for n in (2, 3, 4):
-        for _ in range(40):
-            m = rng.standard_normal((n, n))
-            res = tensor.cofactor(m).T @ m - np.linalg.det(m) * np.eye(n)
-            worst = max(worst, float(np.max(np.abs(res))))
+        m = rng.standard_normal((40, n, n))  # the stream of 40 (n, n) draws
+        res = np.swapaxes(tensor.cofactor(m), -1, -2) @ m - np.linalg.det(m)[:, None, None] * np.eye(n)
+        worst = max(worst, float(np.max(np.abs(res))))
     return worst, 0.0
 
 
@@ -190,13 +209,13 @@ def _case_cofactor_transpose(rng):
 
 def _case_flux_contraction(rng):
     worst = 0.0
+    axes = (-2, -1)
     for n in (2, 3):
         for p in (1.0, 2.0, 5.0):
-            for _ in range(40):
-                q = random_jet(n, rng).J
-                a = operators.flux(q, p)
-                scale = float(np.max(np.abs(a))) * float(np.max(np.abs(q))) + 1e-30
-                worst = max(worst, abs(float(np.sum(a * q))) / scale)
+            q = _random_jets(n, rng, 40).J
+            a = operators.flux(q, p)
+            scale = np.max(np.abs(a), axis=axes) * np.max(np.abs(q), axis=axes) + 1e-30
+            worst = max(worst, float(np.max(np.abs((a * q).sum(axis=axes)) / scale)))
     return worst, 0.0
 
 
@@ -220,21 +239,20 @@ def _case_linearization_vs_fd(rng):
 def _case_linearization_pair_symmetry(rng):
     worst = 0.0
     for n, p in ((2, 2.0), (3, 1.0), (3, 5.0)):
-        for _ in range(20):
-            a4 = operators.flux_linearization(random_jet(n, rng).J, p)
-            worst = max(worst, float(np.max(np.abs(a4 - np.transpose(a4, (1, 0, 3, 2))))))
+        a4 = operators.flux_linearization(_random_jets(n, rng, 20).J, p)
+        swapped = np.swapaxes(np.swapaxes(a4, -4, -3), -2, -1)  # [i, k, j, l] -> [k, i, l, j]
+        worst = max(worst, float(np.max(np.abs(a4 - swapped))))
     return worst, 0.0
 
 
 def _case_factored_vs_flowform(rng):
     worst = 0.0
     for n in (2, 3):
-        for _ in range(100):
-            jet = random_jet(n, rng)
-            a = operators.linfty_factored(jet)
-            b = operators.linfty_flowform(jet)
-            scale = float(np.max(np.abs(a))) + 1e-30
-            worst = max(worst, float(np.max(np.abs(a - b))) / scale)
+        jets = _random_jets(n, rng, 100)
+        a = operators.linfty_factored(jets)
+        b = operators.linfty_flowform(jets)
+        scale = np.max(np.abs(a), axis=-1) + 1e-30
+        worst = max(worst, float(np.max(np.max(np.abs(a - b), axis=-1) / scale)))
     return worst, 0.0
 
 
@@ -251,12 +269,11 @@ def _case_divergence_order(rng):
 
 def _case_asymptotic_rate(rng, p_lo: float, p_hi: float):
     worst_ratio = None
-    for _ in range(5):
-        jet = random_jet(3, rng, scale=0.4)
-        target = operators.linfty_factored(jet)
-        err_lo = float(np.max(np.abs(operators.lp_asymptotic_ratio(jet, p_lo) - target)))
-        err_hi = float(np.max(np.abs(operators.lp_asymptotic_ratio(jet, p_hi) - target)))
-        ratio = err_lo / err_hi
+    jets = _random_jets(3, rng, 5, scale=0.4)
+    target = operators.linfty_factored(jets)
+    err_lo = np.max(np.abs(operators.lp_asymptotic_ratio(jets, p_lo) - target), axis=-1)
+    err_hi = np.max(np.abs(operators.lp_asymptotic_ratio(jets, p_hi) - target), axis=-1)
+    for ratio in (err_lo / err_hi).tolist():
         if worst_ratio is None or abs(ratio - p_hi / p_lo) > abs(worst_ratio - p_hi / p_lo):
             worst_ratio = ratio
     return worst_ratio, p_hi / p_lo
@@ -265,12 +282,12 @@ def _case_asymptotic_rate(rng, p_lo: float, p_hi: float):
 def _case_lh_no_violations(rng):
     bad = 0
     for n, p in ((2, 2.0), (2, 5.0), (3, 1.0), (3, 2.0), (3, 5.0)):
-        for _ in range(200):
-            q = random_jet(n, rng).J
-            w = operators.lh_witness(q, rng.standard_normal(n), rng.standard_normal(n), p)
-            slack = 1e-10 * (abs(w.lower) + abs(w.upper))
-            if w.quadForm < w.lower - slack or w.quadForm > w.upper + slack:
-                bad += 1
+        # per draw: a whole jet, then xi, then eta
+        q, xi, eta = _stack((_draw_jet(n, rng)[0], rng.standard_normal(n), rng.standard_normal(n))
+                            for _ in range(200))
+        w = operators.lh_witness(q, xi, eta, p)
+        slack = 1e-10 * (np.abs(w.lower) + np.abs(w.upper))
+        bad += int(np.count_nonzero((w.quadForm < w.lower - slack) | (w.quadForm > w.upper + slack)))
     return float(bad), 0.0
 
 
@@ -288,10 +305,9 @@ def _case_radial_dilation_value(rng):
     for alpha in (0.5, 2.0, 3.0):
         mapping = maps.radial_stretch(alpha, 3)
         expect = maps.radial_ksq(alpha, 3)
-        for _ in range(30):
-            x = _shell_point(rng, 3, 0.5, 2.0)
-            ksq = float(tensor.trace_dilation(mapping.jet(x).J)) ** 2
-            worst = max(worst, abs(ksq - expect) / expect)
+        x = np.array([_shell_point(rng, 3, 0.5, 2.0) for _ in range(30)])
+        ksq = np.float_power(tensor.trace_dilation(_jets(mapping, x).J), 2)  # pow, as float ** takes it
+        worst = max(worst, float(np.max(np.abs(ksq - expect) / expect)))
     mapping = maps.radial_stretch(2.0, 3)
     ksq = float(tensor.trace_dilation(mapping.jet(np.array([1.0, 0.0, 0.0])).J)) ** 2
     worst = max(worst, abs(ksq - 6.0 / 2.0 ** (2.0 / 3.0)) / ksq)
@@ -302,9 +318,8 @@ def _case_radial_limit_zero(rng):
     worst = 0.0
     for alpha in (0.5, 2.0, 3.0):
         mapping = maps.radial_stretch(alpha, 3)
-        for _ in range(30):
-            x = _shell_point(rng, 3, 0.5, 2.0)
-            worst = max(worst, float(np.max(np.abs(operators.linfty_factored(mapping.jet(x))))))
+        x = np.array([_shell_point(rng, 3, 0.5, 2.0) for _ in range(30)])
+        worst = max(worst, float(np.max(np.abs(operators.linfty_factored(_jets(mapping, x))))))
     return worst, 0.0
 
 
@@ -313,12 +328,11 @@ def _case_radial_lp_value(rng):
     for alpha in (0.5, 2.0, 3.0):
         mapping = maps.radial_stretch(alpha, 3)
         for p in (1.0, 2.0):
-            for _ in range(20):
-                x = _shell_point(rng, 3, 0.5, 2.0)
-                got = operators.lp_nondiv(mapping.jet(x), p)
-                expect = maps.radial_lp(alpha, 3, p, x)
-                scale = float(np.max(np.abs(expect))) + 1e-30
-                worst = max(worst, float(np.max(np.abs(got - expect))) / scale)
+            x = np.array([_shell_point(rng, 3, 0.5, 2.0) for _ in range(20)])
+            got = operators.lp_nondiv(_jets(mapping, x), p)
+            expect = maps.radial_lp(alpha, 3, p, x)
+            scale = np.max(np.abs(expect), axis=-1) + 1e-30
+            worst = max(worst, float(np.max(np.max(np.abs(got - expect), axis=-1) / scale)))
     return worst, 0.0
 
 
@@ -328,10 +342,9 @@ def _case_wedge_constants(rng):
         mapping = maps.wedge_map(alpha, 3)
         for sector in (1, 2):
             det_expect, nsq_expect = maps.wedge_sector_constants(alpha, 3, sector)
-            for _ in range(20):
-                jet = mapping.jet(_wedge_point(rng, alpha, sector))
-                worst = max(worst, abs(float(np.linalg.det(jet.J)) - det_expect))
-                worst = max(worst, abs(float(np.sum(jet.J * jet.J)) - nsq_expect))
+            j = _jets(mapping, np.array([_wedge_point(rng, alpha, sector) for _ in range(20)])).J
+            worst = max(worst, float(np.max(np.abs(np.linalg.det(j) - det_expect))))
+            worst = max(worst, float(np.max(np.abs((j * j).sum(axis=(-2, -1)) - nsq_expect))))
     return worst, 0.0
 
 
@@ -339,9 +352,8 @@ def _case_wedge_limit_zero(rng):
     worst = 0.0
     mapping = maps.wedge_map(np.pi / 2.0, 3)
     for sector in (1, 2):
-        for _ in range(30):
-            x = _wedge_point(rng, np.pi / 2.0, sector)
-            worst = max(worst, float(np.max(np.abs(operators.linfty_factored(mapping.jet(x))))))
+        x = np.array([_wedge_point(rng, np.pi / 2.0, sector) for _ in range(30)])
+        worst = max(worst, float(np.max(np.abs(operators.linfty_factored(_jets(mapping, x))))))
     return worst, 0.0
 
 
@@ -426,25 +438,23 @@ def pathwise_derivative_pairs(mapping, traj) -> list:
     """Centered dilation derivative vs the row-field formula along a curve.
 
     Samples adjacent to a row or sign switch are dropped; each kept entry
-    is (finite difference, formula value).
+    is (finite difference, formula value). The kept samples' jets come
+    from one sampler call and one stacked linfty_factored.
     """
     n = mapping.n
-    pairs = []
-    for k in range(1, len(traj) - 1):
-        same_row = traj.row[k - 1] == traj.row[k] == traj.row[k + 1]
-        same_sign = traj.sign[k - 1] == traj.sign[k] == traj.sign[k + 1]
-        if not (same_row and same_sign):
-            continue
-        ds = float(traj.s[k + 1] - traj.s[k - 1])
-        dk_fd = float(traj.K[k + 1] - traj.K[k - 1]) / ds
-        jet = mapping.jet(traj.x[k])
-        kval = float(traj.K[k])
-        nsq = float(np.sum(jet.J * jet.J))
-        lim = operators.linfty_factored(jet)
-        row = int(traj.row[k]) - 1
-        dk_formula = float(traj.sign[k]) * kval**3 / (n**2 * nsq**2) * float(lim[row])
-        pairs.append((dk_fd, dk_formula))
-    return pairs
+    row, sign = traj.row, traj.sign
+    keep = np.flatnonzero((row[:-2] == row[1:-1]) & (row[1:-1] == row[2:])
+                          & (sign[:-2] == sign[1:-1]) & (sign[1:-1] == sign[2:])) + 1
+    if keep.size == 0:
+        return []
+    dk_fd = (traj.K[keep + 1] - traj.K[keep - 1]) / (traj.s[keep + 1] - traj.s[keep - 1])
+    jets = _jets(mapping, traj.x[keep])
+    nsq = (jets.J * jets.J).sum(axis=(-2, -1))
+    lim = operators.linfty_factored(jets)[np.arange(keep.size), row[keep] - 1]
+    # powers are the C library's pow, as a single float's ** takes them
+    kval = traj.K[keep]
+    dk_formula = sign[keep] * np.float_power(kval, 3) / (n**2 * np.float_power(nsq, 2)) * lim
+    return list(zip(dk_fd.tolist(), dk_formula.tolist()))
 
 
 def _case_pathwise_identity(rng):

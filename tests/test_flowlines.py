@@ -34,7 +34,7 @@ from qcflow.maps import (
     teichmuller_example,
     teichmuller_map,
 )
-from qcflow.tensor import _dilation_field
+from qcflow.tensor import _dilation_field, _sg_field
 from qcflow.verify import pathwise_derivative_pairs
 
 
@@ -201,13 +201,20 @@ class TestTraceFlowline:
         plain = trace_flowline(m, [0.2, -0.1], ds=1e-3, max_len=0.05)
         calls = []
 
-        def vanishing(j):
-            k_val, field = _dilation_field(j)
-            calls.append(1)
-            # sample k is call 4k: one per sample and three per RK4 step
-            return k_val, (0.0 * field if len(calls) > 4 * k else field)
+        def vanishing(fn, slot):
+            # a sample takes K and the field from _dilation_field, an RK4
+            # stage the field alone from _sg_field; slot is the field's place
+            def wrapped(j):
+                out = list(fn(j))
+                calls.append(1)
+                # sample k is call 4k: one per sample and three per RK4 step
+                if len(calls) > 4 * k:
+                    out[slot] = 0.0 * out[slot]
+                return tuple(out)
+            return wrapped
 
-        monkeypatch.setattr("qcflow.flowlines._dilation_field", vanishing)
+        monkeypatch.setattr("qcflow.flowlines._dilation_field", vanishing(_dilation_field, 1))
+        monkeypatch.setattr("qcflow.flowlines._sg_field", vanishing(_sg_field, 0))
         traj = trace_flowline(m, [0.2, -0.1], ds=1e-3, max_len=0.05)
         assert traj.terminated == "degenerate" and len(traj) == k + 1
         assert traj.speed[-1] == 0.0
@@ -227,6 +234,7 @@ class TestTraceFlowline:
             return math.sqrt(2.0), fields[min((len(calls) - 1) // 4, 2)]
 
         monkeypatch.setattr("qcflow.flowlines._dilation_field", scripted)
+        monkeypatch.setattr("qcflow.flowlines._sg_field", lambda j: (scripted(j)[1], 2.0, 1.0))
         traj = trace_flowline(identity_map(2), [0.1, 0.0], ds=1e-2, max_len=1.0)
         assert traj.terminated == "degenerate"
         assert traj.row.tolist() == [1, 2, 2]

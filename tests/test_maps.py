@@ -123,6 +123,13 @@ class TestRadialStretch:
         v2 = radial_lp(2.0, 3, 2.0, x2)
         assert v2[0] * 2.0**3 == pytest.approx(v1[0] * 2.0, rel=1e-12)
 
+    def test_lp_formula_rows_match_single_points_bitwise(self):
+        x = np.random.default_rng(13).uniform(-2.0, 2.0, size=(2, 5, 3))
+        stacked = radial_lp(0.5, 3, 2.0, x)
+        assert stacked.shape == x.shape
+        for idx in np.ndindex(2, 5):
+            assert radial_lp(0.5, 3, 2.0, x[idx]).tobytes() == stacked[idx].tobytes()
+
 
 class TestWedge:
     def test_sector_constants(self):

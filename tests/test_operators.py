@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_jet, random_posdet
 from qcflow import (
@@ -488,3 +490,114 @@ class TestBTensor:
     def test_rejects_nonpositive_det(self):
         with pytest.raises(NonPositiveDeterminant):
             b_tensor(np.diag([1.0, 0.0]), 2.0)
+
+
+def _jet_stack(seed, n, shape):
+    """A stacked Jet2Sample of well-conditioned jets, and two direction stacks."""
+    rng = np.random.default_rng(seed)
+    count = int(np.prod(shape))
+    j = np.array([random_posdet(rng, n, scale=0.4) for _ in range(count)]).reshape(shape + (n, n))
+    h = rng.standard_normal(shape + (n, n, n))
+    h = 0.5 * (h + np.swapaxes(h, -1, -2))
+    xi, eta = rng.standard_normal(shape + (n,)), rng.standard_normal(shape + (n,))
+    return Jet2Sample(x=np.zeros(shape + (n,)), u=np.zeros(shape + (n,)), J=j, H=h), xi, eta
+
+
+def _row(jets, idx):
+    return Jet2Sample(x=jets.x[idx], u=jets.u[idx], J=jets.J[idx], H=jets.H[idx])
+
+
+STACK_SHAPES = st.sampled_from([(1,), (4,), (9,), (2, 3)])
+
+
+class TestStacks:
+    """Every pointwise operator takes leading stack axes, each row bit-equal to its single call."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]), shape=STACK_SHAPES,
+           p=st.sampled_from([1.0, 1.5, 2.0, 5.0, 30.0]))
+    def test_rows_bit_equal_single_calls(self, seed, n, shape, p):
+        jets, xi, eta = _jet_stack(seed, n, shape)
+        stacked = {
+            "linfty_factored": linfty_factored(jets),
+            "linfty_flowform": linfty_flowform(jets),
+            "dilation_gradient": dilation_gradient(jets),
+            "lp_nondiv": lp_nondiv(jets, p),
+            "lp_asymptotic_ratio": lp_asymptotic_ratio(jets, p),
+            "lp_asymptotic_ratio_1000": lp_asymptotic_ratio(jets, 1000.0),
+        }
+        for out in stacked.values():
+            assert out.shape == shape + (n,)
+        lh_ok = not (n == 2 and p == 1.0)
+        if lh_ok:
+            w = lh_witness(jets.J, xi, eta, p)
+            assert w.quadForm.shape == w.lower.shape == w.upper.shape == shape
+        for idx in np.ndindex(*shape):
+            jet = _row(jets, idx)
+            single = {
+                "linfty_factored": linfty_factored(jet),
+                "linfty_flowform": linfty_flowform(jet),
+                "dilation_gradient": dilation_gradient(jet),
+                "lp_nondiv": lp_nondiv(jet, p),
+                "lp_asymptotic_ratio": lp_asymptotic_ratio(jet, p),
+                "lp_asymptotic_ratio_1000": lp_asymptotic_ratio(jet, 1000.0),
+            }
+            for name, out in single.items():
+                assert out.tobytes() == stacked[name][idx].tobytes(), name
+            if lh_ok:
+                w1 = lh_witness(jets.J[idx], xi[idx], eta[idx], p)
+                for name in ("quadForm", "lower", "upper"):
+                    assert isinstance(getattr(w1, name), float)
+                    assert getattr(w1, name) == getattr(w, name)[idx], name
+                assert w1.xi.tobytes() == w.xi[idx].tobytes()
+                assert w1.eta.tobytes() == w.eta[idx].tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_asymmetric_row_rejected_like_its_single_call(self, n):
+        jets, _, _ = _jet_stack(5, n, (6,))
+        h = jets.H.copy()
+        h[3, 0, 0, 1] += 1e-3 * np.max(np.abs(h[3]))
+        with pytest.raises(ValueError) as single:
+            Jet2Sample(x=jets.x[3], u=jets.u[3], J=jets.J[3], H=h[3])
+        with pytest.raises(ValueError) as stacked:
+            Jet2Sample(x=jets.x, u=jets.u, J=jets.J, H=h)
+        assert str(stacked.value) == str(single.value) == "Hessian not symmetric in its derivative indices"
+
+    def test_symmetry_tolerance_is_each_rows_own(self):
+        # a row with a small Hessian is not excused by a large one elsewhere in the stack
+        h = np.zeros((2, 2, 2, 2))
+        h[0, 0, 0, 0] = 1e6
+        h[1, 0, 0, 1] = 1e-3
+        with pytest.raises(ValueError, match="Hessian not symmetric"):
+            Jet2Sample(x=np.zeros((2, 2)), u=np.zeros((2, 2)), J=np.stack([np.eye(2)] * 2), H=h)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_folded_row_rejected_like_its_single_call(self, n):
+        jets, xi, eta = _jet_stack(7, n, (5,))
+        j = jets.J.copy()
+        j[2, 0] = -j[2, 0]
+        with pytest.raises(NonPositiveDeterminant) as single:
+            Jet2Sample(x=jets.x[2], u=jets.u[2], J=j[2], H=jets.H[2])
+        with pytest.raises(NonPositiveDeterminant) as stacked:
+            Jet2Sample(x=jets.x, u=jets.u, J=j, H=jets.H)
+        assert str(stacked.value) == str(single.value)
+        with pytest.raises(NonPositiveDeterminant) as witness:
+            lh_witness(j, xi, eta, 2.0)
+        assert str(witness.value) == str(single.value)
+
+    @pytest.mark.parametrize("slot", ["xi", "eta"])
+    def test_zero_direction_row_rejected_like_its_single_call(self, slot):
+        jets, xi, eta = _jet_stack(11, 3, (4,))
+        dirs = {"xi": xi.copy(), "eta": eta.copy()}
+        dirs[slot][1] = 0.0
+        with pytest.raises(ValueError) as single:
+            lh_witness(jets.J[1], dirs["xi"][1], dirs["eta"][1], 2.0)
+        with pytest.raises(ValueError) as stacked:
+            lh_witness(jets.J, dirs["xi"], dirs["eta"], 2.0)
+        assert str(stacked.value) == str(single.value) == "ellipticity directions must be nonzero"
+
+    def test_hessian_stack_shape_checked(self):
+        with pytest.raises(ValueError, match="does not match Jacobian shape"):
+            Jet2Sample(x=np.zeros((3, 2)), u=np.zeros((3, 2)), J=np.stack([np.eye(2)] * 3),
+                       H=np.zeros((2, 2, 2, 2)))
+

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from qcflow import UnknownSuite, verify
+from qcflow import UnknownSuite, maps, operators, verify
+from qcflow.flowlines import trace_flowline
 from qcflow.verify import SuiteCase, run_suite, suite_names
 
 
@@ -105,3 +107,33 @@ class TestRunSuite:
         assert rows["broken.misses"]["status"] == "fail"
         assert "error" not in rows["broken.misses"]
         assert "error" not in rows["broken.passes"]
+
+
+class TestStackedDraws:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("min_det", [0.05, 0.9])  # 0.9 rejects and redraws some J
+    def test_stacked_jets_follow_random_jet_order(self, n, min_det):
+        a, b = np.random.default_rng(21), np.random.default_rng(21)
+        stacked = verify._random_jets(n, a, 12, min_det=min_det)
+        for i in range(12):
+            jet = verify.random_jet(n, b, min_det=min_det)
+            for name in ("x", "u", "J", "H"):
+                assert getattr(jet, name).tobytes() == getattr(stacked, name)[i].tobytes()
+        assert a.standard_normal() == b.standard_normal()
+
+    def test_pathwise_pairs_match_the_per_sample_formula(self):
+        mapping = maps.polynomial_map(2, seed=5, amplitude=0.08)
+        traj = trace_flowline(mapping, np.array([0.12, -0.08]), ds=1e-3, max_len=0.2)
+        expect = []
+        for k in range(1, len(traj) - 1):
+            if not (traj.row[k - 1] == traj.row[k] == traj.row[k + 1]
+                    and traj.sign[k - 1] == traj.sign[k] == traj.sign[k + 1]):
+                continue
+            dk_fd = float(traj.K[k + 1] - traj.K[k - 1]) / float(traj.s[k + 1] - traj.s[k - 1])
+            jet = mapping.jet(traj.x[k])
+            kval, nsq = float(traj.K[k]), float(np.sum(jet.J * jet.J))
+            lim = float(operators.linfty_factored(jet)[int(traj.row[k]) - 1])
+            expect.append((dk_fd, float(traj.sign[k]) * kval**3 / (4 * nsq**2) * lim))
+        assert expect
+        assert verify.pathwise_derivative_pairs(mapping, traj) == expect
+
