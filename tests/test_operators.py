@@ -508,6 +508,14 @@ def _row(jets, idx):
 
 
 STACK_SHAPES = st.sampled_from([(1,), (4,), (9,), (2, 3)])
+JET_OPERATORS = {
+    "linfty_factored": lambda jets, p: linfty_factored(jets),
+    "linfty_flowform": lambda jets, p: linfty_flowform(jets),
+    "dilation_gradient": lambda jets, p: dilation_gradient(jets),
+    "lp_nondiv": lp_nondiv,
+    "lp_asymptotic_ratio": lp_asymptotic_ratio,
+    "lp_asymptotic_ratio_1000": lambda jets, p: lp_asymptotic_ratio(jets, 1000.0),
+}
 
 
 class TestStacks:
@@ -518,14 +526,7 @@ class TestStacks:
            p=st.sampled_from([1.0, 1.5, 2.0, 5.0, 30.0]))
     def test_rows_bit_equal_single_calls(self, seed, n, shape, p):
         jets, xi, eta = _jet_stack(seed, n, shape)
-        stacked = {
-            "linfty_factored": linfty_factored(jets),
-            "linfty_flowform": linfty_flowform(jets),
-            "dilation_gradient": dilation_gradient(jets),
-            "lp_nondiv": lp_nondiv(jets, p),
-            "lp_asymptotic_ratio": lp_asymptotic_ratio(jets, p),
-            "lp_asymptotic_ratio_1000": lp_asymptotic_ratio(jets, 1000.0),
-        }
+        stacked = {name: op(jets, p) for name, op in JET_OPERATORS.items()}
         for out in stacked.values():
             assert out.shape == shape + (n,)
         lh_ok = not (n == 2 and p == 1.0)
@@ -534,16 +535,8 @@ class TestStacks:
             assert w.quadForm.shape == w.lower.shape == w.upper.shape == shape
         for idx in np.ndindex(*shape):
             jet = _row(jets, idx)
-            single = {
-                "linfty_factored": linfty_factored(jet),
-                "linfty_flowform": linfty_flowform(jet),
-                "dilation_gradient": dilation_gradient(jet),
-                "lp_nondiv": lp_nondiv(jet, p),
-                "lp_asymptotic_ratio": lp_asymptotic_ratio(jet, p),
-                "lp_asymptotic_ratio_1000": lp_asymptotic_ratio(jet, 1000.0),
-            }
-            for name, out in single.items():
-                assert out.tobytes() == stacked[name][idx].tobytes(), name
+            for name, op in JET_OPERATORS.items():
+                assert op(jet, p).tobytes() == stacked[name][idx].tobytes(), name
             if lh_ok:
                 w1 = lh_witness(jets.J[idx], xi[idx], eta[idx], p)
                 for name in ("quadForm", "lower", "upper"):
