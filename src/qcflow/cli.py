@@ -111,7 +111,8 @@ def main() -> None:
 @click.option("--tol", "tol_scale", type=float, default=1.0, show_default=True,
               help="Multiplier applied to every case tolerance.")
 @click.option("--threads", type=int, default=None, help="Case workers; falls back to QCFLOW_THREADS, then 1.")
-@click.option("--timing", is_flag=True, help="Embed wall time in the report (breaks byte-level determinism).")
+@click.option("--timing", is_flag=True,
+              help="Embed the suite's and each case's wall time in the report (breaks byte-level determinism).")
 def cmd_verify(suite: str, seed: int, out: str | None, tol_scale: float,
                threads: int | None, timing: bool) -> None:
     """Run one verification suite and emit a JSON report."""

@@ -434,42 +434,49 @@ def _case_teichmuller_drift(rng):
     return drift, 0.0
 
 
-def pathwise_derivative_pairs(mapping, traj) -> list:
-    """Centered dilation derivative vs the row-field formula along a curve.
+def _dilation_rate(n: int, sign, kval, nsq, lim):
+    """dK/ds by the formula: sign K^3 / (n^2 |J|^4) times the active L-inf row."""
+    return sign * kval**3 / (n**2 * nsq**2) * lim
 
-    Samples adjacent to a row or sign switch are dropped; each kept entry
-    is (finite difference, formula value). The kept samples' jets come
-    from one sampler call and one stacked linfty_factored.
+
+def _pathwise_integral_residual(mapping, traj) -> float:
+    """Integral form of the pathwise identity dK/ds = _dilation_rate.
+
+    Along each run of samples with one row and sign, the change
+    K(s_k) - K(s_a) from the run's first sample is compared with the
+    cumulative trapezoid integral of the formula, at every sample k. The
+    worst mismatch is normalized by the largest |integral|, floored at
+    sqrt(eps) max K: a K difference carries a rounding of a few eps max K,
+    and the floor keeps that near sqrt(eps) on a line where K barely
+    moves. The trapezoid error is O(ds^2). Every sample's jet comes from
+    one sampler call and one stacked linfty_factored. A line with no
+    interval inside a run returns 1.0.
     """
     n = mapping.n
-    row, sign = traj.row, traj.sign
-    keep = np.flatnonzero((row[:-2] == row[1:-1]) & (row[1:-1] == row[2:])
-                          & (sign[:-2] == sign[1:-1]) & (sign[1:-1] == sign[2:])) + 1
-    if keep.size == 0:
-        return []
-    dk_fd = (traj.K[keep + 1] - traj.K[keep - 1]) / (traj.s[keep + 1] - traj.s[keep - 1])
-    jets = _jets(mapping, traj.x[keep])
+    row, sign, kval = traj.row, traj.sign, traj.K
+    same = (row[1:] == row[:-1]) & (sign[1:] == sign[:-1])
+    if not same.any():
+        return 1.0
+    jets = _jets(mapping, traj.x)
     nsq = (jets.J * jets.J).sum(axis=(-2, -1))
-    lim = operators.linfty_factored(jets)[np.arange(keep.size), row[keep] - 1]
-    # powers are the C library's pow, as a single float's ** takes them
-    kval = traj.K[keep]
-    dk_formula = sign[keep] * np.float_power(kval, 3) / (n**2 * np.float_power(nsq, 2)) * lim
-    return list(zip(dk_fd.tolist(), dk_formula.tolist()))
+    lim = operators.linfty_factored(jets)[np.arange(len(traj)), row - 1]
+    dk = _dilation_rate(n, sign, kval, nsq, lim)
+    # an interval across a row or sign switch adds nothing, so the running
+    # total less its value at a run's first sample is that run's integral
+    steps = np.where(same, 0.5 * np.diff(traj.s) * (dk[1:] + dk[:-1]), 0.0)
+    total = np.concatenate(([0.0], np.cumsum(steps)))
+    starts = np.concatenate(([True], ~same))  # sample k opens a run
+    first = np.flatnonzero(starts)[np.cumsum(starts) - 1]  # each sample's run opener
+    integral = total - total[first]
+    mismatch = float(np.max(np.abs(kval - kval[first] - integral)))
+    floor = np.sqrt(np.finfo(float).eps) * float(np.max(kval))
+    return mismatch / max(float(np.max(np.abs(integral))), floor)
 
 
 def _case_pathwise_identity(rng):
     mapping = maps.polynomial_map(2, seed=int(rng.integers(2**32)), amplitude=0.08)
-    x0 = np.array([0.12, -0.08])
-    traj = flowlines.trace_flowline(mapping, x0, ds=2e-4, max_len=0.2)
-    pairs = pathwise_derivative_pairs(mapping, traj)
-    if not pairs:
-        return 1.0, 0.0
-    # mixed comparison: relative where the derivative is live, floored at
-    # a twentieth of the curve's derivative scale near zero crossings
-    scale = max(abs(f) for _, f in pairs)
-    floor = max(0.05 * scale, 1e-12)
-    worst = max(abs(fd - f) / max(abs(f), floor) for fd, f in pairs)
-    return worst, 0.0
+    traj = flowlines.trace_flowline(mapping, np.array([0.12, -0.08]), ds=1e-3, max_len=0.2)
+    return _pathwise_integral_residual(mapping, traj), 0.0
 
 
 def _case_affine_recovery(rng):
@@ -681,7 +688,8 @@ class SuiteReport:
         return json.dumps(self.payload, sort_keys=True, indent=2) + "\n"
 
 
-def _run_case(case: SuiteCase, index: int, seed: int, tol_scale: float) -> dict:
+def _run_case(case: SuiteCase, index: int, seed: int, tol_scale: float, timing: bool) -> dict:
+    start = time.perf_counter()
     rng = np.random.default_rng((seed, index))
     tolerance = case.tolerance * tol_scale
     error = None
@@ -703,6 +711,8 @@ def _run_case(case: SuiteCase, index: int, seed: int, tol_scale: float) -> dict:
     }
     if error is not None:
         row["error"] = error
+    if timing:
+        row["wallTime"] = time.perf_counter() - start
     return row
 
 
@@ -712,7 +722,8 @@ def run_suite(name: str, seed: int = 0, tol_scale: float = 1.0, threads: int = 1
 
     The report is deterministic for a fixed seed: case order, case
     generators, and float formatting do not depend on the worker count.
-    tol_scale must be a finite number >= 0.
+    tol_scale must be a finite number >= 0. timing adds the suite's wall
+    time to the report and each case's to its row, which breaks that.
     """
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
@@ -723,11 +734,11 @@ def run_suite(name: str, seed: int = 0, tol_scale: float = 1.0, threads: int = 1
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(
-                lambda pair: _run_case(pair[1], pair[0], seed, tol_scale),
+                lambda pair: _run_case(pair[1], pair[0], seed, tol_scale, timing),
                 enumerate(cases),
             ))
     else:
-        rows = [_run_case(case, i, seed, tol_scale) for i, case in enumerate(cases)]
+        rows = [_run_case(case, i, seed, tol_scale, timing) for i, case in enumerate(cases)]
     wall = time.perf_counter() - start
     rows.sort(key=lambda row: row["id"])
     failed = sum(1 for row in rows if row["status"] == "fail")

@@ -1,8 +1,9 @@
-"""Test-only oracles: finite-difference jets, a plain chain fold, a path-integral drift check
-and a recompute-everything grid flow.
+"""Test-only oracles: finite-difference jets, a plain chain fold, a path-integral drift check,
+the derivative form of the pathwise dilation identity and a recompute-everything grid flow.
 
 None is part of the package; the tests check the exact jets, the folded
-composites, the differential-drift identity and run_flow against them.
+composites, the differential-drift identity, the pathwise identity and
+run_flow against them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from qcflow.errors import DeterminantCollapse, NonFiniteValue, RowSwitched
 from qcflow.flowlines import FlowTrajectory
 from qcflow.gradientflow import ENERGY_TOL_SCALE, FlowRunStats, GridField
 from qcflow.maps import SmoothMap, _chain
-from qcflow.operators import _contracted_operator, flux_linearization
+from qcflow.operators import Jet2Sample, _contracted_operator, flux_linearization, linfty_factored
 from qcflow.tensor import _det_adj, _dilation_field, _positive
 
 
@@ -87,6 +88,31 @@ def path_integral_residual(mapping, trajectory: FlowTrajectory, row_index: int) 
     integral = np.trapezoid(integrand, trajectory.s, axis=0)
     drift = jets[-1].J[i] - jets[0].J[i]
     return float(np.max(np.abs(drift - integral)))
+
+
+def pathwise_derivative_pairs(mapping, traj) -> list:
+    """Centered dilation derivative vs the row-field formula along a curve.
+
+    Samples adjacent to a row or sign switch are dropped; each kept entry
+    is (finite difference, formula value). The kept samples' jets come
+    from one sampler call and one stacked linfty_factored. The difference
+    carries a rounding of about eps K / ds, so the curve needs a fine step.
+    """
+    n = mapping.n
+    row, sign = traj.row, traj.sign
+    keep = np.flatnonzero((row[:-2] == row[1:-1]) & (row[1:-1] == row[2:])
+                          & (sign[:-2] == sign[1:-1]) & (sign[1:-1] == sign[2:])) + 1
+    if keep.size == 0:
+        return []
+    dk_fd = (traj.K[keep + 1] - traj.K[keep - 1]) / (traj.s[keep + 1] - traj.s[keep - 1])
+    x = traj.x[keep]
+    jets = Jet2Sample(x, *mapping.jet_fn(x, 2))
+    nsq = (jets.J * jets.J).sum(axis=(-2, -1))
+    lim = linfty_factored(jets)[np.arange(keep.size), row[keep] - 1]
+    # powers are the C library's pow, as a single float's ** takes them
+    kval = traj.K[keep]
+    dk_formula = sign[keep] * np.float_power(kval, 3) / (n**2 * np.float_power(nsq, 2)) * lim
+    return list(zip(dk_fd.tolist(), dk_formula.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,12 @@ import math
 import time
 
 import numpy as np
+from oracles import pathwise_derivative_pairs
 
 from qcflow import flowlines, gradientflow, maps, operators, tensor, traces
 from qcflow.errors import GuardViolation, NonPositiveDeterminant
 from qcflow.verify import (
     invariance_sample,
-    pathwise_derivative_pairs,
     random_jet,
     run_suite,
     suite_names,

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from oracles import chained_map, path_integral_residual
+from oracles import chained_map, path_integral_residual, pathwise_derivative_pairs
 
 from qcflow import (
     AllRowsDegenerate,
@@ -35,7 +35,6 @@ from qcflow.maps import (
     teichmuller_map,
 )
 from qcflow.tensor import _dilation_field, _sg_field
-from qcflow.verify import pathwise_derivative_pairs
 
 
 def make_teichmuller(n=2):

@@ -4,9 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from oracles import pathwise_derivative_pairs
 
 from qcflow import UnknownSuite, maps, operators, verify
-from qcflow.flowlines import trace_flowline
+from qcflow.flowlines import FlowTrajectory, trace_flowline
 from qcflow.verify import SuiteCase, run_suite, suite_names
 
 
@@ -45,9 +46,17 @@ class TestRunSuite:
             assert row["basis"] in ("definitional", "closed_form", "cross_check")
 
     def test_wall_time_only_when_requested(self):
-        assert "wallTime" not in run_suite("core", seed=0).payload
+        plain = run_suite("core", seed=0)
+        assert "wallTime" not in plain.payload
+        assert not any("wallTime" in row for row in plain.payload["cases"])
         timed = run_suite("core", seed=0, timing=True)
         assert timed.payload["wallTime"] > 0.0
+        rows = timed.payload["cases"]
+        assert all(row["wallTime"] > 0.0 for row in rows)
+        assert sum(row["wallTime"] for row in rows) <= timed.payload["wallTime"]
+        for row in rows:
+            del row["wallTime"]
+        assert rows == plain.payload["cases"]
 
     def test_reports_byte_identical_across_runs(self):
         a = run_suite("examples", seed=7).to_json()
@@ -135,5 +144,70 @@ class TestStackedDraws:
             lim = float(operators.linfty_factored(jet)[int(traj.row[k]) - 1])
             expect.append((dk_fd, float(traj.sign[k]) * kval**3 / (4 * nsq**2) * lim))
         assert expect
-        assert verify.pathwise_derivative_pairs(mapping, traj) == expect
+        assert pathwise_derivative_pairs(mapping, traj) == expect
+
+
+def _pathwise_case():
+    cases = verify._SUITES["flowlines"]
+    index = [case.case_id for case in cases].index("flowlines.pathwise_identity")
+    return cases[index], index
+
+
+def _pathwise_row(seed):
+    """The flowlines.pathwise_identity row of the flowlines report at seed."""
+    case, index = _pathwise_case()
+    return verify._run_case(case, index, seed, 1.0, False)
+
+
+def _reversed(traj):
+    """The same samples walked backwards: s runs up again and each sign flips."""
+    return FlowTrajectory(s=traj.s[-1] - traj.s[::-1], x=traj.x[::-1], K=traj.K[::-1],
+                          row=traj.row[::-1], speed=traj.speed[::-1], sign=-traj.sign[::-1],
+                          terminated=traj.terminated)
+
+
+class TestPathwiseIdentity:
+    @pytest.mark.parametrize("seed", [77, 149, 213])  # the centred difference failed these
+    def test_passes_where_the_difference_quotient_failed(self, seed):
+        row = _pathwise_row(seed)
+        assert row["status"] == "pass", row
+
+    @pytest.mark.parametrize("mutant", [
+        lambda rate: lambda n, sign, kval, nsq, lim: -rate(n, sign, kval, nsq, lim),
+        lambda rate: lambda n, sign, kval, nsq, lim: rate(n, sign, kval, nsq, lim) / kval,
+    ], ids=["flipped_sign", "k_squared"])
+    def test_a_wrong_formula_fails_by_a_hundred_tolerances(self, monkeypatch, mutant):
+        monkeypatch.setattr(verify, "_dilation_rate", mutant(verify._dilation_rate))
+        row = _pathwise_row(0)
+        assert row["status"] == "fail"
+        assert row["measured"] >= 100 * row["tolerance"]
+
+    def test_integral_and_derivative_forms_agree_on_a_fine_line(self):
+        _, index = _pathwise_case()
+        rng = np.random.default_rng((0, index))
+        mapping = maps.polynomial_map(2, seed=int(rng.integers(2**32)), amplitude=0.08)
+        traj = trace_flowline(mapping, np.array([0.12, -0.08]), ds=2e-4, max_len=0.2)
+        assert verify._pathwise_integral_residual(mapping, traj) <= 1e-5
+        pairs = pathwise_derivative_pairs(mapping, traj)
+        floor = max(0.05 * max(abs(f) for _, f in pairs), 1e-12)
+        assert max(abs(fd - f) / max(abs(f), floor) for fd, f in pairs) <= 1e-5
+
+    def test_runs_split_at_a_row_and_sign_switch(self):
+        # two lines joined where the row and sign switch: each run is integrated from
+        # its own first sample, so the jump in K between the lines is never compared
+        mapping = maps.polynomial_map(2, seed=5, amplitude=0.08)
+        a = trace_flowline(mapping, np.array([0.12, -0.08]), ds=1e-3, max_len=0.1)
+        b = _reversed(trace_flowline(mapping, np.array([-0.3, -0.4]), ds=1e-3, max_len=0.1))
+        assert a.row[-1] != b.row[0] and a.sign[-1] != b.sign[0]
+        assert abs(b.K[0] - a.K[-1]) > max(np.ptp(a.K), np.ptp(b.K))
+        joined = FlowTrajectory(
+            s=np.concatenate((a.s, a.s[-1] + 1e-3 + b.s)), x=np.concatenate((a.x, b.x)),
+            K=np.concatenate((a.K, b.K)), row=np.concatenate((a.row, b.row)),
+            speed=np.concatenate((a.speed, b.speed)), sign=np.concatenate((a.sign, b.sign)),
+            terminated=b.terminated)
+        for traj in (a, b, joined):
+            assert verify._pathwise_integral_residual(mapping, traj) <= 1e-5
+        one = FlowTrajectory(s=a.s[:1], x=a.x[:1], K=a.K[:1], row=a.row[:1], speed=a.speed[:1],
+                             sign=a.sign[:1], terminated="degenerate")
+        assert verify._pathwise_integral_residual(mapping, one) == 1.0
 
