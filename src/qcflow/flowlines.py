@@ -3,7 +3,11 @@
 Each sample reads J through the map's public jacobian accessor and
 takes the field and K together, in closed form from one checked
 determinant (tensor._dilation_field); an RK4 stage takes the field
-alone (tensor._sg_field). tensor.factoring_residual and
+alone (tensor._sg_field). J^{-T} is cofactor / det: at n = 2 and 3 a
+sample or stage, one matrix, is computed on Python floats with the
+cofactors written out, and a stack of samples (du_recovery_check) takes
+the same cofactors from tensor._det_adj, bit-equal row by row; n = 4
+takes LAPACK's inverse. tensor.factoring_residual and
 operators.linfty_flowform keep the S(g) route and are their oracles.
 
 A flow line follows one row of the field at a time, switching rows only
@@ -202,13 +206,14 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
         if domain(x_new) >= 0.0:
             # bisect the chord for the boundary crossing
             lo, hi = 0.0, 1.0
+            chord = float(np.linalg.norm(x_new - x))
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
                 if domain(x + mid * (x_new - x)) < 0.0:
                     lo = mid
                 else:
                     hi = mid
-                if (hi - lo) * float(np.linalg.norm(x_new - x)) < 1e-10:
+                if (hi - lo) * chord < 1e-10:
                     break
             x_hit = x + lo * (x_new - x)
             k_val, field = _dilation_field(mapping.jacobian(x_hit))

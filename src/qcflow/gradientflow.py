@@ -15,7 +15,8 @@ or a non-finite value halt the run.
 Grid stencils work entry-first: one moveaxis per state puts the
 component axis in front, so the Jacobian is J[i, a, *nodes], the Hessian
 H[i, a, b, *nodes], and every matrix entry is a contiguous vector over
-the nodes. Each state is differenced once, by _fields: its Jacobian (the
+the nodes. Each state is differenced once, by _fields: its entry-first
+values, which the next step's Hessian reads, its Jacobian (the
 np.gradient stencils, taken by slicing in _first_difference), the
 closed-form tensor._det_adj determinant and adjugate, and |J|^2, over
 every node, with the Jacobian's entries checked finite where they are
@@ -110,9 +111,11 @@ def _first_difference(f: np.ndarray, h: float, axis: int, out: np.ndarray) -> np
     return out
 
 
-def _jacobian_field(values: np.ndarray, h: float) -> np.ndarray:
-    """J[i, a, *nodes] = d_a u^i by central differences, one-sided at edges."""
-    v = _entry_first(values)
+def _jacobian_field(v: np.ndarray, h: float) -> np.ndarray:
+    """J[i, a, *nodes] = d_a v[i] by central differences, one-sided at edges.
+
+    v is a state's entry-first values, v[i, *nodes].
+    """
     n = v.shape[0]
     jac = np.empty((n, n) + v.shape[1:])
     for a in range(n):
@@ -123,14 +126,20 @@ def _jacobian_field(values: np.ndarray, h: float) -> np.ndarray:
 class _Fields(NamedTuple):
     """One grid state's stencil fields over every node, entry-first.
 
+    v[i, *nodes] holds the values, which the Hessians difference;
     jac[i, a, *nodes] is the difference Jacobian, det and adj[i, j, *nodes]
     its determinant and adjugate, nsq = |J|^2.
     """
 
+    v: np.ndarray
     jac: np.ndarray
     det: np.ndarray
     adj: np.ndarray
     nsq: np.ndarray
+
+    def coefficients(self, index=Ellipsis) -> tuple:
+        """jac, det, adj and nsq at index, as _contracted_operator takes them."""
+        return self.jac[index], self.det[index], self.adj[index], self.nsq[index]
 
 
 def _fields(values: np.ndarray, h: float) -> _Fields:
@@ -140,11 +149,12 @@ def _fields(values: np.ndarray, h: float) -> _Fields:
     made. det is not sign-checked: _checked_fields holds a given grid to
     det > 0, _advance a stepped one to the collapse floor.
     """
-    jac = _jacobian_field(values, h)
+    v = _entry_first(values)
+    jac = _jacobian_field(v, h)
     if not np.isfinite(jac).all():
         raise NonFiniteValue("difference Jacobian has non-finite entries")
     det, adj = _det_adj(jac)
-    return _Fields(jac, det, adj, np.sum(jac * jac, axis=(0, 1)))
+    return _Fields(v, jac, det, adj, np.sum(jac * jac, axis=(0, 1)))
 
 
 def _checked_fields(values: np.ndarray, h: float) -> _Fields:
@@ -209,9 +219,11 @@ def _interior_hessian(v: np.ndarray, h: float) -> np.ndarray:
     return hess
 
 
-def _full_hessian(values: np.ndarray, h: float) -> np.ndarray:
-    """H[i, a, b, *nodes] at every node; one-sided second-order stencils on the edges."""
-    v = _entry_first(values)
+def _full_hessian(v: np.ndarray, h: float) -> np.ndarray:
+    """H[i, a, b, *nodes] at every node of the entry-first values v.
+
+    One-sided second-order stencils on the edges.
+    """
     n = v.shape[0]
     hess = np.empty((n, n) + v.shape)
     for a in range(n):
@@ -251,28 +263,27 @@ def compatibility_check(grid: GridField, p: float) -> float:
     small; the value converges to the pointwise operator norm on the
     boundary at second order in h.
     """
-    resid = _contracted_operator(*_checked_fields(grid.values, grid.h),
-                                 _full_hessian(grid.values, grid.h), p)
+    fields = _checked_fields(grid.values, grid.h)
+    resid = _contracted_operator(*fields.coefficients(), _full_hessian(fields.v, grid.h), p)
     return float(np.max(np.abs(resid[:, grid.boundary_mask])))
 
 
-def _interior_update(coeff: _Fields, values: np.ndarray, h: float,
+def _interior_update(coeff: _Fields, v: np.ndarray, h: float,
                      p: float) -> np.ndarray:
     """Operator at interior nodes, entry-first as out[i, *interior].
 
     The coefficients are the interior of coeff, the coefficient state's
     fields, whose Jacobian there is the centred difference; the Hessian
-    comes from values.
+    comes from v, the stepped state's entry-first values (its _Fields.v).
     """
-    interior = (Ellipsis,) + (slice(1, -1),) * (values.ndim - 1)
-    return _contracted_operator(*(f[interior] for f in coeff),
-                                _interior_hessian(_entry_first(values), h), p)
+    interior = (Ellipsis,) + (slice(1, -1),) * (v.ndim - 1)
+    return _contracted_operator(*coeff.coefficients(interior), _interior_hessian(v, h), p)
 
 
 def interior_operator(grid: GridField, p: float) -> np.ndarray:
     """Non-divergence operator at interior nodes, shape (*interior, n)."""
-    update = _interior_update(_checked_fields(grid.values, grid.h), grid.values, grid.h, p)
-    return np.moveaxis(update, 0, -1)
+    fields = _checked_fields(grid.values, grid.h)
+    return np.moveaxis(_interior_update(fields, fields.v, grid.h, p), 0, -1)
 
 
 def _check_flow_args(**args) -> None:
@@ -301,7 +312,7 @@ def dtmax(grid: GridField, p: float, safety: float = DEFAULT_SAFETY) -> float:
     growth. p and safety must be positive finite numbers.
     """
     _check_flow_args(p=p, safety=safety)
-    jac = _jacobian_field(grid.values, grid.h)
+    jac = _jacobian_field(_entry_first(grid.values), grid.h)
     a4 = flux_linearization(np.moveaxis(jac, (0, 1), (-2, -1)), p)
     lam = float(np.max(np.sum(np.abs(a4), axis=(-3, -2, -1))))
     return safety * grid.h**2 / lam
@@ -336,7 +347,8 @@ def explicit_step(grid: GridField, p: float, dt: float) -> GridField:
     below half the current minimum anywhere, the step is rejected by
     raising DeterminantCollapse.
     """
-    update = _interior_update(_checked_fields(grid.values, grid.h), grid.values, grid.h, p)
+    fields = _checked_fields(grid.values, grid.h)
+    update = _interior_update(fields, fields.v, grid.h, p)
     return _advance(grid, update, dt, 0.5 * float(np.min(grid.det_cache)))[0]
 
 
@@ -412,7 +424,7 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
             step_dt = min(dt, remaining)
             if update is None:
                 update = _interior_update(fields if explicit else next(frozen),
-                                          current.values, grid.h, p)
+                                          fields.v, grid.h, p)
                 # dead once the update is made; freed before the step builds
                 # the next state's, which keeps picard's peak memory down
                 fields = candidate_fields = None

@@ -13,10 +13,16 @@ positive determinant; every determinant-sign check goes through
 _positive. The flow-line field S(g) J^{-T} comes from _sg_field in
 closed form, and _dilation_field adds K to it; factoring_residual and
 operators.linfty_flowform keep the S(g) route and are its oracles.
+_sg_field takes J^{-T} as cofactor / det over LAPACK's checked det:
+one 2x2 or 3x3 matrix, a flow line's sample or RK4 stage, is computed
+on Python floats with the cofactors written out in _det_adj's order,
+and a stack of them through _det_adj, so each stack row keeps the bits
+of its single call. At n = 4 J^{-T} is LAPACK's inverse.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,9 +86,10 @@ def _det_adj(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     a[i, j, ...] holds matrix entry (i, j) as an array over the trailing
     axes, so every product runs over contiguous node vectors instead of
-    one small matrix at a time. Meant for batched grids with n = 2..4;
-    single matrices are faster through np.linalg. adj[i, j, ...] is the
-    adjugate, so sum_j adj[i, j] a[j, k] = det * delta_ik.
+    one small matrix at a time. Meant for batched grids and stacks with
+    n = 2..4; _sg_one writes the same expansion out on floats for one
+    2x2 or 3x3 matrix. adj[i, j, ...] is the adjugate, so
+    sum_j adj[i, j] a[j, k] = det * delta_ik.
     """
     n = a.shape[0]
     rows = [[a[i, j] for j in range(n)] for i in range(n)]
@@ -107,7 +114,12 @@ def cofactor(m) -> np.ndarray:
     Defined for every matrix, singular ones included, and satisfies
     cofactor(M)^T M = det(M) I.
     """
-    adj = _det_adj(np.moveaxis(_as_matrix(m), (-2, -1), (0, 1)))[1]
+    return _cofactor(_as_matrix(m))
+
+
+def _cofactor(a: np.ndarray) -> np.ndarray:
+    """cofactor of a stack already read by _as_matrix."""
+    adj = _det_adj(np.moveaxis(a, (-2, -1), (0, 1)))[1]
     return np.moveaxis(adj, (0, 1), (-1, -2))
 
 
@@ -140,18 +152,64 @@ def ahlfors(m) -> np.ndarray:
     return sym - tr[..., None, None] * eye / n
 
 
-def _sg_field(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sg_field(j) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray]:
     """Field F = S(g) J^{-T} from one checked determinant, with |J|^2 and det J.
 
     F = (J - |J|^2 J^{-T} / n) / (det J)^(2/n), the identity factoring_residual
-    pins. The root takes np.float_power, as in trace_dilation, so each
-    matrix of a stack gets the bits it gets alone.
+    pins, with J^{-T} = cofactor / det over the checked det. One 2x2 or
+    3x3 matrix takes _sg_one's Python floats; a stack takes the cofactors
+    of _det_adj, the same expansion, so each row gets the bits it gets
+    alone. At n = 4, which has no float branch, J^{-T} is LAPACK's
+    inverse: the closed form costs more than the rest of the call. The
+    root takes np.float_power, as in trace_dilation.
     """
-    a, n, d = _checked(j)
+    a = np.asarray(j, dtype=float)
+    if a.shape == (2, 2) or a.shape == (3, 3):
+        return _sg_one(a)
+    a, n, d = _checked(a)
     nsq = _norm_sq(a)
-    inv_t = np.linalg.inv(a).swapaxes(-1, -2)
+    if n < 4:
+        inv_t = _cofactor(a) / d[..., None, None]
+    else:
+        inv_t = np.linalg.inv(a).swapaxes(-1, -2)
     field = (a - (nsq / n)[..., None, None] * inv_t) / np.float_power(d, 2.0 / n)[..., None, None]
     return field, nsq, d
+
+
+def _sg_one(a: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """_sg_field of one 2x2 or 3x3 matrix, computed on Python floats.
+
+    The entries are checked with math.isfinite and the sign of LAPACK's
+    det with _positive, in _checked's order and with its errors. |J|^2
+    adds the squares in numpy's reading order (memory order, ravel "K")
+    and in its pairwise grouping: one after the other for four, the
+    first eight pairwise and then the ninth for nine. The cofactors
+    follow _expand_det's order, 0.0 plus the first product less the
+    second, so F, |J|^2 and det carry the bits of the array branch's
+    stack rows.
+    """
+    flat = a.ravel().tolist()
+    if not all(map(math.isfinite, flat)):
+        raise NonFiniteValue("matrix entries must be finite")
+    d = float(_positive_det(a))
+    sq = [x * x for x in (flat if a.flags.c_contiguous else a.ravel("K").tolist())]
+    if len(flat) == 4:
+        n = 2
+        nsq = sq[0] + sq[1] + sq[2] + sq[3]
+        a0, a1, b0, b1 = flat
+        cof = (b1, -b0, -a1, a0)
+    else:
+        n = 3
+        nsq = (((sq[0] + sq[1]) + (sq[2] + sq[3])) + ((sq[4] + sq[5]) + (sq[6] + sq[7]))) + sq[8]
+        a0, a1, a2, b0, b1, b2, c0, c1, c2 = flat
+        cof = (
+            (0.0 + b1 * c2) - b2 * c1, -((0.0 + b0 * c2) - b2 * c0), (0.0 + b0 * c1) - b1 * c0,
+            -((0.0 + a1 * c2) - a2 * c1), (0.0 + a0 * c2) - a2 * c0, -((0.0 + a0 * c1) - a1 * c0),
+            (0.0 + a1 * b2) - a2 * b1, -((0.0 + a0 * b2) - a2 * b0), (0.0 + a0 * b1) - a1 * b0,
+        )
+    scale, root = nsq / n, d ** (2.0 / n)  # ** on floats is the C pow np.float_power takes
+    field = [(x - scale * (c / d)) / root for x, c in zip(flat, cof)]
+    return np.array(field).reshape((n, n)), nsq, d
 
 
 def _dilation_field(j) -> tuple[float | np.ndarray, np.ndarray]:
@@ -160,7 +218,10 @@ def _dilation_field(j) -> tuple[float | np.ndarray, np.ndarray]:
     K equals trace_dilation(J) bit for bit, and K grad K = F . H.
     """
     field, nsq, d = _sg_field(j)
-    return np.sqrt(nsq) / np.float_power(d, 1.0 / field.shape[-1]), field
+    n = field.shape[-1]
+    if isinstance(nsq, float):  # one matrix: math.sqrt and the C pow of ** give np's bits
+        return np.float64(math.sqrt(nsq) / d ** (1.0 / n)), field
+    return np.sqrt(nsq) / np.float_power(d, 1.0 / n), field
 
 
 def factoring_residual(j) -> float | np.ndarray:

@@ -13,6 +13,7 @@ from qcflow import (
     Jet2Sample,
     NonFiniteValue,
     NonPositiveDeterminant,
+    QcflowError,
     ahlfors,
     analyze,
     cofactor,
@@ -35,6 +36,37 @@ def random_spd_jacobians(rng, n, count, scale=0.4):
         if np.linalg.det(j) > 0.05:
             mats.append(j)
     return mats
+
+
+def _signed_zeros(rng, n):
+    """random_posdet with exact +0.0 and -0.0 in about a third of its entries."""
+    while True:
+        q = random_posdet(rng, n, scale=0.6)
+        q[rng.random((n, n)) < 0.35] = 0.0
+        q *= np.where(rng.random((n, n)) < 0.5, -1.0, 1.0)
+        if np.linalg.det(q) < 0.0:
+            q[0] = -q[0]
+        if np.linalg.det(q) > 0.0:
+            return q
+
+
+def _integer(rng, n):
+    """Integer matrix with positive determinant."""
+    while True:
+        q = np.rint(4.0 * random_posdet(rng, n, scale=0.6)).astype(int)
+        if np.linalg.det(q) > 0.5:
+            return q
+
+
+# stacks of count matrices for TestDilationField's bitwise test
+STACK_FORMS = {
+    "float": lambda rng, n, count: np.array([random_posdet(rng, n, scale=0.6)
+                                            for _ in range(count)]),
+    "signed_zeros": lambda rng, n, count: np.array([_signed_zeros(rng, n) for _ in range(count)]),
+    "integer": lambda rng, n, count: np.array([_integer(rng, n) for _ in range(count)]),
+    "transposed": lambda rng, n, count: np.array([random_posdet(rng, n, scale=0.6)
+                                                 for _ in range(count)]).swapaxes(-1, -2),
+}
 
 
 # one kernel from each module that enters through tensor._checked
@@ -156,16 +188,40 @@ class TestDilationField:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]),
-           count=st.integers(1, 9))
-    def test_stack_rows_match_single_calls_bitwise(self, seed, n, count):
+           count=st.integers(1, 9), form=st.sampled_from(sorted(STACK_FORMS)))
+    def test_stack_rows_match_single_calls_bitwise(self, seed, n, count, form):
+        # one 2x2 or 3x3 matrix takes the float branch, a stack of them
+        # _det_adj's cofactors; exact +-0.0 entries, integers and a
+        # transposed view (whose |J|^2 numpy sums in memory order) reach both
         rng = np.random.default_rng(seed)
-        mats = np.array([random_posdet(rng, n, scale=0.6) for _ in range(count)])
+        mats = STACK_FORMS[form](rng, n, count)
         k, field = _dilation_field(mats)
         assert k.tobytes() == trace_dilation(mats).tobytes()
         for i, j in enumerate(mats):
             k1, f1 = _dilation_field(j)
             assert k1.tobytes() == k[i].tobytes() == trace_dilation(j).tobytes()
             assert f1.tobytes() == field[i].tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("fault", ["nan", "inf", "fold", "shape"])
+    def test_float_branch_raises_as_the_array_branch(self, n, fault):
+        j = np.eye(n)
+        if fault == "nan":
+            j[0, 1] = np.nan
+        elif fault == "inf":
+            j[n - 1, n - 1] = -np.inf
+        elif fault == "fold":
+            j[0, 0] = -2.0
+        else:
+            j = np.ones((n, n + 1))
+        with pytest.raises(QcflowError if fault != "shape" else ValueError) as want:
+            trace_dilation(j)  # the array branch's _checked
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            _dilation_field(j)
+        if fault in ("nan", "inf"):
+            assert str(want.value) == "matrix entries must be finite"
+        elif fault == "fold":
+            assert str(want.value) == "determinant must be positive (min -2.000000e+00)"
 
     def test_folded_rejected(self):
         with pytest.raises(NonPositiveDeterminant, match="determinant must be positive"):
