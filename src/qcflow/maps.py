@@ -3,7 +3,19 @@
 Provides the model radial stretch, the two-sector wedge, conformal
 generators (rotations, dilations, translations, oriented inversion),
 composition with full chain rule, affine, polynomial and bump maps.
-All samplers are pure and maps are immutable after construction.
+All samplers are pure and maps are immutable after construction; a
+word or composite makes its set-up once, at its first sample.
+
+Every matrix product of a word or composite follows one product rule,
+_dot: each sum starts from +0.0 and adds the products left to right.
+That covers the chain rule's J, a composite's folded constant product,
+the value of a rotation or affine map and the inversion's |x|^2; powers
+take the C pow (np.float_power). At order 1, one point of a 2- or
+3-dimensional conformal word, or of a composite whose factors after the
+fold are all words or affine maps, is sampled on Python floats by the
+same operations (_float_sample), so it keeps the bits of a stack row
+without paying numpy's per-call cost on every generator. Every other
+map, order and stack takes the array path.
 """
 
 from __future__ import annotations
@@ -41,7 +53,11 @@ class SmoothMap:
     affine, polynomial and bump maps, and compositions of these) returns
     the pair (u, J) alone, from the same Jacobian formula and without
     building the Hessian; the others ignore order and return their full
-    jet. value and jacobian read jet_fn at order 1, hessian at order 2,
+    jet. Conformal words and their compositions with affine maps take
+    every matrix product by the product rule (see _dot), each sum from
+    +0.0 and left to right, and at order 1 sample one point of n = 2 or 3
+    on Python floats by those same sums, bit-equal to a stack row.
+    value and jacobian read jet_fn at order 1, hessian at order 2,
     take a point or a stack, and return the sampler's arrays unvalidated,
     so a caller checks J where it uses it; jet takes one point and returns
     it as a validated Jet2Sample, and a caller that needs many points'
@@ -125,6 +141,17 @@ def _polar(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.asarray(v, dtype=float) for v in _polar_ufunc(a, b))
 
 
+def _dimension(n) -> int:
+    """n as an int; it must be an integral number >= 1, so 2 and 2.0 both give 2."""
+    try:
+        whole = int(n)
+    except (TypeError, ValueError, OverflowError):  # NaN, inf and non-numbers
+        whole = 0
+    if whole != n or whole < 1:
+        raise ConfigError(f"dimension n must be an integral number >= 1, got {n!r}")
+    return whole
+
+
 def _any(mask: np.ndarray) -> bool:
     return mask.any() if mask.ndim else bool(mask)  # one point skips the array reduction
 
@@ -170,10 +197,37 @@ def _rotation_matrix(n: int, params: dict) -> np.ndarray:
     raise ConfigError("angle-based rotations support n=2 (angle) or n=3 (axis, angle)")
 
 
+def _dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of p * q by the product rule.
+
+    Each sum starts from +0.0 and adds the products left to right, as
+    tensor._det_adj's cofactors do; the float path (_float_sample) writes
+    the same sums out, so the two agree bit for bit, which matmul's BLAS
+    and vecdot, summing in their own orders, do not. The +0.0 start
+    drops the sign of a zero sum, which _fold relies on.
+    """
+    prod = p * q
+    total = 0.0 + prod[..., 0]
+    for m in range(1, prod.shape[-1]):
+        total = total + prod[..., m]
+    return total
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the last two axes by the product rule."""
+    return _dot(a[..., :, None, :], np.swapaxes(b, -1, -2)[..., None, :, :])
+
+
 def _generator_value(kind: str, data, x: np.ndarray) -> np.ndarray:
-    """Value of a rotation, dilation or translation, whose Jacobians are constant."""
+    """Value of a generator whose Jacobian is constant.
+
+    kind is rotation, dilation or translation, or affine with data the
+    pair (matrix, offset); matrices apply by the product rule.
+    """
     if kind == "rotation":
-        return (data @ x[..., None])[..., 0]
+        return _dot(data, x[..., None, :])
+    if kind == "affine":
+        return _dot(data[0], x[..., None, :]) + data[1]
     return data * x if kind == "dilation" else x + data
 
 
@@ -181,12 +235,14 @@ def _generator_jet(kind: str, data, n: int, x: np.ndarray, order: int) -> tuple:
     """Return (u, J, H) for one generator, or (u, J) at order 1; H is zero when absent."""
     if kind == "rotation":
         j = _tiled(data, x)
+    elif kind == "affine":
+        j = _tiled(data[0], x)
     elif kind == "dilation":
         j = _tiled(data * _eye(n), x)
     elif kind == "translation":
         j = _tiled(_eye(n), x)
     else:  # the oriented inversion
-        rsq = np.vecdot(x, x)
+        rsq = _dot(x, x)
         if _any(rsq < _ORIGIN_TOL**2):
             raise OriginExcluded("inversion sampled at the origin")
         eye = _eye(n)
@@ -227,7 +283,7 @@ def _invert_generator(gen: tuple) -> tuple:
 
 def _chain(outer: tuple, inner: tuple) -> tuple:
     """Chain rule on raw (u, J) or (u, J, H) jets, outer's taken at inner's u."""
-    j = outer[1] @ inner[1]
+    j = _matmul(outer[1], inner[1])
     if len(inner) == 2:
         return outer[0], j
     h = (np.einsum("...km,...mab->...kab", outer[1], inner[2])
@@ -236,7 +292,13 @@ def _chain(outer: tuple, inner: tuple) -> tuple:
 
 
 def _conformal_from_word(word: tuple, n: int) -> ConformalMap:
+    program = []  # the float program, made at the first single-point sample
+
     def jet_fn(x: np.ndarray, order: int) -> tuple:
+        if order == 1 and x.ndim == 1 and n in (2, 3):
+            if not program:
+                _once(program, lambda: ((), (), None, ((_float_steps(word[::-1], n), None),)))
+            return _float_sample(program[0], x)
         jet = (x,)  # the input alone until the first generator is taken
         for kind, data in reversed(word):
             raw = _generator_jet(kind, data, n, jet[0], order)
@@ -244,6 +306,138 @@ def _conformal_from_word(word: tuple, n: int) -> ConformalMap:
         return jet
 
     return ConformalMap(n=n, jet_fn=jet_fn, word=word)
+
+
+# ---------------------------------------------------------------------------
+# one point on Python floats
+
+# Guards the one-time set-up of a sampler: a word's float program and a
+# composite's fold. Reentrant, since a fold samples its constant words.
+_FOLD_LOCK = threading.RLock()
+
+
+def _once(cell: list, make: Callable[[], tuple]) -> None:
+    """Put make() in the empty list cell under _FOLD_LOCK, unless another thread did first."""
+    with _FOLD_LOCK:
+        if not cell:
+            cell.append(make())
+
+
+def _fmul(a: list, b: list) -> list:
+    """_matmul of two flat row-major 2x2 or 3x3 matrices of Python floats."""
+    if len(a) == 4:
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        return [(0.0 + a0 * b0) + a1 * b2, (0.0 + a0 * b1) + a1 * b3,
+                (0.0 + a2 * b0) + a3 * b2, (0.0 + a2 * b1) + a3 * b3]
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return [((0.0 + a0 * b0) + a1 * b3) + a2 * b6, ((0.0 + a0 * b1) + a1 * b4) + a2 * b7,
+            ((0.0 + a0 * b2) + a1 * b5) + a2 * b8, ((0.0 + a3 * b0) + a4 * b3) + a5 * b6,
+            ((0.0 + a3 * b1) + a4 * b4) + a5 * b7, ((0.0 + a3 * b2) + a4 * b5) + a5 * b8,
+            ((0.0 + a6 * b0) + a7 * b3) + a8 * b6, ((0.0 + a6 * b1) + a7 * b4) + a8 * b7,
+            ((0.0 + a6 * b2) + a7 * b5) + a8 * b8]
+
+
+def _fapply(a: list, x: list) -> list:
+    """A flat row-major 2x2 or 3x3 matrix applied to a point, by the product rule."""
+    if len(x) == 2:
+        x0, x1 = x
+        return [(0.0 + a[0] * x0) + a[1] * x1, (0.0 + a[2] * x0) + a[3] * x1]
+    x0, x1, x2 = x
+    return [((0.0 + a[0] * x0) + a[1] * x1) + a[2] * x2,
+            ((0.0 + a[3] * x0) + a[4] * x1) + a[5] * x2,
+            ((0.0 + a[6] * x0) + a[7] * x1) + a[8] * x2]
+
+
+def _float_data(kind: str, data):
+    """A generator's data on Python floats: a matrix as its flat rows, a vector as a list."""
+    if kind == "affine":
+        return data[0].ravel().tolist(), data[1].tolist()
+    return data if kind == "dilation" else data.ravel().tolist()
+
+
+def _float_steps(gens, n: int) -> tuple:
+    """Each (kind, data) generator as (kind, data, flat J) on Python floats, J None if varying."""
+    zero = np.zeros(n)
+    return tuple((kind, _float_data(kind, data), None if kind == "inversion"
+                  else _generator_jet(kind, data, n, zero, 1)[1].ravel().tolist())
+                 for kind, data in gens)
+
+
+def _float_value(kind: str, data, x: list) -> list:
+    """_generator_value at a point of Python floats."""
+    if kind == "rotation":
+        return _fapply(data, x)
+    if kind == "affine":
+        return [v + c for v, c in zip(_fapply(data[0], x), data[1])]
+    if kind == "dilation":
+        return [data * v for v in x]
+    return [v + c for v, c in zip(x, data)]
+
+
+def _float_inversion(signs: list, x: list) -> tuple[list, list]:
+    """The oriented inversion's order-1 _generator_jet at a point of Python floats.
+
+    Each entry repeats the array path's operations in its order: eye / r2
+    less 2 x x^T / r2^2, times the output component's sign, where ** on
+    floats is the C pow np.float_power takes and 0.0 / r2 is eye's zero.
+    """
+    if len(x) == 2:
+        x0, x1 = x
+        rsq = (0.0 + x0 * x0) + x1 * x1
+        if rsq < _ORIGIN_TOL**2:
+            raise OriginExcluded("inversion sampled at the origin")
+        sq, on, off = rsq ** 2, 1.0 / rsq, 0.0 / rsq
+        s0, s1 = signs
+        u = [x0 / (rsq * s0), x1 / (rsq * s1)]
+        j = [(on - 2.0 * (x0 * x0) / sq) * s0, (off - 2.0 * (x0 * x1) / sq) * s0,
+             (off - 2.0 * (x1 * x0) / sq) * s1, (on - 2.0 * (x1 * x1) / sq) * s1]
+        return u, j
+    x0, x1, x2 = x
+    rsq = ((0.0 + x0 * x0) + x1 * x1) + x2 * x2
+    if rsq < _ORIGIN_TOL**2:
+        raise OriginExcluded("inversion sampled at the origin")
+    sq, on, off = rsq ** 2, 1.0 / rsq, 0.0 / rsq
+    s0, s1, s2 = signs
+    u = [x0 / (rsq * s0), x1 / (rsq * s1), x2 / (rsq * s2)]
+    j = [(on - 2.0 * (x0 * x0) / sq) * s0, (off - 2.0 * (x0 * x1) / sq) * s0,
+         (off - 2.0 * (x0 * x2) / sq) * s0, (off - 2.0 * (x1 * x0) / sq) * s1,
+         (on - 2.0 * (x1 * x1) / sq) * s1, (off - 2.0 * (x1 * x2) / sq) * s1,
+         (off - 2.0 * (x2 * x0) / sq) * s2, (off - 2.0 * (x2 * x1) / sq) * s2,
+         (on - 2.0 * (x2 * x2) / sq) * s2]
+    return u, j
+
+
+def _float_sample(program: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order-1 (u, J) at one point of a 2- or 3-dimensional word or composite, on Python floats.
+
+    program is (dets, moves, matrix, factors): the determinants each
+    sample refuses with _positive, the (kind, data) steps a value takes
+    before the first varying Jacobian, the flat constant Jacobian of those
+    steps or None, and each later factor as its _float_steps with its
+    affine determinant or None. Every guard, sum and product is the array
+    path's, taken in its order, so u and J carry the bits of a stack row.
+    """
+    dets, moves, jac, factors = program
+    for det in dets:
+        _positive(det)
+    x = x.tolist()
+    for kind, data in moves:
+        x = _float_value(kind, data, x)
+    for steps, det in factors:
+        factor_jac = None
+        for kind, data, step_jac in steps:
+            if step_jac is None:
+                x, step_jac = _float_inversion(data, x)
+            else:
+                x = _float_value(kind, data, x)
+            factor_jac = step_jac if factor_jac is None else _fmul(step_jac, factor_jac)
+        if det is not None:
+            _positive(det)
+        jac = factor_jac if jac is None else _fmul(factor_jac, jac)
+    n = len(x)
+    return np.array(x), np.array(jac).reshape(n, n)
 
 
 _GENERATOR_KEYS = {
@@ -270,10 +464,10 @@ def moebius(kind: str, params: dict) -> ConformalMap:
         raise ConfigError(f"moebius {kind} got unknown parameter {unknown}")
     try:
         if kind == "rotation":
-            n = int(params.get("n", 2 if "axis" not in params else 3))
+            n = _dimension(params.get("n", 2 if "axis" not in params else 3))
             data = _rotation_matrix(n, params)
         elif kind == "dilation":
-            n = int(params["n"])
+            n = _dimension(params["n"])
             data = float(params["scale"])
             if not 0.0 < data < math.inf:  # NaN fails too
                 raise ConfigError(f"dilation scale must be a positive finite number, got {data!r}")
@@ -283,7 +477,7 @@ def moebius(kind: str, params: dict) -> ConformalMap:
                 raise ConfigError(f"translation offset must be finite, got {data.tolist()!r}")
             n = data.size
         else:  # the oriented inversion; data holds the sign of each output component
-            n = int(params["n"])
+            n = _dimension(params["n"])
             data = np.array([1.0] * (n - 1) + [-1.0])
     except KeyError as missing:
         raise ConfigError(f"moebius {kind} needs parameter {missing}") from missing
@@ -330,6 +524,7 @@ def radial_stretch(alpha: float, n: int) -> SmoothMap:
     """
     if not 0.0 < alpha < math.inf:  # NaN fails too
         raise ConfigError(f"radial stretch alpha must be a positive finite number, got {alpha!r}")
+    n = _dimension(n)
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
         r = np.sqrt(np.vecdot(x, x))
@@ -373,6 +568,7 @@ def wedge_map(alpha: float, n: int) -> SmoothMap:
     """
     if not (0.0 < alpha < 2.0 * math.pi):
         raise ConfigError("wedge angle must lie in (0, 2*pi)")
+    n = _dimension(n)
     if n < 2:
         raise ConfigError("wedge map needs n >= 2")
     two_pi = 2.0 * math.pi
@@ -425,10 +621,6 @@ def wedge_map(alpha: float, n: int) -> SmoothMap:
     return SmoothMap(n=n, jet_fn=jet_fn)
 
 
-def _affine_value(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return (a @ x[..., None])[..., 0] + b
-
-
 def affine_map(matrix, offset=None) -> SmoothMap:
     """Affine map x -> A x + b with exact jets and zero Hessian.
 
@@ -444,15 +636,14 @@ def affine_map(matrix, offset=None) -> SmoothMap:
         raise ConfigError(f"affine offset must be {n} finite numbers, got {b.tolist()!r}")
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
-        u, j = _affine_value(a, b, x), _tiled(a, x)
-        return (u, j) if order == 1 else (u, j, np.zeros(x.shape[:-1] + (n, n, n)))
+        return _generator_jet("affine", (a, b), n, x, order)
 
     return _Affine(n=n, jet_fn=jet_fn, matrix=a, offset=b)
 
 
 
 def identity_map(n: int) -> SmoothMap:
-    return affine_map(np.eye(n))
+    return affine_map(np.eye(_dimension(n)))
 
 
 def polynomial_map(n: int, seed: int = 0, amplitude: float = 0.05) -> SmoothMap:
@@ -462,6 +653,7 @@ def polynomial_map(n: int, seed: int = 0, amplitude: float = 0.05) -> SmoothMap:
     symmetrized in their derivative slots, so jets are exact. Keeps
     det J > 0 near the unit ball for the default amplitude.
     """
+    n = _dimension(n)
     rng = np.random.default_rng(seed)
     c2 = rng.standard_normal((n, n, n))
     c2 = 0.5 * (c2 + np.swapaxes(c2, 1, 2))
@@ -511,6 +703,7 @@ def bump_map(n: int, amplitude: float = 0.05) -> SmoothMap:
     one-dimensional bumps, so the perturbation and its first and second
     derivatives vanish on the cube boundary.
     """
+    n = _dimension(n)
 
     # gradient entry a leaves factor a out of the product; Hessian entry
     # (a, b) leaves out factors a and b
@@ -551,22 +744,30 @@ class _Composite(SmoothMap):
     factors: tuple = ()
 
 
-_FOLD_LOCK = threading.Lock()
+def _generators(factor: SmoothMap) -> tuple:
+    """An affine map or a conformal word as (kind, data) generators, innermost first."""
+    if isinstance(factor, _Affine):
+        return (("affine", (factor.matrix, factor.offset)),)
+    return factor.word[::-1]
 
 
 def _fold(factors: tuple) -> tuple:
     """Split a composite's factors into its leading constant-Jacobian run and the rest.
 
-    Returns (moves, matrix, dets, rest). The run is the innermost whole
-    factors whose J is constant (affine maps, and words without an
-    inversion), then the leading translations of the next factor when it
-    is a word. moves take a value through each step of the run in turn;
-    matrix is the product of the whole factors' J in the chain's own
+    Returns (moves, matrix, dets, rest, program). The run is the
+    innermost whole factors whose J is constant (affine maps, and words
+    without an inversion), then the leading translations of the next
+    factor when it is a word. moves are the run's steps as (kind, data)
+    generators, affine factors included, that take a value through it in
+    turn; matrix is the product of the whole factors' J in the chain's own
     order, or None; dets are the run's affine determinants. rest pairs
     each later factor, the word shortened by its translations included,
-    with its affine determinant or None. A translation's identity leaves
-    the product bit for bit: it only changes the sign of zero entries,
-    and every later product sums from +0, where a zero's sign is lost.
+    with its affine determinant or None. program is the same on Python
+    floats for _float_sample, made when n is 2 or 3 and every later factor
+    is a conformal word or an affine map, else None. A translation's
+    identity leaves the product bit for bit: it only changes the sign of
+    zero entries, and every later product sums from +0 (the product rule
+    of _dot), where a zero's sign is lost.
     """
     n = factors[0].n
     moves, matrix, dets, rest = [], None, [], []
@@ -576,20 +777,24 @@ def _fold(factors: tuple) -> tuple:
         if not rest and (det is not None or word and all(k != "inversion" for k, _ in word)):
             if det is not None:
                 dets.append(det)
-                moves.append(functools.partial(_affine_value, factor.matrix, factor.offset))
-            moves += [functools.partial(_generator_value, *g) for g in reversed(word)]
+            moves += _generators(factor)
             j = factor.jet_fn(np.zeros(n), 1)[1]  # constant, so any point gives it
-            matrix = j if matrix is None else j @ matrix
+            matrix = j if matrix is None else _matmul(j, matrix)
             continue
         if not rest and word:  # the word has an inversion, so cut stops above 0
             cut = len(word)
             while word[cut - 1][0] == "translation":
                 cut -= 1
             if cut < len(word):
-                moves += [functools.partial(_generator_value, *g) for g in reversed(word[cut:])]
+                moves += word[cut:][::-1]
                 factor = _conformal_from_word(word[:cut], n)
         rest.append((factor, det))
-    return moves, matrix, dets, rest
+    program = None
+    if n in (2, 3) and all(isinstance(f, (ConformalMap, _Affine)) for f, _ in rest):
+        program = (tuple(dets), tuple((k, _float_data(k, d)) for k, d in moves),
+                   None if matrix is None else matrix.ravel().tolist(),
+                   tuple((_float_steps(_generators(f), n), det) for f, det in rest))
+    return moves, matrix, dets, rest, program
 
 
 def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
@@ -606,12 +811,17 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
     translations; see _fold) into one precomputed product, taken in the
     chain's own order, and drops a translation's identity from the
     chain. Values still pass through each factor in turn, and the result
-    is bit-equal to the plain _chain fold over factors. The fold is made
-    once, under a lock, however many threads sample the map. An affine
-    factor's determinant is taken once, in the fold, and a reflecting
-    affine factor is refused with the same message at the first sample
-    and every later one. Factors after the first non-constant one are
-    not folded, since that would change the association of the products.
+    is bit-equal to the plain _chain fold over factors. Every matrix
+    product follows the product rule of _dot, each sum from +0.0 and left
+    to right, so at order 1 one point of a 2- or 3-dimensional composite
+    whose later factors are all conformal words or affine maps is sampled
+    on Python floats (_float_sample) with the bits of a stack row. The
+    fold, float program included, is made once, under a lock, however
+    many threads sample the map. An affine factor's determinant is taken
+    once, in the fold, and a reflecting affine factor is refused with the
+    same message at the first sample and every later one. Factors after
+    the first non-constant one are not folded, since that would change
+    the association of the products.
     """
     if outer.n != inner.n:
         raise ConfigError("composition requires matching dimensions")
@@ -623,14 +833,14 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
         if not folded:
-            with _FOLD_LOCK:
-                if not folded:
-                    folded.append(_fold(factors))
-        moves, matrix, dets, rest = folded[0]
+            _once(folded, lambda: _fold(factors))
+        moves, matrix, dets, rest, program = folded[0]
+        if program is not None and order == 1 and x.ndim == 1:
+            return _float_sample(program, x)
         for det in dets:
             _positive(det)
-        for move in moves:
-            x = move(x)
+        for kind, data in moves:
+            x = _generator_value(kind, data, x)
         jet = (x,)  # the input alone until the first J is taken
         if matrix is not None:
             # the first chain broadcasts the constant matrix at order 1
@@ -660,6 +870,7 @@ def teichmuller_example(n: int = 2) -> SmoothMap:
     Its flow lines keep the dilation constant, which makes it the
     standard drift probe for the command line and the suites.
     """
+    n = _dimension(n)
     if n == 2:
         rot = moebius("rotation", {"n": 2, "angle": 0.6})
         mid = affine_map(np.array([[1.6, 0.2], [0.0, 0.9]]))

@@ -88,19 +88,44 @@ def _det_adj(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     axes, so every product runs over contiguous node vectors instead of
     one small matrix at a time. Meant for batched grids and stacks with
     n = 2..4; _sg_one writes the same expansion out on floats for one
-    2x2 or 3x3 matrix. adj[i, j, ...] is the adjugate, so
+    2x2 or 3x3 matrix, and _adjugate4 takes each 2x2 minor of a 4x4 once.
+    adj[i, j, ...] is the adjugate, so
     sum_j adj[i, j] a[j, k] = det * delta_ik.
     """
     n = a.shape[0]
     rows = [[a[i, j] for j in range(n)] for i in range(n)]
     adj = np.empty_like(a)
-    for i in range(n):
-        for j in range(n):
-            minor = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
-            cof = _expand_det(minor)
-            adj[j, i] = -cof if (i + j) % 2 else cof
+    if n == 4:
+        _adjugate4(rows, adj)
+    else:
+        for i in range(n):
+            for j in range(n):
+                minor = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
+                cof = _expand_det(minor)
+                adj[j, i] = -cof if (i + j) % 2 else cof
     det = sum(rows[0][j] * adj[j, 0] for j in range(n))
     return det, adj
+
+
+def _adjugate4(rows: list, adj: np.ndarray) -> None:
+    """Fill adj with the adjugate of a 4x4 entry-first stack, as _expand_det expands it.
+
+    Cofactor (i, j) expands its 3x3 minor on its first row over the 2x2
+    minors of its last two rows, which are rows (2, 3), (1, 3) or (1, 2).
+    Those 18 minors serve all 48 uses, each taken once by the same
+    operations on the same operands, so every bit matches the recursion.
+    """
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    minor = {(p, q, c, d): (0.0 + rows[p][c] * rows[q][d]) - rows[p][d] * rows[q][c]
+             for p, q in ((2, 3), (1, 3), (1, 2)) for c, d in pairs}
+    for i in range(4):
+        r0, r1, r2 = (k for k in range(4) if k != i)
+        for j in range(4):
+            c0, c1, c2 = (k for k in range(4) if k != j)
+            top = rows[r0]
+            cof = (((0.0 + top[c0] * minor[r1, r2, c1, c2]) - top[c1] * minor[r1, r2, c0, c2])
+                   + top[c2] * minor[r1, r2, c0, c1])
+            adj[j, i] = -cof if (i + j) % 2 else cof
 
 
 def hs_norm(m) -> float | np.ndarray:

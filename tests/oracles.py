@@ -1,9 +1,10 @@
 """Test-only oracles: finite-difference jets, a plain chain fold, a path-integral drift check,
-the derivative form of the pathwise dilation identity and a recompute-everything grid flow.
+the derivative form of the pathwise dilation identity, a plain cofactor expansion and a
+recompute-everything grid flow.
 
 None is part of the package; the tests check the exact jets, the folded
-composites, the differential-drift identity, the pathwise identity and
-run_flow against them.
+composites, the differential-drift identity, the pathwise identity,
+tensor._det_adj and run_flow against them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from qcflow.flowlines import FlowTrajectory
 from qcflow.gradientflow import ENERGY_TOL_SCALE, FlowRunStats, GridField
 from qcflow.maps import SmoothMap, _chain
 from qcflow.operators import Jet2Sample, _contracted_operator, flux_linearization, linfty_factored
-from qcflow.tensor import _det_adj, _dilation_field, _positive
+from qcflow.tensor import _det_adj, _dilation_field, _expand_det, _positive
 
 
 def fd_map(value_fn: Callable[[np.ndarray], np.ndarray], n: int, h: float) -> SmoothMap:
@@ -126,11 +127,27 @@ def _gradient_jacobian(values: np.ndarray, h: float) -> np.ndarray:
                      for a in range(v.shape[0])], axis=1)
 
 
+def _expansion_det_adj(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det and adjugate of an entry-first stack, every cofactor expanded anew on its first row.
+
+    The plain form of tensor._det_adj at every n, whose 4x4 branch takes
+    each shared 2x2 minor once instead.
+    """
+    n = a.shape[0]
+    rows = [[a[i, j] for j in range(n)] for i in range(n)]
+    adj = np.empty_like(a)
+    for i in range(n):
+        for j in range(n):
+            cof = _expand_det([r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i])
+            adj[j, i] = -cof if (i + j) % 2 else cof
+    return sum(rows[0][j] * adj[j, 0] for j in range(n)), adj
+
+
 def _checked_det_adj(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """det and adjugate of an entry-first stack with finite entries and positive det."""
     if not np.all(np.isfinite(a)):
         raise NonFiniteValue("matrix entries must be finite")
-    det, adj = _det_adj(a)
+    det, adj = _expansion_det_adj(a)
     return _positive(det), adj
 
 

@@ -291,6 +291,11 @@ class TestAffineMap:
         np.testing.assert_array_equal(f.value([1.0, 2.0]), [2.5, 2.0])
 
 
+def _chained_jacobian(outer, mid, inner):
+    """outer mid inner, innermost product first, by the package's chain rule."""
+    return _chain((None, outer), _chain((None, mid), (None, inner)))[1]
+
+
 class TestCompose:
     def test_identity_left_is_noop(self):
         u = polynomial_map(2, seed=1)
@@ -341,7 +346,8 @@ class TestCompose:
             c = compose(compose(outer, mid), inner)
         x = np.array([0.2, -0.3, 0.1])
         y = inner.value(x)
-        expected = outer.jacobian(mid.value(y)) @ (mid.jacobian(y) @ inner.jacobian(x))
+        expected = _chained_jacobian(outer.jacobian(mid.value(y)), mid.jacobian(y),
+                                     inner.jacobian(x))
         assert c.jacobian(x).tobytes() == expected.tobytes()
         assert c.jet(x).J.tobytes() == expected.tobytes()
 
@@ -357,7 +363,8 @@ class TestCompose:
             c = compose(compose(last, mid), first)
         x = rng.uniform(-0.5, 0.5, size=n)
         y = first.value(x)
-        expected = last.jacobian(mid.value(y)) @ (mid.jacobian(y) @ first.jacobian(x))
+        expected = _chained_jacobian(last.jacobian(mid.value(y)), mid.jacobian(y),
+                                     first.jacobian(x))
         assert c.jacobian(x).tobytes() == expected.tobytes()
 
     def test_affine_factor_determinant_taken_once(self, monkeypatch):
@@ -526,8 +533,8 @@ def _letters(draw, n):
 
 
 @st.composite
-def _word_affine_word(draw):
-    n = draw(st.sampled_from([2, 3]))
+def _sandwich(draw, n):
+    """A word, an affine map with det > 0 and a word, composed with either nesting."""
     first, last = draw(_letters(n)), draw(_letters(n))
     entries = st.floats(-0.4, 0.4)
     offdiag = draw(st.lists(entries, min_size=n * n, max_size=n * n))
@@ -536,9 +543,14 @@ def _word_affine_word(draw):
         matrix = np.diag(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
     mid = affine_map(matrix, draw(st.lists(entries, min_size=n, max_size=n)))
     if draw(st.booleans()):
-        m = compose(last, compose(mid, first))
-    else:
-        m = compose(compose(last, mid), first)
+        return compose(last, compose(mid, first))
+    return compose(compose(last, mid), first)
+
+
+@st.composite
+def _word_affine_word(draw):
+    n = draw(st.sampled_from([2, 3]))
+    m = draw(_sandwich(n))
     points = draw(st.lists(st.lists(st.floats(-0.7, 0.7), min_size=n, max_size=n),
                            min_size=1, max_size=4))
     return m, np.array(points)
@@ -569,7 +581,8 @@ class TestFold:
         # a word after the constant run passes its innermost translations to
         # the run's values and keeps the rest, here the inversion alone
         m = teichmuller_example(2)
-        m.jacobian(np.array([0.3, -0.2]))  # the fold samples the constant factors once
+        xs = np.array([[0.3, -0.2], [0.1, 0.4]])
+        m.jacobian(xs)  # the fold samples the constant factors once
         calls = []
         jet = qcflow_maps._generator_jet
 
@@ -578,8 +591,11 @@ class TestFold:
             return jet(kind, *args)
 
         monkeypatch.setattr(qcflow_maps, "_generator_jet", counted)
-        m.jacobian(np.array([0.3, -0.2]))
+        m.jacobian(xs)
         assert calls == ["inversion"]
+        # one point's float program holds the same one step after its moves
+        _, _, _, factors = qcflow_maps._fold(m.factors)[-1]
+        assert [[kind for kind, _, _ in steps] for steps, _ in factors] == [["inversion"]]
 
     @pytest.mark.parametrize("where", ["whole_run", "run_then_word", "two_affines_then_word"])
     def test_folded_reflection_refused_at_every_sample(self, where):
@@ -648,6 +664,67 @@ class TestFold:
         assert calls == [1]
         want = chained_map(m).jacobian(x).tobytes()
         assert all(r is not None and r.tobytes() == want for r in results)
+
+
+# a point's coordinates: exact signed zeros, integers and plain floats
+_COORDINATES = st.one_of(st.sampled_from([0.0, -0.0]), st.integers(-2, 2).map(float),
+                         st.floats(-0.7, 0.7))
+
+
+class TestFloatSample:
+    """One point of a word or folded composite at order 1 keeps the array bits on Python floats."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([2, 3]), composite=st.booleans())
+    def test_matches_the_array_path_bitwise(self, data, n, composite):
+        m = data.draw(_sandwich(n) if composite else _letters(n))
+        x = np.array(data.draw(st.lists(_COORDINATES, min_size=n, max_size=n)))
+        if composite:  # every later factor is a word or an affine map
+            assert qcflow_maps._fold(m.factors)[-1] is not None
+        try:
+            stack = m.jet_fn(x[None], 1)
+        except GuardViolation as exc:  # an inversion pole refuses the point on both paths
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                m.jet_fn(x, 1)
+            return
+        single = m.jet_fn(x, 1)
+        assert _same_bits(single, tuple(a[0] for a in stack))
+        assert m.jet_fn(x, 2)[1].tobytes() == single[1].tobytes()
+        assert m.jacobian(x).tobytes() == single[1].tobytes()
+        if composite:
+            assert _same_bits(single, chained_map(m).jet_fn(x, 1))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_seeded_sweep_matches_the_stack(self, n):
+        # r^4 taken as a product instead of the C pow differs on about 0.1% of points
+        xs = np.random.default_rng(5 + n).uniform(-0.7, 0.7, size=(4000, n))
+        for m in (moebius("inversion", {"n": n}), teichmuller_example(n)):
+            singles = [m.jet_fn(x, 1) for x in xs]
+            for k, arr in enumerate(m.jet_fn(xs, 1)):
+                assert np.array([one[k] for one in singles]).tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("fault", ["pole", "reflection", "shape"])
+    def test_raises_as_the_array_path(self, n, fault):
+        # the reflection follows an inversion, so it is a factor after the fold
+        shift = compose(moebius("inversion", {"n": n}),
+                        moebius("translation", {"offset": [2.0] + [0.5] * (n - 1)}))
+        flip = affine_map(np.diag([1.0] * (n - 1) + [-1.0]))
+        m, x, error, message = {
+            "pole": (moebius("inversion", {"n": n}), [-0.0] + [0.0] * (n - 1), OriginExcluded,
+                     "inversion sampled at the origin"),
+            "reflection": (compose(flip, shift), [0.1] * n, NonPositiveDeterminant,
+                           "determinant must be positive (min -1.000000e+00)"),
+            "shape": (teichmuller_example(n), [0.1] * (n + 1), ValueError,
+                      f"point shape ({n + 1},) does not match n={n}"),
+        }[fault]
+        x = np.array(x)
+        for _ in range(3):  # the first sample makes the float program, later ones reuse it
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                m.jacobian(x)
+        stacked = message.replace(f"({n + 1},)", f"(1, {n + 1})")
+        with pytest.raises(error, match=f"^{re.escape(stacked)}$"):
+            m.jacobian(x[None])  # a stack takes the array path
 
 
 class TestFirstOrderSampler:
@@ -727,8 +804,12 @@ class TestFirstOrderSampler:
 
         m = teichmuller_example(2)
         monkeypatch.setattr("qcflow.maps._chain", counted)
-        m.jacobian(np.array([0.3, -0.2]))
+        m.jacobian(np.array([[0.3, -0.2], [0.1, 0.4]]))
         assert len(calls) == 1
+        # one point's float program chains the same one inversion step
+        _, _, matrix, factors = qcflow_maps._fold(m.factors)[-1]
+        assert matrix is not None
+        assert [[kind for kind, _, _ in steps] for steps, _ in factors] == [["inversion"]]
 
     def test_inversion_origin_guard(self):
         inv = moebius("inversion", {"n": 2})
@@ -894,6 +975,26 @@ class TestRegistry:
     def test_bad_params(self):
         with pytest.raises(ConfigError):
             make_map("radial_stretch", alpha=2.0)  # n missing
+
+    # every builder that takes n, with its other parameters
+    DIMENSIONED = {"radial_stretch": {"alpha": 2.0}, "wedge": {"alpha": 2.0},
+                   "rotation": {"angle": 0.3}, "dilation": {"scale": 1.5}, "inversion": {},
+                   "polynomial": {}, "identity": {}, "affine_bump": {}, "teichmuller": {}}
+
+    @pytest.mark.parametrize("n", [2.5, 0, -2, math.nan, math.inf, "2"])
+    @pytest.mark.parametrize("map_id", sorted(DIMENSIONED))
+    def test_dimension_must_be_a_whole_number_from_one(self, map_id, n):
+        # n = 2.5 used to build a map that failed only when sampled, and
+        # the generators truncated it to 2
+        message = f"dimension n must be an integral number >= 1, got {n!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            make_map(map_id, **self.DIMENSIONED[map_id], n=n)
+
+    @pytest.mark.parametrize("map_id", sorted(DIMENSIONED))
+    def test_integral_float_dimension_accepted(self, map_id):
+        m = make_map(map_id, **self.DIMENSIONED[map_id], n=2.0)
+        assert type(m.n) is int and m.n == 2
+        assert m.jacobian([0.3, 0.4]).shape == (2, 2)
 
 
 def _pole_of_teichmuller_2():

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_posdet
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import _checked_det_adj
 
 from qcflow import (
     Jet2Sample,
@@ -158,6 +159,18 @@ class TestDetAdj:
             np.testing.assert_allclose(
                 adj @ mats, det[:, None, None] * np.eye(n), rtol=0, atol=1e-13 * scale.max()
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 9),
+           form=st.sampled_from(sorted(STACK_FORMS)), single=st.booleans())
+    def test_four_by_four_matches_the_expansion_oracle_bitwise(self, seed, count, form, single):
+        # each shared 2x2 minor is taken once, by the recursion's own operations
+        mats = np.asarray(STACK_FORMS[form](np.random.default_rng(seed), 4, count), dtype=float)
+        a = mats[0] if single else np.moveaxis(mats, 0, -1)
+        det, adj = _det_adj(a)
+        want_det, want_adj = _checked_det_adj(a)
+        assert det.tobytes() == want_det.tobytes()
+        assert adj.tobytes() == want_adj.tobytes()
 
     def test_diag_2d_hand_values(self):
         det, adj = _det_adj(np.diag([2.0, 5.0]))
