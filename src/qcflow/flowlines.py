@@ -1,13 +1,17 @@
 """Trajectories along rows of the distortion field S(g) J^{-T}.
 
-Each sample reads J through the map's public jacobian accessor and
-takes the field and K together, in closed form from one checked
-determinant (tensor._dilation_field); an RK4 stage takes the field
-alone (tensor._sg_field). J^{-T} is cofactor / det: at n = 2 and 3 a
-sample or stage, one matrix, is computed on Python floats with the
-cofactors written out, and a stack of samples (du_recovery_check) takes
-the same cofactors from tensor._det_adj, bit-equal row by row; n = 4
-takes LAPACK's inverse. tensor.factoring_residual and
+trace_flowline walks on Python floats: the position, the velocity and
+every RK4 stage point are lists, and each sample or stage takes J as
+row-major entries from the map's private single-point accessor
+(SmoothMap._jacobian_entries: the sums of a word's or composite's float
+program, else the public jacobian). The field comes from those entries
+in closed form over one checked LAPACK determinant (_sample_field): J^{-T}
+is cofactor / det, at n = 2 and 3 computed on Python floats with the
+cofactors written out (tensor._sg_one), and a sample adds K. n = 4 takes
+LAPACK's inverse (tensor._sg_field) in the same loop. A stack of samples
+(du_recovery_check) takes the same cofactors from tensor._det_adj,
+bit-equal row by row. The public flow_field reads jacobian and returns
+the field as an array. tensor.factoring_residual and
 operators.linfty_flowform keep the S(g) route and are their oracles.
 
 A flow line follows one row of the field at a time, switching rows only
@@ -27,7 +31,7 @@ import numpy as np
 
 from .errors import AllRowsDegenerate, GuardViolation, RowSwitched, StepFailure
 from .operators import Jet2Sample
-from .tensor import _dilation_field, _sg_field
+from .tensor import _dilation, _sg_field, _sg_one
 
 DEFAULT_STEP = 1e-3
 SWITCH_THRESHOLD = 0.5
@@ -131,6 +135,25 @@ def select_row(field, current: int | None = None) -> int:
     return _pick_row(norms, current)
 
 
+def _sample_field(mapping, y: list) -> tuple[list, float, float, np.ndarray | None]:
+    """The field S(g) J^{-T} at the point y of Python floats, with |J|^2 and det J.
+
+    The one field entry of trace_flowline's samples and RK4 stages, with
+    one checked LAPACK determinant; a sample takes K from |J|^2 and det J
+    (tensor._dilation). J comes from mapping._jacobian_entries: a float
+    program's entries, or jacobian's array with its entries. At n = 2
+    and 3 the field is _sg_one's row-major entries, and the returned
+    matrix is None. At n = 4 it is _sg_field's array (LAPACK's inverse),
+    returned as the matrix with its entries, so that its row norms read
+    it in its own memory order.
+    """
+    entries, a = mapping._jacobian_entries(y)
+    if a is None or a.shape == (2, 2) or a.shape == (3, 3):
+        return (*_sg_one(entries, a), None)
+    matrix, nsq, d = _sg_field(a)
+    return matrix.ravel().tolist(), nsq, d, matrix
+
+
 def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
                    domain=None) -> FlowTrajectory:
     """Integrate a flow line from x0 with classical RK4 at fixed step.
@@ -142,24 +165,41 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
     1e-10). On a row switch the new row's sign keeps the angle with the
     previous velocity at most 90 degrees, preserving forward orientation;
     a degenerate sample keeps the row and sign it arrived with. ds and
-    max_len must be positive finite numbers; domain defaults to the unit
-    ball centered at the origin.
+    max_len must be positive finite numbers, and x0 a finite point of
+    shape (n,); domain defaults to the unit ball centered at the origin.
+    The predicate is called with an array, and a NaN from it is a
+    ValueError naming the point.
 
-    The walk reads first-order data only: every sample point and RK4
-    stage reads J through the public mapping.jacobian, never a
-    validated Jet2Sample, and a map with a first-order path builds no
-    Hessian for it. Each sample takes one checked determinant of J, for
-    the field and K together, and each RK4 stage one for the field alone;
-    guard violations at a stage raise StepFailure. The first stage of a
-    step reuses the velocity already evaluated at the accepted point.
+    The walk reads first-order data only, and keeps the position, the
+    velocity and every stage point as Python floats. Every sample and
+    RK4 stage takes J as row-major entries (SmoothMap._jacobian_entries:
+    the sums of a word's or composite's float program, else
+    mapping.jacobian) and the field and K from them through one entry,
+    _sample_field, with one checked LAPACK determinant. The RK4
+    combinations are taken entry by entry in the array expressions'
+    order, so every output carries the bits of the same walk on arrays.
+    Each sample reads its row norms from the field as a 2-D array
+    (_row_norms); guard violations at a stage raise StepFailure. The
+    first stage of a step reuses the velocity already evaluated at the
+    accepted point.
     """
     for name, value in (("ds", ds), ("max_len", max_len)):
         if not 0.0 < value < np.inf:  # NaN fails too
             raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-    x = np.asarray(x0, dtype=float).copy()
+    n = mapping.n
+    start = np.array(x0, dtype=float)
+    if start.shape != (n,) or not all(map(math.isfinite, start.tolist())):
+        raise ValueError(f"x0 must be a finite point of shape ({n},), got {start.tolist()!r}")
     if domain is None:
         domain = ball_domain()
-    if domain(x) >= 0.0:
+
+    def inside(y: np.ndarray) -> bool:
+        value = domain(y)
+        if value != value:  # NaN
+            raise ValueError(f"domain predicate is NaN at {y.tolist()!r}")
+        return value < 0.0
+
+    if not inside(start):
         raise ValueError("flow line must start strictly inside the domain")
 
     samples = []  # one (s, x, K, row, speed, sign) per sample; x is never mutated
@@ -169,17 +209,23 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
         return FlowTrajectory(s=s, x=x, K=k, row=row, speed=speed, sign=sign,
                               terminated=reason)
 
-    def stage_velocity(y: np.ndarray) -> np.ndarray:
+    def sample(y: list) -> tuple[float, list, np.ndarray]:
+        field, nsq, d, matrix = _sample_field(mapping, y)
+        return (_dilation(nsq, d, n), field,
+                np.array(field).reshape(n, n) if matrix is None else matrix)
+
+    def stage_velocity(y: list) -> list:
         try:
-            f = flow_field(mapping, y)
+            field = _sample_field(mapping, y)[0]
         except GuardViolation as exc:
             raise StepFailure(f"integrator stage left the map's domain: {exc}") from exc
-        return sign * f[row - 1]
+        return [sign * v for v in field[first:first + n]]
 
+    x = start.tolist()
     s, row, sign = 0.0, None, 1.0
     while True:
-        k_val, field = _dilation_field(mapping.jacobian(x))
-        norms, total = _row_norms(field)
+        k_val, field, matrix = sample(x)
+        norms, total = _row_norms(matrix)
         if total <= DEGENERACY_TOL * (1.0 + k_val**2):
             if row is None:
                 row = int(norms.argmax()) + 1
@@ -189,36 +235,42 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
         new_row = _pick_row(norms, row)
         if row is not None and new_row != row:
             # forward orientation: angle with the previous velocity <= 90 degrees
-            sign = 1.0 if float(np.dot(field[new_row - 1], velocity)) >= 0.0 else -1.0
+            sign = 1.0 if float(np.dot(matrix[new_row - 1], velocity)) >= 0.0 else -1.0
         row = new_row
-        velocity = sign * field[row - 1]
+        first = (row - 1) * n
+        velocity = [sign * v for v in field[first:first + n]]
         samples.append((s, x, k_val, row, float(norms[row - 1]), sign))
         if not s < max_len - 1e-14:
             return finish("maxLength")
 
         step = min(ds, max_len - s)
+        half = 0.5 * step
         k1 = velocity
-        k2 = stage_velocity(x + 0.5 * step * k1)
-        k3 = stage_velocity(x + 0.5 * step * k2)
-        k4 = stage_velocity(x + step * k3)
-        x_new = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = stage_velocity([a + half * b for a, b in zip(x, k1)])
+        k3 = stage_velocity([a + half * b for a, b in zip(x, k2)])
+        k4 = stage_velocity([a + step * b for a, b in zip(x, k3)])
+        sixth = step / 6.0
+        x_new = [a + sixth * (((p + 2.0 * q) + 2.0 * r) + t)
+                 for a, p, q, r, t in zip(x, k1, k2, k3, k4)]
 
-        if domain(x_new) >= 0.0:
+        end = np.array(x_new)
+        if not inside(end):
             # bisect the chord for the boundary crossing
+            here = np.array(x)
             lo, hi = 0.0, 1.0
-            chord = float(np.linalg.norm(x_new - x))
+            chord = float(np.linalg.norm(end - here))
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                if domain(x + mid * (x_new - x)) < 0.0:
+                if inside(here + mid * (end - here)):
                     lo = mid
                 else:
                     hi = mid
                 if (hi - lo) * chord < 1e-10:
                     break
-            x_hit = x + lo * (x_new - x)
-            k_val, field = _dilation_field(mapping.jacobian(x_hit))
+            x_hit = (here + lo * (end - here)).tolist()
+            k_val, field, matrix = sample(x_hit)
             samples.append((s + lo * step, x_hit, k_val, row,
-                            float(np.linalg.norm(field[row - 1])), sign))
+                            float(np.linalg.norm(matrix[row - 1])), sign))
             return finish("boundary")
         s += step
         x = x_new

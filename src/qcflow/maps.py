@@ -10,12 +10,16 @@ Every matrix product of a word or composite follows one product rule,
 _dot: each sum starts from +0.0 and adds the products left to right.
 That covers the chain rule's J, a composite's folded constant product,
 the value of a rotation or affine map and the inversion's |x|^2; powers
-take the C pow (np.float_power). At order 1, one point of a 2- or
-3-dimensional conformal word, or of a composite whose factors after the
-fold are all words or affine maps, is sampled on Python floats by the
-same operations (_float_sample), so it keeps the bits of a stack row
-without paying numpy's per-call cost on every generator. Every other
-map, order and stack takes the array path.
+take the C pow (np.float_power). One 2x2 or 3x3 pair of matrices, one
+matrix applied to one point and one pair of vectors take the same sums
+on Python floats (_fmul, _fapply), which numpy's per-call cost would
+otherwise dominate. At order 1, one point of a 2- or 3-dimensional
+conformal word, or of a composite whose factors after the fold are all
+words or affine maps, is sampled on Python floats by the same
+operations (_float_sample), so it keeps the bits of a stack row without
+paying numpy's per-call cost on every generator; the flow-line walk
+reads that J as a list (SmoothMap._jacobian_entries). Every other map,
+order and stack takes the array path.
 """
 
 from __future__ import annotations
@@ -56,8 +60,9 @@ class SmoothMap:
     jet. Conformal words and their compositions with affine maps take
     every matrix product by the product rule (see _dot), each sum from
     +0.0 and left to right, and at order 1 sample one point of n = 2 or 3
-    on Python floats by those same sums, bit-equal to a stack row.
-    value and jacobian read jet_fn at order 1, hessian at order 2,
+    on Python floats by those same sums, bit-equal to a stack row; the
+    private _jacobian_entries hands that J over as a list, for the
+    flow-line walk. value and jacobian read jet_fn at order 1, hessian at order 2,
     take a point or a stack, and return the sampler's arrays unvalidated,
     so a caller checks J where it uses it; jet takes one point and returns
     it as a validated Jet2Sample, and a caller that needs many points'
@@ -93,12 +98,33 @@ class SmoothMap:
     def hessian(self, x) -> np.ndarray:
         return self.jet_fn(self._point(x), 2)[2]
 
+    def _jacobian_entries(self, x: list) -> tuple[list, np.ndarray | None]:
+        """J at one point x of n Python floats: its row-major entries, and J as an array.
+
+        The array is jacobian's, checked to be n x n, and the entries are
+        read from it. A word or composite with a float program overrides
+        this to return the entries of _float_sample's sums and None, so
+        it builds no array; the entries may be the program's own list,
+        which callers only read.
+        """
+        a = np.asarray(self.jacobian(np.array(x)), dtype=float)
+        if a.shape != (self.n, self.n):
+            raise ValueError(f"jacobian shape {a.shape} at one point does not match n={self.n}")
+        return a.ravel().tolist(), a
+
 
 @dataclass(frozen=True)
 class ConformalMap(SmoothMap):
     """Word of conformal generators with exact jets and an exact inverse."""
 
     word: tuple = ()
+    # the float program of one point at n = 2 or 3, made at its first use
+    program: list = field(default_factory=list, repr=False, compare=False)
+
+    def _jacobian_entries(self, x: list) -> tuple[list, np.ndarray | None]:
+        if self.n not in (2, 3):
+            return super()._jacobian_entries(x)
+        return _float_jet(_word_program(self.program, self.word, self.n), x)[1], None
 
     def conformal_factor(self, x) -> float:
         """Pointwise factor lam with dF^T dF = lam I, equal to |dF|^2 / n."""
@@ -204,8 +230,14 @@ def _dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     tensor._det_adj's cofactors do; the float path (_float_sample) writes
     the same sums out, so the two agree bit for bit, which matmul's BLAS
     and vecdot, summing in their own orders, do not. The +0.0 start
-    drops the sign of a zero sum, which _fold relies on.
+    drops the sign of a zero sum, which _fold relies on. One pair of
+    vectors takes the same sum on Python floats.
     """
+    if p.ndim == 1 and p.shape == q.shape:  # one pair: the same sum on Python floats
+        total = 0.0
+        for a, b in zip(p.tolist(), q.tolist()):
+            total = total + a * b
+        return np.float64(total)
     prod = p * q
     total = 0.0 + prod[..., 0]
     for m in range(1, prod.shape[-1]):
@@ -214,8 +246,18 @@ def _dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over the last two axes by the product rule."""
+    """a @ b over the last two axes by the product rule; one 2x2 or 3x3 pair takes _fmul."""
+    if a.shape == b.shape and a.shape in ((2, 2), (3, 3)):
+        return np.array(_fmul(a.ravel().tolist(), b.ravel().tolist())).reshape(a.shape)
     return _dot(a[..., :, None, :], np.swapaxes(b, -1, -2)[..., None, :, :])
+
+
+def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The matrix m applied to each point of x by the product rule; one point of n = 2 or 3
+    takes _fapply."""
+    if x.ndim == 1 and m.shape in ((2, 2), (3, 3)) and x.shape == m.shape[:1]:
+        return np.array(_fapply(m.ravel().tolist(), x.tolist()))
+    return _dot(m, x[..., None, :])
 
 
 def _generator_value(kind: str, data, x: np.ndarray) -> np.ndarray:
@@ -225,9 +267,9 @@ def _generator_value(kind: str, data, x: np.ndarray) -> np.ndarray:
     pair (matrix, offset); matrices apply by the product rule.
     """
     if kind == "rotation":
-        return _dot(data, x[..., None, :])
+        return _apply(data, x)
     if kind == "affine":
-        return _dot(data[0], x[..., None, :]) + data[1]
+        return _apply(data[0], x) + data[1]
     return data * x if kind == "dilation" else x + data
 
 
@@ -296,16 +338,14 @@ def _conformal_from_word(word: tuple, n: int) -> ConformalMap:
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
         if order == 1 and x.ndim == 1 and n in (2, 3):
-            if not program:
-                _once(program, lambda: ((), (), None, ((_float_steps(word[::-1], n), None),)))
-            return _float_sample(program[0], x)
+            return _float_sample(_word_program(program, word, n), x)
         jet = (x,)  # the input alone until the first generator is taken
         for kind, data in reversed(word):
             raw = _generator_jet(kind, data, n, jet[0], order)
             jet = raw if len(jet) == 1 else _chain(raw, jet)
         return jet
 
-    return ConformalMap(n=n, jet_fn=jet_fn, word=word)
+    return ConformalMap(n=n, jet_fn=jet_fn, word=word, program=program)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +361,13 @@ def _once(cell: list, make: Callable[[], tuple]) -> None:
     with _FOLD_LOCK:
         if not cell:
             cell.append(make())
+
+
+def _word_program(cell: list, word: tuple, n: int) -> tuple:
+    """A word's float program for _float_sample, made in the list cell at its first use."""
+    if not cell:
+        _once(cell, lambda: ((), (), None, ((_float_steps(word[::-1], n), None),)))
+    return cell[0]
 
 
 def _fmul(a: list, b: list) -> list:
@@ -365,15 +412,22 @@ def _float_steps(gens, n: int) -> tuple:
                  for kind, data in gens)
 
 
+def _fadd(p: list, q: list) -> list:
+    """p + q for two points of Python floats, written out as _fapply is."""
+    if len(p) == 2:
+        return [p[0] + q[0], p[1] + q[1]]
+    return [p[0] + q[0], p[1] + q[1], p[2] + q[2]]
+
+
 def _float_value(kind: str, data, x: list) -> list:
     """_generator_value at a point of Python floats."""
     if kind == "rotation":
         return _fapply(data, x)
     if kind == "affine":
-        return [v + c for v, c in zip(_fapply(data[0], x), data[1])]
+        return _fadd(_fapply(data[0], x), data[1])
     if kind == "dilation":
         return [data * v for v in x]
-    return [v + c for v, c in zip(x, data)]
+    return _fadd(x, data)
 
 
 def _float_inversion(signs: list, x: list) -> tuple[list, list]:
@@ -418,11 +472,18 @@ def _float_sample(program: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     steps or None, and each later factor as its _float_steps with its
     affine determinant or None. Every guard, sum and product is the array
     path's, taken in its order, so u and J carry the bits of a stack row.
+    _float_jet does the work on lists; this returns its result as arrays.
     """
+    u, jac = _float_jet(program, x.tolist())
+    n = len(u)
+    return np.array(u), np.array(jac).reshape(n, n)
+
+
+def _float_jet(program: tuple, x: list) -> tuple[list, list]:
+    """_float_sample at a point of Python floats: u and J's row-major entries as lists."""
     dets, moves, jac, factors = program
     for det in dets:
         _positive(det)
-    x = x.tolist()
     for kind, data in moves:
         x = _float_value(kind, data, x)
     for steps, det in factors:
@@ -436,8 +497,7 @@ def _float_sample(program: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
         if det is not None:
             _positive(det)
         jac = factor_jac if jac is None else _fmul(factor_jac, jac)
-    n = len(x)
-    return np.array(x), np.array(jac).reshape(n, n)
+    return x, jac
 
 
 _GENERATOR_KEYS = {
@@ -742,6 +802,14 @@ class _Composite(SmoothMap):
     """Composition of factors, innermost first, folded by _chain."""
 
     factors: tuple = ()
+    # the fold, made once at the first sample (see _fold)
+    folded: list = field(default_factory=list, repr=False, compare=False)
+
+    def _jacobian_entries(self, x: list) -> tuple[list, np.ndarray | None]:
+        program = _folded(self.folded, self.factors)[4]
+        if program is None:
+            return super()._jacobian_entries(x)
+        return _float_jet(program, x)[1], None
 
 
 def _generators(factor: SmoothMap) -> tuple:
@@ -797,6 +865,13 @@ def _fold(factors: tuple) -> tuple:
     return moves, matrix, dets, rest, program
 
 
+def _folded(cell: list, factors: tuple) -> tuple:
+    """A composite's _fold, made in the list cell at its first use."""
+    if not cell:
+        _once(cell, lambda: _fold(factors))
+    return cell[0]
+
+
 def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
     """Composition outer(inner(x)) with the full second-order chain rule.
 
@@ -832,9 +907,7 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
     folded = []  # the fold, made once at the first sample
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
-        if not folded:
-            _once(folded, lambda: _fold(factors))
-        moves, matrix, dets, rest, program = folded[0]
+        moves, matrix, dets, rest, program = _folded(folded, factors)
         if program is not None and order == 1 and x.ndim == 1:
             return _float_sample(program, x)
         for det in dets:
@@ -856,7 +929,7 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
             jet = raw if len(jet) == 1 else _chain(raw, jet)
         return jet
 
-    return _Composite(n=n, jet_fn=jet_fn, factors=factors)
+    return _Composite(n=n, jet_fn=jet_fn, factors=factors, folded=folded)
 
 
 def teichmuller_map(psi: ConformalMap, middle: SmoothMap, phi: ConformalMap) -> SmoothMap:

@@ -14,10 +14,12 @@ _positive. The flow-line field S(g) J^{-T} comes from _sg_field in
 closed form, and _dilation_field adds K to it; factoring_residual and
 operators.linfty_flowform keep the S(g) route and are its oracles.
 _sg_field takes J^{-T} as cofactor / det over LAPACK's checked det:
-one 2x2 or 3x3 matrix, a flow line's sample or RK4 stage, is computed
-on Python floats with the cofactors written out in _det_adj's order,
-and a stack of them through _det_adj, so each stack row keeps the bits
-of its single call. At n = 4 J^{-T} is LAPACK's inverse.
+one 2x2 or 3x3 matrix is computed on Python floats with the cofactors
+written out in _det_adj's order (_sg_one, which takes the matrix as a
+flat row-major list, so a flow line's sample or RK4 stage hands its J
+over without an array), and a stack of them through _det_adj, so each
+stack row keeps the bits of its single call. At n = 4 J^{-T} is
+LAPACK's inverse.
 """
 
 from __future__ import annotations
@@ -182,7 +184,7 @@ def _sg_field(j) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray]:
 
     F = (J - |J|^2 J^{-T} / n) / (det J)^(2/n), the identity factoring_residual
     pins, with J^{-T} = cofactor / det over the checked det. One 2x2 or
-    3x3 matrix takes _sg_one's Python floats; a stack takes the cofactors
+    3x3 matrix takes _sg_one's Python floats on its entries; a stack takes the cofactors
     of _det_adj, the same expansion, so each row gets the bits it gets
     alone. At n = 4, which has no float branch, J^{-T} is LAPACK's
     inverse: the closed form costs more than the rest of the call. The
@@ -190,7 +192,8 @@ def _sg_field(j) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray]:
     """
     a = np.asarray(j, dtype=float)
     if a.shape == (2, 2) or a.shape == (3, 3):
-        return _sg_one(a)
+        field, nsq, d = _sg_one(a.ravel().tolist(), a)
+        return np.array(field).reshape(a.shape), nsq, d
     a, n, d = _checked(a)
     nsq = _norm_sq(a)
     if n < 4:
@@ -201,40 +204,48 @@ def _sg_field(j) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray]:
     return field, nsq, d
 
 
-def _sg_one(a: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """_sg_field of one 2x2 or 3x3 matrix, computed on Python floats.
+def _sg_one(flat: list, a: np.ndarray | None = None) -> tuple[list, float, float]:
+    """_sg_field of one 2x2 or 3x3 matrix, from its row-major entries, on Python floats.
 
-    The entries are checked with math.isfinite and the sign of LAPACK's
-    det with _positive, in _checked's order and with its errors. |J|^2
-    adds the squares in numpy's reading order (memory order, ravel "K")
-    and in its pairwise grouping: one after the other for four, the
-    first eight pairwise and then the ninth for nine. The cofactors
-    follow _expand_det's order, 0.0 plus the first product less the
-    second, so F, |J|^2 and det carry the bits of the array branch's
-    stack rows.
+    Returns the field's row-major entries, |J|^2 and det J. a is the
+    matrix as an array when the caller holds one; without it the entries
+    are put into a C-ordered matrix for the det. The entries are checked
+    with math.isfinite and the sign of LAPACK's det of a with _positive,
+    in _checked's order and with its errors. |J|^2 adds the squares in
+    numpy's reading order of a (memory order, ravel "K") and in its
+    pairwise grouping: one after the other for four, the first eight
+    pairwise and then the ninth for nine. The cofactors follow
+    _expand_det's order, 0.0 plus the first product less the second, so
+    F, |J|^2 and det carry the bits of the array branch's stack rows.
     """
-    flat = a.ravel().tolist()
     if not all(map(math.isfinite, flat)):
         raise NonFiniteValue("matrix entries must be finite")
-    d = float(_positive_det(a))
-    sq = [x * x for x in (flat if a.flags.c_contiguous else a.ravel("K").tolist())]
-    if len(flat) == 4:
-        n = 2
-        nsq = sq[0] + sq[1] + sq[2] + sq[3]
-        a0, a1, b0, b1 = flat
-        cof = (b1, -b0, -a1, a0)
+    n = 2 if len(flat) == 4 else 3
+    if a is None:
+        a, e = np.array(flat).reshape(n, n), flat
     else:
-        n = 3
-        nsq = (((sq[0] + sq[1]) + (sq[2] + sq[3])) + ((sq[4] + sq[5]) + (sq[6] + sq[7]))) + sq[8]
-        a0, a1, a2, b0, b1, b2, c0, c1, c2 = flat
-        cof = (
-            (0.0 + b1 * c2) - b2 * c1, -((0.0 + b0 * c2) - b2 * c0), (0.0 + b0 * c1) - b1 * c0,
-            -((0.0 + a1 * c2) - a2 * c1), (0.0 + a0 * c2) - a2 * c0, -((0.0 + a0 * c1) - a1 * c0),
-            (0.0 + a1 * b2) - a2 * b1, -((0.0 + a0 * b2) - a2 * b0), (0.0 + a0 * b1) - a1 * b0,
-        )
-    scale, root = nsq / n, d ** (2.0 / n)  # ** on floats is the C pow np.float_power takes
-    field = [(x - scale * (c / d)) / root for x, c in zip(flat, cof)]
-    return np.array(field).reshape((n, n)), nsq, d
+        e = flat if a.flags.c_contiguous else a.ravel("K").tolist()
+    d = float(_positive_det(a))
+    # every sum, square and entry is written out: a comprehension costs a
+    # call of its own on each of them
+    if n == 2:
+        nsq = e[0] * e[0] + e[1] * e[1] + e[2] * e[2] + e[3] * e[3]
+        scale, root = nsq / 2, d ** (2.0 / 2)  # ** on floats is the C pow np.float_power takes
+        a0, a1, b0, b1 = flat
+        return [(a0 - scale * (b1 / d)) / root, (a1 - scale * (-b0 / d)) / root,
+                (b0 - scale * (-a1 / d)) / root, (b1 - scale * (a0 / d)) / root], nsq, d
+    nsq = (((e[0] * e[0] + e[1] * e[1]) + (e[2] * e[2] + e[3] * e[3]))
+           + ((e[4] * e[4] + e[5] * e[5]) + (e[6] * e[6] + e[7] * e[7]))) + e[8] * e[8]
+    scale, root = nsq / 3, d ** (2.0 / 3)
+    a0, a1, a2, b0, b1, b2, c0, c1, c2 = flat
+    k0, k1, k2 = (0.0 + b1 * c2) - b2 * c1, -((0.0 + b0 * c2) - b2 * c0), (0.0 + b0 * c1) - b1 * c0
+    k3, k4, k5 = -((0.0 + a1 * c2) - a2 * c1), (0.0 + a0 * c2) - a2 * c0, -((0.0 + a0 * c1) - a1 * c0)
+    k6, k7, k8 = (0.0 + a1 * b2) - a2 * b1, -((0.0 + a0 * b2) - a2 * b0), (0.0 + a0 * b1) - a1 * b0
+    return [(a0 - scale * (k0 / d)) / root, (a1 - scale * (k1 / d)) / root,
+            (a2 - scale * (k2 / d)) / root, (b0 - scale * (k3 / d)) / root,
+            (b1 - scale * (k4 / d)) / root, (b2 - scale * (k5 / d)) / root,
+            (c0 - scale * (k6 / d)) / root, (c1 - scale * (k7 / d)) / root,
+            (c2 - scale * (k8 / d)) / root], nsq, d
 
 
 def _dilation_field(j) -> tuple[float | np.ndarray, np.ndarray]:
@@ -243,10 +254,14 @@ def _dilation_field(j) -> tuple[float | np.ndarray, np.ndarray]:
     K equals trace_dilation(J) bit for bit, and K grad K = F . H.
     """
     field, nsq, d = _sg_field(j)
-    n = field.shape[-1]
+    return _dilation(nsq, d, field.shape[-1]), field
+
+
+def _dilation(nsq, d, n: int) -> float | np.ndarray:
+    """K = |J| / (det J)^(1/n) from _sg_field's |J|^2 and det, with trace_dilation's bits."""
     if isinstance(nsq, float):  # one matrix: math.sqrt and the C pow of ** give np's bits
-        return np.float64(math.sqrt(nsq) / d ** (1.0 / n)), field
-    return np.sqrt(nsq) / np.float_power(d, 1.0 / n), field
+        return np.float64(math.sqrt(nsq) / d ** (1.0 / n))
+    return np.sqrt(nsq) / np.float_power(d, 1.0 / n)
 
 
 def factoring_residual(j) -> float | np.ndarray:

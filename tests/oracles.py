@@ -1,10 +1,10 @@
-"""Test-only oracles: finite-difference jets, a plain chain fold, a path-integral drift check,
-the derivative form of the pathwise dilation identity, a plain cofactor expansion and a
-recompute-everything grid flow.
+"""Test-only oracles: finite-difference jets, a plain chain fold, a flow-line walk on numpy
+arrays, a path-integral drift check, the derivative form of the pathwise dilation identity,
+a plain cofactor expansion and a recompute-everything grid flow.
 
 None is part of the package; the tests check the exact jets, the folded
-composites, the differential-drift identity, the pathwise identity,
-tensor._det_adj and run_flow against them.
+composites, trace_flowline, the differential-drift identity, the pathwise
+identity, tensor._det_adj and run_flow against them.
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ from typing import Callable
 
 import numpy as np
 
-from qcflow.errors import DeterminantCollapse, NonFiniteValue, RowSwitched
-from qcflow.flowlines import FlowTrajectory
+from qcflow.errors import (DeterminantCollapse, GuardViolation, NonFiniteValue, RowSwitched,
+                           StepFailure)
+from qcflow.flowlines import (DEGENERACY_TOL, FlowTrajectory, _pick_row, _row_norms,
+                              ball_domain, flow_field)
 from qcflow.gradientflow import ENERGY_TOL_SCALE, FlowRunStats, GridField
 from qcflow.maps import SmoothMap, _chain
 from qcflow.operators import Jet2Sample, _contracted_operator, flux_linearization, linfty_factored
@@ -70,6 +72,80 @@ def chained_map(composite) -> SmoothMap:
         return jet
 
     return SmoothMap(n=composite.n, jet_fn=jet_fn)
+
+
+def trace_flowline_arrays(mapping, x0, ds: float, max_len: float, domain=None) -> FlowTrajectory:
+    """trace_flowline's walk with the position, velocity and stages as numpy arrays.
+
+    Each sample reads J through mapping.jacobian and takes K and the
+    field from tensor._dilation_field, each RK4 stage the field from
+    flow_field; the RK4 combinations are array expressions. Takes valid
+    arguments only: the start point, step and cap are not checked.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    if domain is None:
+        domain = ball_domain()
+    if domain(x) >= 0.0:
+        raise ValueError("flow line must start strictly inside the domain")
+
+    samples = []  # one (s, x, K, row, speed, sign) per sample; x is never mutated
+
+    def finish(reason: str) -> FlowTrajectory:
+        s, x, k, row, speed, sign = (np.array(c) for c in zip(*samples))
+        return FlowTrajectory(s=s, x=x, K=k, row=row, speed=speed, sign=sign,
+                              terminated=reason)
+
+    def stage_velocity(y: np.ndarray) -> np.ndarray:
+        try:
+            f = flow_field(mapping, y)
+        except GuardViolation as exc:
+            raise StepFailure(f"integrator stage left the map's domain: {exc}") from exc
+        return sign * f[row - 1]
+
+    s, row, sign = 0.0, None, 1.0
+    while True:
+        k_val, field = _dilation_field(mapping.jacobian(x))
+        norms, total = _row_norms(field)
+        if total <= DEGENERACY_TOL * (1.0 + k_val**2):
+            if row is None:
+                row = int(norms.argmax()) + 1
+            samples.append((s, x, k_val, row, float(norms[row - 1]), sign))
+            return finish("degenerate")
+
+        new_row = _pick_row(norms, row)
+        if row is not None and new_row != row:
+            sign = 1.0 if float(np.dot(field[new_row - 1], velocity)) >= 0.0 else -1.0
+        row = new_row
+        velocity = sign * field[row - 1]
+        samples.append((s, x, k_val, row, float(norms[row - 1]), sign))
+        if not s < max_len - 1e-14:
+            return finish("maxLength")
+
+        step = min(ds, max_len - s)
+        k1 = velocity
+        k2 = stage_velocity(x + 0.5 * step * k1)
+        k3 = stage_velocity(x + 0.5 * step * k2)
+        k4 = stage_velocity(x + step * k3)
+        x_new = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        if domain(x_new) >= 0.0:
+            lo, hi = 0.0, 1.0
+            chord = float(np.linalg.norm(x_new - x))
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if domain(x + mid * (x_new - x)) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+                if (hi - lo) * chord < 1e-10:
+                    break
+            x_hit = x + lo * (x_new - x)
+            k_val, field = _dilation_field(mapping.jacobian(x_hit))
+            samples.append((s + lo * step, x_hit, k_val, row,
+                            float(np.linalg.norm(field[row - 1])), sign))
+            return finish("boundary")
+        s += step
+        x = x_new
 
 
 def path_integral_residual(mapping, trajectory: FlowTrajectory, row_index: int) -> float:

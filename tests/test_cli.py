@@ -318,6 +318,13 @@ class TestFlowlineCommand:
                          "--x0", "2,0")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("x0, shown", [("nan,0.1", "[nan, 0.1]"), ("0.1", "[0.1]")],
+                             ids=["nan", "short"])
+    def test_bad_start_point_exits_two(self, x0, shown):
+        # a NaN start used to reach the map and exit 3 as a halted line
+        result = run_cli("flowline", "teichmuller", "--param", "n=2", "--x0", x0)
+        assert_usage_error(result, f"x0 must be a finite point of shape (2,), got {shown}")
+
     def test_unknown_map_exits_two(self):
         result = run_cli("flowline", "squeeze", "--x0", "0,0")
         assert result.exit_code == 2

@@ -5,11 +5,19 @@ import re
 
 import numpy as np
 import pytest
-from oracles import chained_map, path_integral_residual, pathwise_derivative_pairs
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    chained_map,
+    path_integral_residual,
+    pathwise_derivative_pairs,
+    trace_flowline_arrays,
+)
 
 from qcflow import (
     AllRowsDegenerate,
     GuardViolation,
+    QcflowError,
     RowSwitched,
     StepFailure,
     ahlfors,
@@ -17,6 +25,7 @@ from qcflow import (
     trace_dilation,
 )
 from qcflow.flowlines import (
+    _sample_field,
     ball_domain,
     du_recovery_check,
     flow_field,
@@ -28,13 +37,14 @@ from qcflow.maps import (
     affine_map,
     compose,
     identity_map,
+    make_map,
+    map_ids,
     moebius,
     polynomial_map,
     radial_stretch,
     teichmuller_example,
     teichmuller_map,
 )
-from qcflow.tensor import _dilation_field, _sg_field
 
 
 def make_teichmuller(n=2):
@@ -173,6 +183,47 @@ class TestTraceFlowline:
         with pytest.raises(ValueError):
             trace_flowline(identity_map(2), [2.0, 0.0])
 
+    @pytest.mark.parametrize("x0, shown", [
+        ([[0.1, 0.1]], "[[0.1, 0.1]]"),
+        ([0.1, 0.1, 0.1], "[0.1, 0.1, 0.1]"),
+        ([math.nan, 0.1], "[nan, 0.1]"),
+        ([0.1, -math.inf], "[0.1, -inf]"),
+    ], ids=["stacked", "too_long", "nan", "inf"])
+    def test_bad_start_point_rejected(self, x0, shown):
+        # a stacked start used to fail as a bare IndexError, and a NaN one
+        # passed the domain check and failed inside the map
+        with pytest.raises(ValueError, match=re.escape(
+                f"x0 must be a finite point of shape (2,), got {shown}")):
+            trace_flowline(make_teichmuller(2), x0)
+
+    def test_jacobian_of_the_wrong_shape_rejected(self):
+        # a 3x3 J for a 2-dimensional map used to reach the RK4 sums and
+        # fail there as a broadcasting error
+        base = affine_map([[1.4, 0.2, 0.0], [0.1, 0.8, 0.0], [0.0, 0.0, 1.0]])
+        m = SmoothMap(n=2, jet_fn=lambda x, order: base.jet_fn(np.append(x, 0.0), order))
+        with pytest.raises(ValueError, match=re.escape(
+                "jacobian shape (3, 3) at one point does not match n=2")):
+            trace_flowline(m, [0.1, 0.05])
+
+    def test_nan_domain_predicate_rejected_at_the_start(self):
+        with pytest.raises(ValueError, match=re.escape("domain predicate is NaN at [0.1, 0.2]")):
+            trace_flowline(make_teichmuller(2), [0.1, 0.2], domain=lambda x: math.nan)
+
+    def test_nan_domain_predicate_rejected_during_the_walk(self):
+        # NaN once the line leaves x1 < 0.15: it used to count as inside
+        # and run the walk on to max_len
+        calls = []
+
+        def predicate(x):
+            calls.append(x.copy())
+            return -1.0 if x[0] < 0.15 else math.nan
+
+        m = affine_map([[1.4, 0.2], [0.1, 0.8]])
+        with pytest.raises(ValueError, match=r"^domain predicate is NaN at \[0\.15"):
+            trace_flowline(m, [0.1, 0.05], ds=1e-2, max_len=1.0, domain=predicate)
+        assert all(isinstance(x, np.ndarray) and x.shape == (2,) for x in calls)
+        assert 1 < len(calls) < 20
+
     @pytest.mark.parametrize("ds", [0.0, -1e-3, math.nan, math.inf])
     def test_bad_step_rejected(self, ds):
         # ds = 0 never advances and ds < 0 walks backwards
@@ -200,20 +251,16 @@ class TestTraceFlowline:
         plain = trace_flowline(m, [0.2, -0.1], ds=1e-3, max_len=0.05)
         calls = []
 
-        def vanishing(fn, slot):
-            # a sample takes K and the field from _dilation_field, an RK4
-            # stage the field alone from _sg_field; slot is the field's place
-            def wrapped(j):
-                out = list(fn(j))
-                calls.append(1)
-                # sample k is call 4k: one per sample and three per RK4 step
-                if len(calls) > 4 * k:
-                    out[slot] = 0.0 * out[slot]
-                return tuple(out)
-            return wrapped
+        def vanishing(mapping, y):
+            # every sample and RK4 stage takes the field from _sample_field
+            field, *rest = _sample_field(mapping, y)
+            calls.append(1)
+            # sample k is call 4k: one per sample and three per RK4 step
+            if len(calls) > 4 * k:
+                field = [0.0 * v for v in field]
+            return field, *rest
 
-        monkeypatch.setattr("qcflow.flowlines._dilation_field", vanishing(_dilation_field, 1))
-        monkeypatch.setattr("qcflow.flowlines._sg_field", vanishing(_sg_field, 0))
+        monkeypatch.setattr("qcflow.flowlines._sample_field", vanishing)
         traj = trace_flowline(m, [0.2, -0.1], ds=1e-3, max_len=0.05)
         assert traj.terminated == "degenerate" and len(traj) == k + 1
         assert traj.speed[-1] == 0.0
@@ -228,12 +275,12 @@ class TestTraceFlowline:
                   np.zeros((2, 2))]
         calls = []
 
-        def scripted(j):
+        def scripted(mapping, y):
             calls.append(1)
-            return math.sqrt(2.0), fields[min((len(calls) - 1) // 4, 2)]
+            # |J|^2 = 2 and det J = 1 give K = sqrt(2)
+            return fields[min((len(calls) - 1) // 4, 2)].ravel().tolist(), 2.0, 1.0, None
 
-        monkeypatch.setattr("qcflow.flowlines._dilation_field", scripted)
-        monkeypatch.setattr("qcflow.flowlines._sg_field", lambda j: (scripted(j)[1], 2.0, 1.0))
+        monkeypatch.setattr("qcflow.flowlines._sample_field", scripted)
         traj = trace_flowline(identity_map(2), [0.1, 0.0], ds=1e-2, max_len=1.0)
         assert traj.terminated == "degenerate"
         assert traj.row.tolist() == [1, 2, 2]
@@ -296,16 +343,9 @@ class TestTraceFlowline:
     def test_stage_outside_guard_raises_step_failure(self, composed):
         # the map is defined only on a small disk around the start, and the
         # step is long enough that the midpoint stage lands outside it
-        base = affine_map([[1.4, 0.2], [0.1, 0.8]])
         x0 = np.array([0.1, 0.05])
         radius = 0.01
-
-        def jet_fn(x, order):
-            if np.any(np.linalg.norm(x - x0, axis=-1) > radius):
-                raise GuardViolation("outside the sampling disk")
-            return base.jet_fn(x, order)
-
-        m = SmoothMap(n=2, jet_fn=jet_fn)
+        m = _guarded_map(x0, radius)
         if composed:
             m = compose(m, identity_map(2))
         speed = float(np.max(np.linalg.norm(flow_field(m, x0), axis=1)))
@@ -324,6 +364,137 @@ class TestTraceFlowline:
         floor = max(0.05 * formula_scale, 1e-12)
         for fd, formula in pairs:
             assert abs(fd - formula) <= 1e-5 * max(abs(formula), floor)
+
+
+# parameters of every registry map at n = 2 and 3; polynomial also runs at n = 4
+_MAP_PARAMS = {
+    "radial_stretch": lambda n: {"alpha": 2.0, "n": n},
+    "wedge": lambda n: {"alpha": 2.0, "n": n},
+    "rotation": lambda n: {"n": 2, "angle": 0.4} if n == 2 else {"axis": [0.3, -1.0, 0.7],
+                                                                  "angle": 0.8},
+    "dilation": lambda n: {"n": n, "scale": 1.7},
+    "translation": lambda n: {"offset": [0.3, -0.2, 0.1][:n]},
+    "inversion": lambda n: {"n": n},
+    "affine": lambda n: {"matrix": [[1.3, 0.2], [-0.1, 0.8]] if n == 2 else
+                         [[1.3, 0.2, 0.0], [-0.1, 0.9, 0.3], [0.0, 0.2, 1.1]], "offset": [0.1] * n},
+    "polynomial": lambda n: {"n": n, "seed": 2},
+    "identity": lambda n: {"n": n},
+    "affine_bump": lambda n: {"n": n},
+    "teichmuller": lambda n: {"n": n},
+}
+
+def _box(x: np.ndarray) -> float:
+    """Signed predicate of the box |x_i| < 0.4, which the walk calls with arrays."""
+    return float(np.max(np.abs(x))) - 0.4
+
+
+def _guarded_map(x0: np.ndarray, radius: float) -> SmoothMap:
+    """An affine map that refuses to sample farther than radius from x0."""
+    base = affine_map([[1.4, 0.2], [0.1, 0.8]])
+
+    def jet_fn(x, order):
+        if np.any(np.linalg.norm(x - x0, axis=-1) > radius):
+            raise GuardViolation("outside the sampling disk")
+        return base.jet_fn(x, order)
+
+    return SmoothMap(n=2, jet_fn=jet_fn)
+
+
+def _step_map() -> SmoothMap:
+    """J = diag(1, 2) where x1 > 0.1 and the identity elsewhere.
+
+    The field's first row points towards -x1, so a line from x1 > 0.1
+    crosses into the identity region, where the field is exactly zero.
+    """
+
+    def jet_fn(x, order):
+        j = np.zeros(x.shape[:-1] + (2, 2))
+        j[..., 0, 0] = 1.0
+        j[..., 1, 1] = np.where(x[..., 0] > 0.1, 2.0, 1.0)
+        return (x, j) if order == 1 else (x, j, np.zeros(x.shape[:-1] + (2, 2, 2)))
+
+    return SmoothMap(n=2, jet_fn=jet_fn)
+
+
+def _assert_walks_alike(m, x0, ds, max_len, domain=None):
+    """trace_flowline against the array walk of tests/oracles.py, byte for byte.
+
+    Returns the trajectory, or the error both raised with the same class
+    and message.
+    """
+    try:
+        want = trace_flowline_arrays(m, x0, ds, max_len, domain)
+    except (QcflowError, ValueError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            trace_flowline(m, x0, ds=ds, max_len=max_len, domain=domain)
+        return exc
+    got = trace_flowline(m, x0, ds=ds, max_len=max_len, domain=domain)
+    assert got.terminated == want.terminated
+    for name in ("s", "x", "K", "row", "speed", "sign"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    return got
+
+
+@st.composite
+def _walks(draw):
+    """A registry map, a start point, a step, a length cap and a domain."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    map_id = "polynomial" if n == 4 else draw(st.sampled_from(sorted(_MAP_PARAMS)))
+    m = make_map(map_id, **_MAP_PARAMS[map_id](n))
+    x0 = draw(st.lists(st.floats(-0.35, 0.35), min_size=n, max_size=n))
+    ds = draw(st.sampled_from([1e-3, 1e-2, 3e-2]))
+    max_len = ds * draw(st.floats(0.5, 60.0))
+    # the unit ball, the box, or a ball whose boundary lies just past the start
+    domain = draw(st.sampled_from([None, _box, ball_domain(
+        math.sqrt(sum(v * v for v in x0)) + draw(st.floats(0.005, 0.1)))]))
+    return m, x0, ds, max_len, domain
+
+
+class TestArrayWalkOracle:
+    """The walk on Python floats keeps every bit of the same walk on numpy arrays."""
+
+    def test_every_registry_map_is_drawn(self):
+        assert sorted(_MAP_PARAMS) == map_ids()
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_walks())
+    def test_matches_the_array_walk(self, case):
+        _assert_walks_alike(*case)
+
+    @pytest.mark.parametrize("name", ["max_length", "boundary", "degenerate_at_start",
+                                      "degenerate_midway", "row_switch", "custom_domain",
+                                      "polynomial_n4"])
+    def test_named_line_matches_the_array_walk(self, name):
+        m, x0, ds, max_len, domain, ends = {
+            "max_length": (make_teichmuller(3), [0.1, -0.2, 0.05], 1e-3, 0.05, None,
+                           "maxLength"),
+            "boundary": (make_teichmuller(2), [0.7, 0.0], 1e-2, 5.0, ball_domain(0.8),
+                         "boundary"),
+            "degenerate_at_start": (moebius("inversion", {"n": 3}), [0.3, 0.1, -0.2], 1e-3,
+                                    1.0, None, "degenerate"),
+            "degenerate_midway": (_step_map(), [0.3, 0.05], 1e-2, 1.0, None, "degenerate"),
+            "row_switch": (make_map("wedge", alpha=2.0, n=3), [0.004, 0.304, 0.497], 2e-2, 2.0,
+                           None, "maxLength"),
+            "custom_domain": (make_teichmuller(2), [0.1, -0.2], 1e-2, 5.0, _box, "boundary"),
+            "polynomial_n4": (make_map("polynomial", n=4, seed=1), [0.1, 0.2, 0.1, -0.1], 1e-3,
+                              0.05, None, "maxLength"),
+        }[name]
+        traj = _assert_walks_alike(m, x0, ds, max_len, domain)
+        assert traj.terminated == ends
+        if name == "degenerate_midway":
+            assert len(traj) > 2
+        if name == "row_switch":
+            assert np.any(traj.row[1:] != traj.row[:-1])
+
+    def test_stage_guard_fails_as_the_array_walk(self):
+        # the midpoint stage lands outside the map's disk: StepFailure on both
+        x0 = np.array([0.1, 0.05])
+        m = _guarded_map(x0, 0.01)
+        speed = float(np.max(np.linalg.norm(flow_field(m, x0), axis=1)))
+        exc = _assert_walks_alike(m, x0, 0.04 / speed, 1.0)
+        assert isinstance(exc, StepFailure)
 
 
 class TestCsvOutput:

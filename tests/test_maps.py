@@ -703,6 +703,30 @@ class TestFloatSample:
             for k, arr in enumerate(m.jet_fn(xs, 1)):
                 assert np.array([one[k] for one in singles]).tobytes() == arr.tobytes()
 
+    @pytest.mark.parametrize("build, program", [
+        (lambda: teichmuller_example(2), True),
+        (lambda: teichmuller_example(3), True),
+        (lambda: moebius("inversion", {"n": 3}), True),
+        (lambda: moebius("rotation", {"n": 2, "angle": 0.3}), True),
+        (lambda: compose(moebius("rotation", {"n": 2, "angle": 0.3}), polynomial_map(2, seed=5)),
+         False),
+        (lambda: affine_map([[1.3, 0.2], [-0.1, 0.8]]), False),
+        (lambda: radial_stretch(1.7, 3), False),
+        (lambda: polynomial_map(4, seed=1), False),
+    ], ids=["teichmuller2", "teichmuller3", "inversion3", "rotation2", "composite_polynomial",
+            "affine", "radial", "polynomial4"])
+    def test_jacobian_entries_match_the_accessor(self, build, program):
+        # a float program hands over its sums and no array; any other map
+        # hands over jacobian's array and its entries
+        m = build()
+        for x in np.random.default_rng(9).uniform(-0.7, 0.7, size=(20, m.n)).tolist():
+            entries, a = m._jacobian_entries(x)
+            want = m.jacobian(np.array(x))
+            assert (a is None) == program
+            assert np.array(entries).reshape(m.n, m.n).tobytes() == want.tobytes()
+            if a is not None:
+                assert a.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("fault", ["pole", "reflection", "shape"])
     def test_raises_as_the_array_path(self, n, fault):
@@ -725,6 +749,36 @@ class TestFloatSample:
         stacked = message.replace(f"({n + 1},)", f"(1, {n + 1})")
         with pytest.raises(error, match=f"^{re.escape(stacked)}$"):
             m.jacobian(x[None])  # a stack takes the array path
+
+
+class TestOnePairProducts:
+    """One 2x2 or 3x3 pair, or one point, takes the product rule on Python floats."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([2, 3]))
+    def test_matches_the_stack_bitwise(self, data, n):
+        # a one-row stack takes the array path of the same rule
+        a, b = (np.array(data.draw(st.lists(_COORDINATES, min_size=n * n, max_size=n * n)))
+                .reshape(n, n) for _ in range(2))
+        x = np.array(data.draw(st.lists(_COORDINATES, min_size=n, max_size=n)))
+        pairs = [(qcflow_maps._matmul(a, b), qcflow_maps._matmul(a[None], b[None])[0]),
+                 (qcflow_maps._matmul(a.T, b), qcflow_maps._matmul(a.T[None], b[None])[0]),
+                 (qcflow_maps._dot(x, a[0]), qcflow_maps._dot(x[None], a[:1])[0]),
+                 (qcflow_maps._apply(a, x), qcflow_maps._apply(a, x[None])[0])]
+        for one, stacked in pairs:
+            assert type(one) is type(stacked) and one.shape == stacked.shape
+            assert one.dtype == stacked.dtype and one.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("kind", ["rotation", "affine"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_generator_value_of_one_point_matches_the_stack(self, kind, n):
+        rng = np.random.default_rng(17 + n)
+        m = random_posdet(rng, n)
+        data = m if kind == "rotation" else (m, rng.standard_normal(n))
+        xs = rng.uniform(-0.7, 0.7, size=(50, n))
+        stack = qcflow_maps._generator_value(kind, data, xs)
+        ones = np.array([qcflow_maps._generator_value(kind, data, x) for x in xs])
+        assert ones.tobytes() == stack.tobytes()
 
 
 class TestFirstOrderSampler:
