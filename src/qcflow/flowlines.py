@@ -1,18 +1,17 @@
 """Trajectories along rows of the distortion field S(g) J^{-T}.
 
-trace_flowline walks on Python floats: the position, the velocity and
-every RK4 stage point are lists, and each sample or stage takes J as
-row-major entries from the map's private single-point accessor
-(SmoothMap._jacobian_entries: the sums of a word's or composite's float
-program, else the public jacobian). The field comes from those entries
-in closed form over one checked LAPACK determinant (_sample_field): J^{-T}
-is cofactor / det, at n = 2 and 3 computed on Python floats with the
-cofactors written out (tensor._sg_one), and a sample adds K. n = 4 takes
-LAPACK's inverse (tensor._sg_field) in the same loop. A stack of samples
-(du_recovery_check) takes the same cofactors from tensor._det_adj,
-bit-equal row by row. The public flow_field reads jacobian and returns
-the field as an array. tensor.factoring_residual and
-operators.linfty_flowform keep the S(g) route and are their oracles.
+trace_flowline walks on Python floats: the position, the velocity,
+every RK4 stage point and the field are lists. Each sample or stage
+takes J as row-major entries from the map's private single-point
+accessor (SmoothMap._jacobian_entries: the sums of a word's or
+composite's float program, else the public jacobian), and the field,
+|J|^2 and det from tensor's one 2x2 and 3x3 kernel on those floats
+(_sample_field); a sample adds K and its row norms. n = 4 takes LAPACK's
+det and inverse (tensor._sg_field) in the same loop. A stack of samples
+(du_recovery_check) runs the same kernel on node arrays, bit-equal row
+by row. The public flow_field reads jacobian and returns the field as an
+array. tensor.factoring_residual and operators.linfty_flowform keep the
+S(g) route and are their oracles.
 
 A flow line follows one row of the field at a time, switching rows only
 when the active row's speed decays under a hysteresis threshold, and
@@ -31,7 +30,7 @@ import numpy as np
 
 from .errors import AllRowsDegenerate, GuardViolation, RowSwitched, StepFailure
 from .operators import Jet2Sample
-from .tensor import _dilation, _sg_field, _sg_one
+from .tensor import _dilation, _sg_field, _sg_one, _sum_sq
 
 DEFAULT_STEP = 1e-3
 SWITCH_THRESHOLD = 0.5
@@ -99,18 +98,18 @@ def flow_field(mapping, x) -> np.ndarray:
     return _sg_field(mapping.jacobian(x))[0]
 
 
-def _row_norms(field: np.ndarray) -> tuple[np.ndarray, float]:
-    """Norm of each field row, and of the whole field, from one pass of row dot products."""
-    sq = np.vecdot(field, field)  # each row's dot product, as np.linalg.norm of the row takes it
-    return np.sqrt(sq), math.sqrt(sq.sum())
+def _row_norms(field: list, n: int) -> tuple[list, float]:
+    """Norms of the rows of length n of a field's entries, and of the field, summed from +0.0."""
+    sq = [_sum_sq(field[i:i + n]) for i in range(0, len(field), n)]
+    return [math.sqrt(v) for v in sq], math.sqrt(sum(sq))
 
 
-def _pick_row(norms: np.ndarray, current: int | None) -> int:
+def _pick_row(norms: list, current: int | None) -> int:
     """select_row's hysteresis choice, from the rows' norms."""
-    best = int(norms.argmax())
+    best = norms.index(max(norms))
     if current is not None:
         cur = int(current) - 1
-        if not (0 <= cur < norms.size):
+        if not (0 <= cur < len(norms)):
             raise ValueError(f"row index {current} out of range")
         if norms[cur] >= SWITCH_THRESHOLD * norms[best]:
             return cur + 1
@@ -127,31 +126,26 @@ def select_row(field, current: int | None = None) -> int:
     returned row always carries norm >= |field| / n^2.
     """
     f = np.asarray(field, dtype=float)
-    if f.ndim != 2:
+    if f.ndim != 2 or not f.size:
         raise ValueError(f"field must be a matrix, got shape {f.shape}")
-    norms, total = _row_norms(f)
+    norms, total = _row_norms(f.ravel().tolist(), f.shape[1])
     if total <= DEGENERACY_TOL:
         raise AllRowsDegenerate(f"field norm {total:.3e} below degeneracy tolerance")
     return _pick_row(norms, current)
 
 
-def _sample_field(mapping, y: list) -> tuple[list, float, float, np.ndarray | None]:
-    """The field S(g) J^{-T} at the point y of Python floats, with |J|^2 and det J.
+def _sample_field(mapping, y: list) -> tuple[list, float, float]:
+    """The field's row-major entries at the point y of Python floats, with |J|^2 and det J.
 
-    The one field entry of trace_flowline's samples and RK4 stages, with
-    one checked LAPACK determinant; a sample takes K from |J|^2 and det J
-    (tensor._dilation). J comes from mapping._jacobian_entries: a float
-    program's entries, or jacobian's array with its entries. At n = 2
-    and 3 the field is _sg_one's row-major entries, and the returned
-    matrix is None. At n = 4 it is _sg_field's array (LAPACK's inverse),
-    returned as the matrix with its entries, so that its row norms read
-    it in its own memory order.
+    The one field entry of trace_flowline's samples and RK4 stages, from
+    mapping._jacobian_entries: tensor._sg_one at n = 2 and 3, and
+    _sg_field's array (LAPACK's inverse) read into entries at n = 4.
     """
     entries, a = mapping._jacobian_entries(y)
     if a is None or a.shape == (2, 2) or a.shape == (3, 3):
-        return (*_sg_one(entries, a), None)
+        return _sg_one(entries)
     matrix, nsq, d = _sg_field(a)
-    return matrix.ravel().tolist(), nsq, d, matrix
+    return matrix.ravel().tolist(), nsq, d
 
 
 def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
@@ -170,18 +164,13 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
     The predicate is called with an array, and a NaN from it is a
     ValueError naming the point.
 
-    The walk reads first-order data only, and keeps the position, the
-    velocity and every stage point as Python floats. Every sample and
-    RK4 stage takes J as row-major entries (SmoothMap._jacobian_entries:
-    the sums of a word's or composite's float program, else
-    mapping.jacobian) and the field and K from them through one entry,
-    _sample_field, with one checked LAPACK determinant. The RK4
-    combinations are taken entry by entry in the array expressions'
-    order, so every output carries the bits of the same walk on arrays.
-    Each sample reads its row norms from the field as a 2-D array
-    (_row_norms); guard violations at a stage raise StepFailure. The
-    first stage of a step reuses the velocity already evaluated at the
-    accepted point.
+    The walk reads first-order data only, on Python floats (see the
+    module notes), through one entry, _sample_field, with one
+    determinant per sample or stage. The RK4 combinations are taken entry
+    by entry in the array expressions' order, so every output carries the
+    bits of the same walk on arrays. Guard violations at a stage raise
+    StepFailure. The first stage of a step reuses the velocity already
+    evaluated at the accepted point.
     """
     for name, value in (("ds", ds), ("max_len", max_len)):
         if not 0.0 < value < np.inf:  # NaN fails too
@@ -209,10 +198,9 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
         return FlowTrajectory(s=s, x=x, K=k, row=row, speed=speed, sign=sign,
                               terminated=reason)
 
-    def sample(y: list) -> tuple[float, list, np.ndarray]:
-        field, nsq, d, matrix = _sample_field(mapping, y)
-        return (_dilation(nsq, d, n), field,
-                np.array(field).reshape(n, n) if matrix is None else matrix)
+    def sample(y: list) -> tuple[float, list, list, float]:
+        field, nsq, d = _sample_field(mapping, y)
+        return (_dilation(nsq, d, n), field, *_row_norms(field, n))
 
     def stage_velocity(y: list) -> list:
         try:
@@ -224,22 +212,22 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
     x = start.tolist()
     s, row, sign = 0.0, None, 1.0
     while True:
-        k_val, field, matrix = sample(x)
-        norms, total = _row_norms(matrix)
+        k_val, field, norms, total = sample(x)
         if total <= DEGENERACY_TOL * (1.0 + k_val**2):
             if row is None:
-                row = int(norms.argmax()) + 1
-            samples.append((s, x, k_val, row, float(norms[row - 1]), sign))
+                row = norms.index(max(norms)) + 1
+            samples.append((s, x, k_val, row, norms[row - 1], sign))
             return finish("degenerate")
 
         new_row = _pick_row(norms, row)
         if row is not None and new_row != row:
             # forward orientation: angle with the previous velocity <= 90 degrees
-            sign = 1.0 if float(np.dot(matrix[new_row - 1], velocity)) >= 0.0 else -1.0
+            new = field[(new_row - 1) * n:new_row * n]
+            sign = 1.0 if float(np.dot(new, velocity)) >= 0.0 else -1.0
         row = new_row
         first = (row - 1) * n
         velocity = [sign * v for v in field[first:first + n]]
-        samples.append((s, x, k_val, row, float(norms[row - 1]), sign))
+        samples.append((s, x, k_val, row, norms[row - 1], sign))
         if not s < max_len - 1e-14:
             return finish("maxLength")
 
@@ -268,9 +256,8 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
                 if (hi - lo) * chord < 1e-10:
                     break
             x_hit = (here + lo * (end - here)).tolist()
-            k_val, field, matrix = sample(x_hit)
-            samples.append((s + lo * step, x_hit, k_val, row,
-                            float(np.linalg.norm(matrix[row - 1])), sign))
+            k_val, _, norms, _ = sample(x_hit)
+            samples.append((s + lo * step, x_hit, k_val, row, norms[row - 1], sign))
             return finish("boundary")
         s += step
         x = x_new

@@ -40,7 +40,7 @@ from .errors import (
     UnknownMap,
 )
 from .operators import Jet2Sample
-from .tensor import _positive, _positive_det
+from .tensor import _matrix_det, _positive
 
 _ORIGIN_TOL = 1e-9
 _SEAM_TOL = 1e-6
@@ -840,7 +840,7 @@ def _fold(factors: tuple) -> tuple:
     n = factors[0].n
     moves, matrix, dets, rest = [], None, [], []
     for factor in factors:
-        det = np.linalg.det(factor.matrix) if isinstance(factor, _Affine) else None
+        det = _matrix_det(factor.matrix) if isinstance(factor, _Affine) else None
         word = getattr(factor, "word", ())
         if not rest and (det is not None or word and all(k != "inversion" for k, _ in word)):
             if det is not None:
@@ -925,7 +925,7 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
             if det is not None:
                 _positive(det)
             elif not isinstance(factor, ConformalMap):
-                _positive_det(raw[1])
+                _positive(_matrix_det(raw[1]))
             jet = raw if len(jet) == 1 else _chain(raw, jet)
         return jet
 

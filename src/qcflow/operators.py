@@ -21,9 +21,12 @@ coefficient Jacobian's determinant, adjugate and |q|^2 from its caller,
 gradientflow, which computes and checks them once per grid state. The n^4
 flux_linearization stays for gradientflow.dtmax (which needs the
 coefficient mass), lh_witness and lp_nondiv, and is the oracle the verify
-suites and tests compare against. Every kernel here that takes a
+suites and tests compare against; lh_witness builds it from its own
+checked q and weight (_linearization). Every kernel here that takes a
 Jacobian on its own, Jet2Sample included, validates it through
-tensor._checked.
+tensor._checked and reads its det and |q|^2 from there: at n = 2 and 3
+tensor's one kernel, on floats for one point and on node arrays for a
+stack, so each row has the bits of its call alone.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .errors import UnsupportedRegime
 from .tensor import (
     _checked,
     _dilation_field,
-    _norm_sq,
     ahlfors,
     distortion_tensor,
     trace_dilation,
@@ -74,7 +76,7 @@ class Jet2Sample:
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.u = np.asarray(self.u, dtype=float)
-        self.J, n, _ = _checked(self.J)
+        self.J, n = _checked(self.J)[:2]
         self.H = np.asarray(self.H, dtype=float)
         if self.H.shape != self.J.shape[:-2] + (n, n, n):
             raise ValueError(f"Hessian shape {self.H.shape} does not match Jacobian shape {self.J.shape}")
@@ -109,15 +111,14 @@ def flux(q, p: float) -> np.ndarray:
     annihilates it, and the full contraction A[i, j] q[i, j] is zero for
     every q.
     """
-    a, n, d = _checked(q)
-    nsq = _norm_sq(a)
+    a, n, d, nsq = _checked(q)
     qinv_t = np.swapaxes(np.linalg.inv(a), -1, -2)
     w = _power_weight(nsq, d, n * p, p)
     bracket = qinv_t - n * a / nsq[..., None, None]
     return -p * w[..., None, None] * bracket
 
 
-def _a4_bracket(q: np.ndarray, p: float) -> np.ndarray:
+def _a4_bracket(q: np.ndarray, nsq: np.ndarray, p: float) -> np.ndarray:
     """Bracket of the flux linearization, the part without the scalar weight.
 
     flux_linearization = -p |q|^{np-2}/(det q)^p * bracket. Exposed
@@ -127,7 +128,7 @@ def _a4_bracket(q: np.ndarray, p: float) -> np.ndarray:
     memory order, so its layout fixes their bits.
     """
     n = q.shape[-1]
-    nsq = _norm_sq(q)[..., None, None, None, None]
+    nsq = nsq[..., None, None, None, None]
     qi = np.linalg.inv(q)
     out = np.einsum("...ji,...kl->...ikjl", qi, q, order="C")
     out += np.einsum("...ij,...lk->...ikjl", q, qi)
@@ -181,10 +182,14 @@ def flux_linearization(q, p: float) -> np.ndarray:
     is symmetric under the pair swap (i, j) <-> (k, l) because the flux is
     itself a gradient.
     """
-    a, n, d = _checked(q)
-    w = _power_weight(_norm_sq(a), d, n * p - 2.0, p)
-    out = _a4_bracket(a, p)
-    out *= -p * w[..., None, None, None, None]
+    a, n, d, nsq = _checked(q)
+    return _linearization(a, nsq, _power_weight(nsq, d, n * p - 2.0, p), p)
+
+
+def _linearization(a: np.ndarray, nsq: np.ndarray, m1: np.ndarray, p: float) -> np.ndarray:
+    """flux_linearization of a checked a from its |q|^2 and weight m1 = |q|^{np-2}/(det q)^p."""
+    out = _a4_bracket(a, nsq, p)
+    out *= -p * m1[..., None, None, None, None]
     return out
 
 
@@ -197,10 +202,9 @@ def lh_witness(q, xi, eta, p: float) -> EllipticityWitness:
     derivative slots, and must land between c1*p*m1 and c2*p^2*(m1+m2)
     where m1, m2 are the two weight scales of the flux linearization.
     """
-    a, n, d = _checked(q)
+    a, n, d, nsq = _checked(q)
     if p < 1.0 or (n == 2 and p == 1.0):
         raise UnsupportedRegime(f"no ellipticity constants for n={n}, p={p}")
-    nsq = _norm_sq(a)
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     # each row's dot product, as np.linalg.norm of one vector takes it
@@ -218,9 +222,9 @@ def lh_witness(q, xi, eta, p: float) -> EllipticityWitness:
     else:
         c1 = float(n)
     c2 = 100.0 * n**3
-    a4 = flux_linearization(a, p)
-    quad = np.einsum("...ikjl,...i,...j,...k,...l->...", a4, eta, xi, eta, xi)
     m1 = _power_weight(nsq, d, n * p - 2.0, p)
+    a4 = _linearization(a, nsq, m1, p)
+    quad = np.einsum("...ikjl,...i,...j,...k,...l->...", a4, eta, xi, eta, xi)
     m2 = _power_weight(nsq, d, n * (p + 2.0) - 2.0, p + 2.0)
     return EllipticityWitness(
         q=a,
@@ -259,9 +263,8 @@ def lp_divergence(mapping, x, p: float, h: float) -> np.ndarray:
 
 def linfty_factored(sample: Jet2Sample) -> np.ndarray:
     """Infinite-p operator as a product of two copies of M = n J - |J|^2 J^{-T}."""
-    j, n, _ = _checked(sample.J)
-    nsq = _norm_sq(j)[..., None, None]
-    m = n * j - nsq * np.swapaxes(np.linalg.inv(j), -1, -2)
+    j, n, _, nsq = _checked(sample.J)
+    m = n * j - nsq[..., None, None] * np.swapaxes(np.linalg.inv(j), -1, -2)
     return np.einsum("...ij,...kl,...kjl->...i", m, m, sample.H)
 
 
@@ -282,8 +285,7 @@ def linfty_flowform(sample: Jet2Sample) -> np.ndarray:
     Equal to linfty_factored as an algebraic identity: rows are
     n^2 |J|^4 / K^3 times S(g) J^{-T} applied to grad K.
     """
-    j, n, _ = _checked(sample.J)
-    nsq = _norm_sq(j)
+    j, n, _, nsq = _checked(sample.J)
     k = trace_dilation(j)
     sg = ahlfors(distortion_tensor(j))
     p_mat = sg @ np.swapaxes(np.linalg.inv(j), -1, -2)
@@ -300,10 +302,9 @@ def lp_asymptotic_ratio(sample: Jet2Sample, p: float) -> np.ndarray:
     linearization against the Hessian, so no overflow occurs for large p.
     Converges to ASYMPTOTIC_SIGN * linfty_factored at rate O(1/p).
     """
-    j = _checked(sample.J)[0]
-    nsq = _norm_sq(j)[..., None]
-    bracket = _a4_bracket(j, p)
-    return -(nsq / p) * np.einsum("...ikjl,...kjl->...i", bracket, sample.H)
+    j, _, _, nsq = _checked(sample.J)
+    bracket = _a4_bracket(j, nsq, p)
+    return -(nsq[..., None] / p) * np.einsum("...ikjl,...kjl->...i", bracket, sample.H)
 
 
 def b_tensor(j, p: float) -> np.ndarray:
@@ -312,8 +313,7 @@ def b_tensor(j, p: float) -> np.ndarray:
     Its quadratic form vanishes on conformal Jacobians but carries no
     fixed sign in general.
     """
-    a, n, d = _checked(j)
-    nsq = _norm_sq(a)
+    a, n, d, nsq = _checked(j)
     w = _power_weight(nsq, d, n * p, p)
     jjt = np.einsum("...ik,...jk->...ij", a, a)
     return p * w[..., None, None] * (np.eye(n) - n * jjt / nsq[..., None, None])

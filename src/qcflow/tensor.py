@@ -7,19 +7,16 @@ private closed-form _det_adj is the exception: it takes entry-first
 stacks a[i, j, ...] and serves batched grids; cofactor is its transposed
 adjugate, so core.cofactor_transpose checks it against LAPACK.
 
-Every Jacobian kernel here and in operators and traces enters through
-_checked, which returns (a, n, det) for a finite square matrix with
-positive determinant; every determinant-sign check goes through
-_positive. The flow-line field S(g) J^{-T} comes from _sg_field in
-closed form, and _dilation_field adds K to it; factoring_residual and
-operators.linfty_flowform keep the S(g) route and are its oracles.
-_sg_field takes J^{-T} as cofactor / det over LAPACK's checked det:
-one 2x2 or 3x3 matrix is computed on Python floats with the cofactors
-written out in _det_adj's order (_sg_one, which takes the matrix as a
-flat row-major list, so a flow line's sample or RK4 stage hands its J
-over without an array), and a stack of them through _det_adj, so each
-stack row keeps the bits of its single call. At n = 4 J^{-T} is
-LAPACK's inverse.
+At n = 2 and 3 one kernel, written once on row-major entries, gives the
+cofactors, det and |J|^2 (_kernel), the field F = S(g) J^{-T} (_field)
+and K (_dilation). An entry is a Python float for one matrix and an
+array over nodes for a stack, so a stack row has the bits of its single
+call by construction, and a flow line's sample or RK4 stage hands its J
+over as a list (_sg_one). Every Jacobian kernel here and in operators
+and traces enters through _checked, which returns (a, n, det, |J|^2)
+for a finite square matrix with finite positive determinant; n = 4
+takes LAPACK's det and inverse. factoring_residual and
+operators.linfty_flowform keep the S(g) route and are the field's oracles.
 """
 
 from __future__ import annotations
@@ -49,38 +46,101 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
-def _positive(d: np.ndarray) -> np.ndarray:
+def _positive(d):
     ok = d > 0.0  # NaN fails; one value skips the slower array reduction
-    if not (ok.all() if ok.ndim else ok):
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
         raise NonPositiveDeterminant(
             f"determinant must be positive (min {float(np.min(d)):.6e})"
         )
     return d
 
 
-def _positive_det(a: np.ndarray) -> np.ndarray:
-    return _positive(np.linalg.det(a))
+def _finite_positive(d):
+    """_positive for the det of finite entries; one that overflowed to inf or NaN is NonFiniteValue."""
+    if not (np.isfinite(d).all() if isinstance(d, np.ndarray) else math.isfinite(d)):
+        raise NonFiniteValue("determinant overflows the float range")
+    return _positive(d)
 
 
-def _checked(m) -> tuple[np.ndarray, int, np.ndarray]:
-    """A finite square matrix stack with positive determinant, its n and det."""
+def _checked(m) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """A finite square matrix stack with finite positive determinant: (a, n, det, |J|^2).
+
+    At n = 2 and 3 det and |J|^2 are _kernel's (one matrix's floats come
+    back as np.float64); at n = 4 det is LAPACK's and |J|^2 is _sum_sq's.
+    """
     a = _as_matrix(m)
-    return a, a.shape[-1], _positive_det(a)
+    n = a.shape[-1]
+    if a.ndim == 2 and n < 4:  # floats never warn, and errstate costs more than the kernel
+        return a, n, *map(np.float64, _kernel(_entries(a), n)[1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing det is refused as such
+        if n < 4:
+            return a, n, *_kernel(_entries(a), n)[1:]
+        return a, n, _finite_positive(np.linalg.det(a)), np.float64(_sum_sq(_entries(a)))
 
 
-def _norm_sq(a: np.ndarray) -> np.ndarray:
-    return (a * a).sum(axis=(-2, -1))
+# The kernel of 2x2 and 3x3 matrices takes a matrix as its row-major
+# entries: Python floats for one matrix, arrays over nodes for a stack.
+# +, -, *, /, sqrt and the C pow round the same on both, and every sum has
+# a fixed order, so one source gives a stack row the bits of its single
+# call, whatever numpy's version or the stack's memory order.
+
+def _entries(a: np.ndarray) -> list:
+    """Row-major entries of one matrix as Python floats, or of a stack as arrays over its nodes."""
+    n = a.shape[-1]
+    return a.ravel().tolist() if a.ndim == 2 else [a[..., i, j] for i in range(n) for j in range(n)]
 
 
-def _expand_det(rows: list) -> np.ndarray:
-    """Determinant of a nested list of entries by first-row cofactor expansion."""
-    if len(rows) == 1:
-        return rows[0][0]
+def _cofactors(e: list, n: int) -> list:
+    """Row-major signed cofactors of a 2x2 or 3x3 matrix; a 3x3 minor is 0.0 + p * q - r * s."""
+    if n == 2:
+        a0, a1, b0, b1 = e
+        return [b1, -b0, -a1, a0]
+    a0, a1, a2, b0, b1, b2, c0, c1, c2 = e
+    return [(0.0 + b1 * c2) - b2 * c1, -((0.0 + b0 * c2) - b2 * c0), (0.0 + b0 * c1) - b1 * c0,
+            -((0.0 + a1 * c2) - a2 * c1), (0.0 + a0 * c2) - a2 * c0, -((0.0 + a0 * c1) - a1 * c0),
+            (0.0 + a1 * b2) - a2 * b1, -((0.0 + a0 * b2) - a2 * b0), (0.0 + a0 * b1) - a1 * b0]
+
+
+def _det(e: list, c: list, n: int):
+    """det as the first row of e against its cofactors c, summed from +0.0 left to right."""
+    d = 0.0
+    for j in range(n):
+        d = d + e[j] * c[j]
+    return d
+
+
+def _sum_sq(e: list):
+    """Sum of the squares of e from +0.0 left to right: |J|^2, or a row's squared norm."""
     total = 0.0
-    for j, entry in enumerate(rows[0]):
-        term = entry * _expand_det([r[:j] + r[j + 1:] for r in rows[1:]])
-        total = total - term if j % 2 else total + term
+    for x in e:
+        total = total + x * x
     return total
+
+
+def _pow(x, y):
+    """The C pow: ** on one float, np.float_power on an array (numpy's ** may differ)."""
+    return float(x) ** y if isinstance(x, float) else np.float_power(x, y)
+
+
+def _kernel(e: list, n: int) -> tuple:
+    """Cofactors, det and |J|^2 of finite entries e; det must be positive and finite."""
+    c = _cofactors(e, n)
+    return c, _finite_positive(_det(e, c, n)), _sum_sq(e)
+
+
+def _field(e: list, c: list, d, nsq, n: int) -> list:
+    """Entries of F = (J - |J|^2 J^{-T} / n) / det^(2/n), with J^{-T} = c / det."""
+    scale, root = nsq / n, _pow(d, 2.0 / n)
+    return [(x - scale * (k / d)) / root for x, k in zip(e, c)]
+
+
+def _matrix_det(a: np.ndarray):
+    """Unchecked det of a square matrix or stack of any n: _det at n = 2 and 3, else LAPACK's."""
+    n = a.shape[-1]
+    if n not in (2, 3):
+        return np.linalg.det(a)
+    e = _entries(a)
+    return _det(e, _cofactors(e, n), n)
 
 
 def _det_adj(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,10 +149,9 @@ def _det_adj(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a[i, j, ...] holds matrix entry (i, j) as an array over the trailing
     axes, so every product runs over contiguous node vectors instead of
     one small matrix at a time. Meant for batched grids and stacks with
-    n = 2..4; _sg_one writes the same expansion out on floats for one
-    2x2 or 3x3 matrix, and _adjugate4 takes each 2x2 minor of a 4x4 once.
-    adj[i, j, ...] is the adjugate, so
-    sum_j adj[i, j] a[j, k] = det * delta_ik.
+    n = 2..4: n = 2 and 3 take _cofactors and _det, and _adjugate4 takes
+    each 2x2 minor of a 4x4 once. det is not checked. adj[i, j, ...] is
+    the adjugate, so sum_j adj[i, j] a[j, k] = det * delta_ik.
     """
     n = a.shape[0]
     rows = [[a[i, j] for j in range(n)] for i in range(n)]
@@ -100,22 +159,19 @@ def _det_adj(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n == 4:
         _adjugate4(rows, adj)
     else:
-        for i in range(n):
-            for j in range(n):
-                minor = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
-                cof = _expand_det(minor)
-                adj[j, i] = -cof if (i + j) % 2 else cof
-    det = sum(rows[0][j] * adj[j, 0] for j in range(n))
-    return det, adj
+        for k, cof in enumerate(_cofactors([x for r in rows for x in r], n)):
+            adj[k % n, k // n] = cof
+    return _det(rows[0], adj[:, 0], n), adj
 
 
 def _adjugate4(rows: list, adj: np.ndarray) -> None:
-    """Fill adj with the adjugate of a 4x4 entry-first stack, as _expand_det expands it.
+    """Fill adj with the adjugate of a 4x4 entry-first stack, each cofactor expanded on its first row.
 
     Cofactor (i, j) expands its 3x3 minor on its first row over the 2x2
     minors of its last two rows, which are rows (2, 3), (1, 3) or (1, 2).
     Those 18 minors serve all 48 uses, each taken once by the same
-    operations on the same operands, so every bit matches the recursion.
+    operations on the same operands, so every bit matches the plain
+    first-row recursion.
     """
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     minor = {(p, q, c, d): (0.0 + rows[p][c] * rows[q][d]) - rows[p][d] * rows[q][c]
@@ -132,7 +188,8 @@ def _adjugate4(rows: list, adj: np.ndarray) -> None:
 
 def hs_norm(m) -> float | np.ndarray:
     """Hilbert-Schmidt norm, the square root of the sum of squared entries."""
-    return np.sqrt(_norm_sq(_as_matrix(m)))
+    a = _as_matrix(m)
+    return np.sqrt((a * a).sum(axis=(-2, -1)))
 
 
 def cofactor(m) -> np.ndarray:
@@ -141,30 +198,24 @@ def cofactor(m) -> np.ndarray:
     Defined for every matrix, singular ones included, and satisfies
     cofactor(M)^T M = det(M) I.
     """
-    return _cofactor(_as_matrix(m))
-
-
-def _cofactor(a: np.ndarray) -> np.ndarray:
-    """cofactor of a stack already read by _as_matrix."""
-    adj = _det_adj(np.moveaxis(a, (-2, -1), (0, 1)))[1]
+    adj = _det_adj(np.moveaxis(_as_matrix(m), (-2, -1), (0, 1)))[1]
     return np.moveaxis(adj, (0, 1), (-1, -2))
 
 
 def trace_dilation(j) -> float | np.ndarray:
     """Dilation coefficient |J| / (det J)^(1/n); always at least sqrt(n).
 
-    The root is the C library's pow (np.float_power), as a single
-    determinant's ** takes it, so each matrix of a stack gets the bits it
-    gets alone; numpy's array ** differs from it in the last bit on a few
-    percent of inputs.
+    |J|^2 and det are _checked's, and the root is the C library's pow
+    (_dilation), so each matrix of a stack gets the bits it gets alone,
+    and a flow-line sample's K is this K.
     """
-    a, n, d = _checked(j)
-    return np.sqrt(_norm_sq(a)) / np.float_power(d, 1.0 / n)
+    a, n, d, nsq = _checked(j)
+    return _dilation(nsq, d, n)
 
 
 def distortion_tensor(j) -> np.ndarray:
     """Normalized shape tensor J J^T / (det J)^(2/n), unit determinant, SPD."""
-    a, n, d = _checked(j)
+    a, n, d, _ = _checked(j)
     g = np.einsum("...ik,...jk->...ij", a, a)
     return g / d[..., None, None] ** (2.0 / n)
 
@@ -183,69 +234,31 @@ def _sg_field(j) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray]:
     """Field F = S(g) J^{-T} from one checked determinant, with |J|^2 and det J.
 
     F = (J - |J|^2 J^{-T} / n) / (det J)^(2/n), the identity factoring_residual
-    pins, with J^{-T} = cofactor / det over the checked det. One 2x2 or
-    3x3 matrix takes _sg_one's Python floats on its entries; a stack takes the cofactors
-    of _det_adj, the same expansion, so each row gets the bits it gets
-    alone. At n = 4, which has no float branch, J^{-T} is LAPACK's
-    inverse: the closed form costs more than the rest of the call. The
-    root takes np.float_power, as in trace_dilation.
+    pins: _field at n = 2 and 3 (one matrix's |J|^2 and det come back as
+    floats), and LAPACK's inverse for J^{-T} at n = 4.
     """
-    a = np.asarray(j, dtype=float)
-    if a.shape == (2, 2) or a.shape == (3, 3):
-        field, nsq, d = _sg_one(a.ravel().tolist(), a)
-        return np.array(field).reshape(a.shape), nsq, d
-    a, n, d = _checked(a)
-    nsq = _norm_sq(a)
-    if n < 4:
-        inv_t = _cofactor(a) / d[..., None, None]
-    else:
+    a = _as_matrix(j)
+    n = a.shape[-1]
+    if n == 4:
+        a, n, d, nsq = _checked(a)
         inv_t = np.linalg.inv(a).swapaxes(-1, -2)
-    field = (a - (nsq / n)[..., None, None] * inv_t) / np.float_power(d, 2.0 / n)[..., None, None]
-    return field, nsq, d
+        field = (a - (nsq / n)[..., None, None] * inv_t) / np.float_power(d, 2.0 / n)[..., None, None]
+        return field, nsq, d
+    e = _entries(a)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _checked
+        c, d, nsq = _kernel(e, n)
+        field = _field(e, c, d, nsq, n)
+    # C order, as callers' einsum sums read the field in memory order
+    return np.ascontiguousarray(np.moveaxis(np.array(field), 0, -1)).reshape(a.shape), nsq, d
 
 
-def _sg_one(flat: list, a: np.ndarray | None = None) -> tuple[list, float, float]:
-    """_sg_field of one 2x2 or 3x3 matrix, from its row-major entries, on Python floats.
-
-    Returns the field's row-major entries, |J|^2 and det J. a is the
-    matrix as an array when the caller holds one; without it the entries
-    are put into a C-ordered matrix for the det. The entries are checked
-    with math.isfinite and the sign of LAPACK's det of a with _positive,
-    in _checked's order and with its errors. |J|^2 adds the squares in
-    numpy's reading order of a (memory order, ravel "K") and in its
-    pairwise grouping: one after the other for four, the first eight
-    pairwise and then the ninth for nine. The cofactors follow
-    _expand_det's order, 0.0 plus the first product less the second, so
-    F, |J|^2 and det carry the bits of the array branch's stack rows.
-    """
+def _sg_one(flat: list) -> tuple[list, float, float]:
+    """F's entries, |J|^2 and det of one 2x2 or 3x3 matrix's entries, checked as _checked checks."""
     if not all(map(math.isfinite, flat)):
         raise NonFiniteValue("matrix entries must be finite")
     n = 2 if len(flat) == 4 else 3
-    if a is None:
-        a, e = np.array(flat).reshape(n, n), flat
-    else:
-        e = flat if a.flags.c_contiguous else a.ravel("K").tolist()
-    d = float(_positive_det(a))
-    # every sum, square and entry is written out: a comprehension costs a
-    # call of its own on each of them
-    if n == 2:
-        nsq = e[0] * e[0] + e[1] * e[1] + e[2] * e[2] + e[3] * e[3]
-        scale, root = nsq / 2, d ** (2.0 / 2)  # ** on floats is the C pow np.float_power takes
-        a0, a1, b0, b1 = flat
-        return [(a0 - scale * (b1 / d)) / root, (a1 - scale * (-b0 / d)) / root,
-                (b0 - scale * (-a1 / d)) / root, (b1 - scale * (a0 / d)) / root], nsq, d
-    nsq = (((e[0] * e[0] + e[1] * e[1]) + (e[2] * e[2] + e[3] * e[3]))
-           + ((e[4] * e[4] + e[5] * e[5]) + (e[6] * e[6] + e[7] * e[7]))) + e[8] * e[8]
-    scale, root = nsq / 3, d ** (2.0 / 3)
-    a0, a1, a2, b0, b1, b2, c0, c1, c2 = flat
-    k0, k1, k2 = (0.0 + b1 * c2) - b2 * c1, -((0.0 + b0 * c2) - b2 * c0), (0.0 + b0 * c1) - b1 * c0
-    k3, k4, k5 = -((0.0 + a1 * c2) - a2 * c1), (0.0 + a0 * c2) - a2 * c0, -((0.0 + a0 * c1) - a1 * c0)
-    k6, k7, k8 = (0.0 + a1 * b2) - a2 * b1, -((0.0 + a0 * b2) - a2 * b0), (0.0 + a0 * b1) - a1 * b0
-    return [(a0 - scale * (k0 / d)) / root, (a1 - scale * (k1 / d)) / root,
-            (a2 - scale * (k2 / d)) / root, (b0 - scale * (k3 / d)) / root,
-            (b1 - scale * (k4 / d)) / root, (b2 - scale * (k5 / d)) / root,
-            (c0 - scale * (k6 / d)) / root, (c1 - scale * (k7 / d)) / root,
-            (c2 - scale * (k8 / d)) / root], nsq, d
+    c, d, nsq = _kernel(flat, n)
+    return _field(flat, c, d, nsq, n), nsq, d
 
 
 def _dilation_field(j) -> tuple[float | np.ndarray, np.ndarray]:
@@ -258,10 +271,9 @@ def _dilation_field(j) -> tuple[float | np.ndarray, np.ndarray]:
 
 
 def _dilation(nsq, d, n: int) -> float | np.ndarray:
-    """K = |J| / (det J)^(1/n) from _sg_field's |J|^2 and det, with trace_dilation's bits."""
-    if isinstance(nsq, float):  # one matrix: math.sqrt and the C pow of ** give np's bits
-        return np.float64(math.sqrt(nsq) / d ** (1.0 / n))
-    return np.sqrt(nsq) / np.float_power(d, 1.0 / n)
+    """K = |J| / (det J)^(1/n) from |J|^2 and det, with the C pow on floats and arrays alike."""
+    root = _pow(d, 1.0 / n)  # one matrix's math.sqrt rounds as np.sqrt
+    return np.float64(math.sqrt(nsq) / root) if isinstance(nsq, float) else np.sqrt(nsq) / root
 
 
 def factoring_residual(j) -> float | np.ndarray:
@@ -272,9 +284,9 @@ def factoring_residual(j) -> float | np.ndarray:
     which vanishes identically; values above round-off indicate a bug in
     the caller's Jacobian, not a non-conformal map.
     """
-    a, n, _ = _checked(j)
+    a, n, _, nsq = _checked(j)
     inv_t = np.swapaxes(np.linalg.inv(a), -1, -2)
-    nsq = _norm_sq(a)[..., None, None]
+    nsq = nsq[..., None, None]
     ksq = np.float_power(trace_dilation(a), 2)  # pow, as a single K's ** takes it
     sg = ahlfors(distortion_tensor(a))
     resid = inv_t - n * a / nsq + (n / ksq)[..., None, None] * (sg @ inv_t)

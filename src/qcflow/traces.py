@@ -120,7 +120,7 @@ def _adapted(mapping: SmoothMap, surface, x) -> tuple:
     """Checked Jacobian, its determinant, tangential block and adapted frame at x."""
     x = np.asarray(x, dtype=float)
     nu = surface.normal_at(x)
-    j, _, det_j = _checked(mapping.jacobian(x))
+    j, _, det_j, _ = _checked(mapping.jacobian(x))
     return (j, float(det_j)) + _frame(j, x, nu)
 
 
@@ -202,10 +202,10 @@ def critical_equality_check(j, normal) -> CriticalEqualityRecord:
     (n-1) n^{-n/(n-1)} K^{2n/(n-1)} equals the squared tangential
     dilation on the hyperplane orthogonal to the normal.
     """
-    j, n, det_j = _checked(j)
+    j, n, det_j, norm_sq = _checked(j)
     nu = np.asarray(normal, dtype=float)
     nu = nu / np.linalg.norm(nu)
-    norm_sq = float(np.sum(j * j))
+    norm_sq = float(norm_sq)
     lam = norm_sq / n
     eig_resid = np.linalg.norm(j.T @ (j @ nu) - lam * nu)
     if eig_resid > _EIGEN_TOL * lam:

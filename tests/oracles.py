@@ -20,7 +20,7 @@ from qcflow.flowlines import (DEGENERACY_TOL, FlowTrajectory, _pick_row, _row_no
 from qcflow.gradientflow import ENERGY_TOL_SCALE, FlowRunStats, GridField
 from qcflow.maps import SmoothMap, _chain
 from qcflow.operators import Jet2Sample, _contracted_operator, flux_linearization, linfty_factored
-from qcflow.tensor import _det_adj, _dilation_field, _expand_det, _positive
+from qcflow.tensor import _det_adj, _dilation_field, _positive
 
 
 def fd_map(value_fn: Callable[[np.ndarray], np.ndarray], n: int, h: float) -> SmoothMap:
@@ -79,7 +79,8 @@ def trace_flowline_arrays(mapping, x0, ds: float, max_len: float, domain=None) -
 
     Each sample reads J through mapping.jacobian and takes K and the
     field from tensor._dilation_field, each RK4 stage the field from
-    flow_field; the RK4 combinations are array expressions. Takes valid
+    flow_field; the RK4 combinations are array expressions, and the row
+    norms are flowlines._row_norms of the field's entries. Takes valid
     arguments only: the start point, step and cap are not checked.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -105,11 +106,11 @@ def trace_flowline_arrays(mapping, x0, ds: float, max_len: float, domain=None) -
     s, row, sign = 0.0, None, 1.0
     while True:
         k_val, field = _dilation_field(mapping.jacobian(x))
-        norms, total = _row_norms(field)
+        norms, total = _row_norms(field.ravel().tolist(), field.shape[1])
         if total <= DEGENERACY_TOL * (1.0 + k_val**2):
             if row is None:
-                row = int(norms.argmax()) + 1
-            samples.append((s, x, k_val, row, float(norms[row - 1]), sign))
+                row = int(np.argmax(norms)) + 1
+            samples.append((s, x, k_val, row, norms[row - 1], sign))
             return finish("degenerate")
 
         new_row = _pick_row(norms, row)
@@ -117,7 +118,7 @@ def trace_flowline_arrays(mapping, x0, ds: float, max_len: float, domain=None) -
             sign = 1.0 if float(np.dot(field[new_row - 1], velocity)) >= 0.0 else -1.0
         row = new_row
         velocity = sign * field[row - 1]
-        samples.append((s, x, k_val, row, float(norms[row - 1]), sign))
+        samples.append((s, x, k_val, row, norms[row - 1], sign))
         if not s < max_len - 1e-14:
             return finish("maxLength")
 
@@ -142,7 +143,7 @@ def trace_flowline_arrays(mapping, x0, ds: float, max_len: float, domain=None) -
             x_hit = x + lo * (x_new - x)
             k_val, field = _dilation_field(mapping.jacobian(x_hit))
             samples.append((s + lo * step, x_hit, k_val, row,
-                            float(np.linalg.norm(field[row - 1])), sign))
+                            _row_norms(field.ravel().tolist(), field.shape[1])[0][row - 1], sign))
             return finish("boundary")
         s += step
         x = x_new
@@ -203,11 +204,23 @@ def _gradient_jacobian(values: np.ndarray, h: float) -> np.ndarray:
                      for a in range(v.shape[0])], axis=1)
 
 
+def _expand_det(rows: list) -> np.ndarray:
+    """Determinant of a nested list of entries by first-row cofactor expansion."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = 0.0
+    for j, entry in enumerate(rows[0]):
+        term = entry * _expand_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        total = total - term if j % 2 else total + term
+    return total
+
+
 def _expansion_det_adj(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """det and adjugate of an entry-first stack, every cofactor expanded anew on its first row.
 
-    The plain form of tensor._det_adj at every n, whose 4x4 branch takes
-    each shared 2x2 minor once instead.
+    The plain form of tensor._det_adj at every n, whose 2x2 and 3x3
+    cofactors are written out and whose 4x4 branch takes each shared 2x2
+    minor once instead.
     """
     n = a.shape[0]
     rows = [[a[i, j] for j in range(n)] for i in range(n)]

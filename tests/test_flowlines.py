@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import count_determinants
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -278,7 +279,7 @@ class TestTraceFlowline:
         def scripted(mapping, y):
             calls.append(1)
             # |J|^2 = 2 and det J = 1 give K = sqrt(2)
-            return fields[min((len(calls) - 1) // 4, 2)].ravel().tolist(), 2.0, 1.0, None
+            return fields[min((len(calls) - 1) // 4, 2)].ravel().tolist(), 2.0, 1.0
 
         monkeypatch.setattr("qcflow.flowlines._sample_field", scripted)
         traj = trace_flowline(identity_map(2), [0.1, 0.0], ds=1e-2, max_len=1.0)
@@ -289,39 +290,26 @@ class TestTraceFlowline:
 
     def test_one_determinant_per_sample(self, monkeypatch):
         # the start sample, the accepted point and the three later RK4
-        # stages each take one determinant, for K and the field together
-        calls = []
-        det = np.linalg.det
-
-        def counted(a):
-            calls.append(1)
-            return det(a)
-
-        monkeypatch.setattr(np.linalg, "det", counted)
+        # stages each take one determinant, the kernel's, for K and the
+        # field together, and none of them LAPACK's
+        calls = count_determinants(monkeypatch)
         m = affine_map([[1.3, 0.2], [-0.1, 0.8]])
         traj = trace_flowline(m, [0.1, 0.05], ds=1e-2, max_len=0.2)
         steps = len(traj) - 1
         assert traj.terminated == "maxLength" and steps == 20
-        assert len(calls) == 1 + 4 * steps
+        assert calls == [2] * (1 + 4 * steps)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_composition_checks_only_its_affine_factor(self, monkeypatch, n):
-        # per sample one determinant for K and the field, and one for the
-        # affine middle factor's constant J at the composite's first sample;
-        # the conformal words are not sign-checked
-        calls = []
-        det = np.linalg.det
-
-        def counted(a):
-            calls.append(1)
-            return det(a)
-
+        # per sample one kernel determinant for K and the field, and one
+        # for the affine middle factor's constant J at the composite's first
+        # sample; the conformal words are not sign-checked
         m = teichmuller_example(n)
-        monkeypatch.setattr(np.linalg, "det", counted)
+        calls = count_determinants(monkeypatch)
         traj = trace_flowline(m, [0.1, 0.05, -0.05][:n], ds=1e-3, max_len=0.02)
         steps = len(traj) - 1
         assert traj.terminated == "maxLength" and steps == 20
-        assert len(calls) == (1 + 4 * steps) + 1
+        assert calls == [n] * ((1 + 4 * steps) + 1)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_folded_composition_traces_like_the_chain_oracle(self, n):
@@ -495,6 +483,21 @@ class TestArrayWalkOracle:
         speed = float(np.max(np.linalg.norm(flow_field(m, x0), axis=1)))
         exc = _assert_walks_alike(m, x0, 0.04 / speed, 1.0)
         assert isinstance(exc, StepFailure)
+
+
+class TestWalkReadsTheKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_walks())
+    def test_sample_k_is_trace_dilation_bitwise(self, case):
+        # a sample's K comes from the field's |J|^2 and det: the same
+        # kernel, on the same entries, as trace_dilation of the accessor's J
+        m, x0, ds, max_len, domain = case
+        try:
+            traj = trace_flowline(m, x0, ds=ds, max_len=max_len, domain=domain)
+        except (QcflowError, ValueError):
+            return
+        for x, k in zip(traj.x, traj.K):
+            assert k.tobytes() == trace_dilation(m.jacobian(x)).tobytes()
 
 
 class TestCsvOutput:

@@ -25,7 +25,7 @@ from qcflow import (
     trace_dilation,
 )
 from qcflow.maps import affine_map, compose, moebius, radial_stretch
-from qcflow.tensor import _det_adj, _dilation_field
+from qcflow.tensor import _checked, _det_adj, _dilation, _dilation_field, _matrix_det, _sg_one
 from qcflow.traces import critical_equality_check
 from qcflow.verify import random_moebius
 
@@ -40,14 +40,18 @@ def random_spd_jacobians(rng, n, count, scale=0.4):
 
 
 def _signed_zeros(rng, n):
-    """random_posdet with exact +0.0 and -0.0 in about a third of its entries."""
+    """random_posdet with exact +0.0 and -0.0 in about a third of its entries.
+
+    Zeros can make the matrix singular, where LAPACK's det may still come
+    out positive by round-off; the expansion's det must be positive too.
+    """
     while True:
         q = random_posdet(rng, n, scale=0.6)
         q[rng.random((n, n)) < 0.35] = 0.0
         q *= np.where(rng.random((n, n)) < 0.5, -1.0, 1.0)
         if np.linalg.det(q) < 0.0:
             q[0] = -q[0]
-        if np.linalg.det(q) > 0.0:
+        if np.linalg.det(q) > 0.0 and _det_adj(q)[0] > 0.0:
             return q
 
 
@@ -176,6 +180,69 @@ class TestDetAdj:
         det, adj = _det_adj(np.diag([2.0, 5.0]))
         assert det == 10.0
         np.testing.assert_array_equal(adj, np.diag([5.0, 2.0]))
+
+
+class TestKernel:
+    """One source for one 2x2 or 3x3 matrix on Python floats and for a stack on node arrays."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
+           count=st.integers(1, 9), form=st.sampled_from(sorted(STACK_FORMS)))
+    def test_stack_rows_match_single_calls_bitwise(self, seed, n, count, form):
+        # every sum has its own fixed order, so neither the numpy version
+        # nor a transposed view's memory order reaches the bits
+        mats = np.asarray(STACK_FORMS[form](np.random.default_rng(seed), n, count), dtype=float)
+        det, nsq = _checked(mats)[2:]
+        k, field = _dilation_field(mats)
+        for i, j in enumerate(mats):
+            f1, nsq1, det1 = _sg_one(j.ravel().tolist())
+            assert det[i].tobytes() == _checked(j)[2].tobytes() == np.float64(det1).tobytes()
+            assert nsq[i].tobytes() == _checked(j)[3].tobytes() == np.float64(nsq1).tobytes()
+            assert field[i].tobytes() == np.array(f1).reshape(n, n).tobytes()
+            assert k[i].tobytes() == trace_dilation(j).tobytes() == _dilation(nsq1, det1, n).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]), decades=st.floats(0.0, 8.0))
+    def test_det_within_a_condition_scaled_bound_of_lapack(self, seed, n, decades):
+        # singular values spread over up to 8 decades. The expansion errs
+        # by a few eps times the sum of its terms' magnitudes, which
+        # Hadamard's inequality holds under cond^(n-1) |det|; LAPACK errs by
+        # a few eps times cond |det|
+        rng = np.random.default_rng(seed)
+        q1, q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        a = q1 @ np.diag(10.0 ** -rng.uniform(0.0, decades, n)) @ q2
+        want = np.linalg.det(a)
+        bound = 16 * n * n * np.finfo(float).eps * np.linalg.cond(a) ** (n - 1) * abs(want)
+        assert abs(_matrix_det(a) - want) <= bound
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("fault, error, message", [
+        ("nan", NonFiniteValue, "matrix entries must be finite"),
+        ("fold", NonPositiveDeterminant, "determinant must be positive (min -2.000000e+00)"),
+        ("singular", NonPositiveDeterminant, "determinant must be positive (min 0.000000e+00)"),
+        ("inf_det", NonFiniteValue, "determinant overflows the float range"),
+        ("nan_det", NonFiniteValue, "determinant overflows the float range"),
+    ])
+    def test_both_arms_raise_alike(self, n, fault, error, message):
+        # nan_det: every product of the all-1e200 matrix overflows, and
+        # inf - inf is NaN; under the RuntimeWarning filter neither arm warns
+        j = {"nan": np.where(np.eye(n) > 0, 1.0, np.nan), "fold": np.diag([-2.0] + [1.0] * (n - 1)),
+             "singular": np.diag([0.0] + [1.0] * (n - 1)), "inf_det": np.diag([1e200, 2e200, 3e200][:n]),
+             "nan_det": np.full((n, n), 1e200)}[fault]
+        stack = np.stack([np.eye(n), j])
+        for call in (lambda: _sg_one(j.ravel().tolist()), lambda: _checked(j), lambda: _checked(stack),
+                     lambda: _dilation_field(j), lambda: _dilation_field(stack)):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                call()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_overflowing_determinant_is_named(self, n):
+        # finite entries whose det overflows: not a bare RuntimeWarning, and
+        # not "matrix entries must be finite"
+        j = np.diag([1e200, 2e200, 3e200, 4e200][:n])
+        for m in (j, np.stack([np.eye(n), j])):
+            with pytest.raises(NonFiniteValue, match="^determinant overflows the float range$"):
+                analyze(m)
 
 
 class TestDilationField:
