@@ -14,8 +14,8 @@ array over nodes for a stack, so a stack row has the bits of its single
 call by construction, and a flow line's sample or RK4 stage hands its J
 over as a list (_sg_one). Every Jacobian kernel here and in operators
 and traces enters through _checked, which returns (a, n, det, |J|^2)
-for a finite square matrix with finite positive determinant; n = 4
-takes LAPACK's det and inverse. factoring_residual and
+for a finite square matrix with finite positive determinant and finite
+|J|^2; n = 4 takes LAPACK's det and inverse. factoring_residual and
 operators.linfty_flowform keep the S(g) route and are the field's oracles.
 """
 
@@ -55,15 +55,20 @@ def _positive(d):
     return d
 
 
+def _finite(x, what: str):
+    """x, a float or an array, unless some value overflowed to inf or NaN: NonFiniteValue."""
+    if not (np.isfinite(x).all() if isinstance(x, np.ndarray) else math.isfinite(x)):
+        raise NonFiniteValue(f"{what} overflows the float range")
+    return x
+
+
 def _finite_positive(d):
     """_positive for the det of finite entries; one that overflowed to inf or NaN is NonFiniteValue."""
-    if not (np.isfinite(d).all() if isinstance(d, np.ndarray) else math.isfinite(d)):
-        raise NonFiniteValue("determinant overflows the float range")
-    return _positive(d)
+    return _positive(_finite(d, "determinant"))
 
 
 def _checked(m) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
-    """A finite square matrix stack with finite positive determinant: (a, n, det, |J|^2).
+    """A finite square matrix stack with finite positive det and finite |J|^2: (a, n, det, |J|^2).
 
     At n = 2 and 3 det and |J|^2 are _kernel's (one matrix's floats come
     back as np.float64); at n = 4 det is LAPACK's and |J|^2 is _sum_sq's.
@@ -72,10 +77,11 @@ def _checked(m) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     n = a.shape[-1]
     if a.ndim == 2 and n < 4:  # floats never warn, and errstate costs more than the kernel
         return a, n, *map(np.float64, _kernel(_entries(a), n)[1:])
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing det is refused as such
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as such
         if n < 4:
             return a, n, *_kernel(_entries(a), n)[1:]
-        return a, n, _finite_positive(np.linalg.det(a)), np.float64(_sum_sq(_entries(a)))
+        d = _finite_positive(np.linalg.det(a))
+        return a, n, d, np.float64(_finite(_sum_sq(_entries(a)), "|J|^2"))
 
 
 # The kernel of 2x2 and 3x3 matrices takes a matrix as its row-major
@@ -123,9 +129,9 @@ def _pow(x, y):
 
 
 def _kernel(e: list, n: int) -> tuple:
-    """Cofactors, det and |J|^2 of finite entries e; det must be positive and finite."""
+    """Cofactors, det and |J|^2 of finite entries e; det must be positive and finite, and |J|^2 finite."""
     c = _cofactors(e, n)
-    return c, _finite_positive(_det(e, c, n)), _sum_sq(e)
+    return c, _finite_positive(_det(e, c, n)), _finite(_sum_sq(e), "|J|^2")
 
 
 def _field(e: list, c: list, d, nsq, n: int) -> list:
@@ -245,6 +251,9 @@ def _sg_field(j) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray]:
         field = (a - (nsq / n)[..., None, None] * inv_t) / np.float_power(d, 2.0 / n)[..., None, None]
         return field, nsq, d
     e = _entries(a)
+    if a.ndim == 2:  # floats never warn, as in _checked
+        c, d, nsq = _kernel(e, n)
+        return np.array(_field(e, c, d, nsq, n)).reshape(a.shape), nsq, d
     with np.errstate(over="ignore", invalid="ignore"):  # as in _checked
         c, d, nsq = _kernel(e, n)
         field = _field(e, c, d, nsq, n)

@@ -4,9 +4,11 @@ Every suite is a fixed ordered list of named cases. A case draws its
 randomness from a generator seeded with (seed, case index), so the
 emitted report is byte-identical across repeat runs and across worker
 counts. Wall time is kept out of the report unless explicitly requested,
-for the same reason. A case makes its draws one at a time, in a fixed
-order, and checks them in one call on the stack, whose every row is
-bit-equal to the call on that draw alone.
+for the same reason. A case's random matrices and jets are read from one
+block of normals (_read_draws), which is the stream, redraws and skips
+included, of drawing them one at a time, and leaves the generator where
+that would. The case then checks its draws in one call on the stack,
+whose every row is bit-equal to the call on that draw alone.
 """
 
 from __future__ import annotations
@@ -54,34 +56,73 @@ def _wedge_point(rng: np.random.Generator, alpha: float, sector: int) -> np.ndar
     return np.array([r * np.cos(theta), r * np.sin(theta), float(rng.uniform(-1.0, 1.0))])
 
 
-def _draw_jet(n: int, rng: np.random.Generator, scale: float = 0.3,
-              min_det: float = 0.05) -> tuple:
-    """random_jet's draws as raw arrays (J, H, x, u), in its rng order."""
-    while True:
-        j = np.eye(n) + scale * rng.standard_normal((n, n))
-        if np.linalg.det(j) > min_det:
-            break
-    h = scale * rng.standard_normal((n, n, n))
-    h = 0.5 * (h + np.swapaxes(h, 1, 2))
-    return j, h, rng.standard_normal(n), rng.standard_normal(n)
+def _read_draws(rng: np.random.Generator, n: int, count: int, tail: int, scale: float,
+                min_det: float, skip: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """count draws of a candidate J = I + scale Z, each followed by tail normals once kept.
+
+    Z is n^2 standard normals, and a candidate is kept when LAPACK's det
+    of J is above min_det. A rejected candidate is redrawn, or with skip
+    dropped, so that count counts the draws kept, or with skip the
+    candidates tried; only a kept candidate is followed by its tail.
+    Returns the kept J, shape (kept, n, n), and their tails, (kept, tail).
+
+    The values, and the generator's state after them, are those of making
+    the draws one rng call at a time: standard_normal(k) gives the values
+    of any split of those k normals. One block sized as if nothing were
+    rejected is read, topped up if redraws run it short, and every
+    candidate's det taken at once, once more past each rejection; the
+    generator is then rewound and advanced by the normals used.
+    """
+    size, stride = n * n, n * n + tail
+    state = rng.bit_generator.state
+    block = rng.standard_normal(count * stride)
+    js, tails = [], []
+    at, left = 0, count
+    while left:
+        end = at + left * stride
+        if end > block.size:
+            block = np.concatenate((block, rng.standard_normal(end - block.size)))
+        rows = block[at:end].reshape(left, stride)
+        j = np.eye(n) + scale * rows[:, :size].reshape(left, n, n)
+        ok = np.linalg.det(j) > min_det
+        kept = left if ok.all() else int(np.argmin(ok))  # the first rejection
+        js.append(j[:kept])
+        tails.append(rows[:kept, size:])
+        at, left = at + kept * stride, left - kept
+        if left:  # the rejected candidate spent its n^2 normals
+            at += size
+            left -= skip
+    if at < block.size:
+        rng.bit_generator.state = state
+        rng.standard_normal(at)
+    return np.concatenate(js), np.concatenate(tails)
 
 
-def _stack(draws) -> tuple:
-    """Stack a sequence of equal-shaped draw tuples into one array per slot."""
-    return tuple(np.array(slot) for slot in zip(*draws))
+def _jet_draws(n: int, rng: np.random.Generator, count: int, scale: float = 0.3,
+               min_det: float = 0.05, extra: int = 0) -> tuple:
+    """count of random_jet's draws as stacks (J, H, x, u, more), in its rng order.
+
+    Each draw is J (redrawn until its det is above min_det), H, x and u,
+    then extra more normals, returned in more, shape (count, extra).
+    """
+    j, rest = _read_draws(rng, n, count, n**3 + 2 * n + extra, scale, min_det)
+    h = scale * rest[:, :n**3].reshape(count, n, n, n)
+    h = 0.5 * (h + np.swapaxes(h, -1, -2))
+    x, u, more = np.split(rest[:, n**3:], [n, 2 * n], axis=1)
+    return j, h, x, u, more
 
 
 def random_jet(n: int, rng: np.random.Generator, scale: float = 0.3,
                min_det: float = 0.05) -> operators.Jet2Sample:
     """Random second-order jet with a safely positive determinant."""
-    j, h, x, u = _draw_jet(n, rng, scale, min_det)
-    return operators.Jet2Sample(x=x, u=u, J=j, H=h)
+    j, h, x, u, _ = _jet_draws(n, rng, 1, scale, min_det)
+    return operators.Jet2Sample(x=x[0], u=u[0], J=j[0], H=h[0])
 
 
 def _random_jets(n: int, rng: np.random.Generator, count: int, scale: float = 0.3,
                  min_det: float = 0.05) -> operators.Jet2Sample:
     """count random_jet draws, in its rng order, validated as one stacked Jet2Sample."""
-    j, h, x, u = _stack(_draw_jet(n, rng, scale, min_det) for _ in range(count))
+    j, h, x, u, _ = _jet_draws(n, rng, count, scale, min_det)
     return operators.Jet2Sample(x=x, u=u, J=j, H=h)
 
 
@@ -282,10 +323,8 @@ def _case_asymptotic_rate(rng, p_lo: float, p_hi: float):
 def _case_lh_no_violations(rng):
     bad = 0
     for n, p in ((2, 2.0), (2, 5.0), (3, 1.0), (3, 2.0), (3, 5.0)):
-        # per draw: a whole jet, then xi, then eta
-        q, xi, eta = _stack((_draw_jet(n, rng)[0], rng.standard_normal(n), rng.standard_normal(n))
-                            for _ in range(200))
-        w = operators.lh_witness(q, xi, eta, p)
+        q, _, _, _, dirs = _jet_draws(n, rng, 200, extra=2 * n)  # per draw: a jet, xi, eta
+        w = operators.lh_witness(q, dirs[:, :n], dirs[:, n:], p)
         slack = 1e-10 * (np.abs(w.lower) + np.abs(w.upper))
         bad += int(np.count_nonzero((w.quadForm < w.lower - slack) | (w.quadForm > w.upper + slack)))
     return float(bad), 0.0
@@ -510,41 +549,37 @@ def _case_degenerate_start(rng):
 # ---------------------------------------------------------------------------
 # traces suite
 
-def _unit_sphere_records(rng):
+def _unit_sphere_records(rng) -> traces.TraceInequalityRecord:
     """Trace-inequality records of 200 near-identity linear maps, each at a random
-    point of the unit sphere in R^3; a map with det <= 0.05 is skipped."""
-    sphere = traces.Sphere(center=np.zeros(3), radius=1.0)
-    for _ in range(200):
-        a = np.eye(3) + 0.4 * rng.standard_normal((3, 3))
-        if np.linalg.det(a) <= 0.05:
-            continue
-        x = rng.standard_normal(3)
-        x /= np.linalg.norm(x)
-        yield traces.trace_inequality_check(maps.affine_map(a), sphere, x)
+    point of the unit sphere in R^3, as one record of stacks; a map with
+    det <= 0.05 is skipped, and a run that skips them all is refused."""
+    j, x = _read_draws(rng, 3, 200, 3, 0.4, 0.05, skip=True)
+    if not len(j):
+        raise ValueError("every candidate map was skipped; nothing was checked")
+    x = x / np.sqrt(np.vecdot(x, x))[:, None]  # as np.linalg.norm of one point takes it
+    return traces._inequality_records(j, traces.Sphere(center=np.zeros(3), radius=1.0), x)
 
 
 def _case_block_identities(rng):
-    worst = 0.0
-    for rec in _unit_sphere_records(rng):
-        worst = max(worst, float(rec.block_norm_residual), float(rec.block_det_residual))
-    return worst, 0.0
+    rec = _unit_sphere_records(rng)
+    return float(max(np.max(rec.block_norm_residual), np.max(rec.block_det_residual))), 0.0
 
 
 def _case_oneway_slack(rng):
-    low = min((float(rec.slack) for rec in _unit_sphere_records(rng)), default=np.inf)
-    return max(0.0, -low), 0.0
+    return max(0.0, -float(np.min(_unit_sphere_records(rng).slack))), 0.0
 
 
 def _case_critical_equality(rng):
-    worst = 0.0
+    draws = []
     for _ in range(50):
         normal = rng.standard_normal(3)
         normal /= np.linalg.norm(normal)
         stretches = np.exp(rng.uniform(-0.5, 0.5, size=2))
-        j = traces.eigen_aligned_linear(normal, stretches, seed=int(rng.integers(2**32)))
-        rec = traces.critical_equality_check(j, normal)
-        worst = max(worst, abs(rec.lhs - rec.rhs) / (abs(rec.rhs) + 1e-30))
-    return worst, 0.0
+        draws.append((traces.eigen_aligned_linear(normal, stretches, seed=int(rng.integers(2**32))),
+                      normal))
+    j, normal = (np.array(slot) for slot in zip(*draws))
+    rec = traces.critical_equality_check(j, normal)
+    return float(np.max(np.abs(rec.lhs - rec.rhs) / (np.abs(rec.rhs) + 1e-30))), 0.0
 
 
 def _case_critical_hand_value(rng):

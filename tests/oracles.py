@@ -1,10 +1,11 @@
 """Test-only oracles: finite-difference jets, a plain chain fold, a flow-line walk on numpy
 arrays, a path-integral drift check, the derivative form of the pathwise dilation identity,
-a plain cofactor expansion and a recompute-everything grid flow.
+verify's random draws one at a time, a plain cofactor expansion and a recompute-everything
+grid flow.
 
 None is part of the package; the tests check the exact jets, the folded
 composites, trace_flowline, the differential-drift identity, the pathwise
-identity, tensor._det_adj and run_flow against them.
+identity, verify's block reader, tensor._det_adj and run_flow against them.
 """
 
 from __future__ import annotations
@@ -191,6 +192,40 @@ def pathwise_derivative_pairs(mapping, traj) -> list:
     kval = traj.K[keep]
     dk_formula = sign[keep] * np.float_power(kval, 3) / (n**2 * np.float_power(nsq, 2)) * lim
     return list(zip(dk_fd.tolist(), dk_formula.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# verify's random draws, one rng call at a time
+
+
+def jet_draws_one_at_a_time(n: int, rng: np.random.Generator, count: int, scale: float,
+                            min_det: float, extra: int = 0) -> tuple:
+    """verify._jet_draws as a loop: per draw, J = I + scale Z redrawn until LAPACK's det
+    is above min_det, then H, x, u and extra normals, each its own rng call."""
+    draws = []
+    for _ in range(count):
+        while True:
+            j = np.eye(n) + scale * rng.standard_normal((n, n))
+            if np.linalg.det(j) > min_det:
+                break
+        h = scale * rng.standard_normal((n, n, n))
+        h = 0.5 * (h + np.swapaxes(h, 1, 2))
+        draws.append((j, h, rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(extra)))
+    return tuple(np.array(slot) for slot in zip(*draws))
+
+
+def skipped_draws_one_at_a_time(n: int, rng: np.random.Generator, tries: int, tail: int,
+                                scale: float, min_det: float) -> tuple:
+    """verify._read_draws with skip as a loop: tries candidates J = I + scale Z; one whose
+    det is not above min_det is dropped, and a kept one is followed by tail normals."""
+    js, tails = [np.empty((0, n, n))], [np.empty((0, tail))]
+    for _ in range(tries):
+        j = np.eye(n) + scale * rng.standard_normal((n, n))
+        if np.linalg.det(j) <= min_det:
+            continue
+        js.append(j[None])
+        tails.append(rng.standard_normal(tail)[None])
+    return np.concatenate(js), np.concatenate(tails)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from qcflow import (
     trace_dilation,
 )
 from qcflow.maps import affine_map, compose, moebius, radial_stretch
-from qcflow.tensor import _checked, _det_adj, _dilation, _dilation_field, _matrix_det, _sg_one
+from qcflow.tensor import (_checked, _det_adj, _dilation, _dilation_field, _matrix_det, _sg_field,
+                           _sg_one)
 from qcflow.traces import critical_equality_check
 from qcflow.verify import random_moebius
 
@@ -222,18 +223,28 @@ class TestKernel:
         ("singular", NonPositiveDeterminant, "determinant must be positive (min 0.000000e+00)"),
         ("inf_det", NonFiniteValue, "determinant overflows the float range"),
         ("nan_det", NonFiniteValue, "determinant overflows the float range"),
+        ("inf_norm", NonFiniteValue, "|J|^2 overflows the float range"),
     ])
     def test_both_arms_raise_alike(self, n, fault, error, message):
         # nan_det: every product of the all-1e200 matrix overflows, and
         # inf - inf is NaN; under the RuntimeWarning filter neither arm warns
         j = {"nan": np.where(np.eye(n) > 0, 1.0, np.nan), "fold": np.diag([-2.0] + [1.0] * (n - 1)),
              "singular": np.diag([0.0] + [1.0] * (n - 1)), "inf_det": np.diag([1e200, 2e200, 3e200][:n]),
-             "nan_det": np.full((n, n), 1e200)}[fault]
+             "nan_det": np.full((n, n), 1e200), "inf_norm": np.diag([1e200, 1e-200, 1.0][:n])}[fault]
         stack = np.stack([np.eye(n), j])
         for call in (lambda: _sg_one(j.ravel().tolist()), lambda: _checked(j), lambda: _checked(stack),
                      lambda: _dilation_field(j), lambda: _dilation_field(stack)):
             with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 call()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_overflowing_norm_is_named(self, n):
+        # det 1 but |J|^2 = 1e400: K was inf and the field's entries NaN
+        j = np.diag([1e200, 1e-200] + [1.0] * (n - 2))
+        for m in (j, np.stack([np.eye(n), j])):
+            for call in (_checked, trace_dilation, _dilation_field):
+                with pytest.raises(NonFiniteValue, match=r"^\|J\|\^2 overflows the float range$"):
+                    call(m)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_overflowing_determinant_is_named(self, n):
@@ -302,6 +313,36 @@ class TestDilationField:
             assert str(want.value) == "matrix entries must be finite"
         elif fault == "fold":
             assert str(want.value) == "determinant must be positive (min -2.000000e+00)"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_matrix_takes_no_errstate(self, monkeypatch, n):
+        # floats never warn: one matrix gives its stack-of-one row's bits and errors,
+        # with nsq and det as Python floats, and never enters np.errstate
+        rng = np.random.default_rng(n)
+        mats = [random_posdet(rng, n), np.diag([1e200, 1e200, 1e200][:n]),
+                np.diag([1e200, 1e-200, 1.0][:n]), np.diag([-1.0] + [1.0] * (n - 1)),
+                np.full((n, n), 1e200), np.diag([1e150] * n)]
+        stacked = []
+        for j in mats:
+            try:
+                stacked.append(_sg_field(j[None]))
+            except QcflowError as exc:
+                stacked.append(exc)
+
+        def refused(**kwargs):
+            raise AssertionError("np.errstate entered")
+
+        monkeypatch.setattr(np, "errstate", refused)
+        for j, want in zip(mats, stacked):
+            if isinstance(want, Exception):
+                with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
+                    _sg_field(j)
+                continue
+            field, nsq, det = _sg_field(j)
+            assert type(nsq) is float and type(det) is float
+            assert field.tobytes() == want[0][0].tobytes()
+            assert np.float64(nsq).tobytes() == want[1][0].tobytes()
+            assert np.float64(det).tobytes() == want[2][0].tobytes()
 
     def test_folded_rejected(self):
         with pytest.raises(NonPositiveDeterminant, match="determinant must be positive"):

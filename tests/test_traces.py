@@ -1,16 +1,21 @@
 """Adapted frames, tangential dilation, and the trace inequalities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcflow import HypothesisViolated, NonFiniteValue, NonPositiveDeterminant
+from qcflow import (DegenerateTangentImage, HypothesisViolated, NonFiniteValue,
+                    NonPositiveDeterminant)
 from qcflow.maps import SmoothMap, affine_map, compose, identity_map, moebius, radial_stretch
 from qcflow.tensor import trace_dilation
 from qcflow.traces import (
     Hyperplane,
     Sphere,
+    _inequality_records,
     adapted_frame,
     critical_equality_check,
     eigen_aligned_linear,
@@ -235,3 +240,102 @@ class TestCriticalEquality:
         rec = critical_equality_check(j, [0.0, 0.0, 1.0])
         k_sq = trace_dilation(j) ** 2
         assert rec.lhs == pytest.approx(2.0 * 3.0 ** (-1.5) * k_sq ** 1.5, rel=1e-12)
+
+
+RECORD_FIELDS = ("lhs", "rhs", "slack", "block_norm_residual", "block_det_residual")
+
+
+def _surface_points(rng, n, kind, count):
+    """A sphere or hyperplane in R^n and count random points on it."""
+    z = rng.standard_normal((count, n))
+    if kind == "sphere":
+        center, radius = rng.standard_normal(n), float(rng.uniform(0.5, 2.0))
+        return Sphere(center=center, radius=radius), center + radius * z / np.linalg.norm(
+            z, axis=-1, keepdims=True)
+    plane = Hyperplane(normal=rng.standard_normal(n), offset=float(rng.uniform(-1.0, 1.0)))
+    nu = np.asarray(plane.normal) / np.linalg.norm(plane.normal)
+    return plane, z - (z @ nu - plane.offset)[:, None] * nu
+
+
+def _raises_alike(single, stacked):
+    """stacked() raises the class and message single() raises."""
+    with pytest.raises(Exception) as want:
+        single()
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        stacked()
+
+
+class TestStacks:
+    """Each row of a stacked record is the call on that row alone, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]), count=st.integers(1, 12),
+           kind=st.sampled_from(["sphere", "plane"]))
+    def test_inequality_rows_match_single_calls(self, seed, n, count, kind):
+        rng = np.random.default_rng(seed)
+        surface, x = _surface_points(rng, n, kind, count)
+        j = np.array([random_linear(rng, n) for _ in range(count)])
+        got = _inequality_records(j, surface, x)
+        for i in range(count):
+            want = trace_inequality_check(affine_map(j[i]), surface, x[i])
+            for name in RECORD_FIELDS:
+                assert np.float64(getattr(want, name)).tobytes() == getattr(got, name)[i].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]), count=st.integers(1, 12))
+    def test_critical_rows_match_single_calls(self, seed, n, count):
+        rng = np.random.default_rng(seed)
+        nu = rng.standard_normal((count, n))
+        j = np.array([eigen_aligned_linear(v, rng.uniform(0.5, 2.0, size=n - 1), seed=seed + k)
+                      for k, v in enumerate(nu)])
+        got = critical_equality_check(j, nu)
+        for i in range(count):
+            want = critical_equality_check(j[i], nu[i])
+            assert np.float64(want.lhs).tobytes() == got.lhs[i].tobytes()
+            assert np.float64(want.rhs).tobytes() == got.rhs[i].tobytes()
+
+    def test_one_point_keeps_float_fields(self):
+        rec = trace_inequality_check(identity_map(3), Sphere(center=(0, 0, 0), radius=1.0),
+                                     [0.0, 1.0, 0.0])
+        assert all(np.ndim(getattr(rec, name)) == 0 for name in RECORD_FIELDS)
+        crit = critical_equality_check(np.eye(3), [1.0, 0.0, 0.0])
+        assert np.ndim(crit.lhs) == np.ndim(crit.rhs) == 0
+
+    @pytest.mark.parametrize("fault", ["off_surface", "fold", "tangent_image", "normal_image"])
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_one_bad_row_raises_as_its_single_call(self, fault, where):
+        # at e1 the tangent frame is e2, e3: diag(1, 1e-12, 1) crushes e2, and the
+        # second matrix sends e1 to (1e-12, 1, 0), inside the span of J e2 and J e3
+        sphere = Sphere(center=(0.0, 0.0, 0.0), radius=1.0)
+        rng = np.random.default_rng(5)
+        j = np.array([random_linear(rng, 3) for _ in range(7)])
+        x = np.array([sphere_point(rng, 3) for _ in range(7)])
+        bad_j = {"off_surface": np.eye(3), "fold": np.diag([1.0, 1.0, -1.0]),
+                 "tangent_image": np.diag([1.0, 1e-12, 1.0]),
+                 "normal_image": np.array([[1e-12, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])}
+        j[where] = bad_j[fault]
+        x[where] = [1.001, 0.0, 0.0] if fault == "off_surface" else [1.0, 0.0, 0.0]
+        _raises_alike(lambda: _inequality_records(j[where], sphere, x[where]),
+                      lambda: _inequality_records(j, sphere, x))
+        _raises_alike(lambda: trace_inequality_check(affine_map(j[where]), sphere, x[where]),
+                      lambda: _inequality_records(j, sphere, x))
+        expect = {"off_surface": (ValueError, "point is not on the sphere"),
+                  "fold": (NonPositiveDeterminant, "determinant must be positive"),
+                  "tangent_image": (DegenerateTangentImage,
+                                    "tangent image row 0 numerically dependent (norm 1.000e-12)"),
+                  "normal_image": (DegenerateTangentImage,
+                                   "normal image lies in the tangent image span")}[fault]
+        with pytest.raises(expect[0], match=re.escape(expect[1])):
+            _inequality_records(j, sphere, x)
+
+    @pytest.mark.parametrize("where", [0, 4])
+    def test_one_row_off_the_hypothesis_raises_as_its_single_call(self, where):
+        rng = np.random.default_rng(7)
+        nu = rng.standard_normal((5, 3))
+        j = np.array([eigen_aligned_linear(v, [1.2, 0.8], seed=k) for k, v in enumerate(nu)])
+        j[where] = np.diag([2.0, 1.0, 1.0])
+        nu[where] = [1.0, 0.0, 0.0]
+        _raises_alike(lambda: critical_equality_check(j[where], nu[where]),
+                      lambda: critical_equality_check(j, nu))
+        with pytest.raises(HypothesisViolated, match="normal is not an eigenvector"):
+            critical_equality_check(j, nu)

@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
-from oracles import pathwise_derivative_pairs
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import jet_draws_one_at_a_time, pathwise_derivative_pairs, skipped_draws_one_at_a_time
 
-from qcflow import UnknownSuite, maps, operators, verify
+from qcflow import UnknownSuite, maps, operators, traces, verify
 from qcflow.flowlines import FlowTrajectory, trace_flowline
 from qcflow.verify import SuiteCase, run_suite, suite_names
 
@@ -145,6 +147,64 @@ class TestStackedDraws:
             expect.append((dk_fd, float(traj.sign[k]) * kval**3 / (4 * nsq**2) * lim))
         assert expect
         assert pathwise_derivative_pairs(mapping, traj) == expect
+
+
+class TestBlockReader:
+    """One block of normals per case, parsed as the draws one rng call at a time."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]), count=st.integers(1, 30),
+           scale=st.floats(0.2, 0.8), min_det=st.sampled_from([0.05, 0.5, 1.0]),
+           extra=st.integers(0, 8))
+    def test_jets_equal_the_sequential_oracle_bitwise(self, seed, n, count, scale, min_det, extra):
+        # min_det = 1.0 rejects about half the candidates, so redraws and top-ups are common
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = verify._jet_draws(n, a, count, scale, min_det, extra)
+        want = jet_draws_one_at_a_time(n, b, count, scale, min_det, extra)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.uniform() == b.uniform()
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]), tries=st.integers(1, 40),
+           tail=st.integers(0, 5), scale=st.floats(0.2, 0.8),
+           min_det=st.sampled_from([0.05, 0.5, 1.0, np.inf]))
+    def test_skipped_draws_equal_the_sequential_oracle_bitwise(self, seed, n, tries, tail, scale,
+                                                               min_det):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = verify._read_draws(a, n, tries, tail, scale, min_det, skip=True)
+        want = skipped_draws_one_at_a_time(n, b, tries, tail, scale, min_det)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_unit_sphere_records_equal_the_per_draw_calls(self, seed):
+        # the parent loop: one affine map and one public call per kept draw
+        index = [c.case_id for c in verify._SUITES["traces"]].index("traces.oneway_slack")
+        rng = np.random.default_rng((seed, index))
+        got = verify._unit_sphere_records(rng)
+        js, xs = skipped_draws_one_at_a_time(3, np.random.default_rng((seed, index)), 200, 3, 0.4, 0.05)
+        sphere = traces.Sphere(center=np.zeros(3), radius=1.0)
+        assert len(js) == len(got.slack) > 150
+        for i, (j, x) in enumerate(zip(js, xs)):
+            want = traces.trace_inequality_check(maps.affine_map(j), sphere, x / np.linalg.norm(x))
+            for name in ("lhs", "rhs", "slack", "block_norm_residual", "block_det_residual"):
+                assert np.float64(getattr(want, name)).tobytes() == getattr(got, name)[i].tobytes()
+
+    def test_a_run_that_skips_every_map_fails_with_an_error(self, monkeypatch):
+        read = verify._read_draws
+
+        def rejects_all(rng, n, count, tail, scale, min_det, skip=False):
+            return read(rng, n, count, tail, scale, np.inf, skip)
+
+        monkeypatch.setattr(verify, "_read_draws", rejects_all)
+        rows = {row["id"]: row for row in run_suite("traces", seed=0).payload["cases"]}
+        for case in ("traces.block_identities", "traces.oneway_slack"):
+            assert rows[case]["status"] == "fail"
+            assert rows[case]["error"] == "ValueError: every candidate map was skipped; nothing was checked"
+        assert rows["traces.critical_equality"]["status"] == "pass"
 
 
 def _pathwise_case():
