@@ -4,9 +4,10 @@ trace_flowline walks on Python floats: the position, the velocity,
 every RK4 stage point and the field are lists. Each sample or stage
 takes J as row-major entries from the map's private single-point
 accessor (SmoothMap._jacobian_entries: the sums of a word's or
-composite's float program, else the public jacobian), and the field,
-|J|^2 and det from tensor's one 2x2 and 3x3 kernel on those floats
-(_sample_field); a sample adds K and its row norms. n = 4 takes LAPACK's
+composite's float program or of a model map's entry-first sampler, else
+the public jacobian), and the field, |J|^2 and det from tensor's one 2x2
+and 3x3 kernel on those floats (_sample_field); a sample adds K and its
+row norms. n = 4 takes LAPACK's
 det and inverse (tensor._sg_field) in the same loop. A stack of samples
 (du_recovery_check) runs the same kernel on node arrays, bit-equal row
 by row. The public flow_field reads jacobian and returns the field as an

@@ -17,9 +17,16 @@ otherwise dominate. At order 1, one point of a 2- or 3-dimensional
 conformal word, or of a composite whose factors after the fold are all
 words or affine maps, is sampled on Python floats by the same
 operations (_float_sample), so it keeps the bits of a stack row without
-paying numpy's per-call cost on every generator; the flow-line walk
-reads that J as a list (SmoothMap._jacobian_entries). Every other map,
-order and stack takes the array path.
+paying numpy's per-call cost on every generator.
+
+The radial stretch, the wedge, the polynomial and the bump map write
+their (u, J) once, on entries (_entry_map): Python floats for one point
+and arrays over the points of a stack, so one source serves both and a
+stack row has its single call's bits by construction; at order 2 the
+Hessian is added on arrays. The flow-line walk reads one point's J of a
+float program or an entry-first sampler as a list
+(SmoothMap._jacobian_entries). Stacks of words and composites, their
+order-2 jets and the affine maps take the array path.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .errors import (
     UnknownMap,
 )
 from .operators import Jet2Sample
-from .tensor import _matrix_det, _positive
+from .tensor import _matrix_det, _positive, _pow
 
 _ORIGIN_TOL = 1e-9
 _SEAM_TOL = 1e-6
@@ -53,16 +60,17 @@ class SmoothMap:
     jet_fn(x, order) takes a stack of points x of shape (..., n) and
     returns the raw triple (u, J, H) of shapes (..., n), (..., n, n) and
     (..., n, n, n), row for row bit-equal to the same call on each point
-    alone. At order 1 a sampler with a first-order path (conformal words,
-    affine, polynomial and bump maps, and compositions of these) returns
-    the pair (u, J) alone, from the same Jacobian formula and without
-    building the Hessian; the others ignore order and return their full
-    jet. Conformal words and their compositions with affine maps take
-    every matrix product by the product rule (see _dot), each sum from
-    +0.0 and left to right, and at order 1 sample one point of n = 2 or 3
-    on Python floats by those same sums, bit-equal to a stack row; the
-    private _jacobian_entries hands that J over as a list, for the
-    flow-line walk. value and jacobian read jet_fn at order 1, hessian at order 2,
+    alone. At order 1 every sampler here returns the pair (u, J) alone,
+    from the same Jacobian formula and without building the Hessian; a
+    sampler that ignores order returns its full jet. Conformal words and
+    their compositions with affine maps take every matrix product by the
+    product rule (see _dot), each sum from +0.0 and left to right, and at
+    order 1 sample one point of n = 2 or 3 on Python floats by those same
+    sums, bit-equal to a stack row. The radial stretch, the wedge, the
+    polynomial and the bump map write (u, J) once on entries, floats for
+    one point and arrays for a stack (see _entry_map). The private
+    _jacobian_entries hands one point's J of either over as a list, for
+    the flow-line walk. value and jacobian read jet_fn at order 1, hessian at order 2,
     take a point or a stack, and return the sampler's arrays unvalidated,
     so a caller checks J where it uses it; jet takes one point and returns
     it as a validated Jet2Sample, and a caller that needs many points'
@@ -102,10 +110,10 @@ class SmoothMap:
         """J at one point x of n Python floats: its row-major entries, and J as an array.
 
         The array is jacobian's, checked to be n x n, and the entries are
-        read from it. A word or composite with a float program overrides
-        this to return the entries of _float_sample's sums and None, so
-        it builds no array; the entries may be the program's own list,
-        which callers only read.
+        read from it. At n = 2 and 3 a word or composite with a float
+        program, and an entry-first model map, override this to return
+        the entries of their sums and None, so they build no array; the
+        entries may be the program's own list, which callers only read.
         """
         a = np.asarray(self.jacobian(np.array(x)), dtype=float)
         if a.shape != (self.n, self.n):
@@ -154,17 +162,27 @@ def _tiled(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-# Powers, radii and angles take the C library's pow (np.float_power, as
-# Python's float ** does) and Python's math.hypot and math.atan2, so a
-# sampler gives the same bits as its formula on Python floats; numpy's
-# power, hypot and arctan2 differ from these in the last bit on a few
-# percent of inputs, squares included.
+# Powers, radii, angles and the wedge's cos and sin take the C library's
+# pow (np.float_power, as Python's float ** does) and Python's math.hypot,
+# math.atan2, math.cos and math.sin, so a sampler gives the same bits as
+# its formula on Python floats; numpy's power, hypot and arctan2 differ
+# from these in the last bit on a few percent of inputs, squares included.
 _polar_ufunc = np.frompyfunc(lambda a, b: (math.hypot(a, b), math.atan2(b, a)), 2, 2)
+_cos_sin_ufunc = np.frompyfunc(lambda t: (math.cos(t), math.sin(t)), 1, 2)
 
 
-def _polar(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Radius and angle in (-pi, pi] of the points (a, b), elementwise."""
-    return tuple(np.asarray(v, dtype=float) for v in _polar_ufunc(a, b))
+def _polar(a, b) -> tuple:
+    """Radius and angle in (-pi, pi] of the points (a, b): floats, or arrays elementwise."""
+    if isinstance(a, np.ndarray):
+        return tuple(np.asarray(v, dtype=float) for v in _polar_ufunc(a, b))
+    return math.hypot(a, b), math.atan2(b, a)
+
+
+def _cos_sin(t) -> tuple:
+    """cos and sin of t: a float, or an array elementwise."""
+    if isinstance(t, np.ndarray):
+        return tuple(np.asarray(v, dtype=float) for v in _cos_sin_ufunc(t))
+    return math.cos(t), math.sin(t)
 
 
 def _dimension(n) -> int:
@@ -178,8 +196,9 @@ def _dimension(n) -> int:
     return whole
 
 
-def _any(mask: np.ndarray) -> bool:
-    return mask.any() if mask.ndim else bool(mask)  # one point skips the array reduction
+def _any(mask) -> bool:
+    """Whether any of a stack's mask holds, or one point's; one point skips the array reduction."""
+    return mask.any() if isinstance(mask, np.ndarray) and mask.ndim else bool(mask)
 
 
 def _outer(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -545,6 +564,98 @@ def moebius(kind: str, params: dict) -> ConformalMap:
 
 
 # ---------------------------------------------------------------------------
+# entry-first samplers of the model maps
+
+# The radial stretch, the wedge, the polynomial and the bump map write their
+# (u, J) once, on entries: a point's coordinates are Python floats for one
+# point and arrays over the points of a stack, and u and J come back as
+# row-major entries of the same kind. +, -, *, /, sqrt and the C pow round
+# the same on both; radii, angles, cos and sin take the math module's
+# functions on both (_polar, _cos_sin), |x|^2 numpy's dot on both
+# (_sq_norm), and every sum and product has a fixed order. So a stack row
+# has the bits of its single call by construction, and the flow-line walk
+# reads one point's J entries as they are (_EntryMap._jacobian_entries).
+# At order 2 the Hessian is added on arrays, from x and the intermediates
+# the sampler hands over.
+
+def _point_entries(x: np.ndarray) -> list:
+    """Coordinates of one point as Python floats, or of a stack as arrays over its points."""
+    return x.tolist() if x.ndim == 1 else [x[..., i] for i in range(x.shape[-1])]
+
+
+def _stacked(entries: list, lead: tuple) -> np.ndarray:
+    """Entries as one C-order array of shape lead + (len(entries),); a stack broadcasts a float."""
+    if not lead:
+        return np.array(entries)
+    out = np.empty(lead + (len(entries),))
+    for k, e in enumerate(entries):
+        out[..., k] = e
+    return out
+
+
+def _where(mask, a, b):
+    """a where mask holds, else b: one point's bool picks, a stack's mask selects elementwise."""
+    return np.where(mask, a, b) if isinstance(mask, np.ndarray) else (a if mask else b)
+
+
+def _sqrt(v):
+    """Square root of a float, or of an array elementwise; both are correctly rounded."""
+    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
+
+
+def _sq_norm(x: list):
+    """x . x by np.vecdot, as np.linalg.norm of one point takes it.
+
+    Its BLAS dot may fuse multiply-adds, which Python floats cannot, so
+    one point takes it on a 1-d array too and gets a float back.
+    """
+    v = np.stack(x, axis=-1) if isinstance(x[0], np.ndarray) else np.array(x)
+    d = np.vecdot(v, v)
+    return d if d.ndim else float(d)
+
+
+def _product(factors: list):
+    """Product of factors left to right from the first, as np.prod takes it; 1.0 for none."""
+    if not factors:
+        return 1.0
+    out = factors[0]
+    for f in factors[1:]:
+        out = out * f
+    return out
+
+
+@dataclass(frozen=True)
+class _EntryMap(SmoothMap):
+    """A model map whose (u, J) is written once on entries (see _entry_map)."""
+
+    sample: Callable[[list, int], tuple] = field(repr=False)
+
+    def _jacobian_entries(self, x: list) -> tuple[list, np.ndarray | None]:
+        if self.n not in (2, 3):  # the walk's float kernel takes 2x2 and 3x3 matrices
+            return super()._jacobian_entries(x)
+        return self.sample(x, 1)[1], None
+
+
+def _entry_map(n: int, sample: Callable[[list, int], tuple],
+               hessian: Callable[..., np.ndarray]) -> SmoothMap:
+    """A map from its entry-first sampler and its Hessian.
+
+    sample(x, order) takes a point's coordinates as entries and returns
+    u's and J's row-major entries, then the intermediates hessian(x, lead,
+    *parts) reads at order 2, where x is the array of points and lead its
+    stack shape; at order 1 no Hessian is built.
+    """
+
+    def jet_fn(x: np.ndarray, order: int) -> tuple:
+        lead = x.shape[:-1]
+        u, j, *parts = sample(_point_entries(x), order)
+        u, j = _stacked(u, lead), _stacked(j, lead).reshape(lead + (n, n))
+        return (u, j) if order == 1 else (u, j, hessian(x, lead, *parts))
+
+    return _EntryMap(n=n, jet_fn=jet_fn, sample=sample)
+
+
+# ---------------------------------------------------------------------------
 # model maps
 
 def radial_ksq(alpha: float, n: int) -> float:
@@ -586,25 +697,29 @@ def radial_stretch(alpha: float, n: int) -> SmoothMap:
         raise ConfigError(f"radial stretch alpha must be a positive finite number, got {alpha!r}")
     n = _dimension(n)
 
-    def jet_fn(x: np.ndarray, order: int) -> tuple:
-        r = np.sqrt(np.vecdot(x, x))
+    def sample(x: list, order: int) -> tuple:
+        r = _sqrt(_sq_norm(x))
         if _any(r < _ORIGIN_TOL):
             raise OriginExcluded("radial stretch sampled at the origin")
-        scale = np.float_power(r, alpha - 1.0)[..., None]
-        r = r[..., None, None]
-        u = scale * x
+        scale, sq = _pow(r, alpha - 1.0), _pow(r, 2)
+        u = [scale * v for v in x]
+        # J = |x|^(a-1) (I + (a - 1) x x^T / |x|^2)
+        j = [scale * ((1.0 if i == k else 0.0) + (alpha - 1.0) * (p * q) / sq)
+             for i, p in enumerate(x) for k, q in enumerate(x)]
+        return u, j, r
+
+    def hessian(x: np.ndarray, lead: tuple, r) -> np.ndarray:
+        r = np.asarray(r)[..., None, None]
         eye = _eye(n)
-        j = scale[..., None] * (eye + (alpha - 1.0) * _outer(x, x) / np.float_power(r, 2))
-        h = ((alpha - 1.0) * np.float_power(r, alpha - 3.0))[..., None] * (
+        return ((alpha - 1.0) * np.float_power(r, alpha - 3.0))[..., None] * (
             np.einsum("...b,ka->...kab", x, eye)
             + np.einsum("...a,kb->...kab", x, eye)
             + np.einsum("...k,ab->...kab", x, eye)
             + (alpha - 3.0) * np.einsum("...k,...a,...b->...kab", x, x, x)
             / np.float_power(r[..., None], 2)
         )
-        return u, j, h
 
-    return SmoothMap(n=n, jet_fn=jet_fn)
+    return _entry_map(n, sample, hessian)
 
 
 def wedge_sector_constants(alpha: float, n: int, sector: int) -> tuple[float, float]:
@@ -632,26 +747,38 @@ def wedge_map(alpha: float, n: int) -> SmoothMap:
     if n < 2:
         raise ConfigError("wedge map needs n >= 2")
     two_pi = 2.0 * math.pi
-    seams = np.array([0.0, alpha])
-    # psi = a theta + b in the second sector (row 0) and the first (row 1)
-    a_second = math.pi / (two_pi - alpha)
-    sector_ab = np.array([[a_second, math.pi - a_second * alpha], [math.pi / alpha, 0.0]])
+    # psi = a theta + b: (pi / alpha, 0) in the first sector, (a2, b2) in the second
+    a_first, a_second = math.pi / alpha, math.pi / (two_pi - alpha)
+    b_second = math.pi - a_second * alpha
+    eye = np.eye(n).ravel().tolist()
     flip = np.array([-1.0, 1.0])  # (s, c) * flip = (-s, c), the angular direction
 
-    def jet_fn(x: np.ndarray, order: int) -> tuple:
-        r, theta = _polar(x[..., 0], x[..., 1])
-        theta %= two_pi
+    def sample(x: list, order: int) -> tuple:
+        r, theta = _polar(x[0], x[1])
+        theta = theta % two_pi
         if _any(r < _ORIGIN_TOL):
             raise AxisExcluded("wedge map sampled on the symmetry axis")
-        d = np.abs(theta[..., None] - seams)
-        if _any(np.minimum(d, two_pi - d) < _SEAM_TOL):
-            raise SeamExcluded(f"wedge map sampled within {_SEAM_TOL} of a seam")
-        ab = sector_ab[(theta < alpha).astype(np.intp)]
-        a = ab[..., :1]
-        psi = a[..., 0] * theta + ab[..., 1]
-        r = r[..., None]
-        r_grad = x[..., :2] / r
-        t_grad = r_grad[..., ::-1] * flip / r
+        for seam in (0.0, alpha):
+            d = abs(theta - seam)
+            if _any((d < _SEAM_TOL) | (two_pi - d < _SEAM_TOL)):
+                raise SeamExcluded(f"wedge map sampled within {_SEAM_TOL} of a seam")
+        first = theta < alpha
+        a = _where(first, a_first, a_second)
+        psi = a * theta + _where(first, 0.0, b_second)
+        c, s = x[0] / r, x[1] / r
+        cs, sn = _cos_sin(psi)
+        ar = a * r
+        # u1 = r cos(psi), u2 = r sin(psi): their r and theta derivatives
+        # against the gradients of r and theta
+        trig, r_grad, t_grad, ft = [cs, sn], [c, s], [-s / r, c / r], [ar * -sn, ar * cs]
+        j = list(eye)
+        j[0], j[1], j[n], j[n + 1] = (f * g + h * t for f, h in zip(trig, ft)
+                                      for g, t in zip(r_grad, t_grad))
+        return [r * cs, r * sn] + x[2:], j, r, a, r_grad, t_grad, trig, ft
+
+    def hessian(x: np.ndarray, lead: tuple, r, a, r_grad, t_grad, trig, ft) -> np.ndarray:
+        r, a = (np.asarray(v)[..., None] for v in (r, a))
+        r_grad, t_grad, trig, ft = (_stacked(e, lead) for e in (r_grad, t_grad, trig, ft))
         c, s = r_grad[..., 0], r_grad[..., 1]
         # Hessians of r and theta and products of their gradients, as 2x2
         # blocks with a leading axis for the output component
@@ -664,21 +791,14 @@ def wedge_map(alpha: float, n: int) -> SmoothMap:
         t_hess[..., 0, 0, 0], t_hess[..., 0, 1, 1] = sin2, -sin2
         t_hess[..., 0, 0, 1] = t_hess[..., 0, 1, 0] = -cos2
         t_hess /= np.float_power(r_block, 2)
-        # scalar jets of u1 = r cos(psi), u2 = r sin(psi) in (r, theta):
-        # value and derivatives r, theta, rr, r theta, theta theta
-        trig = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
-        perp = trig[..., ::-1] * flip
-        val, fr, ft, frr, frt, ftt = r * trig, trig, a * r * perp, 0.0, a * perp, -a * a * r * trig
-        u = np.array(x, dtype=float)
-        u[..., :2] = val
-        j = _tiled(_eye(n), x)
-        j[..., :2, :2] = _outer(fr, r_grad) + _outer(ft, t_grad)
-        h = np.zeros(x.shape[:-1] + (n, n, n))
-        fr, ft, frt, ftt = (f[..., None, None] for f in (fr, ft, frt, ftt))
+        # second derivatives of u1, u2 in (r, theta): rr, r theta, theta theta
+        frr, frt, ftt = 0.0, a * (trig[..., ::-1] * flip), -a * a * r * trig
+        fr, ft, frt, ftt = (f[..., None, None] for f in (trig, ft, frt, ftt))
+        h = np.zeros(lead + (n, n, n))
         h[..., :2, :2, :2] = frr * rr + frt * rt + ftt * tt + fr * r_hess + ft * t_hess
-        return u, j, h
+        return h
 
-    return SmoothMap(n=n, jet_fn=jet_fn)
+    return _entry_map(n, sample, hessian)
 
 
 def affine_map(matrix, offset=None) -> SmoothMap:
@@ -706,54 +826,75 @@ def identity_map(n: int) -> SmoothMap:
     return affine_map(np.eye(_dimension(n)))
 
 
+def _polynomial_coefficients(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """polynomial_map's C2 and C3 for the seed, symmetrized in their derivative slots."""
+    rng = np.random.default_rng(seed)
+    c2 = rng.standard_normal((n, n, n))
+    c2 = 0.5 * (c2 + np.swapaxes(c2, 1, 2))
+    c3 = rng.standard_normal((n, n, n, n))
+    perms = [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1)]
+    return c2, sum(np.transpose(c3, p) for p in perms) / 6.0
+
+
 def polynomial_map(n: int, seed: int = 0, amplitude: float = 0.05) -> SmoothMap:
     """Identity plus a seeded random polynomial perturbation.
 
     u(x) = x + amp * (C2 : x x + C3 : x x x) with coefficient tensors
     symmetrized in their derivative slots, so jets are exact. Keeps
     det J > 0 near the unit ball for the default amplitude.
+
+    Each sum runs from +0.0, left to right. J[k, a] is I + amp (2 L + 3 Q)
+    with L = C2[k, a] . x and Q = C3[k, a] : x x, taken over the
+    products x_b x_c with b <= c (an off-diagonal pair's coefficient
+    doubled); u[k] is x + amp x . (L + Q)[k], since x . grad of a form of
+    degree d is d times the form.
     """
     n = _dimension(n)
-    rng = np.random.default_rng(seed)
-    c2 = rng.standard_normal((n, n, n))
-    c2 = 0.5 * (c2 + np.swapaxes(c2, 1, 2))
-    c3 = rng.standard_normal((n, n, n, n))
-    perms = [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1)]
-    c3 = sum(np.transpose(c3, p) for p in perms) / 6.0
+    c2, c3 = _polynomial_coefficients(n, seed)
+    pairs = [(b, c) for b in range(n) for c in range(b, n)]
+    # for each k and a: I's entry, C2's row and C3's coefficients of the pairs
+    rows = [[(1.0 if k == a else 0.0, lin, [(1.0 if b == c else 2.0) * sq[b][c] for b, c in pairs])
+             for a, (lin, sq) in enumerate(zip(c2_k, c3_k))]
+            for k, (c2_k, c3_k) in enumerate(zip(c2.tolist(), c3.tolist()))]
 
-    def jet_fn(x: np.ndarray, order: int) -> tuple:
-        u = x + amplitude * (
-            np.einsum("kab,...a,...b->...k", c2, x, x)
-            + np.einsum("kabc,...a,...b,...c->...k", c3, x, x, x)
-        )
-        j = _eye(n) + amplitude * (
-            2.0 * np.einsum("kab,...b->...ka", c2, x)
-            + 3.0 * np.einsum("kabc,...b,...c->...ka", c3, x, x)
-        )
-        if order == 1:
-            return u, j
-        h = amplitude * (2.0 * c2 + 6.0 * np.einsum("kabc,...c->...kab", c3, x))
-        return u, j, h
+    def sample(x: list, order: int) -> tuple:
+        squares = [x[b] * x[c] for b, c in pairs]
+        u, j = [], []
+        for v, k_rows in zip(x, rows):
+            total = 0.0
+            for xa, (e, lin_row, sq_row) in zip(x, k_rows):
+                p = q = 0.0
+                for w, y in zip(lin_row, x):
+                    p = p + w * y
+                for w, y in zip(sq_row, squares):
+                    q = q + w * y
+                j.append(e + amplitude * (2.0 * p + 3.0 * q))
+                total = total + xa * (p + q)
+            u.append(v + amplitude * total)
+        return u, j
 
-    return SmoothMap(n=n, jet_fn=jet_fn)
+    def hessian(x: np.ndarray, lead: tuple) -> np.ndarray:
+        return amplitude * (2.0 * c2 + 6.0 * np.einsum("kabc,...c->...kab", c3, x))
+
+    return _entry_map(n, sample, hessian)
 
 
-def _bump_profile(s: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+def _bump_profile(s, order: int) -> tuple:
     """Cubic-cubed bump 64 s^3 (1-s)^3 on [0,1] with its derivatives up to order.
 
-    Elementwise over s, and zero outside (0, 1): (b, d1) at order 1 and
-    (b, d1, d2) at order 2. Vanishes to second order at both endpoints,
-    so products of it make initial data compatible with fixed affine
-    boundary values.
+    s is one coordinate: a float, or an array over points, elementwise.
+    Zero outside (0, 1), where the formulas are taken at s = 0.5 so that
+    none overflows: (b, d1) at order 1 and (b, d1, d2) at order 2.
+    Vanishes to second order at both endpoints, so products of it make
+    initial data compatible with fixed affine boundary values.
     """
     outside = (s <= 0.0) | (s >= 1.0)
+    s = _where(outside, 0.5, s)
     t = 1.0 - s
-    b = 64.0 * np.float_power(s, 3) * np.float_power(t, 3)
-    d1 = 192.0 * np.float_power(s, 2) * np.float_power(t, 2) * (1.0 - 2.0 * s)
-    if order == 1:
-        return np.where(outside, 0.0, b), np.where(outside, 0.0, d1)
-    d2 = 384.0 * s * t * (1.0 - 5.0 * s + 5.0 * s * s)
-    return tuple(np.where(outside, 0.0, f) for f in (b, d1, d2))
+    out = [64.0 * _pow(s, 3) * _pow(t, 3), 192.0 * _pow(s, 2) * _pow(t, 2) * (1.0 - 2.0 * s)]
+    if order == 2:
+        out.append(384.0 * s * t * (1.0 - 5.0 * s + 5.0 * s * s))
+    return tuple(_where(outside, 0.0, f) for f in out)
 
 
 def bump_map(n: int, amplitude: float = 0.05) -> SmoothMap:
@@ -764,26 +905,29 @@ def bump_map(n: int, amplitude: float = 0.05) -> SmoothMap:
     derivatives vanish on the cube boundary.
     """
     n = _dimension(n)
-
-    # gradient entry a leaves factor a out of the product; Hessian entry
-    # (a, b) leaves out factors a and b
+    eye_entries = np.eye(n).ravel().tolist()
+    # Hessian entry (a, b) leaves factors a and b out of the product
     eye = np.eye(n, dtype=bool)
     skip_two = eye[:, None, :] | eye[None, :, :]
 
-    def jet_fn(x: np.ndarray, order: int) -> tuple:
-        profile = _bump_profile(x, order)
-        vals, d1 = profile[:2]
-        rest = np.prod(np.where(eye, 1.0, vals[..., None, :]), axis=-1)
-        u = x + amplitude * np.prod(vals, axis=-1, keepdims=True)
-        j = _eye(n) + amplitude * (d1 * rest)[..., None, :]
-        if order == 1:
-            return u, j
-        others = np.prod(np.where(skip_two, 1.0, vals[..., None, None, :]), axis=-1)
-        hess2 = np.where(eye, (profile[2] * rest)[..., None, :], _outer(d1, d1) * others)
-        h = np.broadcast_to(amplitude * hess2[..., None, :, :], x.shape[:-1] + (n, n, n)).copy()
-        return u, j, h
+    def sample(x: list, order: int) -> tuple:
+        profiles = [_bump_profile(v, order) for v in x]
+        vals = [p[0] for p in profiles]
+        # gradient entry a leaves factor a out of the product
+        rest = [_product(vals[:a] + vals[a + 1:]) for a in range(n)]
+        lift = amplitude * _product(vals)
+        grad = [amplitude * (p[1] * q) for p, q in zip(profiles, rest)]
+        j = [e + grad[k % n] for k, e in enumerate(eye_entries)]
+        return [v + lift for v in x], j, profiles, rest
 
-    return SmoothMap(n=n, jet_fn=jet_fn)
+    def hessian(x: np.ndarray, lead: tuple, profiles, rest) -> np.ndarray:
+        vals, d1, d2 = (_stacked(list(f), lead) for f in zip(*profiles))
+        rest = _stacked(rest, lead)
+        others = np.prod(np.where(skip_two, 1.0, vals[..., None, None, :]), axis=-1)
+        hess2 = np.where(eye, (d2 * rest)[..., None, :], _outer(d1, d1) * others)
+        return np.broadcast_to(amplitude * hess2[..., None, :, :], lead + (n, n, n)).copy()
+
+    return _entry_map(n, sample, hessian)
 
 
 # ---------------------------------------------------------------------------

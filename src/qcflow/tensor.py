@@ -124,8 +124,17 @@ def _sum_sq(e: list):
 
 
 def _pow(x, y):
-    """The C pow: ** on one float, np.float_power on an array (numpy's ** may differ)."""
-    return float(x) ** y if isinstance(x, float) else np.float_power(x, y)
+    """The C pow: ** on one float, np.float_power on an array (numpy's ** may differ).
+
+    A float power past the float range is inf, signed as C's pow signs it,
+    where Python's ** raises OverflowError.
+    """
+    if not isinstance(x, float):
+        return np.float_power(x, y)
+    try:
+        return float(x) ** y
+    except OverflowError:  # only a negative x to an odd whole y gives -inf
+        return math.copysign(math.inf, x) if y % 2 == 1 else math.inf
 
 
 def _kernel(e: list, n: int) -> tuple:

@@ -56,6 +56,10 @@ def _wedge_point(rng: np.random.Generator, alpha: float, sector: int) -> np.ndar
     return np.array([r * np.cos(theta), r * np.sin(theta), float(rng.uniform(-1.0, 1.0))])
 
 
+# consecutive rejected candidates after which a redraw gives up
+_MAX_REDRAWS = 1000
+
+
 def _read_draws(rng: np.random.Generator, n: int, count: int, tail: int, scale: float,
                 min_det: float, skip: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """count draws of a candidate J = I + scale Z, each followed by tail normals once kept.
@@ -65,6 +69,8 @@ def _read_draws(rng: np.random.Generator, n: int, count: int, tail: int, scale: 
     dropped, so that count counts the draws kept, or with skip the
     candidates tried; only a kept candidate is followed by its tail.
     Returns the kept J, shape (kept, n, n), and their tails, (kept, tail).
+    _MAX_REDRAWS rejections in a row, which a min_det out of the draws'
+    reach gives, are a ValueError.
 
     The values, and the generator's state after them, are those of making
     the draws one rng call at a time: standard_normal(k) gives the values
@@ -77,7 +83,7 @@ def _read_draws(rng: np.random.Generator, n: int, count: int, tail: int, scale: 
     state = rng.bit_generator.state
     block = rng.standard_normal(count * stride)
     js, tails = [], []
-    at, left = 0, count
+    at, left, rejected = 0, count, 0
     while left:
         end = at + left * stride
         if end > block.size:
@@ -92,6 +98,10 @@ def _read_draws(rng: np.random.Generator, n: int, count: int, tail: int, scale: 
         if left:  # the rejected candidate spent its n^2 normals
             at += size
             left -= skip
+            rejected = rejected + 1 if kept == 0 else 1
+            if not skip and rejected >= _MAX_REDRAWS:
+                raise ValueError(f"{rejected} candidates in a row have det at or below "
+                                 f"min_det={min_det!r}; no draw can be kept")
     if at < block.size:
         rng.bit_generator.state = state
         rng.standard_normal(at)
@@ -345,10 +355,10 @@ def _case_radial_dilation_value(rng):
         mapping = maps.radial_stretch(alpha, 3)
         expect = maps.radial_ksq(alpha, 3)
         x = np.array([_shell_point(rng, 3, 0.5, 2.0) for _ in range(30)])
-        ksq = np.float_power(tensor.trace_dilation(_jets(mapping, x).J), 2)  # pow, as float ** takes it
+        ksq = np.float_power(tensor.trace_dilation(mapping.jacobian(x)), 2)  # pow, as float ** takes it
         worst = max(worst, float(np.max(np.abs(ksq - expect) / expect)))
     mapping = maps.radial_stretch(2.0, 3)
-    ksq = float(tensor.trace_dilation(mapping.jet(np.array([1.0, 0.0, 0.0])).J)) ** 2
+    ksq = float(tensor.trace_dilation(mapping.jacobian(np.array([1.0, 0.0, 0.0])))) ** 2
     worst = max(worst, abs(ksq - 6.0 / 2.0 ** (2.0 / 3.0)) / ksq)
     return worst, 0.0
 
@@ -381,7 +391,7 @@ def _case_wedge_constants(rng):
         mapping = maps.wedge_map(alpha, 3)
         for sector in (1, 2):
             det_expect, nsq_expect = maps.wedge_sector_constants(alpha, 3, sector)
-            j = _jets(mapping, np.array([_wedge_point(rng, alpha, sector) for _ in range(20)])).J
+            j = mapping.jacobian(np.array([_wedge_point(rng, alpha, sector) for _ in range(20)]))
             worst = max(worst, float(np.max(np.abs(np.linalg.det(j) - det_expect))))
             worst = max(worst, float(np.max(np.abs((j * j).sum(axis=(-2, -1)) - nsq_expect))))
     return worst, 0.0
@@ -403,7 +413,7 @@ def _case_inversion_conformal(rng):
         back = inv.inverse()
         for _ in range(30):
             x = _shell_point(rng, n, 0.4, 2.0)
-            rep = tensor.analyze(inv.jet(x).J)
+            rep = tensor.analyze(inv.jacobian(x))
             worst = max(worst, abs(float(rep.K) - np.sqrt(n)))
             worst = max(worst, float(np.sqrt(rep.SgNormSq)))
             worst = max(worst, float(np.max(np.abs(back.value(inv.value(x)) - x))))
@@ -440,11 +450,11 @@ def _invariance_worst(rng, count: int, measure: Callable[..., float]) -> float:
 
 def _case_conformal_invariance(rng):
     def measure(u, f, x, y):
-        ku = float(tensor.trace_dilation(u.jet(x).J))
-        d_post = abs(float(tensor.trace_dilation(maps.compose(f, u).jet(x).J)) - ku)
+        ku = float(tensor.trace_dilation(u.jacobian(x)))
+        d_post = abs(float(tensor.trace_dilation(maps.compose(f, u).jacobian(x))) - ku)
         xb = f.inverse().value(y)
-        ku_at_fx = float(tensor.trace_dilation(u.jet(f.value(xb)).J))
-        d_pre = abs(float(tensor.trace_dilation(maps.compose(u, f).jet(xb).J)) - ku_at_fx)
+        ku_at_fx = float(tensor.trace_dilation(u.jacobian(f.value(xb))))
+        d_pre = abs(float(tensor.trace_dilation(maps.compose(u, f).jacobian(xb))) - ku_at_fx)
         return max(d_post, d_pre)
 
     return _invariance_worst(rng, 50, measure), 0.0
@@ -452,10 +462,10 @@ def _case_conformal_invariance(rng):
 
 def _case_distortion_conjugation(rng):
     def measure(u, f, x, _):
-        sg_post = tensor.ahlfors(tensor.distortion_tensor(maps.compose(f, u).jet(x).J))
+        sg_post = tensor.ahlfors(tensor.distortion_tensor(maps.compose(f, u).jacobian(x)))
         y = u.value(x)
         df = f.jacobian(y)
-        sg_u = tensor.ahlfors(tensor.distortion_tensor(u.jet(x).J))
+        sg_u = tensor.ahlfors(tensor.distortion_tensor(u.jacobian(x)))
         return float(np.max(np.abs(sg_post - (df @ sg_u @ df.T) / f.conformal_factor(y))))
 
     return _invariance_worst(rng, 40, measure), 0.0

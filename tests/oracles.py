@@ -1,10 +1,10 @@
-"""Test-only oracles: finite-difference jets, a plain chain fold, a flow-line walk on numpy
-arrays, a path-integral drift check, the derivative form of the pathwise dilation identity,
+"""Test-only oracles: finite-difference jets, a plain chain fold, the polynomial map's
+einsum jets, a flow-line walk on numpy arrays, a path-integral drift check, the derivative form of the pathwise dilation identity,
 verify's random draws one at a time, a plain cofactor expansion and a recompute-everything
 grid flow.
 
 None is part of the package; the tests check the exact jets, the folded
-composites, trace_flowline, the differential-drift identity, the pathwise
+composites, the polynomial map's entry-first sums, trace_flowline, the differential-drift identity, the pathwise
 identity, verify's block reader, tensor._det_adj and run_flow against them.
 """
 
@@ -19,7 +19,7 @@ from qcflow.errors import (DeterminantCollapse, GuardViolation, NonFiniteValue, 
 from qcflow.flowlines import (DEGENERACY_TOL, FlowTrajectory, _pick_row, _row_norms,
                               ball_domain, flow_field)
 from qcflow.gradientflow import ENERGY_TOL_SCALE, FlowRunStats, GridField
-from qcflow.maps import SmoothMap, _chain
+from qcflow.maps import SmoothMap, _chain, _polynomial_coefficients
 from qcflow.operators import Jet2Sample, _contracted_operator, flux_linearization, linfty_factored
 from qcflow.tensor import _det_adj, _dilation_field, _positive
 
@@ -73,6 +73,20 @@ def chained_map(composite) -> SmoothMap:
         return jet
 
     return SmoothMap(n=composite.n, jet_fn=jet_fn)
+
+
+def polynomial_einsum(n: int, seed: int, amplitude: float, x: np.ndarray) -> tuple:
+    """polynomial_map's (u, J) at a point or a stack by einsum, in einsum's own sum order."""
+    c2, c3 = _polynomial_coefficients(n, seed)
+    u = x + amplitude * (
+        np.einsum("kab,...a,...b->...k", c2, x, x)
+        + np.einsum("kabc,...a,...b,...c->...k", c3, x, x, x)
+    )
+    j = np.eye(n) + amplitude * (
+        2.0 * np.einsum("kab,...b->...ka", c2, x)
+        + 3.0 * np.einsum("kabc,...b,...c->...ka", c3, x, x)
+    )
+    return u, j
 
 
 def trace_flowline_arrays(mapping, x0, ds: float, max_len: float, domain=None) -> FlowTrajectory:

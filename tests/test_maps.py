@@ -1,6 +1,7 @@
 """Analytic test maps, conformal words, composition, and jet plumbing."""
 
 import dataclasses
+import functools
 import math
 import re
 import sys
@@ -12,7 +13,7 @@ import pytest
 from conftest import count_determinants, random_posdet
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import chained_map, fd_map
+from oracles import chained_map, fd_map, polynomial_einsum
 
 from qcflow import maps as qcflow_maps
 from qcflow import (
@@ -33,6 +34,7 @@ from qcflow.maps import (
     ConformalMap,
     SmoothMap,
     _chain,
+    _polynomial_coefficients,
     affine_map,
     bump_map,
     compose,
@@ -114,6 +116,15 @@ class TestRadialStretch:
         x = np.array([0.8, 0.3, -0.5])
         assert np.max(np.abs(m.jacobian(x) - fd.jacobian(x))) <= 1e-5
         assert np.max(np.abs(m.hessian(x) - fd.hessian(x))) <= 1e-5
+
+    def test_an_overflowing_power_samples_as_the_stack(self):
+        # |x|^4 overflows: one point's float pow reads inf where numpy's does
+        m = radial_stretch(5.0, 2)
+        x = np.array([1e100, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = m.jet_fn(x[None], 1)
+        for one, row in zip(m.jet_fn(x, 1), stack):
+            assert one.tobytes() == row[0].tobytes()
 
     def test_lp_formula_scales_with_radius(self):
         # closed form decays like |x|^-(alpha+1) along x
@@ -664,6 +675,25 @@ _COORDINATES = st.one_of(st.sampled_from([0.0, -0.0]), st.integers(-2, 2).map(fl
                          st.floats(-0.7, 0.7))
 
 
+def _registry_map(map_id: str, n: int) -> SmoothMap:
+    """The registry map map_id at dimension n, with parameters that build it."""
+    if map_id == "translation":
+        return make_map(map_id, offset=[0.3, -0.2, 0.5][:n])
+    if map_id == "affine":
+        return make_map(map_id, matrix=np.eye(n) + 0.1, offset=[0.1] * n)
+    extra = {"radial_stretch": {"alpha": 1.7}, "wedge": {"alpha": 2.0}, "dilation": {"scale": 1.5},
+             "polynomial": {"seed": 5}, "rotation": {"angle": 0.3}}.get(map_id, {})
+    if map_id == "rotation" and n == 3:
+        extra = {**extra, "axis": [0.3, -1.0, 0.7]}
+    return make_map(map_id, n=n, **extra)
+
+
+# every registry id at n = 2 and 3, less the maps the named cases already build
+REGISTRY_AT_2_AND_3 = [(map_id, n) for map_id in map_ids() for n in (2, 3)
+                       if (map_id, n) not in {("teichmuller", 2), ("teichmuller", 3),
+                                              ("inversion", 3), ("rotation", 2)}]
+
+
 class TestFloatSample:
     """One point of a word or folded composite at order 1 keeps the array bits on Python floats."""
 
@@ -704,13 +734,16 @@ class TestFloatSample:
         (lambda: compose(moebius("rotation", {"n": 2, "angle": 0.3}), polynomial_map(2, seed=5)),
          False),
         (lambda: affine_map([[1.3, 0.2], [-0.1, 0.8]]), False),
-        (lambda: radial_stretch(1.7, 3), False),
+        (lambda: radial_stretch(1.7, 3), True),
         (lambda: polynomial_map(4, seed=1), False),
-    ], ids=["teichmuller2", "teichmuller3", "inversion3", "rotation2", "composite_polynomial",
-            "affine", "radial", "polynomial4"])
+    ] + [(functools.partial(_registry_map, map_id, n), map_id not in ("affine", "identity"))
+         for map_id, n in REGISTRY_AT_2_AND_3],
+        ids=["teichmuller2", "teichmuller3", "inversion3", "rotation2", "composite_polynomial",
+             "affine", "radial", "polynomial4"] + [f"{map_id}{n}" for map_id, n in REGISTRY_AT_2_AND_3])
     def test_jacobian_entries_match_the_accessor(self, build, program):
-        # a float program hands over its sums and no array; any other map
-        # hands over jacobian's array and its entries
+        # a float program or an entry-first sampler hands over one point's
+        # J entries and no array at n = 2 and 3; any other map hands over
+        # jacobian's array and its entries
         m = build()
         for x in np.random.default_rng(9).uniform(-0.7, 0.7, size=(20, m.n)).tolist():
             entries, a = m._jacobian_entries(x)
@@ -792,12 +825,18 @@ class TestFirstOrderSampler:
             ),
             (lambda: affine_map([[1.3, 0.2, 0.0], [-0.1, 0.9, 0.3], [0.0, 0.2, 1.1]]), 3),
             (lambda: polynomial_map(2, seed=5), 2),
+            (lambda: radial_stretch(1.7, 2), 2),
             (lambda: radial_stretch(1.7, 3), 3),
+            (lambda: wedge_map(2.0, 2), 2),
+            (lambda: wedge_map(4.0, 3), 3),
+            (lambda: bump_map(2), 2),
+            (lambda: bump_map(3, amplitude=0.08), 3),
         ],
         ids=["teichmuller2", "teichmuller3", "word_with_inversion", "affine", "polynomial",
-             "fallback"],
+             "radial2", "radial3", "wedge2", "wedge3", "bump2", "bump3"],
     )
     def test_matches_public_jet_bitwise(self, build, n):
+        # about a quarter (n = 2) or an eighth (n = 3) of the points fall in the bump's unit cube
         m = build()
         rng = np.random.default_rng(41 + n)
         for _ in range(25):
@@ -836,7 +875,7 @@ class TestFirstOrderSampler:
         x = np.array([0.3, -0.2])
         word = compose(moebius("inversion", {"n": 2}), moebius("rotation", {"n": 2, "angle": 0.3}))
         for m in (word, affine_map([[1.2, 0.1], [0.0, 0.8]]), teichmuller_example(2),
-                  polynomial_map(2, seed=5), bump_map(2)):
+                  polynomial_map(2, seed=5), bump_map(2), radial_stretch(1.7, 2), wedge_map(2.0, 2)):
             assert len(m.jet_fn(x, 1)) == 2
 
     def test_words_fold_from_their_first_generator(self, monkeypatch):
@@ -895,6 +934,26 @@ class TestFdMap:
 
 
 class TestPolynomialMap:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1),
+           amplitude=st.floats(0.0, 0.3))
+    def test_entry_sums_match_the_einsum_oracle(self, data, n, seed, amplitude):
+        # each entry within a few ulps of the size of its terms per coordinate,
+        # for one point and a stack
+        xs = np.array(data.draw(st.lists(st.lists(_COORDINATES, min_size=n, max_size=n),
+                                         min_size=1, max_size=3)))
+        m = polynomial_map(n, seed=seed, amplitude=amplitude)
+        c2, c3 = (np.abs(c) for c in _polynomial_coefficients(n, seed))
+        for x in list(xs) + [xs]:
+            a = np.abs(x)
+            size_u = a + amplitude * (np.einsum("kab,...a,...b->...k", c2, a, a)
+                                      + np.einsum("kabc,...a,...b,...c->...k", c3, a, a, a))
+            size_j = 1.0 + amplitude * (2.0 * np.einsum("kab,...b->...ka", c2, a)
+                                        + 3.0 * np.einsum("kabc,...b,...c->...ka", c3, a, a))
+            for got, want, size in zip(m.jet_fn(x, 1), polynomial_einsum(n, seed, amplitude, x),
+                                       (size_u, size_j)):
+                assert np.all(np.abs(got - want) <= 4.0 * n * np.finfo(float).eps * size)
+
     def test_jets_match_finite_differences(self):
         for seed in (0, 5):
             m = polynomial_map(3, seed=seed, amplitude=0.05)

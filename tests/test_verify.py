@@ -1,6 +1,7 @@
 """The deterministic verification suites behind the CLI."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -119,6 +120,23 @@ class TestRunSuite:
         assert "error" not in rows["broken.misses"]
         assert "error" not in rows["broken.passes"]
 
+    @pytest.mark.parametrize("case_id", ["examples.conformal_invariance",
+                                         "examples.distortion_conjugation",
+                                         "examples.inversion_conformal",
+                                         "examples.radial_dilation_value",
+                                         "examples.wedge_constants"])
+    def test_first_order_cases_build_no_jet_sample(self, monkeypatch, case_id):
+        # these cases read J alone, through jacobian; a fold is refused by
+        # the tensor kernel's own check
+        def refuse(self):
+            raise AssertionError("Jet2Sample built")
+
+        monkeypatch.setattr(operators.Jet2Sample, "__post_init__", refuse)
+        cases = verify._SUITES["examples"]
+        index = [case.case_id for case in cases].index(case_id)
+        row = verify._run_case(cases[index], index, 0, 1.0, False)
+        assert row["status"] == "pass" and "error" not in row
+
 
 class TestStackedDraws:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -205,6 +223,25 @@ class TestBlockReader:
             assert rows[case]["status"] == "fail"
             assert rows[case]["error"] == "ValueError: every candidate map was skipped; nothing was checked"
         assert rows["traces.critical_equality"]["status"] == "pass"
+
+
+class TestBoundedRedraws:
+    def test_unreachable_min_det_raises_within_a_second(self):
+        # det I + 0.01 Z stays near 1, so min_det = 2 is out of reach
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"min_det=2\.0"):
+            verify.random_jet(2, np.random.default_rng(0), scale=0.01, min_det=2.0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_the_cap_counts_rejections_in_a_row(self):
+        # min_det = 1 rejects about half of I + 0.01 Z: some 2,000 rejections
+        # in all, more than the cap, but never that many in a row
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        got = verify._jet_draws(2, a, 2000, 0.01, 1.0)
+        want = jet_draws_one_at_a_time(2, b, 2000, 0.01, 1.0)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 def _pathwise_case():
