@@ -3,15 +3,14 @@
 trace_flowline walks on Python floats: the position, the velocity,
 every RK4 stage point and the field are lists. Each sample or stage
 takes J as row-major entries from the map's private single-point
-accessor (SmoothMap._jacobian_entries: the sums of a word's or
-composite's float program or of a model map's entry-first sampler, else
-the public jacobian), and the field, |J|^2 and det from tensor's one 2x2
-and 3x3 kernel on those floats (_sample_field); a sample adds K and its
-row norms. n = 4 takes LAPACK's
-det and inverse (tensor._sg_field) in the same loop. A stack of samples
-(du_recovery_check) runs the same kernel on node arrays, bit-equal row
-by row. The public flow_field reads jacobian and returns the field as an
-array. tensor.factoring_residual and operators.linfty_flowform keep the
+accessor (SmoothMap._jacobian_entries: the map's entry-first sampler,
+or the public jacobian of a map without one), and the field, |J|^2 and
+det from tensor's one 2x2 and 3x3 kernel on those floats
+(_sample_field); a sample adds K and its row norms. n = 4 takes
+LAPACK's det and inverse (tensor._sg_field) in the same loop. A stack
+of samples (du_recovery_check) runs the same kernel on node arrays,
+bit-equal row by row. The public flow_field reads jacobian and returns
+the field as an array. tensor.factoring_residual and operators.linfty_flowform keep the
 S(g) route and are their oracles.
 
 A flow line follows one row of the field at a time, switching rows only
@@ -139,13 +138,14 @@ def _sample_field(mapping, y: list) -> tuple[list, float, float]:
     """The field's row-major entries at the point y of Python floats, with |J|^2 and det J.
 
     The one field entry of trace_flowline's samples and RK4 stages, from
-    mapping._jacobian_entries: tensor._sg_one at n = 2 and 3, and
-    _sg_field's array (LAPACK's inverse) read into entries at n = 4.
+    mapping._jacobian_entries: tensor._sg_one for 4 or 9 entries (n = 2
+    and 3), and _sg_field's array (LAPACK's inverse) read into entries
+    for any other n.
     """
-    entries, a = mapping._jacobian_entries(y)
-    if a is None or a.shape == (2, 2) or a.shape == (3, 3):
+    entries = mapping._jacobian_entries(y)
+    if len(entries) in (4, 9):
         return _sg_one(entries)
-    matrix, nsq, d = _sg_field(a)
+    matrix, nsq, d = _sg_field(np.array(entries).reshape(len(y), len(y)))
     return matrix.ravel().tolist(), nsq, d
 
 

@@ -6,27 +6,17 @@ composition with full chain rule, affine, polynomial and bump maps.
 All samplers are pure and maps are immutable after construction; a
 word or composite makes its set-up once, at its first sample.
 
-Every matrix product of a word or composite follows one product rule,
-_dot: each sum starts from +0.0 and adds the products left to right.
-That covers the chain rule's J, a composite's folded constant product,
-the value of a rotation or affine map and the inversion's |x|^2; powers
-take the C pow (np.float_power). One 2x2 or 3x3 pair of matrices, one
-matrix applied to one point and one pair of vectors take the same sums
-on Python floats (_fmul, _fapply), which numpy's per-call cost would
-otherwise dominate. At order 1, one point of a 2- or 3-dimensional
-conformal word, or of a composite whose factors after the fold are all
-words or affine maps, is sampled on Python floats by the same
-operations (_float_sample), so it keeps the bits of a stack row without
-paying numpy's per-call cost on every generator.
-
-The radial stretch, the wedge, the polynomial and the bump map write
-their (u, J) once, on entries (_entry_map): Python floats for one point
-and arrays over the points of a stack, so one source serves both and a
-stack row has its single call's bits by construction; at order 2 the
-Hessian is added on arrays. The flow-line walk reads one point's J of a
-float program or an entry-first sampler as a list
-(SmoothMap._jacobian_entries). Stacks of words and composites, their
-order-2 jets and the affine maps take the array path.
+Every map here writes its order-1 (u, J) once, on entries
+(_entry_map): Python floats for one point and arrays over the points of
+a stack, so one source serves both and a stack row has its single
+call's bits by construction; at order 2 the Hessian is added on arrays.
+A conformal word chains its generators' samplers, and a composite runs
+its fold's moves and constant matrix, then each later factor's sampler
+(_chained). Every product of their J entries, a rotation's or affine
+map's value and the inversion's |x|^2 follow one product rule, each sum
+from +0.0 and left to right (_matprod, _matvec); their Hessians are
+chained on arrays by einsum (_chain_hessians). The flow-line walk reads
+one point's J entries as they are (SmoothMap._jacobian_entries).
 """
 
 from __future__ import annotations
@@ -47,7 +37,7 @@ from .errors import (
     UnknownMap,
 )
 from .operators import Jet2Sample
-from .tensor import _matrix_det, _positive, _pow
+from .tensor import _cofactors, _det, _entries, _matrix_det, _positive, _pow, _sum_sq
 
 _ORIGIN_TOL = 1e-9
 _SEAM_TOL = 1e-6
@@ -62,19 +52,15 @@ class SmoothMap:
     (..., n, n, n), row for row bit-equal to the same call on each point
     alone. At order 1 every sampler here returns the pair (u, J) alone,
     from the same Jacobian formula and without building the Hessian; a
-    sampler that ignores order returns its full jet. Conformal words and
-    their compositions with affine maps take every matrix product by the
-    product rule (see _dot), each sum from +0.0 and left to right, and at
-    order 1 sample one point of n = 2 or 3 on Python floats by those same
-    sums, bit-equal to a stack row. The radial stretch, the wedge, the
-    polynomial and the bump map write (u, J) once on entries, floats for
-    one point and arrays for a stack (see _entry_map). The private
-    _jacobian_entries hands one point's J of either over as a list, for
-    the flow-line walk. value and jacobian read jet_fn at order 1, hessian at order 2,
-    take a point or a stack, and return the sampler's arrays unvalidated,
-    so a caller checks J where it uses it; jet takes one point and returns
-    it as a validated Jet2Sample, and a caller that needs many points'
-    jets validates jet_fn's stack as one Jet2Sample. A sampler raises its own
+    sampler that ignores order returns its full jet. Every map built here
+    writes (u, J) once on entries, floats for one point and arrays for a
+    stack (see _entry_map), and the private _jacobian_entries hands one
+    point's J over as a list, for the flow-line walk. value and jacobian
+    read jet_fn at order 1, hessian at order 2, take a point or a stack,
+    and return the sampler's arrays unvalidated, so a caller checks J
+    where it uses it; jet takes one point and returns it as a validated
+    Jet2Sample, and a caller that needs many points' jets validates
+    jet_fn's stack as one Jet2Sample. A sampler raises its own
     GuardViolation before it samples outside its domain, for example at
     the puncture of a radial map or on a wedge seam, if any point of the
     stack is outside. The record holds only n and the sampler; the
@@ -106,33 +92,34 @@ class SmoothMap:
     def hessian(self, x) -> np.ndarray:
         return self.jet_fn(self._point(x), 2)[2]
 
-    def _jacobian_entries(self, x: list) -> tuple[list, np.ndarray | None]:
-        """J at one point x of n Python floats: its row-major entries, and J as an array.
+    def _jacobian_entries(self, x: list) -> list:
+        """J at one point x of n Python floats, as its row-major entries.
 
-        The array is jacobian's, checked to be n x n, and the entries are
-        read from it. At n = 2 and 3 a word or composite with a float
-        program, and an entry-first model map, override this to return
-        the entries of their sums and None, so they build no array; the
-        entries may be the program's own list, which callers only read.
+        Read from jacobian's array, checked to be n x n. A map with an
+        entry-first sampler overrides this to return its sampler's own
+        list, with no array built, which callers only read.
         """
         a = np.asarray(self.jacobian(np.array(x)), dtype=float)
         if a.shape != (self.n, self.n):
             raise ValueError(f"jacobian shape {a.shape} at one point does not match n={self.n}")
-        return a.ravel().tolist(), a
+        return a.ravel().tolist()
 
 
 @dataclass(frozen=True)
-class ConformalMap(SmoothMap):
+class _EntryMap(SmoothMap):
+    """A map written once on entries; sampler is its (sample, hessian) pair (see _entry_map)."""
+
+    sampler: tuple = field(repr=False)
+
+    def _jacobian_entries(self, x: list) -> list:
+        return self.sampler[0](x, 1)[1]
+
+
+@dataclass(frozen=True)
+class ConformalMap(_EntryMap):
     """Word of conformal generators with exact jets and an exact inverse."""
 
     word: tuple = ()
-    # the float program of one point at n = 2 or 3, made at its first use
-    program: list = field(default_factory=list, repr=False, compare=False)
-
-    def _jacobian_entries(self, x: list) -> tuple[list, np.ndarray | None]:
-        if self.n not in (2, 3):
-            return super()._jacobian_entries(x)
-        return _float_jet(_word_program(self.program, self.word, self.n), x)[1], None
 
     def conformal_factor(self, x) -> float:
         """Pointwise factor lam with dF^T dF = lam I, equal to |dF|^2 / n."""
@@ -153,13 +140,6 @@ def _eye(n: int) -> np.ndarray:
     eye = np.eye(n)
     eye.flags.writeable = False
     return eye
-
-
-def _tiled(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A fresh copy of m for each point of the stack x."""
-    out = np.empty(x.shape[:-1] + m.shape)
-    out[...] = m
-    return out
 
 
 # Powers, radii, angles and the wedge's cos and sin take the C library's
@@ -207,376 +187,14 @@ def _outer(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# conformal generators
+# entry-first samplers
 
-def _rotation_matrix(n: int, params: dict) -> np.ndarray:
-    if "matrix" in params:
-        r = np.asarray(params["matrix"], dtype=float)
-        if r.shape != (n, n):
-            raise ConfigError(f"rotation matrix shape {r.shape}, expected ({n},{n})")
-        if not np.allclose(r.T @ r, np.eye(n), atol=1e-10) or np.linalg.det(r) < 0:
-            raise ConfigError("rotation matrix must be orthogonal with det +1")
-        return r
-    angle = float(params["angle"])
-    if not math.isfinite(angle):
-        raise ConfigError(f"rotation angle must be finite, got {angle!r}")
-    if n == 2:
-        c, s = math.cos(angle), math.sin(angle)
-        return np.array([[c, -s], [s, c]])
-    if n == 3:
-        axis = np.asarray(params["axis"], dtype=float)
-        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
-            norm = np.linalg.norm(axis) if axis.shape == (3,) else math.nan
-        if not 0.0 < norm < math.inf:  # NaN fails too
-            raise ConfigError(f"rotation axis must be 3 finite numbers whose norm is nonzero "
-                              f"and finite, got {axis.tolist()!r}")
-        axis = axis / norm
-        k = np.array(
-            [
-                [0.0, -axis[2], axis[1]],
-                [axis[2], 0.0, -axis[0]],
-                [-axis[1], axis[0], 0.0],
-            ]
-        )
-        return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-    raise ConfigError("angle-based rotations support n=2 (angle) or n=3 (axis, angle)")
-
-
-def _dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Sum over the last axis of p * q by the product rule.
-
-    Each sum starts from +0.0 and adds the products left to right, as
-    tensor._det_adj's cofactors do; the float path (_float_sample) writes
-    the same sums out, so the two agree bit for bit, which matmul's BLAS
-    and vecdot, summing in their own orders, do not. The +0.0 start
-    drops the sign of a zero sum, which _fold relies on. One pair of
-    vectors takes the same sum on Python floats.
-    """
-    if p.ndim == 1 and p.shape == q.shape:  # one pair: the same sum on Python floats
-        total = 0.0
-        for a, b in zip(p.tolist(), q.tolist()):
-            total = total + a * b
-        return np.float64(total)
-    prod = p * q
-    total = 0.0 + prod[..., 0]
-    for m in range(1, prod.shape[-1]):
-        total = total + prod[..., m]
-    return total
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over the last two axes by the product rule; one 2x2 or 3x3 pair takes _fmul."""
-    if a.shape == b.shape and a.shape in ((2, 2), (3, 3)):
-        return np.array(_fmul(a.ravel().tolist(), b.ravel().tolist())).reshape(a.shape)
-    return _dot(a[..., :, None, :], np.swapaxes(b, -1, -2)[..., None, :, :])
-
-
-def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The matrix m applied to each point of x by the product rule; one point of n = 2 or 3
-    takes _fapply."""
-    if x.ndim == 1 and m.shape in ((2, 2), (3, 3)) and x.shape == m.shape[:1]:
-        return np.array(_fapply(m.ravel().tolist(), x.tolist()))
-    return _dot(m, x[..., None, :])
-
-
-def _generator_value(kind: str, data, x: np.ndarray) -> np.ndarray:
-    """Value of a generator whose Jacobian is constant.
-
-    kind is rotation, dilation or translation, or affine with data the
-    pair (matrix, offset); matrices apply by the product rule.
-    """
-    if kind == "rotation":
-        return _apply(data, x)
-    if kind == "affine":
-        return _apply(data[0], x) + data[1]
-    return data * x if kind == "dilation" else x + data
-
-
-def _generator_jet(kind: str, data, n: int, x: np.ndarray, order: int) -> tuple:
-    """Return (u, J, H) for one generator, or (u, J) at order 1; H is zero when absent."""
-    if kind == "rotation":
-        j = _tiled(data, x)
-    elif kind == "affine":
-        j = _tiled(data[0], x)
-    elif kind == "dilation":
-        j = _tiled(data * _eye(n), x)
-    elif kind == "translation":
-        j = _tiled(_eye(n), x)
-    else:  # the oriented inversion
-        rsq = _dot(x, x)
-        if _any(rsq < _ORIGIN_TOL**2):
-            raise OriginExcluded("inversion sampled at the origin")
-        eye = _eye(n)
-        r2 = rsq[..., None]
-        # the last output component is negated so the determinant stays
-        # positive; a sign flip is exact, so it may act on any factor
-        u = x / (r2 * data)
-        r2 = r2[..., None]
-        j = (eye / r2 - 2.0 * _outer(x, x) / np.float_power(r2, 2)) * data[:, None]
-        if order == 1:
-            return u, j
-        r2 = r2[..., None]
-        h = (
-            -2.0
-            * (
-                np.einsum("ka,...b->...kab", eye, x)
-                + np.einsum("kb,...a->...kab", eye, x)
-                + np.einsum("ab,...k->...kab", eye, x)
-            )
-            / np.float_power(r2, 2)
-            + 8.0 * np.einsum("...k,...a,...b->...kab", x, x, x) / np.float_power(r2, 3)
-        )
-        return u, j, h * data[:, None, None]
-    u = _generator_value(kind, data, x)
-    return (u, j) if order == 1 else (u, j, np.zeros(x.shape[:-1] + (n, n, n)))
-
-
-def _invert_generator(gen: tuple) -> tuple:
-    kind, data = gen
-    if kind == "rotation":
-        return ("rotation", data.T)
-    if kind == "dilation":
-        return ("dilation", 1.0 / data)
-    if kind == "translation":
-        return ("translation", -data)
-    return gen  # oriented inversion is its own inverse
-
-
-def _chain(outer: tuple, inner: tuple) -> tuple:
-    """Chain rule on raw (u, J) or (u, J, H) jets, outer's taken at inner's u."""
-    j = _matmul(outer[1], inner[1])
-    if len(inner) == 2:
-        return outer[0], j
-    h = (np.einsum("...km,...mab->...kab", outer[1], inner[2])
-         + np.einsum("...kms,...ma,...sb->...kab", outer[2], inner[1], inner[1]))
-    return outer[0], j, h
-
-
-def _conformal_from_word(word: tuple, n: int) -> ConformalMap:
-    program = []  # the float program, made at the first single-point sample
-
-    def jet_fn(x: np.ndarray, order: int) -> tuple:
-        if order == 1 and x.ndim == 1 and n in (2, 3):
-            return _float_sample(_word_program(program, word, n), x)
-        jet = (x,)  # the input alone until the first generator is taken
-        for kind, data in reversed(word):
-            raw = _generator_jet(kind, data, n, jet[0], order)
-            jet = raw if len(jet) == 1 else _chain(raw, jet)
-        return jet
-
-    return ConformalMap(n=n, jet_fn=jet_fn, word=word, program=program)
-
-
-# ---------------------------------------------------------------------------
-# one point on Python floats
-
-# Guards the one-time set-up of a sampler: a word's float program and a
-# composite's fold. Reentrant, since a fold samples its constant words.
-_FOLD_LOCK = threading.RLock()
-
-
-def _once(cell: list, make: Callable[[], tuple]) -> None:
-    """Put make() in the empty list cell under _FOLD_LOCK, unless another thread did first."""
-    with _FOLD_LOCK:
-        if not cell:
-            cell.append(make())
-
-
-def _word_program(cell: list, word: tuple, n: int) -> tuple:
-    """A word's float program for _float_sample, made in the list cell at its first use."""
-    if not cell:
-        _once(cell, lambda: ((), (), None, ((_float_steps(word[::-1], n), None),)))
-    return cell[0]
-
-
-def _fmul(a: list, b: list) -> list:
-    """_matmul of two flat row-major 2x2 or 3x3 matrices of Python floats."""
-    if len(a) == 4:
-        a0, a1, a2, a3 = a
-        b0, b1, b2, b3 = b
-        return [(0.0 + a0 * b0) + a1 * b2, (0.0 + a0 * b1) + a1 * b3,
-                (0.0 + a2 * b0) + a3 * b2, (0.0 + a2 * b1) + a3 * b3]
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-    return [((0.0 + a0 * b0) + a1 * b3) + a2 * b6, ((0.0 + a0 * b1) + a1 * b4) + a2 * b7,
-            ((0.0 + a0 * b2) + a1 * b5) + a2 * b8, ((0.0 + a3 * b0) + a4 * b3) + a5 * b6,
-            ((0.0 + a3 * b1) + a4 * b4) + a5 * b7, ((0.0 + a3 * b2) + a4 * b5) + a5 * b8,
-            ((0.0 + a6 * b0) + a7 * b3) + a8 * b6, ((0.0 + a6 * b1) + a7 * b4) + a8 * b7,
-            ((0.0 + a6 * b2) + a7 * b5) + a8 * b8]
-
-
-def _fapply(a: list, x: list) -> list:
-    """A flat row-major 2x2 or 3x3 matrix applied to a point, by the product rule."""
-    if len(x) == 2:
-        x0, x1 = x
-        return [(0.0 + a[0] * x0) + a[1] * x1, (0.0 + a[2] * x0) + a[3] * x1]
-    x0, x1, x2 = x
-    return [((0.0 + a[0] * x0) + a[1] * x1) + a[2] * x2,
-            ((0.0 + a[3] * x0) + a[4] * x1) + a[5] * x2,
-            ((0.0 + a[6] * x0) + a[7] * x1) + a[8] * x2]
-
-
-def _float_data(kind: str, data):
-    """A generator's data on Python floats: a matrix as its flat rows, a vector as a list."""
-    if kind == "affine":
-        return data[0].ravel().tolist(), data[1].tolist()
-    return data if kind == "dilation" else data.ravel().tolist()
-
-
-def _float_steps(gens, n: int) -> tuple:
-    """Each (kind, data) generator as (kind, data, flat J) on Python floats, J None if varying."""
-    zero = np.zeros(n)
-    return tuple((kind, _float_data(kind, data), None if kind == "inversion"
-                  else _generator_jet(kind, data, n, zero, 1)[1].ravel().tolist())
-                 for kind, data in gens)
-
-
-def _fadd(p: list, q: list) -> list:
-    """p + q for two points of Python floats, written out as _fapply is."""
-    if len(p) == 2:
-        return [p[0] + q[0], p[1] + q[1]]
-    return [p[0] + q[0], p[1] + q[1], p[2] + q[2]]
-
-
-def _float_value(kind: str, data, x: list) -> list:
-    """_generator_value at a point of Python floats."""
-    if kind == "rotation":
-        return _fapply(data, x)
-    if kind == "affine":
-        return _fadd(_fapply(data[0], x), data[1])
-    if kind == "dilation":
-        return [data * v for v in x]
-    return _fadd(x, data)
-
-
-def _float_inversion(signs: list, x: list) -> tuple[list, list]:
-    """The oriented inversion's order-1 _generator_jet at a point of Python floats.
-
-    Each entry repeats the array path's operations in its order: eye / r2
-    less 2 x x^T / r2^2, times the output component's sign, where ** on
-    floats is the C pow np.float_power takes and 0.0 / r2 is eye's zero.
-    """
-    if len(x) == 2:
-        x0, x1 = x
-        rsq = (0.0 + x0 * x0) + x1 * x1
-        if rsq < _ORIGIN_TOL**2:
-            raise OriginExcluded("inversion sampled at the origin")
-        sq, on, off = rsq ** 2, 1.0 / rsq, 0.0 / rsq
-        s0, s1 = signs
-        u = [x0 / (rsq * s0), x1 / (rsq * s1)]
-        j = [(on - 2.0 * (x0 * x0) / sq) * s0, (off - 2.0 * (x0 * x1) / sq) * s0,
-             (off - 2.0 * (x1 * x0) / sq) * s1, (on - 2.0 * (x1 * x1) / sq) * s1]
-        return u, j
-    x0, x1, x2 = x
-    rsq = ((0.0 + x0 * x0) + x1 * x1) + x2 * x2
-    if rsq < _ORIGIN_TOL**2:
-        raise OriginExcluded("inversion sampled at the origin")
-    sq, on, off = rsq ** 2, 1.0 / rsq, 0.0 / rsq
-    s0, s1, s2 = signs
-    u = [x0 / (rsq * s0), x1 / (rsq * s1), x2 / (rsq * s2)]
-    j = [(on - 2.0 * (x0 * x0) / sq) * s0, (off - 2.0 * (x0 * x1) / sq) * s0,
-         (off - 2.0 * (x0 * x2) / sq) * s0, (off - 2.0 * (x1 * x0) / sq) * s1,
-         (on - 2.0 * (x1 * x1) / sq) * s1, (off - 2.0 * (x1 * x2) / sq) * s1,
-         (off - 2.0 * (x2 * x0) / sq) * s2, (off - 2.0 * (x2 * x1) / sq) * s2,
-         (on - 2.0 * (x2 * x2) / sq) * s2]
-    return u, j
-
-
-def _float_sample(program: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Order-1 (u, J) at one point of a 2- or 3-dimensional word or composite, on Python floats.
-
-    program is (dets, moves, matrix, factors): the determinants each
-    sample refuses with _positive, the (kind, data) steps a value takes
-    before the first varying Jacobian, the flat constant Jacobian of those
-    steps or None, and each later factor as its _float_steps with its
-    affine determinant or None. Every guard, sum and product is the array
-    path's, taken in its order, so u and J carry the bits of a stack row.
-    _float_jet does the work on lists; this returns its result as arrays.
-    """
-    u, jac = _float_jet(program, x.tolist())
-    n = len(u)
-    return np.array(u), np.array(jac).reshape(n, n)
-
-
-def _float_jet(program: tuple, x: list) -> tuple[list, list]:
-    """_float_sample at a point of Python floats: u and J's row-major entries as lists."""
-    dets, moves, jac, factors = program
-    for det in dets:
-        _positive(det)
-    for kind, data in moves:
-        x = _float_value(kind, data, x)
-    for steps, det in factors:
-        factor_jac = None
-        for kind, data, step_jac in steps:
-            if step_jac is None:
-                x, step_jac = _float_inversion(data, x)
-            else:
-                x = _float_value(kind, data, x)
-            factor_jac = step_jac if factor_jac is None else _fmul(step_jac, factor_jac)
-        if det is not None:
-            _positive(det)
-        jac = factor_jac if jac is None else _fmul(factor_jac, jac)
-    return x, jac
-
-
-_GENERATOR_KEYS = {
-    "rotation": {"n", "angle", "axis", "matrix"},
-    "dilation": {"n", "scale"},
-    "translation": {"offset"},
-    "inversion": {"n"},
-}
-
-
-def moebius(kind: str, params: dict) -> ConformalMap:
-    """Single conformal generator as a map.
-
-    kind is one of rotation, dilation, translation, inversion. The
-    inversion is the oriented one, x / |x|^2 with the last output
-    component negated, so every generator preserves orientation. Each
-    kind takes only its own parameters; any other key is a ConfigError.
-    """
-    keys = _GENERATOR_KEYS.get(kind)
-    if keys is None:
-        raise UnknownMap(f"unknown conformal generator kind {kind!r}")
-    if not params.keys() <= keys:
-        unknown = ", ".join(sorted(params.keys() - keys))
-        raise ConfigError(f"moebius {kind} got unknown parameter {unknown}")
-    try:
-        if kind == "rotation":
-            n = _dimension(params.get("n", 2 if "axis" not in params else 3))
-            data = _rotation_matrix(n, params)
-        elif kind == "dilation":
-            n = _dimension(params["n"])
-            data = float(params["scale"])
-            if not 0.0 < data < math.inf:  # NaN fails too
-                raise ConfigError(f"dilation scale must be a positive finite number, got {data!r}")
-        elif kind == "translation":
-            data = np.asarray(params["offset"], dtype=float)
-            if not all(map(math.isfinite, data.flat)):
-                raise ConfigError(f"translation offset must be finite, got {data.tolist()!r}")
-            n = data.size
-        else:  # the oriented inversion; data holds the sign of each output component
-            n = _dimension(params["n"])
-            data = np.array([1.0] * (n - 1) + [-1.0])
-    except KeyError as missing:
-        raise ConfigError(f"moebius {kind} needs parameter {missing}") from missing
-    return _conformal_from_word(((kind, data),), n)
-
-
-# ---------------------------------------------------------------------------
-# entry-first samplers of the model maps
-
-# The radial stretch, the wedge, the polynomial and the bump map write their
-# (u, J) once, on entries: a point's coordinates are Python floats for one
-# point and arrays over the points of a stack, and u and J come back as
-# row-major entries of the same kind. +, -, *, /, sqrt and the C pow round
-# the same on both; radii, angles, cos and sin take the math module's
-# functions on both (_polar, _cos_sin), |x|^2 numpy's dot on both
-# (_sq_norm), and every sum and product has a fixed order. So a stack row
-# has the bits of its single call by construction, and the flow-line walk
-# reads one point's J entries as they are (_EntryMap._jacobian_entries).
-# At order 2 the Hessian is added on arrays, from x and the intermediates
-# the sampler hands over.
+# A point's coordinates are Python floats for one point and arrays over the
+# points of a stack, and u and J come back as row-major entries of the same
+# kind. +, -, *, /, sqrt and the C pow round the same on both; radii, angles,
+# cos and sin take the math module's functions on both (_polar, _cos_sin),
+# the radial |x|^2 numpy's dot on both (_sq_norm), and every sum and product
+# has a fixed order, so a stack row has the bits of its single call.
 
 def _point_entries(x: np.ndarray) -> list:
     """Coordinates of one point as Python floats, or of a stack as arrays over its points."""
@@ -624,21 +242,9 @@ def _product(factors: list):
     return out
 
 
-@dataclass(frozen=True)
-class _EntryMap(SmoothMap):
-    """A model map whose (u, J) is written once on entries (see _entry_map)."""
-
-    sample: Callable[[list, int], tuple] = field(repr=False)
-
-    def _jacobian_entries(self, x: list) -> tuple[list, np.ndarray | None]:
-        if self.n not in (2, 3):  # the walk's float kernel takes 2x2 and 3x3 matrices
-            return super()._jacobian_entries(x)
-        return self.sample(x, 1)[1], None
-
-
-def _entry_map(n: int, sample: Callable[[list, int], tuple],
-               hessian: Callable[..., np.ndarray]) -> SmoothMap:
-    """A map from its entry-first sampler and its Hessian.
+def _entry_map(n: int, sample: Callable[[list, int], tuple], hessian: Callable[..., np.ndarray],
+               cls: type = _EntryMap, *fields) -> SmoothMap:
+    """A map from its entry-first sampler and its Hessian, as cls with its further fields in order.
 
     sample(x, order) takes a point's coordinates as entries and returns
     u's and J's row-major entries, then the intermediates hessian(x, lead,
@@ -648,11 +254,319 @@ def _entry_map(n: int, sample: Callable[[list, int], tuple],
 
     def jet_fn(x: np.ndarray, order: int) -> tuple:
         lead = x.shape[:-1]
-        u, j, *parts = sample(_point_entries(x), order)
-        u, j = _stacked(u, lead), _stacked(j, lead).reshape(lead + (n, n))
-        return (u, j) if order == 1 else (u, j, hessian(x, lead, *parts))
+        out = sample(_point_entries(x), order)
+        u, j = _stacked(out[0], lead), _stacked(out[1], lead).reshape(lead + (n, n))
+        return (u, j) if order == 1 else (u, j, hessian(x, lead, *out[2:]))
 
-    return _EntryMap(n=n, jet_fn=jet_fn, sample=sample)
+    return cls(n, jet_fn, (sample, hessian), *fields)  # positional: a build costs less
+
+
+# ---------------------------------------------------------------------------
+# chains of samplers by the product rule
+
+# Each sum of the product rule starts from +0.0 and adds the products left
+# to right, as tensor's cofactors do; the +0.0 start drops the sign of a
+# zero sum, which _fold relies on. 2x2 and 3x3 sums are written out.
+
+def _sum_products(p: list, q: list):
+    """p . q by the product rule."""
+    total = 0.0
+    for a, b in zip(p, q):
+        total = total + a * b
+    return total
+
+
+def _matprod(a: list, b: list) -> list:
+    """The product of two flat row-major n x n matrices by the product rule."""
+    if len(a) == 4:
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        return [(0.0 + a0 * b0) + a1 * b2, (0.0 + a0 * b1) + a1 * b3,
+                (0.0 + a2 * b0) + a3 * b2, (0.0 + a2 * b1) + a3 * b3]
+    if len(a) == 9:
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+        return [((0.0 + a0 * b0) + a1 * b3) + a2 * b6, ((0.0 + a0 * b1) + a1 * b4) + a2 * b7,
+                ((0.0 + a0 * b2) + a1 * b5) + a2 * b8, ((0.0 + a3 * b0) + a4 * b3) + a5 * b6,
+                ((0.0 + a3 * b1) + a4 * b4) + a5 * b7, ((0.0 + a3 * b2) + a4 * b5) + a5 * b8,
+                ((0.0 + a6 * b0) + a7 * b3) + a8 * b6, ((0.0 + a6 * b1) + a7 * b4) + a8 * b7,
+                ((0.0 + a6 * b2) + a7 * b5) + a8 * b8]
+    n = math.isqrt(len(a))
+    return [_sum_products(a[i:i + n], b[k::n]) for i in range(0, n * n, n) for k in range(n)]
+
+
+def _matvec(a: list, x: list) -> list:
+    """A flat row-major n x n matrix applied to a point by the product rule."""
+    if len(x) == 2:
+        x0, x1 = x
+        return [(0.0 + a[0] * x0) + a[1] * x1, (0.0 + a[2] * x0) + a[3] * x1]
+    if len(x) == 3:
+        x0, x1, x2 = x
+        return [((0.0 + a[0] * x0) + a[1] * x1) + a[2] * x2,
+                ((0.0 + a[3] * x0) + a[4] * x1) + a[5] * x2,
+                ((0.0 + a[6] * x0) + a[7] * x1) + a[8] * x2]
+    n = len(x)
+    return [_sum_products(a[i:i + n], x) for i in range(0, n * n, n)]
+
+
+def _add(p: list, q: list) -> list:
+    """The entries of p + q, written out at n = 2 and 3."""
+    if len(p) == 2:
+        return [p[0] + q[0], p[1] + q[1]]
+    if len(p) == 3:
+        return [p[0] + q[0], p[1] + q[1], p[2] + q[2]]
+    return [a + b for a, b in zip(p, q)]
+
+
+def _positive_entries(u: list, j: list) -> None:
+    """Refuse J's entries at u unless det J > 0: the kernel's det at n = 2 and 3, else LAPACK's."""
+    n, lead = len(u), np.shape(u[0])
+    _positive(_det(j, _cofactors(j, n), n) if n in (2, 3)
+              else np.linalg.det(_stacked(j, lead).reshape(lead + (n, n))))
+
+
+# Guards the one-time set-up of a sampler: a word's links and a
+# composite's fold. Reentrant, since a fold samples its constant words.
+_FOLD_LOCK = threading.RLock()
+
+
+def _made(cell: list, make: Callable[[], tuple]) -> tuple:
+    """make()'s result, put in the list cell under _FOLD_LOCK by the first call to find it empty."""
+    if not cell:
+        with _FOLD_LOCK:
+            if not cell:
+                cell.append(make())
+    return cell[0]
+
+
+def _chained(links: tuple, x: list, order: int, j: list | None = None) -> tuple:
+    """x through each link of a chain in turn: u's entries, J's and the parts of its Hessian.
+
+    A link is (sample, hessian, check): sample is an entry-first sampler,
+    hessian its Hessian (see _entry_map), and check(u, J) refuses its
+    output or is None. J is the links' J chained innermost first by the
+    product rule, from the constant J j when one is given. At order 2
+    each link adds its input, Hessian, parts and J, with the chain's J
+    before it, to the parts that _chain_hessians reads; at order 1 they
+    stay empty.
+    """
+    parts = []
+    for sample, hessian, check in links:
+        out = sample(x, order)
+        if check is not None:
+            check(out[0], out[1])
+        if order == 2:
+            parts.append((x, hessian, out[2:], out[1], j))
+        j = out[1] if j is None else _matprod(out[1], j)
+        x = out[0]
+    return x, j, parts
+
+
+def _chain_hessians(x: np.ndarray, lead: tuple, parts: list) -> np.ndarray:
+    """The Hessian of a chain at the points x from _chained's parts, by the chain rule on arrays.
+
+    Each link's H is taken at its input and chained onto the Hessian so
+    far by einsum, as outer J . inner H + outer H : (inner J, inner J); a
+    chain that starts from a constant J starts from a zero Hessian.
+    """
+    n = x.shape[-1]
+    h = np.zeros(lead + (n, n, n))
+    for x_in, hessian, link_parts, link_j, j in parts:
+        link_h = hessian(_stacked(x_in, lead), lead, *link_parts)
+        if j is None:
+            h = link_h
+            continue
+        link_j, j = (_stacked(e, lead).reshape(lead + (n, n)) for e in (link_j, j))
+        h = (np.einsum("...km,...mab->...kab", link_j, h)
+             + np.einsum("...kms,...ma,...sb->...kab", link_h, j, j))
+    return h
+
+
+# ---------------------------------------------------------------------------
+# conformal generators
+
+def _rotation_matrix(n: int, params: dict) -> np.ndarray:
+    if "matrix" in params:
+        given = sorted(params.keys() & {"angle", "axis"})
+        if given:
+            raise ConfigError(f"rotation takes a matrix or an angle, not both; got matrix and "
+                              f"{' and '.join(given)}")
+        r = np.asarray(params["matrix"], dtype=float)
+        if r.shape != (n, n):
+            raise ConfigError(f"rotation matrix shape {r.shape}, expected ({n},{n})")
+        if not np.allclose(r.T @ r, np.eye(n), atol=1e-10) or np.linalg.det(r) < 0:
+            raise ConfigError("rotation matrix must be orthogonal with det +1")
+        return r
+    angle = float(params["angle"])
+    if not math.isfinite(angle):
+        raise ConfigError(f"rotation angle must be finite, got {angle!r}")
+    if n == 2:
+        if "axis" in params:
+            raise ConfigError("a rotation axis is read only at n=3, got n=2")
+        c, s = math.cos(angle), math.sin(angle)
+        return np.array([[c, -s], [s, c]])
+    if n == 3:
+        axis = np.asarray(params["axis"], dtype=float)
+        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+            norm = np.linalg.norm(axis) if axis.shape == (3,) else math.nan
+        if not 0.0 < norm < math.inf:  # NaN fails too
+            raise ConfigError(f"rotation axis must be 3 finite numbers whose norm is nonzero "
+                              f"and finite, got {axis.tolist()!r}")
+        axis = axis / norm
+        k = np.array(
+            [
+                [0.0, -axis[2], axis[1]],
+                [axis[2], 0.0, -axis[0]],
+                [-axis[1], axis[0], 0.0],
+            ]
+        )
+        return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+    raise ConfigError("angle-based rotations support n=2 (angle) or n=3 (axis, angle)")
+
+
+def _move(kind: str, data, n: int) -> tuple[Callable[[list], list], list]:
+    """A generator whose J is constant, or an affine map with data (matrix, offset): its value
+    on a point's entries, and its J's entries."""
+    if kind == "dilation":
+        return (lambda x: [data * v for v in x]), [data * e for e in _eye(n).ravel().tolist()]
+    if kind == "translation":
+        # offset + x: a sum of two floats is the same either way round
+        return functools.partial(_add, data.tolist()), _eye(n).ravel().tolist()
+    matrix, offset = (data, None) if kind == "rotation" else data
+    j = matrix.ravel().tolist()
+    if offset is None:
+        return functools.partial(_matvec, j), j
+    offset = offset.tolist()
+    return (lambda x: _add(_matvec(j, x), offset)), j
+
+
+def _generator_link(kind: str, data, n: int) -> tuple:
+    """A generator, or an affine map with data (matrix, offset), as a chain link (see _chained).
+
+    Its sampler takes a point's entries to u's and J's, J the generator's
+    own constant list (see _move) but for the inversion's, whose sampler
+    also hands |x|^2 to its Hessian; a constant J's Hessian is zero. It
+    takes no check.
+    """
+    if kind == "inversion":
+        return functools.partial(_inversion, data.tolist()), _inversion_hessian(data, n), None
+    value, j = _move(kind, data, n)
+    return (lambda x, order: (value(x), j)), (lambda x, lead: np.zeros(lead + (n, n, n))), None
+
+
+def _inversion(signs: list, x: list, order: int = 1) -> tuple[list, list, object]:
+    """The oriented inversion's u and J entries at x, with |x|^2; order is not read.
+
+    J is eye / |x|^2 less 2 x x^T / |x|^4, each entry times its output
+    component's sign, where |x|^4 is the C pow of |x|^2 and an
+    off-diagonal eye entry gives 0.0 / |x|^2. n = 2 and 3 are written out.
+    """
+    rsq = _sum_sq(x)
+    near = rsq < _ORIGIN_TOL**2  # _any, less a call
+    if near.any() if isinstance(near, np.ndarray) else near:
+        raise OriginExcluded("inversion sampled at the origin")
+    sq, on, off = _pow(rsq, 2), 1.0 / rsq, 0.0 / rsq
+    if len(x) == 2:
+        (x0, x1), (s0, s1) = x, signs
+        return ([x0 / (rsq * s0), x1 / (rsq * s1)],
+                [(on - 2.0 * (x0 * x0) / sq) * s0, (off - 2.0 * (x0 * x1) / sq) * s0,
+                 (off - 2.0 * (x1 * x0) / sq) * s1, (on - 2.0 * (x1 * x1) / sq) * s1], rsq)
+    if len(x) == 3:
+        (x0, x1, x2), (s0, s1, s2) = x, signs
+        return ([x0 / (rsq * s0), x1 / (rsq * s1), x2 / (rsq * s2)],
+                [(on - 2.0 * (x0 * x0) / sq) * s0, (off - 2.0 * (x0 * x1) / sq) * s0,
+                 (off - 2.0 * (x0 * x2) / sq) * s0, (off - 2.0 * (x1 * x0) / sq) * s1,
+                 (on - 2.0 * (x1 * x1) / sq) * s1, (off - 2.0 * (x1 * x2) / sq) * s1,
+                 (off - 2.0 * (x2 * x0) / sq) * s2, (off - 2.0 * (x2 * x1) / sq) * s2,
+                 (on - 2.0 * (x2 * x2) / sq) * s2], rsq)
+    return ([v / (rsq * s) for v, s in zip(x, signs)],
+            [((on if i == k else off) - 2.0 * (p * q) / sq) * s
+             for i, (p, s) in enumerate(zip(x, signs)) for k, q in enumerate(x)], rsq)
+
+
+def _inversion_hessian(signs: np.ndarray, n: int) -> Callable[..., np.ndarray]:
+    """The oriented inversion's Hessian at the array of points x, from their |x|^2."""
+    eye = _eye(n)
+
+    def hessian(x: np.ndarray, lead: tuple, rsq) -> np.ndarray:
+        r2 = np.asarray(rsq)[..., None, None, None]
+        sym = (np.einsum("ka,...b->...kab", eye, x) + np.einsum("kb,...a->...kab", eye, x)
+               + np.einsum("ab,...k->...kab", eye, x))
+        cube = np.einsum("...k,...a,...b->...kab", x, x, x)
+        h = -2.0 * sym / np.float_power(r2, 2) + 8.0 * cube / np.float_power(r2, 3)
+        return h * signs[:, None, None]
+
+    return hessian
+
+
+def _invert_generator(gen: tuple) -> tuple:
+    kind, data = gen
+    if kind == "rotation":
+        return ("rotation", data.T)
+    if kind == "dilation":
+        return ("dilation", 1.0 / data)
+    if kind == "translation":
+        return ("translation", -data)
+    return gen  # oriented inversion is its own inverse
+
+
+def _word_links(word: tuple, n: int) -> tuple:
+    """A word's generators as the links of a chain, innermost first."""
+    return tuple(_generator_link(kind, data, n) for kind, data in reversed(word))
+
+
+def _conformal_from_word(word: tuple, n: int) -> ConformalMap:
+    links = []  # the word's links, made at the first sample
+
+    def sample(x: list, order: int) -> tuple:
+        return _chained(links[0] if links else _made(links, lambda: _word_links(word, n)), x, order)
+
+    return _entry_map(n, sample, _chain_hessians, ConformalMap, word)
+
+
+_GENERATOR_KEYS = {
+    "rotation": {"n", "angle", "axis", "matrix"},
+    "dilation": {"n", "scale"},
+    "translation": {"offset"},
+    "inversion": {"n"},
+}
+
+
+def moebius(kind: str, params: dict) -> ConformalMap:
+    """Single conformal generator as a map.
+
+    kind is one of rotation, dilation, translation, inversion. The
+    inversion is the oriented one, x / |x|^2 with the last output
+    component negated, so every generator preserves orientation. Each
+    kind takes only its own parameters; any other key is a ConfigError.
+    """
+    keys = _GENERATOR_KEYS.get(kind)
+    if keys is None:
+        raise UnknownMap(f"unknown conformal generator kind {kind!r}")
+    if not params.keys() <= keys:
+        unknown = ", ".join(sorted(params.keys() - keys))
+        raise ConfigError(f"moebius {kind} got unknown parameter {unknown}")
+    try:
+        if kind == "rotation":
+            n = _dimension(params.get("n", 2 if "axis" not in params else 3))
+            data = _rotation_matrix(n, params)
+        elif kind == "dilation":
+            n = _dimension(params["n"])
+            data = float(params["scale"])
+            if not 0.0 < data < math.inf:  # NaN fails too
+                raise ConfigError(f"dilation scale must be a positive finite number, got {data!r}")
+        elif kind == "translation":
+            data = np.asarray(params["offset"], dtype=float)
+            if data.ndim != 1 or not data.size or not all(map(math.isfinite, data.flat)):
+                raise ConfigError(f"translation offset must be finite numbers, one or more in a "
+                                  f"flat vector, got {data.tolist()!r}")
+            n = data.size
+        else:  # the oriented inversion; data holds the sign of each output component
+            n = _dimension(params["n"])
+            data = np.array([1.0] * (n - 1) + [-1.0])
+    except KeyError as missing:
+        raise ConfigError(f"moebius {kind} needs parameter {missing}") from missing
+    return _conformal_from_word(((kind, data),), n)
 
 
 # ---------------------------------------------------------------------------
@@ -814,12 +728,8 @@ def affine_map(matrix, offset=None) -> SmoothMap:
     b = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
     if b.shape != (n,) or not all(map(math.isfinite, b.flat)):
         raise ConfigError(f"affine offset must be {n} finite numbers, got {b.tolist()!r}")
-
-    def jet_fn(x: np.ndarray, order: int) -> tuple:
-        return _generator_jet("affine", (a, b), n, x, order)
-
-    return _Affine(n=n, jet_fn=jet_fn, matrix=a, offset=b)
-
+    sample, hessian, _ = _generator_link("affine", (a, b), n)
+    return _entry_map(n, sample, hessian, _Affine, a, b)
 
 
 def identity_map(n: int) -> SmoothMap:
@@ -934,7 +844,7 @@ def bump_map(n: int, amplitude: float = 0.05) -> SmoothMap:
 # composition
 
 @dataclass(frozen=True)
-class _Affine(SmoothMap):
+class _Affine(_EntryMap):
     """Affine map x -> matrix x + offset, whose Jacobian is the constant matrix."""
 
     matrix: np.ndarray = field(repr=False)
@@ -942,78 +852,80 @@ class _Affine(SmoothMap):
 
 
 @dataclass(frozen=True)
-class _Composite(SmoothMap):
-    """Composition of factors, innermost first, folded by _chain."""
+class _Composite(_EntryMap):
+    """Composition of factors, innermost first, folded by _fold and sampled by _chained."""
 
     factors: tuple = ()
     # the fold, made once at the first sample (see _fold)
     folded: list = field(default_factory=list, repr=False, compare=False)
 
-    def _jacobian_entries(self, x: list) -> tuple[list, np.ndarray | None]:
-        program = _folded(self.folded, self.factors)[4]
-        if program is None:
-            return super()._jacobian_entries(x)
-        return _float_jet(program, x)[1], None
+
+def _read_as_entries(m: SmoothMap) -> _EntryMap:
+    """A map with no entry-first sampler, its jet_fn's arrays read as entries."""
+
+    def sample(x: list, order: int) -> tuple:
+        u, j, *h = m.jet_fn(np.stack(x, axis=-1), order)[: order + 1]
+        return _point_entries(u), _entries(j), *h
+
+    return _EntryMap(m.n, m.jet_fn, (sample, lambda x, lead, h: h))
 
 
-def _generators(factor: SmoothMap) -> tuple:
-    """An affine map or a conformal word as (kind, data) generators, innermost first."""
-    if isinstance(factor, _Affine):
-        return (("affine", (factor.matrix, factor.offset)),)
-    return factor.word[::-1]
+def _link(factor: SmoothMap, det, word: tuple) -> tuple:
+    """A factor after the fold as a chain link (see _chained), with the check its J takes.
+
+    A conformal word, here word, preserves orientation by construction and
+    takes no check; it is its own chain, or its one generator's link. An
+    affine factor refuses its determinant det, taken once in the fold, and
+    any other factor the det of its J entries. A map with no entry-first
+    sampler is read through jet_fn.
+    """
+    if word:
+        links = _word_links(word, factor.n)
+        return links[0] if len(links) == 1 else (functools.partial(_chained, links),
+                                                 _chain_hessians, None)
+    if not isinstance(factor, _EntryMap):
+        factor = _read_as_entries(factor)
+    check = _positive_entries if det is None else lambda u, j: _positive(det)
+    return *factor.sampler, check
 
 
 def _fold(factors: tuple) -> tuple:
-    """Split a composite's factors into its leading constant-Jacobian run and the rest.
+    """Split a composite's factors into its leading constant-Jacobian run and a chain of the rest.
 
-    Returns (moves, matrix, dets, rest, program). The run is the
-    innermost whole factors whose J is constant (affine maps, and words
-    without an inversion), then the leading translations of the next
-    factor when it is a word. moves are the run's steps as (kind, data)
-    generators, affine factors included, that take a value through it in
-    turn; matrix is the product of the whole factors' J in the chain's own
-    order, or None; dets are the run's affine determinants. rest pairs
-    each later factor, the word shortened by its translations included,
-    with its affine determinant or None. program is the same on Python
-    floats for _float_sample, made when n is 2 or 3 and every later factor
-    is a conformal word or an affine map, else None. A translation's
-    identity leaves the product bit for bit: it only changes the sign of
-    zero entries, and every later product sums from +0 (the product rule
-    of _dot), where a zero's sign is lost.
+    Returns (dets, moves, matrix, links). The run is the innermost whole
+    factors whose J is constant (affine maps, and words without an
+    inversion), then the leading translations of the next factor when it
+    is a word. dets are the run's affine determinants, and moves the
+    samplers of the run's generators and affine maps, which take a value
+    through it in turn. matrix is the product of the whole factors' J in
+    the chain's own order, as entries, or None; links are the chain that
+    starts from it (see _chained): each later factor, the word shortened
+    by its translations included (see _link). A
+    translation's identity leaves the product bit for bit: it only
+    changes the sign of zero entries, and every later product sums from
+    +0 (the product rule of _matprod), where a zero's sign is lost.
     """
     n = factors[0].n
-    moves, matrix, dets, rest = [], None, [], []
+    dets, moves, matrix, links = [], [], None, []
     for factor in factors:
         det = _matrix_det(factor.matrix) if isinstance(factor, _Affine) else None
         word = getattr(factor, "word", ())
-        if not rest and (det is not None or word and all(k != "inversion" for k, _ in word)):
+        if not links and (det is not None or word and all(k != "inversion" for k, _ in word)):
             if det is not None:
                 dets.append(det)
-            moves += _generators(factor)
-            j = factor.jet_fn(np.zeros(n), 1)[1]  # constant, so any point gives it
-            matrix = j if matrix is None else _matmul(j, matrix)
+                moves.append(_move("affine", (factor.matrix, factor.offset), n)[0])
+            moves += [_move(k, d, n)[0] for k, d in reversed(word)]
+            j = factor.sampler[0]([0.0] * n, 1)[1]  # constant, so any point gives it
+            matrix = j if matrix is None else _matprod(j, matrix)
             continue
-        if not rest and word:  # the word has an inversion, so cut stops above 0
+        if not links and word:  # the word has an inversion, so cut stops above 0
             cut = len(word)
             while word[cut - 1][0] == "translation":
                 cut -= 1
-            if cut < len(word):
-                moves += word[cut:][::-1]
-                factor = _conformal_from_word(word[:cut], n)
-        rest.append((factor, det))
-    program = None
-    if n in (2, 3) and all(isinstance(f, (ConformalMap, _Affine)) for f, _ in rest):
-        program = (tuple(dets), tuple((k, _float_data(k, d)) for k, d in moves),
-                   None if matrix is None else matrix.ravel().tolist(),
-                   tuple((_float_steps(_generators(f), n), det) for f, det in rest))
-    return moves, matrix, dets, rest, program
-
-
-def _folded(cell: list, factors: tuple) -> tuple:
-    """A composite's _fold, made in the list cell at its first use."""
-    if not cell:
-        _once(cell, lambda: _fold(factors))
-    return cell[0]
+            moves += [_move(k, d, n)[0] for k, d in reversed(word[cut:])]
+            word = word[:cut]
+        links.append(_link(factor, det, word))
+    return tuple(dets), tuple(moves), matrix, tuple(links)
 
 
 def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
@@ -1030,50 +942,32 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
     translations; see _fold) into one precomputed product, taken in the
     chain's own order, and drops a translation's identity from the
     chain. Values still pass through each factor in turn, and the result
-    is bit-equal to the plain _chain fold over factors. Every matrix
-    product follows the product rule of _dot, each sum from +0.0 and left
-    to right, so at order 1 one point of a 2- or 3-dimensional composite
-    whose later factors are all conformal words or affine maps is sampled
-    on Python floats (_float_sample) with the bits of a stack row. The
-    fold, float program included, is made once, under a lock, however
-    many threads sample the map. An affine factor's determinant is taken
-    once, in the fold, and a reflecting affine factor is refused with the
-    same message at the first sample and every later one. Factors after
-    the first non-constant one are not folded, since that would change
-    the association of the products.
+    is bit-equal to the plain chain rule over the factors. Each later
+    factor's (u, J) comes from its own entry-first sampler and is chained
+    by the product rule (_chained), so one point and a stack row share
+    their bits; at order 2 the factors' Hessians are chained on arrays.
+    The fold is made once, under a lock, however many threads sample the
+    map. An affine factor's determinant is taken once, in the fold, and a
+    reflecting affine factor is refused with the same message at every
+    sample. Factors after the first non-constant one are not folded,
+    since that would change the association of the products.
     """
     if outer.n != inner.n:
         raise ConfigError("composition requires matching dimensions")
     if isinstance(outer, ConformalMap) and isinstance(inner, ConformalMap):
         return _conformal_from_word(outer.word + inner.word, outer.n)
-    n = outer.n
     factors = getattr(inner, "factors", (inner,)) + getattr(outer, "factors", (outer,))
     folded = []  # the fold, made once at the first sample
 
-    def jet_fn(x: np.ndarray, order: int) -> tuple:
-        moves, matrix, dets, rest, program = _folded(folded, factors)
-        if program is not None and order == 1 and x.ndim == 1:
-            return _float_sample(program, x)
+    def sample(x: list, order: int) -> tuple:
+        dets, moves, matrix, links = folded[0] if folded else _made(folded, lambda: _fold(factors))
         for det in dets:
             _positive(det)
-        for kind, data in moves:
-            x = _generator_value(kind, data, x)
-        jet = (x,)  # the input alone until the first J is taken
-        if matrix is not None:
-            # the first chain broadcasts the constant matrix at order 1
-            jet = (x, matrix if rest and order == 1 else _tiled(matrix, x))
-            if order == 2:
-                jet += (np.zeros(x.shape[:-1] + (n, n, n)),)
-        for factor, det in rest:
-            raw = factor.jet_fn(jet[0], order)[: order + 1]
-            if det is not None:
-                _positive(det)
-            elif not isinstance(factor, ConformalMap):
-                _positive(_matrix_det(raw[1]))
-            jet = raw if len(jet) == 1 else _chain(raw, jet)
-        return jet
+        for move in moves:
+            x = move(x)
+        return _chained(links, x, order, matrix)
 
-    return _Composite(n=n, jet_fn=jet_fn, factors=factors, folded=folded)
+    return _entry_map(outer.n, sample, _chain_hessians, _Composite, factors, folded)
 
 
 def teichmuller_map(psi: ConformalMap, middle: SmoothMap, phi: ConformalMap) -> SmoothMap:

@@ -19,7 +19,7 @@ from qcflow.errors import (DeterminantCollapse, GuardViolation, NonFiniteValue, 
 from qcflow.flowlines import (DEGENERACY_TOL, FlowTrajectory, _pick_row, _row_norms,
                               ball_domain, flow_field)
 from qcflow.gradientflow import ENERGY_TOL_SCALE, FlowRunStats, GridField
-from qcflow.maps import SmoothMap, _chain, _polynomial_coefficients
+from qcflow.maps import SmoothMap, _polynomial_coefficients
 from qcflow.operators import Jet2Sample, _contracted_operator, flux_linearization, linfty_factored
 from qcflow.tensor import _det_adj, _dilation_field, _positive
 
@@ -57,8 +57,31 @@ def fd_map(value_fn: Callable[[np.ndarray], np.ndarray], n: int, h: float) -> Sm
     return SmoothMap(n=n, jet_fn=jet_fn)
 
 
+def _product_rule(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the last two axes, each sum from +0.0 and left to right."""
+    prod = a[..., :, None, :] * np.swapaxes(b, -1, -2)[..., None, :, :]
+    total = 0.0 + prod[..., 0]
+    for m in range(1, prod.shape[-1]):
+        total = total + prod[..., m]
+    return total
+
+
+def chain(outer: tuple, inner: tuple) -> tuple:
+    """Chain rule on raw (u, J) or (u, J, H) jets, outer's taken at inner's u.
+
+    J is the product rule's product, H outer J . inner H plus
+    outer H : (inner J, inner J) by einsum.
+    """
+    j = _product_rule(outer[1], inner[1])
+    if len(inner) == 2:
+        return outer[0], j
+    h = (np.einsum("...km,...mab->...kab", outer[1], inner[2])
+         + np.einsum("...kms,...ma,...sb->...kab", outer[2], inner[1], inner[1]))
+    return outer[0], j, h
+
+
 def chained_map(composite) -> SmoothMap:
-    """The composite's factors folded by a plain _chain, one factor after another.
+    """The composite's factors folded by a plain chain, one factor after another.
 
     No product is precomputed and no factor is sign-checked: each factor's
     own sampler is taken at the previous factor's value, innermost first,
@@ -69,7 +92,7 @@ def chained_map(composite) -> SmoothMap:
         jet = (x,)
         for factor in composite.factors:
             raw = factor.jet_fn(jet[0], order)[: order + 1]
-            jet = raw if len(jet) == 1 else _chain(raw, jet)
+            jet = raw if len(jet) == 1 else chain(raw, jet)
         return jet
 
     return SmoothMap(n=composite.n, jet_fn=jet_fn)

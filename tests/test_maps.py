@@ -13,7 +13,7 @@ import pytest
 from conftest import count_determinants, random_posdet
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import chained_map, fd_map, polynomial_einsum
+from oracles import chain, chained_map, fd_map, polynomial_einsum
 
 from qcflow import maps as qcflow_maps
 from qcflow import (
@@ -33,7 +33,6 @@ from qcflow import (
 from qcflow.maps import (
     ConformalMap,
     SmoothMap,
-    _chain,
     _polynomial_coefficients,
     affine_map,
     bump_map,
@@ -250,6 +249,21 @@ class TestMoebius:
             moebius("dilation", {"n": 2, "scale": -1.0})
         with pytest.raises(UnknownMap):
             moebius("squeeze", {"n": 2})
+        # parameters a rotation used to ignore: an axis at n = 2 gave the
+        # planar rotation, and a matrix won over an angle or axis beside it
+        axis_rule = "a rotation axis is read only at n=3, got n=2"
+        with pytest.raises(ConfigError, match=f"^{re.escape(axis_rule)}$"):
+            moebius("rotation", {"n": 2, "axis": [0.0, 0.0, 1.0], "angle": 0.3})
+        quarter = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        for extra, named in (({"angle": 0.3}, "angle"), ({"axis": [0.0, 0.0, 1.0]}, "axis"),
+                             ({"angle": 0.3, "axis": [0.0, 0.0, 1.0]}, "angle and axis")):
+            message = f"rotation takes a matrix or an angle, not both; got matrix and {named}"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                moebius("rotation", {"n": 3, "matrix": quarter, **extra})
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                make_map("rotation", n=3, matrix=quarter, **extra)
+        assert moebius("rotation", {"n": 3, "matrix": quarter}).value([1.0, 0.0, 0.0]).tolist() == [
+            0.0, 1.0, 0.0]
 
     @pytest.mark.parametrize("kind, params, extra", [
         ("rotation", {"n": 2, "angle": 0.3}, {"bogus": 7}),
@@ -275,9 +289,10 @@ class TestMoebius:
         with pytest.raises(ConfigError, match="scale must be a positive finite number"):
             moebius("dilation", {"n": 2, "scale": scale})
 
-    @pytest.mark.parametrize("offset", [[math.nan, 0.0], [0.0, math.inf]])
+    @pytest.mark.parametrize("offset", [[math.nan, 0.0], [0.0, math.inf], [], [[0.3, 0.2]], 0.5])
     def test_translation_offset_must_be_finite(self, offset):
-        # a NaN offset used to build a map whose every value is NaN
+        # a NaN offset used to build a map whose every value is NaN, [] one
+        # with n = 0, and [[0.3, 0.2]] one whose jet(x).u had shape (1, 2)
         with pytest.raises(ConfigError, match="translation offset must be finite"):
             moebius("translation", {"offset": offset})
 
@@ -304,7 +319,7 @@ class TestAffineMap:
 
 def _chained_jacobian(outer, mid, inner):
     """outer mid inner, innermost product first, by the package's chain rule."""
-    return _chain((None, outer), _chain((None, mid), (None, inner)))[1]
+    return chain((None, outer), chain((None, mid), (None, inner)))[1]
 
 
 class TestCompose:
@@ -537,15 +552,25 @@ def _letters(draw, n):
 
 
 @st.composite
-def _sandwich(draw, n):
-    """A word, an affine map with det > 0 and a word, composed with either nesting."""
+def _sandwich(draw, n, model=False):
+    """A word, a middle map and a word, composed with either nesting.
+
+    The middle is an affine map with det > 0, or, with model set, a
+    polynomial or bump map half of the time.
+    """
     first, last = draw(_letters(n)), draw(_letters(n))
-    entries = st.floats(-0.4, 0.4)
-    offdiag = draw(st.lists(entries, min_size=n * n, max_size=n * n))
-    matrix = np.eye(n) + np.reshape(offdiag, (n, n))
-    if np.linalg.det(matrix) < 0.05:
-        matrix = np.diag(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
-    mid = affine_map(matrix, draw(st.lists(entries, min_size=n, max_size=n)))
+    if model and draw(st.booleans()):
+        if draw(st.booleans()):
+            mid = polynomial_map(n, seed=draw(st.integers(0, 9)))
+        else:
+            mid = bump_map(n, amplitude=draw(st.floats(0.02, 0.08)))
+    else:
+        entries = st.floats(-0.4, 0.4)
+        offdiag = draw(st.lists(entries, min_size=n * n, max_size=n * n))
+        matrix = np.eye(n) + np.reshape(offdiag, (n, n))
+        if np.linalg.det(matrix) < 0.05:
+            matrix = np.diag(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+        mid = affine_map(matrix, draw(st.lists(entries, min_size=n, max_size=n)))
     if draw(st.booleans()):
         return compose(last, compose(mid, first))
     return compose(compose(last, mid), first)
@@ -581,25 +606,42 @@ class TestFold:
             return
         _assert_matches_oracle(m, list(points) + [points])
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_factor_without_entry_sampler_matches_the_chain_oracle(self, n):
+        # a SmoothMap made from a bare jet_fn is read through its arrays,
+        # between a word and an affine map, at n = 4 through the loop sums
+        plain = SmoothMap(n=n, jet_fn=polynomial_map(n, seed=2).jet_fn)
+        word = compose(moebius("inversion", {"n": n}),
+                       moebius("translation", {"offset": [2.0] + [0.5] * (n - 1)}))
+        m = compose(affine_map(np.eye(n) + 0.1, [0.1] * n), compose(word, plain))
+        xs = np.random.default_rng(80 + n).uniform(-0.5, 0.5, size=(6, n))
+        _assert_matches_oracle(m, list(xs) + [xs, xs.reshape(2, 3, n)])
+        for x in xs:
+            assert np.array(m._jacobian_entries(x.tolist())).tobytes() == m.jacobian(x).tobytes()
+
     def test_fold_covers_the_leading_translation_of_a_word(self, monkeypatch):
         # a word after the constant run passes its innermost translations to
         # the run's values and keeps the rest, here the inversion alone
+        calls = []
+        for name in ("_matvec", "_add", "_inversion", "_matprod"):
+            def counted(*args, name=name, step=getattr(qcflow_maps, name)):
+                calls.append(name)
+                return step(*args)
+
+            monkeypatch.setattr(qcflow_maps, name, counted)
         m = teichmuller_example(2)
         xs = np.array([[0.3, -0.2], [0.1, 0.4]])
         m.jacobian(xs)  # the fold samples the constant factors once
-        calls = []
-        jet = qcflow_maps._generator_jet
-
-        def counted(kind, *args):
-            calls.append(kind)
-            return jet(kind, *args)
-
-        monkeypatch.setattr(qcflow_maps, "_generator_jet", counted)
-        m.jacobian(xs)
-        assert calls == ["inversion"]
-        # one point's float program holds the same one step after its moves
-        _, _, _, factors = qcflow_maps._fold(m.factors)[-1]
-        assert [[kind for kind, _, _ in steps] for steps, _ in factors] == [["inversion"]]
+        dets, moves, matrix, links = qcflow_maps._fold(m.factors)
+        # the affine determinant; the rotation, affine and translation moves;
+        # the constant matrix; the inversion word
+        assert (len(dets), len(moves), len(matrix), len(links)) == (1, 3, 4, 1)
+        for x in (xs, xs[0]):
+            calls.clear()
+            m.jacobian(x)
+            # the three moves' values, then the inversion alone, whose J is
+            # chained onto the constant matrix
+            assert calls == ["_matvec", "_matvec", "_add", "_add", "_inversion", "_matprod"]
 
     @pytest.mark.parametrize("where", ["whole_run", "run_then_word", "two_affines_then_word"])
     def test_folded_reflection_refused_at_every_sample(self, where):
@@ -695,18 +737,17 @@ REGISTRY_AT_2_AND_3 = [(map_id, n) for map_id in map_ids() for n in (2, 3)
 
 
 class TestFloatSample:
-    """One point of a word or folded composite at order 1 keeps the array bits on Python floats."""
+    """One point of any map at order 1 keeps a stack row's bits on Python floats."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.sampled_from([2, 3]), composite=st.booleans())
     def test_matches_the_array_path_bitwise(self, data, n, composite):
-        m = data.draw(_sandwich(n) if composite else _letters(n))
+        m = data.draw(_sandwich(n, model=True) if composite else _letters(n))
         x = np.array(data.draw(st.lists(_COORDINATES, min_size=n, max_size=n)))
-        if composite:  # every later factor is a word or an affine map
-            assert qcflow_maps._fold(m.factors)[-1] is not None
         try:
             stack = m.jet_fn(x[None], 1)
-        except GuardViolation as exc:  # an inversion pole refuses the point on both paths
+        except (GuardViolation, NonPositiveDeterminant) as exc:
+            # an inversion pole or a folding middle refuses the point on both paths
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                 m.jet_fn(x, 1)
             return
@@ -714,6 +755,7 @@ class TestFloatSample:
         assert _same_bits(single, tuple(a[0] for a in stack))
         assert m.jet_fn(x, 2)[1].tobytes() == single[1].tobytes()
         assert m.jacobian(x).tobytes() == single[1].tobytes()
+        assert np.array(m._jacobian_entries(x.tolist())).tobytes() == single[1].tobytes()
         if composite:
             assert _same_bits(single, chained_map(m).jet_fn(x, 1))
 
@@ -726,32 +768,31 @@ class TestFloatSample:
             for k, arr in enumerate(m.jet_fn(xs, 1)):
                 assert np.array([one[k] for one in singles]).tobytes() == arr.tobytes()
 
-    @pytest.mark.parametrize("build, program", [
-        (lambda: teichmuller_example(2), True),
-        (lambda: teichmuller_example(3), True),
-        (lambda: moebius("inversion", {"n": 3}), True),
-        (lambda: moebius("rotation", {"n": 2, "angle": 0.3}), True),
-        (lambda: compose(moebius("rotation", {"n": 2, "angle": 0.3}), polynomial_map(2, seed=5)),
-         False),
-        (lambda: affine_map([[1.3, 0.2], [-0.1, 0.8]]), False),
-        (lambda: radial_stretch(1.7, 3), True),
-        (lambda: polynomial_map(4, seed=1), False),
-    ] + [(functools.partial(_registry_map, map_id, n), map_id not in ("affine", "identity"))
-         for map_id, n in REGISTRY_AT_2_AND_3],
+    @pytest.mark.parametrize("build", [
+        lambda: teichmuller_example(2),
+        lambda: teichmuller_example(3),
+        lambda: moebius("inversion", {"n": 3}),
+        lambda: moebius("rotation", {"n": 2, "angle": 0.3}),
+        lambda: compose(moebius("rotation", {"n": 2, "angle": 0.3}), polynomial_map(2, seed=5)),
+        lambda: affine_map([[1.3, 0.2], [-0.1, 0.8]]),
+        lambda: radial_stretch(1.7, 3),
+        lambda: polynomial_map(4, seed=1),
+        lambda: compose(moebius("inversion", {"n": 4}), affine_map(np.eye(4) + 0.1, [2.0] * 4)),
+        lambda: SmoothMap(n=2, jet_fn=polynomial_map(2, seed=5).jet_fn),
+    ] + [functools.partial(_registry_map, map_id, n) for map_id, n in REGISTRY_AT_2_AND_3],
         ids=["teichmuller2", "teichmuller3", "inversion3", "rotation2", "composite_polynomial",
-             "affine", "radial", "polynomial4"] + [f"{map_id}{n}" for map_id, n in REGISTRY_AT_2_AND_3])
-    def test_jacobian_entries_match_the_accessor(self, build, program):
-        # a float program or an entry-first sampler hands over one point's
-        # J entries and no array at n = 2 and 3; any other map hands over
-        # jacobian's array and its entries
+             "affine", "radial", "polynomial4", "composite4", "plain"]
+        + [f"{map_id}{n}" for map_id, n in REGISTRY_AT_2_AND_3])
+    def test_jacobian_entries_match_the_accessor(self, build):
+        # every map hands over one point's J as a list of Python floats with
+        # jacobian's bits: an entry-first sampler its own sums at any n, a
+        # plain SmoothMap jacobian's array read into entries
         m = build()
         for x in np.random.default_rng(9).uniform(-0.7, 0.7, size=(20, m.n)).tolist():
-            entries, a = m._jacobian_entries(x)
+            entries = m._jacobian_entries(x)
             want = m.jacobian(np.array(x))
-            assert (a is None) == program
+            assert type(entries) is list and all(type(e) is float for e in entries)
             assert np.array(entries).reshape(m.n, m.n).tobytes() == want.tobytes()
-            if a is not None:
-                assert a.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("fault", ["pole", "reflection", "shape"])
@@ -769,42 +810,12 @@ class TestFloatSample:
                       f"point shape ({n + 1},) does not match n={n}"),
         }[fault]
         x = np.array(x)
-        for _ in range(3):  # the first sample makes the float program, later ones reuse it
+        for _ in range(3):  # the first sample makes the fold and the links, later ones reuse them
             with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 m.jacobian(x)
         stacked = message.replace(f"({n + 1},)", f"(1, {n + 1})")
         with pytest.raises(error, match=f"^{re.escape(stacked)}$"):
-            m.jacobian(x[None])  # a stack takes the array path
-
-
-class TestOnePairProducts:
-    """One 2x2 or 3x3 pair, or one point, takes the product rule on Python floats."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), n=st.sampled_from([2, 3]))
-    def test_matches_the_stack_bitwise(self, data, n):
-        # a one-row stack takes the array path of the same rule
-        a, b = (np.array(data.draw(st.lists(_COORDINATES, min_size=n * n, max_size=n * n)))
-                .reshape(n, n) for _ in range(2))
-        x = np.array(data.draw(st.lists(_COORDINATES, min_size=n, max_size=n)))
-        pairs = [(qcflow_maps._matmul(a, b), qcflow_maps._matmul(a[None], b[None])[0]),
-                 (qcflow_maps._matmul(a.T, b), qcflow_maps._matmul(a.T[None], b[None])[0]),
-                 (qcflow_maps._dot(x, a[0]), qcflow_maps._dot(x[None], a[:1])[0]),
-                 (qcflow_maps._apply(a, x), qcflow_maps._apply(a, x[None])[0])]
-        for one, stacked in pairs:
-            assert type(one) is type(stacked) and one.shape == stacked.shape
-            assert one.dtype == stacked.dtype and one.tobytes() == stacked.tobytes()
-
-    @pytest.mark.parametrize("kind", ["rotation", "affine"])
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_generator_value_of_one_point_matches_the_stack(self, kind, n):
-        rng = np.random.default_rng(17 + n)
-        m = random_posdet(rng, n)
-        data = m if kind == "rotation" else (m, rng.standard_normal(n))
-        xs = rng.uniform(-0.7, 0.7, size=(50, n))
-        stack = qcflow_maps._generator_value(kind, data, xs)
-        ones = np.array([qcflow_maps._generator_value(kind, data, x) for x in xs])
-        assert ones.tobytes() == stack.tobytes()
+            m.jacobian(x[None])  # a stack of one point raises alike
 
 
 class TestFirstOrderSampler:
@@ -881,21 +892,24 @@ class TestFirstOrderSampler:
     def test_words_fold_from_their_first_generator(self, monkeypatch):
         # teichmuller(2) has factors [rotation word, affine, two-letter word]:
         # the rotation, the affine and the word's translation fold into one
-        # constant matrix, so only the inversion is chained onto it
-        calls = []
-
-        def counted(outer, inner):
-            calls.append(1)
-            return _chain(outer, inner)
-
+        # constant matrix, so each sample chains only the inversion's J onto
+        # it, one product for a stack and for a point, at either order
         m = teichmuller_example(2)
-        monkeypatch.setattr("qcflow.maps._chain", counted)
-        m.jacobian(np.array([[0.3, -0.2], [0.1, 0.4]]))
-        assert len(calls) == 1
-        # one point's float program chains the same one inversion step
-        _, _, matrix, factors = qcflow_maps._fold(m.factors)[-1]
-        assert matrix is not None
-        assert [[kind for kind, _, _ in steps] for steps, _ in factors] == [["inversion"]]
+        xs = np.array([[0.3, -0.2], [0.1, 0.4]])
+        m.jacobian(xs)  # the fold takes its own products once
+        calls = []
+        matprod = qcflow_maps._matprod
+
+        def counted(a, b):
+            calls.append(1)
+            return matprod(a, b)
+
+        monkeypatch.setattr(qcflow_maps, "_matprod", counted)
+        for sample in (lambda: m.jacobian(xs), lambda: m.jacobian(xs[0]), lambda: m.jet(xs[0]),
+                       lambda: m.hessian(xs)):
+            calls.clear()
+            sample()
+            assert len(calls) == 1
 
     def test_inversion_origin_guard(self):
         inv = moebius("inversion", {"n": 2})
