@@ -25,18 +25,6 @@ EXIT_USAGE = 2
 EXIT_HALTED = 3
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("QCFLOW_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"QCFLOW_THREADS must be an integer, got {env!r}")
-    return 1
-
-
 def _parse_params(pairs) -> dict:
     """Parse repeated key=value map parameters.
 
@@ -110,18 +98,14 @@ def main() -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the JSON report here instead of stdout.")
 @click.option("--tol", "tol_scale", type=float, default=1.0, show_default=True,
               help="Multiplier applied to every case tolerance.")
-@click.option("--threads", type=int, default=None, help="Case workers; falls back to QCFLOW_THREADS, then 1.")
 @click.option("--timing", is_flag=True,
               help="Embed the suite's and each case's wall time in the report (breaks byte-level determinism).")
-def cmd_verify(suite: str, seed: int, out: str | None, tol_scale: float,
-               threads: int | None, timing: bool) -> None:
+def cmd_verify(suite: str, seed: int, out: str | None, tol_scale: float, timing: bool) -> None:
     """Run one verification suite and emit a JSON report."""
     _check_out_dirs(out)
     try:
-        workers = _resolve_threads(threads)
-        report = verify.run_suite(suite, seed=seed, tol_scale=tol_scale,
-                                  threads=workers, timing=timing)
-    except (UnknownSuite, ConfigError, ValueError) as exc:
+        report = verify.run_suite(suite, seed=seed, tol_scale=tol_scale, timing=timing)
+    except (UnknownSuite, ValueError) as exc:
         _fail_usage(exc)
         return
     _emit(report.to_json(), out)
@@ -262,8 +246,7 @@ def cmd_flow(config: str) -> None:
         snaps = cfg.get("snapshots", {})
         _check_out_dirs(cfg.get("stats"), snaps.get("initial"), snaps.get("final"))
         mapping = maps.make_map(cfg["map"]["id"], **cfg["map"].get("params", {}))
-        shape = tuple(int(v) for v in cfg["shape"])
-        grid = gradientflow.make_grid(mapping, shape, float(cfg["h"]),
+        grid = gradientflow.make_grid(mapping, cfg["shape"], float(cfg["h"]),
                                       origin=cfg.get("origin"))
     except (ConfigError, UnknownMap, GuardViolation, QcflowError, ValueError, TypeError) as exc:
         _fail_usage(exc)

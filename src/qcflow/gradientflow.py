@@ -167,6 +167,7 @@ def _checked_fields(values: np.ndarray, h: float) -> _Fields:
 def make_grid(mapping, shape, h: float, origin=None) -> GridField:
     """Sample a map's values on a uniform grid with the given node counts.
 
+    Each count must be an integral number, so 17 and 17.0 both give 17.
     h, the node spacing, must be a positive finite number, and origin, the
     first node (the zero vector when omitted), n finite numbers. One
     mapping.value call samples all nodes, so a node outside the map's
@@ -177,8 +178,14 @@ def make_grid(mapping, shape, h: float, origin=None) -> GridField:
     """
     if not 0.0 < h < np.inf:  # NaN fails too
         raise ValueError(f"grid spacing h must be a positive finite number, got {h!r}")
-    shape = tuple(int(m) for m in shape)
-    n = mapping.n
+    shape = tuple(shape)
+    try:
+        counts = tuple(int(m) for m in shape)
+    except (TypeError, ValueError, OverflowError):  # NaN, inf and non-numbers
+        counts = None
+    if counts != shape:
+        raise ValueError(f"grid node counts must be integral numbers, got {list(shape)!r}")
+    shape, n = counts, mapping.n
     if len(shape) != n:
         raise ValueError("grid rank must match the map dimension")
     if min(shape) < 4:

@@ -176,6 +176,17 @@ def _dimension(n) -> int:
     return whole
 
 
+def _amplitude(amplitude):
+    """amplitude unchanged; it must be a finite number, of either sign."""
+    try:
+        finite = math.isfinite(amplitude)
+    except TypeError:  # not a number
+        finite = False
+    if not finite:
+        raise ConfigError(f"amplitude must be a finite number, got {amplitude!r}")
+    return amplitude
+
+
 def _any(mask) -> bool:
     """Whether any of a stack's mask holds, or one point's; one point skips the array reduction."""
     return mask.any() if isinstance(mask, np.ndarray) and mask.ndim else bool(mask)
@@ -759,7 +770,7 @@ def polynomial_map(n: int, seed: int = 0, amplitude: float = 0.05) -> SmoothMap:
     doubled); u[k] is x + amp x . (L + Q)[k], since x . grad of a form of
     degree d is d times the form.
     """
-    n = _dimension(n)
+    n, amplitude = _dimension(n), _amplitude(amplitude)
     c2, c3 = _polynomial_coefficients(n, seed)
     pairs = [(b, c) for b in range(n) for c in range(b, n)]
     # for each k and a: I's entry, C2's row and C3's coefficients of the pairs
@@ -814,7 +825,7 @@ def bump_map(n: int, amplitude: float = 0.05) -> SmoothMap:
     one-dimensional bumps, so the perturbation and its first and second
     derivatives vanish on the cube boundary.
     """
-    n = _dimension(n)
+    n, amplitude = _dimension(n), _amplitude(amplitude)
     eye_entries = np.eye(n).ravel().tolist()
     # Hessian entry (a, b) leaves factors a and b out of the product
     eye = np.eye(n, dtype=bool)

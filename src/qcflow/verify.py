@@ -2,13 +2,14 @@
 
 Every suite is a fixed ordered list of named cases. A case draws its
 randomness from a generator seeded with (seed, case index), so the
-emitted report is byte-identical across repeat runs and across worker
-counts. Wall time is kept out of the report unless explicitly requested,
-for the same reason. A case's random matrices and jets are read from one
-block of normals (_read_draws), which is the stream, redraws and skips
-included, of drawing them one at a time, and leaves the generator where
-that would. The case then checks its draws in one call on the stack,
-whose every row is bit-equal to the call on that draw alone.
+emitted report is byte-identical across repeat runs. Wall time is kept
+out of the report unless explicitly requested, for the same reason. The
+cases run one after another, in the caller's thread. A case's random
+matrices and jets are read from one block of normals (_read_draws),
+which is the stream, redraws and skips included, of drawing them one at
+a time, and leaves the generator where that would. The case then checks
+its draws in one call on the stack, whose every row is bit-equal to the
+call on that draw alone.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -766,24 +766,19 @@ def run_suite(name: str, seed: int = 0, tol_scale: float = 1.0, threads: int = 1
     """Run one named suite and return its report.
 
     The report is deterministic for a fixed seed: case order, case
-    generators, and float formatting do not depend on the worker count.
-    tol_scale must be a finite number >= 0. timing adds the suite's wall
-    time to the report and each case's to its row, which breaks that.
+    generators and float formatting are fixed. tol_scale must be a finite
+    number >= 0, and threads 1. timing adds the suite's wall time to the
+    report and each case's to its row, which breaks that.
     """
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
     if not 0.0 <= tol_scale < np.inf:  # NaN fails too
         raise ValueError(f"tol_scale must be a finite number >= 0, got {tol_scale!r}")
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads!r}")
     cases = _SUITES[name]
     start = time.perf_counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda pair: _run_case(pair[1], pair[0], seed, tol_scale, timing),
-                enumerate(cases),
-            ))
-    else:
-        rows = [_run_case(case, i, seed, tol_scale, timing) for i, case in enumerate(cases)]
+    rows = [_run_case(case, i, seed, tol_scale, timing) for i, case in enumerate(cases)]
     wall = time.perf_counter() - start
     rows.sort(key=lambda row: row["id"])
     failed = sum(1 for row in rows if row["status"] == "fail")

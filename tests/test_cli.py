@@ -40,23 +40,17 @@ class TestVerifyCommand:
         second = run_cli("verify", "core", "--seed", "7")
         assert first.stdout == second.stdout
 
-    def test_threads_do_not_change_bytes(self):
-        serial = run_cli("verify", "operators", "--seed", "3", "--threads", "1")
-        parallel = run_cli("verify", "operators", "--seed", "3", "--threads", "4")
-        assert serial.exit_code == 0 and parallel.exit_code == 0
-        assert serial.stdout == parallel.stdout
+    def test_env_threads_ignored(self):
+        # QCFLOW_THREADS=many used to exit 2; the variable is no longer read
+        result = run_cli("verify", "core", "--seed", "5", env={"QCFLOW_THREADS": "many"})
+        assert result.exit_code == 0
+        assert result.stdout == run_cli("verify", "core", "--seed", "5").stdout
 
-    def test_env_threads_fallback(self):
-        flagged = run_cli("verify", "core", "--seed", "5", "--threads", "4")
-        via_env = run_cli("verify", "core", "--seed", "5",
-                          env={"QCFLOW_THREADS": "4"})
-        assert via_env.exit_code == 0
-        assert via_env.stdout == flagged.stdout
-
-    def test_bad_env_threads_rejected(self):
-        result = run_cli("verify", "core", env={"QCFLOW_THREADS": "many"})
+    def test_threads_option_exits_two(self):
+        result = run_cli("verify", "core", "--threads", "2")
         assert result.exit_code == 2
-        assert "error:" in result.stderr
+        assert result.stdout == ""
+        assert "No such option '--threads'" in result.stderr
 
     def test_out_writes_report_file(self, tmp_path):
         target = tmp_path / "report.json"
@@ -203,10 +197,15 @@ class TestOpsCommand:
         (("affine", "--param", "matrix=2"), "affine matrix must be a finite square matrix"),
         (("affine", "--param", "matrix=1,2"), "affine matrix must be a finite square matrix"),
         (("translation", "--param", "offset=nan,0"), "translation offset must be finite"),
-    ], ids=["scalar_matrix", "vector_matrix", "nan_offset"])
+        (("affine_bump", "--param", "n=2", "--param", "amplitude=abc"),
+         "amplitude must be a finite number, got 'abc'"),
+        (("polynomial", "--param", "n=2", "--param", "amplitude=abc"),
+         "amplitude must be a finite number, got 'abc'"),
+    ], ids=["scalar_matrix", "vector_matrix", "nan_offset", "bump_text_amplitude",
+            "polynomial_text_amplitude"])
     def test_bad_map_parameter_exits_two_in_one_line(self, args, message):
-        # the scalar matrix used to end in an IndexError traceback (exit 1)
-        # and the NaN offset in a record of NaN tokens (exit 0)
+        # the scalar matrix and the text amplitudes used to end in a traceback
+        # (exit 1) and the NaN offset in a record of NaN tokens (exit 0)
         result = run_cli("ops", *args, "--point", "0.1,0.1")
         assert result.exit_code == 2
         assert result.stdout == ""
@@ -336,6 +335,12 @@ class TestFlowlineCommand:
         assert result.exit_code == 2
         assert "affine matrix must be a finite square matrix" in result.stderr
         assert not target.exists()
+
+    def test_nan_amplitude_exits_two(self):
+        # used to exit 3, a halted line, with "matrix entries must be finite"
+        result = run_cli("flowline", "affine_bump", "--param", "n=2", "--param", "amplitude=nan",
+                         "--x0", "0.4,0.3")
+        assert_usage_error(result, "amplitude must be a finite number, got nan")
 
     @pytest.mark.parametrize("ds", ["0", "-1e-3"])
     def test_bad_step_exits_two(self, ds):
@@ -506,6 +511,16 @@ class TestFlowCommand:
         assert result.exit_code == 2
         assert f"error: {key} must be" in result.stderr
         assert not stats.exists() and not snap.exists()
+
+    @pytest.mark.parametrize("shape", [[17.9, 17], [17, "17"]], ids=["fraction", "text"])
+    def test_bad_node_count_exits_two_without_writes(self, tmp_path, shape):
+        # [17.9, 17] used to run on a 17x17 grid and exit 0
+        cfg = tmp_path / "flow.json"
+        snap = tmp_path / "initial.bin"
+        write_config(cfg, shape=shape, snapshots={"initial": str(snap)})
+        result = run_cli("flow", str(cfg))
+        assert_usage_error(result, "grid node counts must be integral numbers")
+        assert not snap.exists()
 
     @pytest.mark.parametrize("h", [0.0, -0.0625])
     def test_bad_spacing_exits_two_without_writes(self, tmp_path, h):

@@ -98,6 +98,17 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(identity_map(2), (3, 9), 0.1)
 
+    @pytest.mark.parametrize("shape", [(17.9, 17), (9, "9"), (9, math.nan), (math.inf, 9),
+                                       (9, None)])
+    def test_fractional_node_count_rejected(self, shape):
+        # (17.9, 17) used to build a 17x17 grid
+        with pytest.raises(ValueError, match="grid node counts must be integral numbers"):
+            make_grid(identity_map(2), shape, 0.1)
+
+    def test_integral_float_node_count_accepted(self):
+        grid = make_grid(identity_map(2), (9.0, np.int64(9)), 0.1)
+        assert grid.values.shape == (9, 9, 2)
+
     @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
     def test_bad_spacing_rejected(self, h):
         with pytest.raises(ValueError, match="h must be a positive finite number"):

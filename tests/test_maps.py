@@ -1039,12 +1039,19 @@ class TestArgumentErrors:
          AXIS_RULE + "[1.0, inf, 0.0]"),
         (lambda: moebius("rotation", {"n": 3, "axis": [1e200, 1e200, 0.0], "angle": 1.0}),
          AXIS_RULE + "[1e+200, 1e+200, 0.0]"),
+        (lambda: bump_map(2, amplitude=math.nan), "amplitude must be a finite number, got nan"),
+        (lambda: bump_map(2, amplitude="abc"), "amplitude must be a finite number, got 'abc'"),
+        (lambda: polynomial_map(3, amplitude=-math.inf),
+         "amplitude must be a finite number, got -inf"),
+        (lambda: polynomial_map(2, amplitude=[0.1]),
+         "amplitude must be a finite number, got [0.1]"),
     ], ids=["wedge_zero", "wedge_full_turn", "wedge_n1", "wedge_sector", "rotation_shape",
             "rotation_shear", "rotation_reflection", "rotation_n4", "teichmuller_n4",
             "compose_dims", "rotation_nan_angle", "rotation_minus_inf_angle",
             "rotation_inf_angle_3d", "rotation_short_axis", "rotation_long_axis",
             "rotation_zero_axis", "rotation_nan_axis", "rotation_inf_axis",
-            "rotation_overflowing_axis"])
+            "rotation_overflowing_axis", "bump_nan_amplitude", "bump_text_amplitude",
+            "polynomial_infinite_amplitude", "polynomial_list_amplitude"])
     def test_config_error(self, build, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             build()
