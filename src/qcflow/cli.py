@@ -216,8 +216,8 @@ def _load_flow_config(path: str) -> dict:
     if unknown:
         raise ConfigError(f"config has unknown keys: {', '.join(sorted(unknown))}")
     mp = cfg["map"]
-    if not isinstance(mp, dict) or "id" not in mp:
-        raise ConfigError("config map must be an object with an id")
+    if not isinstance(mp, dict) or "id" not in mp or not isinstance(mp.get("params", {}), dict):
+        raise ConfigError("config map must be an object with an id, and map.params an object")
     snaps = cfg.get("snapshots", {})
     if not isinstance(snaps, dict) or snaps.keys() - {"initial", "final"}:
         raise ConfigError("snapshots must be an object with keys initial and/or final")

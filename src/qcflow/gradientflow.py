@@ -27,10 +27,10 @@ operators._contracted_operator, which contracts the flux linearization
 with the interior Hessian in O(n^3) per node. The public energy,
 interior_operator, explicit_step and compatibility_check, and run_flow's
 set-up, take a given grid's fields from _checked_fields, which also
-holds det > 0. Picard's first pass reuses the initial fields at every
-step; later passes difference each saved state again, one at a time.
-Only dtmax builds the n^4 flux_linearization, once per run, because it
-needs the coefficient mass.
+holds det > 0; run_flow's step bound and residual read its u0 fields.
+Picard's first pass reuses the initial fields at every step; later
+passes difference each saved state again, one at a time. Only the step
+bound builds the n^4 flux_linearization, once per run, for its mass.
 """
 
 from __future__ import annotations
@@ -270,7 +270,11 @@ def compatibility_check(grid: GridField, p: float) -> float:
     small; the value converges to the pointwise operator norm on the
     boundary at second order in h.
     """
-    fields = _checked_fields(grid.values, grid.h)
+    return _compatibility(grid, _checked_fields(grid.values, grid.h), p)
+
+
+def _compatibility(grid: GridField, fields: _Fields, p: float) -> float:
+    """compatibility_check of grid from its fields."""
     resid = _contracted_operator(*fields.coefficients(), _full_hessian(fields.v, grid.h), p)
     return float(np.max(np.abs(resid[:, grid.boundary_mask])))
 
@@ -319,10 +323,14 @@ def dtmax(grid: GridField, p: float, safety: float = DEFAULT_SAFETY) -> float:
     growth. p and safety must be positive finite numbers.
     """
     _check_flow_args(p=p, safety=safety)
-    jac = _jacobian_field(_entry_first(grid.values), grid.h)
+    return _dtmax(_jacobian_field(_entry_first(grid.values), grid.h), grid.h, p, safety)
+
+
+def _dtmax(jac: np.ndarray, h: float, p: float, safety: float) -> float:
+    """dtmax from a state's difference Jacobian jac[i, a, *nodes], as _Fields.jac holds it."""
     a4 = flux_linearization(np.moveaxis(jac, (0, 1), (-2, -1)), p)
     lam = float(np.max(np.sum(np.abs(a4), axis=(-3, -2, -1))))
-    return safety * grid.h**2 / lam
+    return safety * h**2 / lam
 
 
 def _advance(grid: GridField, update: np.ndarray, dt: float,
@@ -405,10 +413,10 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
     """
     _check_flow_args(mode=mode, p=p, safety=safety, t_final=t_final, outer=outer)
     explicit = mode == "explicit"
-    dt0 = dtmax(grid, p, safety)
-    compat = compatibility_check(grid, p)
+    fields0 = _checked_fields(grid.values, grid.h)  # u0, differenced once
+    dt0 = _dtmax(fields0.jac, grid.h, p, safety)
+    compat = _compatibility(grid, fields0, p)
     det_floor = 0.5 * float(np.min(grid.det_cache))
-    fields0 = _checked_fields(grid.values, grid.h)
     e0 = _energy(fields0, grid.h, p)
     tol = ENERGY_TOL_SCALE * (1.0 + abs(e0))
 

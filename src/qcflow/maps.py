@@ -165,28 +165,6 @@ def _cos_sin(t) -> tuple:
     return math.cos(t), math.sin(t)
 
 
-def _dimension(n) -> int:
-    """n as an int; it must be an integral number >= 1, so 2 and 2.0 both give 2."""
-    try:
-        whole = int(n)
-    except (TypeError, ValueError, OverflowError):  # NaN, inf and non-numbers
-        whole = 0
-    if whole != n or whole < 1:
-        raise ConfigError(f"dimension n must be an integral number >= 1, got {n!r}")
-    return whole
-
-
-def _amplitude(amplitude):
-    """amplitude unchanged; it must be a finite number, of either sign."""
-    try:
-        finite = math.isfinite(amplitude)
-    except TypeError:  # not a number
-        finite = False
-    if not finite:
-        raise ConfigError(f"amplitude must be a finite number, got {amplitude!r}")
-    return amplitude
-
-
 def _any(mask) -> bool:
     """Whether any of a stack's mask holds, or one point's; one point skips the array reduction."""
     return mask.any() if isinstance(mask, np.ndarray) and mask.ndim else bool(mask)
@@ -396,45 +374,6 @@ def _chain_hessians(x: np.ndarray, lead: tuple, parts: list) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # conformal generators
 
-def _rotation_matrix(n: int, params: dict) -> np.ndarray:
-    if "matrix" in params:
-        given = sorted(params.keys() & {"angle", "axis"})
-        if given:
-            raise ConfigError(f"rotation takes a matrix or an angle, not both; got matrix and "
-                              f"{' and '.join(given)}")
-        r = np.asarray(params["matrix"], dtype=float)
-        if r.shape != (n, n):
-            raise ConfigError(f"rotation matrix shape {r.shape}, expected ({n},{n})")
-        if not np.allclose(r.T @ r, np.eye(n), atol=1e-10) or np.linalg.det(r) < 0:
-            raise ConfigError("rotation matrix must be orthogonal with det +1")
-        return r
-    angle = float(params["angle"])
-    if not math.isfinite(angle):
-        raise ConfigError(f"rotation angle must be finite, got {angle!r}")
-    if n == 2:
-        if "axis" in params:
-            raise ConfigError("a rotation axis is read only at n=3, got n=2")
-        c, s = math.cos(angle), math.sin(angle)
-        return np.array([[c, -s], [s, c]])
-    if n == 3:
-        axis = np.asarray(params["axis"], dtype=float)
-        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
-            norm = np.linalg.norm(axis) if axis.shape == (3,) else math.nan
-        if not 0.0 < norm < math.inf:  # NaN fails too
-            raise ConfigError(f"rotation axis must be 3 finite numbers whose norm is nonzero "
-                              f"and finite, got {axis.tolist()!r}")
-        axis = axis / norm
-        k = np.array(
-            [
-                [0.0, -axis[2], axis[1]],
-                [axis[2], 0.0, -axis[0]],
-                [-axis[1], axis[0], 0.0],
-            ]
-        )
-        return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-    raise ConfigError("angle-based rotations support n=2 (angle) or n=3 (axis, angle)")
-
-
 def _move(kind: str, data, n: int) -> tuple[Callable[[list], list], list]:
     """A generator whose J is constant, or an affine map with data (matrix, offset): its value
     on a point's entries, and its J's entries."""
@@ -535,49 +474,48 @@ def _conformal_from_word(word: tuple, n: int) -> ConformalMap:
     return _entry_map(n, sample, _chain_hessians, ConformalMap, word)
 
 
-_GENERATOR_KEYS = {
-    "rotation": {"n", "angle", "axis", "matrix"},
-    "dilation": {"n", "scale"},
-    "translation": {"offset"},
-    "inversion": {"n"},
-}
+def _letter(kind: str, data, n: int | None = None) -> ConformalMap:
+    """One generator as a word; n is len(data) when None, and an inversion makes its own data."""
+    data = np.array([1.0] * (n - 1) + [-1.0]) if kind == "inversion" else data
+    return _conformal_from_word(((kind, data),), len(data) if n is None else n)
+
+
+def _rotation(n, angle, axis, matrix) -> ConformalMap:
+    """A rotation by a matrix, or an angle in the plane or about an axis (n is then 3 if absent)."""
+    n = n or (2 if axis is None else 3)
+    if matrix is not None and (angle is not None or axis is not None or matrix.shape != (n, n)):
+        raise _refusal("rotation", "matrix", f"{n} x {n} at n = {n}, with no angle or axis", matrix)
+    if matrix is not None:
+        return _letter("rotation", matrix)
+    if angle is None:
+        raise _refusal("rotation", "angle", "a finite number when no matrix is given", _REQUIRED)
+    if n == 2:
+        if axis is not None:
+            raise _refusal("rotation", "axis", "left out at n = 2", axis)
+        c, s = math.cos(angle), math.sin(angle)
+        return _letter("rotation", np.array([[c, -s], [s, c]]))
+    if n != 3:
+        raise _refusal("rotation", "n", "2 or 3 with an angle, or any n with a matrix", n)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm = np.linalg.norm(axis) if axis is not None and axis.shape == (3,) else math.nan
+    if not 0.0 < norm < math.inf:  # NaN fails too
+        raise _refusal("rotation", "axis", "3 numbers of a nonzero finite norm", axis)
+    x, y, z = (axis / norm).tolist()
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return _letter("rotation", _eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k))
 
 
 def moebius(kind: str, params: dict) -> ConformalMap:
-    """Single conformal generator as a map.
+    """Single conformal generator as a map, make_map(kind, **params).
 
     kind is one of rotation, dilation, translation, inversion. The
     inversion is the oriented one, x / |x|^2 with the last output
     component negated, so every generator preserves orientation. Each
     kind takes only its own parameters; any other key is a ConfigError.
     """
-    keys = _GENERATOR_KEYS.get(kind)
-    if keys is None:
+    if kind not in ("rotation", "dilation", "translation", "inversion"):
         raise UnknownMap(f"unknown conformal generator kind {kind!r}")
-    if not params.keys() <= keys:
-        unknown = ", ".join(sorted(params.keys() - keys))
-        raise ConfigError(f"moebius {kind} got unknown parameter {unknown}")
-    try:
-        if kind == "rotation":
-            n = _dimension(params.get("n", 2 if "axis" not in params else 3))
-            data = _rotation_matrix(n, params)
-        elif kind == "dilation":
-            n = _dimension(params["n"])
-            data = float(params["scale"])
-            if not 0.0 < data < math.inf:  # NaN fails too
-                raise ConfigError(f"dilation scale must be a positive finite number, got {data!r}")
-        elif kind == "translation":
-            data = np.asarray(params["offset"], dtype=float)
-            if data.ndim != 1 or not data.size or not all(map(math.isfinite, data.flat)):
-                raise ConfigError(f"translation offset must be finite numbers, one or more in a "
-                                  f"flat vector, got {data.tolist()!r}")
-            n = data.size
-        else:  # the oriented inversion; data holds the sign of each output component
-            n = _dimension(params["n"])
-            data = np.array([1.0] * (n - 1) + [-1.0])
-    except KeyError as missing:
-        raise ConfigError(f"moebius {kind} needs parameter {missing}") from missing
-    return _conformal_from_word(((kind, data),), n)
+    return make_map(kind, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -618,10 +556,10 @@ def radial_stretch(alpha: float, n: int) -> SmoothMap:
     Constant trace dilation; closed forms for K^2, S(g), and the
     finite-p operator are exposed as radial_ksq, radial_sg, radial_lp.
     """
-    if not 0.0 < alpha < math.inf:  # NaN fails too
-        raise ConfigError(f"radial stretch alpha must be a positive finite number, got {alpha!r}")
-    n = _dimension(n)
+    return make_map("radial_stretch", alpha=alpha, n=n)
 
+
+def _radial_stretch(alpha: float, n: int) -> SmoothMap:
     def sample(x: list, order: int) -> tuple:
         r = _sqrt(_sq_norm(x))
         if _any(r < _ORIGIN_TOL):
@@ -666,11 +604,10 @@ def wedge_map(alpha: float, n: int) -> SmoothMap:
     coordinates pass through. Jets exist away from the axis r=0 and a
     thin band around the seam angles 0 and alpha.
     """
-    if not (0.0 < alpha < 2.0 * math.pi):
-        raise ConfigError("wedge angle must lie in (0, 2*pi)")
-    n = _dimension(n)
-    if n < 2:
-        raise ConfigError("wedge map needs n >= 2")
+    return make_map("wedge", alpha=alpha, n=n)
+
+
+def _wedge_map(alpha: float, n: int) -> SmoothMap:
     two_pi = 2.0 * math.pi
     # psi = a theta + b: (pi / alpha, 0) in the first sector, (a2, b2) in the second
     a_first, a_second = math.pi / alpha, math.pi / (two_pi - alpha)
@@ -732,19 +669,20 @@ def affine_map(matrix, offset=None) -> SmoothMap:
     matrix must be a finite square matrix and offset, when given, n
     finite numbers.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or not all(map(math.isfinite, a.flat)):
-        raise ConfigError(f"affine matrix must be a finite square matrix, got {a.tolist()!r}")
+    return make_map("affine", matrix=matrix, offset=offset)
+
+
+def _affine_map(a: np.ndarray, b: np.ndarray | None) -> SmoothMap:
     n = a.shape[0]
-    b = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
-    if b.shape != (n,) or not all(map(math.isfinite, b.flat)):
-        raise ConfigError(f"affine offset must be {n} finite numbers, got {b.tolist()!r}")
+    b = np.zeros(n) if b is None else b
+    if b.shape != (n,):
+        raise _refusal("affine", "offset", f"{n} finite numbers, as the matrix is {n} x {n}", b)
     sample, hessian, _ = _generator_link("affine", (a, b), n)
     return _entry_map(n, sample, hessian, _Affine, a, b)
 
 
 def identity_map(n: int) -> SmoothMap:
-    return affine_map(np.eye(_dimension(n)))
+    return make_map("identity", n=n)
 
 
 def _polynomial_coefficients(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -770,7 +708,10 @@ def polynomial_map(n: int, seed: int = 0, amplitude: float = 0.05) -> SmoothMap:
     doubled); u[k] is x + amp x . (L + Q)[k], since x . grad of a form of
     degree d is d times the form.
     """
-    n, amplitude = _dimension(n), _amplitude(amplitude)
+    return make_map("polynomial", n=n, seed=seed, amplitude=amplitude)
+
+
+def _polynomial_map(n: int, seed: int, amplitude: float) -> SmoothMap:
     c2, c3 = _polynomial_coefficients(n, seed)
     pairs = [(b, c) for b in range(n) for c in range(b, n)]
     # for each k and a: I's entry, C2's row and C3's coefficients of the pairs
@@ -825,7 +766,10 @@ def bump_map(n: int, amplitude: float = 0.05) -> SmoothMap:
     one-dimensional bumps, so the perturbation and its first and second
     derivatives vanish on the cube boundary.
     """
-    n, amplitude = _dimension(n), _amplitude(amplitude)
+    return make_map("affine_bump", n=n, amplitude=amplitude)
+
+
+def _bump_map(n: int, amplitude: float) -> SmoothMap:
     eye_entries = np.eye(n).ravel().tolist()
     # Hessian entry (a, b) leaves factors a and b out of the product
     eye = np.eye(n, dtype=bool)
@@ -992,43 +936,85 @@ def teichmuller_example(n: int = 2) -> SmoothMap:
     Its flow lines keep the dilation constant, which makes it the
     standard drift probe for the command line and the suites.
     """
-    n = _dimension(n)
+    return make_map("teichmuller", n=n)
+
+
+def _teichmuller_example(n: int) -> SmoothMap:
     if n == 2:
-        rot = moebius("rotation", {"n": 2, "angle": 0.6})
-        mid = affine_map(np.array([[1.6, 0.2], [0.0, 0.9]]))
-        far = moebius("translation", {"offset": np.array([2.8, -1.1])})
-        inv = moebius("inversion", {"n": 2})
-    elif n == 3:
-        rot = moebius("rotation", {"n": 3, "axis": np.array([0.3, -1.0, 0.7]), "angle": 0.8})
-        mid = affine_map(
-            np.diag([1.7, 1.0, 0.8])
-            + np.array([[0.0, 0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        )
-        far = moebius("translation", {"offset": np.array([3.0, 0.5, -1.2])})
-        inv = moebius("inversion", {"n": 3})
+        rot = _rotation(n=2, angle=0.6, axis=None, matrix=None)
+        mid = _affine_map(np.array([[1.6, 0.2], [0.0, 0.9]]), None)
+        far = _letter("translation", np.array([2.8, -1.1]))
     else:
-        raise ConfigError("canned composition supports n=2 or n=3")
-    return teichmuller_map(compose(inv, far), mid, rot)
+        rot = _rotation(n=3, angle=0.8, axis=np.array([0.3, -1.0, 0.7]), matrix=None)
+        mid = _affine_map(
+            np.diag([1.7, 1.0, 0.8])
+            + np.array([[0.0, 0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), None
+        )
+        far = _letter("translation", np.array([3.0, 0.5, -1.2]))
+    return teichmuller_map(compose(_letter("inversion", None, n), far), mid, rot)
 
 
 # ---------------------------------------------------------------------------
-# registry for the command line
+# parameter schema and registry
 
-def _generator(kind: str) -> Callable[..., SmoothMap]:
-    """Registry entry for one conformal generator kind, taking its params as keywords."""
-    return lambda **params: moebius(kind, params)
+# A kind is (rule, convert): convert returns the value as the builder takes it, or raises
+# ValueError. A bool or text is never a number, so a JSON true is refused as one.
+
+def _real(low: float, high: float, whole: bool, v):
+    """v as a float strictly between low and high, or an int if whole and v integral; NaN fails."""
+    if not ((type(v) is float or type(v) is int or isinstance(v, (np.integer, np.floating)))
+            and low < v < high and (not whole or type(v) is int or float(v).is_integer())):
+        raise ValueError(v)
+    return int(v) if whole else float(v)
 
 
-_REGISTRY: dict[str, Callable[..., SmoothMap]] = {
-    "radial_stretch": radial_stretch,
-    "wedge": wedge_map,
-    **{kind: _generator(kind) for kind in ("rotation", "dilation", "translation", "inversion")},
-    "affine": affine_map,
-    "polynomial": polynomial_map,
-    "identity": identity_map,
-    "affine_bump": bump_map,
-    "teichmuller": teichmuller_example,
+def _array(ndim: int, v, rotation: bool = False) -> np.ndarray:
+    """v as a float array of ndim axes, square at ndim 2, of finite numbers and no bool; a rotation
+    is orthogonal with det +1, its entries bounded by 2 first, so that a.T @ a cannot overflow."""
+    a = np.asarray(v)
+    if (a.dtype.kind in "iuf" and a.ndim == ndim and a.shape == a.shape[:1] * ndim and a.size
+            and (isinstance(v, np.ndarray) or bool not in map(type, np.array(v, object).flat))
+            and all(map(math.isfinite, a.flat)) and (not rotation or abs(a).max() < 2.0
+                and np.allclose(a.T @ a, _eye(len(a)), atol=1e-10) and np.linalg.det(a) >= 0)):
+        return a.astype(float, copy=False)
+    raise ValueError(v)
+
+
+_DIMENSION, _PLANE_DIMENSION, _SEED = ((f"an integral number >= {low}", functools.partial(
+    _real, low - 1, math.inf, True)) for low in (1, 2, 0))
+_POSITIVE = ("a positive finite number", functools.partial(_real, 0.0, math.inf, False))
+_FINITE = ("a finite number", functools.partial(_real, -math.inf, math.inf, False))
+_WEDGE_ANGLE = ("an angle in (0, 2*pi)", functools.partial(_real, 0.0, 2.0 * math.pi, False))
+_TWO_OR_THREE = ("2 or 3", functools.partial(_real, 1, 4, True))
+_VECTOR = ("finite numbers, one or more in a flat vector", functools.partial(_array, 1))
+_MATRIX = ("a finite square matrix", functools.partial(_array, 2))
+_ROTATION = ("orthogonal with det +1", functools.partial(_array, 2, rotation=True))
+_REQUIRED = object()  # the default of a parameter that must be given
+_N = ("n", _DIMENSION, _REQUIRED)
+
+# Each map id: its builder, which takes the checked values in order, then its
+# parameters as (name, kind, default); _REQUIRED marks a required one, None an absent one.
+_REGISTRY: dict[str, tuple] = {
+    "radial_stretch": (_radial_stretch, ("alpha", _POSITIVE, _REQUIRED), _N),
+    "wedge": (_wedge_map, ("alpha", _WEDGE_ANGLE, _REQUIRED), ("n", _PLANE_DIMENSION, _REQUIRED)),
+    "rotation": (_rotation, ("n", _DIMENSION, None), ("angle", _FINITE, None),
+                 ("axis", _VECTOR, None), ("matrix", _ROTATION, None)),
+    "dilation": (functools.partial(_letter, "dilation"), ("scale", _POSITIVE, _REQUIRED), _N),
+    "translation": (functools.partial(_letter, "translation"), ("offset", _VECTOR, _REQUIRED)),
+    "inversion": (functools.partial(_letter, "inversion", None), _N),
+    "affine": (_affine_map, ("matrix", _MATRIX, _REQUIRED), ("offset", _VECTOR, None)),
+    "polynomial": (_polynomial_map, _N, ("seed", _SEED, 0), ("amplitude", _FINITE, 0.05)),
+    "identity": (lambda n: _affine_map(np.eye(n), None), _N),
+    "affine_bump": (_bump_map, _N, ("amplitude", _FINITE, 0.05)),
+    "teichmuller": (_teichmuller_example, ("n", _TWO_OR_THREE, 2)),
 }
+
+
+def _refusal(map_id: str, name: str, rule: str, value) -> ConfigError:
+    """The one refusal of a map parameter: it names the map, the parameter, its rule and value."""
+    value = value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+    shown = "nothing" if value is _REQUIRED else repr(value)
+    return ConfigError(f"{map_id} {name} must be {rule}, got {shown}")
 
 
 def map_ids() -> list[str]:
@@ -1036,12 +1022,20 @@ def map_ids() -> list[str]:
 
 
 def make_map(map_id: str, **params) -> SmoothMap:
-    """Build a registered map by string id, for the command-line surface."""
-    try:
-        builder = _REGISTRY[map_id]
-    except KeyError:
+    """Build a registered map by string id, each given value checked once by its kind in
+    _REGISTRY; a refusal is a ConfigError that names the map, the parameter and the rule."""
+    if map_id not in _REGISTRY:
         raise UnknownMap(f"unknown map id {map_id!r}; known: {', '.join(map_ids())}")
-    try:
-        return builder(**params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for map {map_id!r}: {exc}")
+    entry, values = _REGISTRY[map_id], []
+    for name, kind, default in entry[1:]:
+        value = params.pop(name, default)
+        if value is not default or value is _REQUIRED:  # no kind takes _REQUIRED: "got nothing"
+            try:
+                value = kind[1](value)
+            except (ValueError, OverflowError):  # an int too large for a float overflows
+                raise _refusal(map_id, name, kind[0], value) from None
+        values.append(value)
+    for key, value in params.items():  # a key left over is unknown
+        raise _refusal(map_id, key, f"left out, as {map_id} takes only "
+                       + ", ".join(param[0] for param in entry[1:]), value)
+    return entry[0](*values)

@@ -163,25 +163,22 @@ def random_moebius(n: int, rng: np.random.Generator) -> maps.ConformalMap:
     def letter(kind: str) -> maps.ConformalMap:
         if kind == "rotation":
             if n == 2:
-                return maps.moebius("rotation", {"n": 2, "angle": float(rng.uniform(0.0, 2.0 * np.pi))})
+                return maps.make_map("rotation", n=2, angle=float(rng.uniform(0.0, 2.0 * np.pi)))
             if n == 3:
-                return maps.moebius(
-                    "rotation",
-                    {"n": 3, "axis": rng.standard_normal(3), "angle": float(rng.uniform(0.0, 2.0 * np.pi))},
-                )
-            return maps.moebius("rotation", {"n": n, "matrix": random_rotation(n, rng)})
+                return maps.make_map("rotation", n=3, axis=rng.standard_normal(3),
+                                     angle=float(rng.uniform(0.0, 2.0 * np.pi)))
+            return maps.make_map("rotation", n=n, matrix=random_rotation(n, rng))
         if kind == "dilation":
-            return maps.moebius("dilation", {"n": n, "scale": float(np.exp(rng.uniform(-0.7, 0.7)))})
+            return maps.make_map("dilation", n=n, scale=float(np.exp(rng.uniform(-0.7, 0.7))))
         if kind == "translation":
-            return maps.moebius("translation", {"offset": rng.uniform(-1.0, 1.0, size=n)})
+            return maps.make_map("translation", offset=rng.uniform(-1.0, 1.0, size=n))
         if kind == "far":
-            return maps.moebius("translation", {"offset": _shell_point(rng, n, 3.0, 4.0)})
-        return maps.moebius("inversion", {"n": n})
+            return maps.make_map("translation", offset=_shell_point(rng, n, 3.0, 4.0))
+        return maps.make_map("inversion", n=n)
 
-    letters = [letter(kind) for kind in plan]
-    word = letters[0]
-    for nxt in letters[1:]:
-        word = maps.compose(nxt, word)
+    word = letter(plan[0])
+    for kind in plan[1:]:
+        word = maps.compose(letter(kind), word)
     return word
 
 

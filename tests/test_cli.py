@@ -166,12 +166,12 @@ class TestOpsCommand:
          "determinant must be positive"),
         (("rotation", "--param", "n=3", "--param", "axis=1,0", "--param", "angle=1",
           "--point", "0.1,0.1,0.1"),
-         "rotation axis must be 3 finite numbers whose norm is nonzero and finite, got [1.0, 0.0]"),
+         "rotation axis must be 3 numbers of a nonzero finite norm, got [1.0, 0.0]"),
         (("rotation", "--param", "n=3", "--param", "axis=0,0,0", "--param", "angle=1",
           "--point", "0.1,0.1,0.1"),
-         "rotation axis must be 3 finite numbers whose norm is nonzero and finite"),
+         "rotation axis must be 3 numbers of a nonzero finite norm"),
         (("rotation", "--param", "n=2", "--param", "angle=inf", "--point", "0.1,0.1"),
-         "rotation angle must be finite, got inf"),
+         "rotation angle must be a finite number, got inf"),
     ], ids=["dilation_nan", "alpha_nan", "folded_polynomial", "rotation_short_axis",
             "rotation_zero_axis", "rotation_infinite_angle"])
     def test_invalid_jet_exits_two_in_one_line(self, args, message):
@@ -201,11 +201,21 @@ class TestOpsCommand:
          "amplitude must be a finite number, got 'abc'"),
         (("polynomial", "--param", "n=2", "--param", "amplitude=abc"),
          "amplitude must be a finite number, got 'abc'"),
+        (("radial_stretch", "--param", "n=2", "--param", "alpha=abc"),
+         "radial_stretch alpha must be a positive finite number, got 'abc'"),
+        (("wedge", "--param", "n=2", "--param", "alpha=abc"),
+         "wedge alpha must be an angle in (0, 2*pi), got 'abc'"),
+        (("polynomial", "--param", "n=2", "--param", "seed=1.5"),
+         "polynomial seed must be an integral number >= 0, got 1.5"),
+        (("polynomial", "--param", "n=2", "--param", "seed=-1"),
+         "polynomial seed must be an integral number >= 0, got -1"),
     ], ids=["scalar_matrix", "vector_matrix", "nan_offset", "bump_text_amplitude",
-            "polynomial_text_amplitude"])
+            "polynomial_text_amplitude", "radial_text_alpha", "wedge_text_alpha",
+            "polynomial_fractional_seed", "polynomial_negative_seed"])
     def test_bad_map_parameter_exits_two_in_one_line(self, args, message):
         # the scalar matrix and the text amplitudes used to end in a traceback
-        # (exit 1) and the NaN offset in a record of NaN tokens (exit 0)
+        # (exit 1) and the NaN offset in a record of NaN tokens (exit 0); the
+        # text alphas and the seeds exited 2 with a message that named no parameter
         result = run_cli("ops", *args, "--point", "0.1,0.1")
         assert result.exit_code == 2
         assert result.stdout == ""
@@ -232,7 +242,8 @@ class TestOpsCommand:
         # used to print a record and exit 0, ignoring the key
         result = run_cli("ops", "rotation", "--param", "n=2", "--param", "angle=1",
                          "--param", "bogus=7", "--point", "0.1,0.1")
-        assert_usage_error(result, "moebius rotation got unknown parameter bogus")
+        assert_usage_error(result, "rotation bogus must be left out, as rotation takes only "
+                                   "n, angle, axis, matrix, got 7")
 
     @pytest.mark.parametrize("args, message", [
         (("polynomial", "--param", "n=3", "--point", "0.3,0.2,0.1", "--p", "800"),
@@ -547,7 +558,7 @@ class TestFlowCommand:
         ({"matrix": 2}, "affine matrix must be a finite square matrix"),
         ({"matrix": [[1.0, 2.0]]}, "affine matrix must be a finite square matrix"),
         ({"matrix": [[1.0, 0.0], [0.0, 1.0]], "offset": [math.nan, 0.0]},
-         "affine offset must be 2 finite numbers"),
+         "affine offset must be finite numbers, one or more in a flat vector, got [nan, 0.0]"),
     ], ids=["scalar_matrix", "one_by_two", "nan_offset"])
     def test_bad_map_parameter_exits_two_without_writes(self, tmp_path, params, message):
         # the NaN offset used to write its initial snapshot and then die
@@ -561,6 +572,24 @@ class TestFlowCommand:
         assert result.exit_code == 2
         assert f"error: {message}" in result.stderr
         assert not stats.exists() and not snap.exists()
+
+    @pytest.mark.parametrize("mapping, message", [
+        ({"id": "affine_bump", "params": [1]}, "and map.params an object"),
+        ({"id": "affine_bump", "params": {"n": True}},
+         "affine_bump n must be an integral number >= 1, got True"),
+        ({"id": "affine_bump", "params": {"n": 2, "amplitude": True}},
+         "affine_bump amplitude must be a finite number, got True"),
+    ], ids=["params_list", "bool_dimension", "bool_amplitude"])
+    def test_bad_map_params_exit_two_in_one_line(self, tmp_path, mapping, message):
+        # a list exited 2 with Python's "argument after ** must be a mapping"; a JSON
+        # true built a 1-d map that failed on the grid rank, or an amplitude-1 bump
+        # that failed on an unnamed determinant
+        cfg = tmp_path / "flow.json"
+        snap = tmp_path / "initial.bin"
+        write_config(cfg, map=mapping, snapshots={"initial": str(snap)})
+        result = run_cli("flow", str(cfg))
+        assert_usage_error(result, message)
+        assert not snap.exists()
 
     def test_node_outside_the_map_domain_exits_two(self, tmp_path):
         # node (4, 4) of the grid is the origin, where the radial stretch has no jet

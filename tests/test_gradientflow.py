@@ -392,7 +392,7 @@ class TestRunFlow:
             assert step_dt > 0.0
             return grid, fields
 
-        monkeypatch.setattr(gradientflow, "dtmax", lambda grid, p, safety: dt)
+        monkeypatch.setattr(gradientflow, "_dtmax", lambda jac, h, p, safety: dt)
         monkeypatch.setattr(gradientflow, "_interior_update", lambda *args: None)
         monkeypatch.setattr(gradientflow, "_advance", advance)
         monkeypatch.setattr(gradientflow, "_energy", lambda *args: 0.0)

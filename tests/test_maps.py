@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import inspect
 import math
 import re
 import sys
@@ -54,7 +55,8 @@ from qcflow.maps import (
 from qcflow.operators import Jet2Sample
 from qcflow.verify import invariance_sample, random_moebius
 
-AXIS_RULE = "rotation axis must be 3 finite numbers whose norm is nonzero and finite, got "
+AXIS_RULE = "rotation axis must be 3 numbers of a nonzero finite norm, got "
+VECTOR_RULE = "must be finite numbers, one or more in a flat vector, got "
 
 
 class TestRadialStretch:
@@ -251,13 +253,14 @@ class TestMoebius:
             moebius("squeeze", {"n": 2})
         # parameters a rotation used to ignore: an axis at n = 2 gave the
         # planar rotation, and a matrix won over an angle or axis beside it
-        axis_rule = "a rotation axis is read only at n=3, got n=2"
+        axis_rule = "rotation axis must be left out at n = 2, got [0.0, 0.0, 1.0]"
         with pytest.raises(ConfigError, match=f"^{re.escape(axis_rule)}$"):
             moebius("rotation", {"n": 2, "axis": [0.0, 0.0, 1.0], "angle": 0.3})
         quarter = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
-        for extra, named in (({"angle": 0.3}, "angle"), ({"axis": [0.0, 0.0, 1.0]}, "axis"),
-                             ({"angle": 0.3, "axis": [0.0, 0.0, 1.0]}, "angle and axis")):
-            message = f"rotation takes a matrix or an angle, not both; got matrix and {named}"
+        for extra in ({"angle": 0.3}, {"axis": [0.0, 0.0, 1.0]},
+                      {"angle": 0.3, "axis": [0.0, 0.0, 1.0]}):
+            message = (f"rotation matrix must be 3 x 3 at n = 3, with no angle or axis, "
+                       f"got {quarter}")
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 moebius("rotation", {"n": 3, "matrix": quarter, **extra})
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -276,7 +279,7 @@ class TestMoebius:
     def test_unknown_parameter_rejected(self, kind, params, extra):
         # each kind used to ignore keys it does not read, even another kind's
         (key,) = extra
-        message = f"moebius {kind} got unknown parameter {key}"
+        message = f"{kind} {key} must be left out, as {kind} takes only "
         moebius(kind, params)
         with pytest.raises(ConfigError, match=re.escape(message)):
             moebius(kind, {**params, **extra})
@@ -306,10 +309,14 @@ class TestAffineMap:
         with pytest.raises(ConfigError, match="affine matrix must be a finite square matrix"):
             affine_map(matrix)
 
-    @pytest.mark.parametrize("offset", [[math.nan, 0.0], [0.0], [0.0, 0.0, 0.0], 1.0],
-                             ids=["nan", "short", "long", "scalar"])
-    def test_offset_must_be_n_finite_numbers(self, offset):
-        with pytest.raises(ConfigError, match="affine offset must be 2 finite numbers"):
+    @pytest.mark.parametrize("offset, message", [
+        ([math.nan, 0.0], "affine offset " + VECTOR_RULE + "[nan, 0.0]"),
+        ([0.0], "affine offset must be 2 finite numbers"),
+        ([0.0, 0.0, 0.0], "affine offset must be 2 finite numbers"),
+        (1.0, "affine offset " + VECTOR_RULE + "1.0"),
+    ], ids=["nan", "short", "long", "scalar"])
+    def test_offset_must_be_n_finite_numbers(self, offset, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             affine_map(np.eye(2), offset)
 
     def test_offset_applied(self):
@@ -1006,27 +1013,30 @@ class TestBumpMap:
 
 class TestArgumentErrors:
     @pytest.mark.parametrize("build, message", [
-        (lambda: wedge_map(0.0, 3), "wedge angle must lie in (0, 2*pi)"),
-        (lambda: wedge_map(2.0 * math.pi, 3), "wedge angle must lie in (0, 2*pi)"),
-        (lambda: wedge_map(math.pi, 1), "wedge map needs n >= 2"),
+        (lambda: wedge_map(0.0, 3), "wedge alpha must be an angle in (0, 2*pi), got 0.0"),
+        (lambda: wedge_map(2.0 * math.pi, 3),
+         "wedge alpha must be an angle in (0, 2*pi), got 6.283185307179586"),
+        (lambda: wedge_map(math.pi, 1), "wedge n must be an integral number >= 2, got 1"),
         (lambda: wedge_sector_constants(math.pi, 3, 3), "wedge sector must be 1 or 2"),
         (lambda: moebius("rotation", {"n": 2, "matrix": np.eye(3)}),
-         "rotation matrix shape (3, 3), expected (2,2)"),
+         "rotation matrix must be 2 x 2 at n = 2, with no angle or axis, got [[1.0, 0.0, 0.0], "),
         (lambda: moebius("rotation", {"n": 2, "matrix": [[1.0, 0.5], [0.0, 1.0]]}),
          "rotation matrix must be orthogonal with det +1"),
         (lambda: moebius("rotation", {"n": 2, "matrix": [[1.0, 0.0], [0.0, -1.0]]}),
          "rotation matrix must be orthogonal with det +1"),
+        (lambda: moebius("rotation", {"n": 2, "matrix": [[1e200, 0.0], [0.0, 1.0]]}),
+         "rotation matrix must be orthogonal with det +1, got [[1e+200, 0.0], [0.0, 1.0]]"),
         (lambda: moebius("rotation", {"n": 4, "angle": 0.3}),
-         "angle-based rotations support n=2 (angle) or n=3 (axis, angle)"),
-        (lambda: teichmuller_example(4), "canned composition supports n=2 or n=3"),
+         "rotation n must be 2 or 3 with an angle, or any n with a matrix, got 4"),
+        (lambda: teichmuller_example(4), "teichmuller n must be 2 or 3, got 4"),
         (lambda: compose(identity_map(2), identity_map(3)),
          "composition requires matching dimensions"),
         (lambda: moebius("rotation", {"n": 2, "angle": math.nan}),
-         "rotation angle must be finite, got nan"),
+         "rotation angle must be a finite number, got nan"),
         (lambda: moebius("rotation", {"n": 2, "angle": -math.inf}),
-         "rotation angle must be finite, got -inf"),
+         "rotation angle must be a finite number, got -inf"),
         (lambda: moebius("rotation", {"n": 3, "axis": [0.0, 0.0, 1.0], "angle": math.inf}),
-         "rotation angle must be finite, got inf"),
+         "rotation angle must be a finite number, got inf"),
         (lambda: moebius("rotation", {"n": 3, "axis": [1.0, 0.0], "angle": 1.0}),
          AXIS_RULE + "[1.0, 0.0]"),
         (lambda: moebius("rotation", {"n": 3, "axis": [1.0, 0.0, 0.0, 0.0], "angle": 1.0}),
@@ -1034,9 +1044,9 @@ class TestArgumentErrors:
         (lambda: moebius("rotation", {"n": 3, "axis": [0.0, 0.0, 0.0], "angle": 1.0}),
          AXIS_RULE + "[0.0, 0.0, 0.0]"),
         (lambda: moebius("rotation", {"n": 3, "axis": [math.nan, 0.0, 1.0], "angle": 1.0}),
-         AXIS_RULE + "[nan, 0.0, 1.0]"),
+         "rotation axis " + VECTOR_RULE + "[nan, 0.0, 1.0]"),
         (lambda: moebius("rotation", {"n": 3, "axis": [1.0, math.inf, 0.0], "angle": 1.0}),
-         AXIS_RULE + "[1.0, inf, 0.0]"),
+         "rotation axis " + VECTOR_RULE + "[1.0, inf, 0.0]"),
         (lambda: moebius("rotation", {"n": 3, "axis": [1e200, 1e200, 0.0], "angle": 1.0}),
          AXIS_RULE + "[1e+200, 1e+200, 0.0]"),
         (lambda: bump_map(2, amplitude=math.nan), "amplitude must be a finite number, got nan"),
@@ -1046,7 +1056,7 @@ class TestArgumentErrors:
         (lambda: polynomial_map(2, amplitude=[0.1]),
          "amplitude must be a finite number, got [0.1]"),
     ], ids=["wedge_zero", "wedge_full_turn", "wedge_n1", "wedge_sector", "rotation_shape",
-            "rotation_shear", "rotation_reflection", "rotation_n4", "teichmuller_n4",
+            "rotation_shear", "rotation_reflection", "rotation_huge", "rotation_n4", "teichmuller_n4",
             "compose_dims", "rotation_nan_angle", "rotation_minus_inf_angle",
             "rotation_inf_angle_3d", "rotation_short_axis", "rotation_long_axis",
             "rotation_zero_axis", "rotation_nan_axis", "rotation_inf_axis",
@@ -1113,9 +1123,72 @@ class TestRegistry:
     def test_dimension_must_be_a_whole_number_from_one(self, map_id, n):
         # n = 2.5 used to build a map that failed only when sampled, and
         # the generators truncated it to 2
-        message = f"dimension n must be an integral number >= 1, got {n!r}"
+        rule = {"wedge": "an integral number >= 2", "teichmuller": "2 or 3"}.get(
+            map_id, "an integral number >= 1")
+        message = f"{map_id} n must be {rule}, got {n!r}"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             make_map(map_id, **self.DIMENSIONED[map_id], n=n)
+
+    # one valid parameter set per registry id, each of whose slots the junk test fills
+    VALID = {"radial_stretch": {"alpha": 2.0, "n": 2}, "wedge": {"alpha": 2.0, "n": 3},
+             "rotation": {"n": 2, "angle": 0.3}, "dilation": {"n": 2, "scale": 1.5},
+             "translation": {"offset": [1.0, -2.0]}, "inversion": {"n": 2},
+             "affine": {"matrix": [[1.3, 0.2], [-0.1, 0.9]], "offset": [0.1, 0.2]},
+             "polynomial": {"n": 2, "seed": 9, "amplitude": 0.08}, "identity": {"n": 2},
+             "affine_bump": {"n": 2}, "teichmuller": {"n": 2}}
+    JUNK = [math.nan, math.inf, -math.inf, -1, 0, 1.5, "abc", [], [[1]], True, None]
+    # the junk each slot's kind allows, so the map builds; None leaves an optional slot absent
+    ALLOWED = {("radial_stretch", "alpha"): [1.5], ("wedge", "alpha"): [1.5],
+               ("rotation", "n"): [None], ("rotation", "angle"): [-1, 0, 1.5],
+               ("rotation", "axis"): [None], ("rotation", "matrix"): [None],
+               ("dilation", "scale"): [1.5], ("affine", "offset"): [None],
+               ("polynomial", "seed"): [0], ("polynomial", "amplitude"): [-1, 0, 1.5],
+               ("affine_bump", "amplitude"): [-1, 0, 1.5]}
+    SLOTS = [(map_id, name) for map_id in sorted(VALID)
+             for name in [entry[0] for entry in qcflow_maps._REGISTRY[map_id][1:]] + ["bogus"]]
+
+    def test_valid_sets_cover_the_registry(self):
+        assert sorted(self.VALID) == map_ids()
+
+    @settings(max_examples=400, deadline=None)
+    @given(slot=st.sampled_from(SLOTS), junk=st.sampled_from(JUNK))
+    def test_junk_in_any_slot_builds_or_names_map_and_parameter(self, slot, junk):
+        # radial_stretch and wedge alpha="abc" and polynomial seed=1.5 used to raise
+        # TypeError, which make_map turned into an error that named no parameter
+        map_id, name = slot
+        allowed = any(junk is a or junk == a and type(junk) is type(a)
+                      for a in self.ALLOWED.get(slot, []))
+        params = {**self.VALID[map_id], name: junk}
+        if allowed:
+            assert make_map(map_id, **params).n >= 1
+            return
+        with pytest.raises(ConfigError) as refused:
+            make_map(map_id, **params)
+        message = str(refused.value)
+        assert re.search(rf"\b{map_id}\b", message) and re.search(rf"\b{name}\b", message)
+
+    @pytest.mark.parametrize("build, map_id", [
+        (radial_stretch, "radial_stretch"), (wedge_map, "wedge"), (affine_map, "affine"),
+        (polynomial_map, "polynomial"), (bump_map, "affine_bump"), (identity_map, "identity"),
+        (teichmuller_example, "teichmuller"),
+    ])
+    def test_builder_signature_matches_its_schema(self, build, map_id):
+        # a public builder passes its arguments to make_map by name, so its parameters and
+        # defaults are the schema's, and a default left out of a call is the same either way
+        schema = [(name, default) for name, _, default in qcflow_maps._REGISTRY[map_id][1:]]
+        signature = [(p.name, qcflow_maps._REQUIRED if p.default is p.empty else p.default)
+                     for p in inspect.signature(build).parameters.values()]
+        assert signature == schema
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: radial_stretch("abc", 2),
+         "radial_stretch alpha must be a positive finite number, got 'abc'"),
+        (lambda: polynomial_map(2, 1.5), "polynomial seed must be an integral number >= 0, got 1.5"),
+    ], ids=["radial_text_alpha", "polynomial_fractional_seed"])
+    def test_library_refuses_as_the_registry_does(self, build, error):
+        # both used to raise TypeError when called directly
+        with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
+            build()
 
     @pytest.mark.parametrize("map_id", sorted(DIMENSIONED))
     def test_integral_float_dimension_accepted(self, map_id):
