@@ -199,6 +199,17 @@ _FLOW_REQUIRED = {"map", "shape", "h", "p", "t_final"}
 _FLOW_OPTIONAL = {"origin", "mode", "safety", "outer", "stats", "snapshots"}
 
 
+def _flow_number(key: str, value) -> float:
+    """A flow config's value for key as a float; one that is not a JSON number (a bool or a string
+    never is one, as maps._real reads numbers) or is past the float range is a ConfigError."""
+    if type(value) is int or type(value) is float:
+        try:
+            return float(value)
+        except OverflowError:  # an int too large for a float
+            pass
+    raise ConfigError(f"{key} must be a number within the float range, got {value!r}")
+
+
 def _load_flow_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -236,17 +247,16 @@ def cmd_flow(config: str) -> None:
     """
     try:
         cfg = _load_flow_config(config)
-        p_power = float(cfg["p"])
-        t_final = float(cfg["t_final"])
+        p_power, t_final, h = (_flow_number(key, cfg[key]) for key in ("p", "t_final", "h"))
+        safety = _flow_number("safety", cfg.get("safety", gradientflow.DEFAULT_SAFETY))
         mode = cfg.get("mode", "explicit")
-        safety = float(cfg.get("safety", gradientflow.DEFAULT_SAFETY))
         outer = cfg.get("outer", 3)
         gradientflow._check_flow_args(mode=mode, p=p_power, safety=safety,
                                       t_final=t_final, outer=outer)
         snaps = cfg.get("snapshots", {})
         _check_out_dirs(cfg.get("stats"), snaps.get("initial"), snaps.get("final"))
         mapping = maps.make_map(cfg["map"]["id"], **cfg["map"].get("params", {}))
-        grid = gradientflow.make_grid(mapping, cfg["shape"], float(cfg["h"]),
+        grid = gradientflow.make_grid(mapping, cfg["shape"], h,
                                       origin=cfg.get("origin"))
     except (ConfigError, UnknownMap, GuardViolation, QcflowError, ValueError, TypeError) as exc:
         _fail_usage(exc)

@@ -1,12 +1,15 @@
 """Trajectories along rows of the distortion field S(g) J^{-T}.
 
 trace_flowline walks on Python floats: the position, the velocity,
-every RK4 stage point and the field are lists. Each sample or stage
-takes J as row-major entries from the map's private single-point
-accessor (SmoothMap._jacobian_entries: the map's entry-first sampler,
-or the public jacobian of a map without one), and the field, |J|^2 and
-det from tensor's one 2x2 and 3x3 kernel on those floats
-(_sample_field); a sample adds K and its row norms. n = 4 takes
+every RK4 stage point and the field are lists, and the RK4 step is
+written out at n = 2 and 3 (_rk4). Each sample or stage takes J as
+row-major entries from the map's private single-point accessor
+(SmoothMap._jacobian_entries: the map's entry-first sampler, or the
+public jacobian of a map without one), and |J|^2, det and the field
+from tensor's one 2x2 and 3x3 kernel on those floats (_sample_field).
+The sample at an accepted point takes the whole field, whose row norms
+pick the row, and adds K; each later RK4 stage takes the active row of
+the field alone, bit-equal to that row of the whole field. n = 4 takes
 LAPACK's det and inverse (tensor._sg_field) in the same loop. A stack
 of samples (du_recovery_check) runs the same kernel on node arrays,
 bit-equal row by row. The public flow_field reads jacobian and returns
@@ -99,9 +102,58 @@ def flow_field(mapping, x) -> np.ndarray:
 
 
 def _row_norms(field: list, n: int) -> tuple[list, float]:
-    """Norms of the rows of length n of a field's entries, and of the field, summed from +0.0."""
-    sq = [_sum_sq(field[i:i + n]) for i in range(0, len(field), n)]
+    """Norms of the rows of length n of a field's entries, and of the field; n = 2 and 3 written out.
+
+    Each row's square is summed from +0.0 left to right, as _sum_sq sums it.
+    """
+    if len(field) == 4 and n == 2:
+        a0, a1, b0, b1 = field
+        sq = [(0.0 + a0 * a0) + a1 * a1, (0.0 + b0 * b0) + b1 * b1]
+    elif len(field) == 9 and n == 3:
+        a0, a1, a2, b0, b1, b2, c0, c1, c2 = field
+        sq = [((0.0 + a0 * a0) + a1 * a1) + a2 * a2, ((0.0 + b0 * b0) + b1 * b1) + b2 * b2,
+              ((0.0 + c0 * c0) + c1 * c1) + c2 * c2]
+    else:
+        sq = [_sum_sq(field[i:i + n]) for i in range(0, len(field), n)]
     return [math.sqrt(v) for v in sq], math.sqrt(sum(sq))
+
+
+def _times(c: float, v: list) -> list:
+    """c times each entry of v, written out at n = 2 and 3."""
+    if len(v) == 2:
+        return [c * v[0], c * v[1]]
+    if len(v) == 3:
+        return [c * v[0], c * v[1], c * v[2]]
+    return [c * a for a in v]
+
+
+def _rk4(x: list, k1: list, step: float, stage) -> list:
+    """One classical RK4 step of length step from x, where k1 is x's velocity and stage(y) is y's.
+
+    Each entry is taken as the array expressions take it: the stage
+    points x + (step / 2) k and x + step k, then
+    x + (step / 6) (((k1 + 2 k2) + 2 k3) + k4). n = 2 and 3 are written out.
+    """
+    half, sixth = 0.5 * step, step / 6.0
+    if len(x) == 2:
+        (a0, a1), (p0, p1) = x, k1
+        q0, q1 = stage([a0 + half * p0, a1 + half * p1])
+        r0, r1 = stage([a0 + half * q0, a1 + half * q1])
+        t0, t1 = stage([a0 + step * r0, a1 + step * r1])
+        return [a0 + sixth * (((p0 + 2.0 * q0) + 2.0 * r0) + t0),
+                a1 + sixth * (((p1 + 2.0 * q1) + 2.0 * r1) + t1)]
+    if len(x) == 3:
+        (a0, a1, a2), (p0, p1, p2) = x, k1
+        q0, q1, q2 = stage([a0 + half * p0, a1 + half * p1, a2 + half * p2])
+        r0, r1, r2 = stage([a0 + half * q0, a1 + half * q1, a2 + half * q2])
+        t0, t1, t2 = stage([a0 + step * r0, a1 + step * r1, a2 + step * r2])
+        return [a0 + sixth * (((p0 + 2.0 * q0) + 2.0 * r0) + t0),
+                a1 + sixth * (((p1 + 2.0 * q1) + 2.0 * r1) + t1),
+                a2 + sixth * (((p2 + 2.0 * q2) + 2.0 * r2) + t2)]
+    k2 = stage([a + half * b for a, b in zip(x, k1)])
+    k3 = stage([a + half * b for a, b in zip(x, k2)])
+    k4 = stage([a + step * b for a, b in zip(x, k3)])
+    return [a + sixth * (((p + 2.0 * q) + 2.0 * r) + t) for a, p, q, r, t in zip(x, k1, k2, k3, k4)]
 
 
 def _pick_row(norms: list, current: int | None) -> int:
@@ -134,19 +186,20 @@ def select_row(field, current: int | None = None) -> int:
     return _pick_row(norms, current)
 
 
-def _sample_field(mapping, y: list) -> tuple[list, float, float]:
+def _sample_field(mapping, y: list, row: int | None = None) -> tuple[list, float, float]:
     """The field's row-major entries at the point y of Python floats, with |J|^2 and det J.
 
     The one field entry of trace_flowline's samples and RK4 stages, from
     mapping._jacobian_entries: tensor._sg_one for 4 or 9 entries (n = 2
     and 3), and _sg_field's array (LAPACK's inverse) read into entries
-    for any other n.
+    for any other n. Given a row index (from 0), the entries are that
+    row's alone, bit-equal to the same entries of the full field.
     """
     entries = mapping._jacobian_entries(y)
     if len(entries) in (4, 9):
-        return _sg_one(entries)
+        return _sg_one(entries, row)
     matrix, nsq, d = _sg_field(np.array(entries).reshape(len(y), len(y)))
-    return matrix.ravel().tolist(), nsq, d
+    return (matrix.ravel() if row is None else matrix[row]).tolist(), nsq, d
 
 
 def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
@@ -167,11 +220,13 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
 
     The walk reads first-order data only, on Python floats (see the
     module notes), through one entry, _sample_field, with one
-    determinant per sample or stage. The RK4 combinations are taken entry
-    by entry in the array expressions' order, so every output carries the
-    bits of the same walk on arrays. Guard violations at a stage raise
-    StepFailure. The first stage of a step reuses the velocity already
-    evaluated at the accepted point.
+    determinant per sample or stage: the sample at each accepted point
+    takes the whole field, which picks the row and gives its speed, and
+    each of the three later RK4 stages takes the active row alone. The
+    RK4 combinations are taken entry by entry in the array expressions'
+    order, so every output carries the bits of the same walk on arrays.
+    Guard violations at a stage raise StepFailure. The first stage of a
+    step reuses the velocity already evaluated at the accepted point.
     """
     for name, value in (("ds", ds), ("max_len", max_len)):
         if not 0.0 < value < np.inf:  # NaN fails too
@@ -205,10 +260,9 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
 
     def stage_velocity(y: list) -> list:
         try:
-            field = _sample_field(mapping, y)[0]
+            return _times(sign, _sample_field(mapping, y, row - 1)[0])
         except GuardViolation as exc:
             raise StepFailure(f"integrator stage left the map's domain: {exc}") from exc
-        return [sign * v for v in field[first:first + n]]
 
     x = start.tolist()
     s, row, sign = 0.0, None, 1.0
@@ -226,21 +280,13 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
             new = field[(new_row - 1) * n:new_row * n]
             sign = 1.0 if float(np.dot(new, velocity)) >= 0.0 else -1.0
         row = new_row
-        first = (row - 1) * n
-        velocity = [sign * v for v in field[first:first + n]]
+        velocity = _times(sign, field[(row - 1) * n:row * n])
         samples.append((s, x, k_val, row, norms[row - 1], sign))
         if not s < max_len - 1e-14:
             return finish("maxLength")
 
         step = min(ds, max_len - s)
-        half = 0.5 * step
-        k1 = velocity
-        k2 = stage_velocity([a + half * b for a, b in zip(x, k1)])
-        k3 = stage_velocity([a + half * b for a, b in zip(x, k2)])
-        k4 = stage_velocity([a + step * b for a, b in zip(x, k3)])
-        sixth = step / 6.0
-        x_new = [a + sixth * (((p + 2.0 * q) + 2.0 * r) + t)
-                 for a, p, q, r, t in zip(x, k1, k2, k3, k4)]
+        x_new = _rk4(x, velocity, step, stage_velocity)
 
         end = np.array(x_new)
         if not inside(end):

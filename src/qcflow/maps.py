@@ -37,7 +37,7 @@ from .errors import (
     UnknownMap,
 )
 from .operators import Jet2Sample
-from .tensor import _cofactors, _det, _entries, _matrix_det, _positive, _pow, _sum_sq
+from .tensor import _cofactor_row, _det, _entries, _matrix_det, _positive, _pow, _sum_sq
 
 _ORIGIN_TOL = 1e-9
 _SEAM_TOL = 1e-6
@@ -310,7 +310,7 @@ def _add(p: list, q: list) -> list:
 def _positive_entries(u: list, j: list) -> None:
     """Refuse J's entries at u unless det J > 0: the kernel's det at n = 2 and 3, else LAPACK's."""
     n, lead = len(u), np.shape(u[0])
-    _positive(_det(j, _cofactors(j, n), n) if n in (2, 3)
+    _positive(_det(j, _cofactor_row(j, n, 0), n) if n in (2, 3)
               else np.linalg.det(_stacked(j, lead).reshape(lead + (n, n))))
 
 
@@ -409,7 +409,9 @@ def _inversion(signs: list, x: list, order: int = 1) -> tuple[list, list, object
 
     J is eye / |x|^2 less 2 x x^T / |x|^4, each entry times its output
     component's sign, where |x|^4 is the C pow of |x|^2 and an
-    off-diagonal eye entry gives 0.0 / |x|^2. n = 2 and 3 are written out.
+    off-diagonal eye entry gives 0.0 / |x|^2. n = 2 and 3 are written out,
+    each off-diagonal term taken once for its two entries (x_i x_k is
+    x_k x_i to the bit).
     """
     rsq = _sum_sq(x)
     near = rsq < _ORIGIN_TOL**2  # _any, less a call
@@ -418,17 +420,18 @@ def _inversion(signs: list, x: list, order: int = 1) -> tuple[list, list, object
     sq, on, off = _pow(rsq, 2), 1.0 / rsq, 0.0 / rsq
     if len(x) == 2:
         (x0, x1), (s0, s1) = x, signs
+        m01 = off - 2.0 * (x0 * x1) / sq
         return ([x0 / (rsq * s0), x1 / (rsq * s1)],
-                [(on - 2.0 * (x0 * x0) / sq) * s0, (off - 2.0 * (x0 * x1) / sq) * s0,
-                 (off - 2.0 * (x1 * x0) / sq) * s1, (on - 2.0 * (x1 * x1) / sq) * s1], rsq)
+                [(on - 2.0 * (x0 * x0) / sq) * s0, m01 * s0, m01 * s1,
+                 (on - 2.0 * (x1 * x1) / sq) * s1], rsq)
     if len(x) == 3:
         (x0, x1, x2), (s0, s1, s2) = x, signs
+        m01, m02, m12 = (off - 2.0 * (x0 * x1) / sq, off - 2.0 * (x0 * x2) / sq,
+                         off - 2.0 * (x1 * x2) / sq)
         return ([x0 / (rsq * s0), x1 / (rsq * s1), x2 / (rsq * s2)],
-                [(on - 2.0 * (x0 * x0) / sq) * s0, (off - 2.0 * (x0 * x1) / sq) * s0,
-                 (off - 2.0 * (x0 * x2) / sq) * s0, (off - 2.0 * (x1 * x0) / sq) * s1,
-                 (on - 2.0 * (x1 * x1) / sq) * s1, (off - 2.0 * (x1 * x2) / sq) * s1,
-                 (off - 2.0 * (x2 * x0) / sq) * s2, (off - 2.0 * (x2 * x1) / sq) * s2,
-                 (on - 2.0 * (x2 * x2) / sq) * s2], rsq)
+                [(on - 2.0 * (x0 * x0) / sq) * s0, m01 * s0, m02 * s0,
+                 m01 * s1, (on - 2.0 * (x1 * x1) / sq) * s1, m12 * s1,
+                 m02 * s2, m12 * s2, (on - 2.0 * (x2 * x2) / sq) * s2], rsq)
     return ([v / (rsq * s) for v, s in zip(x, signs)],
             [((on if i == k else off) - 2.0 * (p * q) / sq) * s
              for i, (p, s) in enumerate(zip(x, signs)) for k, q in enumerate(x)], rsq)

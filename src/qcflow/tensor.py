@@ -12,10 +12,11 @@ cofactors, det and |J|^2 (_kernel), the field F = S(g) J^{-T} (_field)
 and K (_dilation). An entry is a Python float for one matrix and an
 array over nodes for a stack, so a stack row has the bits of its single
 call by construction, and a flow line's sample or RK4 stage hands its J
-over as a list (_sg_one). Every Jacobian kernel here and in operators
-and traces enters through _checked, which returns (a, n, det, |J|^2)
-for a finite square matrix with finite positive determinant and finite
-|J|^2; n = 4 takes LAPACK's det and inverse. factoring_residual and
+over as a list (_sg_one), a stage for one row of F (_cofactor_row).
+Every Jacobian kernel here and in operators and traces enters through
+_checked, which returns (a, n, det, |J|^2) for a finite square matrix
+with finite positive determinant and finite |J|^2; n = 4 takes LAPACK's
+det and inverse. factoring_residual and
 operators.linfty_flowform keep the S(g) route and are the field's oracles.
 """
 
@@ -107,8 +108,24 @@ def _cofactors(e: list, n: int) -> list:
             (0.0 + a1 * b2) - a2 * b1, -((0.0 + a0 * b2) - a2 * b0), (0.0 + a0 * b1) - a1 * b0]
 
 
+def _cofactor_row(e: list, n: int, i: int) -> list:
+    """Row i of _cofactors(e, n), by the same operations on the same entries."""
+    if n == 2:
+        return [e[3], -e[2]] if i == 0 else [-e[1], e[0]]
+    a0, a1, a2, b0, b1, b2, c0, c1, c2 = e
+    if i == 0:
+        return [(0.0 + b1 * c2) - b2 * c1, -((0.0 + b0 * c2) - b2 * c0), (0.0 + b0 * c1) - b1 * c0]
+    if i == 1:
+        return [-((0.0 + a1 * c2) - a2 * c1), (0.0 + a0 * c2) - a2 * c0, -((0.0 + a0 * c1) - a1 * c0)]
+    return [(0.0 + a1 * b2) - a2 * b1, -((0.0 + a0 * b2) - a2 * b0), (0.0 + a0 * b1) - a1 * b0]
+
+
 def _det(e: list, c: list, n: int):
-    """det as the first row of e against its cofactors c, summed from +0.0 left to right."""
+    """det as the first row of e against its first n cofactors c, summed from +0.0 left to right."""
+    if n == 2:
+        return (0.0 + e[0] * c[0]) + e[1] * c[1]
+    if n == 3:
+        return ((0.0 + e[0] * c[0]) + e[1] * c[1]) + e[2] * c[2]
     d = 0.0
     for j in range(n):
         d = d + e[j] * c[j]
@@ -116,7 +133,24 @@ def _det(e: list, c: list, n: int):
 
 
 def _sum_sq(e: list):
-    """Sum of the squares of e from +0.0 left to right: |J|^2, or a row's squared norm."""
+    """Sum of the squares of e from +0.0 left to right: |J|^2, or a row's squared norm.
+
+    2, 3, 4 and 9 terms are written out.
+    """
+    k = len(e)
+    if k == 2:
+        x0, x1 = e
+        return (0.0 + x0 * x0) + x1 * x1
+    if k == 3:
+        x0, x1, x2 = e
+        return ((0.0 + x0 * x0) + x1 * x1) + x2 * x2
+    if k == 4:
+        x0, x1, x2, x3 = e
+        return (((0.0 + x0 * x0) + x1 * x1) + x2 * x2) + x3 * x3
+    if k == 9:
+        x0, x1, x2, x3, x4, x5, x6, x7, x8 = e
+        return ((((((((0.0 + x0 * x0) + x1 * x1) + x2 * x2) + x3 * x3) + x4 * x4) + x5 * x5)
+                 + x6 * x6) + x7 * x7) + x8 * x8
     total = 0.0
     for x in e:
         total = total + x * x
@@ -144,8 +178,17 @@ def _kernel(e: list, n: int) -> tuple:
 
 
 def _field(e: list, c: list, d, nsq, n: int) -> list:
-    """Entries of F = (J - |J|^2 J^{-T} / n) / det^(2/n), with J^{-T} = c / det."""
+    """Entries of F = (J - |J|^2 J^{-T} / n) / det^(2/n), with J^{-T} = c / det.
+
+    e and c hold J's and the cofactors' entries for all of F, or for one
+    row of it, whose 2 or 3 entries are written out.
+    """
     scale, root = nsq / n, _pow(d, 2.0 / n)
+    if len(e) == 2:
+        return [(e[0] - scale * (c[0] / d)) / root, (e[1] - scale * (c[1] / d)) / root]
+    if len(e) == 3:
+        return [(e[0] - scale * (c[0] / d)) / root, (e[1] - scale * (c[1] / d)) / root,
+                (e[2] - scale * (c[2] / d)) / root]
     return [(x - scale * (k / d)) / root for x, k in zip(e, c)]
 
 
@@ -155,7 +198,7 @@ def _matrix_det(a: np.ndarray):
     if n not in (2, 3):
         return np.linalg.det(a)
     e = _entries(a)
-    return _det(e, _cofactors(e, n), n)
+    return _det(e, _cofactor_row(e, n, 0), n)
 
 
 def _det_adj(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,13 +313,30 @@ def _sg_field(j) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray]:
     return np.ascontiguousarray(np.moveaxis(np.array(field), 0, -1)).reshape(a.shape), nsq, d
 
 
-def _sg_one(flat: list) -> tuple[list, float, float]:
-    """F's entries, |J|^2 and det of one 2x2 or 3x3 matrix's entries, checked as _checked checks."""
+def _sg_one(flat: list, row: int | None = None) -> tuple[list, float, float]:
+    """F's entries, |J|^2 and det of one 2x2 or 3x3 matrix's entries, checked as _checked checks.
+
+    _kernel and _field on Python floats, each check made inline and a
+    failing value handed to its shared check, which raises its error.
+    Given a row index (from 0), F's entries are that row's alone, from
+    the first row's cofactors for det and the row's own for F, so they
+    are the same entries of the full F bit for bit.
+    """
     if not all(map(math.isfinite, flat)):
         raise NonFiniteValue("matrix entries must be finite")
     n = 2 if len(flat) == 4 else 3
-    c, d, nsq = _kernel(flat, n)
-    return _field(flat, c, d, nsq, n), nsq, d
+    if row is None:
+        e, first = flat, _cofactors(flat, n)
+    else:
+        e, first = flat[row * n:row * n + n], _cofactor_row(flat, n, 0)
+    c = _cofactor_row(flat, n, row) if row else first
+    d = _det(flat, first, n)
+    if not 0.0 < d < math.inf:  # NaN fails too
+        _finite_positive(d)
+    nsq = _sum_sq(flat)
+    if not nsq < math.inf:
+        _finite(nsq, "|J|^2")
+    return _field(e, c, d, nsq, n), nsq, d
 
 
 def _dilation_field(j) -> tuple[float | np.ndarray, np.ndarray]:

@@ -523,6 +523,22 @@ class TestFlowCommand:
         assert f"error: {key} must be" in result.stderr
         assert not stats.exists() and not snap.exists()
 
+    @pytest.mark.parametrize("key, bad", [
+        ("p", True), ("p", "2"), ("p", None), ("p", [2.0]), ("t_final", True),
+        ("t_final", "5e-4"), ("safety", False), ("safety", "0.2"), ("h", True),
+        ("h", "0.125"), ("p", 10**400),
+    ], ids=["p_true", "p_text", "p_null", "p_list", "t_final_true", "t_final_text",
+            "safety_false", "safety_text", "h_true", "h_text", "p_huge_int"])
+    def test_run_value_not_a_number_exits_two_without_writes(self, tmp_path, key, bad):
+        # "p": true ran as p = 1 and "h": "0.125" as h = 0.125, both exiting 0
+        cfg = tmp_path / "flow.json"
+        stats = tmp_path / "stats.csv"
+        snap = tmp_path / "initial.bin"
+        write_config(cfg, stats=str(stats), snapshots={"initial": str(snap)}, **{key: bad})
+        result = run_cli("flow", str(cfg))
+        assert_usage_error(result, f"error: {key} must be a number within the float range")
+        assert not stats.exists() and not snap.exists()
+
     @pytest.mark.parametrize("shape", [[17.9, 17], [17, "17"]], ids=["fraction", "text"])
     def test_bad_node_count_exits_two_without_writes(self, tmp_path, shape):
         # [17.9, 17] used to run on a 17x17 grid and exit 0

@@ -252,9 +252,10 @@ class TestTraceFlowline:
         plain = trace_flowline(m, [0.2, -0.1], ds=1e-3, max_len=0.05)
         calls = []
 
-        def vanishing(mapping, y):
-            # every sample and RK4 stage takes the field from _sample_field
-            field, *rest = _sample_field(mapping, y)
+        def vanishing(mapping, y, row=None):
+            # every sample takes the field from _sample_field, and every
+            # RK4 stage its active row
+            field, *rest = _sample_field(mapping, y, row)
             calls.append(1)
             # sample k is call 4k: one per sample and three per RK4 step
             if len(calls) > 4 * k:
@@ -276,10 +277,11 @@ class TestTraceFlowline:
                   np.zeros((2, 2))]
         calls = []
 
-        def scripted(mapping, y):
+        def scripted(mapping, y, row=None):
             calls.append(1)
-            # |J|^2 = 2 and det J = 1 give K = sqrt(2)
-            return fields[min((len(calls) - 1) // 4, 2)].ravel().tolist(), 2.0, 1.0
+            # |J|^2 = 2 and det J = 1 give K = sqrt(2); a stage reads its row
+            field = fields[min((len(calls) - 1) // 4, 2)]
+            return (field.ravel() if row is None else field[row]).tolist(), 2.0, 1.0
 
         monkeypatch.setattr("qcflow.flowlines._sample_field", scripted)
         traj = trace_flowline(identity_map(2), [0.1, 0.0], ds=1e-2, max_len=1.0)
@@ -498,6 +500,24 @@ class TestWalkReadsTheKernel:
             return
         for x, k in zip(traj.x, traj.K):
             assert k.tobytes() == trace_dilation(m.jacobian(x)).tobytes()
+
+
+class TestRk4Order:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_endpoint_differences_shrink_at_fourth_order(self, n, seed):
+        # one row, traced to L = 0.2 at ds = 2e-2, 1e-2 and 5e-3: each halving
+        # divides the endpoint difference by about 2^4. Over 8 seeds and 3
+        # starts at this amplitude the order read 3.95 to 4.11; the walk with
+        # its four stages averaged (weights step / 4) reads 2.0
+        m = polynomial_map(n, seed=seed, amplitude=0.2)
+        lines = [trace_flowline(m, [0.2, 0.1, -0.1][:n], ds=ds, max_len=0.2)
+                 for ds in (2e-2, 1e-2, 5e-3)]
+        assert all(t.terminated == "maxLength" for t in lines)
+        assert len({int(r) for t in lines for r in t.row}) == 1
+        ends = [t.x[-1] for t in lines]
+        order = math.log2(np.linalg.norm(ends[0] - ends[1]) / np.linalg.norm(ends[1] - ends[2]))
+        assert 3.7 < order < 4.3
 
 
 class TestCsvOutput:

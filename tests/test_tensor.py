@@ -25,8 +25,8 @@ from qcflow import (
     trace_dilation,
 )
 from qcflow.maps import affine_map, compose, moebius, radial_stretch
-from qcflow.tensor import (_checked, _det_adj, _dilation, _dilation_field, _matrix_det, _sg_field,
-                           _sg_one)
+from qcflow.tensor import (_checked, _cofactor_row, _cofactors, _det_adj, _dilation, _dilation_field,
+                           _matrix_det, _sg_field, _sg_one)
 from qcflow.traces import critical_equality_check
 from qcflow.verify import random_moebius
 
@@ -202,6 +202,48 @@ class TestKernel:
             assert field[i].tobytes() == np.array(f1).reshape(n, n).tobytes()
             assert k[i].tobytes() == trace_dilation(j).tobytes() == _dilation(nsq1, det1, n).tobytes()
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
+           count=st.integers(1, 9), form=st.sampled_from(sorted(STACK_FORMS)))
+    def test_one_row_matches_the_full_field_bitwise(self, seed, n, count, form):
+        # a flow line's RK4 stage takes one row of F: the first row's
+        # cofactors for det, the row's own for F, and nothing else
+        mats = np.asarray(STACK_FORMS[form](np.random.default_rng(seed), n, count), dtype=float)
+        dets = _matrix_det(mats), _det_adj(np.moveaxis(mats, 0, -1).copy())[0]
+        for i, j in enumerate(mats):
+            e = j.ravel().tolist()
+            full, nsq, det = _sg_one(e)
+            # the helpers a stack shares still give a stack row its single call's bits
+            assert dets[0][i].tobytes() == dets[1][i].tobytes() == np.float64(_matrix_det(j)).tobytes()
+            assert np.float64(_matrix_det(j)).tobytes() == np.float64(det).tobytes()
+            for row in range(n):
+                part = slice(row * n, row * n + n)
+                cofactors = np.array(_cofactors(e, n)[part])
+                assert np.array(_cofactor_row(e, n, row)).tobytes() == cofactors.tobytes()
+                f, nsq1, det1 = _sg_one(e, row)
+                assert np.array(f).tobytes() == np.array(full[part]).tobytes()
+                assert np.array([nsq1, det1]).tobytes() == np.array([nsq, det]).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.sampled_from([2, 3]), data=st.data())
+    def test_one_row_raises_as_the_full_field(self, n, data):
+        # a non-finite entry, a det <= 0 or past the float range, and an
+        # |J|^2 past it are refused by the same check with the same message
+        entry = st.floats(-4.0, 4.0) | st.sampled_from(
+            [0.0, -0.0, 1e-200, 1e155, 1e200, -1e200, math.inf, -math.inf, math.nan])
+        e = data.draw(st.lists(entry, min_size=n * n, max_size=n * n))
+        try:
+            full, nsq, det = _sg_one(e)
+        except QcflowError as exc:
+            for row in range(n):
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    _sg_one(e, row)
+            return
+        for row in range(n):
+            f, nsq1, det1 = _sg_one(e, row)
+            assert np.array(f).tobytes() == np.array(full[row * n:row * n + n]).tobytes()
+            assert np.array([nsq1, det1]).tobytes() == np.array([nsq, det]).tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]), decades=st.floats(0.0, 8.0))
     def test_det_within_a_condition_scaled_bound_of_lapack(self, seed, n, decades):
@@ -232,8 +274,9 @@ class TestKernel:
              "singular": np.diag([0.0] + [1.0] * (n - 1)), "inf_det": np.diag([1e200, 2e200, 3e200][:n]),
              "nan_det": np.full((n, n), 1e200), "inf_norm": np.diag([1e200, 1e-200, 1.0][:n])}[fault]
         stack = np.stack([np.eye(n), j])
+        rows = [lambda row=row: _sg_one(j.ravel().tolist(), row) for row in range(n)]
         for call in (lambda: _sg_one(j.ravel().tolist()), lambda: _checked(j), lambda: _checked(stack),
-                     lambda: _dilation_field(j), lambda: _dilation_field(stack)):
+                     lambda: _dilation_field(j), lambda: _dilation_field(stack), *rows):
             with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 call()
 
