@@ -22,20 +22,26 @@ closed-form tensor._det_adj determinant and adjugate, and |J|^2, over
 every node, with the Jacobian's entries checked finite where they are
 made. _advance builds them for each stepped state and holds its det to
 the collapse floor; the energy reads their |J|^2 and det, and the next
-step's _interior_update slices their interior as the coefficients of
-operators._contracted_operator, which contracts the flux linearization
-with the interior Hessian in O(n^3) per node. The public energy,
+step prepares their interior once as the coefficients
+(operators._operator_coefficients: the inverse and the power weight)
+that _interior_update contracts with the interior Hessian in O(n^3) per
+node (operators._contracted_operator). The public energy,
 interior_operator, explicit_step and compatibility_check, and run_flow's
 set-up, take a given grid's fields from _checked_fields, which also
 holds det > 0; run_flow's step bound and residual read its u0 fields.
-Picard's first pass reuses the initial fields at every step; later
-passes difference each saved state again, one at a time. Only the step
-bound builds the n^4 flux_linearization, once per run, for its mass.
+Picard's first pass prepares the initial coefficients once and reads
+them at every step. A pass that another follows saves the interior of
+the Jacobian _advance made for each state it accepts, and the next pass
+prepares each step's coefficients from it, with its det, adjugate and
+|J|^2, dropping the saved entry as it reads it; so no state is
+differenced twice. Only the step bound builds the n^4
+flux_linearization, once per run, for its mass.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -43,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DeterminantCollapse, NonFiniteValue
-from .operators import _contracted_operator, flux_linearization
+from .operators import _contracted_operator, _operator_coefficients, flux_linearization
 from .tensor import _det_adj, _positive
 
 DEFAULT_SAFETY = 0.2
@@ -137,9 +143,27 @@ class _Fields(NamedTuple):
     adj: np.ndarray
     nsq: np.ndarray
 
-    def coefficients(self, index=Ellipsis) -> tuple:
-        """jac, det, adj and nsq at index, as _contracted_operator takes them."""
-        return self.jac[index], self.det[index], self.adj[index], self.nsq[index]
+    def coefficients(self, p: float, index=Ellipsis) -> tuple:
+        """The operator's coefficients at index, prepared from jac, det, adj and nsq there."""
+        return _operator_coefficients(self.jac[index], self.det[index], self.adj[index],
+                                      self.nsq[index], p)
+
+
+def _interior(ndim: int) -> tuple:
+    """Index of the interior nodes of an array whose last ndim axes are the nodes."""
+    return (Ellipsis,) + (slice(1, -1),) * ndim
+
+
+def _saved_coefficients(saved: list, p: float):
+    """The operator's coefficients from each saved Jacobian interior in turn.
+
+    Each entry of saved is dropped as it is read. _advance checked every
+    Jacobian finite and its det above the floor, so det, adj and |J|^2
+    are taken here unchecked, by the operations _fields takes them with.
+    """
+    for k in range(len(saved)):
+        jac, saved[k] = saved[k], None
+        yield _operator_coefficients(jac, *_det_adj(jac), np.sum(jac * jac, axis=(0, 1)), p)
 
 
 def _fields(values: np.ndarray, h: float) -> _Fields:
@@ -275,26 +299,26 @@ def compatibility_check(grid: GridField, p: float) -> float:
 
 def _compatibility(grid: GridField, fields: _Fields, p: float) -> float:
     """compatibility_check of grid from its fields."""
-    resid = _contracted_operator(*fields.coefficients(), _full_hessian(fields.v, grid.h), p)
+    resid = _contracted_operator(fields.coefficients(p), _full_hessian(fields.v, grid.h))
     return float(np.max(np.abs(resid[:, grid.boundary_mask])))
 
 
-def _interior_update(coeff: _Fields, v: np.ndarray, h: float,
-                     p: float) -> np.ndarray:
+def _interior_update(coeff: tuple, v: np.ndarray, h: float) -> np.ndarray:
     """Operator at interior nodes, entry-first as out[i, *interior].
 
-    The coefficients are the interior of coeff, the coefficient state's
-    fields, whose Jacobian there is the centred difference; the Hessian
-    comes from v, the stepped state's entry-first values (its _Fields.v).
+    coeff holds the coefficients prepared from the interior of the
+    coefficient state's Jacobian, where it is the centred difference; the
+    Hessian comes from v, the stepped state's entry-first values (its
+    _Fields.v).
     """
-    interior = (Ellipsis,) + (slice(1, -1),) * (v.ndim - 1)
-    return _contracted_operator(*coeff.coefficients(interior), _interior_hessian(v, h), p)
+    return _contracted_operator(coeff, _interior_hessian(v, h))
 
 
 def interior_operator(grid: GridField, p: float) -> np.ndarray:
     """Non-divergence operator at interior nodes, shape (*interior, n)."""
     fields = _checked_fields(grid.values, grid.h)
-    return np.moveaxis(_interior_update(fields, fields.v, grid.h, p), 0, -1)
+    coeff = fields.coefficients(p, _interior(grid.n))
+    return np.moveaxis(_interior_update(coeff, fields.v, grid.h), 0, -1)
 
 
 def _check_flow_args(**args) -> None:
@@ -363,7 +387,7 @@ def explicit_step(grid: GridField, p: float, dt: float) -> GridField:
     raising DeterminantCollapse.
     """
     fields = _checked_fields(grid.values, grid.h)
-    update = _interior_update(fields, fields.v, grid.h, p)
+    update = _interior_update(fields.coefficients(p, _interior(grid.n)), fields.v, grid.h)
     return _advance(grid, update, dt, 0.5 * float(np.min(grid.det_cache)))[0]
 
 
@@ -413,6 +437,8 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
     """
     _check_flow_args(mode=mode, p=p, safety=safety, t_final=t_final, outer=outer)
     explicit = mode == "explicit"
+    passes = 1 if explicit else outer
+    interior = _interior(grid.n)
     fields0 = _checked_fields(grid.values, grid.h)  # u0, differenced once
     dt0 = _dtmax(fields0.jac, grid.h, p, safety)
     compat = _compatibility(grid, fields0, p)
@@ -421,12 +447,16 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
     tol = ENERGY_TOL_SCALE * (1.0 + abs(e0))
 
     violations = 0
-    # picard's coefficient fields: the first pass freezes them at u0
-    frozen = itertools.repeat(fields0)
-    for _ in range(1 if explicit else outer):
+    if not explicit:
+        # picard's coefficients: the first pass freezes them at u0, prepared once
+        coeff0 = fields0.coefficients(p, interior)
+        frozen = itertools.repeat(coeff0)
+    for pass_no in range(passes):
         current, fields, t, dt, e_prev, consecutive, halt = grid, fields0, 0.0, dt0, e0, 0, None
         times, energies, min_dets, dts = [0.0], [e0], [float(np.min(grid.det_cache))], [0.0]
-        states = [grid.values]
+        # a pass that another follows saves the interior of each accepted
+        # state's Jacobian, from which the next pass prepares its coefficients
+        saved = [] if pass_no + 1 < passes else None
         # computed once per accepted state, a retry reuses it; until then,
         # fields are current's, explicit mode's coefficients
         update = None
@@ -438,11 +468,11 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
                 break
             step_dt = min(dt, remaining)
             if update is None:
-                update = _interior_update(fields if explicit else next(frozen),
-                                          fields.v, grid.h, p)
+                coeff = fields.coefficients(p, interior) if explicit else next(frozen)
+                update = _interior_update(coeff, fields.v, grid.h)
                 # dead once the update is made; freed before the step builds
                 # the next state's, which keeps picard's peak memory down
-                fields = candidate_fields = None
+                fields = coeff = candidate_fields = None
             try:
                 candidate, candidate_fields = _advance(current, update, step_dt, det_floor)
             except DeterminantCollapse:
@@ -469,13 +499,14 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
             energies.append(e_new)
             min_dets.append(float(np.min(current.det_cache)))
             dts.append(step_dt)
-            if not explicit:
-                states.append(current.values)
+            if saved is not None:
+                saved.append(fields.jac[interior].copy())
         if halt is not None:
             break
-        # differenced one at a time, so a saved state's fields are freed
-        # before the step allocates its own; _advance checked each state
-        frozen = (_fields(v, grid.h) for v in states)
+        if saved is not None:
+            # state 0 is u0; each later state's coefficients are prepared as
+            # its step reads them, and its saved interior freed then
+            frozen = itertools.chain([coeff0], _saved_coefficients(saved, p))
 
     return FlowRunStats(
         times=np.array(times),
@@ -506,11 +537,32 @@ def write_snapshot(grid: GridField, path) -> None:
 
 
 def read_snapshot(path) -> tuple[np.ndarray, float]:
-    """Inverse of write_snapshot: returns (values, h)."""
+    """Inverse of write_snapshot: returns (values, h).
+
+    The header must hold n >= 1, n node counts each >= 1 and a positive
+    finite h, and the payload exactly n * prod(counts) float64 values;
+    anything else raises ValueError naming the field.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
+    if len(raw) < 8:
+        raise ValueError(f"snapshot n: the file has {len(raw)} bytes, n needs 8")
     n = int(np.frombuffer(raw, dtype="<i8", count=1)[0])
+    if n < 1:
+        raise ValueError(f"snapshot n must be >= 1, got {n}")
+    head = 8 * (2 + n)
+    if len(raw) < head:
+        raise ValueError(f"snapshot node counts and h: n = {n} needs a {head}-byte header, "
+                         f"the file has {len(raw)} bytes")
     shape = tuple(int(m) for m in np.frombuffer(raw, dtype="<i8", count=n, offset=8))
+    if min(shape) < 1:
+        raise ValueError(f"snapshot node counts must be >= 1, got {list(shape)}")
     h = float(np.frombuffer(raw, dtype="<f8", count=1, offset=8 * (1 + n))[0])
-    values = np.frombuffer(raw, dtype="<f8", offset=8 * (2 + n)).reshape(shape + (n,))
+    if not 0.0 < h < np.inf:  # NaN fails too
+        raise ValueError(f"snapshot h must be a positive finite number, got {h!r}")
+    size = n * math.prod(shape)
+    if len(raw) - head != 8 * size:
+        raise ValueError(f"snapshot values: n = {n} and node counts {list(shape)} need "
+                         f"{8 * size} payload bytes, the file has {len(raw) - head}")
+    values = np.frombuffer(raw, dtype="<f8", offset=head).reshape(shape + (n,))
     return values.copy(), h

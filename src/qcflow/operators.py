@@ -14,19 +14,20 @@ stack with no leading axes, and each row of a stack is bit-equal to the
 call on that row alone, so the verify suites check a whole case's draws
 in one call. lp_divergence samples a map around one point.
 
-On grids the non-divergence operator is evaluated by _contracted_operator,
-which contracts the linearization with the Hessian in O(n^3) per node on
-entry-first stacks and is what the gradient flow steps with. It takes the
-coefficient Jacobian's determinant, adjugate and |q|^2 from its caller,
-gradientflow, which computes and checks them once per grid state. The n^4
-flux_linearization stays for gradientflow.dtmax (which needs the
-coefficient mass), lh_witness and lp_nondiv, and is the oracle the verify
-suites and tests compare against; lh_witness builds it from its own
-checked q and weight (_linearization). Every kernel here that takes a
-Jacobian on its own, Jet2Sample included, validates it through
-tensor._checked and reads its det and |q|^2 from there: at n = 2 and 3
-tensor's one kernel, on floats for one point and on node arrays for a
-stack, so each row has the bits of its call alone.
+On grids the non-divergence operator is evaluated in two steps, which the
+gradient flow steps with. _operator_coefficients prepares a coefficient
+Jacobian's inverse and power weight once, from the determinant, adjugate
+and |q|^2 its caller, gradientflow, computed and checked once per grid
+state; _contracted_operator contracts them with a Hessian in O(n^3) per
+node on entry-first stacks, so coefficients frozen over many steps are
+prepared once. The n^4 flux_linearization stays for gradientflow.dtmax
+(which needs the coefficient mass), lh_witness and lp_nondiv, and is the
+oracle the verify suites and tests compare against; lh_witness builds it
+from its own checked q and weight (_linearization). Every kernel here
+that takes a Jacobian on its own, Jet2Sample included, validates it
+through tensor._checked and reads its det and |q|^2 from there: at n = 2
+and 3 tensor's one kernel, on floats for one point and on node arrays
+for a stack, so each row has the bits of its call alone.
 """
 
 from __future__ import annotations
@@ -146,15 +147,27 @@ def _a4_bracket(q: np.ndarray, nsq: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _contracted_operator(q: np.ndarray, det: np.ndarray, adj: np.ndarray, nsq: np.ndarray,
-                         hess: np.ndarray, p: float) -> np.ndarray:
+def _operator_coefficients(q: np.ndarray, det: np.ndarray, adj: np.ndarray, nsq: np.ndarray,
+                           p: float) -> tuple:
+    """Prepare entry-first q[k, l, ...] once for _contracted_operator.
+
+    det[...], adj[k, l, ...] and nsq[...] are q's determinant, adjugate
+    and |q|^2 as the caller computed and checked them (finite q, positive
+    det). Returns (q, qi, nsq, scale, p): the inverse qi = adj / det and
+    the weight scale = -p |q|^{np-2} / (det q)^p join q, |q|^2 and p, and
+    _contracted_operator contracts them with any number of Hessians.
+    """
+    n = q.shape[0]
+    return q, adj / det, nsq, -p * _power_weight(nsq, det, n * p - 2.0, p), p
+
+
+def _contracted_operator(coeff: tuple, hess: np.ndarray) -> np.ndarray:
     """flux_linearization contracted with a Hessian, without the n^4 tensor.
 
-    Takes entry-first stacks q[k, l, ...] and hess[k, j, l, ...], with q's
-    determinant det[...], adjugate adj[k, l, ...] and |q|^2 nsq[...] as the
-    caller computed and checked them (finite q, positive det), and returns
-    the non-divergence operator as out[i, ...]. Each _a4_bracket term
-    contracts to a partial trace of the Hessian, with
+    Takes the coefficients _operator_coefficients prepared and an
+    entry-first hess[k, j, l, ...], and returns the non-divergence
+    operator as out[i, ...]. Each _a4_bracket term contracts to a partial
+    trace of the Hessian, with
     v_j = q[k,l] H[k,j,l], w_j = q^{-1}[l,k] H[k,j,l] and
     w'_l = q^{-1}[j,k] H[k,j,l]:
         bracket.H = np (q^{-T} v + q w) - n(np-2)/|q|^2 q v
@@ -162,8 +175,8 @@ def _contracted_operator(q: np.ndarray, det: np.ndarray, adj: np.ndarray, nsq: n
     w' is kept apart from w, so the result equals the full contraction
     for any Hessian, symmetric or not. O(n^3) per node.
     """
+    q, qi, nsq, scale, p = coeff
     n = q.shape[0]
-    qi = adj / det
     v = np.einsum("kl...,kjl...->j...", q, hess)
     w = np.einsum("lk...,kjl...->j...", qi, hess)
     w_prime = np.einsum("jk...,kjl...->l...", qi, hess)
@@ -172,7 +185,7 @@ def _contracted_operator(q: np.ndarray, det: np.ndarray, adj: np.ndarray, nsq: n
         + np.einsum("ij...,j...->i...", q, n * p * w - (n * (n * p - 2.0) / nsq) * v)
         - n * np.einsum("ijj...->i...", hess)
     )
-    return -p * _power_weight(nsq, det, n * p - 2.0, p) * bracket
+    return scale * bracket
 
 
 def flux_linearization(q, p: float) -> np.ndarray:

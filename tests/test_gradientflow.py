@@ -3,13 +3,14 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import recompute_flow
+from oracles import picard_oracle, recompute_flow
 from qcflow import (
     DeterminantCollapse,
     NonFiniteValue,
@@ -378,7 +379,8 @@ class TestRunFlow:
         # 1e-12 relative, so a stop test on the running sum would ask for a
         # step past the last lattice step. The kernels are stubbed so that
         # the stop rule alone runs at that length; the state never moves,
-        # so its fields are the fixed ones of the identity grid.
+        # so its fields are the fixed ones of the identity grid, and the
+        # second pass reads the saved Jacobians as they are.
         dt, n_steps = 0.0009572206494414425, 38032
         t = 0.0
         for _ in range(n_steps):
@@ -397,6 +399,7 @@ class TestRunFlow:
         monkeypatch.setattr(gradientflow, "_advance", advance)
         monkeypatch.setattr(gradientflow, "_energy", lambda *args: 0.0)
         monkeypatch.setattr(gradientflow, "_fields", lambda values, h: fields)
+        monkeypatch.setattr(gradientflow, "_saved_coefficients", lambda saved, p: iter(saved))
         stats = run_flow(grid, 2.0, n_steps * dt, mode="picard", outer=2)
         assert stats.halt_reason is None
         assert stats.times.size - 1 == n_steps
@@ -539,8 +542,9 @@ class TestRunFlow:
         assert len(calls) <= steps + 4
 
     def test_picard_first_pass_reuses_initial_jacobian(self, monkeypatch):
-        # pass one freezes its coefficients at u0; each later pass
-        # differences the saved states once more
+        # pass one freezes its coefficients at u0, and each later pass reads
+        # the Jacobians the previous pass made: set-up differences u0 and
+        # every step the state it makes, nothing else
         calls = []
         jacobian = gradientflow._jacobian_field
 
@@ -550,10 +554,28 @@ class TestRunFlow:
 
         grid = affine_bump_grid()
         monkeypatch.setattr(gradientflow, "_jacobian_field", counted)
-        stats = run_flow(grid, 2.0, t_final=1e-3, mode="picard", outer=2)
-        steps = stats.times.size - 1
-        assert steps > 1 and stats.halt_reason is None
-        assert len(calls) <= 4 + 3 * steps
+        for outer in (1, 2, 3):
+            calls.clear()
+            stats = run_flow(grid, 2.0, t_final=1e-3, mode="picard", outer=outer)
+            steps = stats.times.size - 1
+            assert steps > 1 and stats.halt_reason is None
+            assert len(calls) == 1 + outer * steps, outer
+
+    def test_picard_last_pass_saves_nothing(self):
+        # the last pass keeps no state for a pass after it, and a later pass
+        # frees each saved Jacobian as it reads it, so one pass peaks far
+        # below two
+        grid = make_grid(make_map("affine_bump", n=2, amplitude=0.05), (33, 33), 1.0 / 32.0)
+        peaks = []
+        for outer in (1, 2):
+            tracemalloc.start()
+            try:
+                stats = run_flow(grid, 2.0, t_final=5e-4, mode="picard", outer=outer)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert stats.halt_reason is None and stats.times.size - 1 > 100
+        assert peaks[0] < 0.5 * peaks[1]
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -596,6 +618,33 @@ class TestRecomputeOracle:
         assert stats.final_grid.det_cache.tobytes() == oracle.final_grid.det_cache.tobytes()
         if "safety" in kwargs:
             assert stats.violations == 1
+
+
+PICARD_GRIDS = {
+    # name: (n, nodes per axis, steps per pass)
+    "n2_17": (2, 17, 24),
+    "n3_9": (3, 9, 12),
+}
+
+
+class TestPicardOracle:
+    @pytest.mark.parametrize("outer", [1, 2, 3])
+    @pytest.mark.parametrize("p", [2.0, 5.0])
+    @pytest.mark.parametrize("config", sorted(PICARD_GRIDS))
+    def test_run_flow_matches_the_loop_that_differences_again(self, config, p, outer):
+        # coefficients prepared once per pass, and later passes read the
+        # Jacobians the previous pass made, keep every bit of the loop
+        # that differences each saved state again and prepares every step
+        n, m, steps = PICARD_GRIDS[config]
+        grid = make_grid(make_map("affine_bump", n=n, amplitude=0.05), (m,) * n, 1.0 / (m - 1))
+        t_final = steps * dtmax(grid, p)
+        stats = run_flow(grid, p, t_final, mode="picard", outer=outer)
+        oracle = picard_oracle(grid, p, t_final, outer=outer)
+        assert stats.halt_reason is None and stats.times.size - 1 == steps
+        for name in ("times", "energy", "min_det", "dt_history"):
+            assert getattr(stats, name).tobytes() == getattr(oracle, name).tobytes(), name
+        assert (stats.halt_reason, stats.violations) == (oracle.halt_reason, oracle.violations)
+        assert stats.final_grid.values.tobytes() == oracle.final_grid.values.tobytes()
 
 
 @st.composite
@@ -643,3 +692,58 @@ class TestSnapshots:
         assert tuple(np.frombuffer(raw, dtype="<i8", count=2, offset=8)) == (5, 4)
         assert np.frombuffer(raw, dtype="<f8", count=1, offset=24)[0] == 0.25
         assert len(raw) == 8 * (1 + 2 + 1) + 8 * 5 * 4 * 2
+
+    @pytest.mark.parametrize("shape, h", [((9, 9), 0.125), ((5, 4, 6), 0.3)])
+    def test_write_then_read_keeps_every_bit(self, tmp_path, shape, h):
+        g = make_grid(make_map("affine_bump", n=len(shape), amplitude=0.05), shape, h)
+        path = tmp_path / "grid.bin"
+        write_snapshot(g, path)
+        values, h_read = read_snapshot(path)
+        assert values.shape == g.values.shape
+        assert values.tobytes() == g.values.tobytes() and h_read == h
+
+
+def _snapshot_bytes(n, counts, h, payload):
+    """A snapshot file's bytes from a header of our choosing and payload float64s."""
+    return (np.array([n] + list(counts), dtype="<i8").tobytes()
+            + np.array([h], dtype="<f8").tobytes() + np.zeros(payload, dtype="<f8").tobytes())
+
+
+class TestReadSnapshotHeader:
+    # the reader used to trust its header: counts (-1, 5) read a 30-value
+    # payload as a (3, 5, 2) grid, a NaN h came back as is, and a wrong n
+    # failed inside reshape with a count made of the h and value bits
+    @pytest.mark.parametrize("raw, field", [
+        (b"", "snapshot n"),
+        (_snapshot_bytes(0, [], 0.25, 0), "snapshot n must be >= 1"),
+        (_snapshot_bytes(-1, [], 0.25, 0), "snapshot n must be >= 1"),
+        (_snapshot_bytes(2, [5, 5], 0.25, 50)[:24], "snapshot node counts and h"),
+        (_snapshot_bytes(2, [-1, 5], 0.25, 30), "snapshot node counts must be >= 1"),
+        (_snapshot_bytes(2, [5, 0], 0.25, 0), "snapshot node counts must be >= 1"),
+        (_snapshot_bytes(2, [5, 5], math.nan, 50), "snapshot h must be a positive finite"),
+        (_snapshot_bytes(2, [5, 5], math.inf, 50), "snapshot h must be a positive finite"),
+        (_snapshot_bytes(2, [5, 5], 0.0, 50), "snapshot h must be a positive finite"),
+        (_snapshot_bytes(2, [5, 5], -0.25, 50), "snapshot h must be a positive finite"),
+        (_snapshot_bytes(2, [5, 5], 0.25, 49), "snapshot values"),
+        (_snapshot_bytes(2, [5, 5], 0.25, 51), "snapshot values"),
+        (_snapshot_bytes(2, [5, 5], 0.25, 50) + b"\0", "snapshot values"),
+    ], ids=["empty", "n_zero", "n_negative", "header_cut", "count_negative", "count_zero",
+            "h_nan", "h_inf", "h_zero", "h_negative", "payload_short", "payload_long",
+            "payload_ragged"])
+    def test_bad_header_or_payload_names_its_field(self, tmp_path, raw, field):
+        path = tmp_path / "grid.bin"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=field):
+            read_snapshot(path)
+
+    def test_wrong_dimension_names_the_payload(self, tmp_path):
+        # a 5x5 grid of 2-vectors written, its n rewritten as 3: the third
+        # count is h's bits and h the first value, so the payload cannot match
+        g = make_grid(identity_map(2), (5, 5), 0.25, origin=[1.0, 2.0])
+        path = tmp_path / "grid.bin"
+        write_snapshot(g, path)
+        raw = bytearray(path.read_bytes())
+        raw[:8] = np.array([3], dtype="<i8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="snapshot values: n = 3"):
+            read_snapshot(path)

@@ -34,7 +34,7 @@ from qcflow.maps import (
     radial_stretch,
     wedge_map,
 )
-from qcflow.operators import _contracted_operator
+from qcflow.operators import _contracted_operator, _operator_coefficients
 from qcflow.tensor import _det_adj
 
 
@@ -272,8 +272,8 @@ def _oracle_and_contracted(q, hess, p):
     """n^4 contraction of flux_linearization and the contracted kernel, node-major."""
     oracle = np.einsum("...ikjl,...kjl->...i", flux_linearization(q, p), hess)
     q = np.moveaxis(q, (-2, -1), (0, 1))
-    fast = _contracted_operator(q, *_det_adj(q), np.sum(q * q, axis=(0, 1)),
-                                np.moveaxis(hess, (-3, -2, -1), (0, 1, 2)), p)
+    coeff = _operator_coefficients(q, *_det_adj(q), np.sum(q * q, axis=(0, 1)), p)
+    fast = _contracted_operator(coeff, np.moveaxis(hess, (-3, -2, -1), (0, 1, 2)))
     return oracle, np.moveaxis(fast, 0, -1)
 
 
