@@ -12,30 +12,34 @@ that raises the energy and counts it as a violation. In both modes five
 consecutive violations, a determinant below half the initial minimum,
 or a non-finite value halt the run.
 
-Grid stencils work entry-first: one moveaxis per state puts the
-component axis in front, so the Jacobian is J[i, a, *nodes], the Hessian
-H[i, a, b, *nodes], and every matrix entry is a contiguous vector over
-the nodes. Each state is differenced once, by _fields: its entry-first
-values, which the next step's Hessian reads, its Jacobian (the
-np.gradient stencils, taken by slicing in _first_difference), the
-closed-form tensor._det_adj determinant and adjugate, and |J|^2, over
-every node, with the Jacobian's entries checked finite where they are
-made. _advance builds them for each stepped state and holds its det to
-the collapse floor; the energy reads their |J|^2 and det, and the next
-step prepares their interior once as the coefficients
+Grid stencils work entry-first: the stepped state is held as
+v[i, *nodes], component axis first, from u0 to the horizon, so the
+Jacobian is J[i, a, *nodes], the Hessian H[i, a, b, *nodes], and every
+matrix entry is a contiguous vector over the nodes; run_flow turns the
+final state back into a values-last GridField once. Each state is
+differenced once, by _fields: its entry-first values, which the next
+step's Hessian reads, its Jacobian (the np.gradient stencils, taken by
+slicing in _first_difference), its determinant from the first row's
+cofactors (the operations of tensor._det_adj), and |J|^2, over every
+node, with the Jacobian's entries checked finite where they are made.
+_advance steps v and builds them for the stepped state, holding its det
+to the collapse floor; the energy reads their |J|^2 and det, and the
+next step prepares their interior once as the coefficients
 (operators._operator_coefficients: the inverse and the power weight)
 that _interior_update contracts with the interior Hessian in O(n^3) per
-node (operators._contracted_operator). The public energy,
-interior_operator, explicit_step and compatibility_check, and run_flow's
-set-up, take a given grid's fields from _checked_fields, which also
-holds det > 0; run_flow's step bound and residual read its u0 fields.
-Picard's first pass prepares the initial coefficients once and reads
-them at every step. A pass that another follows saves the interior of
-the Jacobian _advance made for each state it accepts, and the next pass
-prepares each step's coefficients from it, with its det, adjugate and
-|J|^2, dropping the saved entry as it reads it; so no state is
-differenced twice. Only the step bound builds the n^4
-flux_linearization, once per run, for its mass.
+node (operators._contracted_operator). The adjugate is made only where
+coefficients are prepared (_Fields.coefficients), for the nodes they
+cover: the interior at each explicit step, the full grid once for the
+boundary residual. The public energy, interior_operator, explicit_step
+and compatibility_check, and run_flow's set-up, take a given grid's
+fields from _checked_fields, which also holds det > 0; run_flow's step
+bound and residual read its u0 fields. Picard's first pass prepares the
+initial coefficients once and reads them at every step. A pass that
+another follows saves the interior of the Jacobian _advance made for
+each state it accepts, and the next pass prepares each step's
+coefficients from it by the same path, dropping the saved entry as it
+reads it; so no state is differenced twice. Only the step bound builds
+the n^4 flux_linearization, once per run, for its mass.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import numpy as np
 
 from .errors import DeterminantCollapse, NonFiniteValue
 from .operators import _contracted_operator, _operator_coefficients, flux_linearization
-from .tensor import _det_adj, _positive
+from .tensor import _cofactor_row, _det, _det_adj, _positive
 
 DEFAULT_SAFETY = 0.2
 ENERGY_TOL_SCALE = 1e-12
@@ -133,20 +137,24 @@ class _Fields(NamedTuple):
     """One grid state's stencil fields over every node, entry-first.
 
     v[i, *nodes] holds the values, which the Hessians difference;
-    jac[i, a, *nodes] is the difference Jacobian, det and adj[i, j, *nodes]
-    its determinant and adjugate, nsq = |J|^2.
+    jac[i, a, *nodes] is the difference Jacobian, det its determinant and
+    nsq = |J|^2. The adjugate is not kept: coefficients makes it for the
+    nodes it prepares.
     """
 
     v: np.ndarray
     jac: np.ndarray
     det: np.ndarray
-    adj: np.ndarray
     nsq: np.ndarray
 
     def coefficients(self, p: float, index=Ellipsis) -> tuple:
-        """The operator's coefficients at index, prepared from jac, det, adj and nsq there."""
-        return _operator_coefficients(self.jac[index], self.det[index], self.adj[index],
-                                      self.nsq[index], p)
+        """The operator's coefficients at index, prepared from jac and nsq there."""
+        return _coefficients(self.jac[index], self.nsq[index], p)
+
+
+def _coefficients(jac: np.ndarray, nsq: np.ndarray, p: float) -> tuple:
+    """The operator's coefficients from a checked Jacobian and its |J|^2, making det and adjugate."""
+    return _operator_coefficients(jac, *_det_adj(jac), nsq, p)
 
 
 def _interior(ndim: int) -> tuple:
@@ -158,32 +166,39 @@ def _saved_coefficients(saved: list, p: float):
     """The operator's coefficients from each saved Jacobian interior in turn.
 
     Each entry of saved is dropped as it is read. _advance checked every
-    Jacobian finite and its det above the floor, so det, adj and |J|^2
-    are taken here unchecked, by the operations _fields takes them with.
+    Jacobian finite and its det above the floor, so |J|^2 is taken here
+    unchecked, by the operation _fields takes it with.
     """
     for k in range(len(saved)):
         jac, saved[k] = saved[k], None
-        yield _operator_coefficients(jac, *_det_adj(jac), np.sum(jac * jac, axis=(0, 1)), p)
+        yield _coefficients(jac, np.sum(jac * jac, axis=(0, 1)), p)
 
 
-def _fields(values: np.ndarray, h: float) -> _Fields:
-    """Difference a state once and take the fields every consumer reads.
+def _fields(v: np.ndarray, h: float) -> _Fields:
+    """Difference the entry-first values v[i, *nodes] once and take the fields every consumer reads.
 
     A non-finite Jacobian entry raises NonFiniteValue here, where it is
-    made. det is not sign-checked: _checked_fields holds a given grid to
-    det > 0, _advance a stepped one to the collapse floor.
+    made. det comes from the first row's cofactors alone, by the
+    operations tensor._det_adj takes it with (at n = 4 from _det_adj
+    itself, whose det shares the adjugate's minors). It is not
+    sign-checked: _checked_fields holds a given grid to det > 0,
+    _advance a stepped one to the collapse floor.
     """
-    v = _entry_first(values)
     jac = _jacobian_field(v, h)
     if not np.isfinite(jac).all():
         raise NonFiniteValue("difference Jacobian has non-finite entries")
-    det, adj = _det_adj(jac)
-    return _Fields(v, jac, det, adj, np.sum(jac * jac, axis=(0, 1)))
+    n = v.shape[0]
+    if n == 4:
+        det = _det_adj(jac)[0]
+    else:
+        e = [jac[i, j] for i in range(n) for j in range(n)]
+        det = _det(e, _cofactor_row(e, n, 0), n)
+    return _Fields(v, jac, det, np.sum(jac * jac, axis=(0, 1)))
 
 
 def _checked_fields(values: np.ndarray, h: float) -> _Fields:
     """_fields of a given grid state, whose det must be positive at every node."""
-    fields = _fields(values, h)
+    fields = _fields(_entry_first(values), h)
     _positive(fields.det)
     return fields
 
@@ -271,20 +286,26 @@ def _full_hessian(v: np.ndarray, h: float) -> np.ndarray:
     return 0.5 * (hess + np.swapaxes(hess, 1, 2))
 
 
-def _energy(fields: _Fields, h: float, p: float) -> float:
-    """Trapezoidal mean of K^{np} from a state's |J|^2 and determinant."""
+def _volume(shape: tuple, h: float) -> float:
+    """Volume of the box spanned by a grid of the given node counts."""
+    return float(np.prod([(m - 1) * h for m in shape]))
+
+
+def _energy(fields: _Fields, h: float, p: float, volume: float) -> float:
+    """Trapezoidal mean of K^{np} from a state's |J|^2 and determinant.
+
+    Each axis takes np.trapezoid's formula, written inline.
+    """
     n = fields.jac.shape[0]
-    ksq = fields.nsq / fields.det ** (2.0 / n)
-    total = ksq ** (n * p / 2.0)
+    y = (fields.nsq / fields.det ** (2.0 / n)) ** (n * p / 2.0)
     for _ in range(n):
-        total = np.trapezoid(total, dx=h, axis=-1)
-    volume = float(np.prod([(m - 1) * h for m in fields.det.shape]))
-    return float(total) / volume
+        y = (h * (y[..., 1:] + y[..., :-1]) / 2.0).sum(-1)
+    return float(y) / volume
 
 
 def energy(grid: GridField, p: float) -> float:
     """Mean of K^{np} over the box by trapezoidal quadrature."""
-    return _energy(_checked_fields(grid.values, grid.h), grid.h, p)
+    return _energy(_checked_fields(grid.values, grid.h), grid.h, p, _volume(grid.shape, grid.h))
 
 
 def compatibility_check(grid: GridField, p: float) -> float:
@@ -357,26 +378,32 @@ def _dtmax(jac: np.ndarray, h: float, p: float, safety: float) -> float:
     return safety * h**2 / lam
 
 
-def _advance(grid: GridField, update: np.ndarray, dt: float,
-             det_floor: float) -> tuple[GridField, _Fields]:
-    """Forward-Euler move of the interior nodes by dt * update.
+def _advance(v: np.ndarray, update: np.ndarray, dt: float, h: float,
+             det_floor: float) -> _Fields:
+    """Forward-Euler move of the interior nodes of v[i, *nodes] by dt * update.
 
-    Returns the stepped grid and its _fields, whose det is the stepped
-    det_cache. A non-finite value or Jacobian entry raises
-    NonFiniteValue, a determinant below det_floor DeterminantCollapse.
+    Returns the stepped state's _fields, whose v holds its entry-first
+    values and whose det is its det_cache. A non-finite value or
+    Jacobian entry raises NonFiniteValue, a determinant below det_floor
+    DeterminantCollapse.
     """
-    values = grid.values.copy()
-    interior = (slice(None),) + tuple(slice(1, -1) for _ in grid.shape)
-    np.moveaxis(values, -1, 0)[interior] += dt * update
-    if not np.all(np.isfinite(values)):
+    v = v.copy()
+    v[_interior(v.ndim - 1)] += dt * update
+    if not np.all(np.isfinite(v)):
         raise NonFiniteValue("explicit step produced non-finite values")
-    fields = _fields(values, grid.h)
+    fields = _fields(v, h)
     min_det = float(np.min(fields.det))
     if not min_det >= det_floor:  # a NaN determinant fails too
         raise DeterminantCollapse(
             f"step drove min det to {min_det:.6e} < floor {det_floor:.6e}"
         )
-    return GridField(values=values, h=grid.h, origin=grid.origin, det_cache=fields.det), fields
+    return fields
+
+
+def _grid(grid: GridField, v: np.ndarray, det: np.ndarray) -> GridField:
+    """The GridField of a state stepped from grid, from its entry-first values and det."""
+    return GridField(values=np.ascontiguousarray(np.moveaxis(v, 0, -1)), h=grid.h,
+                     origin=grid.origin, det_cache=det)
 
 
 def explicit_step(grid: GridField, p: float, dt: float) -> GridField:
@@ -388,7 +415,8 @@ def explicit_step(grid: GridField, p: float, dt: float) -> GridField:
     """
     fields = _checked_fields(grid.values, grid.h)
     update = _interior_update(fields.coefficients(p, _interior(grid.n)), fields.v, grid.h)
-    return _advance(grid, update, dt, 0.5 * float(np.min(grid.det_cache)))[0]
+    stepped = _advance(fields.v, update, dt, grid.h, 0.5 * float(np.min(grid.det_cache)))
+    return _grid(grid, stepped.v, stepped.det)
 
 
 @dataclass
@@ -443,7 +471,8 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
     dt0 = _dtmax(fields0.jac, grid.h, p, safety)
     compat = _compatibility(grid, fields0, p)
     det_floor = 0.5 * float(np.min(grid.det_cache))
-    e0 = _energy(fields0, grid.h, p)
+    volume = _volume(grid.shape, grid.h)
+    e0 = _energy(fields0, grid.h, p, volume)
     tol = ENERGY_TOL_SCALE * (1.0 + abs(e0))
 
     violations = 0
@@ -452,13 +481,15 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
         coeff0 = fields0.coefficients(p, interior)
         frozen = itertools.repeat(coeff0)
     for pass_no in range(passes):
-        current, fields, t, dt, e_prev, consecutive, halt = grid, fields0, 0.0, dt0, e0, 0, None
+        # the stepped state, entry-first, and its det
+        v, det, fields = fields0.v, fields0.det, fields0
+        t, dt, e_prev, consecutive, halt = 0.0, dt0, e0, 0, None
         times, energies, min_dets, dts = [0.0], [e0], [float(np.min(grid.det_cache))], [0.0]
         # a pass that another follows saves the interior of each accepted
         # state's Jacobian, from which the next pass prepares its coefficients
         saved = [] if pass_no + 1 < passes else None
         # computed once per accepted state, a retry reuses it; until then,
-        # fields are current's, explicit mode's coefficients
+        # fields are v's, explicit mode's coefficients
         update = None
         while True:
             # picard steps and stops on the lattice k * dt that indexes the
@@ -469,19 +500,19 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
             step_dt = min(dt, remaining)
             if update is None:
                 coeff = fields.coefficients(p, interior) if explicit else next(frozen)
-                update = _interior_update(coeff, fields.v, grid.h)
+                update = _interior_update(coeff, v, grid.h)
                 # dead once the update is made; freed before the step builds
                 # the next state's, which keeps picard's peak memory down
-                fields = coeff = candidate_fields = None
+                fields = coeff = candidate = None
             try:
-                candidate, candidate_fields = _advance(current, update, step_dt, det_floor)
+                candidate = _advance(v, update, step_dt, grid.h, det_floor)
             except DeterminantCollapse:
                 halt = "determinant_collapse"
                 break
             except NonFiniteValue:
                 halt = "non_finite"
                 break
-            e_new = _energy(candidate_fields, grid.h, p)
+            e_new = _energy(candidate, grid.h, p, volume)
             if e_new > e_prev + tol:
                 violations += 1
                 consecutive += 1
@@ -493,11 +524,11 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
                     continue
             else:
                 consecutive = 0
-            current, fields = candidate, candidate_fields
-            t, e_prev, update = t + step_dt, e_new, None
+            fields = candidate
+            v, det, t, e_prev, update = fields.v, fields.det, t + step_dt, e_new, None
             times.append(t)
             energies.append(e_new)
-            min_dets.append(float(np.min(current.det_cache)))
+            min_dets.append(float(np.min(det)))
             dts.append(step_dt)
             if saved is not None:
                 saved.append(fields.jac[interior].copy())
@@ -516,7 +547,7 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
         halt_reason=halt,
         compat_residual=compat,
         violations=violations,
-        final_grid=current,
+        final_grid=_grid(grid, v, det),
     )
 
 

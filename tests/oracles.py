@@ -1,7 +1,7 @@
 """Test-only oracles: finite-difference jets, a plain chain fold, the polynomial map's
 einsum jets, a flow-line walk on numpy arrays, a path-integral drift check, the derivative form of the pathwise dilation identity,
-verify's random draws one at a time, a plain cofactor expansion, a recompute-everything
-grid flow and a picard flow that differences each saved state again.
+verify's random draws one at a time, a plain cofactor expansion, and a recompute-everything
+grid flow, whose picard mode differences each saved state again.
 
 None is part of the package; the tests check the exact jets, the folded
 composites, the polynomial map's entry-first sums, trace_flowline, the differential-drift identity, the pathwise
@@ -14,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from qcflow import gradientflow
 from qcflow.errors import (DeterminantCollapse, GuardViolation, NonFiniteValue, RowSwitched,
                            StepFailure)
 from qcflow.flowlines import (DEGENERACY_TOL, FlowTrajectory, _pick_row, _row_norms,
@@ -23,7 +22,7 @@ from qcflow.gradientflow import ENERGY_TOL_SCALE, FlowRunStats, GridField
 from qcflow.maps import SmoothMap, _polynomial_coefficients
 from qcflow.operators import (Jet2Sample, _contracted_operator, _operator_coefficients,
                               flux_linearization, linfty_factored)
-from qcflow.tensor import _det_adj, _dilation_field, _positive
+from qcflow.tensor import _dilation_field, _positive
 
 
 def fd_map(value_fn: Callable[[np.ndarray], np.ndarray], n: int, h: float) -> SmoothMap:
@@ -380,14 +379,14 @@ def _update(coeff_jac: np.ndarray, values: np.ndarray, h: float, p: float) -> np
 
 
 def _advance(grid: GridField, update: np.ndarray, dt: float, det_floor: float):
-    """Stepped grid and its Jacobian; the determinant is taken and floored here."""
+    """Stepped grid and its Jacobian, stepped values-last; the determinant is taken and floored here."""
     values = grid.values.copy()
     interior = (slice(None),) + tuple(slice(1, -1) for _ in grid.shape)
     np.moveaxis(values, -1, 0)[interior] += dt * update
     if not np.all(np.isfinite(values)):
         raise NonFiniteValue("explicit step produced non-finite values")
     jac = _gradient_jacobian(values, grid.h)
-    det = _det_adj(jac)[0]
+    det = _expansion_det_adj(jac)[0]
     if not float(np.min(det)) >= det_floor:
         raise DeterminantCollapse("step drove min det below the floor")
     return GridField(values=values, h=grid.h, origin=grid.origin, det_cache=det), jac
@@ -398,9 +397,12 @@ def recompute_flow(grid: GridField, p: float, t_final: float, mode: str = "expli
     """run_flow as a loop that differences and factors a state wherever it is read.
 
     Jacobians come from np.gradient, each step's coefficients are
-    factored and checked anew on the interior, the energy takes |J|^2
-    again, and the set-up differences u0 once per consumer. Arguments
-    are taken as valid; the stats must equal run_flow's bit for bit.
+    factored and checked anew on the interior by the plain cofactor
+    expansion, states are stepped values-last, the energy takes |J|^2
+    again and integrates by np.trapezoid, and the set-up differences u0
+    once per consumer. Picard mode keeps every pass's states and
+    differences each again where a later pass reads it. Arguments are
+    taken as valid; the stats must equal run_flow's bit for bit.
     """
     explicit = mode == "explicit"
     h = grid.h
@@ -455,74 +457,6 @@ def recompute_flow(grid: GridField, p: float, t_final: float, mode: str = "expli
             else:
                 consecutive = 0
             current, jac, t, e_prev, update = candidate, candidate_jac, t + step_dt, e_new, None
-            times.append(t)
-            energies.append(e_new)
-            min_dets.append(float(np.min(current.det_cache)))
-            dts.append(step_dt)
-            states.append(current.values)
-        if halt is not None:
-            break
-        frozen = states
-
-    return FlowRunStats(times=np.array(times), energy=np.array(energies),
-                        min_det=np.array(min_dets), dt_history=np.array(dts),
-                        halt_reason=halt, compat_residual=compat, violations=violations,
-                        final_grid=current)
-
-
-def picard_oracle(grid: GridField, p: float, t_final: float, safety: float = 0.2,
-                  outer: int = 3) -> FlowRunStats:
-    """run_flow(mode="picard") as the loop that differences each saved state again.
-
-    Every pass saves its states' values, and each step of a later pass
-    takes the coefficients from gradientflow._fields of the state the
-    previous pass saved there (the first pass from u0's fields); every
-    step prepares them anew for _contracted_operator. Arguments are taken as valid; the stats must
-    equal run_flow's bit for bit.
-    """
-    h = grid.h
-    fields0 = gradientflow._checked_fields(grid.values, h)
-    dt = gradientflow._dtmax(fields0.jac, h, p, safety)
-    compat = gradientflow._compatibility(grid, fields0, p)
-    det_floor = 0.5 * float(np.min(grid.det_cache))
-    e0 = gradientflow._energy(fields0, h, p)
-    tol = ENERGY_TOL_SCALE * (1.0 + abs(e0))
-    interior = (Ellipsis,) + (slice(1, -1),) * grid.n
-
-    violations = 0
-    frozen = None  # the previous pass's states; the first pass freezes at u0
-    for _ in range(outer):
-        current, fields, t, e_prev, consecutive, halt = grid, fields0, 0.0, e0, 0, None
-        times, energies, min_dets, dts = [0.0], [e0], [float(np.min(grid.det_cache))], [0.0]
-        states = [grid.values]
-        while True:
-            k = len(times) - 1
-            remaining = t_final - k * dt
-            if not remaining > 1e-12 * t_final:
-                break
-            step_dt = min(dt, remaining)
-            c = fields0 if frozen is None else gradientflow._fields(frozen[k], h)
-            coeff = _operator_coefficients(c.jac[interior], c.det[interior], c.adj[interior],
-                                           c.nsq[interior], p)
-            update = _contracted_operator(coeff, gradientflow._interior_hessian(fields.v, h))
-            try:
-                current, fields = gradientflow._advance(current, update, step_dt, det_floor)
-            except DeterminantCollapse:
-                halt = "determinant_collapse"
-                break
-            except NonFiniteValue:
-                halt = "non_finite"
-                break
-            e_new = gradientflow._energy(fields, h, p)
-            if e_new > e_prev + tol:
-                violations += 1
-                consecutive += 1
-                if consecutive >= 5:
-                    halt = "unstable"
-                    break
-            else:
-                consecutive = 0
-            t, e_prev = t + step_dt, e_new
             times.append(t)
             energies.append(e_new)
             min_dets.append(float(np.min(current.det_cache)))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import picard_oracle, recompute_flow
+from oracles import recompute_flow
 from qcflow import (
     DeterminantCollapse,
     NonFiniteValue,
@@ -19,6 +19,7 @@ from qcflow import (
     gradientflow,
 )
 from qcflow.gradientflow import (
+    DEFAULT_SAFETY,
     ENERGY_TOL_SCALE,
     compatibility_check,
     dtmax,
@@ -255,9 +256,10 @@ class TestGridChecks:
         with pytest.raises(NonPositiveDeterminant, match="determinant must be positive"):
             gradientflow._checked_fields(nodes * np.array([-1.0, 1.0]), 0.25)
         nodes[2, 2, 0] = np.nan
-        for fields in (gradientflow._fields, gradientflow._checked_fields):
-            with pytest.raises(NonFiniteValue):
-                fields(nodes, 0.25)
+        with pytest.raises(NonFiniteValue):
+            gradientflow._fields(gradientflow._entry_first(nodes), 0.25)
+        with pytest.raises(NonFiniteValue):
+            gradientflow._checked_fields(nodes, 0.25)
 
     def test_make_grid_refuses_a_fold(self):
         # the node values are read unchecked; the grid's difference Jacobian is checked
@@ -388,17 +390,17 @@ class TestRunFlow:
         assert t < n_steps * dt * (1.0 - 1e-12)
 
         grid = identity_grid((4, 4), 1.0 / 3.0)
-        fields = gradientflow._fields(grid.values, grid.h)
+        fields = gradientflow._checked_fields(grid.values, grid.h)
 
-        def advance(grid, update, step_dt, det_floor):
+        def advance(v, update, step_dt, h, det_floor):
             assert step_dt > 0.0
-            return grid, fields
+            return fields
 
         monkeypatch.setattr(gradientflow, "_dtmax", lambda jac, h, p, safety: dt)
         monkeypatch.setattr(gradientflow, "_interior_update", lambda *args: None)
         monkeypatch.setattr(gradientflow, "_advance", advance)
         monkeypatch.setattr(gradientflow, "_energy", lambda *args: 0.0)
-        monkeypatch.setattr(gradientflow, "_fields", lambda values, h: fields)
+        monkeypatch.setattr(gradientflow, "_fields", lambda v, h: fields)
         monkeypatch.setattr(gradientflow, "_saved_coefficients", lambda saved, p: iter(saved))
         stats = run_flow(grid, 2.0, n_steps * dt, mode="picard", outer=2)
         assert stats.halt_reason is None
@@ -561,6 +563,44 @@ class TestRunFlow:
             assert steps > 1 and stats.halt_reason is None
             assert len(calls) == 1 + outer * steps, outer
 
+    @pytest.mark.parametrize("mode, t_final, safety", [
+        ("explicit", 1e-2, 3.0), ("picard", 1e-3, DEFAULT_SAFETY)])
+    def test_adjugates_only_where_coefficients_are_prepared(self, monkeypatch, mode, t_final,
+                                                            safety):
+        # no stepped state makes an adjugate. The boundary residual makes
+        # the full grid's once at set-up; explicit mode then makes one over
+        # the interior per accepted state it steps from (a rejected step
+        # reuses its update), picard one for u0 and one for each saved
+        # state a later pass reads (its step 0 reads u0's again)
+        shapes, in_advance = [], []
+        det_adj, advance = gradientflow._det_adj, gradientflow._advance
+
+        def counted_det_adj(a):
+            shapes.append(a.shape[2:])
+            return det_adj(a)
+
+        def counted_advance(*args):
+            before = len(shapes)
+            fields = advance(*args)
+            in_advance.append(len(shapes) - before)
+            return fields
+
+        monkeypatch.setattr(gradientflow, "_det_adj", counted_det_adj)
+        monkeypatch.setattr(gradientflow, "_advance", counted_advance)
+        grid, outer = affine_bump_grid(), 3
+        stats = run_flow(grid, 2.0, t_final, mode=mode, safety=safety, outer=outer)
+        steps = stats.times.size - 1
+        assert steps > 1 and stats.halt_reason is None
+        interior = tuple(m - 2 for m in grid.shape)
+        if mode == "explicit":
+            assert stats.violations == 1 and len(in_advance) == steps + 1
+            made = steps
+        else:
+            assert len(in_advance) == outer * steps
+            made = 1 + (outer - 1) * (steps - 1)
+        assert not any(in_advance)
+        assert shapes == [grid.shape] + [interior] * made
+
     def test_picard_last_pass_saves_nothing(self):
         # the last pass keeps no state for a pass after it, and a later pass
         # frees each saved Jacobian as it reads it, so one pass peaks far
@@ -635,11 +675,12 @@ class TestPicardOracle:
         # coefficients prepared once per pass, and later passes read the
         # Jacobians the previous pass made, keep every bit of the loop
         # that differences each saved state again and prepares every step
+        # by the plain arithmetic, stepping values-last
         n, m, steps = PICARD_GRIDS[config]
         grid = make_grid(make_map("affine_bump", n=n, amplitude=0.05), (m,) * n, 1.0 / (m - 1))
         t_final = steps * dtmax(grid, p)
         stats = run_flow(grid, p, t_final, mode="picard", outer=outer)
-        oracle = picard_oracle(grid, p, t_final, outer=outer)
+        oracle = recompute_flow(grid, p, t_final, mode="picard", outer=outer)
         assert stats.halt_reason is None and stats.times.size - 1 == steps
         for name in ("times", "energy", "min_det", "dt_history"):
             assert getattr(stats, name).tobytes() == getattr(oracle, name).tobytes(), name
@@ -672,6 +713,30 @@ class TestFirstDifference:
         ref = np.stack([np.gradient(v, h, axis=1 + a, edge_order=2)
                         for a in range(v.shape[0])], axis=1)
         assert jac.tobytes() == ref.tobytes()
+
+
+class TestFieldsArithmetic:
+    @settings(max_examples=60, deadline=None)
+    @given(v=_grid_arrays(), h=st.floats(1e-3, 10.0))
+    def test_det_equals_the_adjugate_kernels(self, v, h):
+        # _fields takes det from the first row's cofactors alone; it keeps
+        # the bits of tensor._det_adj's det, beside which the coefficients
+        # make the adjugate
+        fields = gradientflow._fields(v, h)
+        assert fields.det.tobytes() == gradientflow._det_adj(fields.jac)[0].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(v=_grid_arrays(), h=st.floats(1e-3, 10.0), p=st.sampled_from([1.0, 2.0, 5.0]))
+    def test_energy_equals_numpy_trapezoid(self, v, h, p):
+        # the inline quadrature is np.trapezoid's formula, axis by axis
+        n = v.shape[0]
+        det, nsq = 0.5 + np.abs(v[0]), 1.0 + v[-1] ** 2
+        fields = gradientflow._Fields(v, np.empty((n, n)), det, nsq)
+        total = (nsq / det ** (2.0 / n)) ** (n * p / 2.0)
+        for _ in range(n):
+            total = np.trapezoid(total, dx=h, axis=-1)
+        volume = gradientflow._volume(v.shape[1:], h)
+        assert gradientflow._energy(fields, h, p, volume).hex() == (float(total) / volume).hex()
 
 
 class TestSnapshots:
