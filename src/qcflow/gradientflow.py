@@ -35,11 +35,11 @@ and compatibility_check, and run_flow's set-up, take a given grid's
 fields from _checked_fields, which also holds det > 0; run_flow's step
 bound and residual read its u0 fields. Picard's first pass prepares the
 initial coefficients once and reads them at every step. A pass that
-another follows saves the interior of the Jacobian _advance made for
-each state it accepts, and the next pass prepares each step's
-coefficients from it by the same path, dropping the saved entry as it
-reads it; so no state is differenced twice. Only the step bound builds
-the n^4 flux_linearization, once per run, for its mass.
+another follows keeps the interior of the Jacobian _advance made for
+each state it accepts but its last, which no step reads; the next pass
+prepares each step's coefficients from it by the same path, dropping it
+as it reads it, so no state is differenced twice. Only the step bound
+builds the n^4 flux_linearization, once per run, for its mass.
 """
 
 from __future__ import annotations
@@ -535,8 +535,7 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
         if halt is not None:
             break
         if saved is not None:
-            # state 0 is u0; each later state's coefficients are prepared as
-            # its step reads them, and its saved interior freed then
+            saved.pop()  # step k reads state k: u0, then each saved state but the last
             frozen = itertools.chain([coeff0], _saved_coefficients(saved, p))
 
     return FlowRunStats(

@@ -22,12 +22,12 @@ state; _contracted_operator contracts them with a Hessian in O(n^3) per
 node on entry-first stacks, so coefficients frozen over many steps are
 prepared once. The n^4 flux_linearization stays for gradientflow.dtmax
 (which needs the coefficient mass), lh_witness and lp_nondiv, and is the
-oracle the verify suites and tests compare against; lh_witness builds it
-from its own checked q and weight (_linearization). Every kernel here
+oracle the verify suites and tests compare against. Every kernel here
 that takes a Jacobian on its own, Jet2Sample included, validates it
-through tensor._checked and reads its det and |q|^2 from there: at n = 2
-and 3 tensor's one kernel, on floats for one point and on node arrays
-for a stack, so each row has the bits of its call alone.
+through tensor._checked, which gives its det and |q|^2, and takes q^{-T}
+from tensor._inverse_t: below n = 4 tensor's one kernel, on floats for
+one point and on node arrays for a stack, so each row has the bits of
+its call alone, and q^{-T} is cofactor / det, the grid's adj / det.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .errors import UnsupportedRegime
 from .tensor import (
     _checked,
     _dilation_field,
+    _inverse_t,
     ahlfors,
     distortion_tensor,
     trace_dilation,
@@ -113,14 +114,12 @@ def flux(q, p: float) -> np.ndarray:
     every q.
     """
     a, n, d, nsq = _checked(q)
-    qinv_t = np.swapaxes(np.linalg.inv(a), -1, -2)
-    w = _power_weight(nsq, d, n * p, p)
-    bracket = qinv_t - n * a / nsq[..., None, None]
-    return -p * w[..., None, None] * bracket
+    bracket = _inverse_t(a, d) - n * a / nsq[..., None, None]
+    return -p * _power_weight(nsq, d, n * p, p)[..., None, None] * bracket
 
 
-def _a4_bracket(q: np.ndarray, nsq: np.ndarray, p: float) -> np.ndarray:
-    """Bracket of the flux linearization, the part without the scalar weight.
+def _a4_bracket(q: np.ndarray, d: np.ndarray, nsq: np.ndarray, p: float) -> np.ndarray:
+    """Bracket of the flux linearization of a checked q with det d, the part without the scalar weight.
 
     flux_linearization = -p |q|^{np-2}/(det q)^p * bracket. Exposed
     separately so large-p ratios can cancel the weight exactly. The terms
@@ -130,7 +129,7 @@ def _a4_bracket(q: np.ndarray, nsq: np.ndarray, p: float) -> np.ndarray:
     """
     n = q.shape[-1]
     nsq = nsq[..., None, None, None, None]
-    qi = np.linalg.inv(q)
+    qi = np.swapaxes(_inverse_t(q, d), -1, -2)
     out = np.einsum("...ji,...kl->...ikjl", qi, q, order="C")
     out += np.einsum("...ij,...lk->...ikjl", q, qi)
     out *= n * p
@@ -196,13 +195,8 @@ def flux_linearization(q, p: float) -> np.ndarray:
     itself a gradient.
     """
     a, n, d, nsq = _checked(q)
-    return _linearization(a, nsq, _power_weight(nsq, d, n * p - 2.0, p), p)
-
-
-def _linearization(a: np.ndarray, nsq: np.ndarray, m1: np.ndarray, p: float) -> np.ndarray:
-    """flux_linearization of a checked a from its |q|^2 and weight m1 = |q|^{np-2}/(det q)^p."""
-    out = _a4_bracket(a, nsq, p)
-    out *= -p * m1[..., None, None, None, None]
+    out = _a4_bracket(a, d, nsq, p)
+    out *= -p * _power_weight(nsq, d, n * p - 2.0, p)[..., None, None, None, None]
     return out
 
 
@@ -236,7 +230,8 @@ def lh_witness(q, xi, eta, p: float) -> EllipticityWitness:
         c1 = float(n)
     c2 = 100.0 * n**3
     m1 = _power_weight(nsq, d, n * p - 2.0, p)
-    a4 = _linearization(a, nsq, m1, p)
+    a4 = _a4_bracket(a, d, nsq, p)
+    a4 *= -p * m1[..., None, None, None, None]  # flux_linearization, with the weight m1 made once
     quad = np.einsum("...ikjl,...i,...j,...k,...l->...", a4, eta, xi, eta, xi)
     m2 = _power_weight(nsq, d, n * (p + 2.0) - 2.0, p + 2.0)
     return EllipticityWitness(
@@ -276,8 +271,8 @@ def lp_divergence(mapping, x, p: float, h: float) -> np.ndarray:
 
 def linfty_factored(sample: Jet2Sample) -> np.ndarray:
     """Infinite-p operator as a product of two copies of M = n J - |J|^2 J^{-T}."""
-    j, n, _, nsq = _checked(sample.J)
-    m = n * j - nsq[..., None, None] * np.swapaxes(np.linalg.inv(j), -1, -2)
+    j, n, d, nsq = _checked(sample.J)
+    m = n * j - nsq[..., None, None] * _inverse_t(j, d)
     return np.einsum("...ij,...kl,...kjl->...i", m, m, sample.H)
 
 
@@ -315,8 +310,8 @@ def lp_asymptotic_ratio(sample: Jet2Sample, p: float) -> np.ndarray:
     linearization against the Hessian, so no overflow occurs for large p.
     Converges to ASYMPTOTIC_SIGN * linfty_factored at rate O(1/p).
     """
-    j, _, _, nsq = _checked(sample.J)
-    bracket = _a4_bracket(j, nsq, p)
+    j, _, d, nsq = _checked(sample.J)
+    bracket = _a4_bracket(j, d, nsq, p)
     return -(nsq[..., None] / p) * np.einsum("...ikjl,...kjl->...i", bracket, sample.H)
 
 

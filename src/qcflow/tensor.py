@@ -4,20 +4,21 @@ Every operation treats the last two axes of its input as the matrix and
 broadcasts over any leading axes, so the same kernels serve single-point
 queries and whole grids. Supported dimensions are 2 through 4. The
 private closed-form _det_adj is the exception: it takes entry-first
-stacks a[i, j, ...] and serves batched grids; cofactor is its transposed
-adjugate, so core.cofactor_transpose checks it against LAPACK.
+stacks a[i, j, ...] and serves batched grids; cofactor takes its
+adjugate at n = 4, and core.cofactor_transpose checks it against LAPACK.
 
 At n = 2 and 3 one kernel, written once on row-major entries, gives the
-cofactors, det and |J|^2 (_kernel), the field F = S(g) J^{-T} (_field)
-and K (_dilation). An entry is a Python float for one matrix and an
+cofactors, det and |J|^2, the field F = S(g) J^{-T} (_field) and K
+(_dilation). An entry is a Python float for one matrix and an
 array over nodes for a stack, so a stack row has the bits of its single
 call by construction, and a flow line's sample or RK4 stage hands its J
 over as a list (_sg_one), a stage for one row of F (_cofactor_row).
 Every Jacobian kernel here and in operators and traces enters through
 _checked, which returns (a, n, det, |J|^2) for a finite square matrix
-with finite positive determinant and finite |J|^2; n = 4 takes LAPACK's
-det and inverse. factoring_residual and
-operators.linfty_flowform keep the S(g) route and are the field's oracles.
+with finite positive determinant and finite |J|^2; one that needs J^{-T}
+takes it from _inverse_t, cofactor / det below n = 4 and LAPACK's at 4.
+factoring_residual and operators.linfty_flowform keep LAPACK's inverse
+on the S(g) route and are the field's oracles.
 """
 
 from __future__ import annotations
@@ -71,18 +72,18 @@ def _finite_positive(d):
 def _checked(m) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """A finite square matrix stack with finite positive det and finite |J|^2: (a, n, det, |J|^2).
 
-    At n = 2 and 3 det and |J|^2 are _kernel's (one matrix's floats come
-    back as np.float64); at n = 4 det is LAPACK's and |J|^2 is _sum_sq's.
+    |J|^2 is _sum_sq's; det is _det of the first row's cofactors at n = 2
+    and 3 (one matrix's floats come back as np.float64), LAPACK's at n = 4.
     """
     a = _as_matrix(m)
     n = a.shape[-1]
+    e = _entries(a)
     if a.ndim == 2 and n < 4:  # floats never warn, and errstate costs more than the kernel
-        return a, n, *map(np.float64, _kernel(_entries(a), n)[1:])
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as such
-        if n < 4:
-            return a, n, *_kernel(_entries(a), n)[1:]
-        d = _finite_positive(np.linalg.det(a))
-        return a, n, d, np.float64(_finite(_sum_sq(_entries(a)), "|J|^2"))
+        d, nsq = _det(e, _cofactor_row(e, n, 0), n), _sum_sq(e)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as such
+            d, nsq = _det(e, _cofactor_row(e, n, 0), n) if n < 4 else np.linalg.det(a), _sum_sq(e)
+    return a, n, np.float64(_finite_positive(d)), np.float64(_finite(nsq, "|J|^2"))
 
 
 # The kernel of 2x2 and 3x3 matrices takes a matrix as its row-major
@@ -171,12 +172,6 @@ def _pow(x, y):
         return math.copysign(math.inf, x) if y % 2 == 1 else math.inf
 
 
-def _kernel(e: list, n: int) -> tuple:
-    """Cofactors, det and |J|^2 of finite entries e; det must be positive and finite, and |J|^2 finite."""
-    c = _cofactors(e, n)
-    return c, _finite_positive(_det(e, c, n)), _finite(_sum_sq(e), "|J|^2")
-
-
 def _field(e: list, c: list, d, nsq, n: int) -> list:
     """Entries of F = (J - |J|^2 J^{-T} / n) / det^(2/n), with J^{-T} = c / det.
 
@@ -251,13 +246,31 @@ def hs_norm(m) -> float | np.ndarray:
 
 
 def cofactor(m) -> np.ndarray:
-    """Cofactor matrix, the transposed adjugate of _det_adj.
+    """Cofactor matrix: _cofactors at n = 2 and 3, the transposed adjugate of _det_adj at n = 4.
 
     Defined for every matrix, singular ones included, and satisfies
     cofactor(M)^T M = det(M) I.
     """
-    adj = _det_adj(np.moveaxis(_as_matrix(m), (-2, -1), (0, 1)))[1]
-    return np.moveaxis(adj, (0, 1), (-1, -2))
+    return _cofactor(_as_matrix(m))
+
+
+def _cofactor(a: np.ndarray) -> np.ndarray:
+    """cofactor of a float matrix or stack; at n = 2 and 3 C-ordered, from _cofactors on its entries."""
+    if a.shape[-1] == 4:
+        return np.moveaxis(_det_adj(np.moveaxis(a, (-2, -1), (0, 1)))[1], (0, 1), (-1, -2))
+    c = _cofactors(_entries(a), a.shape[-1])
+    return (np.array(c) if a.ndim == 2 else np.stack(c, axis=-1)).reshape(a.shape)
+
+
+def _inverse_t(a: np.ndarray, d) -> np.ndarray:
+    """J^{-T} of a matrix or stack a that _checked passed with det d.
+
+    _cofactor(a) / d at n = 2 and 3, so a stack row has its single call's
+    bits; LAPACK's inverse at n = 4, a tenth of _adjugate4's time on one matrix.
+    """
+    if a.shape[-1] == 4:
+        return np.swapaxes(np.linalg.inv(a), -1, -2)
+    return _cofactor(a) / d[..., None, None]
 
 
 def trace_dilation(j) -> float | np.ndarray:
@@ -292,32 +305,24 @@ def _sg_field(j) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray]:
     """Field F = S(g) J^{-T} from one checked determinant, with |J|^2 and det J.
 
     F = (J - |J|^2 J^{-T} / n) / (det J)^(2/n), the identity factoring_residual
-    pins: _field at n = 2 and 3 (one matrix's |J|^2 and det come back as
-    floats), and LAPACK's inverse for J^{-T} at n = 4.
+    pins, with J^{-T} from _inverse_t: one 2x2 or 3x3 matrix takes _sg_one
+    (its |J|^2 and det come back as floats), and a stack row has its bits.
     """
     a = _as_matrix(j)
-    n = a.shape[-1]
-    if n == 4:
-        a, n, d, nsq = _checked(a)
-        inv_t = np.linalg.inv(a).swapaxes(-1, -2)
-        field = (a - (nsq / n)[..., None, None] * inv_t) / np.float_power(d, 2.0 / n)[..., None, None]
-        return field, nsq, d
-    e = _entries(a)
-    if a.ndim == 2:  # floats never warn, as in _checked
-        c, d, nsq = _kernel(e, n)
-        return np.array(_field(e, c, d, nsq, n)).reshape(a.shape), nsq, d
+    if a.ndim == 2 and a.shape[-1] < 4:  # floats never warn, as in _checked
+        field, nsq, d = _sg_one(a.ravel().tolist())
+        return np.array(field).reshape(a.shape), nsq, d
+    a, n, d, nsq = _checked(a)
     with np.errstate(over="ignore", invalid="ignore"):  # as in _checked
-        c, d, nsq = _kernel(e, n)
-        field = _field(e, c, d, nsq, n)
-    # C order, as callers' einsum sums read the field in memory order
-    return np.ascontiguousarray(np.moveaxis(np.array(field), 0, -1)).reshape(a.shape), nsq, d
+        scaled = (nsq / n)[..., None, None] * _inverse_t(a, d)
+        return (a - scaled) / np.float_power(d, 2.0 / n)[..., None, None], nsq, d
 
 
 def _sg_one(flat: list, row: int | None = None) -> tuple[list, float, float]:
     """F's entries, |J|^2 and det of one 2x2 or 3x3 matrix's entries, checked as _checked checks.
 
-    _kernel and _field on Python floats, each check made inline and a
-    failing value handed to its shared check, which raises its error.
+    The kernel on Python floats, each check made inline and a failing
+    value handed to its shared check, which raises its error.
     Given a row index (from 0), F's entries are that row's alone, from
     the first row's cofactors for det and the row's own for F, so they
     are the same entries of the full F bit for bit.

@@ -617,6 +617,21 @@ class TestRunFlow:
             assert stats.halt_reason is None and stats.times.size - 1 > 100
         assert peaks[0] < 0.5 * peaks[1]
 
+    def test_later_pass_starts_with_one_saved_state_per_step_it_reads(self, monkeypatch):
+        # step k of a later pass reads state k of the pass before: u0 for
+        # k = 0, then saved states 1 .. steps - 1; the last state is not kept
+        counts, saved_coefficients = [], gradientflow._saved_coefficients
+
+        def counted(saved, p):
+            counts.append(len(saved))
+            return saved_coefficients(saved, p)
+
+        monkeypatch.setattr(gradientflow, "_saved_coefficients", counted)
+        stats = run_flow(affine_bump_grid(), 2.0, 1e-3, mode="picard", outer=3)
+        steps = stats.times.size - 1
+        assert steps > 1 and stats.halt_reason is None
+        assert counts == [steps - 1] * 2
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             run_flow(identity_grid((17, 17), 1.0 / 16.0), 2.0, 1e-4, mode="verlet")

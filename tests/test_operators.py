@@ -25,9 +25,11 @@ from qcflow import (
     lp_nondiv,
     trace_dilation,
 )
+from qcflow.gradientflow import dtmax, make_grid
 from qcflow.maps import (
     affine_map,
     identity_map,
+    make_map,
     moebius,
     polynomial_map,
     radial_lp,
@@ -516,6 +518,11 @@ JET_OPERATORS = {
     "lp_asymptotic_ratio": lp_asymptotic_ratio,
     "lp_asymptotic_ratio_1000": lambda jets, p: lp_asymptotic_ratio(jets, 1000.0),
 }
+# name: (operator of the Jacobians, the trailing axes of its output at dimension n)
+MATRIX_OPERATORS = {
+    "flux": (flux, lambda n: (n, n)),
+    "flux_linearization": (flux_linearization, lambda n: (n, n, n, n)),
+}
 
 
 class TestStacks:
@@ -529,6 +536,9 @@ class TestStacks:
         stacked = {name: op(jets, p) for name, op in JET_OPERATORS.items()}
         for out in stacked.values():
             assert out.shape == shape + (n,)
+        matrix = {name: op(jets.J, p) for name, (op, _) in MATRIX_OPERATORS.items()}
+        for name, (_, trailing) in MATRIX_OPERATORS.items():
+            assert matrix[name].shape == shape + trailing(n), name
         lh_ok = not (n == 2 and p == 1.0)
         if lh_ok:
             w = lh_witness(jets.J, xi, eta, p)
@@ -537,6 +547,8 @@ class TestStacks:
             jet = _row(jets, idx)
             for name, op in JET_OPERATORS.items():
                 assert op(jet, p).tobytes() == stacked[name][idx].tobytes(), name
+            for name, (op, _) in MATRIX_OPERATORS.items():
+                assert op(jets.J[idx], p).tobytes() == matrix[name][idx].tobytes(), name
             if lh_ok:
                 w1 = lh_witness(jets.J[idx], xi[idx], eta[idx], p)
                 for name in ("quadForm", "lower", "upper"):
@@ -594,3 +606,26 @@ class TestStacks:
             Jet2Sample(x=np.zeros((3, 2)), u=np.zeros((3, 2)), J=np.stack([np.eye(2)] * 3),
                        H=np.zeros((2, 2, 2, 2)))
 
+
+class TestOneInverse:
+    """Below n = 4 every J^{-T} is tensor._inverse_t's cofactor / det, never LAPACK's inverse."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_no_lapack_inverse_below_four(self, monkeypatch, n):
+        jets, xi, eta = _jet_stack(13, n, (4,))
+        grid = make_grid(make_map("affine_bump", n=n, amplitude=0.05), (9,) * n, 1.0 / 8.0)
+
+        def refused(a):
+            raise AssertionError("np.linalg.inv called")
+
+        monkeypatch.setattr(np.linalg, "inv", refused)
+        for idx in (Ellipsis, 0):  # the stack and its first row alone
+            jet, q = _row(jets, idx), jets.J[idx]
+            flux(q, 2.0)
+            flux_linearization(q, 2.0)
+            lh_witness(q, xi[idx], eta[idx], 2.0)
+            lp_nondiv(jet, 2.0)
+            linfty_factored(jet)
+            lp_asymptotic_ratio(jet, 2.0)
+            dilation_gradient(jet)
+        dtmax(grid, 2.0)

@@ -26,7 +26,7 @@ from qcflow import (
 )
 from qcflow.maps import affine_map, compose, moebius, radial_stretch
 from qcflow.tensor import (_checked, _cofactor_row, _cofactors, _det_adj, _dilation, _dilation_field,
-                           _matrix_det, _sg_field, _sg_one)
+                           _inverse_t, _matrix_det, _sg_field, _sg_one)
 from qcflow.traces import critical_equality_check
 from qcflow.verify import random_moebius
 
@@ -181,6 +181,44 @@ class TestDetAdj:
         det, adj = _det_adj(np.diag([2.0, 5.0]))
         assert det == 10.0
         np.testing.assert_array_equal(adj, np.diag([5.0, 2.0]))
+
+
+class TestInverseT:
+    """J^{-T} below n = 4: cofactor / det on one matrix's floats and on a stack's node arrays."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
+           count=st.integers(1, 9), form=st.sampled_from(sorted(STACK_FORMS)))
+    def test_equals_cofactor_over_det_bitwise(self, seed, n, count, form):
+        mats = np.asarray(STACK_FORMS[form](np.random.default_rng(seed), n, count), dtype=float)
+        det = _checked(mats)[2]
+        inv_t = _inverse_t(mats, det)
+        assert inv_t.tobytes() == (cofactor(mats) / det[:, None, None]).tobytes()
+        for i, j in enumerate(mats):
+            d = _checked(j)[2]
+            assert _inverse_t(j, d).tobytes() == (cofactor(j) / d).tobytes() == inv_t[i].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]), decades=st.floats(0.0, 8.0))
+    def test_within_a_condition_scaled_bound_of_lapack(self, seed, n, decades):
+        # each cofactor errs by a few eps times cond |J^{-1}| det, and det,
+        # as the kernel's det test bounds it, by a few eps times
+        # cond^(n-1) det; LAPACK's inverse errs by a few eps times cond |J^{-1}|
+        rng = np.random.default_rng(seed)
+        q1, q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        if np.linalg.det(q1 @ q2) < 0.0:
+            q1[:, 0] = -q1[:, 0]
+        a = q1 @ np.diag(10.0 ** -rng.uniform(0.0, decades, n)) @ q2
+        want = np.linalg.inv(a).T
+        bound = 32 * n * n * np.finfo(float).eps * np.linalg.cond(a) ** (n - 1) * np.linalg.norm(want, 2)
+        assert np.max(np.abs(_inverse_t(a, _checked(a)[2]) - want)) <= bound
+
+    def test_four_by_four_is_lapacks(self):
+        rng = np.random.default_rng(43)
+        mats = np.array(random_spd_jacobians(rng, 4, 5))
+        for m in (mats, mats[0]):
+            want = np.swapaxes(np.linalg.inv(m), -1, -2)
+            assert _inverse_t(m, _checked(m)[2]).tobytes() == want.tobytes()
 
 
 class TestKernel:
