@@ -6,15 +6,14 @@ written out at n = 2 and 3 (_rk4). Each sample or stage takes J as
 row-major entries from the map's private single-point accessor
 (SmoothMap._jacobian_entries: the map's entry-first sampler, or the
 public jacobian of a map without one), and |J|^2, det and the field
-from tensor's one 2x2 and 3x3 kernel on those floats (_sample_field).
+from tensor's one kernel on those floats at every n (_sample_field).
 The sample at an accepted point takes the whole field, whose row norms
 pick the row, and adds K; each later RK4 stage takes the active row of
-the field alone, bit-equal to that row of the whole field. n = 4 takes
-LAPACK's det and inverse (tensor._sg_field) in the same loop. A stack
-of samples (du_recovery_check) runs the same kernel on node arrays,
+the field alone, bit-equal to that row of the whole field. A stack of
+samples (du_recovery_check) runs the same kernel on node arrays,
 bit-equal row by row. The public flow_field reads jacobian and returns
-the field as an array. tensor.factoring_residual and operators.linfty_flowform keep the
-S(g) route and are their oracles.
+the field as an array. tensor.factoring_residual and
+operators.linfty_flowform keep the S(g) route and are their oracles.
 
 A flow line follows one row of the field at a time, switching rows only
 when the active row's speed decays under a hysteresis threshold, and
@@ -33,7 +32,7 @@ import numpy as np
 
 from .errors import AllRowsDegenerate, GuardViolation, RowSwitched, StepFailure
 from .operators import Jet2Sample
-from .tensor import _dilation, _sg_field, _sg_one, _sum_sq
+from .tensor import _as_matrix, _dilation, _sg_field, _sg_one, _sum_sq
 
 DEFAULT_STEP = 1e-3
 SWITCH_THRESHOLD = 0.5
@@ -189,17 +188,16 @@ def select_row(field, current: int | None = None) -> int:
 def _sample_field(mapping, y: list, row: int | None = None) -> tuple[list, float, float]:
     """The field's row-major entries at the point y of Python floats, with |J|^2 and det J.
 
-    The one field entry of trace_flowline's samples and RK4 stages, from
-    mapping._jacobian_entries: tensor._sg_one for 4 or 9 entries (n = 2
-    and 3), and _sg_field's array (LAPACK's inverse) read into entries
-    for any other n. Given a row index (from 0), the entries are that
-    row's alone, bit-equal to the same entries of the full field.
+    The one field entry of trace_flowline's samples and RK4 stages:
+    tensor._sg_one on mapping._jacobian_entries, 4, 9 or 16 of them
+    (n = 2..4); tensor._as_matrix refuses any other n. Given a row index
+    (from 0), the entries are that row's alone, bit-equal to the same
+    entries of the full field.
     """
     entries = mapping._jacobian_entries(y)
-    if len(entries) in (4, 9):
-        return _sg_one(entries, row)
-    matrix, nsq, d = _sg_field(np.array(entries).reshape(len(y), len(y)))
-    return (matrix.ravel() if row is None else matrix[row]).tolist(), nsq, d
+    if len(entries) not in (4, 9, 16):
+        _as_matrix(np.reshape(entries, (len(y), len(y))))
+    return _sg_one(entries, row)
 
 
 def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,

@@ -20,8 +20,8 @@ final state back into a values-last GridField once. Each state is
 differenced once, by _fields: its entry-first values, which the next
 step's Hessian reads, its Jacobian (the np.gradient stencils, taken by
 slicing in _first_difference), its determinant from the first row's
-cofactors (the operations of tensor._det_adj), and |J|^2, over every
-node, with the Jacobian's entries checked finite where they are made.
+cofactors (tensor._entries_det), and |J|^2, over every node, with the
+Jacobian's entries checked finite where they are made.
 _advance steps v and builds them for the stepped state, holding its det
 to the collapse floor; the energy reads their |J|^2 and det, and the
 next step prepares their interior once as the coefficients
@@ -29,11 +29,11 @@ next step prepares their interior once as the coefficients
 that _interior_update contracts with the interior Hessian in O(n^3) per
 node (operators._contracted_operator). The adjugate is made only where
 coefficients are prepared (_Fields.coefficients), for the nodes they
-cover: the interior at each explicit step, the full grid once for the
-boundary residual. The public energy, interior_operator, explicit_step
-and compatibility_check, and run_flow's set-up, take a given grid's
-fields from _checked_fields, which also holds det > 0; run_flow's step
-bound and residual read its u0 fields. Picard's first pass prepares the
+cover, beside _fields' det: the interior at each explicit step, the
+full grid once for the boundary residual. The public energy,
+interior_operator, explicit_step and compatibility_check, and run_flow's
+set-up, take a given grid's fields from _checked_fields, which also
+holds det > 0; run_flow's step bound and residual read its u0 fields. Picard's first pass prepares the
 initial coefficients once and reads them at every step. A pass that
 another follows keeps the interior of the Jacobian _advance made for
 each state it accepts but its last, which no step reads; the next pass
@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import DeterminantCollapse, NonFiniteValue
 from .operators import _contracted_operator, _operator_coefficients, flux_linearization
-from .tensor import _cofactor_row, _det, _det_adj, _positive
+from .tensor import _adjugate, _entries_det, _positive
 
 DEFAULT_SAFETY = 0.2
 ENERGY_TOL_SCALE = 1e-12
@@ -148,13 +148,15 @@ class _Fields(NamedTuple):
     nsq: np.ndarray
 
     def coefficients(self, p: float, index=Ellipsis) -> tuple:
-        """The operator's coefficients at index, prepared from jac and nsq there."""
-        return _coefficients(self.jac[index], self.nsq[index], p)
+        """The operator's coefficients at index, from jac, det and nsq there and jac's adjugate."""
+        jac = self.jac[index]
+        return _operator_coefficients(jac, self.det[index], _adjugate(jac), self.nsq[index], p)
 
 
-def _coefficients(jac: np.ndarray, nsq: np.ndarray, p: float) -> tuple:
-    """The operator's coefficients from a checked Jacobian and its |J|^2, making det and adjugate."""
-    return _operator_coefficients(jac, *_det_adj(jac), nsq, p)
+def _det_field(jac: np.ndarray) -> np.ndarray:
+    """det of an entry-first Jacobian jac[i, a, *nodes] at every node, by tensor._entries_det."""
+    n = jac.shape[0]
+    return _entries_det([jac[i, a] for i in range(n) for a in range(n)], n)
 
 
 def _interior(ndim: int) -> tuple:
@@ -166,34 +168,28 @@ def _saved_coefficients(saved: list, p: float):
     """The operator's coefficients from each saved Jacobian interior in turn.
 
     Each entry of saved is dropped as it is read. _advance checked every
-    Jacobian finite and its det above the floor, so |J|^2 is taken here
-    unchecked, by the operation _fields takes it with.
+    Jacobian finite and its det above the floor, so det and |J|^2 are
+    taken here unchecked, by the operations _fields takes them with.
     """
     for k in range(len(saved)):
         jac, saved[k] = saved[k], None
-        yield _coefficients(jac, np.sum(jac * jac, axis=(0, 1)), p)
+        nsq = np.sum(jac * jac, axis=(0, 1))
+        yield _operator_coefficients(jac, _det_field(jac), _adjugate(jac), nsq, p)
 
 
 def _fields(v: np.ndarray, h: float) -> _Fields:
     """Difference the entry-first values v[i, *nodes] once and take the fields every consumer reads.
 
     A non-finite Jacobian entry raises NonFiniteValue here, where it is
-    made. det comes from the first row's cofactors alone, by the
-    operations tensor._det_adj takes it with (at n = 4 from _det_adj
-    itself, whose det shares the adjugate's minors). It is not
-    sign-checked: _checked_fields holds a given grid to det > 0,
-    _advance a stepped one to the collapse floor.
+    made. det comes from the first row's cofactors alone (_det_field),
+    and the coefficients read it. It is not sign-checked:
+    _checked_fields holds a given grid to det > 0, _advance a stepped one
+    to the collapse floor.
     """
     jac = _jacobian_field(v, h)
     if not np.isfinite(jac).all():
         raise NonFiniteValue("difference Jacobian has non-finite entries")
-    n = v.shape[0]
-    if n == 4:
-        det = _det_adj(jac)[0]
-    else:
-        e = [jac[i, j] for i in range(n) for j in range(n)]
-        det = _det(e, _cofactor_row(e, n, 0), n)
-    return _Fields(v, jac, det, np.sum(jac * jac, axis=(0, 1)))
+    return _Fields(v, jac, _det_field(jac), np.sum(jac * jac, axis=(0, 1)))
 
 
 def _checked_fields(values: np.ndarray, h: float) -> _Fields:

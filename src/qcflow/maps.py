@@ -37,7 +37,7 @@ from .errors import (
     UnknownMap,
 )
 from .operators import Jet2Sample
-from .tensor import _cofactor_row, _det, _entries, _matrix_det, _positive, _pow, _sum_sq
+from .tensor import _entries, _entries_det, _positive, _pow, _sum_sq
 
 _ORIGIN_TOL = 1e-9
 _SEAM_TOL = 1e-6
@@ -308,10 +308,8 @@ def _add(p: list, q: list) -> list:
 
 
 def _positive_entries(u: list, j: list) -> None:
-    """Refuse J's entries at u unless det J > 0: the kernel's det at n = 2 and 3, else LAPACK's."""
-    n, lead = len(u), np.shape(u[0])
-    _positive(_det(j, _cofactor_row(j, n, 0), n) if n in (2, 3)
-              else np.linalg.det(_stacked(j, lead).reshape(lead + (n, n))))
+    """Refuse J's entries at u unless det J > 0, tensor._entries_det's."""
+    _positive(_entries_det(j, len(u)))
 
 
 # Guards the one-time set-up of a sampler: a word's links and a
@@ -866,7 +864,7 @@ def _fold(factors: tuple) -> tuple:
     n = factors[0].n
     dets, moves, matrix, links = [], [], None, []
     for factor in factors:
-        det = _matrix_det(factor.matrix) if isinstance(factor, _Affine) else None
+        det = _entries_det(_entries(factor.matrix), n) if isinstance(factor, _Affine) else None
         word = getattr(factor, "word", ())
         if not links and (det is not None or word and all(k != "inversion" for k, _ in word)):
             if det is not None:

@@ -25,7 +25,7 @@ prepared once. The n^4 flux_linearization stays for gradientflow.dtmax
 oracle the verify suites and tests compare against. Every kernel here
 that takes a Jacobian on its own, Jet2Sample included, validates it
 through tensor._checked, which gives its det and |q|^2, and takes q^{-T}
-from tensor._inverse_t: below n = 4 tensor's one kernel, on floats for
+from tensor._inverse_t: tensor's one kernel at every n, on floats for
 one point and on node arrays for a stack, so each row has the bits of
 its call alone, and q^{-T} is cofactor / det, the grid's adj / det.
 """

@@ -3,20 +3,20 @@
 Every operation treats the last two axes of its input as the matrix and
 broadcasts over any leading axes, so the same kernels serve single-point
 queries and whole grids. Supported dimensions are 2 through 4. The
-private closed-form _det_adj is the exception: it takes entry-first
-stacks a[i, j, ...] and serves batched grids; cofactor takes its
-adjugate at n = 4, and core.cofactor_transpose checks it against LAPACK.
+private _adjugate is the exception: it takes entry-first stacks
+a[i, j, ...] and serves batched grids.
 
-At n = 2 and 3 one kernel, written once on row-major entries, gives the
-cofactors, det and |J|^2, the field F = S(g) J^{-T} (_field) and K
-(_dilation). An entry is a Python float for one matrix and an
-array over nodes for a stack, so a stack row has the bits of its single
-call by construction, and a flow line's sample or RK4 stage hands its J
-over as a list (_sg_one), a stage for one row of F (_cofactor_row).
-Every Jacobian kernel here and in operators and traces enters through
-_checked, which returns (a, n, det, |J|^2) for a finite square matrix
-with finite positive determinant and finite |J|^2; one that needs J^{-T}
-takes it from _inverse_t, cofactor / det below n = 4 and LAPACK's at 4.
+At every n one kernel, written once on row-major entries, gives the
+cofactors, det (_entries_det) and |J|^2, J^{-T} (_inverse_t), the field
+F = S(g) J^{-T} (_field) and K (_dilation). An entry is a Python float
+for one matrix and an array over nodes for a stack, so a stack row has
+the bits of its single call by construction, and a flow line's sample
+or RK4 stage hands its J over as a list (_sg_one), a stage for one row
+of F (_cofactor_row). Every Jacobian kernel here and in operators and
+traces enters through _checked, which returns (a, n, det, |J|^2) for a
+finite square matrix with finite positive determinant and finite
+|J|^2; one that needs J^{-T} takes it from _inverse_t, cofactor / det.
+LAPACK's det serves only the n = 1 and n >= 5 matrices maps allow.
 factoring_residual and operators.linfty_flowform keep LAPACK's inverse
 on the S(g) route and are the field's oracles.
 """
@@ -72,21 +72,21 @@ def _finite_positive(d):
 def _checked(m) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """A finite square matrix stack with finite positive det and finite |J|^2: (a, n, det, |J|^2).
 
-    |J|^2 is _sum_sq's; det is _det of the first row's cofactors at n = 2
-    and 3 (one matrix's floats come back as np.float64), LAPACK's at n = 4.
+    |J|^2 is _sum_sq's and det _entries_det's; one matrix's floats come
+    back as np.float64.
     """
     a = _as_matrix(m)
     n = a.shape[-1]
     e = _entries(a)
-    if a.ndim == 2 and n < 4:  # floats never warn, and errstate costs more than the kernel
-        d, nsq = _det(e, _cofactor_row(e, n, 0), n), _sum_sq(e)
+    if a.ndim == 2:  # floats never warn, and errstate costs more than the kernel
+        d, nsq = _entries_det(e, n), _sum_sq(e)
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as such
-            d, nsq = _det(e, _cofactor_row(e, n, 0), n) if n < 4 else np.linalg.det(a), _sum_sq(e)
+            d, nsq = _entries_det(e, n), _sum_sq(e)
     return a, n, np.float64(_finite_positive(d)), np.float64(_finite(nsq, "|J|^2"))
 
 
-# The kernel of 2x2 and 3x3 matrices takes a matrix as its row-major
+# The kernel of 2x2, 3x3 and 4x4 matrices takes a matrix as its row-major
 # entries: Python floats for one matrix, arrays over nodes for a stack.
 # +, -, *, /, sqrt and the C pow round the same on both, and every sum has
 # a fixed order, so one source gives a stack row the bits of its single
@@ -99,10 +99,12 @@ def _entries(a: np.ndarray) -> list:
 
 
 def _cofactors(e: list, n: int) -> list:
-    """Row-major signed cofactors of a 2x2 or 3x3 matrix; a 3x3 minor is 0.0 + p * q - r * s."""
+    """Row-major signed cofactors of an n = 2..4 matrix; a 2x2 minor is 0.0 + p * q - r * s."""
     if n == 2:
         a0, a1, b0, b1 = e
         return [b1, -b0, -a1, a0]
+    if n == 4:
+        return [c for row in _cofactor_rows4(e, range(4)) for c in row]
     a0, a1, a2, b0, b1, b2, c0, c1, c2 = e
     return [(0.0 + b1 * c2) - b2 * c1, -((0.0 + b0 * c2) - b2 * c0), (0.0 + b0 * c1) - b1 * c0,
             -((0.0 + a1 * c2) - a2 * c1), (0.0 + a0 * c2) - a2 * c0, -((0.0 + a0 * c1) - a1 * c0),
@@ -113,12 +115,36 @@ def _cofactor_row(e: list, n: int, i: int) -> list:
     """Row i of _cofactors(e, n), by the same operations on the same entries."""
     if n == 2:
         return [e[3], -e[2]] if i == 0 else [-e[1], e[0]]
+    if n == 4:
+        return _cofactor_rows4(e, (i,))[0]
     a0, a1, a2, b0, b1, b2, c0, c1, c2 = e
     if i == 0:
         return [(0.0 + b1 * c2) - b2 * c1, -((0.0 + b0 * c2) - b2 * c0), (0.0 + b0 * c1) - b1 * c0]
     if i == 1:
         return [-((0.0 + a1 * c2) - a2 * c1), (0.0 + a0 * c2) - a2 * c0, -((0.0 + a0 * c1) - a1 * c0)]
     return [(0.0 + a1 * b2) - a2 * b1, -((0.0 + a0 * b2) - a2 * b0), (0.0 + a0 * b1) - a1 * b0]
+
+
+def _cofactor_rows4(e: list, rows) -> list:
+    """The given rows of a 4x4 matrix's signed cofactors, from its row-major entries.
+
+    Cofactor (i, j) expands its 3x3 minor on its first row over the 2x2
+    minors of its last two rows, (2, 3), (1, 3) or (1, 2), each taken once.
+    """
+    r, minors, out = (e[0:4], e[4:8], e[8:12], e[12:16]), {}, []
+    for i in rows:
+        p, q = (2, 3) if i < 2 else (1, 5 - i)
+        if (p, q) not in minors:
+            (a0, a1, a2, a3), (b0, b1, b2, b3) = r[p], r[q]
+            minors[p, q] = ((0.0 + a0 * b1) - a1 * b0, (0.0 + a0 * b2) - a2 * b0,
+                            (0.0 + a0 * b3) - a3 * b0, (0.0 + a1 * b2) - a2 * b1,
+                            (0.0 + a1 * b3) - a3 * b1, (0.0 + a2 * b3) - a3 * b2)
+        m01, m02, m03, m12, m13, m23 = minors[p, q]
+        t0, t1, t2, t3 = r[1 if i == 0 else 0]
+        u0, u1 = ((0.0 + t1 * m23) - t2 * m13) + t3 * m12, ((0.0 + t0 * m23) - t2 * m03) + t3 * m02
+        u2, u3 = ((0.0 + t0 * m13) - t1 * m03) + t3 * m01, ((0.0 + t0 * m12) - t1 * m02) + t2 * m01
+        out.append([-u0, u1, -u2, u3] if i % 2 else [u0, -u1, u2, -u3])
+    return out
 
 
 def _det(e: list, c: list, n: int):
@@ -187,56 +213,30 @@ def _field(e: list, c: list, d, nsq, n: int) -> list:
     return [(x - scale * (k / d)) / root for x, k in zip(e, c)]
 
 
-def _matrix_det(a: np.ndarray):
-    """Unchecked det of a square matrix or stack of any n: _det at n = 2 and 3, else LAPACK's."""
-    n = a.shape[-1]
-    if n not in (2, 3):
-        return np.linalg.det(a)
-    e = _entries(a)
-    return _det(e, _cofactor_row(e, n, 0), n)
+def _entries_det(e: list, n: int):
+    """Unchecked det of an n x n matrix's row-major entries, Python floats or node arrays.
+
+    The first row against its cofactors at n = 2..4, else LAPACK's (a float entry broadcasts).
+    """
+    if _MIN_DIM <= n <= _MAX_DIM:
+        return _det(e, _cofactor_row(e, n, 0), n)
+    a = np.stack(np.broadcast_arrays(*e), axis=-1)
+    return np.linalg.det(a.reshape(a.shape[:-1] + (n, n)))
 
 
-def _det_adj(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form determinant and adjugate of an entry-first stack.
+def _adjugate(a: np.ndarray) -> np.ndarray:
+    """Closed-form adjugate of an entry-first stack, n = 2..4, from _cofactors.
 
     a[i, j, ...] holds matrix entry (i, j) as an array over the trailing
     axes, so every product runs over contiguous node vectors instead of
-    one small matrix at a time. Meant for batched grids and stacks with
-    n = 2..4: n = 2 and 3 take _cofactors and _det, and _adjugate4 takes
-    each 2x2 minor of a 4x4 once. det is not checked. adj[i, j, ...] is
-    the adjugate, so sum_j adj[i, j] a[j, k] = det * delta_ik.
+    one small matrix at a time. adj[i, j, ...] is the adjugate, so
+    sum_j adj[i, j] a[j, k] = det * delta_ik.
     """
     n = a.shape[0]
-    rows = [[a[i, j] for j in range(n)] for i in range(n)]
     adj = np.empty_like(a)
-    if n == 4:
-        _adjugate4(rows, adj)
-    else:
-        for k, cof in enumerate(_cofactors([x for r in rows for x in r], n)):
-            adj[k % n, k // n] = cof
-    return _det(rows[0], adj[:, 0], n), adj
-
-
-def _adjugate4(rows: list, adj: np.ndarray) -> None:
-    """Fill adj with the adjugate of a 4x4 entry-first stack, each cofactor expanded on its first row.
-
-    Cofactor (i, j) expands its 3x3 minor on its first row over the 2x2
-    minors of its last two rows, which are rows (2, 3), (1, 3) or (1, 2).
-    Those 18 minors serve all 48 uses, each taken once by the same
-    operations on the same operands, so every bit matches the plain
-    first-row recursion.
-    """
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    minor = {(p, q, c, d): (0.0 + rows[p][c] * rows[q][d]) - rows[p][d] * rows[q][c]
-             for p, q in ((2, 3), (1, 3), (1, 2)) for c, d in pairs}
-    for i in range(4):
-        r0, r1, r2 = (k for k in range(4) if k != i)
-        for j in range(4):
-            c0, c1, c2 = (k for k in range(4) if k != j)
-            top = rows[r0]
-            cof = (((0.0 + top[c0] * minor[r1, r2, c1, c2]) - top[c1] * minor[r1, r2, c0, c2])
-                   + top[c2] * minor[r1, r2, c0, c1])
-            adj[j, i] = -cof if (i + j) % 2 else cof
+    for k, cof in enumerate(_cofactors([a[i, j] for i in range(n) for j in range(n)], n)):
+        adj[k % n, k // n] = cof
+    return adj
 
 
 def hs_norm(m) -> float | np.ndarray:
@@ -246,7 +246,7 @@ def hs_norm(m) -> float | np.ndarray:
 
 
 def cofactor(m) -> np.ndarray:
-    """Cofactor matrix: _cofactors at n = 2 and 3, the transposed adjugate of _det_adj at n = 4.
+    """Cofactor matrix, from _cofactors on the matrix's entries.
 
     Defined for every matrix, singular ones included, and satisfies
     cofactor(M)^T M = det(M) I.
@@ -255,22 +255,26 @@ def cofactor(m) -> np.ndarray:
 
 
 def _cofactor(a: np.ndarray) -> np.ndarray:
-    """cofactor of a float matrix or stack; at n = 2 and 3 C-ordered, from _cofactors on its entries."""
-    if a.shape[-1] == 4:
-        return np.moveaxis(_det_adj(np.moveaxis(a, (-2, -1), (0, 1)))[1], (0, 1), (-1, -2))
+    """cofactor of a float matrix or stack, C-ordered, from _cofactors on its entries."""
     c = _cofactors(_entries(a), a.shape[-1])
     return (np.array(c) if a.ndim == 2 else np.stack(c, axis=-1)).reshape(a.shape)
 
 
 def _inverse_t(a: np.ndarray, d) -> np.ndarray:
-    """J^{-T} of a matrix or stack a that _checked passed with det d.
+    """J^{-T} of a matrix or stack a that _checked passed with det d, as _cofactor(a) / d.
 
-    _cofactor(a) / d at n = 2 and 3, so a stack row has its single call's
-    bits; LAPACK's inverse at n = 4, a tenth of _adjugate4's time on one matrix.
+    One matrix is divided on Python floats and a stack on node arrays, so
+    a stack row has its single call's bits. A J^{-T} past the float range
+    (a cofactor or a quotient overflowed) is NonFiniteValue.
     """
-    if a.shape[-1] == 4:
-        return np.swapaxes(np.linalg.inv(a), -1, -2)
-    return _cofactor(a) / d[..., None, None]
+    if a.ndim == 2:  # floats never warn, as in _checked
+        d = float(d)
+        inv = [x / d for x in _cofactors(a.ravel().tolist(), a.shape[-1])]
+        if not all(map(math.isfinite, inv)):
+            _finite(np.array(inv), "J^{-T}")
+        return np.array(inv).reshape(a.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as such
+        return _finite(_cofactor(a) / d[..., None, None], "J^{-T}")
 
 
 def trace_dilation(j) -> float | np.ndarray:
@@ -305,21 +309,23 @@ def _sg_field(j) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray]:
     """Field F = S(g) J^{-T} from one checked determinant, with |J|^2 and det J.
 
     F = (J - |J|^2 J^{-T} / n) / (det J)^(2/n), the identity factoring_residual
-    pins, with J^{-T} from _inverse_t: one 2x2 or 3x3 matrix takes _sg_one
-    (its |J|^2 and det come back as floats), and a stack row has its bits.
+    pins, by _field with J^{-T} = cofactor / det: one matrix takes _sg_one
+    (its |J|^2 and det come back as floats), and a stack the same kernel
+    on node arrays, so a stack row has its bits.
     """
-    a = _as_matrix(j)
-    if a.ndim == 2 and a.shape[-1] < 4:  # floats never warn, as in _checked
-        field, nsq, d = _sg_one(a.ravel().tolist())
+    a = np.asarray(j, dtype=float)
+    if a.ndim == 2:  # floats never warn, as in _checked
+        field, nsq, d = _sg_one(_as_matrix(a).ravel().tolist())
         return np.array(field).reshape(a.shape), nsq, d
     a, n, d, nsq = _checked(a)
+    e = _entries(a)
     with np.errstate(over="ignore", invalid="ignore"):  # as in _checked
-        scaled = (nsq / n)[..., None, None] * _inverse_t(a, d)
-        return (a - scaled) / np.float_power(d, 2.0 / n)[..., None, None], nsq, d
+        field = _field(e, _cofactors(e, n), d, nsq, n)
+    return np.stack(field, axis=-1).reshape(a.shape), nsq, d
 
 
 def _sg_one(flat: list, row: int | None = None) -> tuple[list, float, float]:
-    """F's entries, |J|^2 and det of one 2x2 or 3x3 matrix's entries, checked as _checked checks.
+    """F's entries, |J|^2 and det of one n = 2..4 matrix's entries, checked as _checked checks.
 
     The kernel on Python floats, each check made inline and a failing
     value handed to its shared check, which raises its error.
@@ -329,7 +335,7 @@ def _sg_one(flat: list, row: int | None = None) -> tuple[list, float, float]:
     """
     if not all(map(math.isfinite, flat)):
         raise NonFiniteValue("matrix entries must be finite")
-    n = 2 if len(flat) == 4 else 3
+    n = math.isqrt(len(flat))
     if row is None:
         e, first = flat, _cofactors(flat, n)
     else:

@@ -5,7 +5,7 @@ grid flow, whose picard mode differences each saved state again.
 
 None is part of the package; the tests check the exact jets, the folded
 composites, the polynomial map's entry-first sums, trace_flowline, the differential-drift identity, the pathwise
-identity, verify's block reader, tensor._det_adj and run_flow (both modes) against them.
+identity, verify's block reader, tensor's cofactors and run_flow (both modes) against them.
 """
 
 from __future__ import annotations
@@ -291,7 +291,7 @@ def _expand_det(rows: list) -> np.ndarray:
 def _expansion_det_adj(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """det and adjugate of an entry-first stack, every cofactor expanded anew on its first row.
 
-    The plain form of tensor._det_adj at every n, whose 2x2 and 3x3
+    The plain form of tensor._cofactors at every n, whose 2x2 and 3x3
     cofactors are written out and whose 4x4 branch takes each shared 2x2
     minor once instead.
     """

@@ -206,6 +206,13 @@ class TestTraceFlowline:
                 "jacobian shape (3, 3) at one point does not match n=2")):
             trace_flowline(m, [0.1, 0.05])
 
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_dimension_outside_the_kernel_rejected(self, n):
+        # maps allow these, the field's kernel does not
+        m = identity_map(1) if n == 1 else make_map("polynomial", n=5, seed=1)
+        with pytest.raises(ValueError, match=re.escape(f"dimension {n} outside supported range 2..4")):
+            trace_flowline(m, [0.1, 0.2, 0.1, -0.1, 0.0][:n])
+
     def test_nan_domain_predicate_rejected_at_the_start(self):
         with pytest.raises(ValueError, match=re.escape("domain predicate is NaN at [0.1, 0.2]")):
             trace_flowline(make_teichmuller(2), [0.1, 0.2], domain=lambda x: math.nan)

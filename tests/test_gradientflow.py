@@ -17,6 +17,7 @@ from qcflow import (
     NonPositiveDeterminant,
     OriginExcluded,
     gradientflow,
+    tensor,
 )
 from qcflow.gradientflow import (
     DEFAULT_SAFETY,
@@ -573,11 +574,11 @@ class TestRunFlow:
         # reuses its update), picard one for u0 and one for each saved
         # state a later pass reads (its step 0 reads u0's again)
         shapes, in_advance = [], []
-        det_adj, advance = gradientflow._det_adj, gradientflow._advance
+        adjugate, advance = gradientflow._adjugate, gradientflow._advance
 
-        def counted_det_adj(a):
+        def counted_adjugate(a):
             shapes.append(a.shape[2:])
-            return det_adj(a)
+            return adjugate(a)
 
         def counted_advance(*args):
             before = len(shapes)
@@ -585,7 +586,7 @@ class TestRunFlow:
             in_advance.append(len(shapes) - before)
             return fields
 
-        monkeypatch.setattr(gradientflow, "_det_adj", counted_det_adj)
+        monkeypatch.setattr(gradientflow, "_adjugate", counted_adjugate)
         monkeypatch.setattr(gradientflow, "_advance", counted_advance)
         grid, outer = affine_bump_grid(), 3
         stats = run_flow(grid, 2.0, t_final, mode=mode, safety=safety, outer=outer)
@@ -735,10 +736,13 @@ class TestFieldsArithmetic:
     @given(v=_grid_arrays(), h=st.floats(1e-3, 10.0))
     def test_det_equals_the_adjugate_kernels(self, v, h):
         # _fields takes det from the first row's cofactors alone; it keeps
-        # the bits of tensor._det_adj's det, beside which the coefficients
-        # make the adjugate
+        # the bits of the first row against the first column of the
+        # adjugate, which the coefficients make beside it
         fields = gradientflow._fields(v, h)
-        assert fields.det.tobytes() == gradientflow._det_adj(fields.jac)[0].tobytes()
+        n = v.shape[0]
+        adj = gradientflow._adjugate(fields.jac)
+        want = tensor._det([fields.jac[0, j] for j in range(n)], adj[:, 0], n)
+        assert fields.det.tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(v=_grid_arrays(), h=st.floats(1e-3, 10.0), p=st.sampled_from([1.0, 2.0, 5.0]))

@@ -25,7 +25,8 @@ from qcflow import (
     lp_nondiv,
     trace_dilation,
 )
-from qcflow.gradientflow import dtmax, make_grid
+from qcflow.flowlines import trace_flowline
+from qcflow.gradientflow import _det_field, dtmax, make_grid
 from qcflow.maps import (
     affine_map,
     identity_map,
@@ -37,7 +38,7 @@ from qcflow.maps import (
     wedge_map,
 )
 from qcflow.operators import _contracted_operator, _operator_coefficients
-from qcflow.tensor import _det_adj
+from qcflow.tensor import _adjugate
 
 
 def fd_linearization(q, p, h):
@@ -274,7 +275,7 @@ def _oracle_and_contracted(q, hess, p):
     """n^4 contraction of flux_linearization and the contracted kernel, node-major."""
     oracle = np.einsum("...ikjl,...kjl->...i", flux_linearization(q, p), hess)
     q = np.moveaxis(q, (-2, -1), (0, 1))
-    coeff = _operator_coefficients(q, *_det_adj(q), np.sum(q * q, axis=(0, 1)), p)
+    coeff = _operator_coefficients(q, _det_field(q), _adjugate(q), np.sum(q * q, axis=(0, 1)), p)
     fast = _contracted_operator(coeff, np.moveaxis(hess, (-3, -2, -1), (0, 1, 2)))
     return oracle, np.moveaxis(fast, 0, -1)
 
@@ -607,18 +608,24 @@ class TestStacks:
                        H=np.zeros((2, 2, 2, 2)))
 
 
+def _refuse_lapack(monkeypatch) -> None:
+    """Make every later call to LAPACK's inverse or det fail the test."""
+    for name in ("inv", "det"):
+        def refused(a, name=name):
+            raise AssertionError(f"np.linalg.{name} called")
+
+        monkeypatch.setattr(np.linalg, name, refused)
+
+
 class TestOneInverse:
-    """Below n = 4 every J^{-T} is tensor._inverse_t's cofactor / det, never LAPACK's inverse."""
+    """At n = 2..4 every J^{-T} and det is tensor's kernel, never LAPACK's inverse or det."""
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_no_lapack_inverse_below_four(self, monkeypatch, n):
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_no_lapack_inverse_or_det(self, monkeypatch, n):
         jets, xi, eta = _jet_stack(13, n, (4,))
-        grid = make_grid(make_map("affine_bump", n=n, amplitude=0.05), (9,) * n, 1.0 / 8.0)
-
-        def refused(a):
-            raise AssertionError("np.linalg.inv called")
-
-        monkeypatch.setattr(np.linalg, "inv", refused)
+        _refuse_lapack(monkeypatch)
+        grid = make_grid(make_map("affine_bump", n=n, amplitude=0.05), (9 if n < 4 else 6,) * n,
+                         1.0 / 8.0)
         for idx in (Ellipsis, 0):  # the stack and its first row alone
             jet, q = _row(jets, idx), jets.J[idx]
             flux(q, 2.0)
@@ -629,3 +636,11 @@ class TestOneInverse:
             lp_asymptotic_ratio(jet, 2.0)
             dilation_gradient(jet)
         dtmax(grid, 2.0)
+
+    @pytest.mark.parametrize("name, params", [("polynomial", {"seed": 1}), ("inversion", {})],
+                             ids=["polynomial", "inversion"])
+    def test_four_dimensional_walk_takes_no_lapack(self, monkeypatch, name, params):
+        m = make_map(name, n=4, **params)
+        _refuse_lapack(monkeypatch)
+        traj = trace_flowline(m, [0.1, 0.2, 0.1, -0.1], ds=1e-3, max_len=0.05)
+        assert traj.terminated in ("maxLength", "degenerate") and len(traj) >= 1

@@ -8,7 +8,7 @@ import pytest
 from conftest import random_posdet
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import _checked_det_adj
+from oracles import _checked_det_adj, _expansion_det_adj
 
 from qcflow import (
     Jet2Sample,
@@ -22,13 +22,20 @@ from qcflow import (
     factoring_residual,
     flux,
     hs_norm,
+    linfty_factored,
     trace_dilation,
 )
+from qcflow.gradientflow import _det_field
 from qcflow.maps import affine_map, compose, moebius, radial_stretch
-from qcflow.tensor import (_checked, _cofactor_row, _cofactors, _det_adj, _dilation, _dilation_field,
-                           _inverse_t, _matrix_det, _sg_field, _sg_one)
+from qcflow.tensor import (_adjugate, _checked, _cofactor_row, _cofactors, _dilation, _dilation_field,
+                           _entries, _entries_det, _inverse_t, _sg_field, _sg_one)
 from qcflow.traces import critical_equality_check
 from qcflow.verify import random_moebius
+
+
+def _matrix_det(a):
+    """The kernel's det of a matrix or stack, as maps takes an affine factor's."""
+    return _entries_det(_entries(a), a.shape[-1])
 
 
 def random_spd_jacobians(rng, n, count, scale=0.4):
@@ -52,7 +59,7 @@ def _signed_zeros(rng, n):
         q *= np.where(rng.random((n, n)) < 0.5, -1.0, 1.0)
         if np.linalg.det(q) < 0.0:
             q[0] = -q[0]
-        if np.linalg.det(q) > 0.0 and _det_adj(q)[0] > 0.0:
+        if np.linalg.det(q) > 0.0 and _matrix_det(q) > 0.0:
             return q
 
 
@@ -157,7 +164,7 @@ class TestDetAdj:
         for n in (2, 3, 4):
             mats = rng.standard_normal((200, n, n))
             mats = mats[np.linalg.det(mats) >= 0.05]
-            det, adj = _det_adj(np.moveaxis(mats, 0, -1))
+            det, adj = _matrix_det(mats), _adjugate(np.moveaxis(mats, 0, -1))
             scale = hs_norm(mats) ** n
             np.testing.assert_allclose(det, np.linalg.det(mats), rtol=0, atol=1e-13 * scale.max())
             adj = np.moveaxis(adj, -1, 0)
@@ -172,22 +179,39 @@ class TestDetAdj:
         # each shared 2x2 minor is taken once, by the recursion's own operations
         mats = np.asarray(STACK_FORMS[form](np.random.default_rng(seed), 4, count), dtype=float)
         a = mats[0] if single else np.moveaxis(mats, 0, -1)
-        det, adj = _det_adj(a)
         want_det, want_adj = _checked_det_adj(a)
-        assert det.tobytes() == want_det.tobytes()
-        assert adj.tobytes() == want_adj.tobytes()
+        assert np.asarray(_det_field(a)).tobytes() == want_det.tobytes()
+        assert _adjugate(a).tobytes() == want_adj.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 9),
+           form=st.sampled_from(sorted(STACK_FORMS)))
+    def test_four_by_four_cofactors_match_the_expansion_oracle_bitwise(self, seed, count, form):
+        # every cofactor and every row of them, on one matrix's Python
+        # floats and on a stack's node arrays
+        mats = np.asarray(STACK_FORMS[form](np.random.default_rng(seed), 4, count), dtype=float)
+        want = np.moveaxis(_expansion_det_adj(np.moveaxis(mats, 0, -1))[1], -1, 0).swapaxes(-1, -2)
+        nodes = [mats[:, i, j] for i in range(4) for j in range(4)]
+        assert np.stack(_cofactors(nodes, 4), axis=-1).tobytes() == want.tobytes()
+        for i in range(4):
+            assert np.stack(_cofactor_row(nodes, 4, i), axis=-1).tobytes() == want[:, i].tobytes()
+        for m, w in zip(mats, want):
+            e = m.ravel().tolist()
+            assert np.array(_cofactors(e, 4)).tobytes() == w.tobytes()
+            for i in range(4):
+                assert np.array(_cofactor_row(e, 4, i)).tobytes() == w[i].tobytes()
 
     def test_diag_2d_hand_values(self):
-        det, adj = _det_adj(np.diag([2.0, 5.0]))
-        assert det == 10.0
-        np.testing.assert_array_equal(adj, np.diag([5.0, 2.0]))
+        a = np.diag([2.0, 5.0])
+        assert _matrix_det(a) == 10.0
+        np.testing.assert_array_equal(_adjugate(a), np.diag([5.0, 2.0]))
 
 
 class TestInverseT:
-    """J^{-T} below n = 4: cofactor / det on one matrix's floats and on a stack's node arrays."""
+    """J^{-T} at n = 2..4: cofactor / det on one matrix's floats and on a stack's node arrays."""
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]),
            count=st.integers(1, 9), form=st.sampled_from(sorted(STACK_FORMS)))
     def test_equals_cofactor_over_det_bitwise(self, seed, n, count, form):
         mats = np.asarray(STACK_FORMS[form](np.random.default_rng(seed), n, count), dtype=float)
@@ -199,7 +223,7 @@ class TestInverseT:
             assert _inverse_t(j, d).tobytes() == (cofactor(j) / d).tobytes() == inv_t[i].tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]), decades=st.floats(0.0, 8.0))
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]), decades=st.floats(0.0, 8.0))
     def test_within_a_condition_scaled_bound_of_lapack(self, seed, n, decades):
         # each cofactor errs by a few eps times cond |J^{-1}| det, and det,
         # as the kernel's det test bounds it, by a few eps times
@@ -213,19 +237,24 @@ class TestInverseT:
         bound = 32 * n * n * np.finfo(float).eps * np.linalg.cond(a) ** (n - 1) * np.linalg.norm(want, 2)
         assert np.max(np.abs(_inverse_t(a, _checked(a)[2]) - want)) <= bound
 
-    def test_four_by_four_is_lapacks(self):
-        rng = np.random.default_rng(43)
-        mats = np.array(random_spd_jacobians(rng, 4, 5))
-        for m in (mats, mats[0]):
-            want = np.swapaxes(np.linalg.inv(m), -1, -2)
-            assert _inverse_t(m, _checked(m)[2]).tobytes() == want.tobytes()
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_overflowing_inverse_is_named(self, n):
+        # det 1e-4 and |J|^2 finite, but J^{-T}[0, 0] = 1e310: not a bare
+        # RuntimeWarning, and not inf or NaN entries
+        j = np.diag([1e-310] + [1e153 if n == 3 else 1e102] * (n - 1))
+        for m in (j, np.stack([np.eye(n), j])):
+            jet = Jet2Sample(x=np.zeros(m.shape[:-1]), u=np.zeros(m.shape[:-1]), J=m,
+                             H=np.zeros(m.shape + (n,)))
+            for call in (lambda: flux(m, 2.0), lambda: linfty_factored(jet)):
+                with pytest.raises(NonFiniteValue, match=r"^J\^\{-T\} overflows the float range$"):
+                    call()
 
 
 class TestKernel:
-    """One source for one 2x2 or 3x3 matrix on Python floats and for a stack on node arrays."""
+    """One source for one matrix on Python floats and for a stack on node arrays, n = 2..4."""
 
     @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]),
            count=st.integers(1, 9), form=st.sampled_from(sorted(STACK_FORMS)))
     def test_stack_rows_match_single_calls_bitwise(self, seed, n, count, form):
         # every sum has its own fixed order, so neither the numpy version
@@ -241,13 +270,13 @@ class TestKernel:
             assert k[i].tobytes() == trace_dilation(j).tobytes() == _dilation(nsq1, det1, n).tobytes()
 
     @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]),
            count=st.integers(1, 9), form=st.sampled_from(sorted(STACK_FORMS)))
     def test_one_row_matches_the_full_field_bitwise(self, seed, n, count, form):
         # a flow line's RK4 stage takes one row of F: the first row's
         # cofactors for det, the row's own for F, and nothing else
         mats = np.asarray(STACK_FORMS[form](np.random.default_rng(seed), n, count), dtype=float)
-        dets = _matrix_det(mats), _det_adj(np.moveaxis(mats, 0, -1).copy())[0]
+        dets = _matrix_det(mats), _det_field(np.moveaxis(mats, 0, -1).copy())
         for i, j in enumerate(mats):
             e = j.ravel().tolist()
             full, nsq, det = _sg_one(e)
@@ -263,7 +292,7 @@ class TestKernel:
                 assert np.array([nsq1, det1]).tobytes() == np.array([nsq, det]).tobytes()
 
     @settings(max_examples=300, deadline=None)
-    @given(n=st.sampled_from([2, 3]), data=st.data())
+    @given(n=st.sampled_from([2, 3, 4]), data=st.data())
     def test_one_row_raises_as_the_full_field(self, n, data):
         # a non-finite entry, a det <= 0 or past the float range, and an
         # |J|^2 past it are refused by the same check with the same message
@@ -283,7 +312,7 @@ class TestKernel:
             assert np.array([nsq1, det1]).tobytes() == np.array([nsq, det]).tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]), decades=st.floats(0.0, 8.0))
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]), decades=st.floats(0.0, 8.0))
     def test_det_within_a_condition_scaled_bound_of_lapack(self, seed, n, decades):
         # singular values spread over up to 8 decades. The expansion errs
         # by a few eps times the sum of its terms' magnitudes, which
@@ -296,7 +325,7 @@ class TestKernel:
         bound = 16 * n * n * np.finfo(float).eps * np.linalg.cond(a) ** (n - 1) * abs(want)
         assert abs(_matrix_det(a) - want) <= bound
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("fault, error, message", [
         ("nan", NonFiniteValue, "matrix entries must be finite"),
         ("fold", NonPositiveDeterminant, "determinant must be positive (min -2.000000e+00)"),
@@ -309,8 +338,8 @@ class TestKernel:
         # nan_det: every product of the all-1e200 matrix overflows, and
         # inf - inf is NaN; under the RuntimeWarning filter neither arm warns
         j = {"nan": np.where(np.eye(n) > 0, 1.0, np.nan), "fold": np.diag([-2.0] + [1.0] * (n - 1)),
-             "singular": np.diag([0.0] + [1.0] * (n - 1)), "inf_det": np.diag([1e200, 2e200, 3e200][:n]),
-             "nan_det": np.full((n, n), 1e200), "inf_norm": np.diag([1e200, 1e-200, 1.0][:n])}[fault]
+             "singular": np.diag([0.0] + [1.0] * (n - 1)), "inf_det": np.diag([1e200, 2e200, 3e200, 4e200][:n]),
+             "nan_det": np.full((n, n), 1e200), "inf_norm": np.diag([1e200, 1e-200, 1.0, 1.0][:n])}[fault]
         stack = np.stack([np.eye(n), j])
         rows = [lambda row=row: _sg_one(j.ravel().tolist(), row) for row in range(n)]
         for call in (lambda: _sg_one(j.ravel().tolist()), lambda: _checked(j), lambda: _checked(stack),
@@ -362,8 +391,8 @@ class TestDilationField:
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]),
            count=st.integers(1, 9), form=st.sampled_from(sorted(STACK_FORMS)))
     def test_stack_rows_match_single_calls_bitwise(self, seed, n, count, form):
-        # one 2x2 or 3x3 matrix takes the float branch, a stack of them
-        # _det_adj's cofactors; exact +-0.0 entries, integers and a
+        # one matrix takes the float branch, a stack of them
+        # the kernel on node arrays; exact +-0.0 entries, integers and a
         # transposed view (whose |J|^2 numpy sums in memory order) reach both
         rng = np.random.default_rng(seed)
         mats = STACK_FORMS[form](rng, n, count)
@@ -374,7 +403,7 @@ class TestDilationField:
             assert k1.tobytes() == k[i].tobytes() == trace_dilation(j).tobytes()
             assert f1.tobytes() == field[i].tobytes()
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("fault", ["nan", "inf", "fold", "shape"])
     def test_float_branch_raises_as_the_array_branch(self, n, fault):
         j = np.eye(n)
@@ -395,13 +424,13 @@ class TestDilationField:
         elif fault == "fold":
             assert str(want.value) == "determinant must be positive (min -2.000000e+00)"
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_one_matrix_takes_no_errstate(self, monkeypatch, n):
         # floats never warn: one matrix gives its stack-of-one row's bits and errors,
         # with nsq and det as Python floats, and never enters np.errstate
         rng = np.random.default_rng(n)
-        mats = [random_posdet(rng, n), np.diag([1e200, 1e200, 1e200][:n]),
-                np.diag([1e200, 1e-200, 1.0][:n]), np.diag([-1.0] + [1.0] * (n - 1)),
+        mats = [random_posdet(rng, n), np.diag([1e200] * n),
+                np.diag([1e200, 1e-200, 1.0, 1.0][:n]), np.diag([-1.0] + [1.0] * (n - 1)),
                 np.full((n, n), 1e200), np.diag([1e150] * n)]
         stacked = []
         for j in mats:
@@ -624,8 +653,7 @@ class TestIdentityProperties:
     def test_adjugate_times_matrix_is_det(self, seed, n, spread):
         rng = np.random.default_rng(seed)
         mats = np.stack([random_posdet(rng, n, spread) for _ in range(4)])
-        det, adj = _det_adj(np.moveaxis(mats, 0, -1))
-        adj = np.moveaxis(adj, -1, 0)
+        det, adj = _matrix_det(mats), np.moveaxis(_adjugate(np.moveaxis(mats, 0, -1)), -1, 0)
         atol = 1e-13 * float(np.max(hs_norm(mats))) ** n
         np.testing.assert_allclose(det, np.linalg.det(mats), rtol=0, atol=atol)
         np.testing.assert_allclose(adj @ mats, det[:, None, None] * np.eye(n), rtol=0, atol=atol)
