@@ -2,44 +2,26 @@
 
 Discretizes maps on uniform rectangular grids with Dirichlet boundary
 data and advances interior nodes by forward Euler on the non-divergence
-form of the finite-p operator. One stepping loop serves both modes; they
-differ only in where a step takes its coefficients and in how it treats
-an energy rise. explicit mode reads the coefficients off the current
-state, rejects a step that raises the energy and halves dt. picard mode
-re-integrates the horizon at fixed dt against the previous pass's saved
-states (the first pass freezes them at the initial data), keeps a step
-that raises the energy and counts it as a violation. In both modes five
-consecutive violations, a determinant below half the initial minimum,
-or a non-finite value halt the run.
+form of the finite-p operator. Stencils work entry-first: a state is
+v[i, *nodes], its Jacobian J[i, a, *nodes] and its Hessian
+H[i, a, b, *nodes], so each matrix entry is a contiguous vector over the
+nodes. _fields differences a state once: its Jacobian (checked finite
+where it is made), its det from the first row's cofactors, and |J|^2.
+_Fields.coefficients prepares the operator's coefficients (the inverse
+and the power weight) for the nodes asked for, and _interior_update
+contracts them with an interior Hessian in O(n^3) per node.
 
-Grid stencils work entry-first: the stepped state is held as
-v[i, *nodes], component axis first, from u0 to the horizon, so the
-Jacobian is J[i, a, *nodes], the Hessian H[i, a, b, *nodes], and every
-matrix entry is a contiguous vector over the nodes; run_flow turns the
-final state back into a values-last GridField once. Each state is
-differenced once, by _fields: its entry-first values, which the next
-step's Hessian reads, its Jacobian (the np.gradient stencils, taken by
-slicing in _first_difference), its determinant from the first row's
-cofactors (tensor._entries_det), and |J|^2, over every node, with the
-Jacobian's entries checked finite where they are made.
-_advance steps v and builds them for the stepped state, holding its det
-to the collapse floor; the energy reads their |J|^2 and det, and the
-next step prepares their interior once as the coefficients
-(operators._operator_coefficients: the inverse and the power weight)
-that _interior_update contracts with the interior Hessian in O(n^3) per
-node (operators._contracted_operator). The adjugate is made only where
-coefficients are prepared (_Fields.coefficients), for the nodes they
-cover, beside _fields' det: the interior at each explicit step, the
-full grid once for the boundary residual. The public energy,
-interior_operator, explicit_step and compatibility_check, and run_flow's
-set-up, take a given grid's fields from _checked_fields, which also
-holds det > 0; run_flow's step bound and residual read its u0 fields. Picard's first pass prepares the
-initial coefficients once and reads them at every step. A pass that
-another follows keeps the interior of the Jacobian _advance made for
-each state it accepts but its last, which no step reads; the next pass
-prepares each step's coefficients from it by the same path, dropping it
-as it reads it, so no state is differenced twice. Only the step bound
-builds the n^4 flux_linearization, once per run, for its mass.
+run_flow is one driver, _run_pass, and two steppers. The driver runs a
+pass from u0 to the horizon and owns time, the energy-rise policy, the
+halts and the monitors; _advance makes each stepped state's fields and
+holds its det to the collapse floor. A stepper turns an accepted
+state's fields into the update from it. The explicit stepper
+(_explicit_update, also behind interior_operator and explicit_step)
+prepares the state's own interior coefficients; the picard stepper
+reads those of the previous pass's state at the same step (u0's
+throughout the first pass), prepared from the Jacobian interior that
+pass saved, each freed as it is read, so no state is differenced twice.
+Only the step bound builds the n^4 flux_linearization, once per run.
 """
 
 from __future__ import annotations
@@ -331,11 +313,14 @@ def _interior_update(coeff: tuple, v: np.ndarray, h: float) -> np.ndarray:
     return _contracted_operator(coeff, _interior_hessian(v, h))
 
 
+def _explicit_update(fields: _Fields, p: float, h: float) -> np.ndarray:
+    """The explicit stepper: a state's update from its own interior coefficients and Hessian."""
+    return _interior_update(fields.coefficients(p, _interior(fields.v.ndim - 1)), fields.v, h)
+
+
 def interior_operator(grid: GridField, p: float) -> np.ndarray:
     """Non-divergence operator at interior nodes, shape (*interior, n)."""
-    fields = _checked_fields(grid.values, grid.h)
-    coeff = fields.coefficients(p, _interior(grid.n))
-    return np.moveaxis(_interior_update(coeff, fields.v, grid.h), 0, -1)
+    return np.moveaxis(_explicit_update(_checked_fields(grid.values, grid.h), p, grid.h), 0, -1)
 
 
 def _check_flow_args(**args) -> None:
@@ -410,7 +395,7 @@ def explicit_step(grid: GridField, p: float, dt: float) -> GridField:
     raising DeterminantCollapse.
     """
     fields = _checked_fields(grid.values, grid.h)
-    update = _interior_update(fields.coefficients(p, _interior(grid.n)), fields.v, grid.h)
+    update = _explicit_update(fields, p, grid.h)
     stepped = _advance(fields.v, update, dt, grid.h, 0.5 * float(np.min(grid.det_cache)))
     return _grid(grid, stepped.v, stepped.det)
 
@@ -421,7 +406,9 @@ class FlowRunStats:
 
     Arrays share indexing: row k describes the state after k accepted
     steps (row 0 is the initial state, with dt 0). halt_reason is None
-    for a run that reached its horizon.
+    for a run that reached its horizon. In picard mode the stats are
+    those of the last pass run (the halting pass, if one halted), and
+    violations sums over every pass run.
     """
 
     times: np.ndarray
@@ -444,106 +431,115 @@ class FlowRunStats:
             fh.write("\n".join(lines) + "\n")
 
 
+class _Run(NamedTuple):
+    """The constants of a flow run that each pass reads; grid, e0 and compat are u0's."""
+
+    grid: GridField
+    p: float
+    t_final: float
+    volume: float
+    e0: float
+    compat: float
+
+
+def _run_pass(run: _Run, fields: _Fields, step, dt: float, fixed: bool) -> FlowRunStats:
+    """The flow driver: one pass from u0, whose fields are given, to the horizon.
+
+    step, the stepper, turns each accepted state's fields into the update
+    from it; they are dropped before _advance builds the next state's,
+    which keeps picard's peak memory down. A fixed-dt pass stops on its
+    lattice k * dt and keeps a step that raises the energy; an adaptive
+    one stops on its running t and halves dt to retry it. Either counts
+    the rise as a violation, and five in a row, a determinant collapse
+    or a non-finite value halt the pass.
+    """
+    h, min_det0 = run.grid.h, float(np.min(run.grid.det_cache))
+    det_floor, tol = 0.5 * min_det0, ENERGY_TOL_SCALE * (1.0 + abs(run.e0))
+    v, det, t, e_prev, consecutive, violations = fields.v, fields.det, 0.0, run.e0, 0, 0
+    halt = update = None
+    rows = [(0.0, run.e0, min_det0, 0.0)]  # the monitors: time, energy, min det, dt
+    while True:
+        # relative, so tiny horizons are still integrated
+        remaining = run.t_final - ((len(rows) - 1) * dt if fixed else t)
+        if not remaining > 1e-12 * run.t_final:
+            break
+        step_dt = min(dt, remaining)
+        if update is None:
+            update, fields = step(fields), None
+        try:
+            stepped = _advance(v, update, step_dt, h, det_floor)
+        except (DeterminantCollapse, NonFiniteValue) as exc:
+            halt = "determinant_collapse" if isinstance(exc, DeterminantCollapse) else "non_finite"
+            break
+        e_new = _energy(stepped, h, run.p, run.volume)
+        if e_new > e_prev + tol:
+            violations += 1
+            consecutive += 1
+            if consecutive >= MAX_CONSECUTIVE_VIOLATIONS:
+                halt = "unstable"
+                break
+            if not fixed:
+                dt *= 0.5
+                continue
+        else:
+            consecutive = 0
+        fields, stepped, update = stepped, None, None
+        v, det, t, e_prev = fields.v, fields.det, t + step_dt, e_new
+        rows.append((t, e_new, float(np.min(det)), step_dt))
+    times, energies, min_dets, dts = map(np.array, zip(*rows))
+    return FlowRunStats(times, energies, min_dets, dts, halt, run.compat, violations,
+                        _grid(run.grid, v, det))
+
+
+def _picard_stepper(coeff0: tuple, previous, saved, p: float, h: float):
+    """The picard stepper: state k's Hessian against the previous pass's state k coefficients.
+
+    Those are u0's, coeff0, at k = 0 and throughout the first pass
+    (previous None); later, _saved_coefficients of previous's Jacobian
+    interiors. A saved list collects the interior of each state stepped
+    from after u0, for the next pass; the last state is not stepped from.
+    """
+    coeffs = (itertools.repeat(coeff0) if previous is None
+              else itertools.chain([coeff0], _saved_coefficients(previous, p)))
+    reads = itertools.count()
+
+    def step(fields: _Fields) -> np.ndarray:
+        if next(reads) and saved is not None:
+            saved.append(fields.jac[_interior(fields.v.ndim - 1)].copy())
+        return _interior_update(next(coeffs), fields.v, h)
+    return step
+
+
 def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
              safety: float = DEFAULT_SAFETY, outer: int = 3) -> FlowRunStats:
     """Integrate the flow to the horizon with monitors.
 
-    One stepping loop, run once in explicit mode and `outer` times in
-    picard mode. A step takes its coefficients from the current state
-    (explicit) or from the state the previous pass saved at the same
-    step (picard; the first pass uses the initial data). An energy rise
-    is a violation: explicit mode rejects the step and halves dt, picard
-    mode keeps the step at its fixed dt. Five consecutive violations
-    halt the run, as do determinant collapse and non-finite values. The
-    stats describe the final pass; violations count over all passes.
-    p, safety and t_final must be positive finite numbers and outer an
+    explicit mode is one adaptive-dt pass of the driver with the explicit
+    stepper, picard mode `outer` fixed-dt passes with the picard stepper
+    up to the first that halts; each starts from u0 at dt = dtmax. p,
+    safety and t_final must be positive finite numbers and outer an
     integer >= 1; anything else raises ValueError before any work.
     """
     _check_flow_args(mode=mode, p=p, safety=safety, t_final=t_final, outer=outer)
-    explicit = mode == "explicit"
-    passes = 1 if explicit else outer
-    interior = _interior(grid.n)
     fields0 = _checked_fields(grid.values, grid.h)  # u0, differenced once
     dt0 = _dtmax(fields0.jac, grid.h, p, safety)
     compat = _compatibility(grid, fields0, p)
-    det_floor = 0.5 * float(np.min(grid.det_cache))
     volume = _volume(grid.shape, grid.h)
-    e0 = _energy(fields0, grid.h, p, volume)
-    tol = ENERGY_TOL_SCALE * (1.0 + abs(e0))
-
-    violations = 0
-    if not explicit:
-        # picard's coefficients: the first pass freezes them at u0, prepared once
-        coeff0 = fields0.coefficients(p, interior)
-        frozen = itertools.repeat(coeff0)
-    for pass_no in range(passes):
-        # the stepped state, entry-first, and its det
-        v, det, fields = fields0.v, fields0.det, fields0
-        t, dt, e_prev, consecutive, halt = 0.0, dt0, e0, 0, None
-        times, energies, min_dets, dts = [0.0], [e0], [float(np.min(grid.det_cache))], [0.0]
-        # a pass that another follows saves the interior of each accepted
-        # state's Jacobian, from which the next pass prepares its coefficients
-        saved = [] if pass_no + 1 < passes else None
-        # computed once per accepted state, a retry reuses it; until then,
-        # fields are v's, explicit mode's coefficients
-        update = None
-        while True:
-            # picard steps and stops on the lattice k * dt that indexes the
-            # saved states; relative, so tiny horizons are still integrated
-            remaining = t_final - (t if explicit else (len(times) - 1) * dt)
-            if not remaining > 1e-12 * t_final:
-                break
-            step_dt = min(dt, remaining)
-            if update is None:
-                coeff = fields.coefficients(p, interior) if explicit else next(frozen)
-                update = _interior_update(coeff, v, grid.h)
-                # dead once the update is made; freed before the step builds
-                # the next state's, which keeps picard's peak memory down
-                fields = coeff = candidate = None
-            try:
-                candidate = _advance(v, update, step_dt, grid.h, det_floor)
-            except DeterminantCollapse:
-                halt = "determinant_collapse"
-                break
-            except NonFiniteValue:
-                halt = "non_finite"
-                break
-            e_new = _energy(candidate, grid.h, p, volume)
-            if e_new > e_prev + tol:
-                violations += 1
-                consecutive += 1
-                if consecutive >= MAX_CONSECUTIVE_VIOLATIONS:
-                    halt = "unstable"
-                    break
-                if explicit:
-                    dt *= 0.5
-                    continue
-            else:
-                consecutive = 0
-            fields = candidate
-            v, det, t, e_prev, update = fields.v, fields.det, t + step_dt, e_new, None
-            times.append(t)
-            energies.append(e_new)
-            min_dets.append(float(np.min(det)))
-            dts.append(step_dt)
-            if saved is not None:
-                saved.append(fields.jac[interior].copy())
-        if halt is not None:
+    run = _Run(grid, p, t_final, volume, _energy(fields0, grid.h, p, volume), compat)
+    if mode == "explicit":
+        return _run_pass(run, fields0, lambda fields: _explicit_update(fields, p, grid.h), dt0,
+                         fixed=False)
+    coeff0, previous, violations = fields0.coefficients(p, _interior(grid.n)), None, 0
+    for pass_no in range(outer):
+        saved = [] if pass_no + 1 < outer else None
+        stats = _run_pass(run, fields0, _picard_stepper(coeff0, previous, saved, p, grid.h), dt0,
+                          fixed=True)
+        violations += stats.violations
+        if stats.halt_reason is not None:
             break
-        if saved is not None:
-            saved.pop()  # step k reads state k: u0, then each saved state but the last
-            frozen = itertools.chain([coeff0], _saved_coefficients(saved, p))
-
-    return FlowRunStats(
-        times=np.array(times),
-        energy=np.array(energies),
-        min_det=np.array(min_dets),
-        dt_history=np.array(dts),
-        halt_reason=halt,
-        compat_residual=compat,
-        violations=violations,
-        final_grid=_grid(grid, v, det),
-    )
+        previous = saved
+    stats.violations = violations
+    return stats
 
 
 # ---------------------------------------------------------------------------

@@ -311,17 +311,20 @@ def _sg_field(j) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray]:
     F = (J - |J|^2 J^{-T} / n) / (det J)^(2/n), the identity factoring_residual
     pins, by _field with J^{-T} = cofactor / det: one matrix takes _sg_one
     (its |J|^2 and det come back as floats), and a stack the same kernel
-    on node arrays, so a stack row has its bits.
+    on node arrays, so a stack row has its bits. An F past the float range
+    (J^{-T} overflowed) is NonFiniteValue.
     """
     a = np.asarray(j, dtype=float)
     if a.ndim == 2:  # floats never warn, as in _checked
         field, nsq, d = _sg_one(_as_matrix(a).ravel().tolist())
+        if not all(map(math.isfinite, field)):
+            _finite(np.array(field), "F")
         return np.array(field).reshape(a.shape), nsq, d
     a, n, d, nsq = _checked(a)
     e = _entries(a)
     with np.errstate(over="ignore", invalid="ignore"):  # as in _checked
         field = _field(e, _cofactors(e, n), d, nsq, n)
-    return np.stack(field, axis=-1).reshape(a.shape), nsq, d
+    return _finite(np.stack(field, axis=-1), "F").reshape(a.shape), nsq, d
 
 
 def _sg_one(flat: list, row: int | None = None) -> tuple[list, float, float]:

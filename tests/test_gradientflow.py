@@ -633,6 +633,21 @@ class TestRunFlow:
         assert steps > 1 and stats.halt_reason is None
         assert counts == [steps - 1] * 2
 
+    def test_picard_converges_to_the_explicit_flow(self):
+        # with no rejected step, explicit mode runs on picard's dt lattice,
+        # so picard's fixed point is the explicit flow: the fifth pass
+        # lies within its last correction of it. A pass that reads the
+        # previous pass's states one step late still contracts, but to
+        # another flow, about 1e-5 away
+        grid = affine_bump_grid()
+        explicit = run_flow(grid, 2.0, 1e-3)
+        assert explicit.violations == 0 and explicit.halt_reason is None
+        u4, u5 = (run_flow(grid, 2.0, 1e-3, mode="picard", outer=outer) for outer in (4, 5))
+        assert u5.halt_reason is None and u5.times.size == explicit.times.size
+        d5 = float(np.max(np.abs(u5.final_grid.values - u4.final_grid.values)))
+        assert 0.0 < d5 < 1e-6
+        assert np.max(np.abs(u5.final_grid.values - explicit.final_grid.values)) <= d5
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             run_flow(identity_grid((17, 17), 1.0 / 16.0), 2.0, 1e-4, mode="verlet")

@@ -18,6 +18,7 @@ from qcflow import (
     ahlfors,
     analyze,
     cofactor,
+    dilation_gradient,
     distortion_tensor,
     factoring_residual,
     flux,
@@ -461,6 +462,18 @@ class TestDilationField:
     def test_nan_rejected(self):
         with pytest.raises(NonFiniteValue):
             _dilation_field(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+    def test_overflowing_field_is_named(self):
+        # det 1e-4 and |J|^2 finite, but J^{-T}[0, 0] = 1e310 made F[0, 0]
+        # -inf, which the field, K grad K and the dilation gradient passed on
+        j = np.diag([1e-310, 1e153, 1e153])
+        for m in (j, np.stack([np.eye(3), j])):
+            jet = Jet2Sample(x=np.zeros(m.shape[:-1]), u=np.zeros(m.shape[:-1]), J=m,
+                             H=np.zeros(m.shape + (3,)))
+            for call in (lambda: _sg_field(m), lambda: _dilation_field(m),
+                         lambda: dilation_gradient(jet)):
+                with pytest.raises(NonFiniteValue, match=r"^F overflows the float range$"):
+                    call()
 
 
 class TestTraceDilation:
