@@ -62,7 +62,8 @@ def flow_entry(name: str) -> dict:
 
 
 def moved_entries(golden: dict, got: dict) -> list[str]:
-    """One line per flow whose entry differs from the golden's."""
+    """One line per entry that differs from the golden's; a list of numbers of the same
+    length shows each moved number with its index."""
     lines = []
     for name in sorted(golden.keys() | got.keys()):
         old, new = golden.get(name), got.get(name)
@@ -80,6 +81,9 @@ def moved_entries(golden: dict, got: dict) -> list[str]:
                 line += f" {key} {str(a)[:12]} -> {str(b)[:12]}"
             elif isinstance(a, float) and isinstance(b, float):
                 line += f" {key} {a!r} -> {b!r} ({_ulps(a, b)})"
+            elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+                line += "".join(f" {key}[{i}] {p!r} -> {q!r} ({_ulps(p, q)})"
+                                for i, (p, q) in enumerate(zip(a, b)) if p != q)
             else:
                 line += f" {key} {a!r} -> {b!r}"
         lines.append(line)
