@@ -133,14 +133,15 @@ def cmd_ops(map_id: str, params, point: str, p_power: float, out: str | None) ->
         with np.errstate(over="ignore", invalid="ignore"):
             jet = mapping.jet(x)
             report = tensor.analyze(jet.J)
+            _, _, det, nsq = tensor._checked(jet.J)  # the det and |J|^2 behind K and SgNormSq
             record = {
                 "map": map_id,
                 "point": [float(v) for v in x],
                 "p": p_power,
                 "K": float(report.K),
                 "KSquared": float(report.K) ** 2,
-                "detJ": float(np.linalg.det(jet.J)),
-                "normSqJ": float(np.sum(jet.J * jet.J)),
+                "detJ": float(det),
+                "normSqJ": float(nsq),
                 "Sg": [[float(v) for v in row] for row in report.Sg],
                 "SgNormSq": float(report.SgNormSq),
                 "conformal": bool(report.conformal),

@@ -1,26 +1,25 @@
-"""Trajectories along rows of the distortion field S(g) J^{-T}.
-
-trace_flowline walks on Python floats: the position, the velocity,
-every RK4 stage point and the field are lists, and the RK4 step is
-written out at n = 2 and 3 (_rk4). Each sample or stage takes J as
-row-major entries from the map's private single-point accessor
-(SmoothMap._jacobian_entries: the map's entry-first sampler, or the
-public jacobian of a map without one), and |J|^2, det and the field
-from tensor's one kernel on those floats at every n (_sample_field).
-The sample at an accepted point takes the whole field, whose row norms
-pick the row, and adds K; each later RK4 stage takes the active row of
-the field alone, bit-equal to that row of the whole field. A stack of
-samples (du_recovery_check) runs the same kernel on node arrays,
-bit-equal row by row. The public flow_field reads jacobian and returns
-the field as an array. tensor.factoring_residual and
-operators.linfty_flowform keep the S(g) route and are their oracles.
+"""Flow lines: trajectories along rows of the distortion field S(g) J^{-T}.
 
 A flow line follows one row of the field at a time, switching rows only
 when the active row's speed decays under a hysteresis threshold, and
-terminates at the domain boundary, at a length cap, or when the whole
-field degenerates (the near-conformal case). Along such paths the trace
+stops at the domain boundary, at a length cap, or when the whole field
+degenerates (the near-conformal case). Along such paths the trace
 dilation obeys a pathwise derivative identity against the infinite-p
 operator, and for solution maps it stays constant.
+
+trace_flowline is a driver over module-level helpers: _start checks its
+arguments and makes the NaN-checked domain predicate, _sample takes K,
+the field and its row norms at an accepted point, _pick_row chooses the
+row, _rk4 takes one RK4 step along the active row and sign, and
+_boundary_fraction bisects the last step's chord for the boundary. The
+walk runs on Python floats through one field entry, _sample_field:
+tensor's one kernel (_sg_one) on the row-major J entries of the map's
+single-point accessor (SmoothMap._jacobian_entries), the whole field at
+a sample and, at each later RK4 stage, the active row alone, bit-equal
+to that row of the whole field. A stack of samples (du_recovery_check)
+runs the same kernel on node arrays. The public flow_field reads
+jacobian and returns the field as an array. tensor.factoring_residual
+and operators.linfty_flowform keep the S(g) route and are their oracles.
 """
 
 from __future__ import annotations
@@ -126,13 +125,21 @@ def _times(c: float, v: list) -> list:
     return [c * a for a in v]
 
 
-def _rk4(x: list, k1: list, step: float, stage) -> list:
-    """One classical RK4 step of length step from x, where k1 is x's velocity and stage(y) is y's.
+def _rk4(mapping, x: list, k1: list, step: float, row: int, sign: float) -> list:
+    """One classical RK4 step of length step from x along sign times the field's row (from 1).
 
-    Each entry is taken as the array expressions take it: the stage
-    points x + (step / 2) k and x + step k, then
-    x + (step / 6) (((k1 + 2 k2) + 2 k3) + k4). n = 2 and 3 are written out.
+    k1 is x's velocity; each later stage's is read through _sample_field,
+    and a guard violation there is a StepFailure. Each entry is taken as
+    the array expressions take it: the stage points x + (step / 2) k and
+    x + step k, then x + (step / 6) (((k1 + 2 k2) + 2 k3) + k4). n = 2 and
+    3 are written out.
     """
+    def stage(y: list) -> list:
+        try:
+            return _times(sign, _sample_field(mapping, y, row - 1)[0])
+        except GuardViolation as exc:
+            raise StepFailure(f"integrator stage left the map's domain: {exc}") from exc
+
     half, sixth = 0.5 * step, step / 6.0
     if len(x) == 2:
         (a0, a1), (p0, p1) = x, k1
@@ -200,41 +207,19 @@ def _sample_field(mapping, y: list, row: int | None = None) -> tuple[list, float
     return _sg_one(entries, row)
 
 
-def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
-                   domain=None) -> FlowTrajectory:
-    """Integrate a flow line from x0 with classical RK4 at fixed step.
+def _start(mapping, x0, ds: float, max_len: float, domain) -> tuple[list, object]:
+    """trace_flowline's argument checks: the start point as Python floats, and inside(y).
 
-    One loop handles every sample, the first included: sample the field,
-    stop if it is degenerate, pick the row and sign, record the sample,
-    stop at arc parameter max_len, take an RK4 step, and stop at the
-    domain boundary (located by bisection on the signed predicate to
-    1e-10). On a row switch the new row's sign keeps the angle with the
-    previous velocity at most 90 degrees, preserving forward orientation;
-    a degenerate sample keeps the row and sign it arrived with. ds and
-    max_len must be positive finite numbers, and x0 a finite point of
-    shape (n,); domain defaults to the unit ball centered at the origin.
-    The predicate is called with an array, and a NaN from it is a
-    ValueError naming the point.
-
-    The walk reads first-order data only, on Python floats (see the
-    module notes), through one entry, _sample_field, with one
-    determinant per sample or stage: the sample at each accepted point
-    takes the whole field, which picks the row and gives its speed, and
-    each of the three later RK4 stages takes the active row alone. The
-    RK4 combinations are taken entry by entry in the array expressions'
-    order, so every output carries the bits of the same walk on arrays.
-    Guard violations at a stage raise StepFailure. The first stage of a
-    step reuses the velocity already evaluated at the accepted point.
+    inside calls domain (the unit ball when None) with an array, is True
+    where it is negative, and raises ValueError naming y where it is NaN.
     """
     for name, value in (("ds", ds), ("max_len", max_len)):
         if not 0.0 < value < np.inf:  # NaN fails too
             raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-    n = mapping.n
     start = np.array(x0, dtype=float)
-    if start.shape != (n,) or not all(map(math.isfinite, start.tolist())):
-        raise ValueError(f"x0 must be a finite point of shape ({n},), got {start.tolist()!r}")
-    if domain is None:
-        domain = ball_domain()
+    if start.shape != (mapping.n,) or not all(map(math.isfinite, start.tolist())):
+        raise ValueError(f"x0 must be a finite point of shape ({mapping.n},), got {start.tolist()!r}")
+    domain = ball_domain() if domain is None else domain
 
     def inside(y: np.ndarray) -> bool:
         value = domain(y)
@@ -244,66 +229,93 @@ def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
 
     if not inside(start):
         raise ValueError("flow line must start strictly inside the domain")
+    return start.tolist(), inside
 
+
+def _sample(mapping, y: list, n: int) -> tuple[float, list, list, float]:
+    """K, the whole field's entries, its row norms and its norm at the accepted point y."""
+    field, nsq, d = _sample_field(mapping, y)
+    return (_dilation(nsq, d, n), field, *_row_norms(field, n))
+
+
+def _boundary_fraction(inside, here: np.ndarray, end: np.ndarray) -> float:
+    """The fraction lo of the chord from here (inside) to end (not) at which it leaves the domain.
+
+    Bisection: at most 60 halvings, stopping once (hi - lo) times the
+    chord's length is under 1e-10; here + lo (end - here) is inside.
+    """
+    lo, hi = 0.0, 1.0
+    chord = float(np.linalg.norm(end - here))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if inside(here + mid * (end - here)):
+            lo = mid
+        else:
+            hi = mid
+        if (hi - lo) * chord < 1e-10:
+            break
+    return lo
+
+
+def _trajectory(samples: list, reason: str) -> FlowTrajectory:
+    """The trajectory of (s, x, K, row, speed, sign) samples, in FlowTrajectory's field order."""
+    return FlowTrajectory(*(np.array(c) for c in zip(*samples)), terminated=reason)
+
+
+def trace_flowline(mapping, x0, ds: float = DEFAULT_STEP, max_len: float = 1.0,
+                   domain=None) -> FlowTrajectory:
+    """Integrate a flow line from x0 with classical RK4 at fixed step.
+
+    Each pass of the loop samples the field at the accepted point, stops
+    if it is degenerate, picks the row and sign, records the sample,
+    stops at arc parameter max_len, takes an RK4 step, and stops at the
+    domain boundary, found on the step's chord by bisection to 1e-10. On
+    a row switch the new row's sign keeps the angle with the previous
+    velocity at most 90 degrees, preserving forward orientation; a
+    degenerate sample keeps the row and sign it arrived with. ds and
+    max_len must be positive finite numbers, and x0 a finite point of
+    shape (n,); domain defaults to the unit ball centered at the origin.
+    The predicate is called with an array, and a NaN from it is a
+    ValueError naming the point. A guard violation at an RK4 stage is a
+    StepFailure.
+
+    Each sample and each later RK4 stage takes one determinant (see the
+    module notes); a step's first stage reuses the accepted point's
+    velocity. The RK4 combinations are taken entry by entry in the array
+    expressions' order, so every output carries the bits of the same walk
+    on arrays.
+    """
+    x, inside = _start(mapping, x0, ds, max_len, domain)
+    n = mapping.n
     samples = []  # one (s, x, K, row, speed, sign) per sample; x is never mutated
-
-    def finish(reason: str) -> FlowTrajectory:
-        s, x, k, row, speed, sign = (np.array(c) for c in zip(*samples))
-        return FlowTrajectory(s=s, x=x, K=k, row=row, speed=speed, sign=sign,
-                              terminated=reason)
-
-    def sample(y: list) -> tuple[float, list, list, float]:
-        field, nsq, d = _sample_field(mapping, y)
-        return (_dilation(nsq, d, n), field, *_row_norms(field, n))
-
-    def stage_velocity(y: list) -> list:
-        try:
-            return _times(sign, _sample_field(mapping, y, row - 1)[0])
-        except GuardViolation as exc:
-            raise StepFailure(f"integrator stage left the map's domain: {exc}") from exc
-
-    x = start.tolist()
     s, row, sign = 0.0, None, 1.0
     while True:
-        k_val, field, norms, total = sample(x)
+        k_val, field, norms, total = _sample(mapping, x, n)
         if total <= DEGENERACY_TOL * (1.0 + k_val**2):
-            if row is None:
-                row = norms.index(max(norms)) + 1
+            row = _pick_row(norms, None) if row is None else row
             samples.append((s, x, k_val, row, norms[row - 1], sign))
-            return finish("degenerate")
+            return _trajectory(samples, "degenerate")
 
         new_row = _pick_row(norms, row)
+        new = field[(new_row - 1) * n:new_row * n]
         if row is not None and new_row != row:
             # forward orientation: angle with the previous velocity <= 90 degrees
-            new = field[(new_row - 1) * n:new_row * n]
             sign = 1.0 if float(np.dot(new, velocity)) >= 0.0 else -1.0
-        row = new_row
-        velocity = _times(sign, field[(row - 1) * n:row * n])
+        row, velocity = new_row, _times(sign, new)
         samples.append((s, x, k_val, row, norms[row - 1], sign))
         if not s < max_len - 1e-14:
-            return finish("maxLength")
+            return _trajectory(samples, "maxLength")
 
         step = min(ds, max_len - s)
-        x_new = _rk4(x, velocity, step, stage_velocity)
-
+        x_new = _rk4(mapping, x, velocity, step, row, sign)
         end = np.array(x_new)
         if not inside(end):
-            # bisect the chord for the boundary crossing
             here = np.array(x)
-            lo, hi = 0.0, 1.0
-            chord = float(np.linalg.norm(end - here))
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if inside(here + mid * (end - here)):
-                    lo = mid
-                else:
-                    hi = mid
-                if (hi - lo) * chord < 1e-10:
-                    break
+            lo = _boundary_fraction(inside, here, end)
             x_hit = (here + lo * (end - here)).tolist()
-            k_val, _, norms, _ = sample(x_hit)
+            k_val, _, norms, _ = _sample(mapping, x_hit, n)
             samples.append((s + lo * step, x_hit, k_val, row, norms[row - 1], sign))
-            return finish("boundary")
+            return _trajectory(samples, "boundary")
         s += step
         x = x_new
 

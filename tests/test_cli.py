@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qcflow import ConfigError, flowlines, gradientflow, maps, verify
+from qcflow import ConfigError, flowlines, gradientflow, maps, tensor, verify
 from qcflow.cli import main
 
 OPS_KEYS = {"K", "KSquared", "detJ", "normSqJ", "Sg", "SgNormSq",
@@ -133,6 +133,15 @@ class TestOpsCommand:
         rec = json.loads(result.stdout)
         assert rec["detJ"] == pytest.approx(2.0, abs=1e-12)
         assert rec["normSqJ"] == pytest.approx(6.0, abs=1e-12)
+
+    def test_det_and_norm_are_the_numbers_behind_k(self):
+        # at this point LAPACK's det and np.sum's |J|^2 differ in the last
+        # bits from tensor's kernel, whose det and |J|^2 give K and SgNormSq
+        result = run_cli("ops", "teichmuller", "--param", "n=3", "--point", "0.1,0.2,0.1")
+        rec = json.loads(result.stdout)
+        _, n, det, nsq = tensor._checked(maps.make_map("teichmuller", n=3).jet([0.1, 0.2, 0.1]).J)
+        assert (rec["detJ"], rec["normSqJ"]) == (float(det), float(nsq))
+        assert rec["K"] == float(tensor._dilation(nsq, det, n))
 
     def test_out_writes_record_file(self, tmp_path):
         target = tmp_path / "record.json"

@@ -232,6 +232,23 @@ class TestTraceFlowline:
         assert all(isinstance(x, np.ndarray) and x.shape == (2,) for x in calls)
         assert 1 < len(calls) < 20
 
+    def test_nan_domain_predicate_rejected_inside_a_chord(self):
+        # positive at the end of step 4 and NaN in a band about the middle
+        # of its chord: the boundary search's first halving lands in the
+        # band and names that point, at which no step ends
+        m = affine_map([[1.4, 0.2], [0.1, 0.8]])
+        plain = trace_flowline(m, [0.1, 0.05], ds=1e-2, max_len=0.1)
+        here, end = plain.x[3], plain.x[4]
+        mid = here + 0.5 * (end - here)
+
+        def predicate(x):
+            return -1.0 if x[0] < mid[0] - 1e-4 else math.nan if x[0] < mid[0] + 1e-4 else 1.0
+
+        with pytest.raises(ValueError, match=re.escape(
+                f"domain predicate is NaN at {mid.tolist()!r}")):
+            trace_flowline(m, [0.1, 0.05], ds=1e-2, max_len=0.1, domain=predicate)
+        assert not any(np.array_equal(mid, x) for x in plain.x)
+
     @pytest.mark.parametrize("ds", [0.0, -1e-3, math.nan, math.inf])
     def test_bad_step_rejected(self, ds):
         # ds = 0 never advances and ds < 0 walks backwards
