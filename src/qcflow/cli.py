@@ -283,6 +283,11 @@ def cmd_flow(config: str) -> None:
         "violations": stats.violations,
         "compatResidual": stats.compat_residual,
     }
+    if mode == "picard":  # explicit reports keep their keys
+        changes = stats.pass_changes
+        summary["passChanges"] = list(changes)
+        summary["contraction"] = (changes[-1] / changes[-2]
+                                  if len(changes) >= 2 and changes[-2] > 0.0 else None)
     click.echo(json.dumps(summary, sort_keys=True, indent=2))
     sys.exit(EXIT_HALTED if stats.halt_reason else 0)
 

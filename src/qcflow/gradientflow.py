@@ -5,28 +5,35 @@ data and advances interior nodes by forward Euler on the non-divergence
 form of the finite-p operator. Stencils work entry-first: a state is
 v[i, *nodes], its Jacobian J[i, a, *nodes] and its Hessian
 H[i, a, b, *nodes], so each matrix entry is a contiguous vector over the
-nodes. _fields differences a state once: its Jacobian (checked finite
-where it is made), its det from the first row's cofactors, and |J|^2.
+nodes. A stack of states takes a pass axis right after the entries,
+v[i, k, *nodes] and J[i, a, k, *nodes]: every helper reads the last n
+axes as the nodes (n the entry count) and any axes between the entries
+and the nodes as a stack, so one state and a stack go through the same
+code. _fields (and _advance, pass by pass) differences a stack once: its
+Jacobian (checked finite where it is made), its det from the first
+row's cofactors, and |J|^2.
 _Fields.coefficients prepares the operator's coefficients (the inverse
-and the power weight) for the nodes asked for, and _interior_update
-contracts them with an interior Hessian in O(n^3) per node.
+and the power weight) for the passes and nodes asked for, and
+_interior_update contracts them with an interior Hessian in O(n^3) per
+node.
 
-run_flow is one driver, _run_pass, and two steppers. The driver runs a
-pass from u0 to the horizon and owns time, the energy-rise policy, the
-halts and the monitors; _advance makes each stepped state's fields and
-holds its det to the collapse floor. A stepper turns an accepted
-state's fields into the update from it. The explicit stepper
+run_flow is one driver, _run_pass, and two steppers. The driver steps a
+stack of passes from u0 to the horizon, every pass's step j in the same
+numpy calls, and owns time, the energy-rise policy, the halts and the
+monitors; _advance makes each stepped stack's fields and checks each
+pass's values, Jacobian and det floor. A stepper turns an accepted
+stack's fields into the update from it. The explicit stepper
 (_explicit_update, also behind interior_operator and explicit_step)
-prepares the state's own interior coefficients; the picard stepper
-reads those of the previous pass's state at the same step (u0's
-throughout the first pass), prepared from the Jacobian interior that
-pass saved, each freed as it is read, so no state is differenced twice.
-Only the step bound builds the n^4 flux_linearization, once per run.
+prepares each state's own interior coefficients, on a stack of one. The
+picard stepper runs the passes of the fixed-point iteration in lockstep
+(pipelined waveform relaxation): pass k steps its state j with the
+coefficients of pass k - 1's state j, which is that pass's current
+state, so no history is kept and no state is differenced twice. Only
+the step bound builds the n^4 flux_linearization, once per run.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -41,6 +48,7 @@ from .tensor import _adjugate, _entries_det, _positive
 DEFAULT_SAFETY = 0.2
 ENERGY_TOL_SCALE = 1e-12
 MAX_CONSECUTIVE_VIOLATIONS = 5
+_NON_FINITE_JACOBIAN = "difference Jacobian has non-finite entries"
 
 
 @dataclass
@@ -104,24 +112,34 @@ def _first_difference(f: np.ndarray, h: float, axis: int, out: np.ndarray) -> np
 
 
 def _jacobian_field(v: np.ndarray, h: float) -> np.ndarray:
-    """J[i, a, *nodes] = d_a v[i] by central differences, one-sided at edges.
+    """J[i, a, ..., *nodes] = d_a v[i, ..., *nodes] by central differences, one-sided at edges.
 
-    v is a state's entry-first values, v[i, *nodes].
+    v is entry-first values, v[i, *nodes] for one state or v[i, k, *nodes]
+    for a stack.
     """
     n = v.shape[0]
     jac = np.empty((n, n) + v.shape[1:])
     for a in range(n):
-        _first_difference(v, h, 1 + a, jac[:, a])
+        _first_difference(v, h, v.ndim - n + a, jac[:, a])
     return jac
 
 
-class _Fields(NamedTuple):
-    """One grid state's stencil fields over every node, entry-first.
+def _first_failing(ok: np.ndarray, n: int) -> int | None:
+    """The first pass k where ok[..., k, *nodes] (n node axes) is false somewhere, or None."""
+    if ok.all():
+        return None
+    passes = ok.shape[ok.ndim - n - 1]
+    return int(np.argmin(ok.reshape(-1, passes, math.prod(ok.shape[ok.ndim - n:])).all(axis=(0, 2))))
 
-    v[i, *nodes] holds the values, which the Hessians difference;
-    jac[i, a, *nodes] is the difference Jacobian, det its determinant and
-    nsq = |J|^2. The adjugate is not kept: coefficients makes it for the
-    nodes it prepares.
+
+class _Fields(NamedTuple):
+    """The stencil fields of a grid state or a stack of them over every node, entry-first.
+
+    v[i, ..., *nodes] holds the values, which the Hessians difference;
+    jac[i, a, ..., *nodes] is the difference Jacobian, det its determinant
+    and nsq = |J|^2, the stack axes (if any) between the entries and the
+    nodes. The adjugate is not kept: coefficients makes it for the passes
+    and nodes it prepares.
     """
 
     v: np.ndarray
@@ -133,6 +151,17 @@ class _Fields(NamedTuple):
         """The operator's coefficients at index, from jac, det and nsq there and jac's adjugate."""
         jac = self.jac[index]
         return _operator_coefficients(jac, self.det[index], _adjugate(jac), self.nsq[index], p)
+
+    def passes(self, stop: int) -> _Fields:
+        """The fields of the stack's first stop passes."""
+        index = (Ellipsis, slice(None, stop)) + (slice(None),) * self.v.shape[0]
+        return _Fields(*(a[index] for a in self))
+
+
+def _repeat(fields: _Fields, passes: int) -> _Fields:
+    """A stack of one state's fields repeated to the given number of passes."""
+    axis = -1 - fields.v.shape[0]
+    return _Fields(*(np.repeat(a, passes, axis=axis) for a in fields))
 
 
 def _det_field(jac: np.ndarray) -> np.ndarray:
@@ -146,21 +175,8 @@ def _interior(ndim: int) -> tuple:
     return (Ellipsis,) + (slice(1, -1),) * ndim
 
 
-def _saved_coefficients(saved: list, p: float):
-    """The operator's coefficients from each saved Jacobian interior in turn.
-
-    Each entry of saved is dropped as it is read. _advance checked every
-    Jacobian finite and its det above the floor, so det and |J|^2 are
-    taken here unchecked, by the operations _fields takes them with.
-    """
-    for k in range(len(saved)):
-        jac, saved[k] = saved[k], None
-        nsq = np.sum(jac * jac, axis=(0, 1))
-        yield _operator_coefficients(jac, _det_field(jac), _adjugate(jac), nsq, p)
-
-
 def _fields(v: np.ndarray, h: float) -> _Fields:
-    """Difference the entry-first values v[i, *nodes] once and take the fields every consumer reads.
+    """Difference the entry-first values v[i, ..., *nodes] once and take the fields every consumer reads.
 
     A non-finite Jacobian entry raises NonFiniteValue here, where it is
     made. det comes from the first row's cofactors alone (_det_field),
@@ -170,13 +186,18 @@ def _fields(v: np.ndarray, h: float) -> _Fields:
     """
     jac = _jacobian_field(v, h)
     if not np.isfinite(jac).all():
-        raise NonFiniteValue("difference Jacobian has non-finite entries")
+        raise NonFiniteValue(_NON_FINITE_JACOBIAN)
+    return _with_jacobian(v, jac)
+
+
+def _with_jacobian(v: np.ndarray, jac: np.ndarray) -> _Fields:
+    """The fields of the values v from their difference Jacobian jac, checked finite."""
     return _Fields(v, jac, _det_field(jac), np.sum(jac * jac, axis=(0, 1)))
 
 
 def _checked_fields(values: np.ndarray, h: float) -> _Fields:
-    """_fields of a given grid state, whose det must be positive at every node."""
-    fields = _fields(_entry_first(values), h)
+    """_fields of a given grid state as a stack of one, whose det must be positive at every node."""
+    fields = _fields(_entry_first(values)[:, None], h)
     _positive(fields.det)
     return fields
 
@@ -215,17 +236,17 @@ def make_grid(mapping, shape, h: float, origin=None) -> GridField:
     if values.shape != nodes.shape:
         raise ValueError(f"map values have shape {values.shape}, expected {nodes.shape}")
     return GridField(values=values, h=h, origin=origin,
-                     det_cache=_checked_fields(values, h).det)
+                     det_cache=_checked_fields(values, h).det[0])
 
 
 def _interior_hessian(v: np.ndarray, h: float) -> np.ndarray:
-    """H[i, a, b, *interior] by the 3-point and 4-point centred stencils."""
+    """H[i, a, b, ..., *interior] by the 3-point and 4-point centred stencils."""
     n = v.shape[0]
     down, mid, up = slice(None, -2), slice(1, -1), slice(2, None)
 
     def shift(*moves):
         """v at the interior nodes, each (axis, slice) in moves one node off."""
-        index = [slice(None)] + [mid] * n
+        index = [Ellipsis] + [mid] * n
         for a, s in moves:
             index[1 + a] = s
         return v[tuple(index)]
@@ -244,23 +265,24 @@ def _interior_hessian(v: np.ndarray, h: float) -> np.ndarray:
 
 
 def _full_hessian(v: np.ndarray, h: float) -> np.ndarray:
-    """H[i, a, b, *nodes] at every node of the entry-first values v.
+    """H[i, a, b, ..., *nodes] at every node of the entry-first values v.
 
     One-sided second-order stencils on the edges.
     """
     n = v.shape[0]
+    node = v.ndim - n  # the first node axis
     hess = np.empty((n, n) + v.shape)
     for a in range(n):
-        grad = _first_difference(v, h, 1 + a, np.empty_like(v))
+        grad = _first_difference(v, h, node + a, np.empty_like(v))
         for b in range(n):
             if a == b:
-                d2 = np.moveaxis(hess[:, a, a], 1 + a, 0)
-                w = np.moveaxis(v, 1 + a, 0)
+                d2 = np.moveaxis(hess[:, a, a], node + a, 0)
+                w = np.moveaxis(v, node + a, 0)
                 d2[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / h**2
                 d2[0] = (2.0 * w[0] - 5.0 * w[1] + 4.0 * w[2] - w[3]) / h**2
                 d2[-1] = (2.0 * w[-1] - 5.0 * w[-2] + 4.0 * w[-3] - w[-4]) / h**2
             else:
-                _first_difference(grad, h, 1 + b, hess[:, a, b])
+                _first_difference(grad, h, node + b, hess[:, a, b])
     return 0.5 * (hess + np.swapaxes(hess, 1, 2))
 
 
@@ -269,8 +291,8 @@ def _volume(shape: tuple, h: float) -> float:
     return float(np.prod([(m - 1) * h for m in shape]))
 
 
-def _energy(fields: _Fields, h: float, p: float, volume: float) -> float:
-    """Trapezoidal mean of K^{np} from a state's |J|^2 and determinant.
+def _energy(fields: _Fields, h: float, p: float, volume: float):
+    """Trapezoidal mean of K^{np} from |J|^2 and the determinant: a float, or one per pass of a stack.
 
     Each axis takes np.trapezoid's formula, written inline.
     """
@@ -278,12 +300,13 @@ def _energy(fields: _Fields, h: float, p: float, volume: float) -> float:
     y = (fields.nsq / fields.det ** (2.0 / n)) ** (n * p / 2.0)
     for _ in range(n):
         y = (h * (y[..., 1:] + y[..., :-1]) / 2.0).sum(-1)
-    return float(y) / volume
+    return y / volume
 
 
 def energy(grid: GridField, p: float) -> float:
     """Mean of K^{np} over the box by trapezoidal quadrature."""
-    return _energy(_checked_fields(grid.values, grid.h), grid.h, p, _volume(grid.shape, grid.h))
+    fields = _checked_fields(grid.values, grid.h)
+    return float(_energy(fields, grid.h, p, _volume(grid.shape, grid.h))[0])
 
 
 def compatibility_check(grid: GridField, p: float) -> float:
@@ -299,7 +322,7 @@ def compatibility_check(grid: GridField, p: float) -> float:
 def _compatibility(grid: GridField, fields: _Fields, p: float) -> float:
     """compatibility_check of grid from its fields."""
     resid = _contracted_operator(fields.coefficients(p), _full_hessian(fields.v, grid.h))
-    return float(np.max(np.abs(resid[:, grid.boundary_mask])))
+    return float(np.max(np.abs(resid[..., grid.boundary_mask])))
 
 
 def _interior_update(coeff: tuple, v: np.ndarray, h: float) -> np.ndarray:
@@ -314,13 +337,14 @@ def _interior_update(coeff: tuple, v: np.ndarray, h: float) -> np.ndarray:
 
 
 def _explicit_update(fields: _Fields, p: float, h: float) -> np.ndarray:
-    """The explicit stepper: a state's update from its own interior coefficients and Hessian."""
-    return _interior_update(fields.coefficients(p, _interior(fields.v.ndim - 1)), fields.v, h)
+    """The explicit stepper: each state's update from its own interior coefficients and Hessian."""
+    return _interior_update(fields.coefficients(p, _interior(fields.v.shape[0])), fields.v, h)
 
 
 def interior_operator(grid: GridField, p: float) -> np.ndarray:
     """Non-divergence operator at interior nodes, shape (*interior, n)."""
-    return np.moveaxis(_explicit_update(_checked_fields(grid.values, grid.h), p, grid.h), 0, -1)
+    update = _explicit_update(_checked_fields(grid.values, grid.h), p, grid.h)
+    return np.moveaxis(update[:, 0], 0, -1)
 
 
 def _check_flow_args(**args) -> None:
@@ -359,26 +383,36 @@ def _dtmax(jac: np.ndarray, h: float, p: float, safety: float) -> float:
     return safety * h**2 / lam
 
 
-def _advance(v: np.ndarray, update: np.ndarray, dt: float, h: float,
-             det_floor: float) -> _Fields:
-    """Forward-Euler move of the interior nodes of v[i, *nodes] by dt * update.
+def _advance(v: np.ndarray, update: np.ndarray, dt: float, h: float, det_floor: float) -> tuple:
+    """Forward-Euler move of the interior nodes of each pass of v[i, k, *nodes] by dt * update.
 
-    Returns the stepped state's _fields, whose v holds its entry-first
-    values and whose det is its det_cache. A non-finite value or
-    Jacobian entry raises NonFiniteValue, a determinant below det_floor
-    DeterminantCollapse.
+    Returns (fields, min_det, failed). fields are the stepped _fields of
+    the passes before the first that fails a check, and min_det their
+    per-pass minimum det. failed is that first failure as (pass,
+    exception), or None: a non-finite value or Jacobian entry is a
+    NonFiniteValue, a determinant below det_floor a DeterminantCollapse.
+    Each check drops the failing pass and every later one before the
+    next check runs.
     """
+    n = v.shape[0]
     v = v.copy()
-    v[_interior(v.ndim - 1)] += dt * update
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteValue("explicit step produced non-finite values")
-    fields = _fields(v, h)
-    min_det = float(np.min(fields.det))
-    if not min_det >= det_floor:  # a NaN determinant fails too
-        raise DeterminantCollapse(
-            f"step drove min det to {min_det:.6e} < floor {det_floor:.6e}"
-        )
-    return fields
+    v[_interior(n)] += dt * update
+    failed = None
+    k = _first_failing(np.isfinite(v), n)
+    if k is not None:
+        v, failed = v[:, :k], (k, NonFiniteValue("explicit step produced non-finite values"))
+    jac = _jacobian_field(v, h)
+    k = _first_failing(np.isfinite(jac), n)
+    if k is not None:
+        v, jac, failed = v[:, :k], jac[:, :, :k], (k, NonFiniteValue(_NON_FINITE_JACOBIAN))
+    fields = _with_jacobian(v, jac)
+    min_det = np.min(fields.det, axis=tuple(range(1, fields.det.ndim)))
+    k = _first_failing(min_det >= det_floor, 0)  # a NaN determinant fails too
+    if k is not None:
+        failed = (k, DeterminantCollapse(
+            f"step drove min det to {min_det[k]:.6e} < floor {det_floor:.6e}"))
+        fields, min_det = fields.passes(k), min_det[:k]
+    return fields, min_det, failed
 
 
 def _grid(grid: GridField, v: np.ndarray, det: np.ndarray) -> GridField:
@@ -396,8 +430,11 @@ def explicit_step(grid: GridField, p: float, dt: float) -> GridField:
     """
     fields = _checked_fields(grid.values, grid.h)
     update = _explicit_update(fields, p, grid.h)
-    stepped = _advance(fields.v, update, dt, grid.h, 0.5 * float(np.min(grid.det_cache)))
-    return _grid(grid, stepped.v, stepped.det)
+    stepped, _, failed = _advance(fields.v, update, dt, grid.h,
+                                  0.5 * float(np.min(grid.det_cache)))
+    if failed is not None:
+        raise failed[1]
+    return _grid(grid, stepped.v[:, 0], stepped.det[0])
 
 
 @dataclass
@@ -407,8 +444,12 @@ class FlowRunStats:
     Arrays share indexing: row k describes the state after k accepted
     steps (row 0 is the initial state, with dt 0). halt_reason is None
     for a run that reached its horizon. In picard mode the stats are
-    those of the last pass run (the halting pass, if one halted), and
-    violations sums over every pass run.
+    those of the lowest pass that halted, or of the last pass if none
+    halted, and violations sums over the passes up to and including that
+    one: a halted pass drops every later pass, as if it had never run.
+    pass_changes holds max |u_k - u_{k-1}| of the final values of
+    consecutive passes that reached the horizon (k = 2..outer when none
+    halted), so it is empty in explicit mode and for a single pass.
     """
 
     times: np.ndarray
@@ -419,6 +460,7 @@ class FlowRunStats:
     compat_residual: float
     violations: int
     final_grid: GridField = field(repr=False)
+    pass_changes: tuple = ()
 
     def write_csv(self, path) -> None:
         lines = ["step,time,energy,min_det,dt"]
@@ -442,71 +484,124 @@ class _Run(NamedTuple):
     compat: float
 
 
-def _run_pass(run: _Run, fields: _Fields, step, dt: float, fixed: bool) -> FlowRunStats:
-    """The flow driver: one pass from u0, whose fields are given, to the horizon.
+class _Halt(NamedTuple):
+    """The lowest pass that halted so far: its halt, rows kept, final state and violations."""
 
-    step, the stepper, turns each accepted state's fields into the update
-    from it; they are dropped before _advance builds the next state's,
-    which keeps picard's peak memory down. A fixed-dt pass stops on its
-    lattice k * dt and keeps a step that raises the energy; an adaptive
-    one stops on its running t and halves dt to retry it. Either counts
-    the rise as a violation, and five in a row, a determinant collapse
-    or a non-finite value halt the pass.
+    reason: str | None
+    rows: int
+    index: int
+    v: np.ndarray
+    det: np.ndarray
+    violations: int
+
+
+def _halt_reason(exc: Exception | None) -> str:
+    """A pass's halt_reason from its _advance failure; None stands for five energy rises in a row."""
+    if exc is None:
+        return "unstable"
+    return "determinant_collapse" if isinstance(exc, DeterminantCollapse) else "non_finite"
+
+
+def _run_pass(run: _Run, fields: _Fields, step, dt: float, fixed: bool) -> FlowRunStats:
+    """The flow driver: a stack of passes from u0, whose stacked fields are given, to the horizon.
+
+    Every pass takes step j in the same numpy calls. step, the stepper,
+    turns each accepted stack's fields into the update from it; they are
+    dropped before _advance builds the next stack's. A fixed-dt run stops
+    on its lattice k * dt and keeps a step that raises a pass's energy;
+    an adaptive one, a stack of one, stops on its running t and halves dt
+    to retry it. Either counts the rise as a violation of that pass, and
+    five in a row, a determinant collapse or a non-finite value halt the
+    pass. A pass that halts stops there and every later pass is dropped,
+    as run one after another it would never have run; the earlier passes
+    run on. Overflow is not warned of, since a dropped pass must not
+    raise: each check refuses what it makes.
     """
     h, min_det0 = run.grid.h, float(np.min(run.grid.det_cache))
     det_floor, tol = 0.5 * min_det0, ENERGY_TOL_SCALE * (1.0 + abs(run.e0))
-    v, det, t, e_prev, consecutive, violations = fields.v, fields.det, 0.0, run.e0, 0, 0
+    passes = fields.v.shape[1]
+    v, det, t, e_prev = fields.v, fields.det, 0.0, np.full(passes, run.e0)
+    consecutive, violations = np.zeros(passes, dtype=int), np.zeros(passes, dtype=int)
     halt = update = None
-    rows = [(0.0, run.e0, min_det0, 0.0)]  # the monitors: time, energy, min det, dt
-    while True:
-        # relative, so tiny horizons are still integrated
-        remaining = run.t_final - ((len(rows) - 1) * dt if fixed else t)
-        if not remaining > 1e-12 * run.t_final:
-            break
-        step_dt = min(dt, remaining)
-        if update is None:
-            update, fields = step(fields), None
-        try:
-            stepped = _advance(v, update, step_dt, h, det_floor)
-        except (DeterminantCollapse, NonFiniteValue) as exc:
-            halt = "determinant_collapse" if isinstance(exc, DeterminantCollapse) else "non_finite"
-            break
-        e_new = _energy(stepped, h, run.p, run.volume)
-        if e_new > e_prev + tol:
-            violations += 1
-            consecutive += 1
-            if consecutive >= MAX_CONSECUTIVE_VIOLATIONS:
-                halt = "unstable"
+    rows = [(0.0, e_prev, np.full(passes, min_det0), 0.0)]  # time, energies, min dets, dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        while passes:
+            # relative, so tiny horizons are still integrated
+            remaining = run.t_final - ((len(rows) - 1) * dt if fixed else t)
+            if not remaining > 1e-12 * run.t_final:
                 break
-            if not fixed:
-                dt *= 0.5
-                continue
-        else:
-            consecutive = 0
-        fields, stepped, update = stepped, None, None
-        v, det, t, e_prev = fields.v, fields.det, t + step_dt, e_new
-        rows.append((t, e_new, float(np.min(det)), step_dt))
-    times, energies, min_dets, dts = map(np.array, zip(*rows))
-    return FlowRunStats(times, energies, min_dets, dts, halt, run.compat, violations,
-                        _grid(run.grid, v, det))
+            step_dt = min(dt, remaining)
+            if update is None:
+                update, fields = step(fields), None
+            stepped, min_det, failed = _advance(v, update, step_dt, h, det_floor)
+            e_new = _energy(stepped, h, run.p, run.volume)
+            rise = e_new > e_prev[:e_new.size] + tol
+            if rise.any():
+                violations[:rise.size] += rise
+                consecutive[:rise.size] = np.where(rise, consecutive[:rise.size] + 1, 0)
+                k = _first_failing(consecutive[:rise.size] < MAX_CONSECUTIVE_VIOLATIONS, 0)
+                if k is not None:
+                    failed = (k, None)
+                elif not fixed:
+                    dt *= 0.5
+                    continue
+            else:
+                consecutive[:] = 0
+            if failed is not None:  # pass k halts, and the passes after it are dropped
+                k, exc = failed
+                halt = _Halt(_halt_reason(exc), len(rows), k, v[:, k], det[k], int(violations[k]))
+                stepped, min_det, e_new = stepped.passes(k), min_det[:k], e_new[:k]
+                consecutive, violations, passes = consecutive[:k], violations[:k], k
+            fields, stepped, update = stepped, None, None
+            v, det, t, e_prev = fields.v, fields.det, t + step_dt, e_new
+            rows.append((t, e_new, min_det, step_dt))
+    return _stats(run, rows, halt, v, det, violations)
 
 
-def _picard_stepper(coeff0: tuple, previous, saved, p: float, h: float):
-    """The picard stepper: state k's Hessian against the previous pass's state k coefficients.
+def _stats(run: _Run, rows: list, halt: _Halt | None, v: np.ndarray, det: np.ndarray,
+           violations: np.ndarray) -> FlowRunStats:
+    """The run's stats: those of halt's pass, or of the last pass of the stack v reaching the horizon."""
+    passes = violations.size
+    if halt is None:
+        halt = _Halt(None, len(rows), passes - 1, v[:, -1], det[-1], 0)
+    k = halt.index
+    series = zip(*((t, e[k], m[k], dt) for t, e, m, dt in rows[:halt.rows]))
+    times, energies, min_dets, dts = map(np.array, series)
+    changes = tuple(float(np.max(np.abs(v[:, j] - v[:, j - 1]))) for j in range(1, passes))
+    return FlowRunStats(times, energies, min_dets, dts, halt.reason, run.compat,
+                        int(violations.sum()) + halt.violations,
+                        _grid(run.grid, halt.v, halt.det), changes)
 
-    Those are u0's, coeff0, at k = 0 and throughout the first pass
-    (previous None); later, _saved_coefficients of previous's Jacobian
-    interiors. A saved list collects the interior of each state stepped
-    from after u0, for the next pass; the last state is not stepped from.
+
+def _joined(parts: list) -> tuple:
+    """Coefficient tuples of consecutive runs of passes joined into one on the pass axis."""
+    axis = -1 - parts[0][0].shape[0]
+    return tuple(np.concatenate(c, axis=axis) if isinstance(c[0], np.ndarray) else c[0]
+                 for c in zip(*parts))
+
+
+def _picard_stepper(coeff0: tuple, p: float, h: float):
+    """The picard stepper: pass k steps its state j with the coefficients of pass k - 1's state j.
+
+    coeff0 holds u0's interior coefficients, prepared once. Pass 0 reads
+    them at every step, and every pass at step 0. From step 1 passes
+    1..K-1 read those of passes 0..K-2's current states, prepared in one
+    call over that slice of the stack.
     """
-    coeffs = (itertools.repeat(coeff0) if previous is None
-              else itertools.chain([coeff0], _saved_coefficients(previous, p)))
-    reads = itertools.count()
+    started = False
 
     def step(fields: _Fields) -> np.ndarray:
-        if next(reads) and saved is not None:
-            saved.append(fields.jac[_interior(fields.v.ndim - 1)].copy())
-        return _interior_update(next(coeffs), fields.v, h)
+        nonlocal started
+        n, passes = fields.v.shape[:2]
+        if passes == 1:
+            coeff = coeff0
+        elif started:
+            index = (Ellipsis, slice(None, -1)) + (slice(1, -1),) * n
+            coeff = _joined([coeff0, fields.coefficients(p, index)])
+        else:
+            coeff = _joined([coeff0] * passes)
+        started = True
+        return _interior_update(coeff, fields.v, h)
     return step
 
 
@@ -514,32 +609,26 @@ def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
              safety: float = DEFAULT_SAFETY, outer: int = 3) -> FlowRunStats:
     """Integrate the flow to the horizon with monitors.
 
-    explicit mode is one adaptive-dt pass of the driver with the explicit
-    stepper, picard mode `outer` fixed-dt passes with the picard stepper
-    up to the first that halts; each starts from u0 at dt = dtmax. p,
-    safety and t_final must be positive finite numbers and outer an
-    integer >= 1; anything else raises ValueError before any work.
+    explicit mode is the driver on a stack of one with the explicit
+    stepper and adaptive dt. picard mode runs its `outer` fixed-dt passes
+    in lockstep, one stack through the same driver with the picard
+    stepper, and returns what running them one after another up to the
+    first that halts would: the same bits, without keeping any pass's
+    history. Each starts from u0 at dt = dtmax. p, safety and t_final
+    must be positive finite numbers and outer an integer >= 1; anything
+    else raises ValueError before any work.
     """
     _check_flow_args(mode=mode, p=p, safety=safety, t_final=t_final, outer=outer)
-    fields0 = _checked_fields(grid.values, grid.h)  # u0, differenced once
-    dt0 = _dtmax(fields0.jac, grid.h, p, safety)
+    fields0 = _checked_fields(grid.values, grid.h)  # u0, differenced once, a stack of one
+    dt0 = _dtmax(fields0.jac[:, :, 0], grid.h, p, safety)
     compat = _compatibility(grid, fields0, p)
     volume = _volume(grid.shape, grid.h)
-    run = _Run(grid, p, t_final, volume, _energy(fields0, grid.h, p, volume), compat)
+    run = _Run(grid, p, t_final, volume, float(_energy(fields0, grid.h, p, volume)[0]), compat)
     if mode == "explicit":
         return _run_pass(run, fields0, lambda fields: _explicit_update(fields, p, grid.h), dt0,
                          fixed=False)
-    coeff0, previous, violations = fields0.coefficients(p, _interior(grid.n)), None, 0
-    for pass_no in range(outer):
-        saved = [] if pass_no + 1 < outer else None
-        stats = _run_pass(run, fields0, _picard_stepper(coeff0, previous, saved, p, grid.h), dt0,
-                          fixed=True)
-        violations += stats.violations
-        if stats.halt_reason is not None:
-            break
-        previous = saved
-    stats.violations = violations
-    return stats
+    step = _picard_stepper(fields0.coefficients(p, _interior(grid.n)), p, grid.h)
+    return _run_pass(run, _repeat(fields0, outer), step, dt0, fixed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -451,6 +451,23 @@ class TestFlowCommand:
                                 "minDetLast", "haltReason", "violations",
                                 "compatResidual"}
 
+    @pytest.mark.parametrize("outer", [1, 2, 3])
+    def test_picard_summary_reports_its_pass_changes(self, tmp_path, outer):
+        # max |u_k - u_{k-1}| of the final values, k = 2..outer, and the
+        # ratio of the last two, which needs two changes
+        cfg = tmp_path / "flow.json"
+        write_config(cfg, mode="picard", outer=outer)
+        result = run_cli("flow", str(cfg))
+        assert result.exit_code == 0
+        summary = json.loads(result.stdout)
+        grid = gradientflow.make_grid(maps.make_map("affine_bump", n=2), (17, 17), 1.0 / 16.0)
+        stats = gradientflow.run_flow(grid, 2.0, 5e-4, mode="picard", outer=outer)
+        assert summary["passChanges"] == list(stats.pass_changes)
+        assert len(summary["passChanges"]) == outer - 1
+        changes = summary["passChanges"]
+        assert summary["contraction"] == (changes[1] / changes[0] if outer == 3 else None)
+        assert 0.0 < (summary["contraction"] or 0.5) < 1.0
+
     def test_bump_stats_and_snapshots(self, tmp_path):
         cfg = tmp_path / "flow.json"
         stats = tmp_path / "stats.csv"

@@ -22,6 +22,7 @@ from qcflow import (
 from qcflow.gradientflow import (
     DEFAULT_SAFETY,
     ENERGY_TOL_SCALE,
+    FlowRunStats,
     compatibility_check,
     dtmax,
     energy,
@@ -381,9 +382,9 @@ class TestRunFlow:
         # 38,032 additions of this dt fall short of 38,032 * dt by more than
         # 1e-12 relative, so a stop test on the running sum would ask for a
         # step past the last lattice step. The kernels are stubbed so that
-        # the stop rule alone runs at that length; the state never moves,
-        # so its fields are the fixed ones of the identity grid, and the
-        # second pass reads the saved Jacobians as they are.
+        # the stop rule alone runs at that length; the stack never moves,
+        # so its fields are the fixed ones of two passes of the identity
+        # grid, and the stepper makes no update.
         dt, n_steps = 0.0009572206494414425, 38032
         t = 0.0
         for _ in range(n_steps):
@@ -391,18 +392,17 @@ class TestRunFlow:
         assert t < n_steps * dt * (1.0 - 1e-12)
 
         grid = identity_grid((4, 4), 1.0 / 3.0)
-        fields = gradientflow._checked_fields(grid.values, grid.h)
+        fields = gradientflow._repeat(gradientflow._checked_fields(grid.values, grid.h), 2)
+        min_det = np.min(fields.det, axis=(1, 2))
 
         def advance(v, update, step_dt, h, det_floor):
             assert step_dt > 0.0
-            return fields
+            return fields, min_det, None
 
         monkeypatch.setattr(gradientflow, "_dtmax", lambda jac, h, p, safety: dt)
-        monkeypatch.setattr(gradientflow, "_interior_update", lambda *args: None)
+        monkeypatch.setattr(gradientflow, "_picard_stepper", lambda coeff0, p, h: lambda f: None)
         monkeypatch.setattr(gradientflow, "_advance", advance)
-        monkeypatch.setattr(gradientflow, "_energy", lambda *args: 0.0)
-        monkeypatch.setattr(gradientflow, "_fields", lambda v, h: fields)
-        monkeypatch.setattr(gradientflow, "_saved_coefficients", lambda saved, p: iter(saved))
+        monkeypatch.setattr(gradientflow, "_energy", lambda fields, *args: np.zeros(2))
         stats = run_flow(grid, 2.0, n_steps * dt, mode="picard", outer=2)
         assert stats.halt_reason is None
         assert stats.times.size - 1 == n_steps
@@ -413,7 +413,8 @@ class TestRunFlow:
         grid = affine_bump_grid()
         t_final = 10.0 * dtmax(grid, 2.0)
         rising = itertools.count()
-        monkeypatch.setattr(gradientflow, "_energy", lambda *args: float(next(rising)))
+        monkeypatch.setattr(gradientflow, "_energy",
+                            lambda fields, *args: np.full(fields.v.shape[1], float(next(rising))))
         stats = run_flow(grid, 2.0, t_final, mode=mode)
         assert stats.halt_reason == "unstable"
         assert stats.violations == 5
@@ -423,7 +424,7 @@ class TestRunFlow:
     def test_infinite_update_halts_non_finite(self, monkeypatch, mode):
         grid = affine_bump_grid()
         monkeypatch.setattr(gradientflow, "_interior_update",
-                            lambda *args: np.full((2, 15, 15), np.inf))
+                            lambda coeff, v, h: np.full(v.shape[:2] + (15, 15), np.inf))
         stats = run_flow(grid, 2.0, 1e-3, mode=mode)
         assert stats.halt_reason == "non_finite"
         assert stats.times.size == 1 and stats.violations == 0
@@ -435,13 +436,13 @@ class TestRunFlow:
         # floor, put a NaN in the energy (a RuntimeWarning) and escape as a
         # bare NonFiniteValue at the next step; it is checked where it is made
         grid = affine_bump_grid()
-        first = gradientflow._entry_first(grid.values)
+        first = gradientflow._entry_first(grid.values)[:, None]
         jacobian = gradientflow._jacobian_field
 
         def poisoned(v, h):
             jac = jacobian(v, h)
             if not np.array_equal(v, first):
-                jac[0, 0, 8, 8] = np.inf
+                jac[0, 0, ..., 8, 8] = np.inf
             return jac
 
         monkeypatch.setattr(gradientflow, "_jacobian_field", poisoned)
@@ -547,13 +548,13 @@ class TestRunFlow:
     def test_picard_first_pass_reuses_initial_jacobian(self, monkeypatch):
         # pass one freezes its coefficients at u0, and each later pass reads
         # the Jacobians the previous pass made: set-up differences u0 and
-        # every step the state it makes, nothing else
+        # every step the state each pass makes, nothing else
         calls = []
         jacobian = gradientflow._jacobian_field
 
-        def counted(*args):
-            calls.append(1)
-            return jacobian(*args)
+        def counted(v, h):
+            calls.append(v.shape[1])  # the states in the stack
+            return jacobian(v, h)
 
         grid = affine_bump_grid()
         monkeypatch.setattr(gradientflow, "_jacobian_field", counted)
@@ -562,7 +563,7 @@ class TestRunFlow:
             stats = run_flow(grid, 2.0, t_final=1e-3, mode="picard", outer=outer)
             steps = stats.times.size - 1
             assert steps > 1 and stats.halt_reason is None
-            assert len(calls) == 1 + outer * steps, outer
+            assert sum(calls) == 1 + outer * steps, outer
 
     @pytest.mark.parametrize("mode, t_final, safety", [
         ("explicit", 1e-2, 3.0), ("picard", 1e-3, DEFAULT_SAFETY)])
@@ -571,20 +572,21 @@ class TestRunFlow:
         # no stepped state makes an adjugate. The boundary residual makes
         # the full grid's once at set-up; explicit mode then makes one over
         # the interior per accepted state it steps from (a rejected step
-        # reuses its update), picard one for u0 and one for each saved
-        # state a later pass reads (its step 0 reads u0's again)
+        # reuses its update), picard one for u0 and one for each state of
+        # an earlier pass that a later pass reads (its step 0 reads u0's
+        # again). Each entry counts the states of one stack
         shapes, in_advance = [], []
         adjugate, advance = gradientflow._adjugate, gradientflow._advance
 
         def counted_adjugate(a):
-            shapes.append(a.shape[2:])
+            shapes.append((a.shape[2], a.shape[3:]))
             return adjugate(a)
 
-        def counted_advance(*args):
+        def counted_advance(v, *args):
             before = len(shapes)
-            fields = advance(*args)
-            in_advance.append(len(shapes) - before)
-            return fields
+            stepped = advance(v, *args)
+            in_advance.append((v.shape[1], len(shapes) - before))
+            return stepped
 
         monkeypatch.setattr(gradientflow, "_adjugate", counted_adjugate)
         monkeypatch.setattr(gradientflow, "_advance", counted_advance)
@@ -593,45 +595,34 @@ class TestRunFlow:
         steps = stats.times.size - 1
         assert steps > 1 and stats.halt_reason is None
         interior = tuple(m - 2 for m in grid.shape)
+        stepped = sum(states for states, _ in in_advance)
         if mode == "explicit":
-            assert stats.violations == 1 and len(in_advance) == steps + 1
+            assert stats.violations == 1 and stepped == steps + 1
             made = steps
         else:
-            assert len(in_advance) == outer * steps
+            assert stepped == outer * steps
             made = 1 + (outer - 1) * (steps - 1)
-        assert not any(in_advance)
-        assert shapes == [grid.shape] + [interior] * made
+        assert not any(inside for _, inside in in_advance)
+        assert shapes[0] == (1, grid.shape)
+        assert {nodes for _, nodes in shapes[1:]} == {interior}
+        assert sum(states for states, _ in shapes[1:]) == made
 
-    def test_picard_last_pass_saves_nothing(self):
-        # the last pass keeps no state for a pass after it, and a later pass
-        # frees each saved Jacobian as it reads it, so one pass peaks far
-        # below two
+    def test_picard_keeps_no_history(self):
+        # a later pass reads only the current state of the pass before it,
+        # so doubling the horizon, and the steps, leaves the peak where it
+        # was; a pass that saved each state it steps from for the next
+        # pass would peak about twice as high
         grid = make_grid(make_map("affine_bump", n=2, amplitude=0.05), (33, 33), 1.0 / 32.0)
         peaks = []
-        for outer in (1, 2):
+        for t_final in (5e-4, 1e-3):
             tracemalloc.start()
             try:
-                stats = run_flow(grid, 2.0, t_final=5e-4, mode="picard", outer=outer)
+                stats = run_flow(grid, 2.0, t_final, mode="picard", outer=3)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
             assert stats.halt_reason is None and stats.times.size - 1 > 100
-        assert peaks[0] < 0.5 * peaks[1]
-
-    def test_later_pass_starts_with_one_saved_state_per_step_it_reads(self, monkeypatch):
-        # step k of a later pass reads state k of the pass before: u0 for
-        # k = 0, then saved states 1 .. steps - 1; the last state is not kept
-        counts, saved_coefficients = [], gradientflow._saved_coefficients
-
-        def counted(saved, p):
-            counts.append(len(saved))
-            return saved_coefficients(saved, p)
-
-        monkeypatch.setattr(gradientflow, "_saved_coefficients", counted)
-        stats = run_flow(affine_bump_grid(), 2.0, 1e-3, mode="picard", outer=3)
-        steps = stats.times.size - 1
-        assert steps > 1 and stats.halt_reason is None
-        assert counts == [steps - 1] * 2
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_picard_converges_to_the_explicit_flow(self):
         # with no rejected step, explicit mode runs on picard's dt lattice,
@@ -647,6 +638,101 @@ class TestRunFlow:
         d5 = float(np.max(np.abs(u5.final_grid.values - u4.final_grid.values)))
         assert 0.0 < d5 < 1e-6
         assert np.max(np.abs(u5.final_grid.values - explicit.final_grid.values)) <= d5
+
+    def test_pass_changes_are_the_final_differences_of_separate_runs(self):
+        # the stacked passes' final values, differenced at the horizon, are
+        # those of runs of outer = k and k - 1, bit for bit
+        grid = affine_bump_grid()
+        stats = run_flow(grid, 2.0, 1e-3, mode="picard", outer=4)
+        finals = [run_flow(grid, 2.0, 1e-3, mode="picard", outer=k).final_grid.values
+                  for k in (1, 2, 3, 4)]
+        want = [float(np.max(np.abs(b - a))) for a, b in zip(finals, finals[1:])]
+        assert [c.hex() for c in stats.pass_changes] == [w.hex() for w in want]
+        assert want[0] > want[1] > want[2] > 0.0
+        assert run_flow(grid, 2.0, 1e-3).pass_changes == ()
+        assert run_flow(grid, 2.0, 1e-3, mode="picard", outer=1).pass_changes == ()
+
+    @staticmethod
+    def _stub_energy(monkeypatch, rises: list, seen: dict):
+        """Energies that rise for pass k at the steps in rises[k] and fall otherwise.
+
+        seen maps each step to the stepped stack's values, for the final
+        grid a halted pass must return.
+        """
+        calls, last = itertools.count(), [0.0] * len(rises)
+
+        def energy(fields, h, p, volume):
+            j, live = next(calls), fields.v.shape[1]
+            if j == 0:  # u0, at set-up
+                return np.zeros(live)
+            seen[j] = fields.v.copy()
+            last[:live] = [last[k] + 1.0 if j in rises[k] else -float(j) for k in range(live)]
+            return np.array(last[:live])
+
+        monkeypatch.setattr(gradientflow, "_energy", energy)
+        return calls
+
+    def test_later_pass_halt_keeps_the_earlier_passes_full_runs(self, monkeypatch):
+        # pass 1 halts unstable at step 7; pass 0 runs on to step 12 and
+        # its two rises count, pass 2 is dropped and its two do not
+        grid = affine_bump_grid()
+        seen = {}
+        calls = self._stub_energy(monkeypatch, [{2, 10}, {3, 4, 5, 6, 7}, {1, 2}], seen)
+        stats = run_flow(grid, 2.0, 12 * dtmax(grid, 2.0), mode="picard", outer=3)
+        assert next(calls) == 1 + 12
+        assert stats.halt_reason == "unstable"
+        assert stats.violations == 2 + 5
+        assert stats.energy.tolist() == [0.0, -1.0, -2.0, -1.0, 0.0, 1.0, 2.0]
+        assert stats.times.size == stats.min_det.size == stats.dt_history.size == 7
+        assert stats.final_grid.values.tobytes() == np.moveaxis(seen[6][:, 1], 0, -1).tobytes()
+        assert stats.min_det[-1] == np.min(stats.final_grid.det_cache)
+        assert stats.pass_changes == ()
+
+    def test_earlier_pass_halting_later_beats_a_later_pass_halting_earlier(self, monkeypatch):
+        # pass 2 halts non-finite at step 3, pass 0 unstable at step 9: run
+        # one after another, pass 0's halt ends the run before pass 2 starts
+        grid = affine_bump_grid()
+        seen = {}
+        self._stub_energy(monkeypatch, [{5, 6, 7, 8, 9}, {2}, set()], seen)
+        updates, update = itertools.count(1), gradientflow._interior_update
+
+        def poisoned(coeff, v, h):
+            out = update(coeff, v, h)
+            if next(updates) == 3:
+                out[:, 2] = np.inf
+            return out
+
+        monkeypatch.setattr(gradientflow, "_interior_update", poisoned)
+        stats = run_flow(grid, 2.0, 12 * dtmax(grid, 2.0), mode="picard", outer=3)
+        assert stats.halt_reason == "unstable"
+        assert stats.violations == 5
+        assert stats.energy.tolist() == [0.0, -1.0, -2.0, -3.0, -4.0, -3.0, -2.0, -1.0, 0.0]
+        assert stats.final_grid.values.tobytes() == np.moveaxis(seen[8][:, 0], 0, -1).tobytes()
+        assert seen[3].shape[1] == 2 and seen[2].shape[1] == 3
+
+    @pytest.mark.parametrize("check, halt", [("_jacobian_field", "non_finite"),
+                                             ("_det_field", "determinant_collapse")])
+    def test_later_pass_failing_a_check_halts_alone(self, monkeypatch, check, halt):
+        # at step 4 pass 1's stepped Jacobian gets an inf, or its det falls
+        # under the floor, at one node: pass 1 halts with its three steps,
+        # pass 2 is dropped and pass 0 runs on to the horizon
+        grid = affine_bump_grid()
+        t_final, calls, made = 12 * dtmax(grid, 2.0), itertools.count(), getattr(gradientflow, check)
+
+        def poisoned(a, *args):
+            out = made(a, *args)
+            if next(calls) == 4:  # set-up makes u0's, then one per step
+                out[..., 1, 8, 8] = np.inf if check == "_jacobian_field" else 1e-300
+            return out
+
+        monkeypatch.setattr(gradientflow, check, poisoned)
+        stats = run_flow(grid, 2.0, t_final, mode="picard", outer=3)
+        assert next(calls) == 1 + 12
+        assert stats.halt_reason == halt and stats.violations == 0
+        assert stats.times.size == 4
+        clean = run_flow(grid, 2.0, 3 * dtmax(grid, 2.0), mode="picard", outer=2)
+        assert clean.times.tobytes() == stats.times[:4].tobytes()
+        assert stats.final_grid.values.tobytes() == clean.final_grid.values.tobytes()
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -717,6 +803,38 @@ class TestPicardOracle:
             assert getattr(stats, name).tobytes() == getattr(oracle, name).tobytes(), name
         assert (stats.halt_reason, stats.violations) == (oracle.halt_reason, oracle.violations)
         assert stats.final_grid.values.tobytes() == oracle.final_grid.values.tobytes()
+
+
+HALTING_PICARD = {
+    # safety: (halt, steps, violations), on 17^2 affine_bump, p = 2, t = 1e-2;
+    # the first pass halts, so every outer gives the same run
+    3.0: ("determinant_collapse", 7, 1),
+    1.3: ("unstable", 43, 5),
+}
+
+
+class TestHaltingPicardOracle:
+    @pytest.mark.parametrize("outer", [1, 2, 3])
+    @pytest.mark.parametrize("safety", sorted(HALTING_PICARD))
+    def test_halting_run_matches_the_loop_that_differences_again(self, safety, outer):
+        # the stacked passes halt where passes run one after another halt,
+        # and return every stats field of the halting pass bit for bit
+        grid = affine_bump_grid()
+        stats = run_flow(grid, 2.0, 1e-2, mode="picard", safety=safety, outer=outer)
+        oracle = recompute_flow(grid, 2.0, 1e-2, mode="picard", safety=safety, outer=outer)
+        halt, steps, violations = HALTING_PICARD[safety]
+        assert (stats.halt_reason, stats.times.size - 1, stats.violations) == (halt, steps,
+                                                                              violations)
+        for f in dataclasses.fields(FlowRunStats):
+            mine, theirs = getattr(stats, f.name), getattr(oracle, f.name)
+            if f.name == "final_grid":
+                for name in ("values", "det_cache", "origin"):
+                    assert getattr(mine, name).tobytes() == getattr(theirs, name).tobytes(), name
+                assert mine.h == theirs.h
+            elif isinstance(mine, np.ndarray):
+                assert mine.tobytes() == theirs.tobytes(), f.name
+            else:
+                assert mine == theirs and type(mine) is type(theirs), f.name
 
 
 @st.composite
