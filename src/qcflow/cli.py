@@ -132,8 +132,8 @@ def cmd_ops(map_id: str, params, point: str, p_power: float, out: str | None) ->
         # large powers overflow the flux weight; the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             jet = mapping.jet(x)
-            report = tensor.analyze(jet.J)
-            _, _, det, nsq = tensor._checked(jet.J)  # the det and |J|^2 behind K and SgNormSq
+            a, n, det, nsq = tensor._checked(jet.J)  # one check behind K, SgNormSq, detJ and normSqJ
+            report = tensor._report(a, n, det, nsq)
             record = {
                 "map": map_id,
                 "point": [float(v) for v in x],
@@ -251,7 +251,7 @@ def cmd_flow(config: str) -> None:
         p_power, t_final, h = (_flow_number(key, cfg[key]) for key in ("p", "t_final", "h"))
         safety = _flow_number("safety", cfg.get("safety", gradientflow.DEFAULT_SAFETY))
         mode = cfg.get("mode", "explicit")
-        outer = cfg.get("outer", 3)
+        outer = cfg.get("outer", gradientflow.DEFAULT_OUTER)
         gradientflow._check_flow_args(mode=mode, p=p_power, safety=safety,
                                       t_final=t_final, outer=outer)
         snaps = cfg.get("snapshots", {})

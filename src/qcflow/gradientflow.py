@@ -46,6 +46,7 @@ from .operators import _contracted_operator, _operator_coefficients, flux_linear
 from .tensor import _adjugate, _entries_det, _positive
 
 DEFAULT_SAFETY = 0.2
+DEFAULT_OUTER = 3
 ENERGY_TOL_SCALE = 1e-12
 MAX_CONSECUTIVE_VIOLATIONS = 5
 _NON_FINITE_JACOBIAN = "difference Jacobian has non-finite entries"
@@ -606,7 +607,7 @@ def _picard_stepper(coeff0: tuple, p: float, h: float):
 
 
 def run_flow(grid: GridField, p: float, t_final: float, mode: str = "explicit",
-             safety: float = DEFAULT_SAFETY, outer: int = 3) -> FlowRunStats:
+             safety: float = DEFAULT_SAFETY, outer: int = DEFAULT_OUTER) -> FlowRunStats:
     """Integrate the flow to the horizon with monitors.
 
     explicit mode is the driver on a stack of one with the explicit

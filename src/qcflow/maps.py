@@ -812,8 +812,6 @@ class _Composite(_EntryMap):
     """Composition of factors, innermost first, folded by _fold and sampled by _chained."""
 
     factors: tuple = ()
-    # the fold, made once at the first sample (see _fold)
-    folded: list = field(default_factory=list, repr=False, compare=False)
 
 
 def _read_as_entries(m: SmoothMap) -> _EntryMap:
@@ -923,7 +921,7 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
             x = move(x)
         return _chained(links, x, order, matrix)
 
-    return _entry_map(outer.n, sample, _chain_hessians, _Composite, factors, folded)
+    return _entry_map(outer.n, sample, _chain_hessians, _Composite, factors)
 
 
 def teichmuller_map(psi: ConformalMap, middle: SmoothMap, phi: ConformalMap) -> SmoothMap:

@@ -12,7 +12,8 @@ lh_witness, lp_nondiv, linfty_factored, dilation_gradient,
 linfty_flowform, lp_asymptotic_ratio and b_tensor. A single point is a
 stack with no leading axes, and each row of a stack is bit-equal to the
 call on that row alone, so the verify suites check a whole case's draws
-in one call. lp_divergence samples a map around one point.
+in one call. lp_divergence samples a map around one point, its stencil
+as two stacks.
 
 On grids the non-divergence operator is evaluated in two steps, which the
 gradient flow steps with. _operator_coefficients prepares a coefficient
@@ -25,9 +26,10 @@ prepared once. The n^4 flux_linearization stays for gradientflow.dtmax
 oracle the verify suites and tests compare against. Every kernel here
 that takes a Jacobian on its own, Jet2Sample included, validates it
 through tensor._checked, which gives its det and |q|^2, and takes q^{-T}
-from tensor._inverse_t: tensor's one kernel at every n, on floats for
-one point and on node arrays for a stack, so each row has the bits of
-its call alone, and q^{-T} is cofactor / det, the grid's adj / det.
+from tensor._inverse_t: tensor's one kernel at every n, one point being
+a stack with no leading axes, so each row has the bits of its call
+alone, and q^{-T} is cofactor / det, the grid's adj / det.
+linfty_flowform reads K and g from its one _checked.
 """
 
 from __future__ import annotations
@@ -37,14 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedRegime
-from .tensor import (
-    _checked,
-    _dilation_field,
-    _inverse_t,
-    ahlfors,
-    distortion_tensor,
-    trace_dilation,
-)
+from .tensor import _checked, _dilation, _dilation_field, _distortion, _inverse_t, ahlfors
 
 # Orientation of the large-p limit: the normalized finite-p operator
 # converges to +1 times the factored infinite-p operator. Calibrated
@@ -254,18 +249,18 @@ def lp_nondiv(sample: Jet2Sample, p: float) -> np.ndarray:
 def lp_divergence(mapping, x, p: float, h: float) -> np.ndarray:
     """Finite-p operator as a central-difference divergence of the flux field.
 
-    Samples the mapping's Jacobian on a stencil of radius h around x;
-    converges to lp_nondiv at second order in h.
+    Samples the mapping's Jacobian on a stencil of radius h around x, as
+    two stacks x + h e_j and x - h e_j; converges to lp_nondiv at second
+    order in h.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
+    steps = h * np.eye(n)
+    a_plus = flux(mapping.jacobian(x + steps), p)
+    a_minus = flux(mapping.jacobian(x - steps), p)
     out = np.zeros(n)
     for j in range(n):
-        step = np.zeros(n)
-        step[j] = h
-        a_plus = flux(mapping.jacobian(x + step), p)
-        a_minus = flux(mapping.jacobian(x - step), p)
-        out += (a_plus[:, j] - a_minus[:, j]) / (2.0 * h)
+        out += (a_plus[j, :, j] - a_minus[j, :, j]) / (2.0 * h)
     return out
 
 
@@ -293,9 +288,9 @@ def linfty_flowform(sample: Jet2Sample) -> np.ndarray:
     Equal to linfty_factored as an algebraic identity: rows are
     n^2 |J|^4 / K^3 times S(g) J^{-T} applied to grad K.
     """
-    j, n, _, nsq = _checked(sample.J)
-    k = trace_dilation(j)
-    sg = ahlfors(distortion_tensor(j))
+    j, n, d, nsq = _checked(sample.J)
+    k = _dilation(nsq, d, n)
+    sg = ahlfors(_distortion(j, n, d))
     p_mat = sg @ np.swapaxes(np.linalg.inv(j), -1, -2)
     grad_k = np.einsum("...kl,...kjl->...j", p_mat / k[..., None, None], sample.H)
     weight = n * n * nsq * nsq / np.float_power(k, 3)  # pow, as a single float's ** takes it

@@ -8,15 +8,18 @@ a[i, j, ...] and serves batched grids.
 
 At every n one kernel, written once on row-major entries, gives the
 cofactors, det (_entries_det) and |J|^2, J^{-T} (_inverse_t), the field
-F = S(g) J^{-T} (_field) and K (_dilation). An entry is a Python float
-for one matrix and an array over nodes for a stack, so a stack row has
-the bits of its single call by construction, and a flow line's sample
-or RK4 stage hands its J over as a list (_sg_one), a stage for one row
-of F (_cofactor_row). Every Jacobian kernel here and in operators and
-traces enters through _checked, which returns (a, n, det, |J|^2) for a
-finite square matrix with finite positive determinant and finite
-|J|^2; one that needs J^{-T} takes it from _inverse_t, cofactor / det.
-LAPACK's det serves only the n = 1 and n >= 5 matrices maps allow.
+F = S(g) J^{-T} (_field) and K (_dilation). One matrix is a stack with
+no leading axes and takes the stack's path; its entries are Python
+floats and a stack's are arrays over nodes, so a stack row has the bits
+of its single call by construction. The one path on Python floats
+alone is the flow-line walk's: a sample or RK4 stage hands its J over
+as a list (_sg_one), a stage for one row of F (_cofactor_row). Every
+Jacobian kernel here and in operators and traces enters through
+_checked, which returns (a, n, det, |J|^2) for a finite square matrix
+with finite positive determinant and finite |J|^2; one that needs
+J^{-T} takes it from _inverse_t, cofactor / det, and a report reads K
+(_dilation) and g (_distortion) from its one _checked. LAPACK's det
+serves only the n = 1 and n >= 5 matrices maps allow.
 factoring_residual and operators.linfty_flowform keep LAPACK's inverse
 on the S(g) route and are the field's oracles.
 """
@@ -72,17 +75,14 @@ def _finite_positive(d):
 def _checked(m) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """A finite square matrix stack with finite positive det and finite |J|^2: (a, n, det, |J|^2).
 
-    |J|^2 is _sum_sq's and det _entries_det's; one matrix's floats come
-    back as np.float64.
+    |J|^2 is _sum_sq's and det _entries_det's, as np.float64; one matrix
+    is a stack with no leading axes.
     """
     a = _as_matrix(m)
     n = a.shape[-1]
     e = _entries(a)
-    if a.ndim == 2:  # floats never warn, and errstate costs more than the kernel
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as such
         d, nsq = _entries_det(e, n), _sum_sq(e)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as such
-            d, nsq = _entries_det(e, n), _sum_sq(e)
     return a, n, np.float64(_finite_positive(d)), np.float64(_finite(nsq, "|J|^2"))
 
 
@@ -263,16 +263,9 @@ def _cofactor(a: np.ndarray) -> np.ndarray:
 def _inverse_t(a: np.ndarray, d) -> np.ndarray:
     """J^{-T} of a matrix or stack a that _checked passed with det d, as _cofactor(a) / d.
 
-    One matrix is divided on Python floats and a stack on node arrays, so
-    a stack row has its single call's bits. A J^{-T} past the float range
+    A stack row has its single call's bits. A J^{-T} past the float range
     (a cofactor or a quotient overflowed) is NonFiniteValue.
     """
-    if a.ndim == 2:  # floats never warn, as in _checked
-        d = float(d)
-        inv = [x / d for x in _cofactors(a.ravel().tolist(), a.shape[-1])]
-        if not all(map(math.isfinite, inv)):
-            _finite(np.array(inv), "J^{-T}")
-        return np.array(inv).reshape(a.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as such
         return _finite(_cofactor(a) / d[..., None, None], "J^{-T}")
 
@@ -291,6 +284,11 @@ def trace_dilation(j) -> float | np.ndarray:
 def distortion_tensor(j) -> np.ndarray:
     """Normalized shape tensor J J^T / (det J)^(2/n), unit determinant, SPD."""
     a, n, d, _ = _checked(j)
+    return _distortion(a, n, d)
+
+
+def _distortion(a: np.ndarray, n: int, d: np.ndarray) -> np.ndarray:
+    """distortion_tensor of a matrix or stack a that _checked passed with det d."""
     g = np.einsum("...ik,...jk->...ij", a, a)
     return g / d[..., None, None] ** (2.0 / n)
 
@@ -305,22 +303,15 @@ def ahlfors(m) -> np.ndarray:
     return sym - tr[..., None, None] * eye / n
 
 
-def _sg_field(j) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray]:
+def _sg_field(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Field F = S(g) J^{-T} from one checked determinant, with |J|^2 and det J.
 
     F = (J - |J|^2 J^{-T} / n) / (det J)^(2/n), the identity factoring_residual
-    pins, by _field with J^{-T} = cofactor / det: one matrix takes _sg_one
-    (its |J|^2 and det come back as floats), and a stack the same kernel
-    on node arrays, so a stack row has its bits. An F past the float range
-    (J^{-T} overflowed) is NonFiniteValue.
+    pins, by _field with J^{-T} = cofactor / det, so a stack row has its
+    single call's bits, and those of the flow-line walk's _sg_one. An F
+    past the float range (J^{-T} overflowed) is NonFiniteValue.
     """
-    a = np.asarray(j, dtype=float)
-    if a.ndim == 2:  # floats never warn, as in _checked
-        field, nsq, d = _sg_one(_as_matrix(a).ravel().tolist())
-        if not all(map(math.isfinite, field)):
-            _finite(np.array(field), "F")
-        return np.array(field).reshape(a.shape), nsq, d
-    a, n, d, nsq = _checked(a)
+    a, n, d, nsq = _checked(j)
     e = _entries(a)
     with np.errstate(over="ignore", invalid="ignore"):  # as in _checked
         field = _field(e, _cofactors(e, n), d, nsq, n)
@@ -376,12 +367,11 @@ def factoring_residual(j) -> float | np.ndarray:
     which vanishes identically; values above round-off indicate a bug in
     the caller's Jacobian, not a non-conformal map.
     """
-    a, n, _, nsq = _checked(j)
+    a, n, d, nsq = _checked(j)
     inv_t = np.swapaxes(np.linalg.inv(a), -1, -2)
-    nsq = nsq[..., None, None]
-    ksq = np.float_power(trace_dilation(a), 2)  # pow, as a single K's ** takes it
-    sg = ahlfors(distortion_tensor(a))
-    resid = inv_t - n * a / nsq + (n / ksq)[..., None, None] * (sg @ inv_t)
+    ksq = np.float_power(_dilation(nsq, d, n), 2)  # pow, as a single K's ** takes it
+    sg = ahlfors(_distortion(a, n, d))
+    resid = inv_t - n * a / nsq[..., None, None] + (n / ksq)[..., None, None] * (sg @ inv_t)
     return hs_norm(resid)
 
 
@@ -410,10 +400,13 @@ def analyze(j) -> DilationReport:
     threshold the equivalent characterizations (dilation at its floor,
     vanishing factored operator) agree away from the tolerance edge.
     """
-    a = _as_matrix(j)
-    n = a.shape[-1]
-    k = trace_dilation(a)
-    g = distortion_tensor(a)
+    return _report(*_checked(j))
+
+
+def _report(a: np.ndarray, n: int, d: np.ndarray, nsq: np.ndarray) -> DilationReport:
+    """analyze's report of a matrix or stack a that _checked passed with det d and |J|^2 nsq."""
+    k = _dilation(nsq, d, n)
+    g = _distortion(a, n, d)
     sg = ahlfors(g)
     sg_norm_sq = np.sum(sg * sg, axis=(-2, -1))
     # algebraic ceiling |S(g)|^2 <= K^4 (1 - 1/n); failure means the

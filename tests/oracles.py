@@ -1,11 +1,13 @@
 """Test-only oracles: finite-difference jets, a plain chain fold, the polynomial map's
 einsum jets, a flow-line walk on numpy arrays, a path-integral drift check, the derivative form of the pathwise dilation identity,
-verify's random draws one at a time, a plain cofactor expansion, and a recompute-everything
-grid flow, whose picard mode differences each saved state again.
+verify's random draws one at a time, a plain cofactor expansion, a recompute-everything
+grid flow, whose picard mode differences each saved state again, and the divergence-form
+operator's stencil sampled one axis at a time.
 
 None is part of the package; the tests check the exact jets, the folded
 composites, the polynomial map's entry-first sums, trace_flowline, the differential-drift identity, the pathwise
-identity, verify's block reader, tensor's cofactors and run_flow (both modes) against them.
+identity, verify's block reader, tensor's cofactors, run_flow (both modes) and
+lp_divergence against them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from qcflow.flowlines import (DEGENERACY_TOL, FlowTrajectory, _pick_row, _row_no
                               ball_domain, flow_field)
 from qcflow.gradientflow import ENERGY_TOL_SCALE, FlowRunStats, GridField
 from qcflow.maps import SmoothMap, _polynomial_coefficients
-from qcflow.operators import (Jet2Sample, _contracted_operator, _operator_coefficients,
+from qcflow.operators import (Jet2Sample, _contracted_operator, _operator_coefficients, flux,
                               flux_linearization, linfty_factored)
 from qcflow.tensor import _dilation_field, _positive
 
@@ -111,6 +113,20 @@ def polynomial_einsum(n: int, seed: int, amplitude: float, x: np.ndarray) -> tup
         + 3.0 * np.einsum("kabc,...b,...c->...ka", c3, x, x)
     )
     return u, j
+
+
+def lp_divergence_per_axis(mapping, x, p: float, h: float) -> np.ndarray:
+    """lp_divergence with one flux call at each stencil point, x + h e_j and x - h e_j in turn."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    out = np.zeros(n)
+    for j in range(n):
+        step = np.zeros(n)
+        step[j] = h
+        a_plus = flux(mapping.jacobian(x + step), p)
+        a_minus = flux(mapping.jacobian(x - step), p)
+        out += (a_plus[:, j] - a_minus[:, j]) / (2.0 * h)
+    return out
 
 
 def trace_flowline_arrays(mapping, x0, ds: float, max_len: float, domain=None) -> FlowTrajectory:

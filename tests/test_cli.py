@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qcflow import ConfigError, flowlines, gradientflow, maps, tensor, verify
+from qcflow import ConfigError, flowlines, gradientflow, maps, operators, tensor, verify
 from qcflow.cli import main
 
 OPS_KEYS = {"K", "KSquared", "detJ", "normSqJ", "Sg", "SgNormSq",
@@ -142,6 +142,21 @@ class TestOpsCommand:
         _, n, det, nsq = tensor._checked(maps.make_map("teichmuller", n=3).jet([0.1, 0.2, 0.1]).J)
         assert (rec["detJ"], rec["normSqJ"]) == (float(det), float(nsq))
         assert rec["K"] == float(tensor._dilation(nsq, det, n))
+
+    def test_one_check_of_j_for_the_record(self, monkeypatch):
+        # the jet's own check, one for K, Sg, detJ and normSqJ, and one each
+        # in lp_nondiv and linfty_factored
+        checked, shapes = tensor._checked, []
+
+        def counted(m):
+            shapes.append(np.shape(m))
+            return checked(m)
+
+        for module in (tensor, operators):
+            monkeypatch.setattr(module, "_checked", counted)
+        result = run_cli("ops", "teichmuller", "--param", "n=3", "--point", "0.1,0.2,0.1")
+        assert result.exit_code == 0
+        assert shapes == [(3, 3)] * 4
 
     def test_out_writes_record_file(self, tmp_path):
         target = tmp_path / "record.json"
@@ -451,17 +466,20 @@ class TestFlowCommand:
                                 "minDetLast", "haltReason", "violations",
                                 "compatResidual"}
 
-    @pytest.mark.parametrize("outer", [1, 2, 3])
-    def test_picard_summary_reports_its_pass_changes(self, tmp_path, outer):
+    @pytest.mark.parametrize("given", [{"outer": 1}, {"outer": 2}, {"outer": 3}, {}],
+                             ids=["1", "2", "3", "default"])
+    def test_picard_summary_reports_its_pass_changes(self, tmp_path, given):
         # max |u_k - u_{k-1}| of the final values, k = 2..outer, and the
-        # ratio of the last two, which needs two changes
+        # ratio of the last two, which needs two changes; a config without
+        # outer runs run_flow's default of three passes
+        outer = given.get("outer", 3)
         cfg = tmp_path / "flow.json"
-        write_config(cfg, mode="picard", outer=outer)
+        write_config(cfg, mode="picard", **given)
         result = run_cli("flow", str(cfg))
         assert result.exit_code == 0
         summary = json.loads(result.stdout)
         grid = gradientflow.make_grid(maps.make_map("affine_bump", n=2), (17, 17), 1.0 / 16.0)
-        stats = gradientflow.run_flow(grid, 2.0, 5e-4, mode="picard", outer=outer)
+        stats = gradientflow.run_flow(grid, 2.0, 5e-4, mode="picard", **given)
         assert summary["passChanges"] == list(stats.pass_changes)
         assert len(summary["passChanges"]) == outer - 1
         changes = summary["passChanges"]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_jet, random_posdet
+from oracles import lp_divergence_per_axis
 from qcflow import (
     ASYMPTOTIC_SIGN,
     Jet2Sample,
@@ -359,6 +360,17 @@ class TestLpDivergence:
         e1 = np.max(np.abs(lp_divergence(m, x, 2.0, 2e-3) - ref))
         e2 = np.max(np.abs(lp_divergence(m, x, 2.0, 1e-3) - ref))
         assert 3.2 <= e1 / e2 <= 4.8
+
+    @pytest.mark.parametrize("map_id, params, x", [
+        ("polynomial", {"n": 2, "seed": 3, "amplitude": 0.08}, [0.15, -0.2]),
+        ("polynomial", {"n": 3, "seed": 5, "amplitude": 0.08}, [0.1, 0.2, -0.3]),
+        ("radial_stretch", {"alpha": 2.0, "n": 3}, [0.8, -0.4, 0.6]),
+    ])
+    def test_stacked_stencil_matches_the_per_axis_loop_bitwise(self, map_id, params, x):
+        m = make_map(map_id, **params)
+        for p, h in ((2.0, 4e-3), (2.0, 1e-3), (5.0, 2e-3)):
+            want = lp_divergence_per_axis(m, x, p, h)
+            assert lp_divergence(m, x, p, h).tobytes() == want.tobytes()
 
 
 class TestLinftyFactored:

@@ -392,9 +392,9 @@ class TestDilationField:
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]),
            count=st.integers(1, 9), form=st.sampled_from(sorted(STACK_FORMS)))
     def test_stack_rows_match_single_calls_bitwise(self, seed, n, count, form):
-        # one matrix takes the float branch, a stack of them
-        # the kernel on node arrays; exact +-0.0 entries, integers and a
-        # transposed view (whose |J|^2 numpy sums in memory order) reach both
+        # one matrix's entries are Python floats, a stack's node arrays;
+        # exact +-0.0 entries, integers and a transposed view (whose |J|^2
+        # numpy sums in memory order) reach both
         rng = np.random.default_rng(seed)
         mats = STACK_FORMS[form](rng, n, count)
         k, field = _dilation_field(mats)
@@ -417,7 +417,7 @@ class TestDilationField:
         else:
             j = np.ones((n, n + 1))
         with pytest.raises(QcflowError if fault != "shape" else ValueError) as want:
-            trace_dilation(j)  # the array branch's _checked
+            trace_dilation(j)  # _checked's refusal
         with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
             _dilation_field(j)
         if fault in ("nan", "inf"):
@@ -426,34 +426,37 @@ class TestDilationField:
             assert str(want.value) == "determinant must be positive (min -2.000000e+00)"
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_one_matrix_takes_no_errstate(self, monkeypatch, n):
-        # floats never warn: one matrix gives its stack-of-one row's bits and errors,
-        # with nsq and det as Python floats, and never enters np.errstate
+    def test_one_matrix_equals_its_stack_of_one_row(self, n):
+        # one matrix is a stack with no leading axes: _checked, _inverse_t and
+        # _sg_field give it its stack-of-one row's bits, or the same error
         rng = np.random.default_rng(n)
         mats = [random_posdet(rng, n), np.diag([1e200] * n),
                 np.diag([1e200, 1e-200, 1.0, 1.0][:n]), np.diag([-1.0] + [1.0] * (n - 1)),
                 np.full((n, n), 1e200), np.diag([1e150] * n)]
-        stacked = []
+
+        def inverse_t(m) -> tuple:
+            a, _, d, _ = _checked(m)
+            return (_inverse_t(a, d),)
+
+        def outcomes(m) -> list:
+            """_checked's det and |J|^2, _inverse_t's J^{-T} and _sg_field's (F, |J|^2, det), or each error."""
+            out = []
+            for call in (lambda m: _checked(m)[2:], inverse_t, _sg_field):
+                try:
+                    out.append(call(m))
+                except QcflowError as exc:
+                    out.append(exc)
+            return out
+
         for j in mats:
-            try:
-                stacked.append(_sg_field(j[None]))
-            except QcflowError as exc:
-                stacked.append(exc)
-
-        def refused(**kwargs):
-            raise AssertionError("np.errstate entered")
-
-        monkeypatch.setattr(np, "errstate", refused)
-        for j, want in zip(mats, stacked):
-            if isinstance(want, Exception):
-                with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
-                    _sg_field(j)
-                continue
-            field, nsq, det = _sg_field(j)
-            assert type(nsq) is float and type(det) is float
-            assert field.tobytes() == want[0][0].tobytes()
-            assert np.float64(nsq).tobytes() == want[1][0].tobytes()
-            assert np.float64(det).tobytes() == want[2][0].tobytes()
+            for got, want in zip(outcomes(j), outcomes(j[None])):
+                if isinstance(want, Exception):
+                    assert type(got) is type(want) and str(got) == str(want)
+                    continue
+                for x, row in zip(got, want):
+                    assert x.shape == row.shape[1:] and x.tobytes() == row[0].tobytes()
+        det, nsq = outcomes(mats[0])[0]
+        assert type(det) is np.float64 and type(nsq) is np.float64
 
     def test_folded_rejected(self):
         with pytest.raises(NonPositiveDeterminant, match="determinant must be positive"):
